@@ -3,7 +3,7 @@
 
 use deepgate_gnn::{
     evaluate_prediction_error, AggregatorKind, CircuitGraph, CompiledKernel, DagRecConfig,
-    DagRecGnn, GnnError, InferencePlan, ProbabilityModel, QuantMode,
+    DagRecGnn, GnnError, InferencePlan, ProbabilityModel,
 };
 use deepgate_nn::{Graph, NnError, ParamStore, Tensor, Var};
 use serde::{Deserialize, Serialize};
@@ -153,50 +153,10 @@ impl DeepGate {
         self.model.plan(circuit)
     }
 
-    /// Bakes the current weights into a [`CompiledKernel`] for the given
-    /// scoring mode. The kernel snapshots the weights, so recompile after
-    /// training updates the store.
-    pub fn compile(&self, mode: QuantMode) -> CompiledKernel {
-        self.model.compile(&self.store, mode)
-    }
-
-    /// Plan-based prediction into a caller-owned buffer — the allocation
-    /// -reusing serving hot path behind `deepgate::InferenceSession`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GnnError::EncodingMismatch`] for incompatible circuits.
-    pub fn try_predict_into(
-        &self,
-        circuit: &CircuitGraph,
-        plan: &InferencePlan,
-        out: &mut Vec<f32>,
-    ) -> Result<(), GnnError> {
-        self.model
-            .try_predict_into(&self.store, circuit, plan, self.config.num_iterations, out)
-    }
-
-    /// [`DeepGate::try_predict_into`] with optional kernel telemetry — see
-    /// [`DagRecGnn::try_predict_into_metered`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GnnError::EncodingMismatch`] for incompatible circuits.
-    pub fn try_predict_into_metered(
-        &self,
-        circuit: &CircuitGraph,
-        plan: &InferencePlan,
-        out: &mut Vec<f32>,
-        metrics: Option<&deepgate_gnn::GnnMetrics>,
-    ) -> Result<(), GnnError> {
-        self.model.try_predict_into_metered(
-            &self.store,
-            circuit,
-            plan,
-            self.config.num_iterations,
-            out,
-            metrics,
-        )
+    /// Bakes the current weights into a [`CompiledKernel`]. The kernel
+    /// snapshots the weights, so recompile after training updates the store.
+    pub fn compile(&self) -> CompiledKernel {
+        self.model.compile(&self.store)
     }
 
     /// Predicts with an explicit recurrence iteration count (the paper's
@@ -395,7 +355,10 @@ mod tests {
         let direct = model.predict(&c);
         let plan = model.plan(&c);
         let mut out = Vec::new();
-        model.try_predict_into(&c, &plan, &mut out).unwrap();
+        model
+            .compile()
+            .predict_into(&plan, model.config().num_iterations, &mut out, None)
+            .unwrap();
         assert_eq!(out.len(), direct.len());
         for (a, b) in direct.iter().zip(&out) {
             assert!((a - b).abs() < 1e-6);

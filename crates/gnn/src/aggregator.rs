@@ -7,9 +7,7 @@
 //! `edge_seg[e]` names the target node (as an index into the current level's
 //! target list), so the reduction is a scatter-add over segments.
 
-use deepgate_nn::{
-    segment_softmax_tensor, Activation, Graph, Linear, Mlp, ParamStore, Tensor, Var,
-};
+use deepgate_nn::{Activation, Graph, Linear, Mlp, ParamStore, Var};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -239,70 +237,12 @@ impl Aggregator {
             }
         }
     }
-
-    /// Gradient-free aggregation on plain tensors (inference path).
-    ///
-    /// Arguments mirror [`Aggregator::aggregate`].
-    pub fn aggregate_tensor(
-        &self,
-        store: &ParamStore,
-        source_states: &Tensor,
-        query_states: &Tensor,
-        edge_seg: &[usize],
-        num_targets: usize,
-        edge_attr: Option<&Tensor>,
-    ) -> Tensor {
-        let scatter = |rows: &Tensor| -> Tensor {
-            let mut out = Tensor::zeros(num_targets, rows.cols());
-            for (e, &seg) in edge_seg.iter().enumerate() {
-                for j in 0..rows.cols() {
-                    out.set(seg, j, out.get(seg, j) + rows.get(e, j));
-                }
-            }
-            out
-        };
-        let sigmoid = |t: Tensor| t.map(|v| 1.0 / (1.0 + (-v).exp()));
-        match &self.params {
-            AggregatorParams::ConvSum { project } => {
-                scatter(&project.forward_tensor(store, source_states))
-            }
-            AggregatorParams::Attention {
-                query,
-                key,
-                edge_attr: attr_proj,
-            } => {
-                let mut score = query
-                    .forward_tensor(store, query_states)
-                    .add(&key.forward_tensor(store, source_states));
-                if let (Some(proj), Some(attr)) = (attr_proj, edge_attr) {
-                    score = score.add(&proj.forward_tensor(store, attr));
-                }
-                let alpha = segment_softmax_tensor(&score, edge_seg);
-                let mut weighted = source_states.clone();
-                for e in 0..weighted.rows() {
-                    let w = alpha.get(e, 0);
-                    for j in 0..weighted.cols() {
-                        weighted.set(e, j, weighted.get(e, j) * w);
-                    }
-                }
-                scatter(&weighted)
-            }
-            AggregatorParams::DeepSet { phi, rho } => {
-                let transformed = phi.forward_tensor(store, source_states);
-                rho.forward_tensor(store, &scatter(&transformed))
-            }
-            AggregatorParams::GatedSum { gate, value } => {
-                let gates = sigmoid(gate.forward_tensor(store, source_states));
-                let values = value.forward_tensor(store, source_states);
-                scatter(&gates.mul(&values))
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use deepgate_nn::Tensor;
 
     fn setup(kind: AggregatorKind, attr_dim: usize) -> (ParamStore, Aggregator) {
         let mut store = ParamStore::new();
@@ -326,36 +266,19 @@ mod tests {
     }
 
     #[test]
-    fn tensor_and_tape_aggregation_agree() {
-        for kind in AggregatorKind::ALL {
-            let (store, agg) = setup(kind, 0);
-            let src = Tensor::randn(6, 8, 1.0, 3);
-            let qry = Tensor::randn(6, 8, 1.0, 4);
-            let seg = vec![0usize, 1, 1, 2, 3, 3];
-            let mut g = Graph::new();
-            let src_v = g.input(src.clone());
-            let qry_v = g.input(qry.clone());
-            let tape = agg.aggregate(&mut g, &store, src_v, qry_v, &seg, 4, None);
-            let tensor = agg.aggregate_tensor(&store, &src, &qry, &seg, 4, None);
-            for (a, b) in g.value(tape).as_slice().iter().zip(tensor.as_slice()) {
-                assert!((a - b).abs() < 1e-5, "{kind}: {a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
     fn attention_weights_sum_to_one_per_target() {
         let (store, agg) = setup(AggregatorKind::Attention, 0);
         // With identical source states, the attention message must equal the
         // (single) state regardless of how many predecessors a target has,
         // because the weights sum to one.
         let row: Vec<f32> = (0..8).map(|i| i as f32 / 8.0).collect();
-        let src = Tensor::from_rows(&[&row, &row, &row]);
-        let qry = Tensor::zeros(3, 8);
+        let mut g = Graph::new();
+        let src = g.input(Tensor::from_rows(&[&row, &row, &row]));
+        let qry = g.input(Tensor::zeros(3, 8));
         let seg = vec![0usize, 0, 0];
-        let msg = agg.aggregate_tensor(&store, &src, &qry, &seg, 1, None);
+        let msg = agg.aggregate(&mut g, &store, src, qry, &seg, 1, None);
         for (j, &expected) in row.iter().enumerate() {
-            assert!((msg.get(0, j) - expected).abs() < 1e-5);
+            assert!((g.value(msg).get(0, j) - expected).abs() < 1e-5);
         }
     }
 
@@ -363,19 +286,23 @@ mod tests {
     fn attention_uses_edge_attributes_when_configured() {
         let (store, agg) = setup(AggregatorKind::Attention, 4);
         assert_eq!(agg.edge_attr_dim(), 4);
-        let src = Tensor::randn(4, 8, 1.0, 5);
-        let qry = Tensor::randn(4, 8, 1.0, 6);
         let seg = vec![0usize, 0, 1, 1];
-        let zero_attr = Tensor::zeros(4, 4);
-        let strong_attr = Tensor::full(4, 4, 3.0);
-        let base = agg.aggregate_tensor(&store, &src, &qry, &seg, 2, Some(&zero_attr));
-        let with_attr = agg.aggregate_tensor(&store, &src, &qry, &seg, 2, Some(&strong_attr));
+        let message = |attr: Tensor| -> Tensor {
+            let mut g = Graph::new();
+            let src = g.input(Tensor::randn(4, 8, 1.0, 5));
+            let qry = g.input(Tensor::randn(4, 8, 1.0, 6));
+            let attr = g.input(attr);
+            let msg = agg.aggregate(&mut g, &store, src, qry, &seg, 2, Some(attr));
+            g.value(msg).clone()
+        };
+        let base = message(Tensor::zeros(4, 4));
+        let with_attr = message(Tensor::full(4, 4, 3.0));
         // Bias applied to all edges of a segment cancels out in softmax only
         // if it is identical per edge; here it is, so results match. Make the
         // attribute differ per edge to observe a change.
         let mut varied = Tensor::zeros(4, 4);
         varied.set(0, 0, 5.0);
-        let with_varied = agg.aggregate_tensor(&store, &src, &qry, &seg, 2, Some(&varied));
+        let with_varied = message(varied);
         let diff_const: f32 = base
             .as_slice()
             .iter()

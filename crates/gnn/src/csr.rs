@@ -1,9 +1,9 @@
 //! The CSR level-packed inference kernel.
 //!
-//! The tape-free prediction path used to walk the pointer-shaped
-//! [`CircuitGraph`] directly: every level batch gathered scattered node rows
-//! into fresh tensors, ran the aggregator and GRU on them, and scattered the
-//! results back — one allocation per step, one cache miss per row. Following
+//! The autodiff tape walks the pointer-shaped [`CircuitGraph`] directly:
+//! every level batch gathers scattered node rows into fresh tensors, runs
+//! the aggregator and GRU on them, and scatters the results back — one
+//! allocation per step, one cache miss per row. Following
 //! the DLGN line (flat, cache-dense gate arrays), this module compiles a
 //! circuit once into an arena layout and a model once into flat weight
 //! arrays, then fuses each level's gather + GEMM + combine into a single
@@ -17,68 +17,23 @@
 //!   appended to their target's row with the positional-encoding attribute
 //!   rows precomputed.
 //! * [`CompiledKernel`] copies the model's weights out of the parameter
-//!   store into row-major flat arrays ([`QuantMode::F32`]) or additionally
-//!   into per-tensor symmetric int8 with f32 accumulation
-//!   ([`QuantMode::Int8`]), and runs the whole recurrence over the packed
-//!   arrays without touching the store or allocating per level.
+//!   store into row-major flat arrays and runs the whole recurrence over the
+//!   packed arrays without touching the store or allocating per level.
 //!
-//! **Exactness contract:** in `F32` mode the kernel reproduces the legacy
-//! tensor path ([`crate::DagRecGnn::predict_reference_into`]) *bit-exactly* —
-//! every accumulation runs in the same order over the same values. The
-//! property suite `tests/csr_parity.rs` asserts this across random circuits
-//! and model shapes; `Int8` mode is gated on rank-order preservation of the
-//! gate probabilities plus bounded max-abs drift.
+//! **Exactness contract:** the kernel reproduces the autodiff-tape forward
+//! ([`crate::DagRecGnn::forward_hidden`] and, through the regressor,
+//! [`crate::ProbabilityModel::try_forward`] — the definition training
+//! optimises) *bit-exactly*, for the final hidden states and the
+//! probabilities alike: every accumulation runs in the same order over the
+//! same values. The property suite `tests/csr_parity.rs` asserts `to_bits`
+//! equality across circuit shapes, aggregators, model variants and hidden
+//! widths.
 
 use crate::aggregator::AggregatorParams;
 use crate::{Aggregator, CircuitGraph, GnnError, GnnMetrics};
 use deepgate_aig::recon::positional_encoding;
 use deepgate_nn::{Activation, GruCell, Linear, Mlp, ParamStore, Tensor};
-use std::fmt;
-use std::str::FromStr;
 use std::time::Instant;
-
-/// Numeric mode of a [`CompiledKernel`]'s scoring pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum QuantMode {
-    /// Full-precision f32 kernel; bit-exact with the legacy tensor path.
-    #[default]
-    F32,
-    /// Per-tensor symmetric int8 weights with per-row activation scales and
-    /// i32 accumulation (dequantised to f32 between layers). Smaller and
-    /// cache-friendlier weights at a bounded, rank-preserving drift in the
-    /// output probabilities.
-    Int8,
-}
-
-impl QuantMode {
-    /// Stable lowercase label (used in cache keys, flags and logs).
-    pub fn label(self) -> &'static str {
-        match self {
-            QuantMode::F32 => "f32",
-            QuantMode::Int8 => "int8",
-        }
-    }
-}
-
-impl fmt::Display for QuantMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-impl FromStr for QuantMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "f32" | "off" | "none" | "exact" => Ok(QuantMode::F32),
-            "int8" | "i8" | "q8" => Ok(QuantMode::Int8),
-            other => Err(format!(
-                "unknown quantization mode `{other}` (expected `f32` or `int8`)"
-            )),
-        }
-    }
-}
 
 /// One level's packed state: a contiguous target range and its fan-in
 /// adjacency in CSR form.
@@ -91,7 +46,7 @@ struct CsrLevel {
     /// CSR row offsets into `edge_src` / `attr`; `offsets[i]..offsets[i+1]`
     /// are the edges of packed target `start + i`, ordinary fan-ins first
     /// (in circuit order) with the skip edge, if any, appended last — the
-    /// same per-target order the legacy scatter walks.
+    /// same per-target order the tape's scatter-add walks.
     offsets: Vec<u32>,
     /// Packed source node index of every edge.
     edge_src: Vec<u32>,
@@ -295,17 +250,7 @@ impl InferencePlan {
 /// wider layers fall back to heap scratch.
 const ACC_WIDTH: usize = 128;
 
-/// Reusable int8-mode row buffers: quantised activations (stored as exact
-/// integer-valued f32, so the accumulation loop vectorises like the f32
-/// path) and a heap accumulator for layers wider than [`ACC_WIDTH`].
-#[derive(Debug, Default)]
-struct QBuf {
-    qf: Vec<f32>,
-    acc: Vec<f32>,
-}
-
-/// A dense affine layer baked into flat row-major arrays, optionally with a
-/// per-tensor symmetric int8 shadow copy.
+/// A dense affine layer baked into flat row-major arrays.
 #[derive(Debug, Clone)]
 struct LinW {
     /// Row-major `[in_dim, out_dim]` weights.
@@ -314,157 +259,78 @@ struct LinW {
     b: Vec<f32>,
     in_dim: usize,
     out_dim: usize,
-    /// Int8 weights + their per-tensor scale, present in `Int8` mode.
-    q: Option<QuantW>,
-}
-
-#[derive(Debug, Clone)]
-struct QuantW {
-    /// Symmetric int8 weights (every value passes through an `i8` cast),
-    /// widened to f32 once at compile time: products and sums of these
-    /// integers (≤ 127·127 each) are exactly representable, so f32
-    /// accumulation over them is exact integer arithmetic — and vectorises
-    /// as wide as the f32 path.
-    wf: Vec<f32>,
-    scale: f32,
 }
 
 impl LinW {
-    fn from_linear(store: &ParamStore, layer: &Linear, mode: QuantMode) -> Self {
+    fn from_linear(store: &ParamStore, layer: &Linear) -> Self {
         let wt: &Tensor = layer.weight_tensor(store);
-        let w = wt.as_slice().to_vec();
-        let b = layer
-            .bias_tensor(store)
-            .map(|t| t.as_slice().to_vec())
-            .unwrap_or_default();
-        let q = (mode == QuantMode::Int8).then(|| {
-            let maxabs = w.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-            let scale = if maxabs == 0.0 { 0.0 } else { maxabs / 127.0 };
-            let wf = w
-                .iter()
-                .map(|&v| {
-                    if scale == 0.0 {
-                        0
-                    } else {
-                        (v / scale).round().clamp(-127.0, 127.0) as i8
-                    }
-                })
-                .map(|q| q as f32)
-                .collect();
-            QuantW { wf, scale }
-        });
         LinW {
-            w,
-            b,
+            w: wt.as_slice().to_vec(),
+            b: layer
+                .bias_tensor(store)
+                .map(|t| t.as_slice().to_vec())
+                .unwrap_or_default(),
             in_dim: layer.in_features(),
             out_dim: layer.out_features(),
-            q,
         }
     }
 
-    /// `out = row @ W (+ b)`. The f32 path accumulates over `k` in ascending
-    /// order with the zero-skip of `Tensor::matmul` and adds the bias in a
-    /// separate pass — bit-exact with `Linear::forward_tensor`.
-    fn apply_row(&self, row: &[f32], out: &mut [f32], qbuf: &mut QBuf) {
+    /// `out = row @ W (+ b)`, accumulating over `k` in ascending order with
+    /// the zero-skip of `Tensor::matmul` and adding the bias in a separate
+    /// pass — bit-exact with the tape's `Linear::forward`. `wide` is the heap
+    /// accumulator for layers wider than [`ACC_WIDTH`].
+    fn apply_row(&self, row: &[f32], out: &mut [f32], wide: &mut Vec<f32>) {
         debug_assert_eq!(row.len(), self.in_dim);
         debug_assert_eq!(out.len(), self.out_dim);
         // Common widths go through register-resident fixed-width banks (see
         // [`accum1`]); anything else falls through to the runtime-width loop.
         match self.out_dim {
-            8 => return self.apply_row_fixed::<8>(row, out, qbuf),
-            16 => return self.apply_row_fixed::<16>(row, out, qbuf),
-            32 => return self.apply_row_fixed::<32>(row, out, qbuf),
-            64 => return self.apply_row_fixed::<64>(row, out, qbuf),
+            8 => return self.apply_row_fixed::<8>(row, out),
+            16 => return self.apply_row_fixed::<16>(row, out),
+            32 => return self.apply_row_fixed::<32>(row, out),
+            64 => return self.apply_row_fixed::<64>(row, out),
             _ => {}
         }
-        match &self.q {
-            None if self.out_dim == 1 => {
-                // Scalar fast path for projection-to-score layers (attention
-                // key/query, regressor output): same k-ascending zero-skip
-                // chain, no wide accumulator to zero.
-                let mut acc = 0.0f32;
-                for (k, &a) in row.iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    acc += a * self.w[k];
+        if self.out_dim == 1 {
+            // Scalar fast path for projection-to-score layers (attention
+            // key/query, regressor output): same k-ascending zero-skip
+            // chain, no wide accumulator to zero.
+            let mut acc = 0.0f32;
+            for (k, &a) in row.iter().enumerate() {
+                if a == 0.0 {
+                    continue;
                 }
-                out[0] = if self.b.is_empty() {
-                    acc
-                } else {
-                    acc + self.b[0]
-                };
+                acc += a * self.w[k];
             }
-            None => {
-                let mut stack = [0.0f32; ACC_WIDTH];
-                let acc: &mut [f32] = if self.out_dim <= ACC_WIDTH {
-                    &mut stack[..self.out_dim]
-                } else {
-                    qbuf.acc.clear();
-                    qbuf.acc.resize(self.out_dim, 0.0);
-                    &mut qbuf.acc
-                };
-                for (k, &a) in row.iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let wrow = &self.w[k * self.out_dim..(k + 1) * self.out_dim];
-                    for (o, &wv) in acc.iter_mut().zip(wrow) {
-                        *o += a * wv;
-                    }
-                }
-                if self.b.is_empty() {
-                    out.copy_from_slice(acc);
-                } else {
-                    for ((o, &s), &bv) in out.iter_mut().zip(acc.iter()).zip(&self.b) {
-                        *o = s + bv;
-                    }
-                }
+            out[0] = if self.b.is_empty() {
+                acc
+            } else {
+                acc + self.b[0]
+            };
+            return;
+        }
+        let mut stack = [0.0f32; ACC_WIDTH];
+        let acc: &mut [f32] = if self.out_dim <= ACC_WIDTH {
+            &mut stack[..self.out_dim]
+        } else {
+            wide.clear();
+            wide.resize(self.out_dim, 0.0);
+            wide
+        };
+        for (k, &a) in row.iter().enumerate() {
+            if a == 0.0 {
+                continue;
             }
-            Some(q) => {
-                let maxabs = row.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-                if maxabs == 0.0 || q.scale == 0.0 {
-                    if self.b.is_empty() {
-                        out.fill(0.0);
-                    } else {
-                        out.copy_from_slice(&self.b);
-                    }
-                    return;
-                }
-                // Quantise the activation row per call (symmetric, per-row
-                // scale) into integer-valued f32, then accumulate the exact
-                // integer products in f32.
-                let inv = 127.0 / maxabs;
-                qbuf.qf.clear();
-                qbuf.qf
-                    .extend(row.iter().map(|&v| (v * inv).round().clamp(-127.0, 127.0)));
-                let mut stack = [0.0f32; ACC_WIDTH];
-                let acc: &mut [f32] = if self.out_dim <= ACC_WIDTH {
-                    &mut stack[..self.out_dim]
-                } else {
-                    qbuf.acc.clear();
-                    qbuf.acc.resize(self.out_dim, 0.0);
-                    &mut qbuf.acc
-                };
-                for (k, &a) in qbuf.qf.iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let wrow = &q.wf[k * self.out_dim..(k + 1) * self.out_dim];
-                    for (o, &wv) in acc.iter_mut().zip(wrow) {
-                        *o += a * wv;
-                    }
-                }
-                let s = (maxabs / 127.0) * q.scale;
-                if self.b.is_empty() {
-                    for (o, &av) in out.iter_mut().zip(acc.iter()) {
-                        *o = av * s;
-                    }
-                } else {
-                    for ((o, &av), &bv) in out.iter_mut().zip(acc.iter()).zip(&self.b) {
-                        *o = bv + av * s;
-                    }
-                }
+            let wrow = &self.w[k * self.out_dim..(k + 1) * self.out_dim];
+            for (o, &wv) in acc.iter_mut().zip(wrow) {
+                *o += a * wv;
+            }
+        }
+        if self.b.is_empty() {
+            out.copy_from_slice(acc);
+        } else {
+            for ((o, &s), &bv) in out.iter_mut().zip(acc.iter()).zip(&self.b) {
+                *o = s + bv;
             }
         }
     }
@@ -472,32 +338,15 @@ impl LinW {
     /// Fixed-width row application: identical chains to the runtime-width
     /// path, with the accumulator bank held in registers.
     #[inline(never)]
-    fn apply_row_fixed<const D: usize>(&self, row: &[f32], out: &mut [f32], qbuf: &mut QBuf) {
+    fn apply_row_fixed<const D: usize>(&self, row: &[f32], out: &mut [f32]) {
         let mut acc = [0.0f32; D];
-        match &self.q {
-            None => {
-                accum1::<D>(row, &self.w, &mut acc);
-                write_f32::<D>(&self.b, &acc, out);
-            }
-            Some(q) => {
-                let rs = quantize_row(row, &mut qbuf.qf);
-                if rs == 0.0 || q.scale == 0.0 {
-                    if self.b.is_empty() {
-                        out.fill(0.0);
-                    } else {
-                        out.copy_from_slice(&self.b);
-                    }
-                    return;
-                }
-                accum1::<D>(&qbuf.qf, &q.wf, &mut acc);
-                write_q::<D>(&self.b, &acc, rs * q.scale, out);
-            }
-        }
+        accum1::<D>(row, &self.w, &mut acc);
+        write_f32::<D>(&self.b, &acc, out);
     }
 
     /// Applies the layer to `rows` contiguous input rows.
-    fn apply(&self, input: &[f32], rows: usize, out: &mut [f32], qbuf: &mut QBuf) {
-        if self.out_dim == 1 && self.q.is_none() {
+    fn apply(&self, input: &[f32], rows: usize, out: &mut [f32], wide: &mut Vec<f32>) {
+        if self.out_dim == 1 {
             self.scores_blocked(|r| &input[r * self.in_dim..][..self.in_dim], rows, out);
             return;
         }
@@ -505,25 +354,25 @@ impl LinW {
         // monomorphic loop keeps the row walk and the accumulator bank in
         // one compact hot function.
         match self.out_dim {
-            8 => return fused1_fixed::<8>(self, input, rows, out, qbuf),
-            16 => return fused1_fixed::<16>(self, input, rows, out, qbuf),
-            32 => return fused1_fixed::<32>(self, input, rows, out, qbuf),
-            64 => return fused1_fixed::<64>(self, input, rows, out, qbuf),
+            8 => return fused1_fixed::<8>(self, input, rows, out),
+            16 => return fused1_fixed::<16>(self, input, rows, out),
+            32 => return fused1_fixed::<32>(self, input, rows, out),
+            64 => return fused1_fixed::<64>(self, input, rows, out),
             _ => {}
         }
         for r in 0..rows {
             self.apply_row(
                 &input[r * self.in_dim..(r + 1) * self.in_dim],
                 &mut out[r * self.out_dim..(r + 1) * self.out_dim],
-                qbuf,
+                wide,
             );
         }
     }
 
     /// Applies the layer to rows of `arena` selected by `idx` — the fused
     /// gather + GEMM walk of the CSR kernel.
-    fn apply_gathered(&self, arena: &[f32], idx: &[u32], out: &mut [f32], qbuf: &mut QBuf) {
-        if self.out_dim == 1 && self.q.is_none() {
+    fn apply_gathered(&self, arena: &[f32], idx: &[u32], out: &mut [f32], wide: &mut Vec<f32>) {
+        if self.out_dim == 1 {
             self.scores_blocked(
                 |r| &arena[idx[r] as usize * self.in_dim..][..self.in_dim],
                 idx.len(),
@@ -532,10 +381,10 @@ impl LinW {
             return;
         }
         match self.out_dim {
-            8 => return gathered1_fixed::<8>(self, arena, idx, out, qbuf),
-            16 => return gathered1_fixed::<16>(self, arena, idx, out, qbuf),
-            32 => return gathered1_fixed::<32>(self, arena, idx, out, qbuf),
-            64 => return gathered1_fixed::<64>(self, arena, idx, out, qbuf),
+            8 => return gathered1_fixed::<8>(self, arena, idx, out),
+            16 => return gathered1_fixed::<16>(self, arena, idx, out),
+            32 => return gathered1_fixed::<32>(self, arena, idx, out),
+            64 => return gathered1_fixed::<64>(self, arena, idx, out),
             _ => {}
         }
         for (r, &i) in idx.iter().enumerate() {
@@ -543,7 +392,7 @@ impl LinW {
             self.apply_row(
                 &arena[i * self.in_dim..(i + 1) * self.in_dim],
                 &mut out[r * self.out_dim..(r + 1) * self.out_dim],
-                qbuf,
+                wide,
             );
         }
     }
@@ -616,12 +465,12 @@ struct MlpW {
 }
 
 impl MlpW {
-    fn from_mlp(store: &ParamStore, mlp: &Mlp, mode: QuantMode) -> Self {
+    fn from_mlp(store: &ParamStore, mlp: &Mlp) -> Self {
         MlpW {
             layers: mlp
                 .layers()
                 .iter()
-                .map(|l| LinW::from_linear(store, l, mode))
+                .map(|l| LinW::from_linear(store, l))
                 .collect(),
             activation: mlp.activation(),
             sigmoid_output: mlp.has_sigmoid_output(),
@@ -636,18 +485,18 @@ fn mlp_apply_row(
     out: &mut [f32],
     a: &mut Vec<f32>,
     b: &mut Vec<f32>,
-    qbuf: &mut QBuf,
+    wide: &mut Vec<f32>,
 ) {
     let last = mlp.layers.len() - 1;
     a.clear();
     a.extend_from_slice(row);
     for (i, layer) in mlp.layers.iter().enumerate() {
         if i == last {
-            layer.apply_row(a, out, qbuf);
+            layer.apply_row(a, out, wide);
         } else {
             b.clear();
             b.resize(layer.out_dim, 0.0);
-            layer.apply_row(a, b, qbuf);
+            layer.apply_row(a, b, wide);
             for v in b.iter_mut() {
                 *v = match mlp.activation {
                     Activation::Relu => v.max(0.0),
@@ -677,15 +526,15 @@ struct GruW {
 }
 
 impl GruW {
-    fn from_gru(store: &ParamStore, gru: &GruCell, mode: QuantMode) -> Self {
+    fn from_gru(store: &ParamStore, gru: &GruCell) -> Self {
         let [xr, hr, xz, hz, xn, hn] = gru.gates();
         GruW {
-            xr: LinW::from_linear(store, xr, mode),
-            hr: LinW::from_linear(store, hr, mode),
-            xz: LinW::from_linear(store, xz, mode),
-            hz: LinW::from_linear(store, hz, mode),
-            xn: LinW::from_linear(store, xn, mode),
-            hn: LinW::from_linear(store, hn, mode),
+            xr: LinW::from_linear(store, xr),
+            hr: LinW::from_linear(store, hr),
+            xz: LinW::from_linear(store, xz),
+            hz: LinW::from_linear(store, hz),
+            xn: LinW::from_linear(store, xn),
+            hn: LinW::from_linear(store, hn),
         }
     }
 }
@@ -713,29 +562,27 @@ enum AggW {
 }
 
 impl AggW {
-    fn from_aggregator(store: &ParamStore, agg: &Aggregator, mode: QuantMode) -> Self {
+    fn from_aggregator(store: &ParamStore, agg: &Aggregator) -> Self {
         match agg.params() {
             AggregatorParams::ConvSum { project } => AggW::ConvSum {
-                project: LinW::from_linear(store, project, mode),
+                project: LinW::from_linear(store, project),
             },
             AggregatorParams::Attention {
                 query,
                 key,
                 edge_attr,
             } => AggW::Attention {
-                query: LinW::from_linear(store, query, mode),
-                key: LinW::from_linear(store, key, mode),
-                edge_attr: edge_attr
-                    .as_ref()
-                    .map(|l| LinW::from_linear(store, l, mode)),
+                query: LinW::from_linear(store, query),
+                key: LinW::from_linear(store, key),
+                edge_attr: edge_attr.as_ref().map(|l| LinW::from_linear(store, l)),
             },
             AggregatorParams::DeepSet { phi, rho } => AggW::DeepSet {
-                phi: MlpW::from_mlp(store, phi, mode),
-                rho: LinW::from_linear(store, rho, mode),
+                phi: MlpW::from_mlp(store, phi),
+                rho: LinW::from_linear(store, rho),
             },
             AggregatorParams::GatedSum { gate, value } => AggW::GatedSum {
-                gate: LinW::from_linear(store, gate, mode),
-                value: LinW::from_linear(store, value, mode),
+                gate: LinW::from_linear(store, gate),
+                value: LinW::from_linear(store, value),
             },
         }
     }
@@ -745,7 +592,8 @@ impl AggW {
 /// hot loop never allocates.
 #[derive(Debug, Default)]
 struct Scratch {
-    qbuf: QBuf,
+    /// Heap accumulator for layers wider than [`ACC_WIDTH`].
+    wide: Vec<f32>,
     /// Per-target attention query scores.
     tq: Vec<f32>,
     /// Per-edge attention scores / softmax weights.
@@ -810,7 +658,6 @@ fn sigmoid(v: f32) -> f32 {
 /// `deepgate::core::DeepGate::compile`) and reuse it across predictions.
 #[derive(Debug, Clone)]
 pub struct CompiledKernel {
-    mode: QuantMode,
     feature_dim: usize,
     hidden_dim: usize,
     attr_dim: usize,
@@ -834,36 +681,26 @@ impl CompiledKernel {
         reverse_agg: Option<&Aggregator>,
         reverse_gru: Option<&GruCell>,
         regressors: &[Mlp],
-        mode: QuantMode,
     ) -> Self {
         let reverse = match (reverse_agg, reverse_gru) {
-            (Some(a), Some(g)) => Some((
-                AggW::from_aggregator(store, a, mode),
-                GruW::from_gru(store, g, mode),
-            )),
+            (Some(a), Some(g)) => Some((AggW::from_aggregator(store, a), GruW::from_gru(store, g))),
             _ => None,
         };
         CompiledKernel {
-            mode,
             feature_dim: config.feature_dim,
             hidden_dim: config.hidden_dim,
             attr_dim: config.edge_attr_dim(),
             fix_gate_input: config.fix_gate_input,
             per_type_regressor: config.per_type_regressor,
-            embed: LinW::from_linear(store, embed, mode),
-            forward_agg: AggW::from_aggregator(store, forward_agg, mode),
-            forward_gru: GruW::from_gru(store, forward_gru, mode),
+            embed: LinW::from_linear(store, embed),
+            forward_agg: AggW::from_aggregator(store, forward_agg),
+            forward_gru: GruW::from_gru(store, forward_gru),
             reverse,
             heads: regressors
                 .iter()
-                .map(|m| MlpW::from_mlp(store, m, mode))
+                .map(|m| MlpW::from_mlp(store, m))
                 .collect(),
         }
-    }
-
-    /// The kernel's scoring mode.
-    pub fn mode(&self) -> QuantMode {
-        self.mode
     }
 
     /// Runs the full recurrence over a packed plan, writing per-node
@@ -880,62 +717,9 @@ impl CompiledKernel {
         out: &mut Vec<f32>,
         metrics: Option<&GnnMetrics>,
     ) -> Result<(), GnnError> {
-        if plan.feature_dim != self.feature_dim || plan.attr_dim != self.attr_dim {
-            return Err(GnnError::PlanMismatch);
-        }
-        if let Some(m) = metrics {
-            m.circuit_nodes.record(plan.num_nodes as u64);
-            if self.mode == QuantMode::Int8 {
-                m.quantized_predicts.inc();
-            }
-        }
-        let n = plan.num_nodes;
-        let d = self.hidden_dim;
         let mut s = Scratch::default();
-        let gi = if self.fix_gate_input {
-            d + self.feature_dim
-        } else {
-            d
-        };
-        s.reserve(plan, d, gi);
-
-        // Initial embedding of the packed one-hot features.
-        let mut h = vec![0.0f32; n * d];
-        self.embed.apply(&plan.features, n, &mut h, &mut s.qbuf);
-
-        // Attention attribute biases are constant across iterations:
-        // project each forward level's attribute rows once.
-        let attr_bias = self.precompute_attr_bias(plan, &mut s);
-
-        for _ in 0..num_iterations {
-            for (li, lvl) in plan.forward.iter().enumerate() {
-                let t0 = metrics.map(|_| Instant::now());
-                self.level_pass(
-                    lvl,
-                    attr_bias.get(li).and_then(|b| b.as_deref()),
-                    plan,
-                    false,
-                    &mut h,
-                    &mut s,
-                );
-                if let (Some(m), Some(start)) = (metrics, t0) {
-                    m.level_agg_ns.record_duration(start.elapsed());
-                    m.levels_total.inc();
-                    m.csr_level_width.record((lvl.end - lvl.start) as u64);
-                }
-            }
-            if self.reverse.is_some() {
-                for lvl in &plan.reverse {
-                    let t0 = metrics.map(|_| Instant::now());
-                    self.level_pass(lvl, None, plan, true, &mut h, &mut s);
-                    if let (Some(m), Some(start)) = (metrics, t0) {
-                        m.level_agg_ns.record_duration(start.elapsed());
-                        m.levels_total.inc();
-                        m.csr_level_width.record((lvl.end - lvl.start) as u64);
-                    }
-                }
-            }
-        }
+        let h = self.run_recurrence(plan, num_iterations, &mut s, metrics)?;
+        let n = plan.num_nodes;
 
         let regress_start = metrics.map(|_| Instant::now());
         let mut pred = vec![0.0f32; n];
@@ -950,6 +734,92 @@ impl CompiledKernel {
             out.push(pred[plan.perm[old] as usize]);
         }
         Ok(())
+    }
+
+    /// Runs the full recurrence over a packed plan and returns the final
+    /// hidden states `h_v^T` as a `[num_nodes, hidden_dim]` tensor in
+    /// original node order — the gate embeddings the regressor reads.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`CompiledKernel::predict_into`].
+    pub fn embeddings(
+        &self,
+        plan: &InferencePlan,
+        num_iterations: usize,
+    ) -> Result<Tensor, GnnError> {
+        let h = self.run_recurrence(plan, num_iterations, &mut Scratch::default(), None)?;
+        let d = self.hidden_dim;
+        let mut rows = Vec::with_capacity(h.len());
+        for &packed in &plan.perm {
+            rows.extend_from_slice(&h[packed as usize * d..][..d]);
+        }
+        Ok(Tensor::from_vec(plan.num_nodes, d, rows))
+    }
+
+    /// The `T`-iteration recurrence shared by [`CompiledKernel::predict_into`]
+    /// and [`CompiledKernel::embeddings`]: returns the final hidden-state
+    /// arena `[num_nodes, hidden_dim]` in *packed* node order.
+    fn run_recurrence(
+        &self,
+        plan: &InferencePlan,
+        num_iterations: usize,
+        s: &mut Scratch,
+        metrics: Option<&GnnMetrics>,
+    ) -> Result<Vec<f32>, GnnError> {
+        if plan.feature_dim != self.feature_dim || plan.attr_dim != self.attr_dim {
+            return Err(GnnError::PlanMismatch);
+        }
+        if let Some(m) = metrics {
+            m.circuit_nodes.record(plan.num_nodes as u64);
+        }
+        let n = plan.num_nodes;
+        let d = self.hidden_dim;
+        let gi = if self.fix_gate_input {
+            d + self.feature_dim
+        } else {
+            d
+        };
+        s.reserve(plan, d, gi);
+
+        // Initial embedding of the packed one-hot features.
+        let mut h = vec![0.0f32; n * d];
+        self.embed.apply(&plan.features, n, &mut h, &mut s.wide);
+
+        // Attention attribute biases are constant across iterations:
+        // project each forward level's attribute rows once.
+        let attr_bias = self.precompute_attr_bias(plan, s);
+
+        for _ in 0..num_iterations {
+            for (li, lvl) in plan.forward.iter().enumerate() {
+                let t0 = metrics.map(|_| Instant::now());
+                self.level_pass(
+                    lvl,
+                    attr_bias.get(li).and_then(|b| b.as_deref()),
+                    plan,
+                    false,
+                    &mut h,
+                    s,
+                );
+                if let (Some(m), Some(start)) = (metrics, t0) {
+                    m.level_agg_ns.record_duration(start.elapsed());
+                    m.levels_total.inc();
+                    m.csr_level_width.record((lvl.end - lvl.start) as u64);
+                }
+            }
+            if self.reverse.is_some() {
+                for lvl in &plan.reverse {
+                    let t0 = metrics.map(|_| Instant::now());
+                    self.level_pass(lvl, None, plan, true, &mut h, s);
+                    if let (Some(m), Some(start)) = (metrics, t0) {
+                        m.level_agg_ns.record_duration(start.elapsed());
+                        m.levels_total.inc();
+                        m.csr_level_width.record((lvl.end - lvl.start) as u64);
+                    }
+                }
+            }
+        }
+        Ok(h)
     }
 
     /// Projects each forward level's edge-attribute rows through the
@@ -967,7 +837,7 @@ impl CompiledKernel {
             .map(|lvl| {
                 let edges = lvl.edge_src.len();
                 let mut bias = vec![0.0f32; edges];
-                proj.apply(&lvl.attr, edges, &mut bias, &mut s.qbuf);
+                proj.apply(&lvl.attr, edges, &mut bias, &mut s.wide);
                 Some(bias)
             })
             .collect()
@@ -1001,17 +871,17 @@ impl CompiledKernel {
         match agg {
             AggW::ConvSum { project } => {
                 let e1 = &mut s.e1[..edges * d];
-                project.apply_gathered(h, &lvl.edge_src, e1, &mut s.qbuf);
+                project.apply_gathered(h, &lvl.edge_src, e1, &mut s.wide);
                 segment_sum(e1, &lvl.offsets, d, msg);
             }
             AggW::Attention { query, key, .. } => {
                 // Per-edge key scores, fused gather + dot.
                 let score = &mut s.score[..edges];
-                key.apply_gathered(h, &lvl.edge_src, score, &mut s.qbuf);
+                key.apply_gathered(h, &lvl.edge_src, score, &mut s.wide);
                 // Per-target query scores (shared by all of a target's
-                // edges — same value the legacy per-edge gather computed).
+                // edges — same value the tape's per-edge gather computes).
                 let tq = &mut s.tq[..m];
-                query.apply(&h[lvl.start * d..lvl.end * d], m, tq, &mut s.qbuf);
+                query.apply(&h[lvl.start * d..lvl.end * d], m, tq, &mut s.wide);
                 for (i, &tqi) in tq.iter().enumerate() {
                     let (a, b) = (lvl.offsets[i] as usize, lvl.offsets[i + 1] as usize);
                     for sc in &mut score[a..b] {
@@ -1023,7 +893,7 @@ impl CompiledKernel {
                         *sc += bv;
                     }
                 }
-                // Segment softmax in place, mirroring the legacy edge order.
+                // Segment softmax in place, in the tape's edge order.
                 for i in 0..m {
                     let (a, b) = (lvl.offsets[i] as usize, lvl.offsets[i + 1] as usize);
                     let seg = &mut score[a..b];
@@ -1060,22 +930,22 @@ impl CompiledKernel {
                         &mut e1[r * d..(r + 1) * d],
                         &mut s.ha,
                         &mut s.hb,
-                        &mut s.qbuf,
+                        &mut s.wide,
                     );
                 }
                 let e2 = &mut s.e2[..m * d];
                 e2.fill(0.0);
                 segment_sum(e1, &lvl.offsets, d, e2);
-                rho.apply(e2, m, msg, &mut s.qbuf);
+                rho.apply(e2, m, msg, &mut s.wide);
             }
             AggW::GatedSum { gate, value } => {
                 let e1 = &mut s.e1[..edges * d];
-                gate.apply_gathered(h, &lvl.edge_src, e1, &mut s.qbuf);
+                gate.apply_gathered(h, &lvl.edge_src, e1, &mut s.wide);
                 for v in e1.iter_mut() {
                     *v = sigmoid(*v);
                 }
                 let e2 = &mut s.e2[..edges * d];
-                value.apply_gathered(h, &lvl.edge_src, e2, &mut s.qbuf);
+                value.apply_gathered(h, &lvl.edge_src, e2, &mut s.wide);
                 for (g, &v) in e1.iter_mut().zip(e2.iter()) {
                     *g *= v;
                 }
@@ -1110,13 +980,14 @@ impl CompiledKernel {
             &mut s.g3[..m * d],
             &mut s.g4[..m * d],
             &mut s.g5[..m * d],
-            &mut s.qbuf,
+            &mut s.wide,
         );
     }
 
     /// The regressor heads over the packed final embeddings. The per-type
     /// path evaluates only the head selected by each node's one-hot — the
-    /// legacy path ran every head over every node and masked after.
+    /// tape runs every head over every node and masks after, which adds
+    /// exact zeros for the heads not selected.
     fn regress(&self, plan: &InferencePlan, h: &[f32], pred: &mut [f32], s: &mut Scratch) {
         let d = self.hidden_dim;
         let f = self.feature_dim;
@@ -1129,7 +1000,7 @@ impl CompiledKernel {
                     &mut pred[i..i + 1],
                     &mut s.ha,
                     &mut s.hb,
-                    &mut s.qbuf,
+                    &mut s.wide,
                 );
             }
             return;
@@ -1146,7 +1017,7 @@ impl CompiledKernel {
                         &mut one,
                         &mut s.ha,
                         &mut s.hb,
-                        &mut s.qbuf,
+                        &mut s.wide,
                     );
                     acc += mask * one[0];
                 }
@@ -1157,7 +1028,7 @@ impl CompiledKernel {
 }
 
 /// Adds each CSR row's edge rows into its target row, in edge order — the
-/// dense form of the legacy scatter-add.
+/// dense form of the tape's `scatter_add_rows`.
 fn segment_sum(edge_rows: &[f32], offsets: &[u32], d: usize, out: &mut [f32]) {
     for i in 0..offsets.len() - 1 {
         let (a, b) = (offsets[i] as usize, offsets[i + 1] as usize);
@@ -1254,44 +1125,13 @@ fn write_f32<const D: usize>(b: &[f32], acc: &[f32; D], out: &mut [f32]) {
     }
 }
 
-/// Writes a quantized accumulator bank out: dequantise with the combined
-/// activation × weight scale, then add the bias.
-#[inline(always)]
-fn write_q<const D: usize>(b: &[f32], acc: &[f32; D], s: f32, out: &mut [f32]) {
-    if b.is_empty() {
-        for (o, &av) in out.iter_mut().zip(acc) {
-            *o = av * s;
-        }
-    } else {
-        for ((o, &av), &bv) in out.iter_mut().zip(acc).zip(b) {
-            *o = bv + av * s;
-        }
-    }
-}
-
-/// Quantises one activation row into `qf` (symmetric per-row scale, round
-/// to nearest, clamp to ±127) and returns the row scale `maxabs / 127`.
-#[inline(always)]
-fn quantize_row(row: &[f32], qf: &mut Vec<f32>) -> f32 {
-    let maxabs = row.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-    qf.clear();
-    if maxabs == 0.0 {
-        qf.resize(row.len(), 0.0);
-        return 0.0;
-    }
-    let inv = 127.0 / maxabs;
-    qf.extend(row.iter().map(|&v| (v * inv).round().clamp(-127.0, 127.0)));
-    maxabs / 127.0
-}
-
 /// Applies three layers that share the same input rows (the x-side GRU
 /// gates) in a single pass: each input element is loaded and zero-tested
 /// once and feeds three register-resident accumulator banks. Every output
 /// element keeps the exact k-ascending zero-skip accumulation chain of
 /// [`LinW::apply_row`], so the fusion is bit-exact — it only changes how
 /// many partial sums are alive at once, not the order within any one of
-/// them. In `Int8` mode the per-row activation quantisation is computed
-/// once and shared (each gate previously recomputed the identical values).
+/// them.
 #[allow(clippy::too_many_arguments)]
 fn apply_fused3(
     la: &LinW,
@@ -1302,19 +1142,19 @@ fn apply_fused3(
     oa: &mut [f32],
     ob: &mut [f32],
     oc: &mut [f32],
-    qbuf: &mut QBuf,
+    wide: &mut Vec<f32>,
 ) {
     debug_assert!(lb.in_dim == la.in_dim && lc.in_dim == la.in_dim);
     debug_assert!(lb.out_dim == la.out_dim && lc.out_dim == la.out_dim);
     match la.out_dim {
-        8 => fused3_fixed::<8>(la, lb, lc, input, rows, oa, ob, oc, qbuf),
-        16 => fused3_fixed::<16>(la, lb, lc, input, rows, oa, ob, oc, qbuf),
-        32 => fused3_fixed::<32>(la, lb, lc, input, rows, oa, ob, oc, qbuf),
-        64 => fused3_fixed::<64>(la, lb, lc, input, rows, oa, ob, oc, qbuf),
+        8 => fused3_fixed::<8>(la, lb, lc, input, rows, oa, ob, oc),
+        16 => fused3_fixed::<16>(la, lb, lc, input, rows, oa, ob, oc),
+        32 => fused3_fixed::<32>(la, lb, lc, input, rows, oa, ob, oc),
+        64 => fused3_fixed::<64>(la, lb, lc, input, rows, oa, ob, oc),
         _ => {
-            la.apply(input, rows, oa, qbuf);
-            lb.apply(input, rows, ob, qbuf);
-            lc.apply(input, rows, oc, qbuf);
+            la.apply(input, rows, oa, wide);
+            lb.apply(input, rows, ob, wide);
+            lc.apply(input, rows, oc, wide);
         }
     }
 }
@@ -1330,31 +1170,15 @@ fn fused3_fixed<const D: usize>(
     oa: &mut [f32],
     ob: &mut [f32],
     oc: &mut [f32],
-    qbuf: &mut QBuf,
 ) {
     let din = la.in_dim;
-    match (&la.q, &lb.q, &lc.q) {
-        (Some(qa), Some(qb), Some(qc)) => {
-            for r in 0..rows {
-                let row = &input[r * din..(r + 1) * din];
-                let (mut aa, mut ab, mut ac) = ([0.0f32; D], [0.0f32; D], [0.0f32; D]);
-                let rs = quantize_row(row, &mut qbuf.qf);
-                accum3::<D>(&qbuf.qf, &qa.wf, &qb.wf, &qc.wf, &mut aa, &mut ab, &mut ac);
-                write_q::<D>(&la.b, &aa, rs * qa.scale, &mut oa[r * D..(r + 1) * D]);
-                write_q::<D>(&lb.b, &ab, rs * qb.scale, &mut ob[r * D..(r + 1) * D]);
-                write_q::<D>(&lc.b, &ac, rs * qc.scale, &mut oc[r * D..(r + 1) * D]);
-            }
-        }
-        _ => {
-            for r in 0..rows {
-                let row = &input[r * din..(r + 1) * din];
-                let (mut aa, mut ab, mut ac) = ([0.0f32; D], [0.0f32; D], [0.0f32; D]);
-                accum3::<D>(row, &la.w, &lb.w, &lc.w, &mut aa, &mut ab, &mut ac);
-                write_f32::<D>(&la.b, &aa, &mut oa[r * D..(r + 1) * D]);
-                write_f32::<D>(&lb.b, &ab, &mut ob[r * D..(r + 1) * D]);
-                write_f32::<D>(&lc.b, &ac, &mut oc[r * D..(r + 1) * D]);
-            }
-        }
+    for r in 0..rows {
+        let row = &input[r * din..(r + 1) * din];
+        let (mut aa, mut ab, mut ac) = ([0.0f32; D], [0.0f32; D], [0.0f32; D]);
+        accum3::<D>(row, &la.w, &lb.w, &lc.w, &mut aa, &mut ab, &mut ac);
+        write_f32::<D>(&la.b, &aa, &mut oa[r * D..(r + 1) * D]);
+        write_f32::<D>(&lb.b, &ab, &mut ob[r * D..(r + 1) * D]);
+        write_f32::<D>(&lc.b, &ac, &mut oc[r * D..(r + 1) * D]);
     }
 }
 
@@ -1366,17 +1190,17 @@ fn apply_fused2(
     rows: usize,
     oa: &mut [f32],
     ob: &mut [f32],
-    qbuf: &mut QBuf,
+    wide: &mut Vec<f32>,
 ) {
     debug_assert!(lb.in_dim == la.in_dim && lb.out_dim == la.out_dim);
     match la.out_dim {
-        8 => fused2_fixed::<8>(la, lb, input, rows, oa, ob, qbuf),
-        16 => fused2_fixed::<16>(la, lb, input, rows, oa, ob, qbuf),
-        32 => fused2_fixed::<32>(la, lb, input, rows, oa, ob, qbuf),
-        64 => fused2_fixed::<64>(la, lb, input, rows, oa, ob, qbuf),
+        8 => fused2_fixed::<8>(la, lb, input, rows, oa, ob),
+        16 => fused2_fixed::<16>(la, lb, input, rows, oa, ob),
+        32 => fused2_fixed::<32>(la, lb, input, rows, oa, ob),
+        64 => fused2_fixed::<64>(la, lb, input, rows, oa, ob),
         _ => {
-            la.apply(input, rows, oa, qbuf);
-            lb.apply(input, rows, ob, qbuf);
+            la.apply(input, rows, oa, wide);
+            lb.apply(input, rows, ob, wide);
         }
     }
 }
@@ -1389,81 +1213,25 @@ fn apply_fused2(
 /// matvec. The free-function shape compiles to the register-resident
 /// vector loop shared by the two- and three-bank variants.
 #[inline(never)]
-fn fused1_fixed<const D: usize>(
-    l: &LinW,
-    input: &[f32],
-    rows: usize,
-    out: &mut [f32],
-    qbuf: &mut QBuf,
-) {
+fn fused1_fixed<const D: usize>(l: &LinW, input: &[f32], rows: usize, out: &mut [f32]) {
     let din = l.in_dim;
-    match &l.q {
-        None => {
-            for r in 0..rows {
-                let row = &input[r * din..(r + 1) * din];
-                let mut acc = [0.0f32; D];
-                accum1::<D>(row, &l.w, &mut acc);
-                write_f32::<D>(&l.b, &acc, &mut out[r * D..(r + 1) * D]);
-            }
-        }
-        Some(q) => {
-            for r in 0..rows {
-                let row = &input[r * din..(r + 1) * din];
-                let o = &mut out[r * D..(r + 1) * D];
-                let rs = quantize_row(row, &mut qbuf.qf);
-                if rs == 0.0 || q.scale == 0.0 {
-                    if l.b.is_empty() {
-                        o.fill(0.0);
-                    } else {
-                        o.copy_from_slice(&l.b);
-                    }
-                    continue;
-                }
-                let mut acc = [0.0f32; D];
-                accum1::<D>(&qbuf.qf, &q.wf, &mut acc);
-                write_q::<D>(&l.b, &acc, rs * q.scale, o);
-            }
-        }
+    for r in 0..rows {
+        let row = &input[r * din..(r + 1) * din];
+        let mut acc = [0.0f32; D];
+        accum1::<D>(row, &l.w, &mut acc);
+        write_f32::<D>(&l.b, &acc, &mut out[r * D..(r + 1) * D]);
     }
 }
 
 /// Gathered variant of [`fused1_fixed`]: rows selected by `idx`.
 #[inline(never)]
-fn gathered1_fixed<const D: usize>(
-    l: &LinW,
-    arena: &[f32],
-    idx: &[u32],
-    out: &mut [f32],
-    qbuf: &mut QBuf,
-) {
+fn gathered1_fixed<const D: usize>(l: &LinW, arena: &[f32], idx: &[u32], out: &mut [f32]) {
     let din = l.in_dim;
-    match &l.q {
-        None => {
-            for (r, &i) in idx.iter().enumerate() {
-                let row = &arena[i as usize * din..][..din];
-                let mut acc = [0.0f32; D];
-                accum1::<D>(row, &l.w, &mut acc);
-                write_f32::<D>(&l.b, &acc, &mut out[r * D..(r + 1) * D]);
-            }
-        }
-        Some(q) => {
-            for (r, &i) in idx.iter().enumerate() {
-                let row = &arena[i as usize * din..][..din];
-                let o = &mut out[r * D..(r + 1) * D];
-                let rs = quantize_row(row, &mut qbuf.qf);
-                if rs == 0.0 || q.scale == 0.0 {
-                    if l.b.is_empty() {
-                        o.fill(0.0);
-                    } else {
-                        o.copy_from_slice(&l.b);
-                    }
-                    continue;
-                }
-                let mut acc = [0.0f32; D];
-                accum1::<D>(&qbuf.qf, &q.wf, &mut acc);
-                write_q::<D>(&l.b, &acc, rs * q.scale, o);
-            }
-        }
+    for (r, &i) in idx.iter().enumerate() {
+        let row = &arena[i as usize * din..][..din];
+        let mut acc = [0.0f32; D];
+        accum1::<D>(row, &l.w, &mut acc);
+        write_f32::<D>(&l.b, &acc, &mut out[r * D..(r + 1) * D]);
     }
 }
 
@@ -1475,36 +1243,21 @@ fn fused2_fixed<const D: usize>(
     rows: usize,
     oa: &mut [f32],
     ob: &mut [f32],
-    qbuf: &mut QBuf,
 ) {
     let din = la.in_dim;
-    match (&la.q, &lb.q) {
-        (Some(qa), Some(qb)) => {
-            for r in 0..rows {
-                let row = &input[r * din..(r + 1) * din];
-                let (mut aa, mut ab) = ([0.0f32; D], [0.0f32; D]);
-                let rs = quantize_row(row, &mut qbuf.qf);
-                accum2::<D>(&qbuf.qf, &qa.wf, &qb.wf, &mut aa, &mut ab);
-                write_q::<D>(&la.b, &aa, rs * qa.scale, &mut oa[r * D..(r + 1) * D]);
-                write_q::<D>(&lb.b, &ab, rs * qb.scale, &mut ob[r * D..(r + 1) * D]);
-            }
-        }
-        _ => {
-            for r in 0..rows {
-                let row = &input[r * din..(r + 1) * din];
-                let (mut aa, mut ab) = ([0.0f32; D], [0.0f32; D]);
-                accum2::<D>(row, &la.w, &lb.w, &mut aa, &mut ab);
-                write_f32::<D>(&la.b, &aa, &mut oa[r * D..(r + 1) * D]);
-                write_f32::<D>(&lb.b, &ab, &mut ob[r * D..(r + 1) * D]);
-            }
-        }
+    for r in 0..rows {
+        let row = &input[r * din..(r + 1) * din];
+        let (mut aa, mut ab) = ([0.0f32; D], [0.0f32; D]);
+        accum2::<D>(row, &la.w, &lb.w, &mut aa, &mut ab);
+        write_f32::<D>(&la.b, &aa, &mut oa[r * D..(r + 1) * D]);
+        write_f32::<D>(&lb.b, &ab, &mut ob[r * D..(r + 1) * D]);
     }
 }
 
 /// One GRU update over the contiguous packed range `[start, end)` of the
-/// hidden arena, computed in the exact operation order of
-/// `GruCell::forward_tensor` (separate x-side and h-side sums, then
-/// elementwise combines) so the f32 kernel stays bit-exact.
+/// hidden arena, computed in the exact operation order of the tape's
+/// `GruCell::forward` (separate x-side and h-side sums, then elementwise
+/// combines) so the kernel stays bit-exact.
 #[allow(clippy::too_many_arguments)]
 fn gru_step(
     gru: &GruW,
@@ -1518,15 +1271,15 @@ fn gru_step(
     g3: &mut [f32],
     g4: &mut [f32],
     g5: &mut [f32],
-    qbuf: &mut QBuf,
+    wide: &mut Vec<f32>,
 ) {
     let m = end - start;
     let len = m * d;
     // The three x-side gate sums share `input`; the two h-side sums share
     // the packed hidden rows. Fused multi-accumulator passes compute them
     // with one walk over each shared operand.
-    apply_fused3(&gru.xr, &gru.xz, &gru.xn, input, m, g1, g3, g4, qbuf);
-    apply_fused2(&gru.hr, &gru.hz, &h[start * d..end * d], m, g2, g5, qbuf);
+    apply_fused3(&gru.xr, &gru.xz, &gru.xn, input, m, g1, g3, g4, wide);
+    apply_fused2(&gru.hr, &gru.hz, &h[start * d..end * d], m, g2, g5, wide);
     // r = σ(x W_xr + h W_hr)  → g1
     for (r, &hv) in g1.iter_mut().zip(g2.iter()) {
         *r = sigmoid(*r + hv);
@@ -1540,7 +1293,7 @@ fn gru_step(
         *g = g1[i] * h[start * d + i];
     }
     // n = tanh(x W_xn + gated W_hn)  → g4 (g5 is free once z is built)
-    gru.hn.apply(g2, m, g5, qbuf);
+    gru.hn.apply(g2, m, g5, wide);
     for (n, &hv) in g4.iter_mut().zip(g5.iter()) {
         *n = (*n + hv).tanh();
     }

@@ -30,9 +30,9 @@ mod metrics;
 mod model;
 
 pub use aggregator::{Aggregator, AggregatorKind};
-pub use csr::{CompiledKernel, InferencePlan, QuantMode};
+pub use csr::{CompiledKernel, InferencePlan};
 pub use dag_conv::{DagConvConfig, DagConvGnn};
-pub use dag_rec::{DagRecConfig, DagRecGnn, ReferencePlan};
+pub use dag_rec::{DagRecConfig, DagRecGnn};
 pub use error::GnnError;
 pub use gcn::{Gcn, GcnConfig};
 pub use graph::{CircuitGraph, FeatureEncoding, LevelBatch, SkipEdge, StructuralHasher};

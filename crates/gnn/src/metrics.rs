@@ -5,9 +5,9 @@ use std::sync::Arc;
 
 /// Shared handles to the inference-kernel metric series.
 ///
-/// The planned prediction path ([`crate::DagRecGnn::try_predict_into_metered`])
-/// records into these when given a set; the un-metered entry points skip
-/// telemetry entirely, so training and offline benchmarking pay nothing.
+/// The kernel ([`crate::CompiledKernel::predict_into`]) records into these
+/// when given a set; called with `None` it skips telemetry entirely, so
+/// training and offline benchmarking pay nothing.
 #[derive(Debug, Clone)]
 pub struct GnnMetrics {
     /// Wall time of one level-batch aggregation + GRU update, in
@@ -27,9 +27,6 @@ pub struct GnnMetrics {
     /// (`gnn_csr_level_width`) — the density profile of the packed layout;
     /// wide levels amortise the per-level dispatch, narrow ones do not.
     pub csr_level_width: Arc<Histogram>,
-    /// Predictions served by the quantized (int8) scoring mode
-    /// (`gnn_quantized_predicts_total`).
-    pub quantized_predicts: Arc<Counter>,
 }
 
 impl GnnMetrics {
@@ -42,7 +39,6 @@ impl GnnMetrics {
             circuit_nodes: registry.histogram("gnn_circuit_nodes"),
             levels_total: registry.counter("gnn_levels_total"),
             csr_level_width: registry.histogram("gnn_csr_level_width"),
-            quantized_predicts: registry.counter("gnn_quantized_predicts_total"),
         }
     }
 }

@@ -1,32 +1,25 @@
 //! Parity suite for the CSR level-packed inference kernel.
 //!
-//! The CSR kernel ([`deepgate_gnn::CompiledKernel`]) is the serving hot
-//! path; the legacy tensor path ([`DagRecGnn::predict_reference_into`]) is
-//! the ground truth. This suite is the exactness gate:
-//!
-//! - **f32 mode** must be *bit-exact* with the reference path (`to_bits`
-//!   equality, not epsilon closeness) on a fixed suite of ≥7 circuit shapes
-//!   and on proptest-random circuits, across every aggregator and model
-//!   variant.
-//! - **int8 mode** must preserve the *rank order* of gate probabilities on
-//!   every pair the f32 model separates by more than [`RANK_MARGIN`], and
-//!   its per-node drift from f32 must stay under [`MAX_ABS_DRIFT`].
+//! The CSR kernel ([`deepgate_gnn::CompiledKernel`]) is the one inference
+//! executor; the autodiff-tape forward ([`ProbabilityModel::try_forward`],
+//! the definition training optimises) is the ground truth. This suite is
+//! the exactness gate: the kernel must be *bit-exact* with the tape
+//! (`to_bits` equality, not epsilon closeness) for **both** the per-node
+//! probabilities and the final hidden states `h_v^T`, on a fixed suite of
+//! ≥7 circuit shapes and on proptest-random circuits, across every
+//! aggregator, model variant and hidden width in `HIDDEN_DIMS`.
 
 use deepgate_aig::Aig;
 use deepgate_gnn::{
-    AggregatorKind, CircuitGraph, DagRecConfig, DagRecGnn, FeatureEncoding, QuantMode,
+    AggregatorKind, CircuitGraph, DagRecConfig, DagRecGnn, FeatureEncoding, ProbabilityModel,
 };
 use deepgate_netlist::{GateKind, Netlist, NodeId};
-use deepgate_nn::ParamStore;
+use deepgate_nn::{Graph, ParamStore};
 use proptest::prelude::*;
 
-/// Minimum f32 probability separation at which int8 must agree on ordering.
-/// Pairs closer than this are allowed to swap — quantization noise — but
-/// any decision-relevant gap must survive.
-const RANK_MARGIN: f32 = 0.05;
-
-/// Maximum per-node |int8 − f32| probability drift.
-const MAX_ABS_DRIFT: f32 = 0.05;
+/// Hidden widths swept by every test: 8 and 64 take the kernel's
+/// monomorphic fixed-width loops, 12 its runtime-width fallback.
+const HIDDEN_DIMS: [usize; 3] = [8, 12, 64];
 
 /// Expands an arbitrary netlist into AIG-gate form and builds its graph —
 /// the same pipeline the engine facade runs.
@@ -162,9 +155,13 @@ fn shape_suite() -> Vec<CircuitGraph> {
     ]
 }
 
-fn config(kind: AggregatorKind, fix: bool, skip: bool, per_type: bool) -> DagRecConfig {
+fn config(
+    kind: AggregatorKind,
+    hidden_dim: usize,
+    (fix, skip, per_type): (bool, bool, bool),
+) -> DagRecConfig {
     DagRecConfig {
-        hidden_dim: 12,
+        hidden_dim,
         num_iterations: 3,
         regressor_hidden: 8,
         aggregator: kind,
@@ -175,183 +172,113 @@ fn config(kind: AggregatorKind, fix: bool, skip: bool, per_type: bool) -> DagRec
     }
 }
 
-/// Reference-path probabilities.
-fn reference_probs(model: &DagRecGnn, store: &ParamStore, circuit: &CircuitGraph) -> Vec<f32> {
-    let plan = model.reference_plan(circuit);
-    let mut out = Vec::new();
-    model
-        .predict_reference_into(
-            store,
-            circuit,
-            &plan,
-            model.config().num_iterations,
-            &mut out,
-        )
-        .expect("reference path predicts");
-    out
+/// Fails naming the first index at which two value sequences differ in any
+/// bit.
+fn first_bit_difference(what: &str, tape: &[f32], csr: &[f32]) -> Result<(), String> {
+    if tape.len() != csr.len() {
+        return Err(format!(
+            "{what}: tape has {} values, CSR {}",
+            tape.len(),
+            csr.len()
+        ));
+    }
+    match tape
+        .iter()
+        .zip(csr)
+        .position(|(t, c)| t.to_bits() != c.to_bits())
+    {
+        Some(i) => Err(format!(
+            "{what} {i} diverges: tape {} vs CSR {}",
+            tape[i], csr[i]
+        )),
+        None => Ok(()),
+    }
 }
 
-/// CSR-kernel probabilities in the given scoring mode.
-fn csr_probs(
+/// Compares the CSR kernel with the tape forward on one circuit: final
+/// hidden states (`forward_hidden` vs the kernel's embeddings) and
+/// probabilities (`try_forward` vs `predict_into`), each on a fresh tape.
+fn kernel_matches_tape(
     model: &DagRecGnn,
     store: &ParamStore,
     circuit: &CircuitGraph,
-    mode: QuantMode,
-) -> Vec<f32> {
+) -> Result<(), String> {
+    let iterations = model.config().num_iterations;
     let plan = model.plan(circuit);
-    let kernel = model.compile(store, mode);
-    let mut out = Vec::new();
+    let kernel = model.compile(store);
+
+    let mut tape = Graph::new();
+    let hidden = model.forward_hidden(&mut tape, store, circuit);
+    let embeddings = kernel
+        .embeddings(&plan, iterations)
+        .expect("CSR kernel embeds");
+    if embeddings.shape() != tape.value(hidden).shape() {
+        return Err(format!(
+            "hidden shape: tape {:?} vs CSR {:?}",
+            tape.value(hidden).shape(),
+            embeddings.shape()
+        ));
+    }
+    first_bit_difference(
+        "hidden value",
+        tape.value(hidden).as_slice(),
+        embeddings.as_slice(),
+    )?;
+
+    let mut tape = Graph::new();
+    let probs = model
+        .try_forward(&mut tape, store, circuit)
+        .expect("tape forward runs");
+    let mut csr = Vec::new();
     kernel
-        .predict_into(&plan, model.config().num_iterations, &mut out, None)
+        .predict_into(&plan, iterations, &mut csr, None)
         .expect("CSR kernel predicts");
-    out
-}
-
-fn assert_bit_exact(reference: &[f32], csr: &[f32], context: &str) {
-    assert_eq!(reference.len(), csr.len(), "{context}: length mismatch");
-    for (i, (r, c)) in reference.iter().zip(csr).enumerate() {
-        assert_eq!(
-            r.to_bits(),
-            c.to_bits(),
-            "{context}: node {i} diverges: reference {r} vs CSR {c}"
-        );
-    }
-}
-
-/// Gate-node indices: every forward-batch target (inputs are excluded —
-/// their embeddings are fixed and their probabilities near-constant).
-fn gate_nodes(circuit: &CircuitGraph) -> Vec<usize> {
-    circuit
-        .forward_batches
-        .iter()
-        .flat_map(|b| b.targets.iter().copied())
-        .collect()
-}
-
-/// Asserts int8 probabilities against their f32 counterparts: bounded
-/// per-node drift and preserved ordering of every well-separated gate pair.
-fn assert_quantized_faithful(exact: &[f32], quantized: &[f32], circuit: &CircuitGraph, ctx: &str) {
-    let mut max_drift = 0.0f32;
-    for (e, q) in exact.iter().zip(quantized) {
-        max_drift = max_drift.max((e - q).abs());
-    }
-    assert!(
-        max_drift <= MAX_ABS_DRIFT,
-        "{ctx}: int8 drift {max_drift} exceeds {MAX_ABS_DRIFT}"
-    );
-    let gates = gate_nodes(circuit);
-    for (a, &i) in gates.iter().enumerate() {
-        for &j in &gates[a + 1..] {
-            let gap = exact[i] - exact[j];
-            if gap.abs() <= RANK_MARGIN {
-                continue;
-            }
-            let qgap = quantized[i] - quantized[j];
-            assert!(
-                gap.signum() == qgap.signum() && qgap != 0.0,
-                "{ctx}: rank order broken between nodes {i} ({} -> {}) and {j} ({} -> {})",
-                exact[i],
-                quantized[i],
-                exact[j],
-                quantized[j],
-            );
-        }
-    }
+    first_bit_difference("node", tape.value(probs).as_slice(), &csr)
 }
 
 #[test]
-fn csr_f32_is_bit_exact_on_the_shape_suite_for_every_aggregator() {
+fn csr_is_bit_exact_with_the_tape_on_the_shape_suite_for_every_aggregator() {
     for circuit in shape_suite() {
         for kind in AggregatorKind::ALL {
-            for (fix, skip, per_type) in [(false, false, false), (true, true, true)] {
-                let mut store = ParamStore::new();
-                let model = DagRecGnn::new(&mut store, config(kind, fix, skip, per_type));
-                let reference = reference_probs(&model, &store, &circuit);
-                let csr = csr_probs(&model, &store, &circuit, QuantMode::F32);
-                let ctx = format!(
-                    "{} kind={kind:?} fix={fix} skip={skip} per_type={per_type}",
-                    circuit.name
-                );
-                assert_bit_exact(&reference, &csr, &ctx);
+            for variant in [
+                (false, false, false),
+                (true, false, false),
+                (true, true, true),
+            ] {
+                for hidden_dim in HIDDEN_DIMS {
+                    let mut store = ParamStore::new();
+                    let model = DagRecGnn::new(&mut store, config(kind, hidden_dim, variant));
+                    if let Err(e) = kernel_matches_tape(&model, &store, &circuit) {
+                        panic!(
+                            "{} kind={kind:?} d={hidden_dim} (fix, skip, per_type)={variant:?}: {e}",
+                            circuit.name
+                        );
+                    }
+                }
             }
         }
-    }
-}
-
-#[test]
-fn quantized_mode_preserves_rank_order_across_the_eval_suite() {
-    // The exactness gate of the quantized scoring mode: across the whole
-    // shape suite under the DeepGate configuration, int8 never reorders a
-    // decision-relevant probability gap and never drifts past the bound.
-    for circuit in shape_suite() {
-        let mut store = ParamStore::new();
-        let model = DagRecGnn::new(
-            &mut store,
-            config(AggregatorKind::Attention, true, true, true),
-        );
-        let exact = csr_probs(&model, &store, &circuit, QuantMode::F32);
-        let quantized = csr_probs(&model, &store, &circuit, QuantMode::Int8);
-        assert_quantized_faithful(&exact, &quantized, &circuit, &circuit.name);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// f32 CSR output is bit-exact with the reference path on random
-    /// circuits under the full DeepGate configuration.
+    /// The CSR kernel is bit-exact with the tape on random circuits under
+    /// the full DeepGate configuration, for every aggregator and width.
     #[test]
-    fn csr_f32_is_bit_exact_on_random_circuits(
+    fn csr_is_bit_exact_with_the_tape_on_random_circuits(
         netlist in random_netlist(30),
-        variant in 0usize..4,
+        kind in 0usize..4,
+        width in 0usize..3,
     ) {
-        let circuit = graph_of(&netlist);
-        let kind = AggregatorKind::ALL[variant];
-        let mut store = ParamStore::new();
-        let model = DagRecGnn::new(&mut store, config(kind, true, true, false));
-        let reference = reference_probs(&model, &store, &circuit);
-        let csr = csr_probs(&model, &store, &circuit, QuantMode::F32);
-        prop_assert_eq!(reference.len(), csr.len());
-        for (r, c) in reference.iter().zip(&csr) {
-            prop_assert_eq!(r.to_bits(), c.to_bits());
-        }
-    }
-
-    /// int8 scoring preserves rank order and bounded drift on random
-    /// circuits.
-    #[test]
-    fn quantized_mode_is_faithful_on_random_circuits(netlist in random_netlist(30)) {
         let circuit = graph_of(&netlist);
         let mut store = ParamStore::new();
         let model = DagRecGnn::new(
             &mut store,
-            config(AggregatorKind::Attention, true, true, true),
+            config(AggregatorKind::ALL[kind], HIDDEN_DIMS[width], (true, true, false)),
         );
-        let exact = csr_probs(&model, &store, &circuit, QuantMode::F32);
-        let quantized = csr_probs(&model, &store, &circuit, QuantMode::Int8);
-        let mut max_drift = 0.0f32;
-        for (e, q) in exact.iter().zip(&quantized) {
-            max_drift = max_drift.max((e - q).abs());
-        }
-        prop_assert!(
-            max_drift <= MAX_ABS_DRIFT,
-            "int8 drift {} exceeds {}", max_drift, MAX_ABS_DRIFT
-        );
-        let gates = gate_nodes(&circuit);
-        for (a, &i) in gates.iter().enumerate() {
-            for &j in &gates[a + 1..] {
-                let gap = exact[i] - exact[j];
-                if gap.abs() <= RANK_MARGIN {
-                    continue;
-                }
-                let qgap = quantized[i] - quantized[j];
-                prop_assert!(
-                    gap.signum() == qgap.signum() && qgap != 0.0,
-                    "rank order broken: nodes {} ({} -> {}) vs {} ({} -> {})",
-                    i, exact[i], quantized[i], j, exact[j], quantized[j]
-                );
-            }
-        }
+        let outcome = kernel_matches_tape(&model, &store, &circuit);
+        prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
     }
 }
 

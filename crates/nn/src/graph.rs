@@ -512,20 +512,6 @@ impl Graph {
     }
 }
 
-/// Gradient-free segment softmax on plain tensors: rows of the `[k, 1]`
-/// score column that share a segment id are normalised together. This is the
-/// inference-path counterpart of [`Graph::segment_softmax`].
-///
-/// # Panics
-///
-/// Panics if `scores` is not a column or the segment count differs from the
-/// number of rows.
-pub fn segment_softmax_tensor(scores: &Tensor, segments: &[usize]) -> Tensor {
-    assert_eq!(scores.cols(), 1, "segment_softmax expects a [k, 1] column");
-    assert_eq!(scores.rows(), segments.len(), "segment count mismatch");
-    segment_softmax_forward(scores, segments)
-}
-
 fn segment_softmax_forward(scores: &Tensor, segments: &[usize]) -> Tensor {
     let k = scores.rows();
     let num_segments = segments.iter().copied().max().map_or(0, |m| m + 1);

@@ -89,21 +89,6 @@ impl Linear {
     pub fn bias_tensor<'a>(&self, store: &'a ParamStore) -> Option<&'a Tensor> {
         self.bias.map(|b| store.value(b))
     }
-
-    /// Gradient-free forward pass on plain tensors (used for inference on
-    /// large circuits where recording an autodiff tape would be wasteful).
-    pub fn forward_tensor(&self, store: &ParamStore, input: &Tensor) -> Tensor {
-        let mut out = input.matmul(store.value(self.weight));
-        if let Some(bias) = self.bias {
-            let b = store.value(bias);
-            for i in 0..out.rows() {
-                for j in 0..out.cols() {
-                    out.set(i, j, out.get(i, j) + b.get(0, j));
-                }
-            }
-        }
-        out
-    }
 }
 
 /// The hidden-layer activation of an [`Mlp`].
@@ -194,26 +179,6 @@ impl Mlp {
         }
         if self.sigmoid_output {
             x = g.sigmoid(x);
-        }
-        x
-    }
-
-    /// Gradient-free forward pass on plain tensors.
-    pub fn forward_tensor(&self, store: &ParamStore, input: &Tensor) -> Tensor {
-        let mut x = input.clone();
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            x = layer.forward_tensor(store, &x);
-            if i < last {
-                x = match self.activation {
-                    Activation::Relu => x.map(|v| v.max(0.0)),
-                    Activation::Tanh => x.map(f32::tanh),
-                    Activation::Sigmoid => x.map(|v| 1.0 / (1.0 + (-v).exp())),
-                };
-            }
-        }
-        if self.sigmoid_output {
-            x = x.map(|v| 1.0 / (1.0 + (-v).exp()));
         }
         x
     }
@@ -346,29 +311,6 @@ impl GruCell {
         let old_part = g.mul(z, hidden);
         g.add(new_part, old_part)
     }
-
-    /// Gradient-free forward pass on plain tensors.
-    pub fn forward_tensor(&self, store: &ParamStore, input: &Tensor, hidden: &Tensor) -> Tensor {
-        let sigmoid = |t: Tensor| t.map(|v| 1.0 / (1.0 + (-v).exp()));
-        let r = sigmoid(
-            self.w_xr
-                .forward_tensor(store, input)
-                .add(&self.w_hr.forward_tensor(store, hidden)),
-        );
-        let z = sigmoid(
-            self.w_xz
-                .forward_tensor(store, input)
-                .add(&self.w_hz.forward_tensor(store, hidden)),
-        );
-        let gated = r.mul(hidden);
-        let n = self
-            .w_xn
-            .forward_tensor(store, input)
-            .add(&self.w_hn.forward_tensor(store, &gated))
-            .map(f32::tanh);
-        let one_minus_z = z.map(|v| 1.0 - v);
-        one_minus_z.mul(&n).add(&z.mul(hidden))
-    }
 }
 
 #[cfg(test)]
@@ -465,37 +407,6 @@ mod tests {
             store.zero_grad();
         }
         assert!(last_loss < 1e-3, "loss did not converge: {last_loss}");
-    }
-
-    #[test]
-    fn tensor_forward_matches_tape_forward() {
-        let mut store = ParamStore::new();
-        let linear = Linear::new(&mut store, "l", 3, 4, 21);
-        let mlp = Mlp::new(&mut store, "m", &[4, 8, 1], Activation::Relu, true, 22);
-        let gru = GruCell::new(&mut store, "g", 3, 4, 23);
-        let x = Tensor::randn(5, 3, 1.0, 31);
-        let h = Tensor::randn(5, 4, 1.0, 32);
-
-        let mut g = Graph::new();
-        let xv = g.input(x.clone());
-        let hv = g.input(h.clone());
-        let lin_tape = linear.forward(&mut g, &store, xv);
-        let mlp_tape = mlp.forward(&mut g, &store, lin_tape);
-        let gru_tape = gru.forward(&mut g, &store, xv, hv);
-
-        let lin_tensor = linear.forward_tensor(&store, &x);
-        let mlp_tensor = mlp.forward_tensor(&store, &lin_tensor);
-        let gru_tensor = gru.forward_tensor(&store, &x, &h);
-
-        let close = |a: &Tensor, b: &Tensor| {
-            a.as_slice()
-                .iter()
-                .zip(b.as_slice())
-                .all(|(x, y)| (x - y).abs() < 1e-5)
-        };
-        assert!(close(g.value(lin_tape), &lin_tensor));
-        assert!(close(g.value(mlp_tape), &mlp_tensor));
-        assert!(close(g.value(gru_tape), &gru_tensor));
     }
 
     #[test]

@@ -53,7 +53,7 @@ mod params;
 mod tensor;
 
 pub use error::NnError;
-pub use graph::{segment_softmax_tensor, Graph, Var};
+pub use graph::{Graph, Var};
 pub use layers::{Activation, GruCell, Linear, Mlp};
 pub use optim::{Adam, Sgd};
 pub use params::{ParamId, ParamStore};

@@ -47,8 +47,6 @@ usage: deepgate-serve [options]
                          (default 8388608)
   --poller <backend>     event-loop readiness backend: auto | epoll | poll
                          (default auto: epoll on Linux, poll elsewhere)
-  --quantize <mode>      inference scoring mode: f32 (exact, default) | int8
-                         (quantized weights, rank-order-preserving)
   --help                 print this help";
 
 fn fail(message: &str) -> ! {
@@ -119,12 +117,6 @@ fn main() {
                     .parse()
                     .unwrap_or_else(|e| fail(&format!("--poller: {e}")))
             }
-            "--quantize" => {
-                let mode = value("--quantize");
-                config.quantize = mode
-                    .parse()
-                    .unwrap_or_else(|e| fail(&format!("--quantize: {e}")))
-            }
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return;
@@ -152,7 +144,7 @@ fn main() {
     let server = Server::start(engine, config.clone())
         .unwrap_or_else(|e| fail(&format!("starting server: {e}")));
     eprintln!(
-        "[deepgate-serve] listening on {} via {} event loop (max_batch={}, batch_window={:?}, queue_depth={}, workers={}, cache={}, quantize={})",
+        "[deepgate-serve] listening on {} via {} event loop (max_batch={}, batch_window={:?}, queue_depth={}, workers={}, cache={})",
         server.local_addr(),
         server.poller_backend(),
         config.max_batch,
@@ -160,7 +152,6 @@ fn main() {
         config.queue_depth,
         config.workers,
         config.cache_capacity,
-        config.quantize,
     );
     eprintln!(
         "[deepgate-serve] resilience: default_deadline={:?}, idle_timeout={:?}, line_timeout={:?}, write_timeout={:?}, max_connections={}, max_request_bytes={}",

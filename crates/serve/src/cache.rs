@@ -34,20 +34,6 @@ pub fn request_key(kind: &str, variant: &str, payload: &[u8]) -> u128 {
     hasher.finish()
 }
 
-/// Mixes an inference-mode label (e.g. `"f32"` / `"int8"`, see
-/// [`deepgate::QuantMode::label`]) into a first-level cache key, so cache
-/// entries are partitioned per scoring mode: hit/miss telemetry stays
-/// attributable to one mode, and prepared state can grow mode-dependent
-/// pieces without ever aliasing across modes.
-pub fn keyed_with_mode(base: u128, mode: &str) -> u128 {
-    let mut hasher = deepgate::gnn::StructuralHasher::new();
-    hasher.write((base >> 64) as u64);
-    hasher.write(base as u64);
-    hasher.write(mode.len() as u64);
-    hasher.write_bytes(mode.as_bytes());
-    hasher.finish()
-}
-
 /// A small stamp-based LRU map. Eviction scans for the oldest stamp — O(n),
 /// which is noise at serving-cache capacities (hundreds of entries) and
 /// keeps the structure simple and obviously correct.

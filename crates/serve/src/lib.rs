@@ -181,7 +181,7 @@ mod poll;
 mod scheduler;
 mod server;
 
-pub use cache::{keyed_with_mode, request_key, text_key, CacheStats, CircuitCache};
+pub use cache::{request_key, text_key, CacheStats, CircuitCache};
 pub use conn::{Flush, LineFramer, LineOverflow, WriteBuf};
 pub use fault::{FaultKind, FaultPlan};
 pub use metrics::{snapshot_to_value, CacheMetrics, SchedulerMetrics, ServeMetrics};
@@ -189,7 +189,7 @@ pub use poll::PollerKind;
 pub use scheduler::{Scheduler, SchedulerStats};
 pub use server::{Server, ServerStats};
 
-use deepgate::{DeepGateError, QuantMode};
+use deepgate::DeepGateError;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -252,11 +252,6 @@ pub struct ServeConfig {
     /// Readiness backend of the event loop (default [`PollerKind::Auto`] —
     /// epoll on Linux, portable `poll(2)` elsewhere).
     pub poller: PollerKind,
-    /// Scoring mode of the inference kernel: [`QuantMode::F32`] (exact, the
-    /// default) or [`QuantMode::Int8`] (quantized weights, faster,
-    /// rank-order-preserving probabilities). Part of the cache key, so
-    /// restarting in a different mode never serves stale-mode entries.
-    pub quantize: QuantMode,
 }
 
 impl Default for ServeConfig {
@@ -279,7 +274,6 @@ impl Default for ServeConfig {
             max_request_bytes: 8 * 1024 * 1024,
             faults: None,
             poller: PollerKind::Auto,
-            quantize: QuantMode::F32,
         }
     }
 }

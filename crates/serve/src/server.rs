@@ -19,8 +19,8 @@ use crate::poll::{
 };
 use crate::scheduler::CompletionQueue;
 use crate::{
-    b64, keyed_with_mode, request_key, snapshot_to_value, text_key, CacheStats, CircuitCache,
-    Scheduler, SchedulerStats, ServeConfig, ServeError, ServeMetrics,
+    b64, request_key, snapshot_to_value, text_key, CacheStats, CircuitCache, Scheduler,
+    SchedulerStats, ServeConfig, ServeError, ServeMetrics,
 };
 use deepgate::telemetry::{RequestTrace, SlowLog, Stage};
 use deepgate::{AigerBytes, BenchText, Engine, LatchPolicy, PreparedCircuit};
@@ -142,11 +142,8 @@ impl Server {
         let (wake_tx, wake_rx) =
             waker().map_err(|e| ServeError::Io(format!("wakeup channel: {e}")))?;
         let completions = Arc::new(CompletionQueue::new(wake_tx.clone()));
-        let scheduler = Scheduler::with_metrics(
-            engine.session().with_quantization(config.quantize),
-            &config,
-            metrics.scheduler.clone(),
-        )?;
+        let scheduler =
+            Scheduler::with_metrics(engine.session(), &config, metrics.scheduler.clone())?;
         let listener = TcpListener::bind(&config.addr)
             .map_err(|e| ServeError::Io(format!("binding {}: {e}", config.addr)))?;
         listener
@@ -313,7 +310,7 @@ impl Inner {
         payload: &RequestPayload,
         trace: &mut RequestTrace,
     ) -> Result<Arc<PreparedCircuit>, ServeError> {
-        let key = keyed_with_mode(payload.cache_key(), self.config.quantize.label());
+        let key = payload.cache_key();
         if let Some(prepared) = self.cache.lookup_text(key) {
             return Ok(prepared);
         }

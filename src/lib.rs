@@ -89,7 +89,6 @@ mod session;
 mod source;
 
 pub use deepgate_aig::LatchPolicy;
-pub use deepgate_gnn::QuantMode;
 pub use engine::{Engine, EngineBuilder};
 pub use error::DeepGateError;
 pub use metrics::EngineMetrics;
@@ -109,7 +108,7 @@ pub mod prelude {
     pub use deepgate_aig::{Aig, AigLit, AigNodeKind, LatchPolicy};
     pub use deepgate_core::{DeepGate, DeepGateConfig, Trainer, TrainerConfig};
     pub use deepgate_dataset::{Dataset, DatasetConfig, SuiteKind};
-    pub use deepgate_gnn::{Aggregator, CircuitGraph, DagRecGnn, Gcn, GnnError, QuantMode};
+    pub use deepgate_gnn::{Aggregator, CircuitGraph, DagRecGnn, Gcn, GnnError};
     pub use deepgate_netlist::{GateKind, Netlist, NodeId};
     pub use deepgate_nn::{Graph, Tensor};
     pub use deepgate_sim::SignalProbability;

@@ -2,7 +2,7 @@
 
 use crate::{DeepGateError, EngineMetrics};
 use deepgate_core::DeepGate;
-use deepgate_gnn::{CircuitGraph, CompiledKernel, GnnError, InferencePlan, QuantMode};
+use deepgate_gnn::{CircuitGraph, CompiledKernel, GnnError, InferencePlan};
 use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
@@ -64,10 +64,10 @@ impl PreparedBatch {
 /// threads. Three mechanisms keep the hot path fast:
 ///
 /// 1. **Graph fusion** — a batch is merged into per-worker disjoint-union
-///    graphs ([`CircuitGraph::disjoint_union`]), so same-level tensor ops of
-///    different circuits execute together: `max(levels)` dispatches per
-///    recurrence iteration instead of `sum(levels)`. This wins even on a
-///    single core.
+///    graphs ([`CircuitGraph::disjoint_union`]), so same-level nodes of
+///    different circuits share one kernel level pass: `max(levels)`
+///    dispatches per recurrence iteration instead of `sum(levels)`. This
+///    wins even on a single core.
 /// 2. **Parallel fan-out** — union chunks run rayon-parallel, one per
 ///    worker thread.
 /// 3. **Plan, kernel and buffer reuse** — the CSR arena layout
@@ -77,26 +77,27 @@ impl PreparedBatch {
 ///    [`InferenceSession::prepare_batch`] pin plans across calls, and the
 ///    `_into` variants write into caller-owned buffers, so a steady-state
 ///    serving loop performs no per-request plan or kernel rebuilds.
+///
+/// There is one scoring mode: the kernel's probabilities are bit-identical
+/// to the training forward (`ProbabilityModel::try_forward`), which
+/// `crates/gnn/tests/csr_parity.rs` holds it to.
 #[derive(Debug)]
 pub struct InferenceSession {
     model: DeepGate,
     iterations: usize,
     metrics: Option<Arc<EngineMetrics>>,
-    quantize: QuantMode,
     kernel: CompiledKernel,
 }
 
 impl InferenceSession {
-    /// Wraps a model in a session, baking the weights into an f32 CSR
-    /// kernel.
+    /// Wraps a model in a session, baking the weights into a CSR kernel.
     pub fn new(model: DeepGate) -> Self {
         let iterations = model.config().num_iterations;
-        let kernel = model.compile(QuantMode::F32);
+        let kernel = model.compile();
         InferenceSession {
             model,
             iterations,
             metrics: None,
-            quantize: QuantMode::F32,
             kernel,
         }
     }
@@ -106,22 +107,6 @@ impl InferenceSession {
     pub fn with_iterations(mut self, iterations: usize) -> Self {
         self.iterations = iterations.max(1);
         self
-    }
-
-    /// Selects the scoring mode, recompiling the kernel when it changes:
-    /// [`QuantMode::F32`] (exact, the default) or [`QuantMode::Int8`]
-    /// (quantized weights, rank-order-preserving probabilities).
-    pub fn with_quantization(mut self, mode: QuantMode) -> Self {
-        if mode != self.quantize {
-            self.quantize = mode;
-            self.kernel = self.model.compile(mode);
-        }
-        self
-    }
-
-    /// The session's scoring mode.
-    pub fn quantization(&self) -> QuantMode {
-        self.quantize
     }
 
     /// Attaches telemetry: plan builds, batch fusion and every planned

@@ -188,6 +188,41 @@ fn encoding_mismatch_is_an_error_not_a_panic() {
 }
 
 #[test]
+fn embeddings_equal_the_training_forwards_final_hidden_states() {
+    // The DeepGate configuration (attention, fixed gate input, skip
+    // connections, per-type regressor) on a reconvergent circuit: every
+    // embedding row must equal, bit for bit, the same row of the tape's
+    // final hidden states — which also pins original node order.
+    let engine = quick_engine();
+    let circuits = engine
+        .prepare_unlabelled(&BenchText::new("full_adder", FULL_ADDER))
+        .unwrap();
+    let circuit = &circuits[0];
+    assert!(!circuit.skip_edges.is_empty(), "circuit has skip edges");
+
+    let embeddings = engine.embeddings(circuit).unwrap();
+    assert_eq!(
+        embeddings.shape(),
+        [circuit.num_nodes, engine.model_config().hidden_dim]
+    );
+
+    let model = engine.model();
+    let mut tape = Graph::new();
+    let hidden = model
+        .model()
+        .forward_hidden(&mut tape, model.store(), circuit);
+    let hidden = tape.value(hidden);
+    let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for node in 0..circuit.num_nodes {
+        assert_eq!(
+            bits(embeddings.row(node)),
+            bits(hidden.row(node)),
+            "node {node}"
+        );
+    }
+}
+
+#[test]
 fn builder_rejects_inconsistent_configuration() {
     assert!(matches!(
         Engine::builder().num_patterns(0).build().unwrap_err(),
