@@ -8,7 +8,26 @@
 //! `balance`), and [`optimize`] which runs them to a fixpoint.
 
 use crate::{Aig, AigLit, AigNodeKind};
-use std::collections::HashMap;
+
+/// Maps node indices of the source AIG to literals of the AIG being built;
+/// `None` until the node has been rebuilt.
+type NodeMap = Vec<Option<AigLit>>;
+
+/// Starts a rebuild of `aig`: a fresh AIG with the same interface (inputs
+/// and latches are always kept) and the map seeded with it.
+fn copy_interface(aig: &Aig) -> (Aig, NodeMap) {
+    let mut out = Aig::new(aig.name());
+    let mut map: NodeMap = vec![None; aig.len()];
+    map[0] = Some(AigLit::FALSE);
+    for (pos, &idx) in aig.inputs().iter().enumerate() {
+        map[idx] = Some(out.add_input(aig.input_name(pos)));
+    }
+    for (j, latch) in aig.latches().iter().enumerate() {
+        map[latch.state] = Some(out.add_latch(latch.name.clone()));
+        out.set_latch_init(j, latch.init);
+    }
+    (out, map)
+}
 
 /// Removes dead AND nodes (not reachable from any primary output or latch
 /// next-state function) and rebuilds the AIG with structural hashing applied
@@ -28,19 +47,7 @@ pub fn sweep(aig: &Aig) -> (Aig, usize) {
             stack.push(node.fanin1.node());
         }
     }
-    // Inputs and latches are always kept to preserve the interface.
-    let mut out = Aig::new(aig.name());
-    let mut map: HashMap<usize, AigLit> = HashMap::new();
-    map.insert(0, AigLit::FALSE);
-    for (pos, &idx) in aig.inputs().iter().enumerate() {
-        let lit = out.add_input(aig.input_name(pos));
-        map.insert(idx, lit);
-    }
-    for (j, latch) in aig.latches().iter().enumerate() {
-        let lit = out.add_latch(latch.name.clone());
-        out.set_latch_init(j, latch.init);
-        map.insert(latch.state, lit);
-    }
+    let (mut out, mut map) = copy_interface(aig);
     let mut removed = 0usize;
     for (i, node) in aig.iter() {
         if node.kind != AigNodeKind::And {
@@ -52,8 +59,7 @@ pub fn sweep(aig: &Aig) -> (Aig, usize) {
         }
         let a = translate(&map, node.fanin0);
         let b = translate(&map, node.fanin1);
-        let lit = out.and(a, b);
-        map.insert(i, lit);
+        map[i] = Some(out.and(a, b));
     }
     for (lit, name) in aig.outputs() {
         let mapped = translate(&map, *lit);
@@ -65,35 +71,45 @@ pub fn sweep(aig: &Aig) -> (Aig, usize) {
     (out, removed)
 }
 
+/// Whether a fan-in is expanded into its consumer's multi-input AND
+/// "super-gate": a non-complemented reference to a single-fan-out AND.
+fn expandable(aig: &Aig, fanout: &[usize], lit: AigLit) -> bool {
+    !lit.is_complemented()
+        && aig.node(lit.node()).kind == AigNodeKind::And
+        && fanout[lit.node()] == 1
+}
+
+/// The AND nodes absorbed into a parent super-gate — [`expandable`] seen
+/// from the child — in one pass over the ANDs.
+fn absorbed_nodes(aig: &Aig, fanout: &[usize]) -> Vec<bool> {
+    let mut absorbed = vec![false; aig.len()];
+    for (_, node) in aig.iter() {
+        if node.kind != AigNodeKind::And {
+            continue;
+        }
+        for lit in [node.fanin0, node.fanin1] {
+            if expandable(aig, fanout, lit) {
+                absorbed[lit.node()] = true;
+            }
+        }
+    }
+    absorbed
+}
+
 /// Reassociates chains of AND nodes into balanced trees to reduce logic depth
 /// (the ABC `balance` pass). Only single-fan-out internal nodes are collapsed
 /// so shared logic is preserved. Returns the rebuilt AIG.
 pub fn balance(aig: &Aig) -> Aig {
     let fanout = aig.fanout_counts();
-    let mut out = Aig::new(aig.name());
-    let mut map: HashMap<usize, AigLit> = HashMap::new();
-    map.insert(0, AigLit::FALSE);
-    for (pos, &idx) in aig.inputs().iter().enumerate() {
-        let lit = out.add_input(aig.input_name(pos));
-        map.insert(idx, lit);
-    }
-    for (j, latch) in aig.latches().iter().enumerate() {
-        let lit = out.add_latch(latch.name.clone());
-        out.set_latch_init(j, latch.init);
-        map.insert(latch.state, lit);
-    }
+    let absorbed = absorbed_nodes(aig, &fanout);
+    let (mut out, mut map) = copy_interface(aig);
 
-    // Collect the multi-input AND "super-gate" rooted at `root` by expanding
-    // single-fan-out, non-complemented AND fan-ins.
+    // Collect the super-gate rooted at `root`.
     fn collect_leaves(aig: &Aig, fanout: &[usize], root: usize, leaves: &mut Vec<AigLit>) {
         let node = aig.node(root);
         for lit in [node.fanin0, node.fanin1] {
-            let child = lit.node();
-            let expandable = !lit.is_complemented()
-                && aig.node(child).kind == AigNodeKind::And
-                && fanout[child] == 1;
-            if expandable {
-                collect_leaves(aig, fanout, child, leaves);
+            if expandable(aig, fanout, lit) {
+                collect_leaves(aig, fanout, lit.node(), leaves);
             } else {
                 leaves.push(lit);
             }
@@ -101,25 +117,13 @@ pub fn balance(aig: &Aig) -> Aig {
     }
 
     for (i, node) in aig.iter() {
-        if node.kind != AigNodeKind::And {
-            continue;
-        }
-        // Skip nodes that are absorbed into a parent super-gate: they are
-        // single-fan-out AND nodes referenced positively by another AND.
-        let absorbed = fanout[i] == 1
-            && aig.iter().any(|(j, n)| {
-                n.kind == AigNodeKind::And
-                    && j > i
-                    && ((n.fanin0 == AigLit::positive(i)) || (n.fanin1 == AigLit::positive(i)))
-            });
-        if absorbed {
+        if node.kind != AigNodeKind::And || absorbed[i] {
             continue;
         }
         let mut leaves = Vec::new();
         collect_leaves(aig, &fanout, i, &mut leaves);
         let translated: Vec<AigLit> = leaves.iter().map(|&l| translate(&map, l)).collect();
-        let lit = out.and_many(&translated);
-        map.insert(i, lit);
+        map[i] = Some(out.and_many(&translated));
     }
     for (lit, name) in aig.outputs() {
         let mapped = translate_or_rebuild(aig, &mut out, &mut map, *lit);
@@ -149,8 +153,8 @@ pub fn optimize(aig: &Aig, max_rounds: usize) -> Aig {
     current
 }
 
-fn translate(map: &HashMap<usize, AigLit>, lit: AigLit) -> AigLit {
-    let base = map[&lit.node()];
+fn translate(map: &NodeMap, lit: AigLit) -> AigLit {
+    let base = map[lit.node()].expect("fan-ins are rebuilt before their consumers");
     if lit.is_complemented() {
         base.complement()
     } else {
@@ -160,34 +164,71 @@ fn translate(map: &HashMap<usize, AigLit>, lit: AigLit) -> AigLit {
 
 /// Translates a literal, rebuilding the node cone in `out` if the node was
 /// absorbed during balancing and therefore has no mapping yet.
-fn translate_or_rebuild(
-    aig: &Aig,
-    out: &mut Aig,
-    map: &mut HashMap<usize, AigLit>,
-    lit: AigLit,
-) -> AigLit {
-    if let Some(&base) = map.get(&lit.node()) {
-        return if lit.is_complemented() {
-            base.complement()
-        } else {
-            base
-        };
+fn translate_or_rebuild(aig: &Aig, out: &mut Aig, map: &mut NodeMap, lit: AigLit) -> AigLit {
+    if map[lit.node()].is_none() {
+        let node = *aig.node(lit.node());
+        let a = translate_or_rebuild(aig, out, map, node.fanin0);
+        let b = translate_or_rebuild(aig, out, map, node.fanin1);
+        map[lit.node()] = Some(out.and(a, b));
     }
-    let node = *aig.node(lit.node());
-    let a = translate_or_rebuild(aig, out, map, node.fanin0);
-    let b = translate_or_rebuild(aig, out, map, node.fanin1);
-    let rebuilt = out.and(a, b);
-    map.insert(lit.node(), rebuilt);
-    if lit.is_complemented() {
-        rebuilt.complement()
-    } else {
-        rebuilt
-    }
+    translate(map, lit)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Strategy: a random valid AIG — AND steps over picks (node, sign) among
+    /// the literals built so far, with a few picked outputs.
+    fn random_aig(max_ands: usize) -> impl Strategy<Value = Aig> {
+        let steps = prop::collection::vec((any::<u64>(), any::<u64>()), 1..max_ands);
+        let outputs = prop::collection::vec(any::<u64>(), 1..4);
+        (2usize..6, steps, outputs).prop_map(|(num_inputs, steps, outputs)| {
+            let mut aig = Aig::new("prop");
+            let mut lits: Vec<AigLit> = (0..num_inputs)
+                .map(|i| aig.add_input(format!("x{i}")))
+                .collect();
+            let pick = |lits: &[AigLit], p: u64| {
+                let lit = lits[(p >> 1) as usize % lits.len()];
+                if p & 1 == 1 {
+                    lit.complement()
+                } else {
+                    lit
+                }
+            };
+            for (a, b) in steps {
+                let lit = aig.and(pick(&lits, a), pick(&lits, b));
+                lits.push(lit);
+            }
+            for (k, p) in outputs.into_iter().enumerate() {
+                aig.add_output(pick(&lits, p), format!("y{k}"));
+            }
+            aig
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The one-pass absorbed set equals the definition it replaced: a
+        /// single-fan-out AND referenced positively by a later AND.
+        #[test]
+        fn absorbed_set_matches_the_definition(aig in random_aig(40)) {
+            let fanout = aig.fanout_counts();
+            let absorbed = absorbed_nodes(&aig, &fanout);
+            for (i, node) in aig.iter() {
+                let expected = node.kind == AigNodeKind::And
+                    && fanout[i] == 1
+                    && aig.iter().any(|(j, n)| {
+                        n.kind == AigNodeKind::And
+                            && j > i
+                            && (n.fanin0 == AigLit::positive(i) || n.fanin1 == AigLit::positive(i))
+                    });
+                prop_assert!(absorbed[i] == expected, "node {i}: {} vs {expected}", absorbed[i]);
+            }
+        }
+    }
 
     fn chain_aig(n: usize) -> Aig {
         // a0 & a1 & ... & a_{n-1} built as a left-deep chain.

@@ -513,46 +513,6 @@ mod tests {
     }
 
     #[test]
-    fn union_prediction_matches_per_circuit_prediction() {
-        // Batched inference over a disjoint union must reproduce the
-        // per-circuit results exactly, for every model variant.
-        let a = reconvergent_graph();
-        let mut n = Netlist::new("chain");
-        let x = n.add_input("x");
-        let y = n.add_input("y");
-        let g1 = n.add_gate(GateKind::And, &[x, y]).unwrap();
-        let g2 = n.add_gate(GateKind::Not, &[g1]).unwrap();
-        let g3 = n.add_gate(GateKind::Not, &[g2]).unwrap();
-        let g4 = n.add_gate(GateKind::And, &[g3, x]).unwrap();
-        n.mark_output(g4, "z");
-        let b = CircuitGraph::from_netlist(&n, FeatureEncoding::AigGates, None);
-
-        let (union, offsets) = CircuitGraph::disjoint_union(&[&a, &b]).unwrap();
-        for (fix, skip) in [(false, false), (true, true)] {
-            let mut store = ParamStore::new();
-            let config = DagRecConfig {
-                fix_gate_input: fix,
-                use_skip_connections: skip,
-                per_type_regressor: fix,
-                ..small_config(AggregatorKind::Attention)
-            };
-            let model = DagRecGnn::new(&mut store, config);
-            let merged = model.predict(&store, &union);
-            for (circuit, &offset) in [&a, &b].iter().zip(&offsets) {
-                let single = model.predict(&store, circuit);
-                for (i, &value) in single.iter().enumerate() {
-                    assert!(
-                        (value - merged[offset + i]).abs() < 1e-6,
-                        "node {i} of `{}`: {value} vs {}",
-                        circuit.name,
-                        merged[offset + i]
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn forward_produces_probabilities_for_all_aggregators() {
         let circuit = reconvergent_graph();
         for kind in AggregatorKind::ALL {

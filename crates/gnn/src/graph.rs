@@ -1,13 +1,11 @@
 //! The learning representation of a circuit: node features, level-batched
 //! edge lists, labels and reconvergence skip edges.
 
-use crate::GnnError;
 use deepgate_aig::recon::{positional_encoding, ReconvergenceAnalysis, ReconvergenceConfig};
 use deepgate_aig::{Aig, LatchPolicy};
 use deepgate_netlist::{GateKind, Netlist};
 use deepgate_nn::Tensor;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// How gate types are encoded as node feature vectors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -287,127 +285,6 @@ impl CircuitGraph {
         }
         h.finish()
     }
-
-    /// Merges circuits into one disjoint-union graph, returning it together
-    /// with each circuit's node offset inside the union.
-    ///
-    /// Nodes keep their absolute logic levels, and level batches of the same
-    /// level are merged across circuits, so one GNN pass over the union
-    /// computes exactly the per-node results of running each circuit
-    /// individually — but with `max(levels)` batched tensor dispatches
-    /// instead of `sum(levels)`. This is what makes batched inference pay
-    /// even on a single core; see `deepgate::InferenceSession`.
-    ///
-    /// Labels are merged when every member is labelled, dropped otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GnnError::EncodingMismatch`] if the circuits do not share
-    /// one feature encoding.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `graphs` is empty.
-    pub fn disjoint_union(
-        graphs: &[&CircuitGraph],
-    ) -> Result<(CircuitGraph, Vec<usize>), GnnError> {
-        assert!(!graphs.is_empty(), "cannot union zero circuits");
-        let encoding = graphs[0].encoding;
-        for g in graphs {
-            if g.encoding != encoding {
-                return Err(GnnError::EncodingMismatch {
-                    expected: encoding.dimension(),
-                    got: g.encoding.dimension(),
-                });
-            }
-        }
-
-        let total_nodes: usize = graphs.iter().map(|g| g.num_nodes).sum();
-        let mut offsets = Vec::with_capacity(graphs.len());
-        let mut features_data = Vec::with_capacity(total_nodes * encoding.dimension());
-        let mut levels = Vec::with_capacity(total_nodes);
-        let mut gate_mask = Vec::with_capacity(total_nodes);
-        let mut edges = Vec::new();
-        let mut skip_edges = Vec::new();
-        let mut skip_by_target = Vec::with_capacity(total_nodes);
-        let all_labelled = graphs.iter().all(|g| g.labels.is_some());
-        let mut labels = all_labelled.then(|| Vec::with_capacity(total_nodes));
-        // Level-keyed accumulation merges same-level batches across circuits.
-        let mut forward: BTreeMap<usize, LevelBatch> = BTreeMap::new();
-        let mut reverse: BTreeMap<usize, LevelBatch> = BTreeMap::new();
-
-        let mut offset = 0usize;
-        for g in graphs {
-            offsets.push(offset);
-            features_data.extend_from_slice(g.features.as_slice());
-            levels.extend_from_slice(&g.levels);
-            gate_mask.extend_from_slice(&g.gate_mask);
-            edges.extend(g.edges.iter().map(|&(s, d)| (s + offset, d + offset)));
-            for edge in &g.skip_edges {
-                skip_edges.push(SkipEdge {
-                    source: edge.source + offset,
-                    target: edge.target + offset,
-                    level_difference: edge.level_difference,
-                });
-            }
-            skip_by_target.extend(g.skip_by_target.iter().map(|s| {
-                s.map(|edge| SkipEdge {
-                    source: edge.source + offset,
-                    target: edge.target + offset,
-                    level_difference: edge.level_difference,
-                })
-            }));
-            if let (Some(out), Some(l)) = (labels.as_mut(), g.labels.as_ref()) {
-                out.extend_from_slice(l);
-            }
-            for (map, batches) in [
-                (&mut forward, &g.forward_batches),
-                (&mut reverse, &g.reverse_batches),
-            ] {
-                for batch in batches {
-                    let merged = map.entry(batch.level).or_insert_with(|| LevelBatch {
-                        level: batch.level,
-                        targets: Vec::new(),
-                        edge_src: Vec::new(),
-                        edge_seg: Vec::new(),
-                    });
-                    let seg_base = merged.targets.len();
-                    merged
-                        .targets
-                        .extend(batch.targets.iter().map(|&t| t + offset));
-                    merged
-                        .edge_src
-                        .extend(batch.edge_src.iter().map(|&s| s + offset));
-                    merged
-                        .edge_seg
-                        .extend(batch.edge_seg.iter().map(|&s| s + seg_base));
-                }
-            }
-            offset += g.num_nodes;
-        }
-
-        let max_level = graphs.iter().map(|g| g.max_level).max().unwrap_or(0);
-        Ok((
-            CircuitGraph {
-                name: format!("batch[{}]", graphs.len()),
-                num_nodes: total_nodes,
-                encoding,
-                features: Tensor::from_vec(total_nodes, encoding.dimension(), features_data),
-                levels,
-                max_level,
-                gate_mask,
-                edges,
-                // Forward: ascending level; reverse: descending level. Both
-                // respect every member circuit's own topological order.
-                forward_batches: forward.into_values().collect(),
-                reverse_batches: reverse.into_values().rev().collect(),
-                skip_edges,
-                skip_by_target,
-                labels,
-            },
-            offsets,
-        ))
-    }
 }
 
 /// Two interleaved FNV-1a streams with distinct offsets, combined into a
@@ -569,64 +446,6 @@ mod tests {
     }
 
     #[test]
-    fn disjoint_union_merges_structure_and_levels() {
-        let a = CircuitGraph::from_netlist(&small_netlist(), FeatureEncoding::AigGates, None);
-        let mut deeper = Netlist::new("d");
-        let x = deeper.add_input("x");
-        let g1 = deeper.add_gate(GateKind::Not, &[x]).unwrap();
-        let g2 = deeper.add_gate(GateKind::Not, &[g1]).unwrap();
-        let g3 = deeper.add_gate(GateKind::Not, &[g2]).unwrap();
-        let g4 = deeper.add_gate(GateKind::Not, &[g3]).unwrap();
-        deeper.mark_output(g4, "y");
-        let b = CircuitGraph::from_netlist(&deeper, FeatureEncoding::AigGates, None);
-
-        let (union, offsets) = CircuitGraph::disjoint_union(&[&a, &b]).unwrap();
-        assert_eq!(offsets, vec![0, a.num_nodes]);
-        assert_eq!(union.num_nodes, a.num_nodes + b.num_nodes);
-        assert_eq!(union.max_level, a.max_level.max(b.max_level));
-        assert_eq!(union.num_gates(), a.num_gates() + b.num_gates());
-        assert_eq!(union.edges.len(), a.edges.len() + b.edges.len());
-        // Same-level batches merge: batch count equals max depth, not sum.
-        assert_eq!(union.forward_batches.len(), union.max_level);
-        // Every union edge still goes forward in level.
-        for &(src, dst) in &union.edges {
-            assert!(union.levels[src] < union.levels[dst]);
-        }
-        // Forward batches cover every gate of both circuits exactly once.
-        let covered: usize = union.forward_batches.iter().map(|b| b.targets.len()).sum();
-        assert_eq!(covered, union.num_gates());
-        // Reverse batches are in strictly descending level order.
-        for pair in union.reverse_batches.windows(2) {
-            assert!(pair[0].level > pair[1].level);
-        }
-    }
-
-    #[test]
-    fn disjoint_union_merges_labels_only_when_all_present() {
-        let mut a = CircuitGraph::from_netlist(&small_netlist(), FeatureEncoding::AigGates, None);
-        let b = CircuitGraph::from_netlist(&small_netlist(), FeatureEncoding::AigGates, None);
-        a.set_labels(vec![0.5; a.num_nodes]);
-        let (union, _) = CircuitGraph::disjoint_union(&[&a, &b]).unwrap();
-        assert!(union.labels.is_none());
-        let mut b = b;
-        b.set_labels(vec![0.25; b.num_nodes]);
-        let (union, offsets) = CircuitGraph::disjoint_union(&[&a, &b]).unwrap();
-        let labels = union.labels.unwrap();
-        assert_eq!(labels[0], 0.5);
-        assert_eq!(labels[offsets[1]], 0.25);
-    }
-
-    #[test]
-    fn disjoint_union_rejects_mixed_encodings() {
-        let a = CircuitGraph::from_netlist(&small_netlist(), FeatureEncoding::AigGates, None);
-        let b = CircuitGraph::from_netlist(&small_netlist(), FeatureEncoding::AllGates, None);
-        assert!(matches!(
-            CircuitGraph::disjoint_union(&[&a, &b]),
-            Err(GnnError::EncodingMismatch { .. })
-        ));
-    }
-
-    #[test]
     #[should_panic(expected = "not part of the AIG alphabet")]
     fn aig_encoding_rejects_foreign_gates() {
         let mut n = Netlist::new("bad");
@@ -716,9 +535,17 @@ mod tests {
         bigger.mark_output(extra, "z");
         let bigger = CircuitGraph::from_netlist(&bigger, FeatureEncoding::AigGates, None);
         assert_ne!(base.fingerprint(), bigger.fingerprint());
-        // A union of two copies differs from a single copy.
-        let (union, _) = CircuitGraph::disjoint_union(&[&base, &base]).unwrap();
-        assert_ne!(base.fingerprint(), union.fingerprint());
+        // Two side-by-side copies in one netlist differ from a single copy.
+        let mut doubled = small_netlist();
+        let c = doubled.add_input("c");
+        let d = doubled.add_input("d");
+        let h1 = doubled.add_gate(GateKind::And, &[c, d]).unwrap();
+        let h2 = doubled.add_gate(GateKind::Not, &[h1]).unwrap();
+        let h3 = doubled.add_gate(GateKind::And, &[h1, h2]).unwrap();
+        doubled.mark_output(h3, "y2");
+        let doubled = CircuitGraph::from_netlist(&doubled, FeatureEncoding::AigGates, None);
+        assert_eq!(doubled.num_nodes, 2 * base.num_nodes);
+        assert_ne!(base.fingerprint(), doubled.fingerprint());
     }
 
     #[test]

@@ -22,7 +22,7 @@ usage: deepgate-serve [options]
   --checkpoint <path>    checkpoint written by Engine::save_checkpoint
                          (default: fresh untrained model)
   --addr <host:port>     listen address (default 127.0.0.1:7878, port 0 = ephemeral)
-  --max-batch <n>        requests fused per batch (default 16)
+  --max-batch <n>        most requests collected per batch (default 16)
   --batch-window-ms <n>  batch fill window in milliseconds (default 2)
   --queue-depth <n>      bounded queue depth (default 1024)
   --workers <n>          batching worker threads (default: CPU count)

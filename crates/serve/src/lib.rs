@@ -1,17 +1,16 @@
 //! `deepgate-serve` — the concurrent inference server of the DeepGate
 //! reproduction.
 //!
-//! PR 1's [`deepgate::InferenceSession`] can fuse a *batch* of circuits into
-//! disjoint-union graphs and predict them in one pass; this crate supplies
-//! the subsystem that turns a stream of *independent concurrent requests*
-//! into those batches:
+//! [`deepgate::InferenceSession`] predicts a *batch* of prepared circuits
+//! side by side across the cores; this crate supplies the subsystem that
+//! turns a stream of *independent concurrent requests* into those batches:
 //!
 //! - [`Scheduler`] — a dynamic micro-batching scheduler: a bounded MPSC
 //!   request queue drained by worker threads that collect up to
 //!   `max_batch` requests within a `batch_window`, execute them through
-//!   [`deepgate::InferenceSession::prepare_batch_refs`] /
-//!   [`deepgate::InferenceSession::predict_batch_into`], and route each
-//!   result back to its requester. A full queue rejects new work
+//!   [`deepgate::InferenceSession::predict_batch_into`] — each circuit on
+//!   the plan it was cached with — and route each result back to its
+//!   requester. A full queue rejects new work
 //!   ([`ServeError::Overloaded`]) instead of building unbounded backlog.
 //! - [`CircuitCache`] — a structural circuit cache: an LRU keyed by
 //!   [`deepgate::gnn::CircuitGraph::fingerprint`] (plus a text-hash memo in
@@ -201,7 +200,7 @@ pub struct ServeConfig {
     /// Listen address; port 0 picks an ephemeral port (default
     /// `127.0.0.1:0`).
     pub addr: String,
-    /// Most requests a worker fuses into one batch (default 16).
+    /// Most requests a worker collects into one batch (default 16).
     pub max_batch: usize,
     /// How long a worker waits for the batch to fill once it holds at least
     /// one request (default 2 ms). Smaller trades throughput for latency.

@@ -46,8 +46,8 @@ pub struct SchedulerMetrics {
     pub queue_depth: Arc<Gauge>,
     /// `batch_size` — batch sizes, one record per executed batch.
     pub batch_size: Arc<Histogram>,
-    /// `batch_latency_ns` — wall time of one batch execution (dedup,
-    /// fusion and prediction, including any per-circuit fallback).
+    /// `batch_latency_ns` — wall time of one batch execution (dedup and
+    /// the parallel prediction of its distinct circuits).
     pub batch_latency_ns: Arc<Histogram>,
 }
 

@@ -1,12 +1,11 @@
 //! The dynamic micro-batching scheduler: a bounded request queue drained by
-//! worker threads that fuse concurrent requests into
-//! [`deepgate::InferenceSession`] batches.
+//! worker threads that collect concurrent requests into batches and run
+//! them side by side through [`deepgate::InferenceSession`].
 
 use crate::fault::{panic_message, FaultKind, FaultPlan};
 use crate::metrics::SchedulerMetrics;
 use crate::poll::Waker;
 use crate::{ServeConfig, ServeError};
-use deepgate::gnn::CircuitGraph;
 use deepgate::telemetry::{Registry, Stage};
 use deepgate::{InferenceSession, PreparedCircuit};
 use serde::Serialize;
@@ -212,12 +211,11 @@ struct Shared {
 /// Requests enter through [`Scheduler::submit`] into a bounded queue; worker
 /// threads drain it in batches. A worker holding one request keeps
 /// collecting until it has `max_batch` of them or `batch_window` has
-/// elapsed, then deduplicates repeated circuits, executes the distinct
-/// remainder as fused disjoint-union graphs and routes each result back to
-/// its submitter — so concurrent small requests pay one batched dispatch
-/// instead of many sequential ones, repeats of a hot circuit pay a single
-/// prediction, and a lone request under light load only ever waits
-/// `batch_window`.
+/// elapsed, then deduplicates repeated circuits, runs the distinct
+/// remainder in parallel — each on the plan it was cached with — and routes
+/// each result back to its submitter — so concurrent requests share the
+/// cores, repeats of a hot circuit pay a single prediction, and a lone
+/// request under light load only ever waits `batch_window`.
 ///
 /// Backpressure is explicit: a full queue rejects with
 /// [`ServeError::Overloaded`] rather than queueing unboundedly. Shutdown is
@@ -628,11 +626,11 @@ fn next_batch(shared: &Shared) -> Option<Vec<Job>> {
 /// circuit is predicted once and the result fanned out to every duplicate.
 /// The model is immutable for the session's lifetime, so duplicates are
 /// guaranteed bit-identical — under a repeated-circuit serving workload this
-/// is where most of the micro-batching win comes from, on top of the fused
-/// disjoint-union execution of the distinct remainder. A batch-level failure
-/// falls back to per-circuit prediction so one poisoned request cannot fail
-/// its batch-mates; a batch-level *panic* is caught, answered with
-/// per-request internal errors, and the worker keeps draining.
+/// is where most of the micro-batching win comes from, on top of the
+/// parallel execution of the distinct remainder. Every distinct circuit gets
+/// its own result, so one poisoned request cannot fail its batch-mates; a
+/// batch-level *panic* is caught, answered with per-request internal errors,
+/// and the worker keeps draining.
 fn execute(shared: &Shared, jobs: Vec<Job>) {
     let metrics = &shared.metrics;
 
@@ -672,7 +670,7 @@ fn execute(shared: &Shared, jobs: Vec<Job>) {
 }
 
 /// The unguarded body of [`execute`]: batch accounting, deduplication,
-/// fused prediction and response routing.
+/// prediction and response routing.
 fn execute_batch(shared: &Shared, jobs: &[Job]) {
     let metrics = &shared.metrics;
     let batch_start = Instant::now();
@@ -707,80 +705,44 @@ fn execute_batch(shared: &Shared, jobs: &[Job]) {
 
     // Group jobs by circuit identity (Arc pointer): cheap, and exact for
     // cache-served repeats. Uncached duplicates simply form singleton
-    // groups and run individually.
+    // groups and run individually. Every distinct circuit runs on the plan
+    // it was cached with and gets its own result, so an incompatible
+    // circuit fails alone.
     let mut group_of_job: Vec<usize> = Vec::with_capacity(jobs.len());
-    let mut groups: Vec<usize> = Vec::new(); // index of each group's first job
+    let mut distinct: Vec<&PreparedCircuit> = Vec::new();
     let mut index_of: std::collections::HashMap<*const PreparedCircuit, usize> =
         std::collections::HashMap::new();
-    for (j, job) in jobs.iter().enumerate() {
+    for job in jobs {
         let key = Arc::as_ptr(&job.circuit);
         let group = *index_of.entry(key).or_insert_with(|| {
-            groups.push(j);
-            groups.len() - 1
+            distinct.push(&job.circuit);
+            distinct.len() - 1
         });
         group_of_job.push(group);
     }
-    metrics.deduplicated.add((jobs.len() - groups.len()) as u64);
+    metrics
+        .deduplicated
+        .add((jobs.len() - distinct.len()) as u64);
 
-    let distinct: Result<Vec<Vec<f32>>, ServeError> = if groups.len() == 1 {
-        // One distinct circuit: its cached plan serves directly, no fusing.
-        let mut out = Vec::new();
-        shared
-            .session
-            .predict_into(&jobs[groups[0]].circuit, &mut out)
-            .map(|()| vec![out])
-            .map_err(ServeError::Engine)
-    } else {
-        let refs: Vec<&CircuitGraph> = groups.iter().map(|&j| jobs[j].circuit.circuit()).collect();
-        let mut out = Vec::new();
-        shared
-            .session
-            .prepare_batch_refs(&refs)
-            .and_then(|prepared| shared.session.predict_batch_into(&prepared, &mut out))
-            .map(|()| out)
-            .map_err(ServeError::Engine)
-    };
+    let mut probs = Vec::new();
+    let results = shared.session.predict_batch_into(&distinct, &mut probs);
 
     // The batch latency is recorded BEFORE responses are routed: once a
     // submitter holds its result, every series this batch touched is
     // already visible, so a snapshot taken at quiescence is exact
     // (`batch_latency_ns.count == scheduler_batches_total`).
-    match distinct {
-        Ok(results) => {
-            metrics
-                .batch_latency_ns
-                .record_duration(batch_start.elapsed());
-            for (job, &group) in jobs.iter().zip(&group_of_job) {
+    metrics
+        .batch_latency_ns
+        .record_duration(batch_start.elapsed());
+    for (job, &group) in jobs.iter().zip(&group_of_job) {
+        match &results[group] {
+            Ok(()) => {
                 metrics.completed.inc();
-                job.respond.send(Ok(results[group].clone()));
+                job.respond.send(Ok(probs[group].clone()));
             }
-        }
-        Err(_) => {
-            let results: Vec<Result<Vec<f32>, ServeError>> = jobs
-                .iter()
-                .map(|job| {
-                    let mut out = Vec::new();
-                    shared
-                        .session
-                        .predict_into(&job.circuit, &mut out)
-                        .map(|()| out)
-                        .map_err(ServeError::Engine)
-                })
-                .collect();
-            metrics
-                .batch_latency_ns
-                .record_duration(batch_start.elapsed());
-            for (job, result) in jobs.iter().zip(results) {
-                match result {
-                    Ok(probs) => {
-                        metrics.completed.inc();
-                        job.respond.send(Ok(probs));
-                    }
-                    Err(e) => {
-                        metrics.failed.inc();
-                        job.respond.send(Err(e));
-                    }
-                }
+            Err(e) => {
+                metrics.failed.inc();
+                job.respond.send(Err(ServeError::Engine(e.clone())));
             }
         }
     }
@@ -906,6 +868,60 @@ mod tests {
         let stats = scheduler.stats();
         assert_eq!(stats.completed, 5);
         assert_eq!(stats.deduplicated, 3); // five requests, two distinct circuits
+        assert_eq!(stats.batches, 1);
+    }
+
+    #[test]
+    fn a_bad_circuit_fails_alone() {
+        use deepgate::gnn::{CircuitGraph, FeatureEncoding};
+        use deepgate::netlist::{GateKind, Netlist};
+
+        let session = test_session();
+        let a = chain_circuit(&session, 3);
+        let b = chain_circuit(&session, 5);
+        let expected_a = session.predict(a.circuit()).expect("predicts");
+        let expected_b = session.predict(b.circuit()).expect("predicts");
+        // Encoded over the full gate alphabet: the AIG-alphabet model must
+        // refuse it.
+        let mut netlist = Netlist::new("wide");
+        let x = netlist.add_input("x");
+        let y = netlist.add_input("y");
+        let gate = netlist
+            .add_gate(GateKind::And, &[x, y])
+            .expect("valid gate");
+        netlist.mark_output(gate, "z");
+        let bad = Arc::new(session.prepare(CircuitGraph::from_netlist(
+            &netlist,
+            FeatureEncoding::AllGates,
+            None,
+        )));
+
+        // No workers: drain one batch by hand so its composition is exact.
+        let scheduler = Scheduler::new(
+            test_session(),
+            &ServeConfig {
+                workers: 0,
+                max_batch: 8,
+                batch_window: Duration::from_millis(1),
+                ..ServeConfig::default()
+            },
+        )
+        .expect("valid config");
+        let receivers: Vec<_> = [&a, &bad, &b]
+            .iter()
+            .map(|c| scheduler.submit(Arc::clone(c)).expect("queue open"))
+            .collect();
+        let jobs = next_batch(&scheduler.shared).expect("jobs queued");
+        assert_eq!(jobs.len(), 3);
+        execute(&scheduler.shared, jobs);
+
+        let mut results = receivers.into_iter().map(|r| r.recv().expect("executed"));
+        assert_eq!(results.next(), Some(Ok(expected_a)));
+        assert!(matches!(results.next(), Some(Err(ServeError::Engine(_)))));
+        assert_eq!(results.next(), Some(Ok(expected_b)));
+        let stats = scheduler.stats();
+        assert_eq!(stats.completed, 2);
+        assert_eq!(stats.failed, 1);
         assert_eq!(stats.batches, 1);
     }
 

@@ -295,6 +295,15 @@ fn hammer_metrics_stay_consistent_under_concurrent_load() {
         batches
     );
 
+    // Plans are built on cache misses only — a batch runs the plans its
+    // circuits were cached with — and the kernel runs once per distinct
+    // circuit per batch.
+    assert_eq!(uint(histogram(&metrics, "engine_plan_ns"), "count"), misses);
+    assert_eq!(
+        uint(histogram(&metrics, "gnn_circuit_nodes"), "count"),
+        total - counter(&metrics, "scheduler_deduplicated_total")
+    );
+
     // The kernel recorded each CSR level's width along the way.
     assert!(
         uint(histogram(&metrics, "gnn_csr_level_width"), "count") > 0,

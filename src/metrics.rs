@@ -19,14 +19,11 @@ pub struct EngineMetrics {
     /// AIG transformation, optimisation and graph encoding — and, on the
     /// labelled path, simulation labelling.
     pub ingest_ns: Arc<Histogram>,
-    /// Per-graph inference-plan build wall time in nanoseconds
+    /// Per-circuit inference-plan build wall time in nanoseconds
     /// (`engine_plan_ns`).
     pub plan_ns: Arc<Histogram>,
-    /// Per-chunk disjoint-union (batch fusion) wall time in nanoseconds
-    /// (`engine_fuse_ns`).
-    pub fuse_ns: Arc<Histogram>,
-    /// Per-graph planned-prediction wall time in nanoseconds
-    /// (`engine_predict_ns`) — one record per circuit or fused union chunk.
+    /// Per-circuit planned-prediction wall time in nanoseconds
+    /// (`engine_predict_ns`).
     pub predict_ns: Arc<Histogram>,
     /// The inference-kernel series (per-level aggregation time, regressor
     /// time, circuit size buckets) recorded beneath every prediction.
@@ -39,7 +36,6 @@ impl EngineMetrics {
         EngineMetrics {
             ingest_ns: registry.histogram("engine_ingest_ns"),
             plan_ns: registry.histogram("engine_plan_ns"),
-            fuse_ns: registry.histogram("engine_fuse_ns"),
             predict_ns: registry.histogram("engine_predict_ns"),
             gnn: GnnMetrics::registered(registry),
         }

@@ -4,6 +4,7 @@ use crate::{DeepGateError, EngineMetrics};
 use deepgate_core::DeepGate;
 use deepgate_gnn::{CircuitGraph, CompiledKernel, GnnError, InferencePlan};
 use rayon::prelude::*;
+use std::borrow::Borrow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -27,52 +28,18 @@ impl PreparedCircuit {
     }
 }
 
-/// A batch of circuits fused for serving: disjoint-union graphs (one per
-/// worker chunk) with their plans and the bookkeeping to split predictions
-/// back out per circuit. Built once via [`InferenceSession::prepare_batch`],
-/// reused across every [`InferenceSession::predict_batch_into`] call.
-#[derive(Debug, Clone)]
-pub struct PreparedBatch {
-    chunks: Vec<BatchChunk>,
-    num_circuits: usize,
-}
-
-#[derive(Debug, Clone)]
-struct BatchChunk {
-    union: CircuitGraph,
-    plan: InferencePlan,
-    /// Node count of each member circuit, in order.
-    sizes: Vec<usize>,
-}
-
-impl PreparedBatch {
-    /// Number of circuits in the batch.
-    pub fn len(&self) -> usize {
-        self.num_circuits
-    }
-
-    /// Returns `true` if the batch holds no circuits.
-    pub fn is_empty(&self) -> bool {
-        self.num_circuits == 0
-    }
-}
-
 /// A serving session: a model snapshot plus reusable inference state.
 ///
 /// The session owns its weights (cloned from the [`crate::Engine`] or moved
 /// out of it), so it is `Send + Sync` and can be shared across serving
-/// threads. Three mechanisms keep the hot path fast:
+/// threads. Two mechanisms keep the hot path fast:
 ///
-/// 1. **Graph fusion** — a batch is merged into per-worker disjoint-union
-///    graphs ([`CircuitGraph::disjoint_union`]), so same-level nodes of
-///    different circuits share one kernel level pass: `max(levels)`
-///    dispatches per recurrence iteration instead of `sum(levels)`. This
-///    wins even on a single core.
-/// 2. **Parallel fan-out** — union chunks run rayon-parallel, one per
-///    worker thread.
-/// 3. **Plan, kernel and buffer reuse** — the CSR arena layout
-///    ([`InferencePlan`]) is compiled once per circuit/union and reused
-///    across all `T` iterations, the model's weights are baked once into a
+/// 1. **Parallel fan-out** — a batch is a list of independent prepared
+///    circuits; [`InferenceSession::predict_batch_into`] runs them side by
+///    side, rayon-parallel, each on the plan it already owns.
+/// 2. **Plan, kernel and buffer reuse** — the CSR arena layout
+///    ([`InferencePlan`]) is compiled once per circuit and reused across
+///    all `T` iterations, the model's weights are baked once into a
 ///    [`CompiledKernel`]; [`InferenceSession::prepare`] /
 ///    [`InferenceSession::prepare_batch`] pin plans across calls, and the
 ///    `_into` variants write into caller-owned buffers, so a steady-state
@@ -109,10 +76,10 @@ impl InferenceSession {
         self
     }
 
-    /// Attaches telemetry: plan builds, batch fusion and every planned
-    /// prediction record stage timings into the given [`EngineMetrics`]
-    /// handles. Sessions opened via [`crate::Engine::session`] inherit the
-    /// engine's handles automatically.
+    /// Attaches telemetry: plan builds and every planned prediction record
+    /// stage timings into the given [`EngineMetrics`] handles. Sessions
+    /// opened via [`crate::Engine::session`] inherit the engine's handles
+    /// automatically.
     pub fn with_metrics(mut self, metrics: Arc<EngineMetrics>) -> Self {
         self.metrics = Some(metrics);
         self
@@ -133,63 +100,23 @@ impl InferenceSession {
         PreparedCircuit { circuit, plan }
     }
 
-    /// Fuses a batch into per-worker union graphs with precomputed plans —
-    /// the setup step of the steady-state serving loop.
+    /// Prepares every circuit of a batch ([`InferenceSession::prepare`],
+    /// rayon-parallel) — the setup step of the steady-state serving loop.
     ///
     /// # Errors
     ///
-    /// Returns [`DeepGateError::EmptyBatch`] for an empty batch and
-    /// [`DeepGateError::Gnn`] if the circuits do not share one feature
-    /// encoding.
-    pub fn prepare_batch(&self, circuits: &[CircuitGraph]) -> Result<PreparedBatch, DeepGateError> {
-        let refs: Vec<&CircuitGraph> = circuits.iter().collect();
-        self.prepare_batch_refs(&refs)
-    }
-
-    /// [`InferenceSession::prepare_batch`] over borrowed circuits — the
-    /// serving layer batches cached `Arc<CircuitGraph>`s without cloning
-    /// them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeepGateError::EmptyBatch`] for an empty batch and
-    /// [`DeepGateError::Gnn`] if the circuits do not share one feature
-    /// encoding.
-    pub fn prepare_batch_refs(
+    /// Returns [`DeepGateError::EmptyBatch`] for an empty batch.
+    pub fn prepare_batch(
         &self,
-        circuits: &[&CircuitGraph],
-    ) -> Result<PreparedBatch, DeepGateError> {
+        circuits: &[CircuitGraph],
+    ) -> Result<Vec<PreparedCircuit>, DeepGateError> {
         if circuits.is_empty() {
             return Err(DeepGateError::EmptyBatch);
         }
-        let chunk_size = circuits.len().div_ceil(rayon::current_num_threads());
-        let metrics = self.metrics.as_deref();
-        let chunks: Result<Vec<BatchChunk>, DeepGateError> = circuits
-            .chunks(chunk_size)
-            .collect::<Vec<_>>()
+        Ok(circuits
             .par_iter()
-            .map(|chunk| {
-                let fuse_start = metrics.map(|_| Instant::now());
-                let (union, _) = CircuitGraph::disjoint_union(chunk)?;
-                if let (Some(m), Some(start)) = (metrics, fuse_start) {
-                    m.fuse_ns.record_duration(start.elapsed());
-                }
-                let plan_start = metrics.map(|_| Instant::now());
-                let plan = self.model.plan(&union);
-                if let (Some(m), Some(start)) = (metrics, plan_start) {
-                    m.plan_ns.record_duration(start.elapsed());
-                }
-                Ok(BatchChunk {
-                    plan,
-                    union,
-                    sizes: chunk.iter().map(|c| c.num_nodes).collect(),
-                })
-            })
-            .collect();
-        Ok(PreparedBatch {
-            chunks: chunks?,
-            num_circuits: circuits.len(),
-        })
+            .map(|circuit| self.prepare(circuit.clone()))
+            .collect())
     }
 
     /// Predicts per-node signal probabilities for one circuit.
@@ -220,8 +147,8 @@ impl InferenceSession {
         self.predict_planned_into(&prepared.circuit, &prepared.plan, out)
     }
 
-    /// Predicts a batch of circuits: circuits are fused into per-worker
-    /// union graphs and the chunks run rayon-parallel. Returns one
+    /// Predicts a batch of circuits: each is prepared and the batch runs
+    /// through [`InferenceSession::predict_batch_into`]. Returns one
     /// probability vector per circuit, in input order.
     ///
     /// # Errors
@@ -231,55 +158,44 @@ impl InferenceSession {
     pub fn predict_batch(&self, circuits: &[CircuitGraph]) -> Result<Vec<Vec<f32>>, DeepGateError> {
         let prepared = self.prepare_batch(circuits)?;
         let mut out = Vec::new();
-        self.predict_batch_into(&prepared, &mut out)?;
+        self.predict_batch_into(&prepared, &mut out)
+            .into_iter()
+            .collect::<Result<(), _>>()?;
         Ok(out)
     }
 
-    /// Predicts a prepared batch into caller-owned buffers — the
-    /// steady-state serving hot path: no plan rebuilds, no union rebuilds,
-    /// and `out`'s buffers keep their allocations across calls. `out` is
-    /// resized to the batch length.
+    /// Predicts prepared circuits side by side, rayon-parallel, each on its
+    /// own plan — the steady-state serving hot path: no plan rebuilds, and
+    /// `out`'s buffers keep their allocations across calls. `out` is resized
+    /// to the batch length.
     ///
-    /// # Errors
-    ///
-    /// Returns [`DeepGateError::EmptyBatch`] for an empty batch and
-    /// [`DeepGateError::Gnn`] if any circuit is incompatible with the model.
-    /// On error the contents of `out` are unspecified but safe to reuse.
-    pub fn predict_batch_into(
+    /// Returns one result per circuit, in input order: `out[i]` holds
+    /// circuit `i`'s probabilities exactly when result `i` is `Ok`, so a
+    /// circuit that is incompatible with the model
+    /// ([`DeepGateError::Gnn`]) fails alone.
+    #[must_use = "every circuit reports its own result"]
+    pub fn predict_batch_into<P>(
         &self,
-        prepared: &PreparedBatch,
+        prepared: &[P],
         out: &mut Vec<Vec<f32>>,
-    ) -> Result<(), DeepGateError> {
-        if prepared.is_empty() {
-            return Err(DeepGateError::EmptyBatch);
-        }
-        // Hand each chunk its slice of reusable output buffers.
+    ) -> Vec<Result<(), DeepGateError>>
+    where
+        P: Borrow<PreparedCircuit> + Sync,
+    {
         let mut buffers = std::mem::take(out);
-        buffers.resize_with(prepared.num_circuits, Vec::new);
-        let mut tasks: Vec<(&BatchChunk, Vec<Vec<f32>>)> =
-            Vec::with_capacity(prepared.chunks.len());
-        let mut rest = buffers;
-        for chunk in &prepared.chunks {
-            let tail = rest.split_off(chunk.sizes.len());
-            tasks.push((chunk, rest));
-            rest = tail;
-        }
-        let results: Result<Vec<Vec<Vec<f32>>>, DeepGateError> = tasks
+        buffers.resize_with(prepared.len(), Vec::new);
+        let tasks: Vec<(&P, Vec<f32>)> = prepared.iter().zip(buffers).collect();
+        let (buffers, results) = tasks
             .into_par_iter()
-            .map(|(chunk, mut outputs)| {
-                let mut merged = Vec::new();
-                self.predict_planned_into(&chunk.union, &chunk.plan, &mut merged)?;
-                let mut offset = 0;
-                for (size, buffer) in chunk.sizes.iter().zip(outputs.iter_mut()) {
-                    buffer.clear();
-                    buffer.extend_from_slice(&merged[offset..offset + size]);
-                    offset += size;
-                }
-                Ok(outputs)
+            .map(|(prepared, mut buffer)| {
+                let result = self.predict_into(prepared.borrow(), &mut buffer);
+                (buffer, result)
             })
-            .collect();
-        *out = results?.into_iter().flatten().collect();
-        Ok(())
+            .collect::<Vec<_>>()
+            .into_iter()
+            .unzip();
+        *out = buffers;
+        results
     }
 
     fn predict_planned_into(

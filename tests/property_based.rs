@@ -161,8 +161,8 @@ proptest! {
 
     /// Engine facade invariants on arbitrary circuits: `prepare` labels
     /// every node with a probability, `predict_batch` returns one
-    /// probability vector per circuit, and the batched path agrees with the
-    /// single-circuit path.
+    /// probability vector per circuit, and the batched path is bit-identical
+    /// to the single-circuit path.
     #[test]
     fn engine_prepares_and_serves_arbitrary_circuits(netlist in random_netlist(25)) {
         let engine = Engine::builder()
@@ -190,7 +190,7 @@ proptest! {
             prop_assert_eq!(predictions.len(), circuit.num_nodes);
             prop_assert!(predictions.iter().all(|&p| (0.0..=1.0).contains(&p)));
             let single = session.predict(circuit).expect("serves");
-            prop_assert!(single.iter().zip(predictions).all(|(a, b)| (a - b).abs() < 1e-6));
+            prop_assert!(single.iter().zip(predictions).all(|(a, b)| a.to_bits() == b.to_bits()));
         }
     }
 }
