@@ -1,8 +1,9 @@
 //! The DAG-ConvGNN baseline: layered propagation in topological order
 //! (Eq. 3 of the paper) with per-layer parameters and a single forward pass.
 
+use crate::state::NodeStates;
 use crate::{Aggregator, AggregatorKind, CircuitGraph, ProbabilityModel};
-use deepgate_nn::{Activation, Graph, GruCell, Linear, Mlp, ParamStore, Tensor, Var};
+use deepgate_nn::{Activation, Graph, GruCell, Linear, Mlp, ParamStore, Var};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the [`DagConvGnn`] baseline.
@@ -107,16 +108,19 @@ impl ProbabilityModel for DagConvGnn {
             self.config.feature_dim,
             "circuit feature encoding does not match the model configuration"
         );
-        let n = circuit.num_nodes;
         let features = g.input(circuit.features.clone());
-        let mut h = self.embed.forward(g, store, features);
+        let embedded = self.embed.forward(g, store, features);
+        let mut states = NodeStates::new(g, embedded);
+        let edge_targets: Vec<Vec<usize>> = circuit
+            .forward_batches
+            .iter()
+            .map(|batch| batch.edge_seg.iter().map(|&s| batch.targets[s]).collect())
+            .collect();
         for layer in 0..self.config.num_layers {
-            let h_prev_layer = h;
-            for batch in &circuit.forward_batches {
-                let edge_targets: Vec<usize> =
-                    batch.edge_seg.iter().map(|&s| batch.targets[s]).collect();
-                let src_states = g.gather_rows(h, &batch.edge_src);
-                let query_states = g.gather_rows(h_prev_layer, &edge_targets);
+            let prev_layer = states.clone();
+            for (batch, edge_targets) in circuit.forward_batches.iter().zip(&edge_targets) {
+                let src_states = states.read(g, &batch.edge_src);
+                let query_states = prev_layer.read(g, edge_targets);
                 let msg = self.aggregators[layer].aggregate(
                     g,
                     store,
@@ -126,19 +130,12 @@ impl ProbabilityModel for DagConvGnn {
                     batch.targets.len(),
                     None,
                 );
-                let h_targets_prev = g.gather_rows(h_prev_layer, &batch.targets);
+                let h_targets_prev = prev_layer.read(g, &batch.targets);
                 let updated = self.combiners[layer].forward(g, store, msg, h_targets_prev);
-                // Write the updated rows back into h.
-                let mut keep = vec![1.0f32; n];
-                for &t in &batch.targets {
-                    keep[t] = 0.0;
-                }
-                let keep_mask = g.input(Tensor::column(&keep));
-                let kept = g.mul_col(keep_mask, h);
-                let scattered = g.scatter_add_rows(updated, &batch.targets, n);
-                h = g.add(kept, scattered);
+                states.write(&batch.targets, updated);
             }
         }
+        let h = states.read_all(g);
         self.regressor.forward(g, store, h)
     }
 

@@ -13,6 +13,7 @@
 //! | DeepGate w/ SC | Attention | yes | yes | yes |
 
 use crate::csr::{CompiledKernel, InferencePlan};
+use crate::state::NodeStates;
 use crate::{Aggregator, AggregatorKind, CircuitGraph, GnnError, LevelBatch, ProbabilityModel};
 use deepgate_aig::recon::positional_encoding;
 use deepgate_nn::{Activation, Graph, GruCell, Linear, Mlp, ParamStore, Tensor, Var};
@@ -84,6 +85,27 @@ impl DagRecConfig {
             self.hidden_dim
         }
     }
+}
+
+/// One level of one propagation direction as [`DagRecGnn::forward_hidden`]
+/// runs it: resolved once per forward pass, replayed by each of the `T`
+/// iterations.
+struct LevelStep<'a> {
+    /// Nodes updated by this level.
+    targets: &'a [usize],
+    /// Source node of every incoming edge (skip edges appended).
+    edge_src: Vec<usize>,
+    /// Position of every edge's target inside `targets`.
+    edge_seg: Vec<usize>,
+    /// Target node of every edge (`targets[edge_seg[e]]`).
+    edge_targets: Vec<usize>,
+    /// Edge attributes: zeros for ordinary edges, γ(D) for skip edges.
+    attr: Option<Var>,
+    /// Gate-type one-hot rows of `targets`, when they are a fixed GRU input.
+    gate_input: Option<Var>,
+    /// The direction's aggregator and GRU.
+    agg: &'a Aggregator,
+    gru: &'a GruCell,
 }
 
 /// A recurrent DAG-GNN with configurable aggregation, reversed propagation,
@@ -178,38 +200,80 @@ impl DagRecGnn {
         self.config
     }
 
-    /// Builds the extended edge lists of a forward batch, appending skip
-    /// edges whose targets belong to this batch, plus the edge attribute
-    /// matrix (zeros for ordinary edges, γ(D) for skip edges).
-    fn extended_edges(
+    /// Resolves the levels of one propagation direction. With `skip_edges`
+    /// the skip edges whose targets belong to a level are appended to its
+    /// edge lists and every edge gets an attribute row (zeros for ordinary
+    /// edges, γ(D) for skip edges).
+    fn level_steps<'a>(
         &self,
-        circuit: &CircuitGraph,
-        batch: &LevelBatch,
-    ) -> (Vec<usize>, Vec<usize>, Option<Tensor>) {
-        let mut edge_src = batch.edge_src.clone();
-        let mut edge_seg = batch.edge_seg.clone();
-        if !self.config.use_skip_connections {
-            return (edge_src, edge_seg, None);
-        }
+        g: &mut Graph,
+        circuit: &'a CircuitGraph,
+        batches: &'a [LevelBatch],
+        skip_edges: bool,
+        agg: &'a Aggregator,
+        gru: &'a GruCell,
+    ) -> Vec<LevelStep<'a>> {
         let attr_dim = self.config.edge_attr_dim();
-        let mut attrs: Vec<Vec<f32>> = vec![vec![0.0; attr_dim]; edge_src.len()];
-        for (seg, &target) in batch.targets.iter().enumerate() {
-            if let Some(skip) = circuit.skip_edge_for(target) {
-                edge_src.push(skip.source);
-                edge_seg.push(seg);
-                attrs.push(positional_encoding(
-                    skip.level_difference,
-                    self.config.skip_encoding_frequencies,
-                ));
+        let step = |batch: &'a LevelBatch| {
+            let mut edge_src = batch.edge_src.clone();
+            let mut edge_seg = batch.edge_seg.clone();
+            let attr = skip_edges.then(|| {
+                let mut attr = vec![0.0; edge_src.len() * attr_dim];
+                for (seg, &target) in batch.targets.iter().enumerate() {
+                    if let Some(skip) = circuit.skip_edge_for(target) {
+                        edge_src.push(skip.source);
+                        edge_seg.push(seg);
+                        attr.extend(positional_encoding(
+                            skip.level_difference,
+                            self.config.skip_encoding_frequencies,
+                        ));
+                    }
+                }
+                g.input(Tensor::from_vec(edge_src.len(), attr_dim, attr))
+            });
+            let gate_input = self.config.fix_gate_input.then(|| {
+                let mut rows = Tensor::zeros(batch.targets.len(), self.config.feature_dim);
+                for (i, &t) in batch.targets.iter().enumerate() {
+                    rows.row_mut(i).copy_from_slice(circuit.features.row(t));
+                }
+                g.input(rows)
+            });
+            LevelStep {
+                targets: &batch.targets,
+                edge_targets: edge_seg.iter().map(|&seg| batch.targets[seg]).collect(),
+                edge_src,
+                edge_seg,
+                attr,
+                gate_input,
+                agg,
+                gru,
             }
-        }
-        let mut attr_tensor = Tensor::zeros(edge_src.len(), attr_dim);
-        for (e, row) in attrs.iter().enumerate() {
-            for (j, &v) in row.iter().enumerate() {
-                attr_tensor.set(e, j, v);
-            }
-        }
-        (edge_src, edge_seg, Some(attr_tensor))
+        };
+        batches.iter().map(step).collect()
+    }
+
+    /// Updates the nodes of one level: aggregate the predecessors' states,
+    /// combine with each target's own state in the GRU, and repoint the
+    /// targets at the result.
+    fn run_level(g: &mut Graph, store: &ParamStore, states: &mut NodeStates, step: &LevelStep) {
+        let src_states = states.read(g, &step.edge_src);
+        let query_states = states.read(g, &step.edge_targets);
+        let msg = step.agg.aggregate(
+            g,
+            store,
+            src_states,
+            query_states,
+            &step.edge_seg,
+            step.targets.len(),
+            step.attr,
+        );
+        let gru_input = match step.gate_input {
+            Some(gate_input) => g.concat_cols(msg, gate_input),
+            None => msg,
+        };
+        let h_targets = states.read(g, step.targets);
+        let updated = step.gru.forward(g, store, gru_input, h_targets);
+        states.write(step.targets, updated);
     }
 
     /// Runs the regressor head(s) on the final hidden states (tape version).
@@ -220,7 +284,7 @@ impl DagRecGnn {
         let n = circuit.num_nodes;
         let mut total: Option<Var> = None;
         for (head, regressor) in self.regressors.iter().enumerate() {
-            let mask: Vec<f32> = (0..n).map(|i| circuit.features.get(i, head)).collect();
+            let mask: Vec<f32> = (0..n).map(|i| circuit.features.row(i)[head]).collect();
             let pred = regressor.forward(g, store, h);
             let mask_v = g.input(Tensor::column(&mask));
             let masked = g.mul(pred, mask_v);
@@ -247,95 +311,23 @@ impl DagRecGnn {
             "circuit feature encoding does not match the model configuration"
         );
         let features = g.input(circuit.features.clone());
-        let mut h = self.embed.forward(g, store, features);
+        let embedded = self.embed.forward(g, store, features);
+        let mut states = NodeStates::new(g, embedded);
+        // One iteration: forward propagation in topological order, then
+        // the reversed propagation, if configured.
+        let skip_edges = self.config.use_skip_connections;
+        let (agg, gru) = (&self.forward_agg, &self.forward_gru);
+        let mut sweep =
+            self.level_steps(g, circuit, &circuit.forward_batches, skip_edges, agg, gru);
+        if let (Some(agg), Some(gru)) = (&self.reverse_agg, &self.reverse_gru) {
+            sweep.extend(self.level_steps(g, circuit, &circuit.reverse_batches, false, agg, gru));
+        }
         for _ in 0..self.config.num_iterations {
-            // Forward propagation in topological order.
-            for batch in &circuit.forward_batches {
-                let (edge_src, edge_seg, attr) = self.extended_edges(circuit, batch);
-                let edge_targets: Vec<usize> = edge_seg.iter().map(|&s| batch.targets[s]).collect();
-                let src_states = g.gather_rows(h, &edge_src);
-                let query_states = g.gather_rows(h, &edge_targets);
-                let attr_var = attr.map(|a| g.input(a));
-                let msg = self.forward_agg.aggregate(
-                    g,
-                    store,
-                    src_states,
-                    query_states,
-                    &edge_seg,
-                    batch.targets.len(),
-                    attr_var,
-                );
-                h = self.update_rows(g, store, circuit, h, batch, msg, false);
-            }
-            // Reversed propagation, if configured.
-            if let Some(reverse_agg) = &self.reverse_agg {
-                for batch in &circuit.reverse_batches {
-                    let edge_targets: Vec<usize> =
-                        batch.edge_seg.iter().map(|&s| batch.targets[s]).collect();
-                    let src_states = g.gather_rows(h, &batch.edge_src);
-                    let query_states = g.gather_rows(h, &edge_targets);
-                    let msg = reverse_agg.aggregate(
-                        g,
-                        store,
-                        src_states,
-                        query_states,
-                        &batch.edge_seg,
-                        batch.targets.len(),
-                        None,
-                    );
-                    h = self.update_rows(g, store, circuit, h, batch, msg, true);
-                }
+            for step in &sweep {
+                Self::run_level(g, store, &mut states, step);
             }
         }
-        h
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn update_rows(
-        &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        circuit: &CircuitGraph,
-        h: Var,
-        batch: &LevelBatch,
-        msg: Var,
-        reverse: bool,
-    ) -> Var {
-        let n = circuit.num_nodes;
-        let gru = if reverse {
-            self.reverse_gru.as_ref().expect("reverse layer configured")
-        } else {
-            &self.forward_gru
-        };
-        let gru_input = if self.config.fix_gate_input {
-            let target_features = {
-                let feat_rows: Vec<Vec<f32>> = batch
-                    .targets
-                    .iter()
-                    .map(|&t| circuit.features.row(t).to_vec())
-                    .collect();
-                let mut t = Tensor::zeros(batch.targets.len(), self.config.feature_dim);
-                for (i, row) in feat_rows.iter().enumerate() {
-                    for (j, &v) in row.iter().enumerate() {
-                        t.set(i, j, v);
-                    }
-                }
-                g.input(t)
-            };
-            g.concat_cols(msg, target_features)
-        } else {
-            msg
-        };
-        let h_targets = g.gather_rows(h, &batch.targets);
-        let updated = gru.forward(g, store, gru_input, h_targets);
-        let mut keep = vec![1.0f32; n];
-        for &t in &batch.targets {
-            keep[t] = 0.0;
-        }
-        let keep_mask = g.input(Tensor::column(&keep));
-        let kept = g.mul_col(keep_mask, h);
-        let scattered = g.scatter_add_rows(updated, &batch.targets, n);
-        g.add(kept, scattered)
+        states.read_all(g)
     }
 
     /// Validates that a circuit's feature encoding matches the model.
@@ -555,6 +547,168 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Analytic `masked_l1_loss` gradient against central finite differences
+    /// (ε = 1e-3) on the first, middle and last entry of every parameter
+    /// tensor. Losses are `f32`, so a difference quotient carries ~3e-5 of
+    /// rounding noise, and a ReLU whose sign ±ε flips adds up to ~1e-3 (the
+    /// largest deviation seen here is 1.1e-3, on a value of 2.2e-2); the
+    /// tolerance is 2e-3 absolute + 2 % of the analytic value.
+    fn assert_gradients_match_finite_differences<M: ProbabilityModel>(
+        model: &M,
+        store: &mut ParamStore,
+        circuit: &CircuitGraph,
+    ) {
+        let loss_of = |store: &ParamStore| -> f32 {
+            let mut g = Graph::new();
+            let pred = model.forward(&mut g, store, circuit);
+            let loss = crate::masked_l1_loss(&mut g, pred, circuit).unwrap();
+            g.value(loss).get(0, 0)
+        };
+        let mut g = Graph::new();
+        let pred = model.forward(&mut g, store, circuit);
+        let loss = crate::masked_l1_loss(&mut g, pred, circuit).unwrap();
+        g.backward(loss, store);
+
+        let eps = 1e-3;
+        let mut nonzero = 0;
+        for id in store.ids().collect::<Vec<_>>() {
+            let len = store.value(id).len();
+            for k in [0, len / 2, len - 1] {
+                let original = store.value(id).as_slice()[k];
+                store.value_mut(id).as_mut_slice()[k] = original + eps;
+                let plus = loss_of(store);
+                store.value_mut(id).as_mut_slice()[k] = original - eps;
+                let minus = loss_of(store);
+                store.value_mut(id).as_mut_slice()[k] = original;
+                let numeric = (plus - minus) / (2.0 * eps);
+                let analytic = store.grad(id).as_slice()[k];
+                assert!(
+                    (numeric - analytic).abs() <= 2e-3 + 0.02 * analytic.abs(),
+                    "{}[{k}]: numeric {numeric} analytic {analytic}",
+                    store.name(id)
+                );
+                if analytic != 0.0 {
+                    nonzero += 1;
+                }
+            }
+        }
+        assert!(nonzero > store.len(), "most sampled entries carry gradient");
+    }
+
+    fn labelled_reconvergent_graph() -> CircuitGraph {
+        let mut circuit = reconvergent_graph();
+        circuit.set_labels(vec![0.5, 0.5, 0.5, 0.25, 0.75, 0.125, 0.9]);
+        circuit
+    }
+
+    #[test]
+    fn deepgate_gradients_match_finite_differences() {
+        let circuit = labelled_reconvergent_graph();
+        assert!(!circuit.skip_edges.is_empty());
+        let mut store = ParamStore::new();
+        let config = DagRecConfig {
+            fix_gate_input: true,
+            use_skip_connections: true,
+            reverse_layer: true,
+            ..small_config(AggregatorKind::Attention)
+        };
+        let model = DagRecGnn::new(&mut store, config);
+        assert_gradients_match_finite_differences(&model, &mut store, &circuit);
+    }
+
+    #[test]
+    fn dag_conv_gradients_match_finite_differences() {
+        let circuit = labelled_reconvergent_graph();
+        let mut store = ParamStore::new();
+        let config = crate::DagConvConfig {
+            hidden_dim: 12,
+            num_layers: 2,
+            aggregator: AggregatorKind::Attention,
+            ..crate::DagConvConfig::default()
+        };
+        let model = crate::DagConvGnn::new(&mut store, config);
+        assert_gradients_match_finite_differences(&model, &mut store, &circuit);
+    }
+
+    /// `width` inputs followed by `depth - 1` levels of `width` AND gates,
+    /// gate `i` reading nodes `i` and `i + 1` of the level before.
+    fn chain_graph(width: usize, depth: usize) -> CircuitGraph {
+        let mut n = Netlist::new("chain");
+        let mut level: Vec<_> = (0..width).map(|i| n.add_input(format!("i{i}"))).collect();
+        for _ in 1..depth {
+            level = (0..width)
+                .map(|i| {
+                    n.add_gate(GateKind::And, &[level[i], level[(i + 1) % width]])
+                        .unwrap()
+                })
+                .collect();
+        }
+        n.mark_output(level[0], "y");
+        let mut circuit = CircuitGraph::from_netlist(&n, FeatureEncoding::AigGates, None);
+        circuit.set_labels(vec![0.25; circuit.num_nodes]);
+        circuit
+    }
+
+    /// DeepGate's configuration at d = 8, T = 2.
+    fn tape_gate_model(store: &mut ParamStore) -> DagRecGnn {
+        let config = DagRecConfig {
+            hidden_dim: 8,
+            num_iterations: 2,
+            aggregator: AggregatorKind::Attention,
+            fix_gate_input: true,
+            use_skip_connections: true,
+            regressor_hidden: 8,
+            ..DagRecConfig::default()
+        };
+        DagRecGnn::new(store, config)
+    }
+
+    #[test]
+    fn tape_size_grows_linearly_with_depth() {
+        let mut store = ParamStore::new();
+        let model = tape_gate_model(&mut store);
+        let elements = |depth: usize| {
+            let mut g = Graph::new();
+            model.forward(&mut g, &store, &chain_graph(4, depth));
+            g.value_elements()
+        };
+        let (shallow, deep) = (elements(50), elements(100));
+        println!("chain tape: depth 50 {shallow} elements, depth 100 {deep}");
+        // Twice the levels is twice the tape; a per-level rebuild of the
+        // `[n, d]` state reads ~4x here.
+        assert!(
+            deep as f64 <= 2.2 * shallow as f64,
+            "depth 50: {shallow} elements, depth 100: {deep}"
+        );
+    }
+
+    #[test]
+    fn tape_size_of_a_deep_chain_fits_the_budget() {
+        let circuit = chain_graph(4, 500);
+        assert_eq!(circuit.num_nodes, 2000);
+        assert!(circuit.forward_batches.len() >= 400);
+        let mut store = ParamStore::new();
+        let model = tape_gate_model(&mut store);
+        let mut g = Graph::new();
+        let pred = model.forward(&mut g, &store, &circuit);
+        let loss = crate::masked_l1_loss(&mut g, pred, &circuit).unwrap();
+        g.backward(loss, &mut store);
+        assert!(store.grad_norm() > 0.0);
+        // ~1 200 elements per level visit, T x 2 directions x 499 visits
+        // (2.35 M measured); the per-level state rebuild recorded 103 M.
+        const BUDGET: usize = 3_000_000;
+        assert!(
+            g.value_elements() <= BUDGET,
+            "{} tape elements for 2 000 nodes over 500 levels (budget {BUDGET})",
+            g.value_elements()
+        );
+        println!(
+            "deep chain: {} tape entries, {} elements",
+            g.len(),
+            g.value_elements()
+        );
     }
 
     #[test]

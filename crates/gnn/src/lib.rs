@@ -10,6 +10,10 @@
 //!   reconvergence skip edges with their positional encodings.
 //! - [`Aggregator`] — the four aggregation functions of the paper, built on
 //!   the gather / scatter-add / segment-softmax ops of `deepgate-nn`.
+//! - On the training tape the level-by-level models keep every node's state
+//!   in the variable that computed it (`state.rs`): updating a level records
+//!   nothing and reads are `Graph::gather_from`, so a tape costs
+//!   O((nodes + edges) · T) whatever the circuit's depth.
 //! - [`Gcn`], [`DagConvGnn`], [`DagRecGnn`] — the baseline models, all
 //!   implementing [`ProbabilityModel`] so the trainer and the benchmark
 //!   harness treat every model uniformly.
@@ -28,6 +32,7 @@ mod gcn;
 mod graph;
 mod metrics;
 mod model;
+mod state;
 
 pub use aggregator::{Aggregator, AggregatorKind};
 pub use csr::{CompiledKernel, InferencePlan};

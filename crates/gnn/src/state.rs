@@ -1,0 +1,58 @@
+//! Where the level-by-level models keep node states on the autodiff tape.
+
+use deepgate_nn::{Graph, Var};
+
+/// The current hidden state of every node, kept where it was computed: a
+/// locator `node → (Var, row)` instead of one `[num_nodes, d]` variable.
+///
+/// Updating a level is [`NodeStates::write`] — it repoints the level's
+/// nodes at the rows of the small variable the GRU just produced and records
+/// nothing on the tape — and every read is one [`Graph::gather_from`], so a
+/// level costs tape memory and backward time proportional to its own rows
+/// and edges, not to the circuit.
+///
+/// The values read are bit-for-bit the values written. The formulation this
+/// replaces rebuilt the whole state per level as
+/// `keep_mask ⊙ h + scatter_add(updated)`, whose `h·1 + 0` on kept rows and
+/// `h·0 + new` on updated rows copy every finite value too, with one
+/// exception: a `-0.0` came back as `+0.0` (`-0.0 + 0.0 = +0.0`). The CSR
+/// inference kernel never did that, so the tape now agrees with it on that
+/// value as well.
+#[derive(Debug, Clone)]
+pub(crate) struct NodeStates {
+    initial: Var,
+    loc: Vec<(Var, usize)>,
+}
+
+impl NodeStates {
+    /// Every node `v` starts at row `v` of `initial` (`[num_nodes, d]`).
+    pub(crate) fn new(g: &Graph, initial: Var) -> Self {
+        let loc = (0..g.value(initial).rows())
+            .map(|row| (initial, row))
+            .collect();
+        NodeStates { initial, loc }
+    }
+
+    /// Node `nodes[i]` now lives in row `i` of `updated`.
+    pub(crate) fn write(&mut self, nodes: &[usize], updated: Var) {
+        for (row, &node) in nodes.iter().enumerate() {
+            self.loc[node] = (updated, row);
+        }
+    }
+
+    /// The states of `nodes`, in order, as one `[nodes.len(), d]` variable.
+    pub(crate) fn read(&self, g: &mut Graph, nodes: &[usize]) -> Var {
+        let picks: Vec<(Var, usize)> = nodes.iter().map(|&node| self.loc[node]).collect();
+        g.gather_from(&picks)
+    }
+
+    /// All node states in node order (`[num_nodes, d]`) — the single
+    /// full-size read, taken once before the regressor.
+    pub(crate) fn read_all(&self, g: &mut Graph) -> Var {
+        if self.loc.is_empty() {
+            // A circuit without nodes: the `[0, d]` embedding keeps its width.
+            return self.initial;
+        }
+        g.gather_from(&self.loc)
+    }
+}

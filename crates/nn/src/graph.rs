@@ -3,16 +3,30 @@
 //! Each forward pass of a model builds a fresh [`Graph`]; every operation
 //! records its inputs so [`Graph::backward`] can propagate gradients in
 //! reverse topological order and accumulate them into the [`ParamStore`].
+//! A parameter is recorded once per tape ([`Graph::param`] hands the same
+//! [`Var`] back on reuse), so its uses sum on the tape and reach the store
+//! as one gradient.
 //!
-//! Besides the usual dense ops, the tape provides three ops that make
-//! message passing over circuit DAGs efficient:
+//! The recorded ops:
 //!
-//! - [`Graph::gather_rows`] — select the hidden states of a node's
-//!   predecessors (one gather per topological level).
-//! - [`Graph::scatter_add_rows`] — sum messages back onto their target
-//!   nodes.
-//! - [`Graph::segment_softmax`] — softmax over each node's predecessor set,
-//!   the normalisation used by DeepGate's additive attention (Eq. 5).
+//! - leaves: [`Graph::input`], [`Graph::param`];
+//! - dense: [`Graph::matmul`], [`Graph::add`], [`Graph::add_row`],
+//!   [`Graph::sub`], [`Graph::mul`], [`Graph::mul_col`], [`Graph::scale`],
+//!   [`Graph::add_scalar`], [`Graph::concat_cols`];
+//! - activations: [`Graph::sigmoid`], [`Graph::tanh`], [`Graph::relu`],
+//!   [`Graph::one_minus`];
+//! - reductions and losses: [`Graph::sum_all`], [`Graph::mean_all`],
+//!   [`Graph::l1_loss`], [`Graph::mse_loss`];
+//! - message passing over circuit DAGs:
+//!   - [`Graph::gather_from`] — read rows out of *several* variables at
+//!     once. A level-by-level model keeps each node's state in the small
+//!     variable that computed it and reads predecessors with this op, so
+//!     no full `[nodes, d]` state is ever rebuilt; the backward adds each
+//!     gradient row straight into the row it was read from.
+//!   - [`Graph::gather_rows`] — the single-source form.
+//!   - [`Graph::scatter_add_rows`] — sum messages onto their target nodes.
+//!   - [`Graph::segment_softmax`] — softmax over each node's predecessor
+//!     set, the normalisation of DeepGate's additive attention (Eq. 5).
 
 use crate::{ParamId, ParamStore, Tensor};
 
@@ -20,7 +34,7 @@ use crate::{ParamId, ParamStore, Tensor};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Var(usize);
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Op {
     Leaf,
     Param(ParamId),
@@ -38,6 +52,7 @@ enum Op {
     OneMinus(Var),
     ConcatCols(Var, Var),
     GatherRows(Var, Vec<usize>),
+    GatherFrom(Vec<(Var, usize)>),
     ScatterAddRows(Var, Vec<usize>),
     SegmentSoftmax(Var, Vec<usize>),
     SumAll(Var),
@@ -46,7 +61,7 @@ enum Op {
     MseLoss(Var, Tensor),
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct TapeNode {
     value: Tensor,
     grad: Option<Tensor>,
@@ -57,12 +72,14 @@ struct TapeNode {
 #[derive(Debug, Default)]
 pub struct Graph {
     nodes: Vec<TapeNode>,
+    /// The variable each parameter was recorded as, indexed by `ParamId`.
+    params: Vec<Option<Var>>,
 }
 
 impl Graph {
     /// Creates an empty tape.
     pub fn new() -> Self {
-        Graph { nodes: Vec::new() }
+        Graph::default()
     }
 
     /// Number of recorded tape entries.
@@ -73,6 +90,14 @@ impl Graph {
     /// Returns `true` if nothing has been recorded yet.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
+    }
+
+    /// Total number of `f32` elements held by the recorded forward values —
+    /// the tape's memory footprint as a count (a backward pass allocates at
+    /// most as many again for gradients), so tests can bound how a model's
+    /// tape grows with circuit depth without reading a clock or the RSS.
+    pub fn value_elements(&self) -> usize {
+        self.nodes.iter().map(|node| node.value.len()).sum()
     }
 
     /// The forward value of a variable.
@@ -101,9 +126,19 @@ impl Graph {
     }
 
     /// Records a trainable parameter; its gradient is accumulated into the
-    /// store on [`Graph::backward`].
+    /// store on [`Graph::backward`]. A parameter is recorded once per tape:
+    /// asking for it again returns the same [`Var`], so the gradients of all
+    /// its uses sum on that one tape entry and reach the store once.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
-        self.push(store.value(id).clone(), Op::Param(id))
+        if self.params.len() <= id.0 {
+            self.params.resize(id.0 + 1, None);
+        }
+        if let Some(var) = self.params[id.0] {
+            return var;
+        }
+        let var = self.push(store.value(id).clone(), Op::Param(id));
+        self.params[id.0] = Some(var);
+        var
     }
 
     /// Matrix product `a @ b`.
@@ -137,9 +172,11 @@ impl Graph {
         assert_eq!(r.rows(), 1, "add_row expects a [1, d] row vector");
         assert_eq!(m.cols(), r.cols(), "add_row column mismatch");
         let mut out = m.clone();
-        for i in 0..out.rows() {
-            for j in 0..out.cols() {
-                out.set(i, j, out.get(i, j) + r.get(0, j));
+        if !r.is_empty() {
+            for out_row in out.as_mut_slice().chunks_exact_mut(r.cols()) {
+                for (o, &b) in out_row.iter_mut().zip(r.as_slice()) {
+                    *o += b;
+                }
             }
         }
         self.push(out, Op::AddRow(a, row))
@@ -178,10 +215,9 @@ impl Graph {
         assert_eq!(c.cols(), 1, "mul_col expects a [k, 1] column");
         assert_eq!(c.rows(), m.rows(), "mul_col row mismatch");
         let mut out = m.clone();
-        for i in 0..out.rows() {
-            let w = c.get(i, 0);
-            for j in 0..out.cols() {
-                out.set(i, j, out.get(i, j) * w);
+        for (i, &w) in c.as_slice().iter().enumerate() {
+            for o in out.row_mut(i) {
+                *o *= w;
             }
         }
         self.push(out, Op::MulCol(col, mat))
@@ -233,16 +269,11 @@ impl Graph {
         let ta = self.value(a);
         let tb = self.value(b);
         assert_eq!(ta.rows(), tb.rows(), "concat_cols row mismatch");
-        let rows = ta.rows();
-        let cols = ta.cols() + tb.cols();
-        let mut out = Tensor::zeros(rows, cols);
-        for i in 0..rows {
-            for j in 0..ta.cols() {
-                out.set(i, j, ta.get(i, j));
-            }
-            for j in 0..tb.cols() {
-                out.set(i, ta.cols() + j, tb.get(i, j));
-            }
+        let mut out = Tensor::zeros(ta.rows(), ta.cols() + tb.cols());
+        for i in 0..ta.rows() {
+            let (left, right) = out.row_mut(i).split_at_mut(ta.cols());
+            left.copy_from_slice(ta.row(i));
+            right.copy_from_slice(tb.row(i));
         }
         self.push(out, Op::ConcatCols(a, b))
     }
@@ -258,11 +289,31 @@ impl Graph {
         let mut out = Tensor::zeros(indices.len(), t.cols());
         for (i, &idx) in indices.iter().enumerate() {
             assert!(idx < t.rows(), "gather index {idx} out of range");
-            for j in 0..t.cols() {
-                out.set(i, j, t.get(idx, j));
-            }
+            out.row_mut(i).copy_from_slice(t.row(idx));
         }
         self.push(out, Op::GatherRows(a, indices.to_vec()))
+    }
+
+    /// Selects rows out of several variables at once: row `i` of the result
+    /// is row `picks[i].1` of variable `picks[i].0`. Picks may repeat, and a
+    /// variable may be picked from any number of times or not at all. The
+    /// backward adds every gradient row into the row it was read from, so a
+    /// read costs its own rows and nothing proportional to its sources'
+    /// sizes. An empty pick list gives a `[0, 0]` tensor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row is out of range or the sources' column counts differ.
+    pub fn gather_from(&mut self, picks: &[(Var, usize)]) -> Var {
+        let cols = picks.first().map_or(0, |&(var, _)| self.value(var).cols());
+        let mut out = Tensor::zeros(picks.len(), cols);
+        for (i, &(var, row)) in picks.iter().enumerate() {
+            let t = self.value(var);
+            assert_eq!(t.cols(), cols, "gather_from column mismatch");
+            assert!(row < t.rows(), "gather row {row} out of range");
+            out.row_mut(i).copy_from_slice(t.row(row));
+        }
+        self.push(out, Op::GatherFrom(picks.to_vec()))
     }
 
     /// Scatters rows of `a` into a `[num_rows, d]` matrix, summing rows that
@@ -278,9 +329,7 @@ impl Graph {
         let mut out = Tensor::zeros(num_rows, t.cols());
         for (i, &idx) in indices.iter().enumerate() {
             assert!(idx < num_rows, "scatter index {idx} out of range");
-            for j in 0..t.cols() {
-                out.set(idx, j, out.get(idx, j) + t.get(i, j));
-            }
+            add_assign(out.row_mut(idx), t.row(i));
         }
         self.push(out, Op::ScatterAddRows(a, indices.to_vec()))
     }
@@ -353,136 +402,144 @@ impl Graph {
             "backward expects a scalar loss"
         );
         self.nodes[loss.0].grad = Some(Tensor::ones(1, 1));
+        // A parameter is one tape entry however many matmuls read it, so its
+        // transpose is built for the first of them and reused by the rest.
+        let mut weights_t: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
         for i in (0..self.nodes.len()).rev() {
-            let grad = match self.nodes[i].grad.clone() {
-                Some(g) => g,
-                None => continue,
-            };
-            let op = self.nodes[i].op.clone();
-            match op {
+            // Every input of an entry was recorded before it, so the tape
+            // splits into the inputs, whose gradients are written, and the
+            // entry itself, whose gradient, value and op are read in place.
+            let (inputs, rest) = self.nodes.split_at_mut(i);
+            let node = &rest[0];
+            let Some(grad) = &node.grad else { continue };
+            match &node.op {
                 Op::Leaf => {}
-                Op::Param(id) => store.accumulate_grad(id, &grad),
+                Op::Param(id) => store.accumulate_grad(*id, grad),
                 Op::Matmul(a, b) => {
-                    let da = grad.matmul(&self.nodes[b.0].value.transpose());
-                    let db = self.nodes[a.0].value.transpose().matmul(&grad);
-                    self.accumulate(a, da);
-                    self.accumulate(b, db);
+                    let rhs = &inputs[b.0];
+                    let da = if matches!(rhs.op, Op::Param(_)) {
+                        let rhs_t = weights_t[b.0].get_or_insert_with(|| rhs.value.transpose());
+                        grad.matmul(rhs_t)
+                    } else {
+                        grad.matmul(&rhs.value.transpose())
+                    };
+                    let db = inputs[a.0].value.matmul_tn(grad);
+                    accumulate(inputs, *a, da);
+                    accumulate(inputs, *b, db);
                 }
                 Op::Add(a, b) => {
-                    self.accumulate(a, grad.clone());
-                    self.accumulate(b, grad);
+                    accumulate_ref(inputs, *a, grad);
+                    accumulate_ref(inputs, *b, grad);
                 }
                 Op::AddRow(a, row) => {
-                    self.accumulate(a, grad.clone());
+                    accumulate_ref(inputs, *a, grad);
                     let mut row_grad = Tensor::zeros(1, grad.cols());
-                    for i in 0..grad.rows() {
-                        for j in 0..grad.cols() {
-                            row_grad.set(0, j, row_grad.get(0, j) + grad.get(i, j));
-                        }
+                    for r in 0..grad.rows() {
+                        add_assign(row_grad.as_mut_slice(), grad.row(r));
                     }
-                    self.accumulate(row, row_grad);
+                    accumulate(inputs, *row, row_grad);
                 }
                 Op::Sub(a, b) => {
-                    self.accumulate(a, grad.clone());
-                    self.accumulate(b, grad.map(|v| -v));
+                    accumulate_ref(inputs, *a, grad);
+                    accumulate(inputs, *b, grad.map(|v| -v));
                 }
                 Op::Mul(a, b) => {
-                    let da = grad.mul(&self.nodes[b.0].value);
-                    let db = grad.mul(&self.nodes[a.0].value);
-                    self.accumulate(a, da);
-                    self.accumulate(b, db);
+                    let da = grad.mul(&inputs[b.0].value);
+                    let db = grad.mul(&inputs[a.0].value);
+                    accumulate(inputs, *a, da);
+                    accumulate(inputs, *b, db);
                 }
                 Op::MulCol(col, mat) => {
-                    let c = self.nodes[col.0].value.clone();
-                    let m = self.nodes[mat.0].value.clone();
+                    let c = &inputs[col.0].value;
+                    let m = &inputs[mat.0].value;
                     let mut dc = Tensor::zeros(c.rows(), 1);
                     let mut dm = Tensor::zeros(m.rows(), m.cols());
-                    for i in 0..m.rows() {
+                    for r in 0..m.rows() {
+                        let w = c.as_slice()[r];
                         let mut acc = 0.0;
-                        for j in 0..m.cols() {
-                            acc += grad.get(i, j) * m.get(i, j);
-                            dm.set(i, j, grad.get(i, j) * c.get(i, 0));
+                        for ((d, &gv), &mv) in
+                            dm.row_mut(r).iter_mut().zip(grad.row(r)).zip(m.row(r))
+                        {
+                            acc += gv * mv;
+                            *d = gv * w;
                         }
-                        dc.set(i, 0, acc);
+                        dc.as_mut_slice()[r] = acc;
                     }
-                    self.accumulate(col, dc);
-                    self.accumulate(mat, dm);
+                    accumulate(inputs, *col, dc);
+                    accumulate(inputs, *mat, dm);
                 }
-                Op::Scale(a, factor) => self.accumulate(a, grad.map(|v| v * factor)),
-                Op::AddScalar(a) => self.accumulate(a, grad),
+                Op::Scale(a, factor) => accumulate(inputs, *a, grad.map(|v| v * factor)),
+                Op::AddScalar(a) => accumulate_ref(inputs, *a, grad),
                 Op::Sigmoid(a) => {
-                    let y = &self.nodes[i].value;
-                    let da = grad.zip(y, |g, s| g * s * (1.0 - s));
-                    self.accumulate(a, da);
+                    let da = grad.zip(&node.value, |g, s| g * s * (1.0 - s));
+                    accumulate(inputs, *a, da);
                 }
                 Op::Tanh(a) => {
-                    let y = &self.nodes[i].value;
-                    let da = grad.zip(y, |g, t| g * (1.0 - t * t));
-                    self.accumulate(a, da);
+                    let da = grad.zip(&node.value, |g, t| g * (1.0 - t * t));
+                    accumulate(inputs, *a, da);
                 }
                 Op::Relu(a) => {
-                    let x = &self.nodes[a.0].value;
+                    let x = &inputs[a.0].value;
                     let da = grad.zip(x, |g, v| if v > 0.0 { g } else { 0.0 });
-                    self.accumulate(a, da);
+                    accumulate(inputs, *a, da);
                 }
-                Op::OneMinus(a) => self.accumulate(a, grad.map(|v| -v)),
+                Op::OneMinus(a) => accumulate(inputs, *a, grad.map(|v| -v)),
                 Op::ConcatCols(a, b) => {
-                    let ca = self.nodes[a.0].value.cols();
-                    let cb = self.nodes[b.0].value.cols();
-                    let rows = grad.rows();
-                    let mut da = Tensor::zeros(rows, ca);
-                    let mut db = Tensor::zeros(rows, cb);
-                    for i in 0..rows {
-                        for j in 0..ca {
-                            da.set(i, j, grad.get(i, j));
-                        }
-                        for j in 0..cb {
-                            db.set(i, j, grad.get(i, ca + j));
-                        }
+                    let ca = inputs[a.0].value.cols();
+                    let mut da = Tensor::zeros(grad.rows(), ca);
+                    let mut db = Tensor::zeros(grad.rows(), grad.cols() - ca);
+                    for r in 0..grad.rows() {
+                        let (left, right) = grad.row(r).split_at(ca);
+                        da.row_mut(r).copy_from_slice(left);
+                        db.row_mut(r).copy_from_slice(right);
                     }
-                    self.accumulate(a, da);
-                    self.accumulate(b, db);
+                    accumulate(inputs, *a, da);
+                    accumulate(inputs, *b, db);
                 }
                 Op::GatherRows(a, indices) => {
-                    let src_rows = self.nodes[a.0].value.rows();
+                    let src_rows = inputs[a.0].value.rows();
                     let mut da = Tensor::zeros(src_rows, grad.cols());
-                    for (i, &idx) in indices.iter().enumerate() {
-                        for j in 0..grad.cols() {
-                            da.set(idx, j, da.get(idx, j) + grad.get(i, j));
-                        }
+                    for (r, &idx) in indices.iter().enumerate() {
+                        add_assign(da.row_mut(idx), grad.row(r));
                     }
-                    self.accumulate(a, da);
+                    accumulate(inputs, *a, da);
+                }
+                Op::GatherFrom(picks) => {
+                    for (r, &(var, row)) in picks.iter().enumerate() {
+                        let source = &mut inputs[var.0];
+                        let target = source.grad.get_or_insert_with(|| {
+                            Tensor::zeros(source.value.rows(), source.value.cols())
+                        });
+                        add_assign(target.row_mut(row), grad.row(r));
+                    }
                 }
                 Op::ScatterAddRows(a, indices) => {
                     let mut da = Tensor::zeros(indices.len(), grad.cols());
-                    for (i, &idx) in indices.iter().enumerate() {
-                        for j in 0..grad.cols() {
-                            da.set(i, j, grad.get(idx, j));
-                        }
+                    for (r, &idx) in indices.iter().enumerate() {
+                        da.row_mut(r).copy_from_slice(grad.row(idx));
                     }
-                    self.accumulate(a, da);
+                    accumulate(inputs, *a, da);
                 }
                 Op::SegmentSoftmax(scores, segments) => {
-                    let y = self.nodes[i].value.clone();
-                    let da = segment_softmax_backward(&y, &grad, &segments);
-                    self.accumulate(scores, da);
+                    let da = segment_softmax_backward(&node.value, grad, segments);
+                    accumulate(inputs, *scores, da);
                 }
                 Op::SumAll(a) => {
                     let g = grad.get(0, 0);
-                    let shape = self.nodes[a.0].value.shape();
-                    self.accumulate(a, Tensor::full(shape[0], shape[1], g));
+                    let shape = inputs[a.0].value.shape();
+                    accumulate(inputs, *a, Tensor::full(shape[0], shape[1], g));
                 }
                 Op::MeanAll(a) => {
-                    let shape = self.nodes[a.0].value.shape();
+                    let shape = inputs[a.0].value.shape();
                     let n = (shape[0] * shape[1]) as f32;
                     let g = grad.get(0, 0) / n;
-                    self.accumulate(a, Tensor::full(shape[0], shape[1], g));
+                    accumulate(inputs, *a, Tensor::full(shape[0], shape[1], g));
                 }
                 Op::L1Loss(pred, target) => {
-                    let p = &self.nodes[pred.0].value;
+                    let p = &inputs[pred.0].value;
                     let n = p.len() as f32;
                     let g = grad.get(0, 0) / n;
-                    let dp = p.zip(&target, |pv, tv| {
+                    let dp = p.zip(target, |pv, tv| {
                         if pv > tv {
                             g
                         } else if pv < tv {
@@ -491,24 +548,40 @@ impl Graph {
                             0.0
                         }
                     });
-                    self.accumulate(pred, dp);
+                    accumulate(inputs, *pred, dp);
                 }
                 Op::MseLoss(pred, target) => {
-                    let p = &self.nodes[pred.0].value;
+                    let p = &inputs[pred.0].value;
                     let n = p.len() as f32;
                     let g = grad.get(0, 0) * 2.0 / n;
-                    let dp = p.zip(&target, |pv, tv| g * (pv - tv));
-                    self.accumulate(pred, dp);
+                    let dp = p.zip(target, |pv, tv| g * (pv - tv));
+                    accumulate(inputs, *pred, dp);
                 }
             }
         }
     }
+}
 
-    fn accumulate(&mut self, var: Var, delta: Tensor) {
-        match &mut self.nodes[var.0].grad {
-            Some(existing) => existing.axpy(1.0, &delta),
-            slot @ None => *slot = Some(delta),
-        }
+/// Adds an owned gradient contribution to `var` (moved in on first touch).
+fn accumulate(nodes: &mut [TapeNode], var: Var, delta: Tensor) {
+    match &mut nodes[var.0].grad {
+        Some(existing) => existing.axpy(1.0, &delta),
+        slot @ None => *slot = Some(delta),
+    }
+}
+
+/// Adds a borrowed gradient contribution to `var` (cloned on first touch).
+fn accumulate_ref(nodes: &mut [TapeNode], var: Var, delta: &Tensor) {
+    match &mut nodes[var.0].grad {
+        Some(existing) => existing.axpy(1.0, delta),
+        slot @ None => *slot = Some(delta.clone()),
+    }
+}
+
+/// `dst[j] += src[j]` over two equally long rows.
+fn add_assign(dst: &mut [f32], src: &[f32]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d += s;
     }
 }
 
@@ -679,6 +752,114 @@ mod tests {
                 "({r},{c}): numeric {numeric} analytic {analytic}"
             );
         }
+    }
+
+    #[test]
+    fn gather_from_gradient_matches_finite_difference() {
+        let mut store = ParamStore::new();
+        let a = store.add(
+            "a",
+            Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]),
+        );
+        let b = store.add("b", Tensor::from_rows(&[&[-1.0, 0.5], &[0.25, -2.0]]));
+        let unread = store.add("unread", Tensor::from_rows(&[&[7.0, 8.0]]));
+        // Repeated picks, picks interleaved over two sources, a row of `a`
+        // (row 1) and a whole source (`unread`) that nothing reads.
+        let picks = |av: Var, bv: Var| vec![(av, 0), (bv, 1), (av, 0), (av, 2), (bv, 1), (bv, 0)];
+        let target = Tensor::from_rows(&[
+            &[0.0, 1.0],
+            &[1.0, 0.0],
+            &[2.0, 2.0],
+            &[0.5, 0.5],
+            &[-1.0, 1.0],
+            &[0.0, 0.0],
+        ]);
+
+        let build = |g: &mut Graph, store: &ParamStore| -> (Var, Var) {
+            let av = g.param(store, a);
+            let bv = g.param(store, b);
+            let unread_v = g.param(store, unread);
+            let gathered = g.gather_from(&picks(av, bv));
+            (g.mse_loss(gathered, &target), unread_v)
+        };
+        let run = |store: &ParamStore| -> f32 {
+            let mut g = Graph::new();
+            let (loss, _) = build(&mut g, store);
+            g.value(loss).get(0, 0)
+        };
+
+        let mut g = Graph::new();
+        let (loss, unread_v) = build(&mut g, &store);
+        g.backward(loss, &mut store);
+        assert!(
+            g.grad(unread_v).is_none(),
+            "an unread source gets no gradient"
+        );
+        assert_eq!(store.grad(unread).as_slice(), &[0.0, 0.0]);
+        assert_eq!(
+            store.grad(a).row(1),
+            &[0.0, 0.0],
+            "an unread row stays zero"
+        );
+
+        for (id, rows) in [(a, 3), (b, 2)] {
+            for (r, c) in (0..rows).flat_map(|r| [(r, 0), (r, 1)]) {
+                let numeric = finite_difference(&mut store, id, r, c, run);
+                let analytic = store.grad(id).get(r, c);
+                assert!(
+                    (numeric - analytic).abs() < 1e-2,
+                    "{} ({r},{c}): numeric {numeric} analytic {analytic}",
+                    store.name(id)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_parameter_is_recorded_once_per_tape() {
+        let mut store = ParamStore::new();
+        let w = store.add("w", Tensor::from_rows(&[&[0.5, -0.2], &[0.3, 0.8]]));
+        let x1 = Tensor::from_rows(&[&[1.0, 2.0], &[-1.0, 0.5]]);
+        let x2 = Tensor::from_rows(&[&[0.3, 0.7]]);
+
+        // The gradient of each use alone, on its own tape.
+        let mut single = Vec::new();
+        for x in [&x1, &x2] {
+            let mut g = Graph::new();
+            let xv = g.input(x.clone());
+            let wv = g.param(&store, w);
+            let y = g.matmul(xv, wv);
+            let loss = g.sum_all(y);
+            g.backward(loss, &mut store);
+            single.push(store.grad(w).clone());
+            store.zero_grad();
+        }
+
+        let mut g = Graph::new();
+        let first = g.param(&store, w);
+        let recorded = g.len();
+        let second = g.param(&store, w);
+        assert_eq!(first, second);
+        assert_eq!(g.len(), recorded, "the second request records nothing");
+        let x1v = g.input(x1);
+        let x2v = g.input(x2);
+        let y1 = g.matmul(x1v, first);
+        let y2 = g.matmul(x2v, second);
+        let s1 = g.sum_all(y1);
+        let s2 = g.sum_all(y2);
+        let loss = g.add(s1, s2);
+        g.backward(loss, &mut store);
+        assert_eq!(store.grad(w), &single[0].add(&single[1]));
+    }
+
+    #[test]
+    fn value_elements_counts_every_recorded_value() {
+        let mut g = Graph::new();
+        assert_eq!(g.value_elements(), 0);
+        let x = g.input(Tensor::zeros(3, 4));
+        let y = g.relu(x);
+        g.sum_all(y);
+        assert_eq!(g.value_elements(), 12 + 12 + 1);
     }
 
     #[test]

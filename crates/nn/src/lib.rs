@@ -8,8 +8,15 @@
 //!   element-wise and matrix operations plus Xavier/normal initialisers.
 //! - [`Graph`] / [`Var`] — a dynamic reverse-mode autodiff tape. Each
 //!   forward pass builds a fresh graph; [`Graph::backward`] accumulates
-//!   parameter gradients into a [`ParamStore`].
+//!   parameter gradients into a [`ParamStore`]. A parameter is recorded
+//!   once per tape, however often a model uses it.
+//! - Dense ops (`matmul`, `add`, `add_row`, `sub`, `mul`, `mul_col`,
+//!   `scale`, `add_scalar`, `concat_cols`), activations (`sigmoid`, `tanh`,
+//!   `relu`, `one_minus`), reductions (`sum_all`, `mean_all`) and losses
+//!   (`l1_loss`, `mse_loss`).
 //! - Graph ops tailored to message passing on circuit DAGs:
+//!   [`Graph::gather_from`] (read rows out of several variables at once, so
+//!   a node's state can stay in the variable that computed it),
 //!   [`Graph::gather_rows`], [`Graph::scatter_add_rows`] and
 //!   [`Graph::segment_softmax`] (softmax over each node's predecessor set,
 //!   the core of DeepGate's attention aggregation).

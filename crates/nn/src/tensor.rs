@@ -185,6 +185,16 @@ impl Tensor {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// A mutable view of row `r`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is out of range.
+    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
+        assert!(r < self.rows, "row out of range");
+        &mut self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
     /// Matrix multiplication `self @ other`.
     ///
     /// # Panics
@@ -207,6 +217,38 @@ impl Tensor {
                 }
                 let row_out = &mut out.data[i * other.cols..(i + 1) * other.cols];
                 let row_b = &other.data[k * other.cols..(k + 1) * other.cols];
+                for (o, &b) in row_out.iter_mut().zip(row_b) {
+                    *o += a * b;
+                }
+            }
+        }
+        out
+    }
+
+    /// `self.transpose() @ other` without building the transpose. Every
+    /// output element sums its products in the same (ascending-row) order as
+    /// the two-step form, so the results are bit-identical.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row counts differ.
+    pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
+        assert_eq!(
+            self.rows,
+            other.rows,
+            "matmul_tn shape mismatch: {:?}^T @ {:?}",
+            self.shape(),
+            other.shape()
+        );
+        let mut out = Tensor::zeros(self.cols, other.cols);
+        for i in 0..self.rows {
+            let row_b = &other.data[i * other.cols..(i + 1) * other.cols];
+            for k in 0..self.cols {
+                let a = self.data[i * self.cols + k];
+                if a == 0.0 {
+                    continue;
+                }
+                let row_out = &mut out.data[k * other.cols..(k + 1) * other.cols];
                 for (o, &b) in row_out.iter_mut().zip(row_b) {
                     *o += a * b;
                 }
@@ -342,6 +384,8 @@ mod tests {
         let mut t = t;
         t.set(0, 1, 9.0);
         assert_eq!(t.get(0, 1), 9.0);
+        t.row_mut(1)[0] = 7.0;
+        assert_eq!(t.row(1), &[7.0, 4.0]);
         assert_eq!(t.len(), 4);
         assert!(!t.is_empty());
         assert_eq!(Tensor::column(&[1.0, 2.0]).shape(), [2, 1]);
@@ -369,6 +413,19 @@ mod tests {
         let a = Tensor::zeros(2, 3);
         let b = Tensor::zeros(2, 3);
         let _ = a.matmul(&b);
+    }
+
+    #[test]
+    fn matmul_tn_is_bit_identical_to_transpose_then_matmul() {
+        let mut a = Tensor::randn(5, 7, 1.0, 11);
+        a.set(2, 3, 0.0);
+        let b = Tensor::randn(5, 6, 1.0, 12);
+        let fused = a.matmul_tn(&b);
+        let two_step = a.transpose().matmul(&b);
+        assert_eq!(fused.shape(), [7, 6]);
+        for (x, y) in fused.as_slice().iter().zip(two_step.as_slice()) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
     }
 
     #[test]
