@@ -25,14 +25,16 @@
 //! [`crate::ProbabilityModel::try_forward`] — the definition training
 //! optimises) *bit-exactly*, for the final hidden states and the
 //! probabilities alike: every accumulation runs in the same order over the
-//! same values. The property suite `tests/csr_parity.rs` asserts `to_bits`
-//! equality across circuit shapes, aggregators, model variants and hidden
-//! widths.
+//! same values, and every `exp`, sigmoid and `tanh` on either side is
+//! [`deepgate_nn::math`] — branch-free IEEE arithmetic that gives a scalar
+//! call on the tape and a lane of the kernel's vector loops the same bits.
+//! The property suite `tests/csr_parity.rs` asserts `to_bits` equality
+//! across circuit shapes, aggregators, model variants and hidden widths.
 
 use crate::aggregator::AggregatorParams;
 use crate::{Aggregator, CircuitGraph, GnnError, GnnMetrics};
 use deepgate_aig::recon::positional_encoding;
-use deepgate_nn::{Activation, GruCell, Linear, Mlp, ParamStore, Tensor};
+use deepgate_nn::{math, Activation, GruCell, Linear, Mlp, ParamStore, Tensor};
 use std::time::Instant;
 
 /// One level's packed state: a contiguous target range and its fan-in
@@ -275,125 +277,69 @@ impl LinW {
         }
     }
 
-    /// `out = row @ W (+ b)`, accumulating over `k` in ascending order with
-    /// the zero-skip of `Tensor::matmul` and adding the bias in a separate
-    /// pass — bit-exact with the tape's `Linear::forward`. `wide` is the heap
-    /// accumulator for layers wider than [`ACC_WIDTH`].
-    fn apply_row(&self, row: &[f32], out: &mut [f32], wide: &mut Vec<f32>) {
-        debug_assert_eq!(row.len(), self.in_dim);
-        debug_assert_eq!(out.len(), self.out_dim);
-        // Common widths go through register-resident fixed-width banks (see
-        // [`accum1`]); anything else falls through to the runtime-width loop.
-        match self.out_dim {
-            8 => return self.apply_row_fixed::<8>(row, out),
-            16 => return self.apply_row_fixed::<16>(row, out),
-            32 => return self.apply_row_fixed::<32>(row, out),
-            64 => return self.apply_row_fixed::<64>(row, out),
-            _ => {}
-        }
-        if self.out_dim == 1 {
-            // Scalar fast path for projection-to-score layers (attention
-            // key/query, regressor output): same k-ascending zero-skip
-            // chain, no wide accumulator to zero.
-            let mut acc = 0.0f32;
-            for (k, &a) in row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                acc += a * self.w[k];
-            }
-            out[0] = if self.b.is_empty() {
-                acc
-            } else {
-                acc + self.b[0]
-            };
-            return;
-        }
-        let mut stack = [0.0f32; ACC_WIDTH];
-        let acc: &mut [f32] = if self.out_dim <= ACC_WIDTH {
-            &mut stack[..self.out_dim]
-        } else {
-            wide.clear();
-            wide.resize(self.out_dim, 0.0);
-            wide
-        };
-        for (k, &a) in row.iter().enumerate() {
-            if a == 0.0 {
-                continue;
-            }
-            let wrow = &self.w[k * self.out_dim..(k + 1) * self.out_dim];
-            for (o, &wv) in acc.iter_mut().zip(wrow) {
-                *o += a * wv;
-            }
-        }
-        if self.b.is_empty() {
-            out.copy_from_slice(acc);
-        } else {
-            for ((o, &s), &bv) in out.iter_mut().zip(acc.iter()).zip(&self.b) {
-                *o = s + bv;
-            }
-        }
-    }
-
-    /// Fixed-width row application: identical chains to the runtime-width
-    /// path, with the accumulator bank held in registers.
-    #[inline(never)]
-    fn apply_row_fixed<const D: usize>(&self, row: &[f32], out: &mut [f32]) {
-        let mut acc = [0.0f32; D];
-        accum1::<D>(row, &self.w, &mut acc);
-        write_f32::<D>(&self.b, &acc, out);
-    }
-
     /// Applies the layer to `rows` contiguous input rows.
     fn apply(&self, input: &[f32], rows: usize, out: &mut [f32], wide: &mut Vec<f32>) {
-        if self.out_dim == 1 {
-            self.scores_blocked(|r| &input[r * self.in_dim..][..self.in_dim], rows, out);
-            return;
-        }
-        // Dispatch to a fixed width once per call, not once per row: the
-        // monomorphic loop keeps the row walk and the accumulator bank in
-        // one compact hot function.
-        match self.out_dim {
-            8 => return fused1_fixed::<8>(self, input, rows, out),
-            16 => return fused1_fixed::<16>(self, input, rows, out),
-            32 => return fused1_fixed::<32>(self, input, rows, out),
-            64 => return fused1_fixed::<64>(self, input, rows, out),
-            _ => {}
-        }
-        for r in 0..rows {
-            self.apply_row(
-                &input[r * self.in_dim..(r + 1) * self.in_dim],
-                &mut out[r * self.out_dim..(r + 1) * self.out_dim],
-                wide,
-            );
-        }
+        let row_of = |r: usize| &input[r * self.in_dim..][..self.in_dim];
+        self.apply_rows(row_of, rows, out, wide);
     }
 
     /// Applies the layer to rows of `arena` selected by `idx` — the fused
     /// gather + GEMM walk of the CSR kernel.
     fn apply_gathered(&self, arena: &[f32], idx: &[u32], out: &mut [f32], wide: &mut Vec<f32>) {
-        if self.out_dim == 1 {
-            self.scores_blocked(
-                |r| &arena[idx[r] as usize * self.in_dim..][..self.in_dim],
-                idx.len(),
-                out,
-            );
-            return;
-        }
+        let row_of = |r: usize| &arena[idx[r] as usize * self.in_dim..][..self.in_dim];
+        self.apply_rows(row_of, idx.len(), out, wide);
+    }
+
+    /// The one row walk behind [`LinW::apply`] and [`LinW::apply_gathered`];
+    /// `row_of(r)` hands out input row `r`. Every row is `row @ W (+ b)`,
+    /// accumulated over `k` in ascending order with the zero-skip of
+    /// `Tensor::matmul`, the bias added in a separate pass — bit-exact with
+    /// the tape's `Linear::forward`. Dispatches on the output width once per
+    /// call, not once per row: score layers to [`LinW::scores_blocked`], the
+    /// common widths to register-resident fixed-width banks ([`accum1`]),
+    /// anything else to the runtime-width loop, whose heap accumulator for
+    /// layers wider than [`ACC_WIDTH`] is `wide`.
+    fn apply_rows<'a>(
+        &self,
+        row_of: impl Fn(usize) -> &'a [f32],
+        rows: usize,
+        out: &mut [f32],
+        wide: &mut Vec<f32>,
+    ) {
         match self.out_dim {
-            8 => return gathered1_fixed::<8>(self, arena, idx, out),
-            16 => return gathered1_fixed::<16>(self, arena, idx, out),
-            32 => return gathered1_fixed::<32>(self, arena, idx, out),
-            64 => return gathered1_fixed::<64>(self, arena, idx, out),
+            1 => return self.scores_blocked(row_of, rows, out),
+            8 => return rows1_fixed::<8>(self, row_of, rows, out),
+            16 => return rows1_fixed::<16>(self, row_of, rows, out),
+            32 => return rows1_fixed::<32>(self, row_of, rows, out),
+            64 => return rows1_fixed::<64>(self, row_of, rows, out),
             _ => {}
         }
-        for (r, &i) in idx.iter().enumerate() {
-            let i = i as usize;
-            self.apply_row(
-                &arena[i * self.in_dim..(i + 1) * self.in_dim],
-                &mut out[r * self.out_dim..(r + 1) * self.out_dim],
-                wide,
-            );
+        let mut stack = [0.0f32; ACC_WIDTH];
+        let acc: &mut [f32] = if self.out_dim <= ACC_WIDTH {
+            &mut stack[..self.out_dim]
+        } else {
+            wide.resize(self.out_dim, 0.0);
+            wide
+        };
+        for r in 0..rows {
+            let out = &mut out[r * self.out_dim..(r + 1) * self.out_dim];
+            acc.fill(0.0);
+            for (k, &a) in row_of(r).iter().enumerate() {
+                if a == 0.0 {
+                    continue;
+                }
+                let wrow = &self.w[k * self.out_dim..(k + 1) * self.out_dim];
+                for (o, &wv) in acc.iter_mut().zip(wrow) {
+                    *o += a * wv;
+                }
+            }
+            if self.b.is_empty() {
+                out.copy_from_slice(acc);
+            } else {
+                for ((o, &s), &bv) in out.iter_mut().zip(acc.iter()).zip(&self.b) {
+                    *o = s + bv;
+                }
+            }
         }
     }
 
@@ -492,16 +438,16 @@ fn mlp_apply_row(
     a.extend_from_slice(row);
     for (i, layer) in mlp.layers.iter().enumerate() {
         if i == last {
-            layer.apply_row(a, out, wide);
+            layer.apply(a, 1, out, wide);
         } else {
             b.clear();
             b.resize(layer.out_dim, 0.0);
-            layer.apply_row(a, b, wide);
+            layer.apply(a, 1, b, wide);
             for v in b.iter_mut() {
                 *v = match mlp.activation {
                     Activation::Relu => v.max(0.0),
-                    Activation::Tanh => v.tanh(),
-                    Activation::Sigmoid => sigmoid(*v),
+                    Activation::Tanh => math::tanh(*v),
+                    Activation::Sigmoid => math::sigmoid(*v),
                 };
             }
             std::mem::swap(a, b);
@@ -509,7 +455,7 @@ fn mlp_apply_row(
     }
     if mlp.sigmoid_output {
         for v in out.iter_mut() {
-            *v = sigmoid(*v);
+            *v = math::sigmoid(*v);
         }
     }
 }
@@ -606,11 +552,7 @@ struct Scratch {
     /// GRU input arena (`[msg | one-hot]` when the gate input is fixed).
     gin: Vec<f32>,
     /// GRU gate arenas.
-    g1: Vec<f32>,
-    g2: Vec<f32>,
-    g3: Vec<f32>,
-    g4: Vec<f32>,
-    g5: Vec<f32>,
+    g: [Vec<f32>; 5],
     /// MLP ping-pong rows.
     ha: Vec<f32>,
     hb: Vec<f32>,
@@ -639,17 +581,10 @@ impl Scratch {
         grow(&mut self.e2, max_e * d);
         grow(&mut self.msg, max_m * d);
         grow(&mut self.gin, max_m * gi);
-        grow(&mut self.g1, max_m * d);
-        grow(&mut self.g2, max_m * d);
-        grow(&mut self.g3, max_m * d);
-        grow(&mut self.g4, max_m * d);
-        grow(&mut self.g5, max_m * d);
+        for g in &mut self.g {
+            grow(g, max_m * d);
+        }
     }
-}
-
-#[inline]
-fn sigmoid(v: f32) -> f32 {
-    1.0 / (1.0 + (-v).exp())
 }
 
 /// A [`crate::DagRecGnn`] compiled for the CSR arena layout: flat weight
@@ -792,30 +727,12 @@ impl CompiledKernel {
 
         for _ in 0..num_iterations {
             for (li, lvl) in plan.forward.iter().enumerate() {
-                let t0 = metrics.map(|_| Instant::now());
-                self.level_pass(
-                    lvl,
-                    attr_bias.get(li).and_then(|b| b.as_deref()),
-                    plan,
-                    false,
-                    &mut h,
-                    s,
-                );
-                if let (Some(m), Some(start)) = (metrics, t0) {
-                    m.level_agg_ns.record_duration(start.elapsed());
-                    m.levels_total.inc();
-                    m.csr_level_width.record((lvl.end - lvl.start) as u64);
-                }
+                let bias = attr_bias.get(li).and_then(|b| b.as_deref());
+                self.level_pass(lvl, bias, plan, false, &mut h, s, metrics);
             }
             if self.reverse.is_some() {
                 for lvl in &plan.reverse {
-                    let t0 = metrics.map(|_| Instant::now());
-                    self.level_pass(lvl, None, plan, true, &mut h, s);
-                    if let (Some(m), Some(start)) = (metrics, t0) {
-                        m.level_agg_ns.record_duration(start.elapsed());
-                        m.levels_total.inc();
-                        m.csr_level_width.record((lvl.end - lvl.start) as u64);
-                    }
+                    self.level_pass(lvl, None, plan, true, &mut h, s, metrics);
                 }
             }
         }
@@ -843,7 +760,9 @@ impl CompiledKernel {
             .collect()
     }
 
-    /// One level's fused aggregation + GRU update over the packed arena.
+    /// One level's fused aggregation + GRU update over the packed arena,
+    /// each half timed into its own series when `metrics` is given.
+    #[allow(clippy::too_many_arguments)]
     fn level_pass(
         &self,
         lvl: &CsrLevel,
@@ -852,7 +771,9 @@ impl CompiledKernel {
         reverse: bool,
         h: &mut [f32],
         s: &mut Scratch,
+        metrics: Option<&GnnMetrics>,
     ) {
+        let agg_start = metrics.map(|_| Instant::now());
         let d = self.hidden_dim;
         let m = lvl.end - lvl.start;
         let edges = lvl.edge_src.len();
@@ -900,7 +821,7 @@ impl CompiledKernel {
                     let max = seg.iter().fold(f32::NEG_INFINITY, |acc, &v| acc.max(v));
                     let mut sum = 0.0f32;
                     for v in seg.iter_mut() {
-                        *v = (*v - max).exp();
+                        *v = math::exp(*v - max);
                         sum += *v;
                     }
                     for v in seg.iter_mut() {
@@ -941,18 +862,16 @@ impl CompiledKernel {
             AggW::GatedSum { gate, value } => {
                 let e1 = &mut s.e1[..edges * d];
                 gate.apply_gathered(h, &lvl.edge_src, e1, &mut s.wide);
-                for v in e1.iter_mut() {
-                    *v = sigmoid(*v);
-                }
                 let e2 = &mut s.e2[..edges * d];
                 value.apply_gathered(h, &lvl.edge_src, e2, &mut s.wide);
                 for (g, &v) in e1.iter_mut().zip(e2.iter()) {
-                    *g *= v;
+                    *g = math::sigmoid(*g) * v;
                 }
                 segment_sum(e1, &lvl.offsets, d, msg);
             }
         }
 
+        let gru_start = metrics.map(|_| Instant::now());
         // GRU input: the message, with the gate one-hot appended when the
         // gate input is fixed (DeepGate's Eq. 6).
         let f = self.feature_dim;
@@ -968,20 +887,15 @@ impl CompiledKernel {
         } else {
             msg
         };
-        gru_step(
-            gru,
-            input,
-            h,
-            lvl.start,
-            lvl.end,
-            d,
-            &mut s.g1[..m * d],
-            &mut s.g2[..m * d],
-            &mut s.g3[..m * d],
-            &mut s.g4[..m * d],
-            &mut s.g5[..m * d],
-            &mut s.wide,
-        );
+        let g = s.g.each_mut().map(|a| &mut a[..m * d]);
+        let h_level = &mut h[lvl.start * d..lvl.end * d];
+        gru_step(gru, input, h_level, m, g, &mut s.wide);
+        if let (Some(mt), Some(t0), Some(t1)) = (metrics, agg_start, gru_start) {
+            mt.level_agg_ns.record_duration(t1 - t0);
+            mt.level_gru_ns.record_duration(t1.elapsed());
+            mt.levels_total.inc();
+            mt.csr_level_width.record(m as u64);
+        }
     }
 
     /// The regressor heads over the packed final embeddings. The per-type
@@ -1063,11 +977,14 @@ fn accum1<const D: usize>(row: &[f32], w: &[f32], acc: &mut [f32; D]) {
     }
 }
 
-/// Three-bank variant of [`accum1`]: the shared input element is loaded and
-/// tested once, then feeds three independent accumulator banks.
+/// One `k` step of the three-bank variant of [`accum1`]: a non-zero input
+/// element `x` times weight row `k` of three matrices, into three
+/// independent accumulator banks.
 #[inline(always)]
-fn accum3<const D: usize>(
-    row: &[f32],
+#[allow(clippy::too_many_arguments)]
+fn step3<const D: usize>(
+    x: f32,
+    k: usize,
     wa: &[f32],
     wb: &[f32],
     wc: &[f32],
@@ -1075,18 +992,13 @@ fn accum3<const D: usize>(
     ab: &mut [f32; D],
     ac: &mut [f32; D],
 ) {
-    for (k, &a) in row.iter().enumerate() {
-        if a == 0.0 {
-            continue;
-        }
-        let ra = &wa[k * D..k * D + D];
-        let rb = &wb[k * D..k * D + D];
-        let rc = &wc[k * D..k * D + D];
-        for j in 0..D {
-            aa[j] += a * ra[j];
-            ab[j] += a * rb[j];
-            ac[j] += a * rc[j];
-        }
+    let ra = &wa[k * D..k * D + D];
+    let rb = &wb[k * D..k * D + D];
+    let rc = &wc[k * D..k * D + D];
+    for j in 0..D {
+        aa[j] += x * ra[j];
+        ab[j] += x * rb[j];
+        ac[j] += x * rc[j];
     }
 }
 
@@ -1113,7 +1025,7 @@ fn accum2<const D: usize>(
 }
 
 /// Writes an f32 accumulator bank out, adding the bias after accumulation
-/// exactly like [`LinW::apply_row`].
+/// exactly like [`LinW::apply_rows`].
 #[inline(always)]
 fn write_f32<const D: usize>(b: &[f32], acc: &[f32; D], out: &mut [f32]) {
     if b.is_empty() {
@@ -1129,7 +1041,7 @@ fn write_f32<const D: usize>(b: &[f32], acc: &[f32; D], out: &mut [f32]) {
 /// gates) in a single pass: each input element is loaded and zero-tested
 /// once and feeds three register-resident accumulator banks. Every output
 /// element keeps the exact k-ascending zero-skip accumulation chain of
-/// [`LinW::apply_row`], so the fusion is bit-exact — it only changes how
+/// [`LinW::apply_rows`], so the fusion is bit-exact — it only changes how
 /// many partial sums are alive at once, not the order within any one of
 /// them.
 #[allow(clippy::too_many_arguments)]
@@ -1159,6 +1071,13 @@ fn apply_fused3(
     }
 }
 
+/// The x-side pass walks **two rows per weight load**: at `d = 64` its
+/// three `[d + f, d]` matrices (51 KiB) outgrow a 48 KiB L1d, so a
+/// row-at-a-time walk re-streams them from L2 for every row. A pair of rows
+/// shares each weight row while it is in L1, feeding six register-resident
+/// banks; each row keeps its own zero-skip and its own k-ascending chains —
+/// blocking across rows is exact, blocking across k would not be. An odd
+/// last row walks alone.
 #[inline(never)]
 #[allow(clippy::too_many_arguments)]
 fn fused3_fixed<const D: usize>(
@@ -1172,17 +1091,40 @@ fn fused3_fixed<const D: usize>(
     oc: &mut [f32],
 ) {
     let din = la.in_dim;
-    for r in 0..rows {
-        let row = &input[r * din..(r + 1) * din];
+    let (wa, wb, wc) = (&la.w[..din * D], &lb.w[..din * D], &lc.w[..din * D]);
+    let mut write = |r: usize, aa: &[f32; D], ab: &[f32; D], ac: &[f32; D]| {
+        write_f32::<D>(&la.b, aa, &mut oa[r * D..(r + 1) * D]);
+        write_f32::<D>(&lb.b, ab, &mut ob[r * D..(r + 1) * D]);
+        write_f32::<D>(&lc.b, ac, &mut oc[r * D..(r + 1) * D]);
+    };
+    for r in (0..rows - rows % 2).step_by(2) {
+        let (row0, row1) = input[r * din..(r + 2) * din].split_at(din);
+        let (mut a0, mut b0, mut c0) = ([0.0f32; D], [0.0f32; D], [0.0f32; D]);
+        let (mut a1, mut b1, mut c1) = ([0.0f32; D], [0.0f32; D], [0.0f32; D]);
+        for (k, (&x0, &x1)) in row0.iter().zip(row1).enumerate() {
+            if x0 != 0.0 {
+                step3::<D>(x0, k, wa, wb, wc, &mut a0, &mut b0, &mut c0);
+            }
+            if x1 != 0.0 {
+                step3::<D>(x1, k, wa, wb, wc, &mut a1, &mut b1, &mut c1);
+            }
+        }
+        write(r, &a0, &b0, &c0);
+        write(r + 1, &a1, &b1, &c1);
+    }
+    if rows % 2 == 1 {
         let (mut aa, mut ab, mut ac) = ([0.0f32; D], [0.0f32; D], [0.0f32; D]);
-        accum3::<D>(row, &la.w, &lb.w, &lc.w, &mut aa, &mut ab, &mut ac);
-        write_f32::<D>(&la.b, &aa, &mut oa[r * D..(r + 1) * D]);
-        write_f32::<D>(&lb.b, &ab, &mut ob[r * D..(r + 1) * D]);
-        write_f32::<D>(&lc.b, &ac, &mut oc[r * D..(r + 1) * D]);
+        for (k, &x) in input[(rows - 1) * din..rows * din].iter().enumerate() {
+            if x != 0.0 {
+                step3::<D>(x, k, wa, wb, wc, &mut aa, &mut ab, &mut ac);
+            }
+        }
+        write(rows - 1, &aa, &ab, &ac);
     }
 }
 
-/// Two-layer variant of [`apply_fused3`] for the h-side GRU gate pair.
+/// Two-layer variant of [`apply_fused3`] for the h-side GRU gate pair. Its
+/// 32 KiB panel already sits in L1, so rows go one at a time.
 fn apply_fused2(
     la: &LinW,
     lb: &LinW,
@@ -1205,32 +1147,24 @@ fn apply_fused2(
     }
 }
 
-/// Single-layer fixed-width batch: one matrix over `rows` contiguous input
-/// rows. A free function like [`fused2_fixed`] rather than a method — the
-/// method-shaped monomorphization of this loop came out scalarized at
-/// `D = 32` (LLVM's SLP vectorizer won the cost-model coin flip over the
-/// loop vectorizer), an order-of-magnitude regression on the GRU candidate
-/// matvec. The free-function shape compiles to the register-resident
-/// vector loop shared by the two- and three-bank variants.
+/// Single-layer fixed-width batch: one matrix over the `rows` input rows
+/// `row_of` hands out (contiguous or gathered). A free function like
+/// [`fused2_fixed`] rather than a method — the method-shaped
+/// monomorphization of this loop came out scalarized at `D = 32` (LLVM's
+/// SLP vectorizer won the cost-model coin flip over the loop vectorizer),
+/// an order-of-magnitude regression on the GRU candidate matvec. The
+/// free-function shape compiles to the register-resident vector loop shared
+/// by the two- and three-bank variants.
 #[inline(never)]
-fn fused1_fixed<const D: usize>(l: &LinW, input: &[f32], rows: usize, out: &mut [f32]) {
-    let din = l.in_dim;
+fn rows1_fixed<'a, const D: usize>(
+    l: &LinW,
+    row_of: impl Fn(usize) -> &'a [f32],
+    rows: usize,
+    out: &mut [f32],
+) {
     for r in 0..rows {
-        let row = &input[r * din..(r + 1) * din];
         let mut acc = [0.0f32; D];
-        accum1::<D>(row, &l.w, &mut acc);
-        write_f32::<D>(&l.b, &acc, &mut out[r * D..(r + 1) * D]);
-    }
-}
-
-/// Gathered variant of [`fused1_fixed`]: rows selected by `idx`.
-#[inline(never)]
-fn gathered1_fixed<const D: usize>(l: &LinW, arena: &[f32], idx: &[u32], out: &mut [f32]) {
-    let din = l.in_dim;
-    for (r, &i) in idx.iter().enumerate() {
-        let row = &arena[i as usize * din..][..din];
-        let mut acc = [0.0f32; D];
-        accum1::<D>(row, &l.w, &mut acc);
+        accum1::<D>(row_of(r), &l.w, &mut acc);
         write_f32::<D>(&l.b, &acc, &mut out[r * D..(r + 1) * D]);
     }
 }
@@ -1254,53 +1188,104 @@ fn fused2_fixed<const D: usize>(
     }
 }
 
-/// One GRU update over the contiguous packed range `[start, end)` of the
-/// hidden arena, computed in the exact operation order of the tape's
-/// `GruCell::forward` (separate x-side and h-side sums, then elementwise
-/// combines) so the kernel stays bit-exact.
-#[allow(clippy::too_many_arguments)]
+/// One GRU update of the `m` packed hidden rows `h` of a level, computed in
+/// the exact operation order of the tape's `GruCell::forward` (separate
+/// x-side and h-side sums, then elementwise combines) so the kernel stays
+/// bit-exact. `g` is the five gate arenas, as long as `h` each.
 fn gru_step(
     gru: &GruW,
     input: &[f32],
     h: &mut [f32],
-    start: usize,
-    end: usize,
-    d: usize,
-    g1: &mut [f32],
-    g2: &mut [f32],
-    g3: &mut [f32],
-    g4: &mut [f32],
-    g5: &mut [f32],
+    m: usize,
+    g: [&mut [f32]; 5],
     wide: &mut Vec<f32>,
 ) {
-    let m = end - start;
-    let len = m * d;
+    let [xr, hr, xz, hz, xn] = g;
     // The three x-side gate sums share `input`; the two h-side sums share
     // the packed hidden rows. Fused multi-accumulator passes compute them
     // with one walk over each shared operand.
-    apply_fused3(&gru.xr, &gru.xz, &gru.xn, input, m, g1, g3, g4, wide);
-    apply_fused2(&gru.hr, &gru.hz, &h[start * d..end * d], m, g2, g5, wide);
-    // r = σ(x W_xr + h W_hr)  → g1
-    for (r, &hv) in g1.iter_mut().zip(g2.iter()) {
-        *r = sigmoid(*r + hv);
-    }
-    // z = σ(x W_xz + h W_hz)  → g3
-    for (z, &hv) in g3.iter_mut().zip(g5.iter()) {
-        *z = sigmoid(*z + hv);
-    }
-    // gated = r ⊙ h  → g2
-    for (i, g) in g2.iter_mut().enumerate() {
-        *g = g1[i] * h[start * d + i];
-    }
-    // n = tanh(x W_xn + gated W_hn)  → g4 (g5 is free once z is built)
-    gru.hn.apply(g2, m, g5, wide);
-    for (n, &hv) in g4.iter_mut().zip(g5.iter()) {
-        *n = (*n + hv).tanh();
-    }
-    // h' = (1 - z) ⊙ n + z ⊙ h, written straight into the arena.
+    apply_fused3(&gru.xr, &gru.xz, &gru.xn, input, m, xr, xz, xn, wide);
+    apply_fused2(&gru.hr, &gru.hz, h, m, hr, hz, wide);
+    // r = σ(x W_xr + h W_hr), z = σ(x W_xz + h W_hz) → xz, r ⊙ h → hr: one
+    // sweep, which `nn::math` lets the compiler run a vector wide.
+    let len = h.len();
+    let (xr, hr, xz) = (&mut xr[..len], &mut hr[..len], &mut xz[..len]);
+    let (hz, xn) = (&hz[..len], &xn[..len]);
     for i in 0..len {
-        let hv = h[start * d + i];
-        let z = g3[i];
-        h[start * d + i] = (1.0 - z) * g4[i] + z * hv;
+        let r = math::sigmoid(xr[i] + hr[i]);
+        xz[i] = math::sigmoid(xz[i] + hz[i]);
+        hr[i] = r * h[i];
+    }
+    // n = tanh(x W_xn + (r ⊙ h) W_hn), with `xr` free to take the h side;
+    // h' = (1 - z) ⊙ n + z ⊙ h goes straight into the arena.
+    gru.hn.apply(hr, m, xr, wide);
+    for i in 0..len {
+        let n = math::tanh(xn[i] + xr[i]);
+        h[i] = (1.0 - xz[i]) * n + xz[i] * h[i];
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The paired x-side pass against `Tensor::matmul`, bit for bit, on odd
+    /// and even row counts. Input column 1 is an exact zero in even rows
+    /// only and column 3 in odd rows only, under weight rows that hold an
+    /// `INFINITY`: the row with the zero must skip it (`0 · inf` is NaN if
+    /// its zero-skip is dropped or tied to its partner's) while the other
+    /// row of the pair must not. Column 5 is zero in every row, under a
+    /// whole weight row of `INFINITY`.
+    #[test]
+    fn paired_x_side_pass_equals_matmul_and_keeps_each_rows_zero_skip() {
+        const DIN: usize = 7;
+        for d in [8usize, 64] {
+            let layer = |salt: usize| {
+                let value = |i: usize| ((i * 37 + salt * 11) % 23) as f32 * 0.173 - 1.9;
+                let mut w: Vec<f32> = (0..DIN * d).map(value).collect();
+                w[d + salt] = f32::INFINITY;
+                w[3 * d + salt + 1] = f32::INFINITY;
+                w[5 * d..6 * d].fill(f32::INFINITY);
+                LinW {
+                    w,
+                    b: Vec::new(),
+                    in_dim: DIN,
+                    out_dim: d,
+                }
+            };
+            let layers = [layer(0), layer(1), layer(2)];
+            for rows in [1usize, 2, 3, 5] {
+                let value = |i: usize| ((i * 29) % 17) as f32 * 0.31 + 0.07;
+                let mut input: Vec<f32> = (0..rows * DIN).map(value).collect();
+                for r in 0..rows {
+                    input[r * DIN + 1 + 2 * (r % 2)] = 0.0;
+                    input[r * DIN + 5] = 0.0;
+                }
+                let [la, lb, lc] = &layers;
+                let (mut oa, mut ob, mut oc) = (
+                    vec![0.0; rows * d],
+                    vec![0.0; rows * d],
+                    vec![0.0; rows * d],
+                );
+                apply_fused3(
+                    la,
+                    lb,
+                    lc,
+                    &input,
+                    rows,
+                    &mut oa,
+                    &mut ob,
+                    &mut oc,
+                    &mut Vec::new(),
+                );
+                let x = Tensor::from_vec(rows, DIN, input);
+                for (layer, got) in layers.iter().zip([&oa, &ob, &oc]) {
+                    let want = x.matmul(&Tensor::from_vec(DIN, d, layer.w.clone()));
+                    assert!(want.as_slice().contains(&f32::INFINITY));
+                    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
+                    assert_eq!(bits(want.as_slice()), bits(got), "d = {d}, {rows} rows");
+                }
+            }
+        }
     }
 }

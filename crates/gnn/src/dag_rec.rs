@@ -789,10 +789,10 @@ mod tests {
         // 2 iterations × (forward + reverse) level batches.
         let levels = 2 * (circuit.forward_batches.len() + circuit.reverse_batches.len()) as u64;
         assert_eq!(snap.counter("gnn_levels_total"), levels);
-        assert_eq!(
-            snap.histogram("gnn_level_agg_ns").expect("series").count,
-            levels
-        );
+        // Aggregation and GRU update are timed apart, one sample each per level.
+        for series in ["gnn_level_agg_ns", "gnn_level_gru_ns"] {
+            assert_eq!(snap.histogram(series).expect("series").count, levels);
+        }
         assert_eq!(snap.histogram("gnn_regress_ns").expect("series").count, 1);
         let nodes = snap.histogram("gnn_circuit_nodes").expect("series");
         assert_eq!(nodes.count, 1);

@@ -10,10 +10,15 @@ use std::sync::Arc;
 /// training and offline benchmarking pay nothing.
 #[derive(Debug, Clone)]
 pub struct GnnMetrics {
-    /// Wall time of one level-batch aggregation + GRU update, in
-    /// nanoseconds (`gnn_level_agg_ns`). Forward and reverse batches both
-    /// record here — this is the per-level cost profile of the recurrence.
+    /// Wall time of one level batch's aggregation (gather, attention or
+    /// sum, message build), in nanoseconds (`gnn_level_agg_ns`). Forward and
+    /// reverse batches both record here; with `gnn_level_gru_ns` this is
+    /// the per-level cost profile of the recurrence.
     pub level_agg_ns: Arc<Histogram>,
+    /// Wall time of the same level batch's GRU update — five matvecs and
+    /// the elementwise tail — in nanoseconds (`gnn_level_gru_ns`); one
+    /// sample per level batch, like `gnn_level_agg_ns`.
+    pub level_gru_ns: Arc<Histogram>,
     /// Wall time of the regressor head over the final embeddings, in
     /// nanoseconds (`gnn_regress_ns`).
     pub regress_ns: Arc<Histogram>,
@@ -35,6 +40,7 @@ impl GnnMetrics {
     pub fn registered(registry: &Registry) -> Self {
         GnnMetrics {
             level_agg_ns: registry.histogram("gnn_level_agg_ns"),
+            level_gru_ns: registry.histogram("gnn_level_gru_ns"),
             regress_ns: registry.histogram("gnn_regress_ns"),
             circuit_nodes: registry.histogram("gnn_circuit_nodes"),
             levels_total: registry.counter("gnn_levels_total"),

@@ -260,6 +260,43 @@ fn csr_is_bit_exact_with_the_tape_on_the_shape_suite_for_every_aggregator() {
     }
 }
 
+/// A funnel: four inputs narrowing through three, two and one AND gate, so
+/// the forward levels are exactly 3, 2 and 1 rows wide — a pair plus an odd
+/// row, one pair and a lone row for the kernel's two-rows-at-a-time GRU
+/// input pass.
+fn shape_funnel() -> Netlist {
+    let mut n = Netlist::new("funnel");
+    let mut layer: Vec<NodeId> = (0..4).map(|i| n.add_input(format!("x{i}"))).collect();
+    while layer.len() > 1 {
+        layer = layer
+            .windows(2)
+            .map(|w| n.add_gate(GateKind::And, &[w[0], w[1]]).unwrap())
+            .collect();
+    }
+    n.mark_output(layer[0], "y");
+    n
+}
+
+#[test]
+fn csr_is_bit_exact_with_the_tape_on_levels_one_two_and_three_rows_wide() {
+    let circuit = graph_of(&shape_funnel());
+    let widths: Vec<usize> = circuit
+        .forward_batches
+        .iter()
+        .map(|batch| batch.targets.len())
+        .collect();
+    assert_eq!(widths, [3, 2, 1], "the funnel must pin these level widths");
+    for kind in AggregatorKind::ALL {
+        for hidden_dim in HIDDEN_DIMS {
+            let mut store = ParamStore::new();
+            let model = DagRecGnn::new(&mut store, config(kind, hidden_dim, (true, true, true)));
+            if let Err(e) = kernel_matches_tape(&model, &store, &circuit) {
+                panic!("funnel kind={kind:?} d={hidden_dim}: {e}");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -28,7 +28,7 @@
 //!   - [`Graph::segment_softmax`] — softmax over each node's predecessor
 //!     set, the normalisation of DeepGate's additive attention (Eq. 5).
 
-use crate::{ParamId, ParamStore, Tensor};
+use crate::{math, ParamId, ParamStore, Tensor};
 
 /// Handle to a value on the autodiff tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -237,13 +237,13 @@ impl Graph {
 
     /// Element-wise logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(|v| 1.0 / (1.0 + (-v).exp()));
+        let value = self.value(a).map(math::sigmoid);
         self.push(value, Op::Sigmoid(a))
     }
 
     /// Element-wise hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(f32::tanh);
+        let value = self.value(a).map(math::tanh);
         self.push(value, Op::Tanh(a))
     }
 
@@ -595,7 +595,7 @@ fn segment_softmax_forward(scores: &Tensor, segments: &[usize]) -> Tensor {
     let mut sum_per_seg = vec![0.0f32; num_segments];
     let mut exps = vec![0.0f32; k];
     for i in 0..k {
-        let e = (scores.get(i, 0) - max_per_seg[segments[i]]).exp();
+        let e = math::exp(scores.get(i, 0) - max_per_seg[segments[i]]);
         exps[i] = e;
         sum_per_seg[segments[i]] += e;
     }

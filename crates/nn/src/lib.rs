@@ -20,6 +20,11 @@
 //!   [`Graph::gather_rows`], [`Graph::scatter_add_rows`] and
 //!   [`Graph::segment_softmax`] (softmax over each node's predecessor set,
 //!   the core of DeepGate's attention aggregation).
+//! - [`math`] — `exp`, `sigmoid` and `tanh` as branch-free IEEE arithmetic,
+//!   the only transcendentals in the model: the tape's activations and
+//!   segment softmax call them, and so does the CSR inference kernel in
+//!   `deepgate-gnn`, which is what keeps the two `to_bits`-equal while the
+//!   kernel's loops run a vector wide.
 //! - [`Linear`], [`Mlp`], [`GruCell`] — the layers used by the paper's
 //!   models (d = 64 hidden states, GRU state updates, MLP regressor).
 //! - [`Adam`] and [`Sgd`] optimisers, L1/MSE losses.
@@ -55,6 +60,7 @@
 mod error;
 mod graph;
 mod layers;
+pub mod math;
 mod optim;
 mod params;
 mod tensor;
