@@ -640,12 +640,25 @@ impl Aig {
     ///
     /// # Errors
     ///
-    /// Returns [`AigError::InvalidNetlist`] if `frames` is 0.
+    /// Returns [`AigError::InvalidNetlist`] if `frames` is 0, or if
+    /// `frames × nodes` exceeds [`crate::aiger::MAX_VARS`] — the size AIGER
+    /// ingest accepts, so a frame count off the wire cannot ask for more
+    /// memory than a file can.
     pub fn unroll(&self, frames: usize) -> Result<Aig, AigError> {
         if frames == 0 {
             return Err(AigError::InvalidNetlist(
                 "unroll requires at least one frame".into(),
             ));
+        }
+        let max = crate::aiger::MAX_VARS;
+        if frames
+            .checked_mul(self.len())
+            .is_none_or(|total| total > max)
+        {
+            return Err(AigError::InvalidNetlist(format!(
+                "unrolling {} nodes over {frames} frames exceeds the supported {max} nodes",
+                self.len()
+            )));
         }
         let mut out = Aig::new(self.name.clone());
         // Current-state literal of each latch entering the frame being built.
@@ -1011,6 +1024,18 @@ mod tests {
     #[test]
     fn unroll_zero_frames_errors() {
         assert!(toggle_aig().unroll(0).is_err());
+    }
+
+    #[test]
+    fn unroll_rejects_frame_counts_beyond_the_ingest_cap() {
+        let aig = toggle_aig();
+        let fits = crate::aiger::MAX_VARS / aig.len();
+        for frames in [fits + 1, usize::MAX / 2, usize::MAX] {
+            let error = aig.unroll(frames).expect_err("over the cap");
+            assert!(error.to_string().contains("exceeds"), "{error}");
+        }
+        // The check is on the product, not on the frame count.
+        assert!(Aig::new("empty").unroll(1 << 20).is_ok());
     }
 
     #[test]

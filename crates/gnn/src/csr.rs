@@ -1,24 +1,24 @@
-//! The CSR level-packed inference kernel.
+//! The level schedule, and the CSR level-packed inference kernel that runs
+//! it without a tape. DeepGate's propagation order — level by level forward,
+//! then reversed, skip edges folded into their target's fan-in — is stated
+//! once:
 //!
-//! The autodiff tape walks the pointer-shaped [`CircuitGraph`] directly:
-//! every level batch gathers scattered node rows into fresh tensors, runs
-//! the aggregator and GRU on them, and scatters the results back — one
-//! allocation per step, one cache miss per row. Following
-//! the DLGN line (flat, cache-dense gate arrays), this module compiles a
-//! circuit once into an arena layout and a model once into flat weight
-//! arrays, then fuses each level's gather + GEMM + combine into a single
-//! dense slice walk:
-//!
-//! * [`InferencePlan`] permutes the nodes into **level-contiguous order**
-//!   (reverse-propagation targets first within each level, so both the
-//!   forward and the reverse GRU update become dense in-place sub-slice
-//!   writes) and stores each level's fan-in adjacency as **CSR**: one
-//!   `offsets` array and one flat `edge_src` array per level, skip edges
-//!   appended to their target's row with the positional-encoding attribute
-//!   rows precomputed.
-//! * [`CompiledKernel`] copies the model's weights out of the parameter
-//!   store into row-major flat arrays and runs the whole recurrence over the
-//!   packed arrays without touching the store or allocating per level.
+//! * [`InferencePlan`] (**shared**) permutes the nodes into
+//!   **level-contiguous order** (reverse-propagation targets first within
+//!   each level, so a level is one range of packed rows in either direction)
+//!   and stores each level's adjacency as **CSR**: one `offsets` and one flat
+//!   `edge_src` array per level, skip edges appended to their target's row
+//!   with the positional-encoding attribute rows precomputed.
+//!   [`InferencePlan::compile`] is the only place a row's edge order is
+//!   decided. The training tape ([`crate::DagRecGnn::forward_hidden`],
+//!   [`crate::DagConvGnn`]) compiles a plan per forward pass and records each
+//!   level as gathers over packed rows (`state.rs`), aggregator and GRU; only
+//!   the attribute and gate-input rows it puts on the tape are its own.
+//! * [`CompiledKernel`] (**kernel-specific**, the rest of this file) copies
+//!   the model's weights into row-major flat arrays and, following the DLGN
+//!   line (flat, cache-dense gate arrays), fuses each level's gather + GEMM +
+//!   combine into one dense slice walk over a packed hidden-state arena,
+//!   without touching the parameter store or allocating per level.
 //!
 //! **Exactness contract:** the kernel reproduces the autodiff-tape forward
 //! ([`crate::DagRecGnn::forward_hidden`] and, through the regressor,
@@ -28,181 +28,174 @@
 //! same values, and every `exp`, sigmoid and `tanh` on either side is
 //! [`deepgate_nn::math`] — branch-free IEEE arithmetic that gives a scalar
 //! call on the tape and a lane of the kernel's vector loops the same bits.
-//! The property suite `tests/csr_parity.rs` asserts `to_bits` equality
-//! across circuit shapes, aggregators, model variants and hidden widths.
+//! `tests/csr_parity.rs` asserts `to_bits` equality across circuit shapes,
+//! aggregators, model variants and hidden widths. Parity cannot see a row
+//! order that changes for both executors at once: the
+//! `plan_matches_the_level_definition_*` tests below hold the plan to the
+//! level-by-level definition it replaced, and `tests/end_to_end.rs` pins
+//! prediction bits recorded before the schedules were merged.
 
 use crate::aggregator::AggregatorParams;
 use crate::{Aggregator, CircuitGraph, GnnError, GnnMetrics};
 use deepgate_aig::recon::positional_encoding;
 use deepgate_nn::{math, Activation, GruCell, Linear, Mlp, ParamStore, Tensor};
+use std::ops::Range;
 use std::time::Instant;
 
-/// One level's packed state: a contiguous target range and its fan-in
-/// adjacency in CSR form.
+/// One level of one propagation direction: a contiguous range of packed
+/// target rows and the edges entering them, in CSR form.
 #[derive(Debug, Clone)]
-struct CsrLevel {
+pub(crate) struct CsrLevel {
     /// First packed node index updated by this level.
-    start: usize,
+    pub(crate) start: usize,
     /// One past the last packed node index updated by this level.
-    end: usize,
+    pub(crate) end: usize,
     /// CSR row offsets into `edge_src` / `attr`; `offsets[i]..offsets[i+1]`
-    /// are the edges of packed target `start + i`, ordinary fan-ins first
-    /// (in circuit order) with the skip edge, if any, appended last — the
-    /// same per-target order the tape's scatter-add walks.
-    offsets: Vec<u32>,
+    /// are the edges of packed target `start + i`. A forward row lists the
+    /// ordinary fan-ins in netlist order (duplicates kept) with the skip
+    /// edge, if any, last; a reverse row lists the fan-outs in ascending
+    /// consumer order (duplicates kept). Every per-target sum of either
+    /// executor runs in this order — it is the exactness contract.
+    pub(crate) offsets: Vec<u32>,
     /// Packed source node index of every edge.
-    edge_src: Vec<u32>,
+    pub(crate) edge_src: Vec<u32>,
     /// Flat `[num_edges, attr_dim]` edge attributes (positional encodings on
     /// skip edges, zeros elsewhere); empty when the plan has no attributes.
-    attr: Vec<f32>,
+    pub(crate) attr: Vec<f32>,
 }
 
-/// A circuit compiled into the CSR arena layout consumed by
-/// [`CompiledKernel::predict_into`].
+impl CsrLevel {
+    /// For every edge, the row of its target within the level — the segment
+    /// ids the tape's scatter-add and segment-softmax take.
+    pub(crate) fn edge_rows(&self) -> Vec<usize> {
+        let rows = self.offsets.windows(2).enumerate();
+        rows.flat_map(|(row, w)| std::iter::repeat_n(row, (w[1] - w[0]) as usize))
+            .collect()
+    }
+}
+
+/// The level schedule of a circuit, walked by the training tape and by
+/// [`CompiledKernel`] alike.
 ///
 /// Nodes are permuted into level-contiguous order so every level's update is
-/// one dense sub-slice of the hidden-state arena; the permutation is undone
-/// when results are written out, so callers see original node order.
+/// one dense range of packed rows; the permutation is undone when results
+/// are read out, so callers see original node order.
 #[derive(Debug, Clone)]
 pub struct InferencePlan {
     num_nodes: usize,
     feature_dim: usize,
     attr_dim: usize,
     /// Original node index → packed index.
-    perm: Vec<u32>,
+    pub(crate) perm: Vec<u32>,
     /// `[num_nodes, feature_dim]` one-hot features in packed order.
     features: Vec<f32>,
-    /// Forward levels in ascending level order; each target range spans its
-    /// whole level.
-    forward: Vec<CsrLevel>,
+    /// Forward levels 1, 2, … in ascending order; each target range spans
+    /// its whole level.
+    pub(crate) forward: Vec<CsrLevel>,
     /// Reverse levels in descending level order; each target range is the
     /// fan-out-bearing prefix of its level.
-    reverse: Vec<CsrLevel>,
+    pub(crate) reverse: Vec<CsrLevel>,
+}
+
+/// Stable counting sort of `(row, value)` pairs into CSR form over `n` rows:
+/// row `r` holds its values, in the order the pairs came, at
+/// `offsets[r]..offsets[r + 1]`.
+fn group_by_row(
+    n: usize,
+    pairs: impl Iterator<Item = (usize, u32)> + Clone,
+) -> (Vec<usize>, Vec<u32>) {
+    let mut offsets = vec![0usize; n + 1];
+    for (row, _) in pairs.clone() {
+        offsets[row + 1] += 1;
+    }
+    for row in 0..n {
+        offsets[row + 1] += offsets[row];
+    }
+    let mut next = offsets.clone();
+    let mut values = vec![0u32; offsets[n]];
+    for (row, value) in pairs {
+        values[next[row]] = value;
+        next[row] += 1;
+    }
+    (offsets, values)
+}
+
+/// Cuts the packed rows `rows` out of a whole-circuit CSR, with a zeroed
+/// attribute row per edge.
+fn cut_level(csr: &(Vec<usize>, Vec<u32>), rows: Range<usize>, attr_dim: usize) -> CsrLevel {
+    let (offsets, values) = csr;
+    let edges = offsets[rows.start]..offsets[rows.end];
+    let rebased = offsets[rows.start..=rows.end].iter();
+    CsrLevel {
+        start: rows.start,
+        end: rows.end,
+        offsets: rebased.map(|&o| (o - edges.start) as u32).collect(),
+        attr: vec![0.0; edges.len() * attr_dim],
+        edge_src: values[edges].to_vec(),
+    }
 }
 
 impl InferencePlan {
-    /// Compiles a circuit into the packed layout. `attr_dim` and
-    /// `frequencies` come from the model configuration (0 attributes when
-    /// skip connections are disabled).
+    /// Compiles a circuit's levels, edges and skip edges into the schedule,
+    /// in O(nodes + edges). `attr_dim` and `frequencies` come from the model
+    /// configuration (0 attributes when skip connections are disabled, and
+    /// then no skip edges either).
     pub(crate) fn compile(circuit: &CircuitGraph, attr_dim: usize, frequencies: usize) -> Self {
         let n = circuit.num_nodes;
-        assert!(n < u32::MAX as usize, "circuit too large for CSR plan");
+        let num_edges = circuit.edges.len() + circuit.skip_edges.len();
+        assert!(
+            n.max(num_edges) < u32::MAX as usize,
+            "circuit too large for CSR plan"
+        );
         let f = circuit.encoding.dimension();
 
-        // Reverse-propagation targets go first within their level so both
-        // propagation directions update contiguous packed ranges.
-        let mut is_rev = vec![false; n];
-        for batch in &circuit.reverse_batches {
-            for &t in &batch.targets {
-                is_rev[t] = true;
-            }
+        // Packed order: by level, the reverse-propagation targets (the nodes
+        // with a fan-out) first, ascending node id within either group — so
+        // both directions update one contiguous range per level.
+        let mut has_fanout = vec![false; n];
+        for &(src, _) in &circuit.edges {
+            has_fanout[src] = true;
         }
-        let mut by_level: Vec<Vec<u32>> = vec![Vec::new(); circuit.max_level + 1];
-        for (id, &level) in circuit.levels.iter().enumerate() {
-            by_level[level].push(id as u32);
-        }
-        let mut level_start = Vec::with_capacity(by_level.len() + 1);
-        let mut inv: Vec<u32> = Vec::with_capacity(n);
-        for nodes in &by_level {
-            level_start.push(inv.len());
-            inv.extend(nodes.iter().filter(|&&id| is_rev[id as usize]));
-            inv.extend(nodes.iter().filter(|&&id| !is_rev[id as usize]));
-        }
-        level_start.push(n);
+        let group = |id: usize| 2 * circuit.levels[id] + !has_fanout[id] as usize;
+        let (group_start, order) = group_by_row(
+            2 * (circuit.max_level + 1),
+            (0..n).map(|id| (group(id), id as u32)),
+        );
         let mut perm = vec![0u32; n];
-        for (packed, &old) in inv.iter().enumerate() {
-            perm[old as usize] = packed as u32;
-        }
-
         let mut features = vec![0.0f32; n * f];
-        for (packed, &old) in inv.iter().enumerate() {
-            features[packed * f..(packed + 1) * f]
-                .copy_from_slice(circuit.features.row(old as usize));
+        for (packed, &id) in order.iter().enumerate() {
+            perm[id as usize] = packed as u32;
+            features[packed * f..][..f].copy_from_slice(circuit.features.row(id as usize));
         }
 
-        // Scratch reused across batches: target node → its segment index in
-        // the current batch (stale entries are never read because each
-        // batch's targets are rewritten before use).
-        let mut seg_of = vec![u32::MAX; n];
-        let mut per_seg: Vec<Vec<u32>> = Vec::new();
+        // The one place a row's edge order is decided: the edge list is
+        // grouped by consumer with fan-ins in netlist order, so a stable
+        // grouping by target keeps that order and puts the skip edges,
+        // chained on behind, last in their rows; grouped by source it lists
+        // every node's consumers in ascending order.
+        let row = |node: usize| perm[node] as usize;
+        let edges = circuit.edges.iter();
+        let skips = circuit.skip_edges.iter().filter(|_| attr_dim > 0);
+        let fanins = (edges.clone().map(|&(src, dst)| (row(dst), perm[src])))
+            .chain(skips.clone().map(|e| (row(e.target), perm[e.source])));
+        let fanins = group_by_row(n, fanins);
+        let fanouts = group_by_row(n, edges.map(|&(src, dst)| (row(src), perm[dst])));
 
-        let mut forward = Vec::with_capacity(circuit.forward_batches.len());
-        for batch in &circuit.forward_batches {
-            let start = level_start[batch.level];
-            let end = level_start[batch.level + 1];
-            assert_eq!(
-                end - start,
-                batch.targets.len(),
-                "forward batch must cover every node of its level"
-            );
-            for (seg, &t) in batch.targets.iter().enumerate() {
-                seg_of[t] = seg as u32;
-            }
-            per_seg.clear();
-            per_seg.resize(batch.targets.len(), Vec::new());
-            for (&src, &seg) in batch.edge_src.iter().zip(&batch.edge_seg) {
-                per_seg[seg].push(perm[src]);
-            }
-            let mut offsets = Vec::with_capacity(end - start + 1);
-            offsets.push(0u32);
-            let mut edge_src = Vec::new();
-            let mut attr = Vec::new();
-            for &orig in &inv[start..end] {
-                let old = orig as usize;
-                let seg = seg_of[old] as usize;
-                edge_src.extend_from_slice(&per_seg[seg]);
-                if attr_dim > 0 {
-                    for _ in 0..per_seg[seg].len() {
-                        attr.extend(std::iter::repeat_n(0.0, attr_dim));
-                    }
-                    if let Some(skip) = circuit.skip_edge_for(old) {
-                        edge_src.push(perm[skip.source]);
-                        attr.extend(positional_encoding(skip.level_difference, frequencies));
-                    }
-                }
-                offsets.push(edge_src.len() as u32);
-            }
-            forward.push(CsrLevel {
-                start,
-                end,
-                offsets,
-                edge_src,
-                attr,
-            });
+        let level_rows = |level: usize| group_start[2 * level]..group_start[2 * level + 2];
+        let mut forward: Vec<CsrLevel> = (1..=circuit.max_level)
+            .map(|level| cut_level(&fanins, level_rows(level), attr_dim))
+            .collect();
+        for skip in skips {
+            let lvl = &mut forward[circuit.levels[skip.target] - 1];
+            let last = lvl.offsets[row(skip.target) - lvl.start + 1] as usize - 1;
+            lvl.attr[last * attr_dim..][..attr_dim]
+                .copy_from_slice(&positional_encoding(skip.level_difference, frequencies));
         }
-
-        let mut reverse = Vec::with_capacity(circuit.reverse_batches.len());
-        for batch in &circuit.reverse_batches {
-            let start = level_start[batch.level];
-            // Reverse targets are the packed prefix of their level, in batch
-            // order — guaranteed by the rev-first packing above.
-            for (i, &t) in batch.targets.iter().enumerate() {
-                assert_eq!(
-                    perm[t] as usize,
-                    start + i,
-                    "reverse batch must be the packed prefix of its level"
-                );
-            }
-            per_seg.clear();
-            per_seg.resize(batch.targets.len(), Vec::new());
-            for (&src, &seg) in batch.edge_src.iter().zip(&batch.edge_seg) {
-                per_seg[seg].push(perm[src]);
-            }
-            let mut offsets = Vec::with_capacity(batch.targets.len() + 1);
-            offsets.push(0u32);
-            let mut edge_src = Vec::new();
-            for seg_edges in &per_seg {
-                edge_src.extend_from_slice(seg_edges);
-                offsets.push(edge_src.len() as u32);
-            }
-            reverse.push(CsrLevel {
-                start,
-                end: start + batch.targets.len(),
-                offsets,
-                edge_src,
-                attr: Vec::new(),
-            });
-        }
+        // Descending: a node's fan-outs sit at strictly higher levels and
+        // have been updated by the time the node is.
+        let reverse_rows = |level: usize| group_start[2 * level]..group_start[2 * level + 1];
+        let reverse = (0..circuit.max_level).rev();
+        let reverse = reverse.map(|level| cut_level(&fanouts, reverse_rows(level), 0));
 
         InferencePlan {
             num_nodes: n,
@@ -211,8 +204,15 @@ impl InferencePlan {
             perm,
             features,
             forward,
-            reverse,
+            reverse: reverse.collect(),
         }
+    }
+
+    /// The one-hot feature rows of the packed nodes `rows`, for the tape.
+    pub(crate) fn feature_rows(&self, rows: Range<usize>) -> Tensor {
+        let f = self.feature_dim;
+        let data = self.features[rows.start * f..rows.end * f].to_vec();
+        Tensor::from_vec(rows.len(), f, data)
     }
 
     /// Number of forward level batches the plan covers.
@@ -240,8 +240,7 @@ impl InferencePlan {
     pub fn matches(&self, circuit: &CircuitGraph, attr_dim: usize) -> bool {
         self.num_nodes == circuit.num_nodes
             && self.feature_dim == circuit.encoding.dimension()
-            && self.forward.len() == circuit.forward_batches.len()
-            && self.reverse.len() == circuit.reverse_batches.len()
+            && self.forward.len() == circuit.max_level
             && self.attr_dim == attr_dim
     }
 }
@@ -1226,8 +1225,324 @@ fn gru_step(
 }
 
 #[cfg(test)]
+#[path = "../tests/shapes/mod.rs"]
+mod shapes;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FeatureEncoding;
+    use deepgate_netlist::{GateKind, Netlist};
+    use proptest::prelude::*;
+
+    /// The level-by-level definition of the schedule, as `CircuitGraph` used
+    /// to build and carry it (O(levels × nodes); fine for a reference): the
+    /// edges entering the nodes of one logic level, in original node ids.
+    struct LevelBatch {
+        level: usize,
+        /// Target nodes updated in this batch, ascending.
+        targets: Vec<usize>,
+        /// Source node of every incoming edge.
+        edge_src: Vec<usize>,
+        /// For every edge, the position of its target inside `targets`.
+        edge_seg: Vec<usize>,
+    }
+
+    fn build_forward_batches(netlist: &Netlist, levels: &[usize]) -> Vec<LevelBatch> {
+        let max_level = levels.iter().copied().max().unwrap_or(0);
+        let mut batches = Vec::new();
+        for level in 1..=max_level {
+            let mut batch = LevelBatch {
+                level,
+                targets: Vec::new(),
+                edge_src: Vec::new(),
+                edge_seg: Vec::new(),
+            };
+            for (id, node) in netlist.iter() {
+                if levels[id.index()] != level || node.fanins.is_empty() {
+                    continue;
+                }
+                let seg = batch.targets.len();
+                batch.targets.push(id.index());
+                for f in &node.fanins {
+                    batch.edge_src.push(f.index());
+                    batch.edge_seg.push(seg);
+                }
+            }
+            if !batch.targets.is_empty() {
+                batches.push(batch);
+            }
+        }
+        batches
+    }
+
+    fn build_reverse_batches(netlist: &Netlist, levels: &[usize]) -> Vec<LevelBatch> {
+        let max_level = levels.iter().copied().max().unwrap_or(0);
+        let mut fanouts: Vec<Vec<usize>> = vec![Vec::new(); netlist.len()];
+        for (id, node) in netlist.iter() {
+            for f in &node.fanins {
+                fanouts[f.index()].push(id.index());
+            }
+        }
+        let mut batches = Vec::new();
+        for level in (0..max_level).rev() {
+            let mut batch = LevelBatch {
+                level,
+                targets: Vec::new(),
+                edge_src: Vec::new(),
+                edge_seg: Vec::new(),
+            };
+            for (id, _) in netlist.iter() {
+                let idx = id.index();
+                if levels[idx] != level || fanouts[idx].is_empty() {
+                    continue;
+                }
+                let seg = batch.targets.len();
+                batch.targets.push(idx);
+                for &s in &fanouts[idx] {
+                    batch.edge_src.push(s);
+                    batch.edge_seg.push(seg);
+                }
+            }
+            if !batch.targets.is_empty() {
+                batches.push(batch);
+            }
+        }
+        batches
+    }
+
+    /// One direction of a plan against its batches: the same levels in the
+    /// same order, and row by row the same edges in the same order. With
+    /// `skips` a row's skip edge comes last, under γ(D); every other
+    /// attribute row is zero.
+    fn levels_match_batches(
+        circuit: &CircuitGraph,
+        plan: &InferencePlan,
+        levels: &[CsrLevel],
+        batches: &[LevelBatch],
+        skips: bool,
+        frequencies: usize,
+    ) -> Result<(), String> {
+        let mut inv = vec![usize::MAX; plan.num_nodes];
+        for (old, &packed) in plan.perm.iter().enumerate() {
+            inv[packed as usize] = old;
+        }
+        let attr_dim = if skips { plan.attr_dim } else { 0 };
+        if levels.len() != batches.len() {
+            return Err(format!(
+                "{} levels, {} batches",
+                levels.len(),
+                batches.len()
+            ));
+        }
+        for (lvl, batch) in levels.iter().zip(batches) {
+            let what = format!("{} level {}", circuit.name, batch.level);
+            let rows = &inv[lvl.start..lvl.end];
+            let mut sorted = rows.to_vec();
+            sorted.sort_unstable();
+            if sorted != batch.targets {
+                return Err(format!(
+                    "{what}: rows {rows:?}, targets {:?}",
+                    batch.targets
+                ));
+            }
+            if lvl.offsets.len() != rows.len() + 1
+                || lvl.attr.len() != lvl.edge_src.len() * attr_dim
+            {
+                return Err(format!("{what}: array lengths"));
+            }
+            for (row, &target) in rows.iter().enumerate() {
+                let seg = batch.targets.binary_search(&target).expect("a target");
+                let edges = batch.edge_src.iter().zip(&batch.edge_seg);
+                let mut want: Vec<usize> = edges
+                    .filter(|&(_, &s)| s == seg)
+                    .map(|(&src, _)| src)
+                    .collect();
+                let mut want_attr = vec![0.0f32; want.len() * attr_dim];
+                if let Some(skip) = circuit.skip_edge_for(target).filter(|_| attr_dim > 0) {
+                    want.push(skip.source);
+                    want_attr.extend(positional_encoding(skip.level_difference, frequencies));
+                }
+                let (a, b) = (lvl.offsets[row] as usize, lvl.offsets[row + 1] as usize);
+                let got: Vec<usize> = lvl.edge_src[a..b]
+                    .iter()
+                    .map(|&src| inv[src as usize])
+                    .collect();
+                if got != want {
+                    return Err(format!("{what}: node {target} reads {got:?}, not {want:?}"));
+                }
+                if lvl.attr[a * attr_dim..b * attr_dim] != want_attr[..] {
+                    return Err(format!("{what}: attribute rows of node {target}"));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The plan of `netlist`, with and without skip edges, against the
+    /// level-by-level definition.
+    fn plan_matches_the_level_definition(netlist: &Netlist) -> Result<(), String> {
+        let circuit = CircuitGraph::from_netlist(netlist, FeatureEncoding::AigGates, None);
+        let forward = build_forward_batches(netlist, &circuit.levels);
+        let reverse = build_reverse_batches(netlist, &circuit.levels);
+        for frequencies in [0usize, 8] {
+            let plan = InferencePlan::compile(&circuit, 2 * frequencies, frequencies);
+            // Every node has exactly one packed row, holding its features.
+            let mut seen = vec![false; circuit.num_nodes];
+            for (old, &packed) in plan.perm.iter().enumerate() {
+                if std::mem::replace(&mut seen[packed as usize], true) {
+                    return Err(format!("packed row {packed} taken twice"));
+                }
+                let f = plan.feature_dim;
+                if plan.features[packed as usize * f..][..f] != *circuit.features.row(old) {
+                    return Err(format!("features of node {old}"));
+                }
+            }
+            // Forward level l is all of level l …
+            levels_match_batches(&circuit, &plan, &plan.forward, &forward, true, frequencies)?;
+            for (lvl, batch) in plan.forward.iter().zip(&forward) {
+                let members = circuit.levels.iter().filter(|&&l| l == batch.level);
+                if members.count() != lvl.end - lvl.start {
+                    return Err(format!("forward level {} is not whole", batch.level));
+                }
+            }
+            // … and a reverse level is its fan-out-bearing prefix, in
+            // ascending node order.
+            levels_match_batches(&circuit, &plan, &plan.reverse, &reverse, false, 0)?;
+            for (lvl, batch) in plan.reverse.iter().zip(&reverse) {
+                let level = circuit.levels.iter().zip(&plan.perm);
+                let level_rows = level
+                    .filter(|&(&l, _)| l == batch.level)
+                    .map(|(_, &row)| row);
+                let mut targets = batch.targets.iter().zip(lvl.start..);
+                if level_rows.min() != Some(lvl.start as u32)
+                    || !targets.all(|(&t, row)| plan.perm[t] as usize == row)
+                {
+                    return Err(format!("reverse level {} is not a prefix", batch.level));
+                }
+            }
+            if !plan.matches(&circuit, 2 * frequencies) || plan.matches(&circuit, 1) {
+                return Err("matches() disagrees with compile()".to_string());
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn plan_matches_the_level_definition_on_the_shape_suite() {
+        let mut shapes = shapes::shape_suite();
+        shapes.push(shapes::shape_funnel());
+        for netlist in &shapes {
+            plan_matches_the_level_definition(&shapes::expand(netlist)).unwrap();
+        }
+    }
+
+    /// Shapes the suite lacks, built in AIG-gate form directly (the mapping
+    /// would simplify them away): 2 000 levels one row wide; one stem with
+    /// 300 consumers; a gate reading one node twice (its row keeps both
+    /// edges, and so does the node's fan-out row); nodes without fan-outs
+    /// below the top level, so a level has rows outside its reverse prefix.
+    #[test]
+    fn plan_matches_the_level_definition_on_edge_shapes() {
+        plan_matches_the_level_definition(&shapes::shape_chain(2000)).unwrap();
+
+        let mut star = Netlist::new("star");
+        let a = star.add_input("a");
+        let b = star.add_input("b");
+        let stem = star.add_gate(GateKind::And, &[a, b]).unwrap();
+        for i in 0..300 {
+            let leaf = star.add_gate(GateKind::Not, &[stem]).unwrap();
+            star.mark_output(leaf, format!("y{i}"));
+        }
+        plan_matches_the_level_definition(&star).unwrap();
+
+        let mut n = Netlist::new("twice_and_dangling");
+        let a = n.add_input("a");
+        let b = n.add_input("b");
+        let _unused_input = n.add_input("c");
+        let twice = n.add_gate(GateKind::And, &[a, a]).unwrap();
+        let _dangling = n.add_gate(GateKind::Not, &[b]).unwrap();
+        let both = n.add_gate(GateKind::And, &[twice, b]).unwrap();
+        let again = n.add_gate(GateKind::And, &[both, both]).unwrap();
+        let top = n.add_gate(GateKind::Not, &[again]).unwrap();
+        n.mark_output(top, "y");
+        let circuit = CircuitGraph::from_netlist(&n, FeatureEncoding::AigGates, None);
+        let plan = InferencePlan::compile(&circuit, 0, 0);
+        let level_one = &plan.forward[0];
+        assert_eq!(level_one.offsets, [0, 2, 3], "a twice, then b");
+        assert_eq!(level_one.edge_src[0], level_one.edge_src[1]);
+        let last = plan.reverse.last().expect("inputs feed gates");
+        assert_eq!((last.end - last.start, last.edge_src.len()), (2, 4));
+        plan_matches_the_level_definition(&n).unwrap();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn plan_matches_the_level_definition_on_random_circuits(
+            netlist in shapes::random_netlist(40),
+        ) {
+            let outcome = plan_matches_the_level_definition(&shapes::expand(&netlist));
+            prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+        }
+    }
+
+    /// The parity suite's reconvergent diamond: inputs a, b, c; a stem that
+    /// feeds a NOT and an AND; their join on top.
+    fn diamond_graph() -> CircuitGraph {
+        let diamond = shapes::shape_diamond();
+        CircuitGraph::from_netlist(&diamond, FeatureEncoding::AigGates, None)
+    }
+
+    /// The level of every packed row of `circuit` under `plan`.
+    fn packed_levels(circuit: &CircuitGraph, plan: &InferencePlan) -> Vec<usize> {
+        let mut levels = vec![0; circuit.num_nodes];
+        for (old, &packed) in plan.perm.iter().enumerate() {
+            levels[packed as usize] = circuit.levels[old];
+        }
+        levels
+    }
+
+    #[test]
+    fn forward_levels_cover_all_gates_once() {
+        let graph = diamond_graph();
+        let plan = InferencePlan::compile(&graph, 0, 0);
+        let levels = packed_levels(&graph, &plan);
+        let covered: usize = plan.forward.iter().map(|l| l.end - l.start).sum();
+        assert_eq!(covered, graph.num_gates());
+        // Levels are strictly ascending and edges reference earlier levels
+        // only.
+        let mut prev_level = 0;
+        for lvl in &plan.forward {
+            let level = levels[lvl.start];
+            assert!(level > prev_level);
+            prev_level = level;
+            assert!(levels[lvl.start..lvl.end].iter().all(|&l| l == level));
+            assert_eq!(*lvl.offsets.last().unwrap() as usize, lvl.edge_src.len());
+            assert!(lvl.edge_src.iter().all(|&src| levels[src as usize] < level));
+            assert!(lvl.edge_rows().iter().all(|&row| row < lvl.end - lvl.start));
+        }
+    }
+
+    #[test]
+    fn reverse_levels_point_to_successors() {
+        let graph = diamond_graph();
+        let plan = InferencePlan::compile(&graph, 0, 0);
+        let levels = packed_levels(&graph, &plan);
+        // Reverse levels are in descending order and sources are at
+        // strictly higher levels.
+        let mut prev = usize::MAX;
+        for lvl in &plan.reverse {
+            let level = levels[lvl.start];
+            assert!(level < prev);
+            prev = level;
+            assert!(lvl.edge_src.iter().all(|&src| levels[src as usize] > level));
+        }
+        // Every node with at least one fan-out appears exactly once.
+        let covered: usize = plan.reverse.iter().map(|l| l.end - l.start).sum();
+        assert_eq!(covered, 6); // All but the join have fan-outs.
+    }
 
     /// The paired x-side pass against `Tensor::matmul`, bit for bit, on odd
     /// and even row counts. Input column 1 is an exact zero in even rows

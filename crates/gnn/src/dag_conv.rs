@@ -1,6 +1,7 @@
 //! The DAG-ConvGNN baseline: layered propagation in topological order
 //! (Eq. 3 of the paper) with per-layer parameters and a single forward pass.
 
+use crate::csr::InferencePlan;
 use crate::state::NodeStates;
 use crate::{Aggregator, AggregatorKind, CircuitGraph, ProbabilityModel};
 use deepgate_nn::{Activation, Graph, GruCell, Linear, Mlp, ParamStore, Var};
@@ -108,34 +109,34 @@ impl ProbabilityModel for DagConvGnn {
             self.config.feature_dim,
             "circuit feature encoding does not match the model configuration"
         );
-        let features = g.input(circuit.features.clone());
+        // No skip edges and no edge attributes: the forward half of the
+        // schedule alone.
+        let plan = InferencePlan::compile(circuit, 0, 0);
+        let features = g.input(plan.feature_rows(0..circuit.num_nodes));
         let embedded = self.embed.forward(g, store, features);
         let mut states = NodeStates::new(g, embedded);
-        let edge_targets: Vec<Vec<usize>> = circuit
-            .forward_batches
-            .iter()
-            .map(|batch| batch.edge_seg.iter().map(|&s| batch.targets[s]).collect())
-            .collect();
+        let edge_rows: Vec<Vec<usize>> = plan.forward.iter().map(|lvl| lvl.edge_rows()).collect();
         for layer in 0..self.config.num_layers {
             let prev_layer = states.clone();
-            for (batch, edge_targets) in circuit.forward_batches.iter().zip(&edge_targets) {
-                let src_states = states.read(g, &batch.edge_src);
-                let query_states = prev_layer.read(g, edge_targets);
+            for (lvl, edge_rows) in plan.forward.iter().zip(&edge_rows) {
+                let targets = lvl.start..lvl.end;
+                let src_states = states.read(g, lvl.edge_src.iter().map(|&src| src as usize));
+                let query_states = prev_layer.read(g, edge_rows.iter().map(|&row| lvl.start + row));
                 let msg = self.aggregators[layer].aggregate(
                     g,
                     store,
                     src_states,
                     query_states,
-                    &batch.edge_seg,
-                    batch.targets.len(),
+                    edge_rows,
+                    targets.len(),
                     None,
                 );
-                let h_targets_prev = prev_layer.read(g, &batch.targets);
+                let h_targets_prev = prev_layer.read(g, targets.clone());
                 let updated = self.combiners[layer].forward(g, store, msg, h_targets_prev);
-                states.write(&batch.targets, updated);
+                states.write(targets, updated);
             }
         }
-        let h = states.read_all(g);
+        let h = states.read_all(g, &plan.perm);
         self.regressor.forward(g, store, h)
     }
 

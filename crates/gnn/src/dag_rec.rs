@@ -12,10 +12,9 @@
 //! | DeepGate w/o SC | Attention | yes | yes | no |
 //! | DeepGate w/ SC | Attention | yes | yes | yes |
 
-use crate::csr::{CompiledKernel, InferencePlan};
+use crate::csr::{CompiledKernel, CsrLevel, InferencePlan};
 use crate::state::NodeStates;
-use crate::{Aggregator, AggregatorKind, CircuitGraph, GnnError, LevelBatch, ProbabilityModel};
-use deepgate_aig::recon::positional_encoding;
+use crate::{Aggregator, AggregatorKind, CircuitGraph, GnnError, ProbabilityModel};
 use deepgate_nn::{Activation, Graph, GruCell, Linear, Mlp, ParamStore, Tensor, Var};
 use serde::{Deserialize, Serialize};
 
@@ -88,20 +87,17 @@ impl DagRecConfig {
 }
 
 /// One level of one propagation direction as [`DagRecGnn::forward_hidden`]
-/// runs it: resolved once per forward pass, replayed by each of the `T`
-/// iterations.
+/// runs it: the plan's level plus what has to live on this tape, resolved
+/// once per forward pass and replayed by each of the `T` iterations.
 struct LevelStep<'a> {
-    /// Nodes updated by this level.
-    targets: &'a [usize],
-    /// Source node of every incoming edge (skip edges appended).
-    edge_src: Vec<usize>,
-    /// Position of every edge's target inside `targets`.
-    edge_seg: Vec<usize>,
-    /// Target node of every edge (`targets[edge_seg[e]]`).
-    edge_targets: Vec<usize>,
+    /// The packed target rows and their edges.
+    lvl: &'a CsrLevel,
+    /// Row of every edge's target within the level.
+    edge_rows: Vec<usize>,
     /// Edge attributes: zeros for ordinary edges, γ(D) for skip edges.
     attr: Option<Var>,
-    /// Gate-type one-hot rows of `targets`, when they are a fixed GRU input.
+    /// Gate-type one-hot rows of the targets, when they are a fixed GRU
+    /// input.
     gate_input: Option<Var>,
     /// The direction's aggregator and GRU.
     agg: &'a Aggregator,
@@ -200,80 +196,55 @@ impl DagRecGnn {
         self.config
     }
 
-    /// Resolves the levels of one propagation direction. With `skip_edges`
-    /// the skip edges whose targets belong to a level are appended to its
-    /// edge lists and every edge gets an attribute row (zeros for ordinary
-    /// edges, γ(D) for skip edges).
-    fn level_steps<'a>(
+    /// Puts one level's attribute and gate-input rows on the tape.
+    fn level_step<'a>(
         &self,
         g: &mut Graph,
-        circuit: &'a CircuitGraph,
-        batches: &'a [LevelBatch],
-        skip_edges: bool,
+        plan: &'a InferencePlan,
+        lvl: &'a CsrLevel,
         agg: &'a Aggregator,
         gru: &'a GruCell,
-    ) -> Vec<LevelStep<'a>> {
-        let attr_dim = self.config.edge_attr_dim();
-        let step = |batch: &'a LevelBatch| {
-            let mut edge_src = batch.edge_src.clone();
-            let mut edge_seg = batch.edge_seg.clone();
-            let attr = skip_edges.then(|| {
-                let mut attr = vec![0.0; edge_src.len() * attr_dim];
-                for (seg, &target) in batch.targets.iter().enumerate() {
-                    if let Some(skip) = circuit.skip_edge_for(target) {
-                        edge_src.push(skip.source);
-                        edge_seg.push(seg);
-                        attr.extend(positional_encoding(
-                            skip.level_difference,
-                            self.config.skip_encoding_frequencies,
-                        ));
-                    }
-                }
-                g.input(Tensor::from_vec(edge_src.len(), attr_dim, attr))
-            });
-            let gate_input = self.config.fix_gate_input.then(|| {
-                let mut rows = Tensor::zeros(batch.targets.len(), self.config.feature_dim);
-                for (i, &t) in batch.targets.iter().enumerate() {
-                    rows.row_mut(i).copy_from_slice(circuit.features.row(t));
-                }
-                g.input(rows)
-            });
-            LevelStep {
-                targets: &batch.targets,
-                edge_targets: edge_seg.iter().map(|&seg| batch.targets[seg]).collect(),
-                edge_src,
-                edge_seg,
-                attr,
-                gate_input,
-                agg,
-                gru,
-            }
-        };
-        batches.iter().map(step).collect()
+    ) -> LevelStep<'a> {
+        let attr = (!lvl.attr.is_empty()).then(|| {
+            let attr = Tensor::from_vec(lvl.edge_src.len(), plan.attr_dim(), lvl.attr.clone());
+            g.input(attr)
+        });
+        let gate_input =
+            (self.config.fix_gate_input).then(|| g.input(plan.feature_rows(lvl.start..lvl.end)));
+        LevelStep {
+            lvl,
+            edge_rows: lvl.edge_rows(),
+            attr,
+            gate_input,
+            agg,
+            gru,
+        }
     }
 
     /// Updates the nodes of one level: aggregate the predecessors' states,
     /// combine with each target's own state in the GRU, and repoint the
     /// targets at the result.
     fn run_level(g: &mut Graph, store: &ParamStore, states: &mut NodeStates, step: &LevelStep) {
-        let src_states = states.read(g, &step.edge_src);
-        let query_states = states.read(g, &step.edge_targets);
+        let lvl = step.lvl;
+        let targets = lvl.start..lvl.end;
+        let src_states = states.read(g, lvl.edge_src.iter().map(|&src| src as usize));
+        let query_states = states.read(g, step.edge_rows.iter().map(|&row| lvl.start + row));
         let msg = step.agg.aggregate(
             g,
             store,
             src_states,
             query_states,
-            &step.edge_seg,
-            step.targets.len(),
+            &step.edge_rows,
+            targets.len(),
             step.attr,
         );
         let gru_input = match step.gate_input {
             Some(gate_input) => g.concat_cols(msg, gate_input),
             None => msg,
         };
-        let h_targets = states.read(g, step.targets);
+        let h_targets = states.read(g, targets.clone());
         let updated = step.gru.forward(g, store, gru_input, h_targets);
-        states.write(step.targets, updated);
+        states.write(targets, updated);
     }
 
     /// Runs the regressor head(s) on the final hidden states (tape version).
@@ -310,24 +281,27 @@ impl DagRecGnn {
             self.config.feature_dim,
             "circuit feature encoding does not match the model configuration"
         );
-        let features = g.input(circuit.features.clone());
+        let plan = self.plan(circuit);
+        let features = g.input(plan.feature_rows(0..circuit.num_nodes));
         let embedded = self.embed.forward(g, store, features);
         let mut states = NodeStates::new(g, embedded);
         // One iteration: forward propagation in topological order, then
         // the reversed propagation, if configured.
-        let skip_edges = self.config.use_skip_connections;
         let (agg, gru) = (&self.forward_agg, &self.forward_gru);
-        let mut sweep =
-            self.level_steps(g, circuit, &circuit.forward_batches, skip_edges, agg, gru);
+        let forward = plan.forward.iter();
+        let mut sweep: Vec<LevelStep> = forward
+            .map(|lvl| self.level_step(g, &plan, lvl, agg, gru))
+            .collect();
         if let (Some(agg), Some(gru)) = (&self.reverse_agg, &self.reverse_gru) {
-            sweep.extend(self.level_steps(g, circuit, &circuit.reverse_batches, false, agg, gru));
+            let reverse = plan.reverse.iter();
+            sweep.extend(reverse.map(|lvl| self.level_step(g, &plan, lvl, agg, gru)));
         }
         for _ in 0..self.config.num_iterations {
             for step in &sweep {
                 Self::run_level(g, store, &mut states, step);
             }
         }
-        states.read_all(g)
+        states.read_all(g, &plan.perm)
     }
 
     /// Validates that a circuit's feature encoding matches the model.
@@ -688,9 +662,10 @@ mod tests {
     fn tape_size_of_a_deep_chain_fits_the_budget() {
         let circuit = chain_graph(4, 500);
         assert_eq!(circuit.num_nodes, 2000);
-        assert!(circuit.forward_batches.len() >= 400);
         let mut store = ParamStore::new();
         let model = tape_gate_model(&mut store);
+        let plan = model.plan(&circuit);
+        assert!(plan.num_batches() + plan.num_reverse_batches() >= 800);
         let mut g = Graph::new();
         let pred = model.forward(&mut g, &store, &circuit);
         let loss = crate::masked_l1_loss(&mut g, pred, &circuit).unwrap();
@@ -787,7 +762,7 @@ mod tests {
 
         let snap = registry.snapshot();
         // 2 iterations × (forward + reverse) level batches.
-        let levels = 2 * (circuit.forward_batches.len() + circuit.reverse_batches.len()) as u64;
+        let levels = 2 * (plan.num_batches() + plan.num_reverse_batches()) as u64;
         assert_eq!(snap.counter("gnn_levels_total"), levels);
         // Aggregation and GRU update are timed apart, one sample each per level.
         for series in ["gnn_level_agg_ns", "gnn_level_gru_ns"] {

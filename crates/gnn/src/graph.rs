@@ -1,5 +1,7 @@
-//! The learning representation of a circuit: node features, level-batched
-//! edge lists, labels and reconvergence skip edges.
+//! The learning representation of a circuit: node features, logic levels,
+//! the edge list, labels and reconvergence skip edges. The level-by-level
+//! propagation order over them is compiled in one place,
+//! [`crate::InferencePlan`].
 
 use deepgate_aig::recon::{positional_encoding, ReconvergenceAnalysis, ReconvergenceConfig};
 use deepgate_aig::{Aig, LatchPolicy};
@@ -59,21 +61,6 @@ pub struct SkipEdge {
     pub level_difference: usize,
 }
 
-/// The edges entering the nodes of one logic level, flattened for batched
-/// gather / scatter operations (the *topological batching* of Thost & Chen).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LevelBatch {
-    /// The logic level of the target nodes.
-    pub level: usize,
-    /// Target node indices updated in this batch.
-    pub targets: Vec<usize>,
-    /// Source node index of every incoming edge.
-    pub edge_src: Vec<usize>,
-    /// For every edge, the position of its target inside `targets` (the
-    /// segment id used for scatter-add and segment-softmax).
-    pub edge_seg: Vec<usize>,
-}
-
 /// A circuit prepared for GNN consumption.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CircuitGraph {
@@ -92,17 +79,13 @@ pub struct CircuitGraph {
     /// `true` for nodes that are logic gates (not primary inputs or
     /// constants); evaluation metrics are computed over these nodes.
     pub gate_mask: Vec<bool>,
-    /// Directed edges `(fanin, node)` of the circuit DAG.
+    /// Directed edges `(fanin, node)` of the circuit DAG, grouped by `node`
+    /// in ascending order with each node's fan-ins in netlist order
+    /// (duplicates kept).
     pub edges: Vec<(usize, usize)>,
-    /// Forward level batches in ascending level order (level ≥ 1).
-    pub forward_batches: Vec<LevelBatch>,
-    /// Reverse level batches in descending level order; targets receive
-    /// messages from their fan-outs.
-    pub reverse_batches: Vec<LevelBatch>,
-    /// Skip edges from reconvergence analysis.
+    /// Skip edges from reconvergence analysis, in ascending target order
+    /// (at most one per node).
     pub skip_edges: Vec<SkipEdge>,
-    /// Per-node skip edge indexed by target node (at most one per node).
-    skip_by_target: Vec<Option<SkipEdge>>,
     /// Optional per-node signal-probability labels.
     pub labels: Option<Vec<f32>>,
 }
@@ -144,21 +127,15 @@ impl CircuitGraph {
             }
         }
 
-        let forward_batches = build_forward_batches(netlist, &levels, max_level);
-        let reverse_batches = build_reverse_batches(netlist, &levels, max_level);
-
         let recon = ReconvergenceAnalysis::of_netlist(netlist, ReconvergenceConfig::default());
         let mut skip_edges = Vec::new();
-        let mut skip_by_target = vec![None; n];
         for (target, info) in recon.per_node().iter().enumerate() {
             if let Some(info) = info {
-                let edge = SkipEdge {
+                skip_edges.push(SkipEdge {
                     source: info.source,
                     target,
                     level_difference: info.level_difference,
-                };
-                skip_edges.push(edge);
-                skip_by_target[target] = Some(edge);
+                });
             }
         }
 
@@ -171,10 +148,7 @@ impl CircuitGraph {
             max_level,
             gate_mask,
             edges,
-            forward_batches,
-            reverse_batches,
             skip_edges,
-            skip_by_target,
             labels,
         }
     }
@@ -223,7 +197,8 @@ impl CircuitGraph {
     /// The skip edge ending at `target`, if that node is a reconvergence
     /// node.
     pub fn skip_edge_for(&self, target: usize) -> Option<SkipEdge> {
-        self.skip_by_target.get(target).copied().flatten()
+        let found = self.skip_edges.binary_search_by_key(&target, |e| e.target);
+        found.ok().map(|i| self.skip_edges[i])
     }
 
     /// Number of logic-gate nodes (excludes primary inputs and constants).
@@ -338,74 +313,6 @@ impl Default for StructuralHasher {
     }
 }
 
-fn build_forward_batches(netlist: &Netlist, levels: &[usize], max_level: usize) -> Vec<LevelBatch> {
-    let mut batches = Vec::new();
-    for level in 1..=max_level {
-        let mut targets = Vec::new();
-        let mut edge_src = Vec::new();
-        let mut edge_seg = Vec::new();
-        for (id, node) in netlist.iter() {
-            if levels[id.index()] != level || node.fanins.is_empty() {
-                continue;
-            }
-            let seg = targets.len();
-            targets.push(id.index());
-            for f in &node.fanins {
-                edge_src.push(f.index());
-                edge_seg.push(seg);
-            }
-        }
-        if !targets.is_empty() {
-            batches.push(LevelBatch {
-                level,
-                targets,
-                edge_src,
-                edge_seg,
-            });
-        }
-    }
-    batches
-}
-
-fn build_reverse_batches(netlist: &Netlist, levels: &[usize], max_level: usize) -> Vec<LevelBatch> {
-    // Forward adjacency: fanouts of every node.
-    let mut fanouts: Vec<Vec<usize>> = vec![Vec::new(); netlist.len()];
-    for (id, node) in netlist.iter() {
-        for f in &node.fanins {
-            fanouts[f.index()].push(id.index());
-        }
-    }
-    let mut batches = Vec::new();
-    // Descending level order: a node's fan-outs sit at strictly higher levels
-    // and therefore have already been updated when the node is processed.
-    for level in (0..max_level).rev() {
-        let mut targets = Vec::new();
-        let mut edge_src = Vec::new();
-        let mut edge_seg = Vec::new();
-        for (id, _) in netlist.iter() {
-            let idx = id.index();
-            if levels[idx] != level || fanouts[idx].is_empty() {
-                continue;
-            }
-            let seg = targets.len();
-            targets.push(idx);
-            for &s in &fanouts[idx] {
-                edge_src.push(s);
-                edge_seg.push(seg);
-            }
-        }
-        if !targets.is_empty() {
-            batches.push(LevelBatch {
-                level,
-                targets,
-                edge_src,
-                edge_seg,
-            });
-        }
-    }
-    batches
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -453,45 +360,6 @@ mod tests {
         let b = n.add_input("b");
         let _ = n.add_gate(GateKind::Or, &[a, b]).unwrap();
         let _ = CircuitGraph::from_netlist(&n, FeatureEncoding::AigGates, None);
-    }
-
-    #[test]
-    fn forward_batches_cover_all_gates_once() {
-        let n = small_netlist();
-        let graph = CircuitGraph::from_netlist(&n, FeatureEncoding::AigGates, None);
-        let covered: usize = graph.forward_batches.iter().map(|b| b.targets.len()).sum();
-        assert_eq!(covered, graph.num_gates());
-        // Batch levels are strictly ascending and edges reference earlier
-        // levels only.
-        let mut prev_level = 0;
-        for batch in &graph.forward_batches {
-            assert!(batch.level > prev_level);
-            prev_level = batch.level;
-            assert_eq!(batch.edge_src.len(), batch.edge_seg.len());
-            for (&src, &seg) in batch.edge_src.iter().zip(&batch.edge_seg) {
-                assert!(graph.levels[src] < batch.level);
-                assert!(seg < batch.targets.len());
-            }
-        }
-    }
-
-    #[test]
-    fn reverse_batches_point_to_successors() {
-        let n = small_netlist();
-        let graph = CircuitGraph::from_netlist(&n, FeatureEncoding::AigGates, None);
-        // Reverse batches are in descending level order and sources are at
-        // strictly higher levels.
-        let mut prev = usize::MAX;
-        for batch in &graph.reverse_batches {
-            assert!(batch.level < prev);
-            prev = batch.level;
-            for &src in &batch.edge_src {
-                assert!(graph.levels[src] > batch.level);
-            }
-        }
-        // Every node with at least one fan-out appears exactly once.
-        let covered: usize = graph.reverse_batches.iter().map(|b| b.targets.len()).sum();
-        assert_eq!(covered, 4); // a, b, g1, g2 have fan-outs; g3 does not.
     }
 
     #[test]

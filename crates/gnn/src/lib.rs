@@ -5,15 +5,19 @@
 //! designs (Conv. Sum, Attention, DeepSet, GatedSum). This crate provides:
 //!
 //! - [`CircuitGraph`] — the learning representation of a circuit: one-hot
-//!   gate-type features, predecessor edge lists grouped by logic level
-//!   (*topological batching*), optional signal-probability labels and the
-//!   reconvergence skip edges with their positional encodings.
+//!   gate-type features, logic levels, the edge list, optional
+//!   signal-probability labels and the reconvergence skip edges.
+//! - [`InferencePlan`] — the one level schedule (*topological batching*):
+//!   nodes packed level by level, each level's fan-in (forward, skip edges
+//!   and their positional encodings folded in) and fan-out (reverse) rows in
+//!   CSR form. The training tape and [`CompiledKernel`], the tape-free
+//!   inference executor, both walk it.
 //! - [`Aggregator`] — the four aggregation functions of the paper, built on
 //!   the gather / scatter-add / segment-softmax ops of `deepgate-nn`.
 //! - On the training tape the level-by-level models keep every node's state
-//!   in the variable that computed it (`state.rs`): updating a level records
-//!   nothing and reads are `Graph::gather_from`, so a tape costs
-//!   O((nodes + edges) · T) whatever the circuit's depth.
+//!   in the variable that computed it (`state.rs`, addressed by packed row):
+//!   updating a level records nothing and reads are `Graph::gather_from`, so
+//!   a tape costs O((nodes + edges) · T) whatever the circuit's depth.
 //! - [`Gcn`], [`DagConvGnn`], [`DagRecGnn`] — the baseline models, all
 //!   implementing [`ProbabilityModel`] so the trainer and the benchmark
 //!   harness treat every model uniformly.
@@ -40,6 +44,6 @@ pub use dag_conv::{DagConvConfig, DagConvGnn};
 pub use dag_rec::{DagRecConfig, DagRecGnn};
 pub use error::GnnError;
 pub use gcn::{Gcn, GcnConfig};
-pub use graph::{CircuitGraph, FeatureEncoding, LevelBatch, SkipEdge, StructuralHasher};
+pub use graph::{CircuitGraph, FeatureEncoding, SkipEdge, StructuralHasher};
 pub use metrics::GnnMetrics;
 pub use model::{evaluate_prediction_error, masked_l1_loss, ProbabilityModel};

@@ -1,9 +1,12 @@
 //! Where the level-by-level models keep node states on the autodiff tape.
 
 use deepgate_nn::{Graph, Var};
+use std::ops::Range;
 
 /// The current hidden state of every node, kept where it was computed: a
 /// locator `node → (Var, row)` instead of one `[num_nodes, d]` variable.
+/// Nodes are addressed in the *packed* order of the circuit's
+/// [`crate::InferencePlan`], where a level is a row range.
 ///
 /// Updating a level is [`NodeStates::write`] — it repoints the level's
 /// nodes at the rows of the small variable the GRU just produced and records
@@ -25,7 +28,7 @@ pub(crate) struct NodeStates {
 }
 
 impl NodeStates {
-    /// Every node `v` starts at row `v` of `initial` (`[num_nodes, d]`).
+    /// Packed node `p` starts at row `p` of `initial` (`[num_nodes, d]`).
     pub(crate) fn new(g: &Graph, initial: Var) -> Self {
         let loc = (0..g.value(initial).rows())
             .map(|row| (initial, row))
@@ -33,26 +36,28 @@ impl NodeStates {
         NodeStates { initial, loc }
     }
 
-    /// Node `nodes[i]` now lives in row `i` of `updated`.
-    pub(crate) fn write(&mut self, nodes: &[usize], updated: Var) {
-        for (row, &node) in nodes.iter().enumerate() {
+    /// The `i`-th node of the level `nodes` now lives in row `i` of
+    /// `updated`.
+    pub(crate) fn write(&mut self, nodes: Range<usize>, updated: Var) {
+        for (row, node) in nodes.enumerate() {
             self.loc[node] = (updated, row);
         }
     }
 
     /// The states of `nodes`, in order, as one `[nodes.len(), d]` variable.
-    pub(crate) fn read(&self, g: &mut Graph, nodes: &[usize]) -> Var {
-        let picks: Vec<(Var, usize)> = nodes.iter().map(|&node| self.loc[node]).collect();
+    pub(crate) fn read(&self, g: &mut Graph, nodes: impl IntoIterator<Item = usize>) -> Var {
+        let picks: Vec<(Var, usize)> = nodes.into_iter().map(|node| self.loc[node]).collect();
         g.gather_from(&picks)
     }
 
-    /// All node states in node order (`[num_nodes, d]`) — the single
-    /// full-size read, taken once before the regressor.
-    pub(crate) fn read_all(&self, g: &mut Graph) -> Var {
-        if self.loc.is_empty() {
+    /// All node states in original node order (`[num_nodes, d]`), through
+    /// the plan's `perm` (original → packed) — the single full-size read,
+    /// taken once before the regressor.
+    pub(crate) fn read_all(&self, g: &mut Graph, perm: &[u32]) -> Var {
+        if perm.is_empty() {
             // A circuit without nodes: the `[0, d]` embedding keeps its width.
             return self.initial;
         }
-        g.gather_from(&self.loc)
+        self.read(g, perm.iter().map(|&packed| packed as usize))
     }
 }

@@ -171,7 +171,16 @@ fn malformed_and_invalid_requests_get_error_responses() {
     let response = client.roundtrip(r#"{"id": 3, "op": "frobnicate"}"#);
     assert!(matches!(field(&response, "error"), Value::Str(_)));
 
-    // The connection survives all of that.
+    // A megabyte of `[` is well inside `max_request_bytes`; a parser that
+    // recursed once per bracket would take the event-loop thread's stack,
+    // and with it the process, before any verb was read.
+    let response = client.roundtrip(&"[".repeat(1 << 20));
+    let Value::Str(message) = field(&response, "error") else {
+        panic!("expected error string");
+    };
+    assert!(message.contains("nesting"), "got: {message}");
+
+    // The connection — and so the server — survives all of that.
     let response = client.roundtrip(r#"{"id": 4, "op": "stats"}"#);
     assert!(field(&response, "stats").as_object().is_some());
     server.shutdown();
@@ -780,6 +789,15 @@ fn malformed_aiger_requests_get_clean_errors() {
                 ("latch", Value::Str("frobnicate".into())),
             ]),
             "latch policy",
+        ),
+        (
+            // frames × nodes is bounded like an AIGER header's `M`: this
+            // must be refused before anything is allocated per frame.
+            request_of(&[
+                ("aiger", Value::Str(valid_aag.into())),
+                ("latch", Value::Str(format!("unroll:{}", usize::MAX))),
+            ]),
+            "exceeds the supported",
         ),
     ];
     for (request, needle) in cases {

@@ -39,6 +39,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut parser = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.parse_value()?;
@@ -135,9 +136,17 @@ fn write_string(s: &str, out: &mut String) {
 
 // ------------------------------------------------------------------ parsing
 
+/// How deep arrays and objects may nest (the real `serde_json` draws the
+/// same line). The parser recurses once per level, so without a limit one
+/// line of `[`s overflows the stack of whichever thread parses it — on the
+/// server, the event loop.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -171,14 +180,30 @@ impl<'a> Parser<'a> {
             Some(b't') => self.parse_keyword("true", Value::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.parse_nested(Self::parse_array),
+            Some(b'{') => self.parse_nested(Self::parse_object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             _ => Err(Error::custom(&format!(
                 "unexpected character at byte {}",
                 self.pos
             ))),
         }
+    }
+
+    fn parse_nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, Error>,
+    ) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::custom(&format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_keyword(&mut self, word: &str, value: Value) -> Result<Value, Error> {
@@ -366,6 +391,20 @@ mod tests {
         assert!(from_str::<Value>("{\"a\":}").is_err());
         assert!(from_str::<Value>("[1,2").is_err());
         assert!(from_str::<u32>("\"nope\"").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(from_str::<Value>(&nested(MAX_DEPTH)).is_ok());
+        let error = from_str::<Value>(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(error.to_string().contains("nesting deeper"), "{error}");
+        // A request-sized line of openers is an error, not a stack overflow
+        // — and the depth unwinds, so siblings do not add up.
+        assert!(from_str::<Value>(&"[".repeat(8 << 20)).is_err());
+        assert!(from_str::<Value>(&"{\"a\":".repeat(1 << 20)).is_err());
+        let siblings = format!("[{}]", vec![nested(MAX_DEPTH - 1); 4].join(","));
+        assert!(from_str::<Value>(&siblings).is_ok());
     }
 
     #[test]

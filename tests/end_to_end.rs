@@ -213,3 +213,45 @@ fn untransformed_and_transformed_graphs_share_the_pipeline() {
             .all(|&v| (0.0..=1.0).contains(&v)));
     }
 }
+
+/// The exactness contract, pinned from outside: an FNV digest of the
+/// `to_bits` of default-configuration DeepGate predictions (seeded
+/// initialisation, d = 64, T = 10) on two generated circuits. The tape and
+/// the kernel read one level schedule, so `csr_parity` cannot see an edit
+/// that reorders a row's edges for both of them; this does. The digests
+/// were recorded before the schedules were merged (PR 22's commit).
+#[test]
+fn default_deepgate_prediction_bits_are_pinned() {
+    use deepgate::gnn::StructuralHasher;
+    let model = DeepGate::new(DeepGateConfig::default());
+    let pinned: [(Netlist, bool, u128); 2] = [
+        (
+            generators::squarer(4),
+            true,
+            0x6404ad31b5c7fd39132a2daa7ff33c76,
+        ),
+        (
+            generators::priority_arbiter(12),
+            false,
+            0xd117e4b3abda3e62c47134eb21d26d42,
+        ),
+    ];
+    for (netlist, reconvergent, expected) in pinned {
+        let aig = Aig::from_netlist(&netlist).expect("maps to AIG");
+        let (circuit, _) = CircuitGraph::from_aig(&aig);
+        assert_eq!(!circuit.skip_edges.is_empty(), reconvergent);
+        let mut digest = StructuralHasher::new();
+        for p in model.predict(&circuit) {
+            digest.write(p.to_bits() as u64);
+        }
+        assert_eq!(
+            digest.finish(),
+            expected,
+            "{}: {} nodes, {} skip edges, digest {:#034x}",
+            circuit.name,
+            circuit.num_nodes,
+            circuit.skip_edges.len(),
+            digest.finish()
+        );
+    }
+}

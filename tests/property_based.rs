@@ -107,7 +107,7 @@ proptest! {
     }
 
     /// Circuit-graph invariants hold for arbitrary circuits: one-hot
-    /// features, edges pointing from lower to higher levels, forward batches
+    /// features, edges pointing from lower to higher levels, forward levels
     /// covering every gate exactly once, and skip edges connecting genuine
     /// fan-out stems to later nodes.
     #[test]
@@ -124,9 +124,11 @@ proptest! {
         for &(src, dst) in &graph.edges {
             prop_assert!(graph.levels[src] < graph.levels[dst]);
         }
-        // Forward batches cover every gate exactly once.
-        let covered: usize = graph.forward_batches.iter().map(|b| b.targets.len()).sum();
-        prop_assert_eq!(covered, graph.num_gates());
+        // The forward levels (≥ 1) are exactly the gates, so the level
+        // schedule updates every gate once per sweep.
+        for (i, &level) in graph.levels.iter().enumerate() {
+            prop_assert_eq!(level >= 1, graph.gate_mask[i]);
+        }
         // Skip edges reference earlier stems with consistent level distance.
         let fanouts = expanded.fanout_counts();
         for edge in &graph.skip_edges {
