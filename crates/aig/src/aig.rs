@@ -53,26 +53,6 @@ pub struct AigNode {
     pub fanin1: AigLit,
 }
 
-/// Structural statistics of an [`Aig`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AigStats {
-    /// Number of primary inputs.
-    pub num_inputs: usize,
-    /// Number of latches (sequential state elements).
-    pub num_latches: usize,
-    /// Number of AND nodes.
-    pub num_ands: usize,
-    /// Number of primary outputs.
-    pub num_outputs: usize,
-    /// Logic depth in AND levels.
-    pub depth: usize,
-    /// Number of nodes with fan-out ≥ 2 (reconvergence stems).
-    pub num_fanout_stems: usize,
-    /// Total node count of the explicit PI/AND/NOT netlist produced by
-    /// [`Aig::to_netlist`] (each distinct complemented edge becomes one NOT).
-    pub num_expanded_nodes: usize,
-}
-
 /// An And-Inverter Graph with structural hashing.
 ///
 /// Node 0 is the constant-false node, followed by the primary inputs and then
@@ -266,14 +246,16 @@ impl Aig {
         self.input_names[i] = name.into();
     }
 
-    /// Appends a node verbatim (no simplification). Crate-internal helper for
-    /// the AIGER parser.
-    pub(crate) fn push_node(&mut self, kind: AigNodeKind, fanin0: AigLit, fanin1: AigLit) {
+    /// Appends an AND node verbatim (no simplification, no strashing). Used
+    /// by the AIGER parsers to preserve literal numbering.
+    pub(crate) fn push_raw_and(&mut self, fanin0: AigLit, fanin1: AigLit) -> AigLit {
+        let index = self.nodes.len();
         self.nodes.push(AigNode {
-            kind,
+            kind: AigNodeKind::And,
             fanin0,
             fanin1,
         });
+        AigLit::positive(index)
     }
 
     /// Returns the AND of two literals, applying constant folding, trivial
@@ -479,21 +461,6 @@ impl Aig {
             }
         }
         fanouts
-    }
-
-    /// Structural statistics.
-    pub fn stats(&self) -> AigStats {
-        let (_, depth) = self.levels();
-        let fanouts = self.fanout_counts();
-        AigStats {
-            num_inputs: self.num_inputs(),
-            num_latches: self.num_latches(),
-            num_ands: self.num_ands(),
-            num_outputs: self.num_outputs(),
-            depth,
-            num_fanout_stems: fanouts.iter().filter(|&&c| c >= 2).count(),
-            num_expanded_nodes: self.to_netlist().len(),
-        }
     }
 
     /// Expands the AIG into an explicit PI/AND/NOT netlist.
@@ -927,19 +894,14 @@ mod tests {
     }
 
     #[test]
-    fn stats_report() {
+    fn display_summarises_the_interface() {
         let mut aig = Aig::new("t");
         let a = aig.add_input("a");
         let b = aig.add_input("b");
         let ab = aig.and(a, b);
         let o = aig.or(ab, a);
         aig.add_output(o, "y");
-        let stats = aig.stats();
-        assert_eq!(stats.num_inputs, 2);
-        assert_eq!(stats.num_outputs, 1);
-        assert!(stats.num_ands >= 2);
-        assert!(stats.num_expanded_nodes >= stats.num_ands + stats.num_inputs);
-        assert!(aig.to_string().contains("aig"));
+        assert_eq!(aig.to_string(), "aig `t`: 2 inputs, 2 ands, 1 outputs");
     }
 
     #[test]
@@ -966,13 +928,12 @@ mod tests {
     }
 
     #[test]
-    fn latch_accessors_and_stats() {
+    fn latch_accessors() {
         let aig = toggle_aig();
         assert_eq!(aig.num_latches(), 1);
         assert!(!aig.is_combinational());
         assert_eq!(aig.latches()[0].name, "q");
         assert_eq!(aig.latches()[0].init, Some(false));
-        assert_eq!(aig.stats().num_latches, 1);
         assert!(aig.validate().is_ok());
     }
 

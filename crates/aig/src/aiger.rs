@@ -1061,6 +1061,30 @@ mod tests {
     }
 
     #[test]
+    fn strashed_aig_roundtrips_names_and_output_literals() {
+        let mut aig = Aig::new("sample");
+        let a = aig.add_input("a");
+        let b = aig.add_input("b");
+        let c = aig.add_input("c");
+        let ab = aig.and(a, b);
+        let y = aig.or(ab, c.complement());
+        aig.add_output(y, "y");
+        aig.add_output(ab.complement(), "nab");
+        let parsed = parse_aag(&write_aag(&aig), "sample").expect("own output reparses");
+        assert!(parsed.validate().is_ok());
+        assert_eq!(parsed.num_inputs(), 3);
+        assert_eq!(parsed.num_ands(), aig.num_ands());
+        assert_eq!(parsed.input_name(0), "a");
+        assert_eq!(parsed.outputs(), aig.outputs());
+    }
+
+    #[test]
+    fn parse_aag_reads_a_constant_output() {
+        let aig = parse_aag("aag 0 0 0 1 0\n1\n", "const").expect("constant circuit parses");
+        assert_eq!(aig.outputs()[0].0, AigLit::TRUE);
+    }
+
+    #[test]
     fn parse_auto_dispatches() {
         let aig = random_aig(3, 2, 1, 6);
         let text = write_aag(&aig);

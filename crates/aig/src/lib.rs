@@ -9,21 +9,20 @@
 //!   hashing and constant folding on construction.
 //! - [`Aig::from_netlist`] — maps an arbitrary gate-level
 //!   [`Netlist`](deepgate_netlist::Netlist) (AND/OR/XOR/NAND/NOR/MUX/…)
-//!   into AIG form, the equivalent of ABC's `strash`.
+//!   into AIG form, the equivalent of ABC's `strash`; [`Aig::to_netlist`]
+//!   expands it back into the explicit PI/AND/NOT netlist the learning
+//!   front-end consumes.
 //! - [`opt`] — light optimisation passes (dead-node sweeping, AND-tree
 //!   balancing, constant propagation) that inject the structural inductive
-//!   bias the paper attributes to logic synthesis.
+//!   bias the paper attributes to logic synthesis. Every pass is a forward
+//!   sweep or an explicit-stack walk, so circuit depth never reaches the
+//!   call stack.
 //! - [`recon`] — reconvergence analysis: for every node, the closest
 //!   fan-out stem through which two of its input cones reconverge, plus the
 //!   logic-level distance. These records drive DeepGate's skip connections.
-//! - [`extract`] — sub-circuit (cone) extraction in a target size range,
-//!   used to build the training dataset of Table I.
 //! - [`aiger`] — the full AIGER subsystem: binary (`aig`) and ASCII (`aag`)
 //!   readers and writers, latch-aware, with the [`LatchPolicy`] ingestion
 //!   modes (cut latch boundaries or unroll time frames).
-//! - [`io`] — the combinational-only AIGER-ASCII convenience wrappers and
-//!   conversion back to an explicit PI/AND/NOT netlist for the learning
-//!   front-end.
 //!
 //! # Example
 //!
@@ -50,13 +49,11 @@
 mod aig;
 pub mod aiger;
 mod error;
-pub mod extract;
-pub mod io;
 mod lit;
 pub mod opt;
 pub mod recon;
 
-pub use aig::{Aig, AigLatch, AigNode, AigNodeKind, AigStats};
+pub use aig::{Aig, AigLatch, AigNode, AigNodeKind};
 pub use aiger::{AigerError, LatchPolicy};
 pub use error::AigError;
 pub use lit::AigLit;

@@ -96,6 +96,24 @@ fn absorbed_nodes(aig: &Aig, fanout: &[usize]) -> Vec<bool> {
     absorbed
 }
 
+/// Appends the leaves of the super-gate rooted at `root` to `leaves`, in
+/// depth-first order — fanin0's subtree before fanin1's, the order
+/// [`Aig::and_many`] pairs them in. An explicit stack instead of recursion:
+/// a chain of single-fan-out ANDs is as deep as the circuit is long, and
+/// the circuit comes off the wire.
+fn collect_leaves(aig: &Aig, fanout: &[usize], root: usize, leaves: &mut Vec<AigLit>) {
+    let node = aig.node(root);
+    let mut stack = vec![node.fanin1, node.fanin0];
+    while let Some(lit) = stack.pop() {
+        if expandable(aig, fanout, lit) {
+            let child = aig.node(lit.node());
+            stack.extend([child.fanin1, child.fanin0]);
+        } else {
+            leaves.push(lit);
+        }
+    }
+}
+
 /// Reassociates chains of AND nodes into balanced trees to reduce logic depth
 /// (the ABC `balance` pass). Only single-fan-out internal nodes are collapsed
 /// so shared logic is preserved. Returns the rebuilt AIG.
@@ -103,36 +121,27 @@ pub fn balance(aig: &Aig) -> Aig {
     let fanout = aig.fanout_counts();
     let absorbed = absorbed_nodes(aig, &fanout);
     let (mut out, mut map) = copy_interface(aig);
-
-    // Collect the super-gate rooted at `root`.
-    fn collect_leaves(aig: &Aig, fanout: &[usize], root: usize, leaves: &mut Vec<AigLit>) {
-        let node = aig.node(root);
-        for lit in [node.fanin0, node.fanin1] {
-            if expandable(aig, fanout, lit) {
-                collect_leaves(aig, fanout, lit.node(), leaves);
-            } else {
-                leaves.push(lit);
-            }
-        }
-    }
-
+    let mut leaves = Vec::new();
     for (i, node) in aig.iter() {
         if node.kind != AigNodeKind::And || absorbed[i] {
             continue;
         }
-        let mut leaves = Vec::new();
+        leaves.clear();
         collect_leaves(aig, &fanout, i, &mut leaves);
-        let translated: Vec<AigLit> = leaves.iter().map(|&l| translate(&map, l)).collect();
-        map[i] = Some(out.and_many(&translated));
+        for leaf in &mut leaves {
+            *leaf = translate(&map, *leaf);
+        }
+        map[i] = Some(out.and_many(&leaves));
     }
+    // Every output and next-state literal is mapped by now. Only absorbed
+    // ANDs are unmapped, and an absorbed AND has exactly one fan-out, from
+    // an AND — while `fanout_counts` also counts output and next-state
+    // references. (`every_output_and_next_state_is_mapped` holds it.)
     for (lit, name) in aig.outputs() {
-        let mapped = translate_or_rebuild(aig, &mut out, &mut map, *lit);
-        out.add_output(mapped, name.clone());
+        out.add_output(translate(&map, *lit), name.clone());
     }
-    for j in 0..aig.num_latches() {
-        let next = aig.latches()[j].next;
-        let mapped = translate_or_rebuild(aig, &mut out, &mut map, next);
-        out.set_latch_next(j, mapped);
+    for (j, latch) in aig.latches().iter().enumerate() {
+        out.set_latch_next(j, translate(&map, latch.next));
     }
     out
 }
@@ -162,33 +171,26 @@ fn translate(map: &NodeMap, lit: AigLit) -> AigLit {
     }
 }
 
-/// Translates a literal, rebuilding the node cone in `out` if the node was
-/// absorbed during balancing and therefore has no mapping yet.
-fn translate_or_rebuild(aig: &Aig, out: &mut Aig, map: &mut NodeMap, lit: AigLit) -> AigLit {
-    if map[lit.node()].is_none() {
-        let node = *aig.node(lit.node());
-        let a = translate_or_rebuild(aig, out, map, node.fanin0);
-        let b = translate_or_rebuild(aig, out, map, node.fanin1);
-        map[lit.node()] = Some(out.and(a, b));
-    }
-    translate(map, lit)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Strategy: a random valid AIG — AND steps over picks (node, sign) among
-    /// the literals built so far, with a few picked outputs.
+    /// Strategy: a random valid strashed AIG — AND steps over picks (node,
+    /// sign) among the literals built so far, with up to two latches whose
+    /// next states are picked like the few outputs.
     fn random_aig(max_ands: usize) -> impl Strategy<Value = Aig> {
         let steps = prop::collection::vec((any::<u64>(), any::<u64>()), 1..max_ands);
         let outputs = prop::collection::vec(any::<u64>(), 1..4);
-        (2usize..6, steps, outputs).prop_map(|(num_inputs, steps, outputs)| {
+        let nexts = prop::collection::vec(any::<u64>(), 0..3);
+        (2usize..6, steps, outputs, nexts).prop_map(|(num_inputs, steps, outputs, nexts)| {
             let mut aig = Aig::new("prop");
             let mut lits: Vec<AigLit> = (0..num_inputs)
                 .map(|i| aig.add_input(format!("x{i}")))
                 .collect();
+            for j in 0..nexts.len() {
+                lits.push(aig.add_latch(format!("l{j}")));
+            }
             let pick = |lits: &[AigLit], p: u64| {
                 let lit = lits[(p >> 1) as usize % lits.len()];
                 if p & 1 == 1 {
@@ -204,8 +206,37 @@ mod tests {
             for (k, p) in outputs.into_iter().enumerate() {
                 aig.add_output(pick(&lits, p), format!("y{k}"));
             }
+            for (j, p) in nexts.into_iter().enumerate() {
+                aig.set_latch_next(j, pick(&lits, p));
+            }
             aig
         })
+    }
+
+    /// The recursive definition `collect_leaves` replaced, kept as its
+    /// reference.
+    fn collect_leaves_recursive(
+        aig: &Aig,
+        fanout: &[usize],
+        root: usize,
+        leaves: &mut Vec<AigLit>,
+    ) {
+        let node = aig.node(root);
+        for lit in [node.fanin0, node.fanin1] {
+            if expandable(aig, fanout, lit) {
+                collect_leaves_recursive(aig, fanout, lit.node(), leaves);
+            } else {
+                leaves.push(lit);
+            }
+        }
+    }
+
+    /// Both AIG flavours `balance` meets: strashed (built through
+    /// `Aig::and`) and AIGER-raw (ANDs pushed verbatim, so duplicate and
+    /// constant fan-ins survive), each with latches.
+    fn both_flavours(strashed: &Aig, seed: u64) -> [Aig; 2] {
+        let raw = crate::aiger::random_aig(seed, 1 + seed as usize % 4, seed as usize % 3, 30);
+        [strashed.clone(), raw]
     }
 
     proptest! {
@@ -226,6 +257,38 @@ mod tests {
                             && (n.fanin0 == AigLit::positive(i) || n.fanin1 == AigLit::positive(i))
                     });
                 prop_assert!(absorbed[i] == expected, "node {i}: {} vs {expected}", absorbed[i]);
+            }
+        }
+
+        /// The explicit-stack walk emits every super-gate's leaves in
+        /// exactly the recursive order, so `and_many` builds the same AIG.
+        #[test]
+        fn collect_leaves_matches_the_recursive_order(aig in random_aig(40), seed in any::<u64>()) {
+            for aig in both_flavours(&aig, seed) {
+                let fanout = aig.fanout_counts();
+                for (i, node) in aig.iter() {
+                    if node.kind != AigNodeKind::And {
+                        continue;
+                    }
+                    let (mut got, mut want) = (Vec::new(), Vec::new());
+                    collect_leaves(&aig, &fanout, i, &mut got);
+                    collect_leaves_recursive(&aig, &fanout, i, &mut want);
+                    prop_assert!(got == want, "root {i}: {got:?} vs {want:?}");
+                }
+            }
+        }
+
+        /// Why `balance` translates outputs and next states without a
+        /// rebuild: none of them names an absorbed (unmapped) node.
+        #[test]
+        fn every_output_and_next_state_is_mapped(aig in random_aig(40), seed in any::<u64>()) {
+            for aig in both_flavours(&aig, seed) {
+                let absorbed = absorbed_nodes(&aig, &aig.fanout_counts());
+                let roots = aig.outputs().iter().map(|(lit, _)| *lit);
+                for lit in roots.chain(aig.latches().iter().map(|l| l.next)) {
+                    prop_assert!(!absorbed[lit.node()], "{:?} is absorbed", lit);
+                }
+                prop_assert!(balance(&aig).validate().is_ok());
             }
         }
     }
@@ -283,6 +346,33 @@ mod tests {
         assert!(balanced.validate().is_ok());
         assert_eq!(balanced.num_ands(), 2);
         assert_eq!(balanced.num_outputs(), 2);
+    }
+
+    /// A 200 000-AND left-deep chain — a one-line `aiger_b64` request away
+    /// from the server — optimised on a thread with a 256 KiB stack: any
+    /// per-level recursion left in the passes overflows it. Each input is
+    /// created after the chain it extends, so the chain is every AND's
+    /// `fanin0`: the side a recursive walk cannot turn into a loop.
+    #[test]
+    fn optimize_handles_a_deep_chain_on_a_small_stack() {
+        let mut aig = Aig::new("deep");
+        let mut acc = aig.add_input("a0");
+        for i in 1..200_001 {
+            let x = aig.add_input(format!("a{i}"));
+            let next = aig.and(acc, x);
+            assert_eq!(aig.node(next.node()).fanin0, acc);
+            acc = next;
+        }
+        aig.add_output(acc, "y");
+        let optimized = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || optimize(&aig, 2))
+            .expect("spawns")
+            .join()
+            .expect("optimize returns");
+        assert_eq!(optimized.num_ands(), 200_000);
+        assert_eq!(optimized.levels().1, 18); // ceil(log2(200 001))
+        assert!(optimized.validate().is_ok());
     }
 
     #[test]

@@ -17,6 +17,8 @@ const BAD_AAG: &[(&str, &str)] = &[
     ("overflow header", "aag 99999999999999999999 0 0 0 0\n"),
     ("m too small", "aag 1 1 0 0 1\n2\n4 2 2\n"),
     ("m too large", "aag 9 1 0 0 1\n2\n4 2 2\n"),
+    ("m below inputs plus latches", "aag 1 1 1 0 0\n2\n"),
+    ("m above inputs plus ands", "aag 5 1 0 0 1\n2\n"),
     ("missing input line", "aag 1 1 0 0 0\n"),
     ("odd input literal", "aag 1 1 0 0 0\n3\n"),
     ("zero input literal", "aag 1 1 0 0 0\n0\n"),
@@ -35,6 +37,10 @@ const BAD_AAG: &[(&str, &str)] = &[
     ("and lhs odd", "aag 1 0 0 0 1\n3 0 0\n"),
     ("and lhs is constant", "aag 1 0 0 0 1\n0 0 0\n"),
     ("and fanin exceeds m", "aag 1 0 0 0 1\n2 8 0\n"),
+    (
+        "and fanin names a variable past m",
+        "aag 2 1 0 1 1\n2\n4\n4 6 2\n",
+    ),
     ("and self cycle", "aag 1 0 0 0 1\n2 2 0\n"),
     ("two-node cycle", "aag 2 0 0 0 2\n2 4 0\n4 2 0\n"),
     ("and redefines input", "aag 2 1 0 0 1\n2\n2 0 0\n"),

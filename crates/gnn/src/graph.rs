@@ -4,7 +4,7 @@
 //! [`crate::InferencePlan`].
 
 use deepgate_aig::recon::{positional_encoding, ReconvergenceAnalysis, ReconvergenceConfig};
-use deepgate_aig::{Aig, LatchPolicy};
+use deepgate_aig::Aig;
 use deepgate_netlist::{GateKind, Netlist};
 use deepgate_nn::Tensor;
 use serde::{Deserialize, Serialize};
@@ -158,30 +158,13 @@ impl CircuitGraph {
     /// expanded netlist (which is what labels must be computed against).
     ///
     /// Sequential AIGs are implicitly cut at latch boundaries (latch state
-    /// nodes become pseudo primary inputs); use
-    /// [`CircuitGraph::from_sequential_aig`] to choose the latch treatment
-    /// explicitly and keep next-state cones observable.
+    /// nodes become pseudo primary inputs); apply a
+    /// [`LatchPolicy`](deepgate_aig::LatchPolicy) first to choose the latch
+    /// treatment explicitly and keep next-state cones observable.
     pub fn from_aig(aig: &Aig) -> (Self, Netlist) {
         let netlist = aig.to_netlist();
         let graph = CircuitGraph::from_netlist(&netlist, FeatureEncoding::AigGates, None);
         (graph, netlist)
-    }
-
-    /// Builds a circuit graph from a (possibly sequential) AIG after
-    /// applying a [`LatchPolicy`]: cut latch boundaries into pseudo-PI/PO,
-    /// or unroll a fixed number of time frames. Returns the graph with the
-    /// expanded combinational netlist, like [`CircuitGraph::from_aig`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`deepgate_aig::AigError`] if the policy cannot be applied
-    /// (e.g. unrolling zero frames).
-    pub fn from_sequential_aig(
-        aig: &Aig,
-        policy: LatchPolicy,
-    ) -> Result<(Self, Netlist), deepgate_aig::AigError> {
-        let combinational = policy.apply(aig)?;
-        Ok(CircuitGraph::from_aig(&combinational))
     }
 
     /// Attaches per-node labels (signal probabilities).
@@ -448,27 +431,31 @@ mod tests {
     }
 
     /// A toggle flip-flop (`q' = q XOR en`, output `q`) under both latch
-    /// policies: distinct structures, distinct fingerprints.
+    /// policies, then `from_aig`: distinct structures, distinct fingerprints.
     #[test]
-    fn from_sequential_aig_applies_policies() {
+    fn latch_policies_then_from_aig_build_distinct_graphs() {
+        use deepgate_aig::LatchPolicy;
         let mut aig = Aig::new("toggle");
         let en = aig.add_input("en");
         let q = aig.add_latch("q");
         let next = aig.xor(q, en);
         aig.set_latch_next(0, next);
         aig.add_output(q, "y");
+        let graph_under = |policy: LatchPolicy| {
+            policy
+                .apply(&aig)
+                .map(|combinational| CircuitGraph::from_aig(&combinational))
+        };
 
-        let (cut, cut_netlist) =
-            CircuitGraph::from_sequential_aig(&aig, LatchPolicy::Cut).expect("cut policy applies");
+        let (cut, cut_netlist) = graph_under(LatchPolicy::Cut).expect("cut policy applies");
         assert_eq!(cut_netlist.num_inputs(), 2); // en + pseudo-input q
         assert_eq!(cut_netlist.num_outputs(), 2); // y + q_next
 
         let (unrolled, unrolled_netlist) =
-            CircuitGraph::from_sequential_aig(&aig, LatchPolicy::Unroll(3))
-                .expect("unroll policy applies");
+            graph_under(LatchPolicy::Unroll(3)).expect("unroll policy applies");
         assert_eq!(unrolled_netlist.num_outputs(), 3); // y@0..y@2
         assert_ne!(cut.fingerprint(), unrolled.fingerprint());
 
-        assert!(CircuitGraph::from_sequential_aig(&aig, LatchPolicy::Unroll(0)).is_err());
+        assert!(graph_under(LatchPolicy::Unroll(0)).is_err());
     }
 }

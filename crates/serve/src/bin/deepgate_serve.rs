@@ -45,8 +45,6 @@ usage: deepgate-serve [options]
   --max-request-bytes <n>
                          reject request lines longer than n bytes
                          (default 8388608)
-  --poller <backend>     event-loop readiness backend: auto | epoll | poll
-                         (default auto: epoll on Linux, poll elsewhere)
   --help                 print this help";
 
 fn fail(message: &str) -> ! {
@@ -111,12 +109,6 @@ fn main() {
                 config.max_request_bytes =
                     parse(&value("--max-request-bytes"), "--max-request-bytes") as u64
             }
-            "--poller" => {
-                let backend = value("--poller");
-                config.poller = backend
-                    .parse()
-                    .unwrap_or_else(|e| fail(&format!("--poller: {e}")))
-            }
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return;
@@ -144,9 +136,8 @@ fn main() {
     let server = Server::start(engine, config.clone())
         .unwrap_or_else(|e| fail(&format!("starting server: {e}")));
     eprintln!(
-        "[deepgate-serve] listening on {} via {} event loop (max_batch={}, batch_window={:?}, queue_depth={}, workers={}, cache={})",
+        "[deepgate-serve] listening on {} via poll(2) event loop (max_batch={}, batch_window={:?}, queue_depth={}, workers={}, cache={})",
         server.local_addr(),
-        server.poller_backend(),
         config.max_batch,
         config.batch_window,
         config.queue_depth,

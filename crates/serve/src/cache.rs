@@ -10,21 +10,14 @@ use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex};
 
-/// A 128-bit content hash of raw BENCH request text, used as the first-level
-/// cache key (before any parsing happens). Same hash construction as
-/// [`deepgate::gnn::CircuitGraph::fingerprint`], applied to raw bytes.
-pub fn text_key(text: &str) -> u128 {
-    let mut hasher = deepgate::gnn::StructuralHasher::new();
-    hasher.write_bytes(text.as_bytes());
-    hasher.finish()
-}
-
-/// A 128-bit first-level cache key for non-BENCH payloads: mixes the payload
-/// *kind* (e.g. `"aiger"`), an ingestion *variant* (e.g. the latch policy,
-/// `"cut"` / `"unroll:3"`) and the raw payload bytes. The variant is part of
-/// the key because the same AIGER bytes under different latch policies
+/// The 128-bit first-level cache key of a request payload, computed before
+/// any parsing happens: mixes the payload *kind* (`"bench"`, `"aiger"`), an
+/// ingestion *variant* (empty for BENCH; the latch policy, `"cut"` /
+/// `"unroll:3"`, for AIGER) and the raw payload bytes. The variant is part
+/// of the key because the same AIGER bytes under different latch policies
 /// produce different circuits — they must not share a cache entry. Each
 /// component is length-prefixed so `("ab","c")` and `("a","bc")` differ.
+/// Same hash construction as [`deepgate::gnn::CircuitGraph::fingerprint`].
 pub fn request_key(kind: &str, variant: &str, payload: &[u8]) -> u128 {
     let mut hasher = deepgate::gnn::StructuralHasher::new();
     for part in [kind.as_bytes(), variant.as_bytes(), payload] {
@@ -184,16 +177,12 @@ impl CircuitCache {
     }
 
     /// Looks up a prepared circuit by structural fingerprint, memoising
-    /// `text_key` for future text-level hits. Counts a hit or a miss.
-    pub fn lookup_fingerprint(
-        &self,
-        text_key: u128,
-        fingerprint: u128,
-    ) -> Option<Arc<PreparedCircuit>> {
+    /// the request `key` for future text-level hits. Counts a hit or a miss.
+    pub fn lookup_fingerprint(&self, key: u128, fingerprint: u128) -> Option<Arc<PreparedCircuit>> {
         let mut state = self.state.lock().expect("cache lock");
         match state.by_fingerprint.get(&fingerprint) {
             Some(prepared) => {
-                state.by_text.insert(text_key, fingerprint);
+                state.by_text.insert(key, fingerprint);
                 self.metrics.fingerprint_hits.inc();
                 Some(prepared)
             }
@@ -204,12 +193,12 @@ impl CircuitCache {
         }
     }
 
-    /// Inserts a freshly prepared circuit under both its text key and its
-    /// structural fingerprint.
-    pub fn insert(&self, text_key: u128, prepared: Arc<PreparedCircuit>) {
+    /// Inserts a freshly prepared circuit under both its request key and
+    /// its structural fingerprint.
+    pub fn insert(&self, key: u128, prepared: Arc<PreparedCircuit>) {
         let fingerprint = prepared.circuit().fingerprint();
         let mut state = self.state.lock().expect("cache lock");
-        state.by_text.insert(text_key, fingerprint);
+        state.by_text.insert(key, fingerprint);
         state.by_fingerprint.insert(fingerprint, prepared);
         self.metrics.entries.set(state.by_fingerprint.len() as i64);
     }
@@ -269,15 +258,10 @@ mod tests {
     }
 
     #[test]
-    fn text_key_separates_texts() {
-        let a = text_key("INPUT(a)\n");
-        let b = text_key("INPUT(b)\n");
-        assert_ne!(a, b);
-        assert_eq!(a, text_key("INPUT(a)\n"));
-    }
-
-    #[test]
     fn request_key_separates_kind_variant_and_payload() {
+        let bench = request_key("bench", "", b"INPUT(a)\n");
+        assert_eq!(bench, request_key("bench", "", b"INPUT(a)\n"));
+        assert_ne!(bench, request_key("bench", "", b"INPUT(b)\n"));
         let base = request_key("aiger", "cut", b"aag 0 0 0 0 0\n");
         assert_eq!(base, request_key("aiger", "cut", b"aag 0 0 0 0 0\n"));
         assert_ne!(base, request_key("aiger", "unroll:2", b"aag 0 0 0 0 0\n"));
@@ -285,8 +269,7 @@ mod tests {
         assert_ne!(base, request_key("aiger", "cut", b"aag 0 0 0 0 1\n"));
         // Length prefixing: shifting bytes between components changes the key.
         assert_ne!(request_key("ab", "c", b"x"), request_key("a", "bc", b"x"));
-        // Payload keys never collide with the plain text-key construction by
-        // accident of layout (different preamble).
-        assert_ne!(base, text_key("aag 0 0 0 0 0\n"));
+        // The same bytes as BENCH and as AIGER are different requests.
+        assert_ne!(base, request_key("bench", "", b"aag 0 0 0 0 0\n"));
     }
 }

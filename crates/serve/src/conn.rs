@@ -215,8 +215,6 @@ pub(crate) struct Conn {
     pub generation: u64,
     pub framer: LineFramer,
     pub out: WriteBuf,
-    /// The interest set currently registered with the poller.
-    pub interest: Interest,
     /// Last instant a request line completed (or the connection opened);
     /// the idle deadline measures from here.
     pub last_activity: Instant,
@@ -243,7 +241,6 @@ impl Conn {
             generation,
             framer: LineFramer::new(max_line),
             out: WriteBuf::default(),
-            interest: Interest::READABLE,
             last_activity: now,
             line_started: None,
             write_deadline: None,
@@ -253,17 +250,13 @@ impl Conn {
         }
     }
 
-    /// The interest set this connection's state implies right now.
+    /// The interest set this connection's state implies right now:
+    /// readable unless paused or half-closed, writable while output is
+    /// queued. With neither, hangup/error conditions still wake the loop.
     pub fn desired_interest(&self) -> Interest {
-        match (
-            !self.paused && !self.close_after_drain,
-            !self.out.is_empty(),
-        ) {
-            (true, true) => Interest::BOTH,
-            (true, false) => Interest::READABLE,
-            (false, true) => Interest::WRITABLE,
-            // Hangup/error conditions still wake the loop.
-            (false, false) => Interest::NONE,
+        Interest {
+            readable: !self.paused && !self.close_after_drain,
+            writable: !self.out.is_empty(),
         }
     }
 }

@@ -26,11 +26,14 @@
 //! # Architecture
 //!
 //! The front end is a single-threaded **event loop** (thread
-//! `deepgate-serve-loop`) over nonblocking sockets: an OS readiness
-//! backend (epoll on Linux, portable `poll(2)` elsewhere — selectable via
-//! [`ServeConfig::poller`]) reports which sockets have bytes to read or
-//! room to write, and a slab connection table holds each connection's
-//! state. The OS thread count is **flat** — one event loop plus
+//! `deepgate-serve-loop`) over nonblocking sockets: `poll(2)` — the one
+//! readiness backend, portable to every platform the crate builds for —
+//! reports which sockets have bytes to read or room to write, and a slab
+//! connection table holds each connection's state. Both are indexed by the
+//! same token, so an interest change is a write into the poller's `pollfd`
+//! array, not a syscall; the price is that each wakeup scans every
+//! registered socket (O(connections), measured in the `poll` module's
+//! docs). The OS thread count is **flat** — one event loop plus
 //! [`ServeConfig::workers`] batching workers — at any connection count,
 //! where the previous blocking front end spawned one thread per
 //! connection.
@@ -50,8 +53,9 @@
 //!   (`write_backpressure_pauses_total`) until the client catches up.
 //! - **closing** — on EOF, error, hygiene-deadline expiry, or drain.
 //!
-//! The hygiene deadlines (idle / line / write) are timer-wheel entries
-//! re-validated against live connection state when they fire, not blocking
+//! The hygiene deadlines (idle / line / write) are entries of a deadline
+//! min-heap, re-validated against live connection state when they fire
+//! (stale entries are dropped lazily, never searched for), not blocking
 //! read/write timeouts; their semantics and telemetry
 //! (`connections_reaped_total`, `write_timeouts_total`) are unchanged from
 //! the blocking front end.
@@ -166,8 +170,8 @@
 //! an `id`-less error object. See `examples/serve_demo.rs` at the workspace
 //! root for a complete client session.
 // Unsafe is denied everywhere except the audited FFI shim in `poll::sys`
-// (epoll/poll syscalls; std offers no readiness API), which opts back in
-// with a scoped `#[allow]`.
+// (the one `poll(2)` call; std offers no readiness API), which opts back
+// in with a scoped `#[allow]`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -180,11 +184,10 @@ mod poll;
 mod scheduler;
 mod server;
 
-pub use cache::{request_key, text_key, CacheStats, CircuitCache};
+pub use cache::{request_key, CacheStats, CircuitCache};
 pub use conn::{Flush, LineFramer, LineOverflow, WriteBuf};
 pub use fault::{FaultKind, FaultPlan};
 pub use metrics::{snapshot_to_value, CacheMetrics, SchedulerMetrics, ServeMetrics};
-pub use poll::PollerKind;
 pub use scheduler::{Scheduler, SchedulerStats};
 pub use server::{Server, ServerStats};
 
@@ -240,7 +243,8 @@ pub struct ServeConfig {
     pub write_timeout: Option<Duration>,
     /// Most connections served at once; further ones are refused with an
     /// error line (default 1024; 0 = unlimited). Bounds the event loop's
-    /// connection table (and with it per-connection buffer memory).
+    /// connection table (and with it per-connection buffer memory) and the
+    /// `pollfd` array every event-loop wakeup scans.
     pub max_connections: usize,
     /// Most bytes one request line may hold; a line growing past this cuts
     /// the connection instead of buffering unboundedly (default 8 MiB).
@@ -248,9 +252,6 @@ pub struct ServeConfig {
     /// Deterministic fault-injection plan consulted at every stage hook
     /// (default `None` — no faults). See [`fault::FaultPlan`].
     pub faults: Option<Arc<FaultPlan>>,
-    /// Readiness backend of the event loop (default [`PollerKind::Auto`] —
-    /// epoll on Linux, portable `poll(2)` elsewhere).
-    pub poller: PollerKind,
 }
 
 impl Default for ServeConfig {
@@ -272,7 +273,6 @@ impl Default for ServeConfig {
             max_connections: 1024,
             max_request_bytes: 8 * 1024 * 1024,
             faults: None,
-            poller: PollerKind::Auto,
         }
     }
 }

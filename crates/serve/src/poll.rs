@@ -1,28 +1,42 @@
-//! The event loop's platform layer: readiness polling behind the
-//! [`Poller`] trait (`epoll` on Linux, portable `poll(2)` everywhere
-//! else), a cross-thread [`Waker`] the scheduler's workers use to hand
-//! completions back to the loop, and the [`TimerWheel`] that drives the
+//! The event loop's platform layer: the [`Poller`] readiness set, a
+//! cross-thread [`Waker`] the scheduler's workers use to hand completions
+//! back to the loop, and the [`TimerHeap`] that drives the
 //! connection-hygiene deadlines (idle / line / write) without one blocking
 //! read per connection.
 //!
-//! Both backends expose **level-triggered** semantics: a registered fd with
-//! unread input (or writable space) reports readiness on every `wait` until
-//! the condition is consumed, so the loop never needs to drain a socket to
-//! exhaustion inside one event.
+//! There is one readiness backend, `poll(2)`, because it runs on every
+//! platform the crate builds for. The poller keeps one `pollfd` per token;
+//! a free token's slot holds fd −1, which `poll(2)` skips. Registering,
+//! changing interest and deregistering are memory writes into that array —
+//! no syscall, no fd search — and `wait` hands the array to the kernel as
+//! is. Readiness is **level-triggered**: a registered fd with unread input
+//! (or writable space) reports on every `wait` until the condition is
+//! consumed, so the loop never needs to drain a socket to exhaustion inside
+//! one event.
+//!
+//! The cost is named rather than hidden: `poll(2)` walks every registered
+//! fd per wakeup, where a ready-list backend costs O(ready). Measured on the
+//! 2-vCPU development box (scratch probe, CHANGES.md PR 25), one zero-timeout
+//! `wait` over 514 registered idle sockets takes ~13 µs (~25 ns per fd)
+//! against ~0.11 µs for the ready-list backend this module used to carry;
+//! at the serving benchmark's 3–4 registered fds it is ~0.21 µs against
+//! ~0.11 µs, one syscall either way and noise next to a millisecond request.
+//! A ready-list backend returns only as a platform-selected path, and only
+//! once a many-connection benchmark workload shows the difference.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::io;
 use std::net::UdpSocket;
 use std::os::fd::{AsRawFd, RawFd};
-use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Raw bindings to the readiness syscalls. `std` already links libc, so
-/// these symbols resolve without any external crate. This module is the
-/// only place in the crate allowed to contain unsafe code, and every
-/// wrapper is a thin argument-marshalling shim: no pointer arithmetic
-/// beyond passing the caller's own buffers.
+/// Raw binding to `poll(2)`. `std` already links libc, so the symbol
+/// resolves without any external crate. This module is the only place in
+/// the crate allowed to contain unsafe code: one call that passes the
+/// caller's own slice.
 #[allow(unsafe_code)]
 mod sys {
     use std::io;
@@ -36,7 +50,7 @@ mod sys {
 
     /// `struct pollfd` from `<poll.h>`.
     #[repr(C)]
-    #[derive(Clone, Copy)]
+    #[derive(Debug, Clone, Copy)]
     pub struct PollFd {
         pub fd: c_int,
         pub events: i16,
@@ -50,6 +64,10 @@ mod sys {
     /// `poll(2)` over the caller's pollfd slice. `EINTR` surfaces as
     /// `Ok(0)` — a spurious wakeup the event loop already tolerates.
     pub fn poll_fds(fds: &mut [PollFd], timeout_ms: c_int) -> io::Result<usize> {
+        // SAFETY: `fds` is an exclusively borrowed slice of `repr(C)`
+        // `pollfd`s and `nfds` is its length, so the kernel reads and
+        // writes (`revents` only) inside it; nothing is retained past the
+        // call. Negative fds are skipped by definition.
         let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms) };
         if rc < 0 {
             let err = io::Error::last_os_error();
@@ -60,95 +78,10 @@ mod sys {
         }
         Ok(rc as usize)
     }
-
-    #[cfg(target_os = "linux")]
-    pub use epoll::*;
-
-    #[cfg(target_os = "linux")]
-    mod epoll {
-        use std::io;
-        use std::os::raw::c_int;
-
-        pub const EPOLLIN: u32 = 0x001;
-        pub const EPOLLOUT: u32 = 0x004;
-        pub const EPOLLERR: u32 = 0x008;
-        pub const EPOLLHUP: u32 = 0x010;
-        pub const EPOLL_CTL_ADD: c_int = 1;
-        pub const EPOLL_CTL_DEL: c_int = 2;
-        pub const EPOLL_CTL_MOD: c_int = 3;
-        const EPOLL_CLOEXEC: c_int = 0x80000;
-
-        /// `struct epoll_event`; packed on x86 per the kernel ABI.
-        #[repr(C)]
-        #[cfg_attr(any(target_arch = "x86", target_arch = "x86_64"), repr(packed))]
-        #[derive(Clone, Copy)]
-        pub struct EpollEvent {
-            pub events: u32,
-            pub data: u64,
-        }
-
-        extern "C" {
-            fn epoll_create1(flags: c_int) -> c_int;
-            fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-            fn epoll_wait(
-                epfd: c_int,
-                events: *mut EpollEvent,
-                maxevents: c_int,
-                timeout: c_int,
-            ) -> c_int;
-            fn close(fd: c_int) -> c_int;
-        }
-
-        pub fn epoll_create() -> io::Result<c_int> {
-            let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if fd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(fd)
-        }
-
-        pub fn epoll_control(
-            epfd: c_int,
-            op: c_int,
-            fd: c_int,
-            events: u32,
-            data: u64,
-        ) -> io::Result<()> {
-            let mut event = EpollEvent { events, data };
-            let rc = unsafe { epoll_ctl(epfd, op, fd, &mut event) };
-            if rc < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
-        }
-
-        /// `epoll_wait(2)` into the caller's buffer. `EINTR` surfaces as
-        /// `Ok(0)` — a spurious wakeup the event loop already tolerates.
-        pub fn epoll_wait_events(
-            epfd: c_int,
-            buf: &mut [EpollEvent],
-            timeout_ms: c_int,
-        ) -> io::Result<usize> {
-            let rc = unsafe { epoll_wait(epfd, buf.as_mut_ptr(), buf.len() as c_int, timeout_ms) };
-            if rc < 0 {
-                let err = io::Error::last_os_error();
-                if err.kind() == io::ErrorKind::Interrupted {
-                    return Ok(0);
-                }
-                return Err(err);
-            }
-            Ok(rc as usize)
-        }
-
-        pub fn close_fd(fd: c_int) {
-            let _ = unsafe { close(fd) };
-        }
-    }
 }
 
 /// Which readiness conditions a registration subscribes to. Hangup and
-/// error conditions are always reported regardless of interest, on both
-/// backends.
+/// error conditions are always reported regardless of interest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Interest {
     /// Wake when the fd has input (or a peer hangup) to read.
@@ -163,24 +96,20 @@ impl Interest {
         readable: true,
         writable: false,
     };
-    /// Write-side interest only.
-    pub const WRITABLE: Interest = Interest {
-        readable: false,
-        writable: true,
-    };
-    /// Both directions.
-    pub const BOTH: Interest = Interest {
-        readable: true,
-        writable: true,
-    };
-    /// Neither direction: only hangup/error conditions wake the loop.
-    pub const NONE: Interest = Interest {
-        readable: false,
-        writable: false,
-    };
+
+    fn mask(self) -> i16 {
+        let mut mask = 0;
+        if self.readable {
+            mask |= sys::POLLIN;
+        }
+        if self.writable {
+            mask |= sys::POLLOUT;
+        }
+        mask
+    }
 }
 
-/// One readiness event, translated to backend-independent form.
+/// One readiness event.
 #[derive(Debug, Clone, Copy)]
 pub struct Event {
     /// The token the fd was registered under.
@@ -193,207 +122,78 @@ pub struct Event {
     pub hangup: bool,
 }
 
-/// A readiness-notification backend: register fds under tokens, wait for
-/// events. Both implementations are level-triggered.
-pub trait Poller: Send {
-    /// The backend's name, for logs and the CLI startup line.
-    fn backend(&self) -> &'static str;
-    /// Subscribes `fd` under `token`. Registering an fd twice is an error.
-    fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()>;
-    /// Replaces the interest set of an already-registered fd.
-    fn reregister(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()>;
-    /// Removes `fd` from the set; it stops producing events immediately.
-    fn deregister(&mut self, fd: RawFd) -> io::Result<()>;
+/// A free token's slot: `poll(2)` ignores negative fds and reports no
+/// events for them.
+const FREE: sys::PollFd = sys::PollFd {
+    fd: -1,
+    events: 0,
+    revents: 0,
+};
+
+/// The readiness set: one `pollfd` per token, level-triggered.
+///
+/// Tokens index the array directly, so one token holds at most one fd and
+/// the array is as long as the highest token ever registered. The event
+/// loop's tokens are its listener, its waker and its connection slots, so
+/// that length is bounded by peak concurrent connections + 2 — and with it
+/// by the process's open-fd limit, which `nfds` therefore never exceeds.
+#[derive(Debug, Default)]
+pub struct Poller {
+    fds: Vec<sys::PollFd>,
+}
+
+impl Poller {
+    /// The live slot of `token`, or `NotFound`.
+    fn slot(&mut self, token: usize) -> io::Result<&mut sys::PollFd> {
+        self.fds
+            .get_mut(token)
+            .filter(|slot| slot.fd >= 0)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "token not registered"))
+    }
+
+    /// Subscribes `fd` under `token`. Registering a token that already
+    /// holds an fd is an error.
+    pub fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
+        if token >= self.fds.len() {
+            self.fds.resize(token + 1, FREE);
+        }
+        let slot = &mut self.fds[token];
+        if slot.fd >= 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::AlreadyExists,
+                "token already registered",
+            ));
+        }
+        *slot = sys::PollFd {
+            fd,
+            events: interest.mask(),
+            revents: 0,
+        };
+        Ok(())
+    }
+
+    /// Replaces the interest set of a registered token.
+    pub fn reregister(&mut self, token: usize, interest: Interest) -> io::Result<()> {
+        self.slot(token)?.events = interest.mask();
+        Ok(())
+    }
+
+    /// Frees `token`'s slot; its fd stops producing events immediately, and
+    /// the token may be registered again (with any fd).
+    pub fn deregister(&mut self, token: usize) -> io::Result<()> {
+        *self.slot(token)? = FREE;
+        Ok(())
+    }
+
     /// Blocks until at least one event, the timeout, or a (tolerated)
     /// spurious wakeup; `events` is cleared and refilled. `None` blocks
     /// indefinitely.
-    fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()>;
-}
-
-/// Converts a timeout to whole milliseconds, rounding up so sub-tick
-/// timeouts cannot busy-spin, saturating into the `c_int` range.
-fn timeout_ms(timeout: Option<Duration>) -> i32 {
-    match timeout {
-        None => -1,
-        Some(d) => d.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32,
-    }
-}
-
-/// The Linux backend: one `epoll` instance, level-triggered.
-#[cfg(target_os = "linux")]
-pub struct EpollPoller {
-    epfd: RawFd,
-    buf: Vec<sys::EpollEvent>,
-}
-
-#[cfg(target_os = "linux")]
-impl EpollPoller {
-    /// Creates the epoll instance.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `epoll_create1` failure.
-    pub fn new() -> io::Result<EpollPoller> {
-        Ok(EpollPoller {
-            epfd: sys::epoll_create()?,
-            buf: vec![sys::EpollEvent { events: 0, data: 0 }; 256],
-        })
-    }
-}
-
-#[cfg(target_os = "linux")]
-impl Drop for EpollPoller {
-    fn drop(&mut self) {
-        sys::close_fd(self.epfd);
-    }
-}
-
-#[cfg(target_os = "linux")]
-fn epoll_mask(interest: Interest) -> u32 {
-    let mut mask = 0;
-    if interest.readable {
-        mask |= sys::EPOLLIN;
-    }
-    if interest.writable {
-        mask |= sys::EPOLLOUT;
-    }
-    mask
-}
-
-#[cfg(target_os = "linux")]
-impl Poller for EpollPoller {
-    fn backend(&self) -> &'static str {
-        "epoll"
-    }
-
-    fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-        sys::epoll_control(
-            self.epfd,
-            sys::EPOLL_CTL_ADD,
-            fd,
-            epoll_mask(interest),
-            token as u64,
-        )
-    }
-
-    fn reregister(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-        sys::epoll_control(
-            self.epfd,
-            sys::EPOLL_CTL_MOD,
-            fd,
-            epoll_mask(interest),
-            token as u64,
-        )
-    }
-
-    fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        sys::epoll_control(self.epfd, sys::EPOLL_CTL_DEL, fd, 0, 0)
-    }
-
-    fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+    pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
         events.clear();
-        let n = sys::epoll_wait_events(self.epfd, &mut self.buf, timeout_ms(timeout))?;
-        for ev in &self.buf[..n] {
-            let bits = ev.events;
-            let hangup = bits & (sys::EPOLLERR | sys::EPOLLHUP) != 0;
-            events.push(Event {
-                token: ev.data as usize,
-                readable: hangup || bits & sys::EPOLLIN != 0,
-                writable: hangup || bits & sys::EPOLLOUT != 0,
-                hangup,
-            });
-        }
-        Ok(())
-    }
-}
-
-/// The portable POSIX backend: the registration table is rebuilt into a
-/// `pollfd` array on every wait. O(n) per wait, which is fine for the
-/// fleet sizes `poll(2)` is the fallback for.
-pub struct PollPoller {
-    registered: Vec<(RawFd, usize, Interest)>,
-}
-
-impl PollPoller {
-    /// Creates an empty registration table.
-    pub fn new() -> PollPoller {
-        PollPoller {
-            registered: Vec::new(),
-        }
-    }
-
-    fn position(&self, fd: RawFd) -> Option<usize> {
-        self.registered.iter().position(|&(f, _, _)| f == fd)
-    }
-}
-
-impl Default for PollPoller {
-    fn default() -> Self {
-        PollPoller::new()
-    }
-}
-
-impl Poller for PollPoller {
-    fn backend(&self) -> &'static str {
-        "poll"
-    }
-
-    fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-        if self.position(fd).is_some() {
-            return Err(io::Error::new(
-                io::ErrorKind::AlreadyExists,
-                "fd already registered",
-            ));
-        }
-        self.registered.push((fd, token, interest));
-        Ok(())
-    }
-
-    fn reregister(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-        let Some(at) = self.position(fd) else {
-            return Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"));
-        };
-        self.registered[at] = (fd, token, interest);
-        Ok(())
-    }
-
-    fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        let Some(at) = self.position(fd) else {
-            return Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"));
-        };
-        self.registered.swap_remove(at);
-        Ok(())
-    }
-
-    fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-        events.clear();
-        let mut fds: Vec<sys::PollFd> = self
-            .registered
-            .iter()
-            .map(|&(fd, _, interest)| {
-                let mut mask = 0i16;
-                if interest.readable {
-                    mask |= sys::POLLIN;
-                }
-                if interest.writable {
-                    mask |= sys::POLLOUT;
-                }
-                sys::PollFd {
-                    fd,
-                    events: mask,
-                    revents: 0,
-                }
-            })
-            .collect();
-        let n = sys::poll_fds(&mut fds, timeout_ms(timeout))?;
-        if n == 0 {
-            return Ok(());
-        }
-        for (slot, &(_, token, _)) in fds.iter().zip(&self.registered) {
+        let ready = sys::poll_fds(&mut self.fds, timeout_ms(timeout))?;
+        let fired = self.fds.iter().enumerate().filter(|(_, s)| s.revents != 0);
+        for (token, slot) in fired.take(ready) {
             let bits = slot.revents;
-            if bits == 0 {
-                continue;
-            }
             let hangup = bits & (sys::POLLERR | sys::POLLHUP | sys::POLLNVAL) != 0;
             events.push(Event {
                 token,
@@ -406,61 +206,12 @@ impl Poller for PollPoller {
     }
 }
 
-/// Which readiness backend the server's event loop uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PollerKind {
-    /// `epoll` where available (Linux), `poll(2)` elsewhere. The default.
-    #[default]
-    Auto,
-    /// Force `epoll`; an error off Linux.
-    Epoll,
-    /// Force the portable `poll(2)` backend.
-    Poll,
-}
-
-impl FromStr for PollerKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<PollerKind, String> {
-        match s {
-            "auto" => Ok(PollerKind::Auto),
-            "epoll" => Ok(PollerKind::Epoll),
-            "poll" => Ok(PollerKind::Poll),
-            other => Err(format!(
-                "unknown poller `{other}` (expected auto, epoll or poll)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for PollerKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            PollerKind::Auto => "auto",
-            PollerKind::Epoll => "epoll",
-            PollerKind::Poll => "poll",
-        })
-    }
-}
-
-/// Instantiates the requested backend.
-///
-/// # Errors
-///
-/// `epoll` creation can fail (fd exhaustion), and forcing `epoll` on a
-/// non-Linux platform reports `Unsupported`.
-pub fn create_poller(kind: PollerKind) -> io::Result<Box<dyn Poller>> {
-    match kind {
-        PollerKind::Poll => Ok(Box::new(PollPoller::new())),
-        #[cfg(target_os = "linux")]
-        PollerKind::Auto | PollerKind::Epoll => Ok(Box::new(EpollPoller::new()?)),
-        #[cfg(not(target_os = "linux"))]
-        PollerKind::Auto => Ok(Box::new(PollPoller::new())),
-        #[cfg(not(target_os = "linux"))]
-        PollerKind::Epoll => Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "epoll is only available on Linux",
-        )),
+/// Converts a timeout to whole milliseconds, rounding up so sub-millisecond
+/// timeouts cannot busy-spin, saturating into the `c_int` range.
+fn timeout_ms(timeout: Option<Duration>) -> i32 {
+    match timeout {
+        None => -1,
+        Some(d) => d.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32,
     }
 }
 
@@ -535,8 +286,8 @@ pub fn waker() -> io::Result<(Waker, WakeReceiver)> {
     ))
 }
 
-/// What a connection timer polices; the wheel itself is kind-agnostic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What a connection timer polices; the heap itself is kind-agnostic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TimerKind {
     /// No completed request and no partial line for `idle_timeout`.
     Idle,
@@ -546,11 +297,11 @@ pub enum TimerKind {
     Write,
 }
 
-/// One scheduled timer. Timers use **lazy cancellation**: entries are
-/// never removed early, so on expiry the owner must validate the entry
-/// against current connection state (generation *and* the live deadline)
-/// before acting.
-#[derive(Debug, Clone, Copy)]
+/// One scheduled timer, ordered by deadline first. Timers use **lazy
+/// cancellation**: entries are never removed early, so on expiry the owner
+/// must validate the entry against current connection state (generation
+/// *and* the live deadline) before acting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct TimerEntry {
     /// Absolute expiry instant.
     pub deadline: Instant,
@@ -563,112 +314,41 @@ pub struct TimerEntry {
     pub kind: TimerKind,
 }
 
-/// A hashed timer wheel: slots of `tick` granularity, entries hashed by
-/// expiry tick, re-checked against their exact deadline on collection so
-/// an entry several wheel rotations out never fires early.
-pub struct TimerWheel {
-    tick: Duration,
-    slots: Vec<Vec<TimerEntry>>,
-    epoch: Instant,
-    /// The next tick index to collect.
-    cursor: u64,
-    len: usize,
-    /// The earliest scheduled deadline, so the event loop's poll timeout
-    /// tracks real deadlines instead of waking every tick.
-    earliest: Option<Instant>,
+/// The hygiene deadlines as a min-heap on [`TimerEntry::deadline`].
+#[derive(Debug, Default)]
+pub struct TimerHeap {
+    heap: BinaryHeap<Reverse<TimerEntry>>,
 }
 
-impl TimerWheel {
-    /// A wheel of `slots` buckets at `tick` granularity, anchored at `now`.
-    pub fn new(tick: Duration, slots: usize, now: Instant) -> TimerWheel {
-        assert!(slots > 0 && tick > Duration::ZERO);
-        TimerWheel {
-            tick,
-            slots: (0..slots).map(|_| Vec::new()).collect(),
-            epoch: now,
-            cursor: 0,
-            len: 0,
-            earliest: None,
-        }
-    }
-
-    fn tick_of(&self, at: Instant) -> u64 {
-        let elapsed = at.saturating_duration_since(self.epoch);
-        (elapsed.as_nanos() / self.tick.as_nanos().max(1)) as u64
-    }
-
-    /// Schedules an entry. Past deadlines land in the next collectable
-    /// tick, so they fire on the very next [`advance`].
-    ///
-    /// [`advance`]: TimerWheel::advance
+impl TimerHeap {
+    /// Schedules an entry. A past deadline fires on the next
+    /// [`advance`](TimerHeap::advance).
     pub fn insert(&mut self, entry: TimerEntry) {
-        // Round up: an entry must never be collectable before its
-        // deadline's tick has fully elapsed.
-        let elapsed = entry.deadline.saturating_duration_since(self.epoch);
-        let ticks =
-            (elapsed.as_nanos().div_ceil(self.tick.as_nanos().max(1)) as u64).max(self.cursor);
-        let slot = (ticks % self.slots.len() as u64) as usize;
-        self.earliest = Some(match self.earliest {
-            Some(earliest) => earliest.min(entry.deadline),
-            None => entry.deadline,
-        });
-        self.slots[slot].push(entry);
-        self.len += 1;
+        self.heap.push(Reverse(entry));
     }
 
-    /// Collects every entry whose deadline is at or before `now`, in
-    /// deadline order. Entries in visited buckets that belong to a later
-    /// wheel rotation are retained in place.
+    /// Removes and returns every entry whose deadline is at or before
+    /// `now`, in deadline order.
     pub fn advance(&mut self, now: Instant) -> Vec<TimerEntry> {
-        let now_tick = self.tick_of(now);
-        if now_tick < self.cursor && self.len == 0 {
-            return Vec::new();
-        }
         let mut expired = Vec::new();
-        if now_tick >= self.cursor {
-            let slot_count = self.slots.len() as u64;
-            let span = (now_tick - self.cursor + 1).min(slot_count);
-            for i in 0..span {
-                let slot = ((self.cursor + i) % slot_count) as usize;
-                let bucket = std::mem::take(&mut self.slots[slot]);
-                for entry in bucket {
-                    if entry.deadline <= now {
-                        expired.push(entry);
-                    } else {
-                        self.slots[slot].push(entry);
-                    }
-                }
+        while let Some(Reverse(entry)) = self.heap.peek() {
+            if entry.deadline > now {
+                break;
             }
-            self.cursor = now_tick + 1;
+            expired.push(*entry);
+            self.heap.pop();
         }
-        self.len -= expired.len();
-        if !expired.is_empty() {
-            self.earliest = self.slots.iter().flatten().map(|e| e.deadline).min();
-        }
-        expired.sort_by_key(|e| e.deadline);
         expired
-    }
-
-    /// Entries currently scheduled (including stale ones awaiting lazy
-    /// cancellation). Test-facing introspection.
-    #[allow(dead_code)]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when nothing is scheduled. Test-facing introspection.
-    #[allow(dead_code)]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// How long the owning loop may sleep before the earliest deadline is
     /// due, floored at one millisecond so an imminent deadline cannot turn
     /// the poll wait into a busy spin. `None` when nothing is scheduled.
     pub fn next_timeout(&self, now: Instant) -> Option<Duration> {
-        let earliest = self.earliest?;
+        let Reverse(earliest) = self.heap.peek()?;
         Some(
             earliest
+                .deadline
                 .saturating_duration_since(now)
                 .max(Duration::from_millis(1)),
         )
@@ -681,12 +361,10 @@ mod tests {
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
 
-    fn backends() -> Vec<Box<dyn Poller>> {
-        let mut all: Vec<Box<dyn Poller>> = vec![Box::new(PollPoller::new())];
-        #[cfg(target_os = "linux")]
-        all.push(Box::new(EpollPoller::new().expect("epoll instance")));
-        all
-    }
+    const WRITABLE: Interest = Interest {
+        readable: false,
+        writable: true,
+    };
 
     /// A connected localhost TCP pair to generate real readiness with.
     fn tcp_pair() -> (TcpStream, TcpStream) {
@@ -698,11 +376,7 @@ mod tests {
         (client, server)
     }
 
-    fn wait_for_token(
-        poller: &mut dyn Poller,
-        events: &mut Vec<Event>,
-        token: usize,
-    ) -> Option<Event> {
+    fn wait_for_token(poller: &mut Poller, events: &mut Vec<Event>, token: usize) -> Option<Event> {
         // A bounded retry loop: spurious wakeups (EINTR, coalesced waker
         // noise) return zero events and must simply be waited through.
         for _ in 0..50 {
@@ -712,147 +386,170 @@ mod tests {
             if let Some(ev) = events.iter().find(|e| e.token == token) {
                 return Some(*ev);
             }
-            if events.is_empty() {
-                continue;
-            }
         }
         None
     }
 
     #[test]
     fn readiness_is_level_triggered_until_consumed() {
-        for mut poller in backends() {
-            let (mut client, mut server) = tcp_pair();
-            poller
-                .register(server.as_raw_fd(), 7, Interest::READABLE)
-                .expect("register");
-            client.write_all(b"ping").expect("writes");
-            let ev = wait_for_token(poller.as_mut(), &mut Vec::new(), 7)
-                .unwrap_or_else(|| panic!("{}: no readable event", poller.backend()));
-            assert!(ev.readable, "{}: readable", poller.backend());
-            // Level-triggered: the unread bytes keep reporting readiness.
-            let again = wait_for_token(poller.as_mut(), &mut Vec::new(), 7)
-                .unwrap_or_else(|| panic!("{}: level-triggering lost the event", poller.backend()));
-            assert!(again.readable);
-            // Consume the input: readiness must stop.
-            let mut buf = [0u8; 16];
-            let n = server.read(&mut buf).expect("reads");
-            assert_eq!(&buf[..n], b"ping");
-            let mut events = Vec::new();
-            poller
-                .wait(&mut events, Some(Duration::from_millis(20)))
-                .expect("wait");
-            assert!(
-                events.iter().all(|e| e.token != 7),
-                "{}: drained fd still readable",
-                poller.backend()
-            );
-        }
+        let mut poller = Poller::default();
+        let (mut client, mut server) = tcp_pair();
+        poller
+            .register(server.as_raw_fd(), 7, Interest::READABLE)
+            .expect("register");
+        client.write_all(b"ping").expect("writes");
+        let ev = wait_for_token(&mut poller, &mut Vec::new(), 7).expect("no readable event");
+        assert!(ev.readable);
+        // Level-triggered: the unread bytes keep reporting readiness.
+        let again = wait_for_token(&mut poller, &mut Vec::new(), 7)
+            .expect("level-triggering lost the event");
+        assert!(again.readable);
+        // Consume the input: readiness must stop.
+        let mut buf = [0u8; 16];
+        let n = server.read(&mut buf).expect("reads");
+        assert_eq!(&buf[..n], b"ping");
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(20)))
+            .expect("wait");
+        assert!(
+            events.iter().all(|e| e.token != 7),
+            "drained fd still readable"
+        );
     }
 
     #[test]
     fn writable_interest_reports_immediately_on_an_open_socket() {
-        for mut poller in backends() {
-            let (_client, server) = tcp_pair();
-            poller
-                .register(server.as_raw_fd(), 3, Interest::WRITABLE)
-                .expect("register");
-            let ev = wait_for_token(poller.as_mut(), &mut Vec::new(), 3)
-                .unwrap_or_else(|| panic!("{}: no writable event", poller.backend()));
-            assert!(
-                ev.writable,
-                "{}: fresh socket is writable",
-                poller.backend()
-            );
-        }
+        let mut poller = Poller::default();
+        let (_client, server) = tcp_pair();
+        poller
+            .register(server.as_raw_fd(), 3, WRITABLE)
+            .expect("register");
+        let ev = wait_for_token(&mut poller, &mut Vec::new(), 3).expect("no writable event");
+        assert!(ev.writable, "fresh socket is writable");
     }
 
     #[test]
     fn registration_lifecycle_is_enforced() {
-        for mut poller in backends() {
-            let (mut client, server) = tcp_pair();
-            let fd = server.as_raw_fd();
-            poller
-                .register(fd, 1, Interest::READABLE)
-                .expect("register");
-            assert!(
-                poller.register(fd, 2, Interest::READABLE).is_err(),
-                "{}: double registration must fail",
-                poller.backend()
-            );
-            // Reregistration changes the interest set in place: with only
-            // write interest, pending input no longer produces events.
-            poller
-                .reregister(fd, 1, Interest::NONE)
-                .expect("reregister");
-            client.write_all(b"x").expect("writes");
-            let mut events = Vec::new();
-            poller
-                .wait(&mut events, Some(Duration::from_millis(30)))
-                .expect("wait");
-            assert!(
-                events.iter().all(|e| e.token != 1),
-                "{}: interest NONE still produced events",
-                poller.backend()
-            );
-            // Deregistered fds produce nothing, and a second deregister
-            // (or a reregister) is an error.
-            poller.deregister(fd).expect("deregister");
-            client.write_all(b"y").expect("writes");
-            poller
-                .wait(&mut events, Some(Duration::from_millis(30)))
-                .expect("wait");
-            assert!(events.iter().all(|e| e.token != 1));
-            assert!(poller.deregister(fd).is_err());
-            assert!(poller.reregister(fd, 1, Interest::READABLE).is_err());
+        let mut poller = Poller::default();
+        let (mut client, server) = tcp_pair();
+        let fd = server.as_raw_fd();
+        poller
+            .register(fd, 1, Interest::READABLE)
+            .expect("register");
+        assert!(
+            poller.register(fd, 1, Interest::READABLE).is_err(),
+            "double registration of a token must fail"
+        );
+        // Reregistration changes the interest set in place: with no
+        // interest, pending input no longer produces events.
+        let none = Interest {
+            readable: false,
+            writable: false,
+        };
+        poller.reregister(1, none).expect("reregister");
+        client.write_all(b"x").expect("writes");
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(30)))
+            .expect("wait");
+        assert!(
+            events.iter().all(|e| e.token != 1),
+            "interest NONE still produced events"
+        );
+        // Deregistered tokens produce nothing, and a second deregister (or
+        // a reregister) is an error.
+        poller.deregister(1).expect("deregister");
+        client.write_all(b"y").expect("writes");
+        poller
+            .wait(&mut events, Some(Duration::from_millis(30)))
+            .expect("wait");
+        assert!(events.iter().all(|e| e.token != 1));
+        assert!(poller.deregister(1).is_err());
+        assert!(poller.reregister(1, Interest::READABLE).is_err());
+        // Tokens never registered are errors too, not out-of-bounds panics.
+        assert!(poller.deregister(1_000).is_err());
+        assert!(poller.reregister(1_000, Interest::READABLE).is_err());
+    }
+
+    #[test]
+    fn a_freed_token_does_not_follow_its_fd_number_to_a_new_token() {
+        let mut poller = Poller::default();
+        let (_client_a, server_a) = tcp_pair();
+        let (mut client_b, server_b) = tcp_pair();
+        let old_fd = server_a.as_raw_fd();
+        poller
+            .register(old_fd, 5, Interest::READABLE)
+            .expect("register");
+        poller.deregister(5).expect("deregister");
+        assert!(poller.fds[5].fd < 0, "a freed slot holds fd -1");
+        drop(server_a);
+        // `dup` takes the lowest free fd, which is normally the one just
+        // closed; retry briefly in case a concurrently running test grabbed
+        // it first.
+        let mut reused = server_b.try_clone().expect("dup");
+        for _ in 0..50 {
+            if reused.as_raw_fd() == old_fd {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(2));
+            reused = server_b.try_clone().expect("dup");
         }
+        poller
+            .register(reused.as_raw_fd(), 9, Interest::READABLE)
+            .expect("register under a new token");
+        client_b.write_all(b"z").expect("writes");
+        let ev = wait_for_token(&mut poller, &mut Vec::new(), 9).expect("new token readable");
+        assert!(ev.readable);
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(20)))
+            .expect("wait");
+        assert!(
+            events.iter().any(|e| e.token == 9) && events.iter().all(|e| e.token != 5),
+            "readiness must be reported under the new token only: {events:?}"
+        );
     }
 
     #[test]
     fn waker_wakes_coalesces_and_tolerates_spurious_wakeups() {
-        for mut poller in backends() {
-            let (wake_tx, wake_rx) = waker().expect("waker pair");
-            poller
-                .register(wake_rx.fd(), 0, Interest::READABLE)
-                .expect("register");
-            // No wake: the wait times out with zero events, which the
-            // caller treats as a spurious wakeup and loops over.
-            let mut events = Vec::new();
-            poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .expect("wait");
-            assert!(events.is_empty(), "{}: phantom wake", poller.backend());
-            // A burst of wakes from another thread coalesces into (at
-            // least one, at most a few) datagrams; one drain clears them.
-            let remote = wake_tx.clone();
-            let burst = std::thread::spawn(move || {
-                for _ in 0..100 {
-                    remote.wake();
-                }
-            });
-            let ev = wait_for_token(poller.as_mut(), &mut events, 0)
-                .unwrap_or_else(|| panic!("{}: wake lost", poller.backend()));
-            assert!(ev.readable);
-            burst.join().expect("burst thread");
-            wake_rx.drain();
-            poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .expect("wait");
-            assert!(
-                events.is_empty(),
-                "{}: drain left stale wake datagrams",
-                poller.backend()
-            );
-            // The channel survives draining: the next wake still arrives.
-            wake_tx.wake();
-            assert!(wait_for_token(poller.as_mut(), &mut events, 0).is_some());
-        }
+        let mut poller = Poller::default();
+        let (wake_tx, wake_rx) = waker().expect("waker pair");
+        poller
+            .register(wake_rx.fd(), 0, Interest::READABLE)
+            .expect("register");
+        // No wake: the wait times out with zero events, which the caller
+        // treats as a spurious wakeup and loops over.
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(10)))
+            .expect("wait");
+        assert!(events.is_empty(), "phantom wake");
+        // A burst of wakes from another thread coalesces into (at least
+        // one, at most a few) datagrams; one drain clears them.
+        let remote = wake_tx.clone();
+        let burst = std::thread::spawn(move || {
+            for _ in 0..100 {
+                remote.wake();
+            }
+        });
+        let ev = wait_for_token(&mut poller, &mut events, 0).expect("wake lost");
+        assert!(ev.readable);
+        burst.join().expect("burst thread");
+        wake_rx.drain();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(10)))
+            .expect("wait");
+        assert!(events.is_empty(), "drain left stale wake datagrams");
+        // The channel survives draining: the next wake still arrives.
+        wake_tx.wake();
+        assert!(wait_for_token(&mut poller, &mut events, 0).is_some());
     }
 
     #[test]
-    fn timer_wheel_fires_in_deadline_order_never_early() {
+    fn timer_heap_fires_in_deadline_order_never_early() {
         let start = Instant::now();
-        let mut wheel = TimerWheel::new(Duration::from_millis(5), 8, start);
+        let mut timers = TimerHeap::default();
         let at = |ms: u64| start + Duration::from_millis(ms);
         let entry = |ms: u64, token: usize, kind: TimerKind| TimerEntry {
             deadline: at(ms),
@@ -860,76 +557,65 @@ mod tests {
             generation: 1,
             kind,
         };
-        // Out-of-order insertion, spanning several wheel rotations (the
-        // wheel is 8 slots × 5 ms = one rotation per 40 ms).
-        wheel.insert(entry(30, 3, TimerKind::Line));
-        wheel.insert(entry(10, 1, TimerKind::Idle));
-        wheel.insert(entry(130, 13, TimerKind::Idle)); // 3 rotations out
-        wheel.insert(entry(20, 2, TimerKind::Write));
-        assert_eq!(wheel.len(), 4);
-        // The poll timeout tracks the earliest deadline (10 ms out), not
-        // the wheel tick.
-        assert_eq!(wheel.next_timeout(start), Some(Duration::from_millis(10)));
+        // Out-of-order insertion, near and far deadlines mixed.
+        timers.insert(entry(30, 3, TimerKind::Line));
+        timers.insert(entry(10, 1, TimerKind::Idle));
+        timers.insert(entry(130, 13, TimerKind::Idle));
+        timers.insert(entry(20, 2, TimerKind::Write));
+        assert_eq!(timers.heap.len(), 4);
+        // The poll timeout tracks the earliest deadline (10 ms out).
+        assert_eq!(timers.next_timeout(start), Some(Duration::from_millis(10)));
         assert_eq!(
-            wheel.next_timeout(at(100)),
+            timers.next_timeout(at(100)),
             Some(Duration::from_millis(1)),
             "overdue deadlines floor at 1 ms instead of busy-spinning"
         );
 
         assert!(
-            wheel.advance(at(9)).is_empty(),
+            timers.advance(at(9)).is_empty(),
             "nothing expires before its deadline"
         );
-        let first = wheel.advance(at(25));
+        let first = timers.advance(at(25));
         assert_eq!(
             first.iter().map(|e| e.token).collect::<Vec<_>>(),
             vec![1, 2],
             "expired entries collect in deadline order"
         );
-        // The far-future entry shares buckets with near ones but must not
-        // ride along on an earlier rotation.
-        let second = wheel.advance(at(50));
+        assert_eq!(timers.next_timeout(at(25)), Some(Duration::from_millis(5)));
+        let second = timers.advance(at(50));
         assert_eq!(second.iter().map(|e| e.token).collect::<Vec<_>>(), vec![3]);
-        assert_eq!(wheel.len(), 1);
-        let third = wheel.advance(at(200));
+        assert_eq!(timers.heap.len(), 1);
+        let third = timers.advance(at(200));
         assert_eq!(third.iter().map(|e| e.token).collect::<Vec<_>>(), vec![13]);
         assert_eq!(third[0].kind, TimerKind::Idle);
-        assert!(wheel.is_empty());
-        assert_eq!(wheel.next_timeout(at(200)), None);
+        assert!(timers.heap.is_empty());
+        assert_eq!(timers.next_timeout(at(200)), None);
     }
 
     #[test]
-    fn timer_wheel_expires_past_deadlines_on_the_next_advance() {
+    fn timer_heap_expires_past_deadlines_on_the_next_advance() {
         let start = Instant::now();
-        let mut wheel = TimerWheel::new(Duration::from_millis(5), 4, start);
-        // Drive the cursor forward, then insert an entry whose deadline is
-        // already behind it: it must fire on the very next advance instead
-        // of waiting a full rotation.
-        let _ = wheel.advance(start + Duration::from_millis(60));
-        wheel.insert(TimerEntry {
+        let mut timers = TimerHeap::default();
+        let _ = timers.advance(start + Duration::from_millis(60));
+        // A deadline already behind the last advance fires on the very next
+        // one, and an entry due exactly at `now` is due.
+        timers.insert(TimerEntry {
             deadline: start + Duration::from_millis(10),
             token: 9,
             generation: 1,
             kind: TimerKind::Write,
         });
-        let fired = wheel.advance(start + Duration::from_millis(70));
-        assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].token, 9);
-    }
-
-    #[test]
-    fn poller_kind_parses_and_builds() {
-        assert_eq!("auto".parse::<PollerKind>().unwrap(), PollerKind::Auto);
-        assert_eq!("epoll".parse::<PollerKind>().unwrap(), PollerKind::Epoll);
-        assert_eq!("poll".parse::<PollerKind>().unwrap(), PollerKind::Poll);
-        assert!("kqueue".parse::<PollerKind>().is_err());
-        assert_eq!(PollerKind::default().to_string(), "auto");
-        let poller = create_poller(PollerKind::Poll).expect("portable backend");
-        assert_eq!(poller.backend(), "poll");
-        #[cfg(target_os = "linux")]
+        timers.insert(TimerEntry {
+            deadline: start + Duration::from_millis(70),
+            token: 4,
+            generation: 2,
+            kind: TimerKind::Line,
+        });
+        let fired = timers.advance(start + Duration::from_millis(70));
         assert_eq!(
-            create_poller(PollerKind::Auto).expect("auto").backend(),
-            "epoll"
+            fired.iter().map(|e| e.token).collect::<Vec<_>>(),
+            vec![9, 4]
         );
+        assert!(timers.heap.is_empty());
     }
 }

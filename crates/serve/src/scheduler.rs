@@ -2,7 +2,7 @@
 //! worker threads that collect concurrent requests into batches and run
 //! them side by side through [`deepgate::InferenceSession`].
 
-use crate::fault::{panic_message, FaultKind, FaultPlan};
+use crate::fault::{panic_message, FaultPlan};
 use crate::metrics::SchedulerMetrics;
 use crate::poll::Waker;
 use crate::{ServeConfig, ServeError};
@@ -418,34 +418,17 @@ impl Scheduler {
     /// [`ServeError::Internal`]; a clean drain reports
     /// [`ServeError::ShuttingDown`] explicitly.
     pub fn predict(&self, circuit: Arc<PreparedCircuit>) -> Result<Vec<f32>, ServeError> {
-        self.predict_with_deadline(circuit, None)
-    }
-
-    /// [`Scheduler::predict`] with an optional deadline (see
-    /// [`Scheduler::submit_with_deadline`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Scheduler::predict`], plus [`ServeError::DeadlineExceeded`]
-    /// when the job is shed.
-    pub fn predict_with_deadline(
-        &self,
-        circuit: Arc<PreparedCircuit>,
-        deadline: Option<Instant>,
-    ) -> Result<Vec<f32>, ServeError> {
         // Every terminal outcome arrives as an explicit message: worker
-        // results, deadline sheds, shutdown flushes. A bare RecvError means
+        // results and shutdown flushes. A bare RecvError means
         // the jobs were dropped without responding — a worker death that
         // even `catch_unwind` recovery missed — which is an internal fault,
         // NOT a clean shutdown; reporting it as such keeps real drains and
         // lost requests distinguishable to clients.
-        self.submit_with_deadline(circuit, deadline)?
-            .recv()
-            .unwrap_or_else(|_| {
-                Err(ServeError::Internal(
-                    "worker dropped the response channel without responding".into(),
-                ))
-            })
+        self.submit(circuit)?.recv().unwrap_or_else(|_| {
+            Err(ServeError::Internal(
+                "worker dropped the response channel without responding".into(),
+            ))
+        })
     }
 
     /// Current counters (each read individually; the server's `stats` verb
@@ -682,25 +665,16 @@ fn execute_batch(shared: &Shared, jobs: &[Job]) {
     // Infer-stage fault hook: a panic here unwinds into `execute`'s
     // catch_unwind, a delay stalls the batch (pushing queued requests
     // toward their deadlines), an I/O fault fails the batch cleanly.
-    if let Some(faults) = &shared.faults {
-        match faults.check(Stage::Infer) {
-            None => {}
-            Some(FaultKind::Panic) => {
-                panic!("{}", FaultPlan::message(Stage::Infer, FaultKind::Panic))
-            }
-            Some(FaultKind::Delay(duration)) => std::thread::sleep(duration),
-            Some(FaultKind::IoError) => {
-                metrics
-                    .batch_latency_ns
-                    .record_duration(batch_start.elapsed());
-                let message = FaultPlan::message(Stage::Infer, FaultKind::IoError);
-                for job in jobs {
-                    metrics.failed.inc();
-                    job.respond.send(Err(ServeError::Internal(message.clone())));
-                }
-                return;
-            }
+    if let Some(Err(fault)) = shared.faults.as_ref().map(|f| f.fire(Stage::Infer)) {
+        metrics
+            .batch_latency_ns
+            .record_duration(batch_start.elapsed());
+        let message = fault.to_string();
+        for job in jobs {
+            metrics.failed.inc();
+            job.respond.send(Err(ServeError::Internal(message.clone())));
         }
+        return;
     }
 
     // Group jobs by circuit identity (Arc pointer): cheap, and exact for
@@ -751,6 +725,7 @@ fn execute_batch(shared: &Shared, jobs: &[Job]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultKind;
     use deepgate::core::DeepGateConfig;
     use deepgate::{BenchText, Engine};
 

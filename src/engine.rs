@@ -19,8 +19,6 @@ struct PipelineConfig {
     num_patterns: usize,
     label_seed: u64,
     transform_to_aig: bool,
-    optimize: bool,
-    optimize_rounds: usize,
 }
 
 /// Builder for an [`Engine`].
@@ -54,8 +52,6 @@ impl Default for EngineBuilder {
                 num_patterns: 8_192,
                 label_seed: 7,
                 transform_to_aig: true,
-                optimize: true,
-                optimize_rounds: 2,
             },
             checkpoint_json: None,
             metrics: None,
@@ -100,12 +96,6 @@ impl EngineBuilder {
     /// ablation on raw gate types).
     pub fn transform_to_aig(mut self, transform: bool) -> Self {
         self.pipeline.transform_to_aig = transform;
-        self
-    }
-
-    /// Enables or disables the AIG optimisation passes (default enabled).
-    pub fn optimize_aig(mut self, optimize: bool) -> Self {
-        self.pipeline.optimize = optimize;
         self
     }
 
@@ -288,12 +278,7 @@ impl Engine {
                 let ingest_start = metrics.map(|_| Instant::now());
                 let seed = pipeline.label_seed ^ ((index as u64 + 1) << 20);
                 let graph = if pipeline.transform_to_aig {
-                    let aig = Aig::from_netlist(netlist)?;
-                    let aig = if pipeline.optimize {
-                        opt::optimize(&aig, pipeline.optimize_rounds)
-                    } else {
-                        aig
-                    };
+                    let aig = opt::optimize(&Aig::from_netlist(netlist)?, 2);
                     Ok(labelled_circuit_from_aig(
                         &aig,
                         pipeline.num_patterns,
@@ -337,12 +322,7 @@ impl Engine {
             .map(|netlist| {
                 let ingest_start = metrics.map(|_| Instant::now());
                 let graph = if pipeline.transform_to_aig {
-                    let aig = Aig::from_netlist(netlist)?;
-                    let aig = if pipeline.optimize {
-                        opt::optimize(&aig, pipeline.optimize_rounds)
-                    } else {
-                        aig
-                    };
+                    let aig = opt::optimize(&Aig::from_netlist(netlist)?, 2);
                     let (graph, _) = CircuitGraph::from_aig(&aig);
                     Ok(graph)
                 } else {
