@@ -5,7 +5,9 @@
 //! single message vector per node. All four operate on flattened edge lists:
 //! `source_states[e]` is the hidden state of the source of edge `e` and
 //! `edge_seg[e]` names the target node (as an index into the current level's
-//! target list), so the reduction is a scatter-add over segments.
+//! target list), so the reduction is a scatter-add over segments. Attention
+//! is one fused tape op ([`Graph::attention`]) whose forward is the CSR
+//! kernel's; the three Table II baselines are recorded from generic ops.
 
 use deepgate_nn::{Activation, Graph, Linear, Mlp, ParamStore, Var};
 use serde::{Deserialize, Serialize};
@@ -184,24 +186,22 @@ impl Aggregator {
     /// Aggregates predecessor states into one message per target.
     ///
     /// * `source_states` — `[num_edges, d]` hidden states of edge sources.
-    /// * `query_states` — `[num_edges, d]` previous hidden state of each
-    ///   edge's target (only read by the attention aggregator).
-    /// * `edge_seg` — segment id (target index) of every edge.
-    /// * `num_targets` — number of target nodes in this batch.
+    /// * `target_states` — `[num_targets, d]` previous hidden states of the
+    ///   targets (only read by the attention aggregator, as its query).
+    /// * `edge_seg` — segment id (target row) of every edge.
     /// * `edge_attr` — optional `[num_edges, edge_attr_dim]` edge attributes.
     ///
     /// Returns a `[num_targets, d]` message matrix.
-    #[allow(clippy::too_many_arguments)]
     pub fn aggregate(
         &self,
         g: &mut Graph,
         store: &ParamStore,
         source_states: Var,
-        query_states: Var,
-        edge_seg: &[usize],
-        num_targets: usize,
+        target_states: Var,
+        edge_seg: &[u32],
         edge_attr: Option<Var>,
     ) -> Var {
+        let num_targets = g.value(target_states).rows();
         match &self.params {
             AggregatorParams::ConvSum { project } => {
                 let projected = project.forward(g, store, source_states);
@@ -212,16 +212,16 @@ impl Aggregator {
                 key,
                 edge_attr: attr_proj,
             } => {
-                let q = query.forward(g, store, query_states);
-                let k = key.forward(g, store, source_states);
-                let mut score = g.add(q, k);
-                if let (Some(proj), Some(attr)) = (attr_proj, edge_attr) {
-                    let a = proj.forward(g, store, attr);
-                    score = g.add(score, a);
-                }
-                let alpha = g.segment_softmax(score, edge_seg);
-                let weighted = g.mul_col(alpha, source_states);
-                g.scatter_add_rows(weighted, edge_seg, num_targets)
+                let attr = attr_proj.as_ref().zip(edge_attr);
+                g.attention(
+                    store,
+                    query,
+                    key,
+                    attr,
+                    source_states,
+                    target_states,
+                    edge_seg,
+                )
             }
             AggregatorParams::DeepSet { phi, rho } => {
                 let transformed = phi.forward(g, store, source_states);
@@ -258,9 +258,9 @@ mod tests {
             assert_eq!(agg.hidden_dim(), 8);
             let mut g = Graph::new();
             let src = g.input(Tensor::randn(5, 8, 1.0, 1));
-            let qry = g.input(Tensor::randn(5, 8, 1.0, 2));
-            let seg = vec![0usize, 0, 1, 2, 2];
-            let msg = agg.aggregate(&mut g, &store, src, qry, &seg, 3, None);
+            let targets = g.input(Tensor::randn(3, 8, 1.0, 2));
+            let seg = vec![0u32, 0, 1, 2, 2];
+            let msg = agg.aggregate(&mut g, &store, src, targets, &seg, None);
             assert_eq!(g.value(msg).shape(), [3, 8], "{kind}");
         }
     }
@@ -274,9 +274,9 @@ mod tests {
         let row: Vec<f32> = (0..8).map(|i| i as f32 / 8.0).collect();
         let mut g = Graph::new();
         let src = g.input(Tensor::from_rows(&[&row, &row, &row]));
-        let qry = g.input(Tensor::zeros(3, 8));
-        let seg = vec![0usize, 0, 0];
-        let msg = agg.aggregate(&mut g, &store, src, qry, &seg, 1, None);
+        let target = g.input(Tensor::zeros(1, 8));
+        let seg = vec![0u32, 0, 0];
+        let msg = agg.aggregate(&mut g, &store, src, target, &seg, None);
         for (j, &expected) in row.iter().enumerate() {
             assert!((g.value(msg).get(0, j) - expected).abs() < 1e-5);
         }
@@ -286,13 +286,13 @@ mod tests {
     fn attention_uses_edge_attributes_when_configured() {
         let (store, agg) = setup(AggregatorKind::Attention, 4);
         assert_eq!(agg.edge_attr_dim(), 4);
-        let seg = vec![0usize, 0, 1, 1];
+        let seg = vec![0u32, 0, 1, 1];
         let message = |attr: Tensor| -> Tensor {
             let mut g = Graph::new();
             let src = g.input(Tensor::randn(4, 8, 1.0, 5));
-            let qry = g.input(Tensor::randn(4, 8, 1.0, 6));
+            let targets = g.input(Tensor::randn(2, 8, 1.0, 6));
             let attr = g.input(attr);
-            let msg = agg.aggregate(&mut g, &store, src, qry, &seg, 2, Some(attr));
+            let msg = agg.aggregate(&mut g, &store, src, targets, &seg, Some(attr));
             g.value(msg).clone()
         };
         let base = message(Tensor::zeros(4, 4));

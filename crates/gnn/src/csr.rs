@@ -18,16 +18,23 @@
 //!   the model's weights into row-major flat arrays and, following the DLGN
 //!   line (flat, cache-dense gate arrays), fuses each level's gather + GEMM +
 //!   combine into one dense slice walk over a packed hidden-state arena,
-//!   without touching the parameter store or allocating per level.
+//!   without touching the parameter store or allocating per level. The row
+//!   code it walks with — the flat layer view, the fixed-width matvec banks,
+//!   the GRU update and the attention walk — lives in
+//!   [`deepgate_nn::dense`], because the tape's fused GRU and attention ops
+//!   run the same functions; what stays here is the level walk, the weight
+//!   copies and the aggregators the tape still records from generic ops.
 //!
 //! **Exactness contract:** the kernel reproduces the autodiff-tape forward
 //! ([`crate::DagRecGnn::forward_hidden`] and, through the regressor,
 //! [`crate::ProbabilityModel::try_forward`] — the definition training
 //! optimises) *bit-exactly*, for the final hidden states and the
-//! probabilities alike: every accumulation runs in the same order over the
-//! same values, and every `exp`, sigmoid and `tanh` on either side is
-//! [`deepgate_nn::math`] — branch-free IEEE arithmetic that gives a scalar
-//! call on the tape and a lane of the kernel's vector loops the same bits.
+//! probabilities alike. For the GRU and the attention aggregator that holds
+//! by construction — both sides call [`deepgate_nn::dense`]; elsewhere every
+//! accumulation runs in the tape's order over the same values, and every
+//! `exp`, sigmoid and `tanh` on either side is [`deepgate_nn::math`] —
+//! branch-free IEEE arithmetic that gives a scalar call on the tape and a
+//! lane of the kernel's vector loops the same bits.
 //! `tests/csr_parity.rs` asserts `to_bits` equality across circuit shapes,
 //! aggregators, model variants and hidden widths. Parity cannot see a row
 //! order that changes for both executors at once: the
@@ -38,6 +45,7 @@
 use crate::aggregator::AggregatorParams;
 use crate::{Aggregator, CircuitGraph, GnnError, GnnMetrics};
 use deepgate_aig::recon::positional_encoding;
+use deepgate_nn::dense::{self, Dense};
 use deepgate_nn::{math, Activation, GruCell, Linear, Mlp, ParamStore, Tensor};
 use std::ops::Range;
 use std::time::Instant;
@@ -65,12 +73,13 @@ pub(crate) struct CsrLevel {
 }
 
 impl CsrLevel {
-    /// For every edge, the row of its target within the level — the segment
-    /// ids the tape's scatter-add and segment-softmax take.
-    pub(crate) fn edge_rows(&self) -> Vec<usize> {
+    /// The row of every edge's target within the level, in edge order — the
+    /// segment ids the attention walk and the tape's scatter-add take.
+    /// Derived once per forward pass or kernel run rather than stored: a
+    /// cached plan would carry them for every edge.
+    pub(crate) fn edge_rows(&self) -> impl Iterator<Item = u32> + '_ {
         let rows = self.offsets.windows(2).enumerate();
-        rows.flat_map(|(row, w)| std::iter::repeat_n(row, (w[1] - w[0]) as usize))
-            .collect()
+        rows.flat_map(|(row, w)| std::iter::repeat_n(row as u32, (w[1] - w[0]) as usize))
     }
 }
 
@@ -245,13 +254,7 @@ impl InferencePlan {
     }
 }
 
-/// Widest output dimension accumulated in a stack buffer. Accumulating into
-/// a local array instead of the output slice keeps the partial sums out of
-/// the `out`/weights alias analysis, which is worth >2x on the matvec loop;
-/// wider layers fall back to heap scratch.
-const ACC_WIDTH: usize = 128;
-
-/// A dense affine layer baked into flat row-major arrays.
+/// A dense affine layer's weights, copied out of the parameter store.
 #[derive(Debug, Clone)]
 struct LinW {
     /// Row-major `[in_dim, out_dim]` weights.
@@ -276,128 +279,8 @@ impl LinW {
         }
     }
 
-    /// Applies the layer to `rows` contiguous input rows.
-    fn apply(&self, input: &[f32], rows: usize, out: &mut [f32], wide: &mut Vec<f32>) {
-        let row_of = |r: usize| &input[r * self.in_dim..][..self.in_dim];
-        self.apply_rows(row_of, rows, out, wide);
-    }
-
-    /// Applies the layer to rows of `arena` selected by `idx` — the fused
-    /// gather + GEMM walk of the CSR kernel.
-    fn apply_gathered(&self, arena: &[f32], idx: &[u32], out: &mut [f32], wide: &mut Vec<f32>) {
-        let row_of = |r: usize| &arena[idx[r] as usize * self.in_dim..][..self.in_dim];
-        self.apply_rows(row_of, idx.len(), out, wide);
-    }
-
-    /// The one row walk behind [`LinW::apply`] and [`LinW::apply_gathered`];
-    /// `row_of(r)` hands out input row `r`. Every row is `row @ W (+ b)`,
-    /// accumulated over `k` in ascending order with the zero-skip of
-    /// `Tensor::matmul`, the bias added in a separate pass — bit-exact with
-    /// the tape's `Linear::forward`. Dispatches on the output width once per
-    /// call, not once per row: score layers to [`LinW::scores_blocked`], the
-    /// common widths to register-resident fixed-width banks ([`accum1`]),
-    /// anything else to the runtime-width loop, whose heap accumulator for
-    /// layers wider than [`ACC_WIDTH`] is `wide`.
-    fn apply_rows<'a>(
-        &self,
-        row_of: impl Fn(usize) -> &'a [f32],
-        rows: usize,
-        out: &mut [f32],
-        wide: &mut Vec<f32>,
-    ) {
-        match self.out_dim {
-            1 => return self.scores_blocked(row_of, rows, out),
-            8 => return rows1_fixed::<8>(self, row_of, rows, out),
-            16 => return rows1_fixed::<16>(self, row_of, rows, out),
-            32 => return rows1_fixed::<32>(self, row_of, rows, out),
-            64 => return rows1_fixed::<64>(self, row_of, rows, out),
-            _ => {}
-        }
-        let mut stack = [0.0f32; ACC_WIDTH];
-        let acc: &mut [f32] = if self.out_dim <= ACC_WIDTH {
-            &mut stack[..self.out_dim]
-        } else {
-            wide.resize(self.out_dim, 0.0);
-            wide
-        };
-        for r in 0..rows {
-            let out = &mut out[r * self.out_dim..(r + 1) * self.out_dim];
-            acc.fill(0.0);
-            for (k, &a) in row_of(r).iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let wrow = &self.w[k * self.out_dim..(k + 1) * self.out_dim];
-                for (o, &wv) in acc.iter_mut().zip(wrow) {
-                    *o += a * wv;
-                }
-            }
-            if self.b.is_empty() {
-                out.copy_from_slice(acc);
-            } else {
-                for ((o, &s), &bv) in out.iter_mut().zip(acc.iter()).zip(&self.b) {
-                    *o = s + bv;
-                }
-            }
-        }
-    }
-
-    /// Projection-to-score layers (`out_dim == 1`) walk one k-ascending
-    /// zero-skip chain per row — inherently sequential, so one-at-a-time
-    /// evaluation is add-latency bound. Interleaving four independent rows
-    /// fills the latency bubbles without touching any single chain's order,
-    /// keeping every score bit-exact.
-    #[inline(never)]
-    fn scores_blocked<'a>(
-        &self,
-        row_of: impl Fn(usize) -> &'a [f32],
-        rows: usize,
-        out: &mut [f32],
-    ) {
-        let din = self.in_dim;
-        let w = &self.w[..din];
-        let bias = self.b.first().copied();
-        let mut r = 0;
-        while r + 4 <= rows {
-            let (r0, r1, r2, r3) = (row_of(r), row_of(r + 1), row_of(r + 2), row_of(r + 3));
-            let (mut a0, mut a1, mut a2, mut a3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-            for (k, &wv) in w.iter().enumerate() {
-                if r0[k] != 0.0 {
-                    a0 += r0[k] * wv;
-                }
-                if r1[k] != 0.0 {
-                    a1 += r1[k] * wv;
-                }
-                if r2[k] != 0.0 {
-                    a2 += r2[k] * wv;
-                }
-                if r3[k] != 0.0 {
-                    a3 += r3[k] * wv;
-                }
-            }
-            if let Some(bv) = bias {
-                a0 += bv;
-                a1 += bv;
-                a2 += bv;
-                a3 += bv;
-            }
-            out[r] = a0;
-            out[r + 1] = a1;
-            out[r + 2] = a2;
-            out[r + 3] = a3;
-            r += 4;
-        }
-        while r < rows {
-            let row = row_of(r);
-            let mut acc = 0.0f32;
-            for (k, &wv) in w.iter().enumerate() {
-                if row[k] != 0.0 {
-                    acc += row[k] * wv;
-                }
-            }
-            out[r] = if let Some(bv) = bias { acc + bv } else { acc };
-            r += 1;
-        }
+    fn dense(&self) -> Dense<'_> {
+        Dense::new(&self.w, &self.b, self.in_dim, self.out_dim)
     }
 }
 
@@ -437,11 +320,11 @@ fn mlp_apply_row(
     a.extend_from_slice(row);
     for (i, layer) in mlp.layers.iter().enumerate() {
         if i == last {
-            layer.apply(a, 1, out, wide);
+            layer.dense().apply(a, 1, out, wide);
         } else {
             b.clear();
             b.resize(layer.out_dim, 0.0);
-            layer.apply(a, 1, b, wide);
+            layer.dense().apply(a, 1, b, wide);
             for v in b.iter_mut() {
                 *v = match mlp.activation {
                     Activation::Relu => v.max(0.0),
@@ -459,28 +342,17 @@ fn mlp_apply_row(
     }
 }
 
-/// The six GRU gate projections in flat form.
+/// The six GRU gate projections in flat form, in [`GruCell::gates`] order.
 #[derive(Debug, Clone)]
-struct GruW {
-    xr: LinW,
-    hr: LinW,
-    xz: LinW,
-    hz: LinW,
-    xn: LinW,
-    hn: LinW,
-}
+struct GruW([LinW; 6]);
 
 impl GruW {
     fn from_gru(store: &ParamStore, gru: &GruCell) -> Self {
-        let [xr, hr, xz, hz, xn, hn] = gru.gates();
-        GruW {
-            xr: LinW::from_linear(store, xr),
-            hr: LinW::from_linear(store, hr),
-            xz: LinW::from_linear(store, xz),
-            hz: LinW::from_linear(store, hz),
-            xn: LinW::from_linear(store, xn),
-            hn: LinW::from_linear(store, hn),
-        }
+        GruW(gru.gates().map(|l| LinW::from_linear(store, l)))
+    }
+
+    fn dense(&self) -> [Dense<'_>; 6] {
+        self.0.each_ref().map(LinW::dense)
     }
 }
 
@@ -537,10 +409,13 @@ impl AggW {
 /// hot loop never allocates.
 #[derive(Debug, Default)]
 struct Scratch {
-    /// Heap accumulator for layers wider than [`ACC_WIDTH`].
+    /// Heap accumulator for layers wider than `deepgate_nn::dense` keeps on
+    /// the stack.
     wide: Vec<f32>,
-    /// Per-target attention query scores.
+    /// Per-target attention query scores, then segment maxima.
     tq: Vec<f32>,
+    /// Per-target softmax sums.
+    sum: Vec<f32>,
     /// Per-edge attention scores / softmax weights.
     score: Vec<f32>,
     /// Per-edge projection arenas.
@@ -575,6 +450,7 @@ impl Scratch {
             max_e = max_e.max(lvl.edge_src.len());
         }
         grow(&mut self.tq, max_m);
+        grow(&mut self.sum, max_m);
         grow(&mut self.score, max_e);
         grow(&mut self.e1, max_e * d);
         grow(&mut self.e2, max_e * d);
@@ -718,20 +594,30 @@ impl CompiledKernel {
 
         // Initial embedding of the packed one-hot features.
         let mut h = vec![0.0f32; n * d];
-        self.embed.apply(&plan.features, n, &mut h, &mut s.wide);
+        self.embed
+            .dense()
+            .apply(&plan.features, n, &mut h, &mut s.wide);
 
         // Attention attribute biases are constant across iterations:
         // project each forward level's attribute rows once.
         let attr_bias = self.precompute_attr_bias(plan, s);
+        // So are the attention walk's segment ids.
+        let forward_seg = segment_ids(&plan.forward, &self.forward_agg);
+        let reverse_seg = match &self.reverse {
+            Some((agg, _)) => segment_ids(&plan.reverse, agg),
+            None => Vec::new(),
+        };
 
         for _ in 0..num_iterations {
             for (li, lvl) in plan.forward.iter().enumerate() {
                 let bias = attr_bias.get(li).and_then(|b| b.as_deref());
-                self.level_pass(lvl, bias, plan, false, &mut h, s, metrics);
+                let seg = forward_seg.get(li).map_or(&[][..], Vec::as_slice);
+                self.level_pass(lvl, seg, bias, plan, false, &mut h, s, metrics);
             }
             if self.reverse.is_some() {
-                for lvl in &plan.reverse {
-                    self.level_pass(lvl, None, plan, true, &mut h, s, metrics);
+                for (li, lvl) in plan.reverse.iter().enumerate() {
+                    let seg = reverse_seg.get(li).map_or(&[][..], Vec::as_slice);
+                    self.level_pass(lvl, seg, None, plan, true, &mut h, s, metrics);
                 }
             }
         }
@@ -753,18 +639,21 @@ impl CompiledKernel {
             .map(|lvl| {
                 let edges = lvl.edge_src.len();
                 let mut bias = vec![0.0f32; edges];
-                proj.apply(&lvl.attr, edges, &mut bias, &mut s.wide);
+                proj.dense().apply(&lvl.attr, edges, &mut bias, &mut s.wide);
                 Some(bias)
             })
             .collect()
     }
 
     /// One level's fused aggregation + GRU update over the packed arena,
-    /// each half timed into its own series when `metrics` is given.
+    /// each half timed into its own series when `metrics` is given. `seg` is
+    /// the level's [`segment_ids`] (empty unless the aggregator is
+    /// attention).
     #[allow(clippy::too_many_arguments)]
     fn level_pass(
         &self,
         lvl: &CsrLevel,
+        seg: &[u32],
         attr_bias: Option<&[f32]>,
         plan: &InferencePlan,
         reverse: bool,
@@ -791,54 +680,26 @@ impl CompiledKernel {
         match agg {
             AggW::ConvSum { project } => {
                 let e1 = &mut s.e1[..edges * d];
-                project.apply_gathered(h, &lvl.edge_src, e1, &mut s.wide);
+                project
+                    .dense()
+                    .apply_gathered(h, &lvl.edge_src, e1, &mut s.wide);
                 segment_sum(e1, &lvl.offsets, d, msg);
             }
             AggW::Attention { query, key, .. } => {
-                // Per-edge key scores, fused gather + dot.
-                let score = &mut s.score[..edges];
-                key.apply_gathered(h, &lvl.edge_src, score, &mut s.wide);
-                // Per-target query scores (shared by all of a target's
-                // edges — same value the tape's per-edge gather computes).
-                let tq = &mut s.tq[..m];
-                query.apply(&h[lvl.start * d..lvl.end * d], m, tq, &mut s.wide);
-                for (i, &tqi) in tq.iter().enumerate() {
-                    let (a, b) = (lvl.offsets[i] as usize, lvl.offsets[i + 1] as usize);
-                    for sc in &mut score[a..b] {
-                        *sc += tqi;
-                    }
-                }
-                if let Some(bias) = attr_bias {
-                    for (sc, &bv) in score.iter_mut().zip(bias) {
-                        *sc += bv;
-                    }
-                }
-                // Segment softmax in place, in the tape's edge order.
-                for i in 0..m {
-                    let (a, b) = (lvl.offsets[i] as usize, lvl.offsets[i + 1] as usize);
-                    let seg = &mut score[a..b];
-                    let max = seg.iter().fold(f32::NEG_INFINITY, |acc, &v| acc.max(v));
-                    let mut sum = 0.0f32;
-                    for v in seg.iter_mut() {
-                        *v = math::exp(*v - max);
-                        sum += *v;
-                    }
-                    for v in seg.iter_mut() {
-                        *v /= sum;
-                    }
-                }
-                // Weighted accumulation of source rows.
-                for i in 0..m {
-                    let (a, b) = (lvl.offsets[i] as usize, lvl.offsets[i + 1] as usize);
-                    let mrow = &mut msg[i * d..(i + 1) * d];
-                    for e in a..b {
-                        let alpha = score[e];
-                        let src = &h[lvl.edge_src[e] as usize * d..][..d];
-                        for (o, &sv) in mrow.iter_mut().zip(src) {
-                            *o += alpha * sv;
-                        }
-                    }
-                }
+                let arena: &[f32] = h;
+                dense::attention(
+                    query.dense(),
+                    key.dense(),
+                    |e| &arena[lvl.edge_src[e] as usize * d..][..d],
+                    &h[lvl.start * d..lvl.end * d],
+                    seg,
+                    attr_bias,
+                    &mut s.score[..edges],
+                    &mut s.tq[..m],
+                    &mut s.sum[..m],
+                    msg,
+                    &mut s.wide,
+                );
             }
             AggW::DeepSet { phi, rho } => {
                 let e1 = &mut s.e1[..edges * d];
@@ -856,13 +717,16 @@ impl CompiledKernel {
                 let e2 = &mut s.e2[..m * d];
                 e2.fill(0.0);
                 segment_sum(e1, &lvl.offsets, d, e2);
-                rho.apply(e2, m, msg, &mut s.wide);
+                rho.dense().apply(e2, m, msg, &mut s.wide);
             }
             AggW::GatedSum { gate, value } => {
                 let e1 = &mut s.e1[..edges * d];
-                gate.apply_gathered(h, &lvl.edge_src, e1, &mut s.wide);
+                gate.dense()
+                    .apply_gathered(h, &lvl.edge_src, e1, &mut s.wide);
                 let e2 = &mut s.e2[..edges * d];
-                value.apply_gathered(h, &lvl.edge_src, e2, &mut s.wide);
+                value
+                    .dense()
+                    .apply_gathered(h, &lvl.edge_src, e2, &mut s.wide);
                 for (g, &v) in e1.iter_mut().zip(e2.iter()) {
                     *g = math::sigmoid(*g) * v;
                 }
@@ -888,7 +752,7 @@ impl CompiledKernel {
         };
         let g = s.g.each_mut().map(|a| &mut a[..m * d]);
         let h_level = &mut h[lvl.start * d..lvl.end * d];
-        gru_step(gru, input, h_level, m, g, &mut s.wide);
+        dense::gru_step::<false>(gru.dense(), input, h_level, m, g, &mut s.wide);
         if let (Some(mt), Some(t0), Some(t1)) = (metrics, agg_start, gru_start) {
             mt.level_agg_ns.record_duration(t1 - t0);
             mt.level_gru_ns.record_duration(t1.elapsed());
@@ -940,6 +804,16 @@ impl CompiledKernel {
     }
 }
 
+/// Each level's segment ids ([`CsrLevel::edge_rows`]) when `agg` is the
+/// attention walk, which takes them, and none otherwise. They are constant
+/// across the `T` iterations, so a run derives them once, not per visit.
+fn segment_ids(levels: &[CsrLevel], agg: &AggW) -> Vec<Vec<u32>> {
+    match agg {
+        AggW::Attention { .. } => levels.iter().map(|l| l.edge_rows().collect()).collect(),
+        _ => Vec::new(),
+    }
+}
+
 /// Adds each CSR row's edge rows into its target row, in edge order — the
 /// dense form of the tape's `scatter_add_rows`.
 fn segment_sum(edge_rows: &[f32], offsets: &[u32], d: usize, out: &mut [f32]) {
@@ -955,278 +829,9 @@ fn segment_sum(edge_rows: &[f32], offsets: &[u32], d: usize, out: &mut [f32]) {
     }
 }
 
-/// Accumulates `row @ W` into a compile-time-width accumulator bank. The
-/// monomorphic width lets LLVM keep the whole bank in SIMD registers across
-/// the `k` walk instead of round-tripping every partial sum through the
-/// stack — the chains and their order are identical to the runtime-width
-/// loop, only the register allocation changes.
-#[inline(always)]
-fn accum1<const D: usize>(row: &[f32], w: &[f32], acc: &mut [f32; D]) {
-    for (k, &a) in row.iter().enumerate() {
-        if a == 0.0 {
-            continue;
-        }
-        let wr = &w[k * D..k * D + D];
-        // Indexed, not iterator-zip: the zip form of this loop gets
-        // SLP-scalarized at `D = 32` (an order-of-magnitude regression);
-        // the indexed form reliably takes the loop vectorizer.
-        for j in 0..D {
-            acc[j] += a * wr[j];
-        }
-    }
-}
-
-/// One `k` step of the three-bank variant of [`accum1`]: a non-zero input
-/// element `x` times weight row `k` of three matrices, into three
-/// independent accumulator banks.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn step3<const D: usize>(
-    x: f32,
-    k: usize,
-    wa: &[f32],
-    wb: &[f32],
-    wc: &[f32],
-    aa: &mut [f32; D],
-    ab: &mut [f32; D],
-    ac: &mut [f32; D],
-) {
-    let ra = &wa[k * D..k * D + D];
-    let rb = &wb[k * D..k * D + D];
-    let rc = &wc[k * D..k * D + D];
-    for j in 0..D {
-        aa[j] += x * ra[j];
-        ab[j] += x * rb[j];
-        ac[j] += x * rc[j];
-    }
-}
-
-/// Two-bank variant of [`accum1`] for the h-side GRU gate pair.
-#[inline(always)]
-fn accum2<const D: usize>(
-    row: &[f32],
-    wa: &[f32],
-    wb: &[f32],
-    aa: &mut [f32; D],
-    ab: &mut [f32; D],
-) {
-    for (k, &a) in row.iter().enumerate() {
-        if a == 0.0 {
-            continue;
-        }
-        let ra = &wa[k * D..k * D + D];
-        let rb = &wb[k * D..k * D + D];
-        for j in 0..D {
-            aa[j] += a * ra[j];
-            ab[j] += a * rb[j];
-        }
-    }
-}
-
-/// Writes an f32 accumulator bank out, adding the bias after accumulation
-/// exactly like [`LinW::apply_rows`].
-#[inline(always)]
-fn write_f32<const D: usize>(b: &[f32], acc: &[f32; D], out: &mut [f32]) {
-    if b.is_empty() {
-        out.copy_from_slice(acc);
-    } else {
-        for ((o, &av), &bv) in out.iter_mut().zip(acc).zip(b) {
-            *o = av + bv;
-        }
-    }
-}
-
-/// Applies three layers that share the same input rows (the x-side GRU
-/// gates) in a single pass: each input element is loaded and zero-tested
-/// once and feeds three register-resident accumulator banks. Every output
-/// element keeps the exact k-ascending zero-skip accumulation chain of
-/// [`LinW::apply_rows`], so the fusion is bit-exact — it only changes how
-/// many partial sums are alive at once, not the order within any one of
-/// them.
-#[allow(clippy::too_many_arguments)]
-fn apply_fused3(
-    la: &LinW,
-    lb: &LinW,
-    lc: &LinW,
-    input: &[f32],
-    rows: usize,
-    oa: &mut [f32],
-    ob: &mut [f32],
-    oc: &mut [f32],
-    wide: &mut Vec<f32>,
-) {
-    debug_assert!(lb.in_dim == la.in_dim && lc.in_dim == la.in_dim);
-    debug_assert!(lb.out_dim == la.out_dim && lc.out_dim == la.out_dim);
-    match la.out_dim {
-        8 => fused3_fixed::<8>(la, lb, lc, input, rows, oa, ob, oc),
-        16 => fused3_fixed::<16>(la, lb, lc, input, rows, oa, ob, oc),
-        32 => fused3_fixed::<32>(la, lb, lc, input, rows, oa, ob, oc),
-        64 => fused3_fixed::<64>(la, lb, lc, input, rows, oa, ob, oc),
-        _ => {
-            la.apply(input, rows, oa, wide);
-            lb.apply(input, rows, ob, wide);
-            lc.apply(input, rows, oc, wide);
-        }
-    }
-}
-
-/// The x-side pass walks **two rows per weight load**: at `d = 64` its
-/// three `[d + f, d]` matrices (51 KiB) outgrow a 48 KiB L1d, so a
-/// row-at-a-time walk re-streams them from L2 for every row. A pair of rows
-/// shares each weight row while it is in L1, feeding six register-resident
-/// banks; each row keeps its own zero-skip and its own k-ascending chains —
-/// blocking across rows is exact, blocking across k would not be. An odd
-/// last row walks alone.
-#[inline(never)]
-#[allow(clippy::too_many_arguments)]
-fn fused3_fixed<const D: usize>(
-    la: &LinW,
-    lb: &LinW,
-    lc: &LinW,
-    input: &[f32],
-    rows: usize,
-    oa: &mut [f32],
-    ob: &mut [f32],
-    oc: &mut [f32],
-) {
-    let din = la.in_dim;
-    let (wa, wb, wc) = (&la.w[..din * D], &lb.w[..din * D], &lc.w[..din * D]);
-    let mut write = |r: usize, aa: &[f32; D], ab: &[f32; D], ac: &[f32; D]| {
-        write_f32::<D>(&la.b, aa, &mut oa[r * D..(r + 1) * D]);
-        write_f32::<D>(&lb.b, ab, &mut ob[r * D..(r + 1) * D]);
-        write_f32::<D>(&lc.b, ac, &mut oc[r * D..(r + 1) * D]);
-    };
-    for r in (0..rows - rows % 2).step_by(2) {
-        let (row0, row1) = input[r * din..(r + 2) * din].split_at(din);
-        let (mut a0, mut b0, mut c0) = ([0.0f32; D], [0.0f32; D], [0.0f32; D]);
-        let (mut a1, mut b1, mut c1) = ([0.0f32; D], [0.0f32; D], [0.0f32; D]);
-        for (k, (&x0, &x1)) in row0.iter().zip(row1).enumerate() {
-            if x0 != 0.0 {
-                step3::<D>(x0, k, wa, wb, wc, &mut a0, &mut b0, &mut c0);
-            }
-            if x1 != 0.0 {
-                step3::<D>(x1, k, wa, wb, wc, &mut a1, &mut b1, &mut c1);
-            }
-        }
-        write(r, &a0, &b0, &c0);
-        write(r + 1, &a1, &b1, &c1);
-    }
-    if rows % 2 == 1 {
-        let (mut aa, mut ab, mut ac) = ([0.0f32; D], [0.0f32; D], [0.0f32; D]);
-        for (k, &x) in input[(rows - 1) * din..rows * din].iter().enumerate() {
-            if x != 0.0 {
-                step3::<D>(x, k, wa, wb, wc, &mut aa, &mut ab, &mut ac);
-            }
-        }
-        write(rows - 1, &aa, &ab, &ac);
-    }
-}
-
-/// Two-layer variant of [`apply_fused3`] for the h-side GRU gate pair. Its
-/// 32 KiB panel already sits in L1, so rows go one at a time.
-fn apply_fused2(
-    la: &LinW,
-    lb: &LinW,
-    input: &[f32],
-    rows: usize,
-    oa: &mut [f32],
-    ob: &mut [f32],
-    wide: &mut Vec<f32>,
-) {
-    debug_assert!(lb.in_dim == la.in_dim && lb.out_dim == la.out_dim);
-    match la.out_dim {
-        8 => fused2_fixed::<8>(la, lb, input, rows, oa, ob),
-        16 => fused2_fixed::<16>(la, lb, input, rows, oa, ob),
-        32 => fused2_fixed::<32>(la, lb, input, rows, oa, ob),
-        64 => fused2_fixed::<64>(la, lb, input, rows, oa, ob),
-        _ => {
-            la.apply(input, rows, oa, wide);
-            lb.apply(input, rows, ob, wide);
-        }
-    }
-}
-
-/// Single-layer fixed-width batch: one matrix over the `rows` input rows
-/// `row_of` hands out (contiguous or gathered). A free function like
-/// [`fused2_fixed`] rather than a method — the method-shaped
-/// monomorphization of this loop came out scalarized at `D = 32` (LLVM's
-/// SLP vectorizer won the cost-model coin flip over the loop vectorizer),
-/// an order-of-magnitude regression on the GRU candidate matvec. The
-/// free-function shape compiles to the register-resident vector loop shared
-/// by the two- and three-bank variants.
-#[inline(never)]
-fn rows1_fixed<'a, const D: usize>(
-    l: &LinW,
-    row_of: impl Fn(usize) -> &'a [f32],
-    rows: usize,
-    out: &mut [f32],
-) {
-    for r in 0..rows {
-        let mut acc = [0.0f32; D];
-        accum1::<D>(row_of(r), &l.w, &mut acc);
-        write_f32::<D>(&l.b, &acc, &mut out[r * D..(r + 1) * D]);
-    }
-}
-
-#[inline(never)]
-fn fused2_fixed<const D: usize>(
-    la: &LinW,
-    lb: &LinW,
-    input: &[f32],
-    rows: usize,
-    oa: &mut [f32],
-    ob: &mut [f32],
-) {
-    let din = la.in_dim;
-    for r in 0..rows {
-        let row = &input[r * din..(r + 1) * din];
-        let (mut aa, mut ab) = ([0.0f32; D], [0.0f32; D]);
-        accum2::<D>(row, &la.w, &lb.w, &mut aa, &mut ab);
-        write_f32::<D>(&la.b, &aa, &mut oa[r * D..(r + 1) * D]);
-        write_f32::<D>(&lb.b, &ab, &mut ob[r * D..(r + 1) * D]);
-    }
-}
-
-/// One GRU update of the `m` packed hidden rows `h` of a level, computed in
-/// the exact operation order of the tape's `GruCell::forward` (separate
-/// x-side and h-side sums, then elementwise combines) so the kernel stays
-/// bit-exact. `g` is the five gate arenas, as long as `h` each.
-fn gru_step(
-    gru: &GruW,
-    input: &[f32],
-    h: &mut [f32],
-    m: usize,
-    g: [&mut [f32]; 5],
-    wide: &mut Vec<f32>,
-) {
-    let [xr, hr, xz, hz, xn] = g;
-    // The three x-side gate sums share `input`; the two h-side sums share
-    // the packed hidden rows. Fused multi-accumulator passes compute them
-    // with one walk over each shared operand.
-    apply_fused3(&gru.xr, &gru.xz, &gru.xn, input, m, xr, xz, xn, wide);
-    apply_fused2(&gru.hr, &gru.hz, h, m, hr, hz, wide);
-    // r = σ(x W_xr + h W_hr), z = σ(x W_xz + h W_hz) → xz, r ⊙ h → hr: one
-    // sweep, which `nn::math` lets the compiler run a vector wide.
-    let len = h.len();
-    let (xr, hr, xz) = (&mut xr[..len], &mut hr[..len], &mut xz[..len]);
-    let (hz, xn) = (&hz[..len], &xn[..len]);
-    for i in 0..len {
-        let r = math::sigmoid(xr[i] + hr[i]);
-        xz[i] = math::sigmoid(xz[i] + hz[i]);
-        hr[i] = r * h[i];
-    }
-    // n = tanh(x W_xn + (r ⊙ h) W_hn), with `xr` free to take the h side;
-    // h' = (1 - z) ⊙ n + z ⊙ h goes straight into the arena.
-    gru.hn.apply(hr, m, xr, wide);
-    for i in 0..len {
-        let n = math::tanh(xn[i] + xr[i]);
-        h[i] = (1.0 - xz[i]) * n + xz[i] * h[i];
-    }
-}
-
 #[cfg(test)]
 #[path = "../tests/shapes/mod.rs"]
-mod shapes;
+pub(crate) mod shapes;
 
 #[cfg(test)]
 mod tests {
@@ -1521,7 +1126,10 @@ mod tests {
             assert!(levels[lvl.start..lvl.end].iter().all(|&l| l == level));
             assert_eq!(*lvl.offsets.last().unwrap() as usize, lvl.edge_src.len());
             assert!(lvl.edge_src.iter().all(|&src| levels[src as usize] < level));
-            assert!(lvl.edge_rows().iter().all(|&row| row < lvl.end - lvl.start));
+            let seg: Vec<u32> = lvl.edge_rows().collect();
+            assert_eq!(seg.len(), lvl.edge_src.len());
+            assert!(seg.iter().all(|&row| (row as usize) < lvl.end - lvl.start));
+            assert!(seg.windows(2).all(|w| w[0] <= w[1]));
         }
     }
 
@@ -1542,65 +1150,5 @@ mod tests {
         // Every node with at least one fan-out appears exactly once.
         let covered: usize = plan.reverse.iter().map(|l| l.end - l.start).sum();
         assert_eq!(covered, 6); // All but the join have fan-outs.
-    }
-
-    /// The paired x-side pass against `Tensor::matmul`, bit for bit, on odd
-    /// and even row counts. Input column 1 is an exact zero in even rows
-    /// only and column 3 in odd rows only, under weight rows that hold an
-    /// `INFINITY`: the row with the zero must skip it (`0 · inf` is NaN if
-    /// its zero-skip is dropped or tied to its partner's) while the other
-    /// row of the pair must not. Column 5 is zero in every row, under a
-    /// whole weight row of `INFINITY`.
-    #[test]
-    fn paired_x_side_pass_equals_matmul_and_keeps_each_rows_zero_skip() {
-        const DIN: usize = 7;
-        for d in [8usize, 64] {
-            let layer = |salt: usize| {
-                let value = |i: usize| ((i * 37 + salt * 11) % 23) as f32 * 0.173 - 1.9;
-                let mut w: Vec<f32> = (0..DIN * d).map(value).collect();
-                w[d + salt] = f32::INFINITY;
-                w[3 * d + salt + 1] = f32::INFINITY;
-                w[5 * d..6 * d].fill(f32::INFINITY);
-                LinW {
-                    w,
-                    b: Vec::new(),
-                    in_dim: DIN,
-                    out_dim: d,
-                }
-            };
-            let layers = [layer(0), layer(1), layer(2)];
-            for rows in [1usize, 2, 3, 5] {
-                let value = |i: usize| ((i * 29) % 17) as f32 * 0.31 + 0.07;
-                let mut input: Vec<f32> = (0..rows * DIN).map(value).collect();
-                for r in 0..rows {
-                    input[r * DIN + 1 + 2 * (r % 2)] = 0.0;
-                    input[r * DIN + 5] = 0.0;
-                }
-                let [la, lb, lc] = &layers;
-                let (mut oa, mut ob, mut oc) = (
-                    vec![0.0; rows * d],
-                    vec![0.0; rows * d],
-                    vec![0.0; rows * d],
-                );
-                apply_fused3(
-                    la,
-                    lb,
-                    lc,
-                    &input,
-                    rows,
-                    &mut oa,
-                    &mut ob,
-                    &mut oc,
-                    &mut Vec::new(),
-                );
-                let x = Tensor::from_vec(rows, DIN, input);
-                for (layer, got) in layers.iter().zip([&oa, &ob, &oc]) {
-                    let want = x.matmul(&Tensor::from_vec(DIN, d, layer.w.clone()));
-                    assert!(want.as_slice().contains(&f32::INFINITY));
-                    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
-                    assert_eq!(bits(want.as_slice()), bits(got), "d = {d}, {rows} rows");
-                }
-            }
-        }
     }
 }

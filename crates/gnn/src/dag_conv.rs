@@ -2,7 +2,7 @@
 //! (Eq. 3 of the paper) with per-layer parameters and a single forward pass.
 
 use crate::csr::InferencePlan;
-use crate::state::NodeStates;
+use crate::state::{Combine, NodeStates};
 use crate::{Aggregator, AggregatorKind, CircuitGraph, ProbabilityModel};
 use deepgate_nn::{Activation, Graph, GruCell, Linear, Mlp, ParamStore, Var};
 use serde::{Deserialize, Serialize};
@@ -100,10 +100,15 @@ impl DagConvGnn {
     pub fn config(&self) -> DagConvConfig {
         self.config
     }
-}
 
-impl ProbabilityModel for DagConvGnn {
-    fn forward(&self, g: &mut Graph, store: &ParamStore, circuit: &CircuitGraph) -> Var {
+    /// The tape forward with each GRU update recorded by `combine`.
+    pub(crate) fn forward_with(
+        &self,
+        g: &mut Graph,
+        store: &ParamStore,
+        circuit: &CircuitGraph,
+        combine: Combine,
+    ) -> Var {
         assert_eq!(
             circuit.encoding.dimension(),
             self.config.feature_dim,
@@ -115,29 +120,37 @@ impl ProbabilityModel for DagConvGnn {
         let features = g.input(plan.feature_rows(0..circuit.num_nodes));
         let embedded = self.embed.forward(g, store, features);
         let mut states = NodeStates::new(g, embedded);
-        let edge_rows: Vec<Vec<usize>> = plan.forward.iter().map(|lvl| lvl.edge_rows()).collect();
+        let segs: Vec<Vec<u32>> = plan
+            .forward
+            .iter()
+            .map(|lvl| lvl.edge_rows().collect())
+            .collect();
         for layer in 0..self.config.num_layers {
             let prev_layer = states.clone();
-            for (lvl, edge_rows) in plan.forward.iter().zip(&edge_rows) {
+            for (lvl, seg) in plan.forward.iter().zip(&segs) {
                 let targets = lvl.start..lvl.end;
                 let src_states = states.read(g, lvl.edge_src.iter().map(|&src| src as usize));
-                let query_states = prev_layer.read(g, edge_rows.iter().map(|&row| lvl.start + row));
+                let h_targets_prev = prev_layer.read(g, targets.clone());
                 let msg = self.aggregators[layer].aggregate(
                     g,
                     store,
                     src_states,
-                    query_states,
-                    edge_rows,
-                    targets.len(),
+                    h_targets_prev,
+                    seg,
                     None,
                 );
-                let h_targets_prev = prev_layer.read(g, targets.clone());
-                let updated = self.combiners[layer].forward(g, store, msg, h_targets_prev);
+                let updated = combine(&self.combiners[layer], g, store, msg, h_targets_prev);
                 states.write(targets, updated);
             }
         }
         let h = states.read_all(g, &plan.perm);
         self.regressor.forward(g, store, h)
+    }
+}
+
+impl ProbabilityModel for DagConvGnn {
+    fn forward(&self, g: &mut Graph, store: &ParamStore, circuit: &CircuitGraph) -> Var {
+        self.forward_with(g, store, circuit, GruCell::forward)
     }
 
     fn name(&self) -> String {

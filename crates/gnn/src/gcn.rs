@@ -97,14 +97,16 @@ impl Gcn {
         self.config
     }
 
-    fn undirected_edges(circuit: &CircuitGraph) -> (Vec<usize>, Vec<usize>) {
+    /// Every edge in both directions: the source of each, and its target as
+    /// the aggregator's segment id.
+    fn undirected_edges(circuit: &CircuitGraph) -> (Vec<usize>, Vec<u32>) {
         let mut src = Vec::with_capacity(circuit.edges.len() * 2);
         let mut dst = Vec::with_capacity(circuit.edges.len() * 2);
         for &(u, v) in &circuit.edges {
             src.push(u);
-            dst.push(v);
+            dst.push(v as u32);
             src.push(v);
-            dst.push(u);
+            dst.push(u as u32);
         }
         (src, dst)
     }
@@ -117,15 +119,12 @@ impl ProbabilityModel for Gcn {
             self.config.feature_dim,
             "circuit feature encoding does not match the model configuration"
         );
-        let n = circuit.num_nodes;
         let (edge_src, edge_dst) = Self::undirected_edges(circuit);
         let features = g.input(circuit.features.clone());
         let mut h = self.embed.forward(g, store, features);
         for layer in 0..self.config.num_layers {
             let src_states = g.gather_rows(h, &edge_src);
-            let dst_states = g.gather_rows(h, &edge_dst);
-            let msg = self.aggregators[layer]
-                .aggregate(g, store, src_states, dst_states, &edge_dst, n, None);
+            let msg = self.aggregators[layer].aggregate(g, store, src_states, h, &edge_dst, None);
             let concat = g.concat_cols(h, msg);
             let combined = self.combiners[layer].forward(g, store, concat);
             h = g.relu(combined);

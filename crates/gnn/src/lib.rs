@@ -12,8 +12,10 @@
 //!   and their positional encodings folded in) and fan-out (reverse) rows in
 //!   CSR form. The training tape and [`CompiledKernel`], the tape-free
 //!   inference executor, both walk it.
-//! - [`Aggregator`] — the four aggregation functions of the paper, built on
-//!   the gather / scatter-add / segment-softmax ops of `deepgate-nn`.
+//! - [`Aggregator`] — the four aggregation functions of the paper. Attention
+//!   is one fused tape op (`Graph::attention`) running the kernel's own
+//!   attention walk; the other three are gather / scatter-add compositions
+//!   of `deepgate-nn`'s generic ops.
 //! - On the training tape the level-by-level models keep every node's state
 //!   in the variable that computed it (`state.rs`, addressed by packed row):
 //!   updating a level records nothing and reads are `Graph::gather_from`, so

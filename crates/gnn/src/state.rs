@@ -1,7 +1,17 @@
 //! Where the level-by-level models keep node states on the autodiff tape.
 
-use deepgate_nn::{Graph, Var};
+use deepgate_nn::{Graph, GruCell, ParamStore, Var};
 use std::ops::Range;
+
+/// How a level model records its GRU update: [`GruCell::forward`], or, in
+/// the gradient tests, the generic-op oracle it replaced.
+pub(crate) type Combine = fn(&GruCell, &mut Graph, &ParamStore, Var, Var) -> Var;
+
+/// `generic_gru`, the generic-op GRU oracle: `deepgate-nn`'s own test-only
+/// copy, not a second one.
+#[cfg(test)]
+#[path = "../../nn/src/oracle.rs"]
+pub(crate) mod oracle;
 
 /// The current hidden state of every node, kept where it was computed: a
 /// locator `node → (Var, row)` instead of one `[num_nodes, d]` variable.

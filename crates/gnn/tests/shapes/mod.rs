@@ -1,6 +1,7 @@
 //! Circuit shapes shared by the kernel parity suite (`csr_parity.rs`) and
-//! the level-schedule oracle in `src/csr.rs`' test module, which includes
-//! this file by path — so it names no `deepgate_gnn` type.
+//! the crate's own tests (the level-schedule oracle in `src/csr.rs`, the
+//! gradient oracles in `src/dag_rec.rs`), which include this file by path —
+//! so it names no `deepgate_gnn` type.
 #![allow(dead_code)]
 
 use deepgate_aig::Aig;

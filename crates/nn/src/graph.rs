@@ -11,10 +11,9 @@
 //!
 //! - leaves: [`Graph::input`], [`Graph::param`];
 //! - dense: [`Graph::matmul`], [`Graph::add`], [`Graph::add_row`],
-//!   [`Graph::sub`], [`Graph::mul`], [`Graph::mul_col`], [`Graph::scale`],
+//!   [`Graph::sub`], [`Graph::mul`], [`Graph::scale`],
 //!   [`Graph::add_scalar`], [`Graph::concat_cols`];
-//! - activations: [`Graph::sigmoid`], [`Graph::tanh`], [`Graph::relu`],
-//!   [`Graph::one_minus`];
+//! - activations: [`Graph::sigmoid`], [`Graph::tanh`], [`Graph::relu`];
 //! - reductions and losses: [`Graph::sum_all`], [`Graph::mean_all`],
 //!   [`Graph::l1_loss`], [`Graph::mse_loss`];
 //! - message passing over circuit DAGs:
@@ -25,10 +24,16 @@
 //!     gradient row straight into the row it was read from.
 //!   - [`Graph::gather_rows`] — the single-source form.
 //!   - [`Graph::scatter_add_rows`] — sum messages onto their target nodes.
-//!   - [`Graph::segment_softmax`] — softmax over each node's predecessor
-//!     set, the normalisation of DeepGate's additive attention (Eq. 5).
+//! - the two fused ops, whose forward is the CSR inference kernel's row
+//!   code ([`crate::dense`]) and whose backward is hand-written
+//!   (`fused.rs`): the GRU update ([`crate::GruCell::forward`], paper
+//!   Eq. 6) and [`Graph::attention`], DeepGate's additive attention over
+//!   each node's predecessor set (Eq. 5). Each is one tape entry that reads
+//!   its parameters in place from the [`ParamStore`] and adds their
+//!   gradients straight into it.
 
-use crate::{math, ParamId, ParamStore, Tensor};
+use crate::fused::{AttentionOp, GruOp, Transposes};
+use crate::{math, GruCell, Linear, ParamId, ParamStore, Tensor};
 
 /// Handle to a value on the autodiff tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,18 +48,21 @@ enum Op {
     AddRow(Var, Var),
     Sub(Var, Var),
     Mul(Var, Var),
-    MulCol(Var, Var),
     Scale(Var, f32),
     AddScalar(Var),
     Sigmoid(Var),
     Tanh(Var),
     Relu(Var),
-    OneMinus(Var),
     ConcatCols(Var, Var),
     GatherRows(Var, Vec<usize>),
     GatherFrom(Vec<(Var, usize)>),
-    ScatterAddRows(Var, Vec<usize>),
-    SegmentSoftmax(Var, Vec<usize>),
+    ScatterAddRows(Var, Vec<u32>),
+    Gru(Box<GruOp>),
+    Attention(Box<AttentionOp>),
+    #[cfg(test)]
+    MulCol(Var, Var),
+    #[cfg(test)]
+    SegmentSoftmax(Var, Vec<u32>),
     SumAll(Var),
     MeanAll(Var),
     L1Loss(Var, Tensor),
@@ -92,12 +100,19 @@ impl Graph {
         self.nodes.is_empty()
     }
 
-    /// Total number of `f32` elements held by the recorded forward values —
-    /// the tape's memory footprint as a count (a backward pass allocates at
-    /// most as many again for gradients), so tests can bound how a model's
-    /// tape grows with circuit depth without reading a clock or the RSS.
+    /// Total number of `f32` elements held by the recorded forward values
+    /// and by what the fused ops saved for their backward — the tape's
+    /// memory footprint as a count (a backward pass allocates at most as
+    /// many again for gradients), so tests can bound how a model's tape
+    /// grows with circuit depth without reading a clock or the RSS.
     pub fn value_elements(&self) -> usize {
-        self.nodes.iter().map(|node| node.value.len()).sum()
+        let saved = |op: &Op| match op {
+            Op::Gru(gru) => gru.saved.len(),
+            Op::Attention(att) => att.alpha.len(),
+            _ => 0,
+        };
+        let node_elements = |node: &TapeNode| node.value.len() + saved(&node.op);
+        self.nodes.iter().map(node_elements).sum()
     }
 
     /// The forward value of a variable.
@@ -203,13 +218,9 @@ impl Graph {
     }
 
     /// Broadcasts a `[k, 1]` column over the columns of a `[k, d]` matrix and
-    /// multiplies element-wise (used to weight messages by attention
-    /// coefficients).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes are incompatible.
-    pub fn mul_col(&mut self, col: Var, mat: Var) -> Var {
+    /// multiplies element-wise — the attention oracle's message weighting.
+    #[cfg(test)]
+    pub(crate) fn mul_col(&mut self, col: Var, mat: Var) -> Var {
         let c = self.value(col);
         let m = self.value(mat);
         assert_eq!(c.cols(), 1, "mul_col expects a [k, 1] column");
@@ -251,12 +262,6 @@ impl Graph {
     pub fn relu(&mut self, a: Var) -> Var {
         let value = self.value(a).map(|v| v.max(0.0));
         self.push(value, Op::Relu(a))
-    }
-
-    /// Element-wise `1 - x` (used by the GRU update gate).
-    pub fn one_minus(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(|v| 1.0 - v);
-        self.push(value, Op::OneMinus(a))
     }
 
     /// Concatenates two matrices with the same number of rows along the
@@ -323,31 +328,89 @@ impl Graph {
     ///
     /// Panics if any index is `>= num_rows` or the index count differs from
     /// the number of rows of `a`.
-    pub fn scatter_add_rows(&mut self, a: Var, indices: &[usize], num_rows: usize) -> Var {
+    pub fn scatter_add_rows(&mut self, a: Var, indices: &[u32], num_rows: usize) -> Var {
         let t = self.value(a);
         assert_eq!(t.rows(), indices.len(), "scatter index count mismatch");
         let mut out = Tensor::zeros(num_rows, t.cols());
         for (i, &idx) in indices.iter().enumerate() {
-            assert!(idx < num_rows, "scatter index {idx} out of range");
-            add_assign(out.row_mut(idx), t.row(i));
+            assert!(
+                (idx as usize) < num_rows,
+                "scatter index {idx} out of range"
+            );
+            add_assign(out.row_mut(idx as usize), t.row(i));
         }
         self.push(out, Op::ScatterAddRows(a, indices.to_vec()))
     }
 
     /// Softmax over segments: rows of the `[k, 1]` score column that share a
-    /// segment id are normalised together. This is the attention
-    /// normalisation over each node's predecessor set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scores` is not a column or the segment count differs from
-    /// the number of rows.
-    pub fn segment_softmax(&mut self, scores: Var, segments: &[usize]) -> Var {
+    /// segment id are normalised together — the attention oracle's
+    /// normalisation.
+    #[cfg(test)]
+    pub(crate) fn segment_softmax(&mut self, scores: Var, segments: &[u32]) -> Var {
         let s = self.value(scores);
         assert_eq!(s.cols(), 1, "segment_softmax expects a [k, 1] column");
         assert_eq!(s.rows(), segments.len(), "segment count mismatch");
         let value = segment_softmax_forward(s, segments);
         self.push(value, Op::SegmentSoftmax(scores, segments.to_vec()))
+    }
+
+    /// Records one GRU update of `hidden`'s rows (see
+    /// [`GruCell::forward`], its public entry).
+    pub(crate) fn gru(&mut self, store: &ParamStore, cell: &GruCell, x: Var, h: Var) -> Var {
+        let (value, saved) = GruOp::forward(store, cell, self.value(x), self.value(h));
+        let op = GruOp {
+            cell: cell.clone(),
+            x,
+            h,
+            saved,
+        };
+        self.push(value, Op::Gru(Box::new(op)))
+    }
+
+    /// DeepGate's additive attention (paper Eq. 5) as one tape entry: edge
+    /// `e` carries row `e` of `sources` (`[E, d]`) to row `seg[e]` of the
+    /// `[m, d]` result; its score is `key(source) + query(target)`, plus
+    /// `edge_attr(attr row e)` when `edge_attr` is given, where the target's
+    /// state is row `seg[e]` of `targets` (`[m, d]`). Scores are normalised
+    /// over each target's edges and the message is the weighted sum of its
+    /// source rows. Segments need not be sorted. The forward is
+    /// [`crate::dense::attention`] — the CSR kernel's aggregation — and the
+    /// op saves only the softmax weights.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes disagree or a segment id is `>= m`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn attention(
+        &mut self,
+        store: &ParamStore,
+        query: &Linear,
+        key: &Linear,
+        edge_attr: Option<(&Linear, Var)>,
+        sources: Var,
+        targets: Var,
+        seg: &[u32],
+    ) -> Var {
+        let attr = edge_attr.map(|(layer, var)| (layer, self.value(var)));
+        let (value, alpha) = AttentionOp::forward(
+            store,
+            query,
+            key,
+            attr,
+            self.value(sources),
+            self.value(targets),
+            seg,
+        );
+        let op = AttentionOp {
+            query: query.clone(),
+            key: key.clone(),
+            edge_attr: edge_attr.map(|(layer, var)| (layer.clone(), var)),
+            sources,
+            targets,
+            seg: seg.to_vec(),
+            alpha,
+        };
+        self.push(value, Op::Attention(Box::new(op)))
     }
 
     /// Sum of all elements, as a `[1, 1]` tensor.
@@ -402,9 +465,9 @@ impl Graph {
             "backward expects a scalar loss"
         );
         self.nodes[loss.0].grad = Some(Tensor::ones(1, 1));
-        // A parameter is one tape entry however many matmuls read it, so its
-        // transpose is built for the first of them and reused by the rest.
-        let mut weights_t: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
+        // A parameter's transpose is built for the first op that needs it
+        // and reused by the rest of the pass.
+        let mut transposes = Transposes::new(store);
         for i in (0..self.nodes.len()).rev() {
             // Every input of an entry was recorded before it, so the tape
             // splits into the inputs, whose gradients are written, and the
@@ -417,13 +480,11 @@ impl Graph {
                 Op::Param(id) => store.accumulate_grad(*id, grad),
                 Op::Matmul(a, b) => {
                     let rhs = &inputs[b.0];
-                    let da = if matches!(rhs.op, Op::Param(_)) {
-                        let rhs_t = weights_t[b.0].get_or_insert_with(|| rhs.value.transpose());
-                        grad.matmul(rhs_t)
-                    } else {
-                        grad.matmul(&rhs.value.transpose())
+                    let da = match rhs.op {
+                        Op::Param(id) => grad.matmul(transposes.get(store, [id])[0]),
+                        _ => grad.matmul(&rhs.value.transpose()),
                     };
-                    let db = inputs[a.0].value.matmul_tn(grad);
+                    let db = inputs[a.0].value.transpose().matmul(grad);
                     accumulate(inputs, *a, da);
                     accumulate(inputs, *b, db);
                 }
@@ -449,6 +510,7 @@ impl Graph {
                     accumulate(inputs, *a, da);
                     accumulate(inputs, *b, db);
                 }
+                #[cfg(test)]
                 Op::MulCol(col, mat) => {
                     let c = &inputs[col.0].value;
                     let m = &inputs[mat.0].value;
@@ -483,7 +545,6 @@ impl Graph {
                     let da = grad.zip(x, |g, v| if v > 0.0 { g } else { 0.0 });
                     accumulate(inputs, *a, da);
                 }
-                Op::OneMinus(a) => accumulate(inputs, *a, grad.map(|v| -v)),
                 Op::ConcatCols(a, b) => {
                     let ca = inputs[a.0].value.cols();
                     let mut da = Tensor::zeros(grad.rows(), ca);
@@ -516,10 +577,29 @@ impl Graph {
                 Op::ScatterAddRows(a, indices) => {
                     let mut da = Tensor::zeros(indices.len(), grad.cols());
                     for (r, &idx) in indices.iter().enumerate() {
-                        da.row_mut(r).copy_from_slice(grad.row(idx));
+                        da.row_mut(r).copy_from_slice(grad.row(idx as usize));
                     }
                     accumulate(inputs, *a, da);
                 }
+                Op::Gru(op) => {
+                    let (x, h) = (&inputs[op.x.0].value, &inputs[op.h.0].value);
+                    let (dx, dh) = op.backward(grad, x, h, store, &mut transposes);
+                    accumulate(inputs, op.x, dx);
+                    accumulate(inputs, op.h, dh);
+                }
+                Op::Attention(op) => {
+                    let sources = &inputs[op.sources.0].value;
+                    let targets = &inputs[op.targets.0].value;
+                    let attr = op.edge_attr.as_ref().map(|(_, var)| &inputs[var.0].value);
+                    let (dsrc, dtgt, dattr) =
+                        op.backward(grad, sources, targets, attr, store, &mut transposes);
+                    accumulate(inputs, op.sources, dsrc);
+                    accumulate(inputs, op.targets, dtgt);
+                    if let (Some((_, var)), Some(da)) = (&op.edge_attr, dattr) {
+                        accumulate(inputs, *var, da);
+                    }
+                }
+                #[cfg(test)]
                 Op::SegmentSoftmax(scores, segments) => {
                     let da = segment_softmax_backward(&node.value, grad, segments);
                     accumulate(inputs, *scores, da);
@@ -585,7 +665,9 @@ fn add_assign(dst: &mut [f32], src: &[f32]) {
     }
 }
 
-fn segment_softmax_forward(scores: &Tensor, segments: &[usize]) -> Tensor {
+#[cfg(test)]
+fn segment_softmax_forward(scores: &Tensor, segments: &[u32]) -> Tensor {
+    let segments: Vec<usize> = segments.iter().map(|&s| s as usize).collect();
     let k = scores.rows();
     let num_segments = segments.iter().copied().max().map_or(0, |m| m + 1);
     let mut max_per_seg = vec![f32::NEG_INFINITY; num_segments];
@@ -606,7 +688,9 @@ fn segment_softmax_forward(scores: &Tensor, segments: &[usize]) -> Tensor {
     out
 }
 
-fn segment_softmax_backward(y: &Tensor, grad: &Tensor, segments: &[usize]) -> Tensor {
+#[cfg(test)]
+fn segment_softmax_backward(y: &Tensor, grad: &Tensor, segments: &[u32]) -> Tensor {
+    let segments: Vec<usize> = segments.iter().map(|&s| s as usize).collect();
     let k = y.rows();
     let num_segments = segments.iter().copied().max().map_or(0, |m| m + 1);
     // dot[s] = sum_j grad_j * y_j within segment s
@@ -689,8 +773,7 @@ mod tests {
             let s = g.sigmoid(wv);
             let t = g.tanh(s);
             let r = g.relu(t);
-            let o = g.one_minus(r);
-            let sc = g.scale(o, 1.5);
+            let sc = g.scale(r, -1.5);
             let sh = g.add_scalar(sc, 0.1);
             let loss = g.l1_loss(sh, &target);
             g.value(loss).get(0, 0)
@@ -701,8 +784,7 @@ mod tests {
         let s = g.sigmoid(wv);
         let t = g.tanh(s);
         let r = g.relu(t);
-        let o = g.one_minus(r);
-        let sc = g.scale(o, 1.5);
+        let sc = g.scale(r, -1.5);
         let sh = g.add_scalar(sc, 0.1);
         let loss = g.l1_loss(sh, &target);
         g.backward(loss, &mut store);
@@ -725,7 +807,7 @@ mod tests {
             Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]),
         );
         let indices = vec![0usize, 2, 2, 1];
-        let targets = vec![0usize, 1, 1, 0];
+        let targets = vec![0u32, 1, 1, 0];
         let target = Tensor::from_rows(&[&[1.0, 1.0], &[2.0, 2.0]]);
 
         let run = |store: &ParamStore| -> f32 {
@@ -865,7 +947,7 @@ mod tests {
     #[test]
     fn segment_softmax_forward_normalises_per_segment() {
         let scores = Tensor::column(&[1.0, 2.0, 3.0, 0.5, 0.5]);
-        let segments = vec![0, 0, 1, 1, 1];
+        let segments = vec![0u32, 0, 1, 1, 1];
         let y = segment_softmax_forward(&scores, &segments);
         let seg0: f32 = y.get(0, 0) + y.get(1, 0);
         let seg1: f32 = y.get(2, 0) + y.get(3, 0) + y.get(4, 0);
@@ -878,7 +960,7 @@ mod tests {
     fn segment_softmax_gradient_matches_finite_difference() {
         let mut store = ParamStore::new();
         let w = store.add("scores", Tensor::column(&[0.2, -0.4, 0.7, 1.1]));
-        let segments = vec![0usize, 0, 1, 1];
+        let segments = vec![0u32, 0, 1, 1];
         let weights = Tensor::from_rows(&[&[1.0, 0.0], &[0.0, 2.0], &[1.5, 0.5], &[0.2, 0.9]]);
         let target = Tensor::from_rows(&[&[0.3, 0.3], &[0.4, 0.4]]);
 

@@ -1,6 +1,7 @@
 //! Neural-network layers used by the DeepGate models: linear projections,
 //! multi-layer perceptrons and gated recurrent unit cells.
 
+use crate::dense::Dense;
 use crate::{Graph, ParamId, ParamStore, Tensor, Var};
 
 /// A dense affine layer `y = x W + b`.
@@ -88,6 +89,22 @@ impl Linear {
     /// The `[1, out_features]` bias tensor, if the layer has one.
     pub fn bias_tensor<'a>(&self, store: &'a ParamStore) -> Option<&'a Tensor> {
         self.bias.map(|b| store.value(b))
+    }
+
+    /// The layer's weights read in place out of `store`, as the row code of
+    /// [`crate::dense`] takes them.
+    pub fn dense<'a>(&self, store: &'a ParamStore) -> Dense<'a> {
+        let bias = self.bias_tensor(store).map_or(&[][..], Tensor::as_slice);
+        let weight = self.weight_tensor(store).as_slice();
+        Dense::new(weight, bias, self.in_features, self.out_features)
+    }
+
+    pub(crate) fn weight_id(&self) -> ParamId {
+        self.weight
+    }
+
+    pub(crate) fn bias_id(&self) -> Option<ParamId> {
+        self.bias
     }
 }
 
@@ -285,31 +302,18 @@ impl GruCell {
         ]
     }
 
-    /// Computes the next hidden state for a batch of rows.
+    /// Computes the next hidden state for a batch of rows, recorded as one
+    /// fused tape entry whose forward is [`crate::dense::gru_step`] — the
+    /// CSR inference kernel's GRU.
     ///
     /// `input` is `[n, input_size]`, `hidden` is `[n, hidden_size]`; the
     /// result is `[n, hidden_size]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes do not match the cell.
     pub fn forward(&self, g: &mut Graph, store: &ParamStore, input: Var, hidden: Var) -> Var {
-        let xr = self.w_xr.forward(g, store, input);
-        let hr = self.w_hr.forward(g, store, hidden);
-        let pre_r = g.add(xr, hr);
-        let r = g.sigmoid(pre_r);
-
-        let xz = self.w_xz.forward(g, store, input);
-        let hz = self.w_hz.forward(g, store, hidden);
-        let pre_z = g.add(xz, hz);
-        let z = g.sigmoid(pre_z);
-
-        let gated_h = g.mul(r, hidden);
-        let xn = self.w_xn.forward(g, store, input);
-        let hn = self.w_hn.forward(g, store, gated_h);
-        let pre_n = g.add(xn, hn);
-        let n = g.tanh(pre_n);
-
-        let one_minus_z = g.one_minus(z);
-        let new_part = g.mul(one_minus_z, n);
-        let old_part = g.mul(z, hidden);
-        g.add(new_part, old_part)
+        g.gru(store, self, input, hidden)
     }
 }
 

@@ -10,21 +10,25 @@
 //!   forward pass builds a fresh graph; [`Graph::backward`] accumulates
 //!   parameter gradients into a [`ParamStore`]. A parameter is recorded
 //!   once per tape, however often a model uses it.
-//! - Dense ops (`matmul`, `add`, `add_row`, `sub`, `mul`, `mul_col`,
-//!   `scale`, `add_scalar`, `concat_cols`), activations (`sigmoid`, `tanh`,
-//!   `relu`, `one_minus`), reductions (`sum_all`, `mean_all`) and losses
-//!   (`l1_loss`, `mse_loss`).
+//! - Dense ops (`matmul`, `add`, `add_row`, `sub`, `mul`, `scale`,
+//!   `add_scalar`, `concat_cols`), activations (`sigmoid`, `tanh`, `relu`),
+//!   reductions (`sum_all`, `mean_all`) and losses (`l1_loss`, `mse_loss`).
 //! - Graph ops tailored to message passing on circuit DAGs:
 //!   [`Graph::gather_from`] (read rows out of several variables at once, so
 //!   a node's state can stay in the variable that computed it),
-//!   [`Graph::gather_rows`], [`Graph::scatter_add_rows`] and
-//!   [`Graph::segment_softmax`] (softmax over each node's predecessor set,
-//!   the core of DeepGate's attention aggregation).
+//!   [`Graph::gather_rows`] and [`Graph::scatter_add_rows`].
+//! - Two fused ops, one tape entry each: the GRU update
+//!   ([`GruCell::forward`]) and [`Graph::attention`] (softmax-weighted
+//!   aggregation over each node's predecessor set, the core of DeepGate's
+//!   attention). Their forward is [`dense`], their backward hand-written.
+//! - [`dense`] — the model's dense row code: the flat layer view, the
+//!   fixed-width matvec banks, the GRU update and the attention walk. The
+//!   tape's fused ops and the CSR inference kernel in `deepgate-gnn` both
+//!   run it, so their forward values agree bit for bit by construction.
 //! - [`math`] — `exp`, `sigmoid` and `tanh` as branch-free IEEE arithmetic,
-//!   the only transcendentals in the model: the tape's activations and
-//!   segment softmax call them, and so does the CSR inference kernel in
-//!   `deepgate-gnn`, which is what keeps the two `to_bits`-equal while the
-//!   kernel's loops run a vector wide.
+//!   the only transcendentals in the model: the tape's activations and the
+//!   row code above call them, and a scalar call and a lane of a
+//!   vectorised loop give the same bits.
 //! - [`Linear`], [`Mlp`], [`GruCell`] — the layers used by the paper's
 //!   models (d = 64 hidden states, GRU state updates, MLP regressor).
 //! - [`Adam`] and [`Sgd`] optimisers, L1/MSE losses.
@@ -57,11 +61,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod dense;
 mod error;
+mod fused;
 mod graph;
 mod layers;
 pub mod math;
 mod optim;
+#[cfg(test)]
+mod oracle;
 mod params;
 mod tensor;
 

@@ -4,11 +4,11 @@
 //! compares-and-selects and bit operations — no table, no data-dependent
 //! branch, no libm call — so one scalar call and one lane of an
 //! auto-vectorised loop over a slice produce the same bits. That is what
-//! lets the autodiff tape ([`crate::Graph::sigmoid`], [`crate::Graph::tanh`],
-//! the segment softmax) and the CSR inference kernel in `deepgate-gnn` call
-//! the same code and stay `to_bits`-equal by construction, while the
-//! kernel's elementwise loops run a vector wide instead of one libm call per
-//! element. The unit tests state the error bounds against an f64 reference
+//! lets the autodiff tape ([`crate::Graph::sigmoid`], [`crate::Graph::tanh`])
+//! and the row code of [`crate::dense`] — the GRU and attention that the
+//! tape's fused ops and the CSR inference kernel in `deepgate-gnn` share —
+//! call the same code, while the elementwise loops run a vector wide instead
+//! of one libm call per element. The unit tests state the error bounds against an f64 reference
 //! and pin the edge behaviour.
 
 /// Smallest input whose exponential is a normal f32 (`ln 2^-126`, rounded

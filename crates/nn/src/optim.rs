@@ -38,16 +38,14 @@ impl Sgd {
                 .collect();
         }
         for (slot, id) in ids.into_iter().enumerate() {
-            let grad = store.grad(id).clone();
-            if grad.is_empty() {
-                continue;
-            }
+            // A parameter without a gradient (`[0, 0]`) zips to nothing.
+            let (value, grad) = store.value_and_grad_mut(id);
             let v = &mut self.velocity[slot];
-            for (vel, &g) in v.as_mut_slice().iter_mut().zip(grad.as_slice()) {
+            let elements = value.as_mut_slice().iter_mut().zip(v.as_mut_slice());
+            for ((x, vel), &g) in elements.zip(grad.as_slice()) {
                 *vel = self.momentum * *vel - self.learning_rate * g;
+                *x += *vel;
             }
-            let update = v.clone();
-            store.value_mut(id).axpy(1.0, &update);
         }
     }
 }
@@ -119,23 +117,17 @@ impl Adam {
         let bias1 = 1.0 - self.beta1.powf(t);
         let bias2 = 1.0 - self.beta2.powf(t);
         for (slot, id) in ids.into_iter().enumerate() {
-            let grad = store.grad(id).clone();
-            if grad.is_empty() {
-                continue;
-            }
-            let m = &mut self.first_moment[slot];
-            let v = &mut self.second_moment[slot];
-            let value = store.value_mut(id);
-            for i in 0..grad.len() {
-                let g = grad.as_slice()[i];
-                let mi = self.beta1 * m.as_slice()[i] + (1.0 - self.beta1) * g;
-                let vi = self.beta2 * v.as_slice()[i] + (1.0 - self.beta2) * g * g;
-                m.as_mut_slice()[i] = mi;
-                v.as_mut_slice()[i] = vi;
-                let m_hat = mi / bias1;
-                let v_hat = vi / bias2;
-                value.as_mut_slice()[i] -=
-                    self.learning_rate * m_hat / (v_hat.sqrt() + self.epsilon);
+            // A parameter without a gradient (`[0, 0]`) zips to nothing.
+            let (value, grad) = store.value_and_grad_mut(id);
+            let m = self.first_moment[slot].as_mut_slice();
+            let v = self.second_moment[slot].as_mut_slice();
+            let elements = value.as_mut_slice().iter_mut().zip(m).zip(v);
+            for (((x, m), v), &g) in elements.zip(grad.as_slice()) {
+                *m = self.beta1 * *m + (1.0 - self.beta1) * g;
+                *v = self.beta2 * *v + (1.0 - self.beta2) * g * g;
+                let m_hat = *m / bias1;
+                let v_hat = *v / bias2;
+                *x -= self.learning_rate * m_hat / (v_hat.sqrt() + self.epsilon);
             }
         }
     }
@@ -195,6 +187,139 @@ mod tests {
         assert_eq!(adam.learning_rate(), 0.1);
         adam.set_learning_rate(0.01);
         assert_eq!(adam.learning_rate(), 0.01);
+    }
+
+    /// Zeroed tensors shaped like every parameter — how both optimisers
+    /// size their state on the first step.
+    fn zeros_like(store: &ParamStore) -> Vec<Tensor> {
+        let zeros = |id| Tensor::zeros(store.value(id).rows(), store.value(id).cols());
+        store.ids().map(zeros).collect()
+    }
+
+    /// `Adam::step` as it was before it updated in place: a clone of every
+    /// gradient, indexed element by element.
+    fn reference_adam_step(adam: &mut Adam, store: &mut ParamStore) {
+        if adam.first_moment.len() != store.len() {
+            adam.first_moment = zeros_like(store);
+            adam.second_moment = zeros_like(store);
+        }
+        adam.step_count += 1;
+        let t = adam.step_count as f32;
+        let bias1 = 1.0 - adam.beta1.powf(t);
+        let bias2 = 1.0 - adam.beta2.powf(t);
+        for (slot, id) in store.ids().collect::<Vec<_>>().into_iter().enumerate() {
+            let grad = store.grad(id).clone();
+            if grad.is_empty() {
+                continue;
+            }
+            let m = &mut adam.first_moment[slot];
+            let v = &mut adam.second_moment[slot];
+            let value = store.value_mut(id);
+            for i in 0..grad.len() {
+                let g = grad.as_slice()[i];
+                let mi = adam.beta1 * m.as_slice()[i] + (1.0 - adam.beta1) * g;
+                let vi = adam.beta2 * v.as_slice()[i] + (1.0 - adam.beta2) * g * g;
+                m.as_mut_slice()[i] = mi;
+                v.as_mut_slice()[i] = vi;
+                let m_hat = mi / bias1;
+                let v_hat = vi / bias2;
+                value.as_mut_slice()[i] -=
+                    adam.learning_rate * m_hat / (v_hat.sqrt() + adam.epsilon);
+            }
+        }
+    }
+
+    /// `Sgd::step` before it updated in place: gradient and velocity cloned,
+    /// the update added with `axpy`.
+    fn reference_sgd_step(sgd: &mut Sgd, store: &mut ParamStore) {
+        if sgd.velocity.len() != store.len() {
+            sgd.velocity = zeros_like(store);
+        }
+        for (slot, id) in store.ids().collect::<Vec<_>>().into_iter().enumerate() {
+            let grad = store.grad(id).clone();
+            if grad.is_empty() {
+                continue;
+            }
+            let v = &mut sgd.velocity[slot];
+            for (vel, &g) in v.as_mut_slice().iter_mut().zip(grad.as_slice()) {
+                *vel = sgd.momentum * *vel - sgd.learning_rate * g;
+            }
+            let update = v.clone();
+            store.value_mut(id).axpy(1.0, &update);
+        }
+    }
+
+    /// `ParamStore::clip_grad_norm` before it scaled in place.
+    fn reference_clip(store: &mut ParamStore, max_norm: f32) {
+        let norm = store.grad_norm();
+        if norm > max_norm && norm > 0.0 {
+            let scale = max_norm / norm;
+            for id in store.ids().collect::<Vec<_>>() {
+                if !store.grad(id).is_empty() {
+                    *store.grad_mut(id) = store.grad(id).map(|v| v * scale);
+                }
+            }
+        }
+    }
+
+    fn bits<'a>(tensors: impl IntoIterator<Item = &'a Tensor>) -> Vec<u32> {
+        let values = tensors.into_iter().flat_map(|t| t.as_slice());
+        values.map(|v| v.to_bits()).collect()
+    }
+
+    /// Three parameters loaded from a checkpoint, so none has a gradient
+    /// (`[0, 0]`) until one is set.
+    fn loaded_store() -> ParamStore {
+        let mut store = ParamStore::new();
+        store.add("a", Tensor::randn(3, 5, 1.0, 1));
+        store.add("b", Tensor::randn(1, 5, 1.0, 2));
+        store.add("c", Tensor::randn(2, 2, 1.0, 3));
+        let json = serde_json::to_string(&store).unwrap();
+        serde_json::from_str(&json).unwrap()
+    }
+
+    /// Random gradients, one entry exactly zero, for all but the last
+    /// parameter, which keeps the `[0, 0]` it was loaded with.
+    fn set_random_grads(store: &mut ParamStore, seed: u64) {
+        let ids: Vec<_> = store.ids().collect();
+        for &id in &ids[..ids.len() - 1] {
+            let [rows, cols] = store.value(id).shape();
+            let mut grad = Tensor::randn(rows, cols, 2.0, seed + id.0 as u64);
+            grad.as_mut_slice()[0] = 0.0;
+            *store.grad_mut(id) = grad;
+        }
+        assert!(store.grad(ids[ids.len() - 1]).is_empty());
+    }
+
+    #[test]
+    fn in_place_steps_equal_the_cloning_reference_bit_for_bit() {
+        let (mut store, mut want) = (loaded_store(), loaded_store());
+        let (mut adam, mut adam_ref) = (Adam::with_defaults(0.01), Adam::with_defaults(0.01));
+        let (mut sgd, mut sgd_ref) = (Sgd::new(0.05, 0.9), Sgd::new(0.05, 0.9));
+        for step in 0..3u64 {
+            set_random_grads(&mut store, 10 * step);
+            set_random_grads(&mut want, 10 * step);
+            // The gradients' norm is ~12, so the clip scales every step.
+            store.clip_grad_norm(1.0);
+            reference_clip(&mut want, 1.0);
+            adam.step(&mut store);
+            reference_adam_step(&mut adam_ref, &mut want);
+            sgd.step(&mut store);
+            reference_sgd_step(&mut sgd_ref, &mut want);
+        }
+        let values = |s: &ParamStore| bits(s.ids().map(|id| s.value(id)));
+        let grads = |s: &ParamStore| bits(s.ids().map(|id| s.grad(id)));
+        assert_eq!(values(&store), values(&want), "values");
+        assert_eq!(grads(&store), grads(&want), "clipped gradients");
+        assert_eq!(bits(&adam.first_moment), bits(&adam_ref.first_moment));
+        assert_eq!(bits(&adam.second_moment), bits(&adam_ref.second_moment));
+        assert_eq!(bits(&sgd.velocity), bits(&sgd_ref.velocity));
+        let last = store.ids().last().unwrap();
+        assert_eq!(
+            store.value(last),
+            loaded_store().value(last),
+            "no gradient, no update"
+        );
     }
 
     #[test]

@@ -78,6 +78,24 @@ impl ParamStore {
         &self.params[id.0].grad
     }
 
+    /// Mutable access to the gradient of a parameter, allocated on first use
+    /// (a loaded checkpoint carries none) — where the fused ops' backwards
+    /// add their weight gradients.
+    pub(crate) fn grad_mut(&mut self, id: ParamId) -> &mut Tensor {
+        let p = &mut self.params[id.0];
+        if p.grad.is_empty() {
+            p.grad = Tensor::zeros(p.value.rows(), p.value.cols());
+        }
+        &mut p.grad
+    }
+
+    /// A parameter's value and gradient at once, for the optimisers' in-place
+    /// updates.
+    pub(crate) fn value_and_grad_mut(&mut self, id: ParamId) -> (&mut Tensor, &Tensor) {
+        let p = &mut self.params[id.0];
+        (&mut p.value, &p.grad)
+    }
+
     /// The name of a parameter.
     pub fn name(&self, id: ParamId) -> &str {
         &self.params[id.0].name
@@ -135,10 +153,7 @@ impl ParamStore {
         if norm > max_norm && norm > 0.0 {
             let scale = max_norm / norm;
             for p in &mut self.params {
-                if !p.grad.is_empty() {
-                    let scaled = p.grad.map(|v| v * scale);
-                    p.grad = scaled;
-                }
+                p.grad.as_mut_slice().iter_mut().for_each(|v| *v *= scale);
             }
         }
     }

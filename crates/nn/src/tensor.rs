@@ -195,7 +195,9 @@ impl Tensor {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Matrix multiplication `self @ other`.
+    /// Matrix multiplication `self @ other`: every output element sums its
+    /// products in ascending `k`, skipping zero entries of `self` — the
+    /// crate's one product kernel, also behind the fused ops' backwards.
     ///
     /// # Panics
     ///
@@ -209,51 +211,7 @@ impl Tensor {
             other.shape()
         );
         let mut out = Tensor::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                let row_out = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                let row_b = &other.data[k * other.cols..(k + 1) * other.cols];
-                for (o, &b) in row_out.iter_mut().zip(row_b) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
-    }
-
-    /// `self.transpose() @ other` without building the transpose. Every
-    /// output element sums its products in the same (ascending-row) order as
-    /// the two-step form, so the results are bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row counts differ.
-    pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
-        assert_eq!(
-            self.rows,
-            other.rows,
-            "matmul_tn shape mismatch: {:?}^T @ {:?}",
-            self.shape(),
-            other.shape()
-        );
-        let mut out = Tensor::zeros(self.cols, other.cols);
-        for i in 0..self.rows {
-            let row_b = &other.data[i * other.cols..(i + 1) * other.cols];
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                let row_out = &mut out.data[k * other.cols..(k + 1) * other.cols];
-                for (o, &b) in row_out.iter_mut().zip(row_b) {
-                    *o += a * b;
-                }
-            }
-        }
+        add_products(&mut out.data, other.cols, &[(&self.data, &other.data)]);
         out
     }
 
@@ -371,6 +329,87 @@ impl fmt::Display for Tensor {
     }
 }
 
+/// The crate's one dense product kernel, behind [`Tensor::matmul`] and the
+/// fused ops' backwards: `out += Σ_i a_i @ v_i` for `out` `[rows, n]`, terms
+/// `a_i` `[rows, k_i]` and `v_i` `[k_i, n]`, all row-major. Output row `r`
+/// adds `a_i[r][j] · v_i[j]` term after term, `j` ascending, skipping zero
+/// `a_i[r][j]`. Rows go two at a time, sharing each `v` row while it is
+/// loaded, and columns in register blocks of 64, 16 and 8, so a block's
+/// partial sums stay in registers across the whole walk; a last partial
+/// block overlaps the one before it and writes only its new columns. None of
+/// that blocking reorders a sum.
+pub(crate) fn add_products(out: &mut [f32], n: usize, terms: &[(&[f32], &[f32])]) {
+    if n == 0 {
+        return;
+    }
+    let rows = out.len() / n;
+    for r in (0..rows - rows % 2).step_by(2) {
+        product_rows::<2>(out, n, r, terms);
+    }
+    if rows % 2 == 1 {
+        product_rows::<1>(out, n, rows - 1, terms);
+    }
+}
+
+fn product_rows<const R: usize>(out: &mut [f32], n: usize, r: usize, terms: &[(&[f32], &[f32])]) {
+    if n < 8 {
+        for c in 0..n {
+            product_block::<R, 1>(out, n, r, c, 0, terms);
+        }
+        return;
+    }
+    let mut c = 0;
+    while c + 64 <= n {
+        product_block::<R, 64>(out, n, r, c, 0, terms);
+        c += 64;
+    }
+    while c + 16 <= n {
+        product_block::<R, 16>(out, n, r, c, 0, terms);
+        c += 16;
+    }
+    while c + 8 <= n {
+        product_block::<R, 8>(out, n, r, c, 0, terms);
+        c += 8;
+    }
+    if c < n {
+        product_block::<R, 8>(out, n, r, n - 8, 8 - (n - c), terms);
+    }
+}
+
+/// Rows `r..r + R`, columns `c..c + W` of [`add_products`], written back
+/// from column `c + skip` on.
+#[inline(always)]
+fn product_block<const R: usize, const W: usize>(
+    out: &mut [f32],
+    n: usize,
+    r: usize,
+    c: usize,
+    skip: usize,
+    terms: &[(&[f32], &[f32])],
+) {
+    let mut acc = [[0.0f32; W]; R];
+    for (i, bank) in acc.iter_mut().enumerate() {
+        bank.copy_from_slice(&out[(r + i) * n + c..][..W]);
+    }
+    for &(a, v) in terms {
+        let k = v.len() / n;
+        for j in 0..k {
+            let vj = &v[j * n + c..][..W];
+            for (i, bank) in acc.iter_mut().enumerate() {
+                let s = a[(r + i) * k + j];
+                if s != 0.0 {
+                    for l in 0..W {
+                        bank[l] += s * vj[l];
+                    }
+                }
+            }
+        }
+    }
+    for (i, bank) in acc.iter().enumerate() {
+        out[(r + i) * n + c + skip..][..W - skip].copy_from_slice(&bank[skip..]);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,16 +454,59 @@ mod tests {
         let _ = a.matmul(&b);
     }
 
+    /// Every register block and row pairing of [`add_products`] against the
+    /// plain k-outer loop it replaced, bit for bit: widths below, at and
+    /// between the 8/16/64 blocks (the last block overlapping its
+    /// predecessor), odd and even row counts, two terms of different inner
+    /// widths, a non-zero starting `out`, and zero entries under an
+    /// `INFINITY`, which a dropped or shared zero-skip turns into NaN.
     #[test]
-    fn matmul_tn_is_bit_identical_to_transpose_then_matmul() {
-        let mut a = Tensor::randn(5, 7, 1.0, 11);
-        a.set(2, 3, 0.0);
-        let b = Tensor::randn(5, 6, 1.0, 12);
-        let fused = a.matmul_tn(&b);
-        let two_step = a.transpose().matmul(&b);
-        assert_eq!(fused.shape(), [7, 6]);
-        for (x, y) in fused.as_slice().iter().zip(two_step.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
+    fn add_products_equals_the_plain_k_outer_loop_bit_for_bit() {
+        fn plain(out: &mut [f32], n: usize, terms: &[(&[f32], &[f32])]) {
+            for (a, v) in terms {
+                let k = v.len() / n;
+                for (r, row) in out.chunks_exact_mut(n).enumerate() {
+                    for j in 0..k {
+                        let s = a[r * k + j];
+                        if s == 0.0 {
+                            continue;
+                        }
+                        for (o, &b) in row.iter_mut().zip(&v[j * n..(j + 1) * n]) {
+                            *o += s * b;
+                        }
+                    }
+                }
+            }
+        }
+        let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        for n in [1, 3, 8, 12, 16, 24, 64, 75, 150] {
+            for rows in [1, 2, 3, 5] {
+                let mut a1 = Tensor::randn(rows, 7, 1.0, n as u64);
+                let a2 = Tensor::randn(rows, 4, 1.0, 2 * n as u64);
+                let mut v1 = Tensor::randn(7, n, 1.0, 3 * n as u64);
+                let v2 = Tensor::randn(4, n, 1.0, 4 * n as u64);
+                // Even rows skip the first INFINITY, odd rows the second, so
+                // each row of a pair keeps its own zero-skip.
+                for r in 0..rows {
+                    a1.set(r, if r % 2 == 0 { 2 } else { 5 }, 0.0);
+                }
+                v1.set(2, n - 1, f32::INFINITY);
+                v1.set(5, 0, f32::INFINITY);
+                let terms = [
+                    (a1.as_slice(), v1.as_slice()),
+                    (a2.as_slice(), v2.as_slice()),
+                ];
+                let start = Tensor::randn(rows, n, 1.0, 5 * n as u64);
+                let (mut got, mut want) = (start.clone(), start);
+                add_products(got.as_mut_slice(), n, &terms);
+                plain(want.as_mut_slice(), n, &terms);
+                assert_eq!(
+                    bits(got.as_slice()),
+                    bits(want.as_slice()),
+                    "n = {n}, {rows} rows"
+                );
+                assert!(got.as_slice().iter().all(|v| !v.is_nan()));
+            }
         }
     }
 
