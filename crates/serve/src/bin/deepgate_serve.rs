@@ -2,7 +2,7 @@
 //!
 //! ```bash
 //! deepgate-serve --checkpoint model.json --addr 127.0.0.1:7878 \
-//!     --max-batch 16 --batch-window-ms 2 --queue-depth 1024
+//!     --workers 4 --queue-depth 1024
 //! ```
 //!
 //! Without `--checkpoint` a freshly initialised (untrained) model is served —
@@ -22,10 +22,9 @@ usage: deepgate-serve [options]
   --checkpoint <path>    checkpoint written by Engine::save_checkpoint
                          (default: fresh untrained model)
   --addr <host:port>     listen address (default 127.0.0.1:7878, port 0 = ephemeral)
-  --max-batch <n>        most requests collected per batch (default 16)
-  --batch-window-ms <n>  batch fill window in milliseconds (default 2)
   --queue-depth <n>      bounded queue depth (default 1024)
-  --workers <n>          batching worker threads (default: CPU count)
+  --workers <n>          worker threads, one request each at a time
+                         (default: CPU count)
   --cache <n>            structural cache capacity (default 256)
   --slow-ms <n>          log predict requests slower than n milliseconds,
                          naming the dominant stage (0 logs every request;
@@ -68,13 +67,6 @@ fn main() {
         match flag.as_str() {
             "--checkpoint" => checkpoint = Some(value("--checkpoint")),
             "--addr" => config.addr = value("--addr"),
-            "--max-batch" => config.max_batch = parse(&value("--max-batch"), "--max-batch"),
-            "--batch-window-ms" => {
-                config.batch_window = Duration::from_millis(parse(
-                    &value("--batch-window-ms"),
-                    "--batch-window-ms",
-                ) as u64)
-            }
             "--queue-depth" => config.queue_depth = parse(&value("--queue-depth"), "--queue-depth"),
             "--workers" => config.workers = parse(&value("--workers"), "--workers"),
             "--cache" => config.cache_capacity = parse(&value("--cache"), "--cache"),
@@ -136,10 +128,8 @@ fn main() {
     let server = Server::start(engine, config.clone())
         .unwrap_or_else(|e| fail(&format!("starting server: {e}")));
     eprintln!(
-        "[deepgate-serve] listening on {} via poll(2) event loop (max_batch={}, batch_window={:?}, queue_depth={}, workers={}, cache={})",
+        "[deepgate-serve] listening on {} via poll(2) event loop (queue_depth={}, workers={}, cache={})",
         server.local_addr(),
-        config.max_batch,
-        config.batch_window,
         config.queue_depth,
         config.workers,
         config.cache_capacity,
@@ -156,8 +146,8 @@ fn main() {
     server.wait();
     let stats = server.stats();
     eprintln!(
-        "[deepgate-serve] drained: {} completed, {} batches, cache {}/{} hits/misses",
-        stats.scheduler.completed, stats.scheduler.batches, stats.cache.hits, stats.cache.misses
+        "[deepgate-serve] drained: {} completed, {} failed, cache {}/{} hits/misses",
+        stats.scheduler.completed, stats.scheduler.failed, stats.cache.hits, stats.cache.misses
     );
 }
 

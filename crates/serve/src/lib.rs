@@ -1,17 +1,16 @@
 //! `deepgate-serve` — the concurrent inference server of the DeepGate
 //! reproduction.
 //!
-//! [`deepgate::InferenceSession`] predicts a *batch* of prepared circuits
-//! side by side across the cores; this crate supplies the subsystem that
-//! turns a stream of *independent concurrent requests* into those batches:
+//! [`deepgate::InferenceSession`] predicts one prepared circuit in a single
+//! pass; this crate supplies the subsystem that serves a stream of
+//! *independent concurrent requests* with it:
 //!
-//! - [`Scheduler`] — a dynamic micro-batching scheduler: a bounded MPSC
-//!   request queue drained by worker threads that collect up to
-//!   `max_batch` requests within a `batch_window`, execute them through
-//!   [`deepgate::InferenceSession::predict_batch_into`] — each circuit on
-//!   the plan it was cached with — and route each result back to its
-//!   requester. A full queue rejects new work
-//!   ([`ServeError::Overloaded`]) instead of building unbounded backlog.
+//! - [`Scheduler`] — a bounded MPSC request queue drained by worker
+//!   threads, one job per worker: each pops a request, predicts it through
+//!   [`deepgate::InferenceSession::predict_into`] on the plan it was cached
+//!   with, and routes the result back to its requester. A full queue
+//!   rejects new work ([`ServeError::Overloaded`]) instead of building
+//!   unbounded backlog.
 //! - [`CircuitCache`] — a structural circuit cache: an LRU keyed by
 //!   [`deepgate::gnn::CircuitGraph::fingerprint`] (plus a text-hash memo in
 //!   front of the parser) holding prepared circuits with their inference
@@ -34,7 +33,7 @@
 //! array, not a syscall; the price is that each wakeup scans every
 //! registered socket (O(connections), measured in the `poll` module's
 //! docs). The OS thread count is **flat** — one event loop plus
-//! [`ServeConfig::workers`] batching workers — at any connection count,
+//! [`ServeConfig::workers`] workers — at any connection count,
 //! where the previous blocking front end spawned one thread per
 //! connection.
 //!
@@ -110,7 +109,8 @@
 //!
 //! [`ServeConfig::default_deadline`] is the server-side cap: when both are
 //! present the *tighter* budget wins, and with neither the request waits
-//! indefinitely. Expiry is checked at batch assembly, **before** inference
+//! indefinitely. Expiry is checked when a worker pops the job, **before**
+//! inference
 //! — an overloaded server sheds queued-but-expired requests cheaply
 //! (counted in `scheduler_deadline_shed_total`) instead of computing
 //! answers nobody is waiting for, and every shed request still receives its
@@ -121,8 +121,8 @@
 //! The serving stack is built to keep answering under partial failure; see
 //! the README's "Resilience" section for the full inventory. In brief:
 //!
-//! - **Worker-panic recovery** — a panic inside batch execution is caught
-//!   (`worker_panics_recovered_total`), every waiter of the batch gets an
+//! - **Worker-panic recovery** — a panic during inference is caught
+//!   (`worker_panics_recovered_total`), the job's waiter gets an
 //!   internal-error response, and the worker keeps draining; a worker
 //!   thread that dies anyway is respawned (`worker_respawns_total`), so the
 //!   scheduler never hangs a submitter or loses capacity.
@@ -196,22 +196,18 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Configuration of the serving subsystem: batching knobs, backpressure
+/// Configuration of the serving subsystem: worker count, backpressure
 /// limits, cache size and the listen address.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Listen address; port 0 picks an ephemeral port (default
     /// `127.0.0.1:0`).
     pub addr: String,
-    /// Most requests a worker collects into one batch (default 16).
-    pub max_batch: usize,
-    /// How long a worker waits for the batch to fill once it holds at least
-    /// one request (default 2 ms). Smaller trades throughput for latency.
-    pub batch_window: Duration,
     /// Bounded queue depth; submissions beyond it are rejected with
     /// [`ServeError::Overloaded`] (default 1024).
     pub queue_depth: usize,
-    /// Number of batching worker threads (default: available parallelism).
+    /// Number of worker threads, each predicting one request at a time
+    /// (default: available parallelism).
     /// [`Scheduler::new`] accepts 0 — a drain-only scheduler that queues
     /// without serving, used to test backpressure and shutdown —
     /// [`Server::start`] requires at least 1.
@@ -227,7 +223,7 @@ pub struct ServeConfig {
     /// Server-side deadline cap for predict requests: the effective budget
     /// is the tighter of this and the request's `deadline_ms` field
     /// (default `None` — only client deadlines apply). Expired requests
-    /// are shed at batch assembly, before inference, with
+    /// are shed when popped, before inference, with
     /// [`ServeError::DeadlineExceeded`].
     pub default_deadline: Option<Duration>,
     /// Reap a connection after this long with no completed request and no
@@ -258,8 +254,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
-            max_batch: 16,
-            batch_window: Duration::from_millis(2),
             queue_depth: 1024,
             workers: std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -290,7 +284,7 @@ pub enum ServeError {
     ShuttingDown,
     /// The request's latency budget (its `deadline_ms`, capped by
     /// [`ServeConfig::default_deadline`]) expired before inference started;
-    /// the request was shed at batch assembly without running the model.
+    /// the request was shed when popped, without running the model.
     DeadlineExceeded,
     /// The server hit an internal failure (e.g. a recovered worker panic)
     /// while processing the request. The request itself may be fine —
@@ -351,7 +345,6 @@ mod tests {
     #[test]
     fn default_config_is_consistent() {
         let config = ServeConfig::default();
-        assert!(config.max_batch >= 1);
         assert!(config.queue_depth >= 1);
         assert!(config.workers >= 1);
         assert!(config.addr.ends_with(":0"));
@@ -380,7 +373,7 @@ mod tests {
     fn default_resilience_limits_are_sane() {
         let config = ServeConfig::default();
         assert!(config.default_deadline.is_none(), "no cap unless asked");
-        assert!(config.idle_timeout.expect("idle reaping on") >= config.batch_window);
+        assert!(config.idle_timeout.is_some(), "idle reaping on");
         assert!(config.line_timeout.is_some() && config.write_timeout.is_some());
         assert!(config.max_connections >= 1);
         assert!(config.max_request_bytes >= 1024);

@@ -7,7 +7,7 @@ use serde::Value;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Telemetry handles of the micro-batching scheduler.
+/// Telemetry handles of the request scheduler.
 #[derive(Debug, Clone)]
 pub struct SchedulerMetrics {
     /// `scheduler_submitted_total` — requests accepted into the queue.
@@ -22,33 +22,21 @@ pub struct SchedulerMetrics {
     /// `scheduler_rejected_shutdown_total` — submissions rejected (or
     /// queued requests flushed) during drain.
     pub rejected_shutdown: Arc<Counter>,
-    /// `scheduler_batches_total` — batches executed.
-    pub batches: Arc<Counter>,
-    /// `scheduler_batched_requests_total` — requests summed over all
-    /// executed batches.
-    pub batched_requests: Arc<Counter>,
-    /// `scheduler_deduplicated_total` — requests served by a batch-mate's
-    /// prediction.
-    pub deduplicated: Arc<Counter>,
-    /// `scheduler_max_batch` — largest batch executed (monotone maximum).
-    pub max_batch: Arc<Counter>,
     /// `scheduler_deadline_shed_total` — requests whose deadline expired
-    /// before inference, shed at batch assembly with `DeadlineExceeded`.
+    /// before inference, shed when popped with `DeadlineExceeded`.
     pub deadline_shed: Arc<Counter>,
-    /// `worker_panics_recovered_total` — batch executions that panicked
-    /// and were converted to per-request internal errors (the worker
-    /// survives and keeps draining).
+    /// `worker_panics_recovered_total` — inferences that panicked and were
+    /// converted to internal errors (the worker survives and keeps
+    /// draining).
     pub worker_panics_recovered: Arc<Counter>,
     /// `worker_respawns_total` — worker threads that died anyway and were
     /// replaced, so queue capacity is never lost.
     pub worker_respawns: Arc<Counter>,
     /// `queue_depth` — requests queued right now.
     pub queue_depth: Arc<Gauge>,
-    /// `batch_size` — batch sizes, one record per executed batch.
-    pub batch_size: Arc<Histogram>,
-    /// `batch_latency_ns` — wall time of one batch execution (dedup and
-    /// the parallel prediction of its distinct circuits).
-    pub batch_latency_ns: Arc<Histogram>,
+    /// `scheduler_queue_wait_ns` — time a job spent queued, one record per
+    /// job popped by a worker (shed jobs included).
+    pub queue_wait_ns: Arc<Histogram>,
 }
 
 impl SchedulerMetrics {
@@ -60,16 +48,11 @@ impl SchedulerMetrics {
             failed: registry.counter("scheduler_failed_total"),
             rejected_overloaded: registry.counter("scheduler_rejected_overloaded_total"),
             rejected_shutdown: registry.counter("scheduler_rejected_shutdown_total"),
-            batches: registry.counter("scheduler_batches_total"),
-            batched_requests: registry.counter("scheduler_batched_requests_total"),
-            deduplicated: registry.counter("scheduler_deduplicated_total"),
-            max_batch: registry.counter("scheduler_max_batch"),
             deadline_shed: registry.counter("scheduler_deadline_shed_total"),
             worker_panics_recovered: registry.counter("worker_panics_recovered_total"),
             worker_respawns: registry.counter("worker_respawns_total"),
             queue_depth: registry.gauge("queue_depth"),
-            batch_size: registry.histogram("batch_size"),
-            batch_latency_ns: registry.histogram("batch_latency_ns"),
+            queue_wait_ns: registry.histogram("scheduler_queue_wait_ns"),
         }
     }
 }
@@ -306,13 +289,15 @@ mod tests {
     fn snapshot_value_carries_percentiles_and_buckets() {
         let metrics = ServeMetrics::new();
         for v in [100u64, 200, 400, 800, 100_000] {
-            metrics.scheduler.batch_latency_ns.record(v);
+            metrics.scheduler.queue_wait_ns.record(v);
         }
         metrics.scheduler.queue_depth.set(-1); // gauges may be negative
         let value = snapshot_to_value(&metrics.snapshot());
         let root = value.as_object().expect("object");
         let histograms = root["histograms"].as_object().expect("object");
-        let h = histograms["batch_latency_ns"].as_object().expect("object");
+        let h = histograms["scheduler_queue_wait_ns"]
+            .as_object()
+            .expect("object");
         assert_eq!(h["count"], Value::UInt(5));
         assert_eq!(h["max"], Value::UInt(100_000));
         let (Value::UInt(p50), Value::UInt(p99)) = (&h["p50"], &h["p99"]) else {

@@ -1,6 +1,6 @@
-//! The dynamic micro-batching scheduler: a bounded request queue drained by
-//! worker threads that collect concurrent requests into batches and run
-//! them side by side through [`deepgate::InferenceSession`].
+//! The request scheduler: a bounded queue drained by worker threads, each
+//! popping one request at a time and predicting it through
+//! [`deepgate::InferenceSession::predict_into`].
 
 use crate::fault::{panic_message, FaultPlan};
 use crate::metrics::SchedulerMetrics;
@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One terminal scheduler result addressed back to the event loop by the
 /// opaque token its submission carried.
@@ -28,8 +28,8 @@ pub(crate) struct Completion {
 
 /// The nonblocking response path: workers push completions here and wake
 /// the event loop, which drains the queue on its next iteration. The push
-/// side never blocks on anything but this short mutex, so batch execution
-/// is never coupled to socket backpressure.
+/// side never blocks on anything but this short mutex, so inference is
+/// never coupled to socket backpressure.
 pub(crate) struct CompletionQueue {
     queue: Mutex<Vec<Completion>>,
     waker: Waker,
@@ -125,8 +125,10 @@ impl Drop for Reply {
 struct Job {
     circuit: Arc<PreparedCircuit>,
     respond: Reply,
-    /// Expired jobs are shed at batch assembly, before inference.
+    /// Expired jobs are shed when popped, before inference.
     deadline: Option<Instant>,
+    /// When the job entered the queue (`scheduler_queue_wait_ns`).
+    enqueued: Instant,
 }
 
 /// Scheduler counters, as reported by the `stats` wire verb.
@@ -143,21 +145,11 @@ pub struct SchedulerStats {
     /// Queued requests flushed with [`ServeError::ShuttingDown`] during
     /// drain (plus submissions after the drain began).
     pub rejected_shutdown: u64,
-    /// Batches executed.
-    pub batches: u64,
-    /// Requests summed over all executed batches (mean batch size is
-    /// `batched / batches`).
-    pub batched: u64,
-    /// Largest batch executed so far.
-    pub max_batch_observed: u64,
-    /// Requests that shared a batch-mate's prediction instead of running
-    /// their own (duplicate circuits deduplicated within a batch).
-    pub deduplicated: u64,
-    /// Requests whose deadline expired before inference, shed at batch
-    /// assembly with [`ServeError::DeadlineExceeded`].
+    /// Requests whose deadline expired before inference, shed when popped
+    /// with [`ServeError::DeadlineExceeded`].
     pub deadline_shed: u64,
-    /// Batch executions that panicked and were converted to per-request
-    /// internal errors; the worker survived and kept draining.
+    /// Inferences that panicked and were converted to internal errors; the
+    /// worker survived and kept draining.
     pub worker_panics_recovered: u64,
     /// Worker threads that died anyway and were replaced.
     pub worker_respawns: u64,
@@ -176,10 +168,6 @@ impl SchedulerStats {
             failed: snapshot.counter("scheduler_failed_total"),
             rejected_overloaded: snapshot.counter("scheduler_rejected_overloaded_total"),
             rejected_shutdown: snapshot.counter("scheduler_rejected_shutdown_total"),
-            batches: snapshot.counter("scheduler_batches_total"),
-            batched: snapshot.counter("scheduler_batched_requests_total"),
-            max_batch_observed: snapshot.counter("scheduler_max_batch"),
-            deduplicated: snapshot.counter("scheduler_deduplicated_total"),
             deadline_shed: snapshot.counter("scheduler_deadline_shed_total"),
             worker_panics_recovered: snapshot.counter("worker_panics_recovered_total"),
             worker_respawns: snapshot.counter("worker_respawns_total"),
@@ -194,8 +182,6 @@ struct QueueState {
 
 struct Shared {
     session: InferenceSession,
-    max_batch: usize,
-    batch_window: Duration,
     queue_depth: usize,
     state: Mutex<QueueState>,
     not_empty: Condvar,
@@ -206,20 +192,17 @@ struct Shared {
     respawned: Mutex<Vec<JoinHandle<()>>>,
 }
 
-/// The dynamic micro-batching scheduler.
+/// The request scheduler: one job per worker.
 ///
-/// Requests enter through [`Scheduler::submit`] into a bounded queue; worker
-/// threads drain it in batches. A worker holding one request keeps
-/// collecting until it has `max_batch` of them or `batch_window` has
-/// elapsed, then deduplicates repeated circuits, runs the distinct
-/// remainder in parallel — each on the plan it was cached with — and routes
-/// each result back to its submitter — so concurrent requests share the
-/// cores, repeats of a hot circuit pay a single prediction, and a lone
-/// request under light load only ever waits `batch_window`.
+/// Requests enter through [`Scheduler::submit`] into a bounded queue. Each
+/// worker thread pops one request, predicts it on the plan it was cached
+/// with and routes the result back to its submitter, so concurrent requests
+/// share the cores one circuit per worker and no request ever waits for
+/// others to arrive.
 ///
 /// Backpressure is explicit: a full queue rejects with
 /// [`ServeError::Overloaded`] rather than queueing unboundedly. Shutdown is
-/// graceful: batches already executing complete and respond, still-queued
+/// graceful: jobs already executing complete and respond, still-queued
 /// requests are flushed with [`ServeError::ShuttingDown`], and
 /// [`Scheduler::shutdown`] joins every worker.
 pub struct Scheduler {
@@ -228,7 +211,7 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Starts `config.workers` batching workers over a session.
+    /// Starts `config.workers` workers over a session.
     ///
     /// `config.workers == 0` is allowed and starts none: requests queue up
     /// (and are rejected / flushed per the normal rules) without ever being
@@ -237,7 +220,7 @@ impl Scheduler {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Config`] if `max_batch` or `queue_depth` is 0.
+    /// Returns [`ServeError::Config`] if `queue_depth` is 0.
     pub fn new(session: InferenceSession, config: &ServeConfig) -> Result<Scheduler, ServeError> {
         // Standalone schedulers (tests, embedding without a Server) get a
         // private registry; the Server shares one via `with_metrics`.
@@ -254,22 +237,17 @@ impl Scheduler {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Config`] if `max_batch` or `queue_depth` is 0.
+    /// Returns [`ServeError::Config`] if `queue_depth` is 0.
     pub fn with_metrics(
         session: InferenceSession,
         config: &ServeConfig,
         metrics: SchedulerMetrics,
     ) -> Result<Scheduler, ServeError> {
-        if config.max_batch == 0 {
-            return Err(ServeError::Config("max_batch must be at least 1".into()));
-        }
         if config.queue_depth == 0 {
             return Err(ServeError::Config("queue_depth must be at least 1".into()));
         }
         let shared = Arc::new(Shared {
             session,
-            max_batch: config.max_batch,
-            batch_window: config.batch_window,
             queue_depth: config.queue_depth,
             state: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
@@ -316,8 +294,8 @@ impl Scheduler {
     }
 
     /// [`Scheduler::submit`] with an optional deadline. A job still queued
-    /// when its deadline passes is shed at batch assembly — before any
-    /// inference — and answered with [`ServeError::DeadlineExceeded`].
+    /// when its deadline passes is shed when popped — before any inference
+    /// — and answered with [`ServeError::DeadlineExceeded`].
     ///
     /// # Errors
     ///
@@ -389,6 +367,7 @@ impl Scheduler {
                 circuit,
                 respond,
                 deadline,
+                enqueued: Instant::now(),
             });
             self.shared.metrics.queue_depth.inc();
         }
@@ -414,7 +393,7 @@ impl Scheduler {
     ///
     /// Propagates [`Scheduler::submit`] rejections and any engine error the
     /// worker hit. A response channel dropped without a response — a worker
-    /// died mid-batch in a way even panic recovery missed — reports
+    /// died mid-job in a way even panic recovery missed — reports
     /// [`ServeError::Internal`]; a clean drain reports
     /// [`ServeError::ShuttingDown`] explicitly.
     pub fn predict(&self, circuit: Arc<PreparedCircuit>) -> Result<Vec<f32>, ServeError> {
@@ -442,10 +421,6 @@ impl Scheduler {
             failed: m.failed.get(),
             rejected_overloaded: m.rejected_overloaded.get(),
             rejected_shutdown: m.rejected_shutdown.get(),
-            batches: m.batches.get(),
-            batched: m.batched_requests.get(),
-            max_batch_observed: m.max_batch.get(),
-            deduplicated: m.deduplicated.get(),
             deadline_shed: m.deadline_shed.get(),
             worker_panics_recovered: m.worker_panics_recovered.get(),
             worker_respawns: m.worker_respawns.get(),
@@ -459,7 +434,7 @@ impl Scheduler {
 
     /// Graceful drain: closes the queue, answers every still-queued request
     /// with [`ServeError::ShuttingDown`], and joins the workers (which
-    /// finish and respond to the batches they already hold). Idempotent.
+    /// finish and respond to the jobs they already hold). Idempotent.
     pub fn shutdown(&self) {
         let flushed: Vec<Job> = {
             let mut state = self.shared.state.lock().expect("scheduler lock");
@@ -507,10 +482,10 @@ impl Drop for Scheduler {
     }
 }
 
-/// Last line of defence under a worker-thread death: batch-level panics are
+/// Last line of defence under a worker-thread death: inference panics are
 /// already caught and answered inside [`execute`], but if a panic escapes
-/// anyway (a double panic, a poisoned invariant in the batch-collection
-/// path, an injected fault outside the guarded region), this guard's drop —
+/// anyway (a double panic, a poisoned invariant in the queue-popping path,
+/// an injected fault outside the guarded region), this guard's drop —
 /// which runs while the thread unwinds — spawns a replacement so the queue
 /// never loses drain capacity.
 struct RespawnGuard {
@@ -555,41 +530,23 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
         shared: Arc::clone(&shared),
         index,
     };
-    while let Some(jobs) = next_batch(&shared) {
-        execute(&shared, jobs);
+    while let Some(job) = next_job(&shared) {
+        execute(&shared, job);
     }
 }
 
-/// Blocks for work, then keeps the queue drained into one batch until the
-/// batch is full or `batch_window` has elapsed since the first request was
-/// taken. Returns `None` once the queue is closed and empty.
-fn next_batch(shared: &Shared) -> Option<Vec<Job>> {
+/// Blocks for work and pops the oldest job, recording how long it queued.
+/// Returns `None` once the queue is closed and empty.
+fn next_job(shared: &Shared) -> Option<Job> {
     let mut state = shared.state.lock().expect("scheduler lock");
     loop {
-        if let Some(first) = state.jobs.pop_front() {
+        if let Some(job) = state.jobs.pop_front() {
             shared.metrics.queue_depth.dec();
-            let mut jobs = vec![first];
-            let deadline = Instant::now() + shared.batch_window;
-            while jobs.len() < shared.max_batch {
-                if let Some(job) = state.jobs.pop_front() {
-                    shared.metrics.queue_depth.dec();
-                    jobs.push(job);
-                    continue;
-                }
-                if !state.open {
-                    break;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (next, _) = shared
-                    .not_empty
-                    .wait_timeout(state, deadline - now)
-                    .expect("scheduler lock");
-                state = next;
-            }
-            return Some(jobs);
+            shared
+                .metrics
+                .queue_wait_ns
+                .record_duration(job.enqueued.elapsed());
+            return Some(job);
         }
         if !state.open {
             return None;
@@ -598,128 +555,47 @@ fn next_batch(shared: &Shared) -> Option<Vec<Job>> {
     }
 }
 
-/// Executes one batch and routes every result back to its submitter.
+/// Runs one job and sends its one terminal result.
 ///
-/// Already-expired jobs are shed first — before any model work — with
+/// An already-expired job is shed first — before any model work — with
 /// [`ServeError::DeadlineExceeded`], so an overloaded scheduler spends its
 /// inference budget only on requests someone is still waiting for.
-///
-/// Requests for the *same* prepared circuit (same cached `Arc`, which is how
-/// the structural cache hands out repeats) are deduplicated first: the
-/// circuit is predicted once and the result fanned out to every duplicate.
-/// The model is immutable for the session's lifetime, so duplicates are
-/// guaranteed bit-identical — under a repeated-circuit serving workload this
-/// is where most of the micro-batching win comes from, on top of the
-/// parallel execution of the distinct remainder. Every distinct circuit gets
-/// its own result, so one poisoned request cannot fail its batch-mates; a
-/// batch-level *panic* is caught, answered with per-request internal errors,
-/// and the worker keeps draining.
-fn execute(shared: &Shared, jobs: Vec<Job>) {
+/// Inference is guarded: a panic (model bug, injected fault) is caught and
+/// answered with an internal error, and the worker keeps draining.
+fn execute(shared: &Shared, job: Job) {
     let metrics = &shared.metrics;
-
-    // Shed-before-infer: a request whose deadline has already passed gets
-    // its terminal DeadlineExceeded response now, for the cost of one clock
-    // read — not a batch slot.
-    let now = Instant::now();
-    let mut live = Vec::with_capacity(jobs.len());
-    for job in jobs {
-        match job.deadline {
-            Some(deadline) if now >= deadline => {
-                metrics.deadline_shed.inc();
-                job.respond.send(Err(ServeError::DeadlineExceeded));
-            }
-            _ => live.push(job),
-        }
-    }
-    if live.is_empty() {
-        return; // the whole batch expired; no inference, no batch counted
-    }
-    let jobs = live;
-
-    // Batch execution is guarded: a panic anywhere below (model bug,
-    // injected fault) must never strand the submitters blocking on their
-    // response channels or kill the worker's drain loop.
-    let routed = std::panic::catch_unwind(AssertUnwindSafe(|| execute_batch(shared, &jobs)));
-    if let Err(payload) = routed {
-        metrics.worker_panics_recovered.inc();
-        let message = panic_message(payload.as_ref());
-        for job in &jobs {
-            metrics.failed.inc();
-            job.respond.send(Err(ServeError::Internal(format!(
-                "worker panicked: {message}"
-            ))));
-        }
-    }
-}
-
-/// The unguarded body of [`execute`]: batch accounting, deduplication,
-/// prediction and response routing.
-fn execute_batch(shared: &Shared, jobs: &[Job]) {
-    let metrics = &shared.metrics;
-    let batch_start = Instant::now();
-    metrics.batches.inc();
-    metrics.batched_requests.add(jobs.len() as u64);
-    metrics.max_batch.record_max(jobs.len() as u64);
-    metrics.batch_size.record(jobs.len() as u64);
-
-    // Infer-stage fault hook: a panic here unwinds into `execute`'s
-    // catch_unwind, a delay stalls the batch (pushing queued requests
-    // toward their deadlines), an I/O fault fails the batch cleanly.
-    if let Some(Err(fault)) = shared.faults.as_ref().map(|f| f.fire(Stage::Infer)) {
-        metrics
-            .batch_latency_ns
-            .record_duration(batch_start.elapsed());
-        let message = fault.to_string();
-        for job in jobs {
-            metrics.failed.inc();
-            job.respond.send(Err(ServeError::Internal(message.clone())));
-        }
+    if matches!(job.deadline, Some(deadline) if Instant::now() >= deadline) {
+        metrics.deadline_shed.inc();
+        job.respond.send(Err(ServeError::DeadlineExceeded));
         return;
     }
-
-    // Group jobs by circuit identity (Arc pointer): cheap, and exact for
-    // cache-served repeats. Uncached duplicates simply form singleton
-    // groups and run individually. Every distinct circuit runs on the plan
-    // it was cached with and gets its own result, so an incompatible
-    // circuit fails alone.
-    let mut group_of_job: Vec<usize> = Vec::with_capacity(jobs.len());
-    let mut distinct: Vec<&PreparedCircuit> = Vec::new();
-    let mut index_of: std::collections::HashMap<*const PreparedCircuit, usize> =
-        std::collections::HashMap::new();
-    for job in jobs {
-        let key = Arc::as_ptr(&job.circuit);
-        let group = *index_of.entry(key).or_insert_with(|| {
-            distinct.push(&job.circuit);
-            distinct.len() - 1
+    let result = std::panic::catch_unwind(AssertUnwindSafe(|| infer(shared, &job.circuit)))
+        .unwrap_or_else(|payload| {
+            metrics.worker_panics_recovered.inc();
+            Err(ServeError::Internal(format!(
+                "worker panicked: {}",
+                panic_message(payload.as_ref())
+            )))
         });
-        group_of_job.push(group);
+    match result {
+        Ok(_) => metrics.completed.inc(),
+        Err(_) => metrics.failed.inc(),
     }
-    metrics
-        .deduplicated
-        .add((jobs.len() - distinct.len()) as u64);
+    job.respond.send(result);
+}
 
+/// The guarded body of [`execute`]: the infer-stage fault hook, then the
+/// kernel on the circuit's cached plan.
+fn infer(shared: &Shared, circuit: &PreparedCircuit) -> Result<Vec<f32>, ServeError> {
+    // A panic here unwinds into `execute`'s catch_unwind, a delay stalls the
+    // job (pushing queued requests toward their deadlines), an I/O fault
+    // fails the job cleanly.
+    if let Some(Err(fault)) = shared.faults.as_ref().map(|f| f.fire(Stage::Infer)) {
+        return Err(ServeError::Internal(fault.to_string()));
+    }
     let mut probs = Vec::new();
-    let results = shared.session.predict_batch_into(&distinct, &mut probs);
-
-    // The batch latency is recorded BEFORE responses are routed: once a
-    // submitter holds its result, every series this batch touched is
-    // already visible, so a snapshot taken at quiescence is exact
-    // (`batch_latency_ns.count == scheduler_batches_total`).
-    metrics
-        .batch_latency_ns
-        .record_duration(batch_start.elapsed());
-    for (job, &group) in jobs.iter().zip(&group_of_job) {
-        match &results[group] {
-            Ok(()) => {
-                metrics.completed.inc();
-                job.respond.send(Ok(probs[group].clone()));
-            }
-            Err(e) => {
-                metrics.failed.inc();
-                job.respond.send(Err(ServeError::Engine(e.clone())));
-            }
-        }
-    }
+    shared.session.predict_into(circuit, &mut probs)?;
+    Ok(probs)
 }
 
 #[cfg(test)]
@@ -727,7 +603,8 @@ mod tests {
     use super::*;
     use crate::fault::FaultKind;
     use deepgate::core::DeepGateConfig;
-    use deepgate::{BenchText, Engine};
+    use deepgate::{BenchText, Engine, EngineMetrics};
+    use std::time::Duration;
 
     fn test_session() -> InferenceSession {
         Engine::builder()
@@ -781,13 +658,11 @@ mod tests {
             test_session(),
             &ServeConfig {
                 workers: 2,
-                max_batch: 4,
-                batch_window: Duration::from_millis(5),
                 ..ServeConfig::default()
             },
         )
         .expect("valid config");
-        // Submit everything first so batches actually form, then collect.
+        // Submit everything first so both workers run at once, then collect.
         let receivers: Vec<_> = circuits
             .iter()
             .map(|c| scheduler.submit(Arc::clone(c)).expect("queue open"))
@@ -798,52 +673,36 @@ mod tests {
         }
         let stats = scheduler.stats();
         assert_eq!(stats.completed, circuits.len() as u64);
-        assert!(stats.batches >= 1);
-        assert_eq!(stats.batched, circuits.len() as u64);
         scheduler.shutdown();
     }
 
     #[test]
-    fn duplicate_circuits_in_a_batch_predict_once_with_identical_results() {
+    fn concurrent_requests_for_one_cached_circuit_each_get_the_exact_prediction() {
+        let bits = |probs: &[f32]| probs.iter().map(|p| p.to_bits()).collect::<Vec<u32>>();
         let session = test_session();
-        let a = chain_circuit(&session, 3);
-        let b = chain_circuit(&session, 5);
-        let expected_a = session.predict(a.circuit()).expect("predicts");
-        let expected_b = session.predict(b.circuit()).expect("predicts");
+        let circuit = chain_circuit(&session, 5);
+        let expected = bits(&session.predict(circuit.circuit()).expect("predicts"));
 
-        // No workers: drain one batch by hand so its composition is exact.
         let scheduler = Scheduler::new(
             test_session(),
             &ServeConfig {
-                workers: 0,
-                max_batch: 8,
-                batch_window: Duration::from_millis(1),
+                workers: 4,
                 ..ServeConfig::default()
             },
         )
         .expect("valid config");
-        let submitted = [&a, &a, &b, &a, &b];
-        let receivers: Vec<_> = submitted
-            .iter()
-            .map(|c| scheduler.submit(Arc::clone(c)).expect("queue open"))
+        // The one `Arc` the structural cache hands out for a repeat, queued
+        // eight times so several workers predict it at once.
+        let receivers: Vec<_> = (0..8)
+            .map(|_| scheduler.submit(Arc::clone(&circuit)).expect("queue open"))
             .collect();
-        let jobs = next_batch(&scheduler.shared).expect("jobs queued");
-        assert_eq!(jobs.len(), submitted.len());
-        execute(&scheduler.shared, jobs);
-
-        for (circuit, receiver) in submitted.iter().zip(receivers) {
-            let probs = receiver.recv().expect("executed").expect("predicts");
-            let expected = if Arc::ptr_eq(circuit, &a) {
-                &expected_a
-            } else {
-                &expected_b
-            };
-            assert_eq!(&probs, expected, "deduplicated result must be exact");
+        for (i, receiver) in receivers.into_iter().enumerate() {
+            let probs = receiver.recv().expect("worker alive").expect("predicts");
+            assert_eq!(bits(&probs), expected, "request {i} must match bit for bit");
         }
-        let stats = scheduler.stats();
-        assert_eq!(stats.completed, 5);
-        assert_eq!(stats.deduplicated, 3); // five requests, two distinct circuits
-        assert_eq!(stats.batches, 1);
+        assert_eq!(scheduler.stats().completed, 8);
+        assert_eq!(scheduler.shared.metrics.queue_wait_ns.count(), 8);
+        scheduler.shutdown();
     }
 
     #[test]
@@ -871,13 +730,11 @@ mod tests {
             None,
         )));
 
-        // No workers: drain one batch by hand so its composition is exact.
+        // No workers: drain the queue by hand so the order is exact.
         let scheduler = Scheduler::new(
             test_session(),
             &ServeConfig {
                 workers: 0,
-                max_batch: 8,
-                batch_window: Duration::from_millis(1),
                 ..ServeConfig::default()
             },
         )
@@ -886,9 +743,12 @@ mod tests {
             .iter()
             .map(|c| scheduler.submit(Arc::clone(c)).expect("queue open"))
             .collect();
-        let jobs = next_batch(&scheduler.shared).expect("jobs queued");
-        assert_eq!(jobs.len(), 3);
-        execute(&scheduler.shared, jobs);
+        for _ in 0..3 {
+            execute(
+                &scheduler.shared,
+                next_job(&scheduler.shared).expect("job queued"),
+            );
+        }
 
         let mut results = receivers.into_iter().map(|r| r.recv().expect("executed"));
         assert_eq!(results.next(), Some(Ok(expected_a)));
@@ -897,7 +757,6 @@ mod tests {
         let stats = scheduler.stats();
         assert_eq!(stats.completed, 2);
         assert_eq!(stats.failed, 1);
-        assert_eq!(stats.batches, 1);
     }
 
     #[test]
@@ -961,14 +820,12 @@ mod tests {
     fn expired_requests_are_shed_before_inference() {
         let session = test_session();
         let circuit = chain_circuit(&session, 3);
-        // No workers: queue by hand, then drain one batch so the shed point
+        // No workers: queue by hand, then drain both jobs so the shed point
         // is exercised deterministically.
         let scheduler = Scheduler::new(
             session,
             &ServeConfig {
                 workers: 0,
-                max_batch: 8,
-                batch_window: Duration::from_millis(1),
                 ..ServeConfig::default()
             },
         )
@@ -982,8 +839,12 @@ mod tests {
                 Some(Instant::now() + Duration::from_secs(3600)),
             )
             .expect("queue open");
-        let jobs = next_batch(&scheduler.shared).expect("jobs queued");
-        execute(&scheduler.shared, jobs);
+        for _ in 0..2 {
+            execute(
+                &scheduler.shared,
+                next_job(&scheduler.shared).expect("job queued"),
+            );
+        }
         assert_eq!(
             expired.recv().expect("terminal response"),
             Err(ServeError::DeadlineExceeded),
@@ -991,19 +852,19 @@ mod tests {
         );
         assert!(
             live.recv().expect("terminal response").is_ok(),
-            "in-budget batch-mate still predicts"
+            "the in-budget job still predicts"
         );
         let stats = scheduler.stats();
         assert_eq!(stats.deadline_shed, 1);
         assert_eq!(stats.completed, 1);
-        // Batch accounting covers live jobs only: one batch of one request.
-        assert_eq!(stats.batches, 1);
-        assert_eq!(stats.batched, 1);
+        // Queue wait is recorded per popped job, shed or not.
+        assert_eq!(scheduler.shared.metrics.queue_wait_ns.count(), 2);
     }
 
     #[test]
-    fn a_fully_expired_batch_runs_no_inference_and_counts_no_batch() {
-        let session = test_session();
+    fn an_expired_job_runs_no_inference() {
+        let engine_metrics = Arc::new(EngineMetrics::registered(&Registry::new()));
+        let session = test_session().with_metrics(Arc::clone(&engine_metrics));
         let circuit = chain_circuit(&session, 3);
         let scheduler = Scheduler::new(
             session,
@@ -1013,26 +874,29 @@ mod tests {
             },
         )
         .expect("valid config");
-        let receivers: Vec<_> = (0..3)
-            .map(|_| {
-                scheduler
-                    .submit_with_deadline(Arc::clone(&circuit), Some(Instant::now()))
-                    .expect("queue open")
-            })
-            .collect();
-        let jobs = next_batch(&scheduler.shared).expect("jobs queued");
-        execute(&scheduler.shared, jobs);
-        for receiver in receivers {
-            assert_eq!(
-                receiver.recv().expect("terminal response"),
-                Err(ServeError::DeadlineExceeded)
+        let drain_one = |deadline: Instant| {
+            let receiver = scheduler
+                .submit_with_deadline(Arc::clone(&circuit), Some(deadline))
+                .expect("queue open");
+            execute(
+                &scheduler.shared,
+                next_job(&scheduler.shared).expect("job queued"),
             );
+            receiver.recv().expect("terminal response")
+        };
+        for _ in 0..3 {
+            assert_eq!(drain_one(Instant::now()), Err(ServeError::DeadlineExceeded));
         }
+        // The kernel's own series never saw a circuit.
+        assert_eq!(engine_metrics.gnn.circuit_nodes.count(), 0);
+        assert_eq!(engine_metrics.predict_ns.count(), 0);
         let stats = scheduler.stats();
         assert_eq!(stats.deadline_shed, 3);
-        assert_eq!(stats.batches, 0, "no live work, no batch");
-        assert_eq!(stats.batched, 0);
         assert_eq!(stats.completed, 0);
+
+        // The same circuit in budget does reach the kernel.
+        assert!(drain_one(Instant::now() + Duration::from_secs(3600)).is_ok());
+        assert_eq!(engine_metrics.gnn.circuit_nodes.count(), 1);
     }
 
     #[test]
@@ -1045,7 +909,6 @@ mod tests {
             session,
             &ServeConfig {
                 workers: 1,
-                max_batch: 1, // one request per batch: one panic each
                 faults: Some(Arc::clone(&faults)),
                 ..ServeConfig::default()
             },
@@ -1088,27 +951,18 @@ mod tests {
         )
         .expect("valid config");
         // Block a real predict() call on another thread, then simulate a
-        // worker dying mid-batch: take its job off the queue and drop it
+        // worker dying mid-job: take its job off the queue and drop it
         // without responding.
         let scheduler = Arc::new(scheduler);
         let caller = {
             let scheduler = Arc::clone(&scheduler);
             std::thread::spawn(move || scheduler.predict(circuit))
         };
-        let jobs = loop {
-            if let Some(jobs) = {
-                // Poll until the caller's submission is visible.
-                if scheduler.queue_len() > 0 {
-                    next_batch(&scheduler.shared)
-                } else {
-                    None
-                }
-            } {
-                break jobs;
-            }
+        // Poll until the caller's submission is visible.
+        while scheduler.queue_len() == 0 {
             std::thread::sleep(Duration::from_millis(1));
-        };
-        drop(jobs);
+        }
+        drop(next_job(&scheduler.shared));
         // The regression: this used to surface as ShuttingDown, masking a
         // lost request as a clean drain. It must report an internal fault.
         let result = caller.join().expect("caller thread survives");
@@ -1153,16 +1007,6 @@ mod tests {
 
     #[test]
     fn scheduler_config_is_validated() {
-        assert!(matches!(
-            Scheduler::new(
-                test_session(),
-                &ServeConfig {
-                    max_batch: 0,
-                    ..ServeConfig::default()
-                }
-            ),
-            Err(ServeError::Config(_))
-        ));
         assert!(matches!(
             Scheduler::new(
                 test_session(),

@@ -56,7 +56,7 @@ const DRAIN_GRACE: Duration = Duration::from_secs(3);
 /// into the `stats` wire response.
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct ServerStats {
-    /// Scheduler counters (queueing, batching, completion).
+    /// Scheduler counters (queueing, shedding, completion).
     pub scheduler: SchedulerStats,
     /// Structural-cache counters.
     pub cache: CacheStats,
@@ -221,7 +221,7 @@ impl Server {
         //    the waker pulls the loop out of its wait; its drain step drops
         //    the listener on the next iteration.
         self.inner.waker.wake();
-        // 2. Drain the scheduler: executing batches complete and push their
+        // 2. Drain the scheduler: executing jobs complete and push their
         //    completions, queued requests get a clean ShuttingDown error on
         //    the same path. After this returns no new completion can appear.
         self.inner.scheduler.shutdown();
@@ -448,7 +448,7 @@ struct PendingPredict {
     name: String,
     trace: RequestTrace,
     /// When the job entered the queue; the completion's `Infer` span is
-    /// measured from here (queueing + batching + model execution, exactly
+    /// measured from here (queue wait + model execution, exactly
     /// what the blocking front end attributed to the stage).
     infer_started: Instant,
 }

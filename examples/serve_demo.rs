@@ -19,7 +19,7 @@
 //! - `{"id": …, "op": "metrics"}` → `{"id": …, "metrics": {"counters": {…},
 //!   "gauges": {…}, "histograms": {…}}}` — one consistent telemetry
 //!   snapshot: per-verb counters, per-stage latency histograms with
-//!   p50/p90/p99, batching and cache series
+//!   p50/p90/p99, scheduler and cache series
 //! - `{"id": …, "op": "metrics_text"}` → the same snapshot in Prometheus
 //!   text exposition format
 //! - `{"id": …, "op": "shutdown"}` → `{"id": …, "ok": true}`, then the
@@ -81,11 +81,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .build()?;
 
-    // Every batching knob in one place; port 0 = ephemeral.
+    // Every scheduler knob in one place; port 0 = ephemeral.
     let config = ServeConfig {
         addr: "127.0.0.1:0".to_string(),
-        max_batch: 8,
-        batch_window: Duration::from_millis(2),
         queue_depth: 256,
         workers: 2,
         cache_capacity: 32,
@@ -143,7 +141,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // The stats verb: batching, cache and connection counters.
+    // The stats verb: scheduler, cache and connection counters.
     roundtrip(&mut reader, &mut writer, r#"{"id": "s", "op": "stats"}"#)?;
 
     // The metrics verb: the full telemetry snapshot. Print the per-stage
@@ -189,8 +187,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         };
         let predicts = counter("requests_predict_total");
         println!(
-            "    predicts {predicts}, batches {}, cache {} hits / {} misses, slow-logged {}\n",
-            counter("scheduler_batches_total"),
+            "    predicts {predicts}, cache {} hits / {} misses, slow-logged {}\n",
             counter("cache_text_hits_total") + counter("cache_fingerprint_hits_total"),
             counter("cache_misses_total"),
             counter("slow_requests_total"),

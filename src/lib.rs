@@ -66,7 +66,7 @@
 //! - [`dataset`] — benchmark-suite generators and the dataset pipeline.
 //!
 //! The `deepgate-serve` crate (`crates/serve`) layers a concurrent
-//! inference server on top of this facade: dynamic micro-batching over
+//! inference server on top of this facade: one job per worker thread over
 //! [`InferenceSession`], a structural circuit cache keyed by
 //! [`gnn::CircuitGraph::fingerprint`], and a newline-delimited-JSON TCP
 //! front end.
