@@ -9,7 +9,7 @@ use deepgate_gnn::{AggregatorKind, DagRecConfig, DagRecGnn};
 use deepgate_nn::ParamStore;
 
 fn main() {
-    let scale = Scale::from_env_and_args();
+    let scale = Scale::from_args();
     let settings = ExperimentSettings::for_scale(scale);
     let dataset = build_dataset(&settings, true);
     let mut report = Report::new("ablation", "DeepGate design-choice ablation", scale);

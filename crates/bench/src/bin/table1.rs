@@ -5,7 +5,7 @@ use deepgate_bench::{build_dataset, ExperimentSettings, Report, Scale};
 use deepgate_dataset::SuiteKind;
 
 fn main() {
-    let scale = Scale::from_env_and_args();
+    let scale = Scale::from_args();
     let settings = ExperimentSettings::for_scale(scale);
     let dataset = build_dataset(&settings, true);
 

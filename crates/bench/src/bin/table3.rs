@@ -11,7 +11,7 @@ use deepgate_gnn::{
 use deepgate_nn::ParamStore;
 
 fn main() {
-    let scale = Scale::from_env_and_args();
+    let scale = Scale::from_args();
     let settings = ExperimentSettings::for_scale(scale);
     let dataset = build_dataset(&settings, true);
 

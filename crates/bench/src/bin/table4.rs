@@ -13,7 +13,7 @@ use deepgate_gnn::{AggregatorKind, DagRecConfig, DagRecGnn};
 use deepgate_nn::ParamStore;
 
 fn main() {
-    let scale = Scale::from_env_and_args();
+    let scale = Scale::from_args();
     let settings = ExperimentSettings::for_scale(scale);
 
     // The pre-trained model: DeepGate trained on the merged AIG dataset.

@@ -1,10 +1,10 @@
 //! Shared infrastructure for the experiment binaries that regenerate the
 //! tables and figures of the DeepGate paper.
 //!
-//! Every binary accepts `--full` (or the `DEEPGATE_FULL=1` environment
-//! variable) to run at paper scale; the default quick scale finishes on a
-//! laptop CPU in minutes and preserves the qualitative shape of the results
-//! (model ordering, relative improvements) rather than absolute values.
+//! Every binary runs at paper scale with `--full`, its one scale switch;
+//! without it, the quick scale finishes on a laptop CPU in minutes and
+//! preserves the qualitative shape of the results (model ordering, relative
+//! improvements) rather than absolute values.
 //!
 //! Binaries:
 //!
@@ -38,19 +38,13 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Determines the scale from the command line (`--full` / `--quick`) and
-    /// the `DEEPGATE_FULL` environment variable.
-    pub fn from_env_and_args() -> Scale {
-        let args: Vec<String> = std::env::args().collect();
-        if args.iter().any(|a| a == "--full") {
-            return Scale::Full;
-        }
-        if args.iter().any(|a| a == "--quick") {
-            return Scale::Quick;
-        }
-        match std::env::var("DEEPGATE_FULL") {
-            Ok(v) if v == "1" || v.eq_ignore_ascii_case("true") => Scale::Full,
-            _ => Scale::Quick,
+    /// [`Scale::Full`] when `--full` is on the command line, else
+    /// [`Scale::Quick`].
+    pub fn from_args() -> Scale {
+        if std::env::args().any(|a| a == "--full") {
+            Scale::Full
+        } else {
+            Scale::Quick
         }
     }
 

@@ -2,8 +2,8 @@
 //! checkpointing.
 
 use deepgate_gnn::{
-    evaluate_prediction_error, AggregatorKind, CircuitGraph, CompiledKernel, DagRecConfig,
-    DagRecGnn, GnnError, InferencePlan, ProbabilityModel,
+    evaluate_prediction_error, AggregatorKind, CircuitGraph, DagRecConfig, DagRecGnn, GnnError,
+    InferencePlan, ProbabilityModel,
 };
 use deepgate_nn::{Graph, NnError, ParamStore, Tensor, Var};
 use serde::{Deserialize, Serialize};
@@ -151,12 +151,6 @@ impl DeepGate {
     /// [`InferencePlan`]).
     pub fn plan(&self, circuit: &CircuitGraph) -> InferencePlan {
         self.model.plan(circuit)
-    }
-
-    /// Bakes the current weights into a [`CompiledKernel`]. The kernel
-    /// snapshots the weights, so recompile after training updates the store.
-    pub fn compile(&self) -> CompiledKernel {
-        self.model.compile(&self.store)
     }
 
     /// Predicts with an explicit recurrence iteration count (the paper's
@@ -352,17 +346,20 @@ mod tests {
     fn plan_based_prediction_matches_direct_prediction() {
         let c = circuit();
         let model = DeepGate::new(small_config());
-        let direct = model.predict(&c);
+        let (dag, store) = (model.model(), model.store());
         let plan = model.plan(&c);
-        let mut out = Vec::new();
-        model
-            .compile()
-            .predict_into(&plan, model.config().num_iterations, &mut out, None)
+        let iterations = model.config().num_iterations;
+        let bits = |values: &[f32]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+        let mut planned = Vec::new();
+        dag.predict_planned(store, &plan, iterations, &mut planned, None)
             .unwrap();
-        assert_eq!(out.len(), direct.len());
-        for (a, b) in direct.iter().zip(&out) {
-            assert!((a - b).abs() < 1e-6);
-        }
+        assert_eq!(bits(&planned), bits(&model.predict(&c)));
+
+        let embedded = dag.embed_planned(store, &plan, iterations).unwrap();
+        let embeddings = model.embeddings(&c);
+        assert_eq!(embedded.shape(), embeddings.shape());
+        assert_eq!(bits(embedded.as_slice()), bits(embeddings.as_slice()));
     }
 
     #[test]

@@ -56,7 +56,8 @@ impl fmt::Display for AggregatorKind {
 }
 
 /// The per-kind parameter bundles, exposed crate-internally so the CSR
-/// kernel compiler (`crate::csr`) can bake the weights into flat arrays.
+/// kernel (`crate::csr`) can match on them and read each layer's weights in
+/// place out of the store.
 #[derive(Debug, Clone)]
 pub(crate) enum AggregatorParams {
     ConvSum {
@@ -167,7 +168,7 @@ impl Aggregator {
         self.kind
     }
 
-    /// The parameter bundle (crate-internal; used by the kernel compiler).
+    /// The parameter bundle (crate-internal; read by the CSR kernel).
     pub(crate) fn params(&self) -> &AggregatorParams {
         &self.params
     }

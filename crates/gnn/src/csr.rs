@@ -14,16 +14,18 @@
 //!   [`crate::DagConvGnn`]) compiles a plan per forward pass and records each
 //!   level as gathers over packed rows (`state.rs`), aggregator and GRU; only
 //!   the attribute and gate-input rows it puts on the tape are its own.
-//! * [`CompiledKernel`] (**kernel-specific**, the rest of this file) copies
-//!   the model's weights into row-major flat arrays and, following the DLGN
-//!   line (flat, cache-dense gate arrays), fuses each level's gather + GEMM +
-//!   combine into one dense slice walk over a packed hidden-state arena,
-//!   without touching the parameter store or allocating per level. The row
-//!   code it walks with — the flat layer view, the fixed-width matvec banks,
-//!   the GRU update and the attention walk — lives in
-//!   [`deepgate_nn::dense`], because the tape's fused GRU and attention ops
-//!   run the same functions; what stays here is the level walk, the weight
-//!   copies and the aggregators the tape still records from generic ops.
+//! * The kernel (**kernel-specific**, the rest of this file:
+//!   [`crate::DagRecGnn::predict_planned`] and
+//!   [`crate::DagRecGnn::embed_planned`]) reads the model's weights in place
+//!   out of the [`ParamStore`] — already flat, row-major and cache-dense, as
+//!   the DLGN line keeps its gate arrays — and fuses each level's gather +
+//!   GEMM + combine into one dense slice walk over a packed hidden-state
+//!   arena, without allocating per level. The row code it walks with — the
+//!   flat layer view, the fixed-width matvec banks, the GRU update and the
+//!   attention walk — lives in [`deepgate_nn::dense`], because the tape's
+//!   fused GRU and attention ops run the same functions over the same
+//!   store; what stays here is the level walk, the regressor and the
+//!   aggregators the tape still records from generic ops.
 //!
 //! **Exactness contract:** the kernel reproduces the autodiff-tape forward
 //! ([`crate::DagRecGnn::forward_hidden`] and, through the regressor,
@@ -43,10 +45,10 @@
 //! prediction bits recorded before the schedules were merged.
 
 use crate::aggregator::AggregatorParams;
-use crate::{Aggregator, CircuitGraph, GnnError, GnnMetrics};
+use crate::{Aggregator, AggregatorKind, CircuitGraph, DagRecGnn, GnnError, GnnMetrics};
 use deepgate_aig::recon::positional_encoding;
-use deepgate_nn::dense::{self, Dense};
-use deepgate_nn::{math, Activation, GruCell, Linear, Mlp, ParamStore, Tensor};
+use deepgate_nn::dense;
+use deepgate_nn::{math, Activation, GruCell, Mlp, ParamStore, Tensor};
 use std::ops::Range;
 use std::time::Instant;
 
@@ -84,7 +86,7 @@ impl CsrLevel {
 }
 
 /// The level schedule of a circuit, walked by the training tape and by
-/// [`CompiledKernel`] alike.
+/// the kernel ([`DagRecGnn::predict_planned`]) alike.
 ///
 /// Nodes are permuted into level-contiguous order so every level's update is
 /// one dense range of packed rows; the permutation is undone when results
@@ -243,90 +245,31 @@ impl InferencePlan {
     pub fn attr_dim(&self) -> usize {
         self.attr_dim
     }
-
-    /// Whether this plan matches a circuit and a model's attribute width —
-    /// the reuse guard of the serving layer.
-    pub fn matches(&self, circuit: &CircuitGraph, attr_dim: usize) -> bool {
-        self.num_nodes == circuit.num_nodes
-            && self.feature_dim == circuit.encoding.dimension()
-            && self.forward.len() == circuit.max_level
-            && self.attr_dim == attr_dim
-    }
 }
 
-/// A dense affine layer's weights, copied out of the parameter store.
-#[derive(Debug, Clone)]
-struct LinW {
-    /// Row-major `[in_dim, out_dim]` weights.
-    w: Vec<f32>,
-    /// `[out_dim]` bias, empty for bias-free layers.
-    b: Vec<f32>,
-    in_dim: usize,
-    out_dim: usize,
-}
-
-impl LinW {
-    fn from_linear(store: &ParamStore, layer: &Linear) -> Self {
-        let wt: &Tensor = layer.weight_tensor(store);
-        LinW {
-            w: wt.as_slice().to_vec(),
-            b: layer
-                .bias_tensor(store)
-                .map(|t| t.as_slice().to_vec())
-                .unwrap_or_default(),
-            in_dim: layer.in_features(),
-            out_dim: layer.out_features(),
-        }
-    }
-
-    fn dense(&self) -> Dense<'_> {
-        Dense::new(&self.w, &self.b, self.in_dim, self.out_dim)
-    }
-}
-
-/// An MLP baked into flat layers.
-#[derive(Debug, Clone)]
-struct MlpW {
-    layers: Vec<LinW>,
-    activation: Activation,
-    sigmoid_output: bool,
-}
-
-impl MlpW {
-    fn from_mlp(store: &ParamStore, mlp: &Mlp) -> Self {
-        MlpW {
-            layers: mlp
-                .layers()
-                .iter()
-                .map(|l| LinW::from_linear(store, l))
-                .collect(),
-            activation: mlp.activation(),
-            sigmoid_output: mlp.has_sigmoid_output(),
-        }
-    }
-}
-
-/// Applies `mlp` to one row, ping-ponging hidden activations through `a`/`b`.
+/// Applies `mlp`, read out of `store`, to one row, ping-ponging hidden
+/// activations through `a`/`b`.
 fn mlp_apply_row(
-    mlp: &MlpW,
+    mlp: &Mlp,
+    store: &ParamStore,
     row: &[f32],
     out: &mut [f32],
     a: &mut Vec<f32>,
     b: &mut Vec<f32>,
     wide: &mut Vec<f32>,
 ) {
-    let last = mlp.layers.len() - 1;
+    let last = mlp.layers().len() - 1;
     a.clear();
     a.extend_from_slice(row);
-    for (i, layer) in mlp.layers.iter().enumerate() {
+    for (i, layer) in mlp.layers().iter().enumerate() {
         if i == last {
-            layer.dense().apply(a, 1, out, wide);
+            layer.dense(store).apply(a, 1, out, wide);
         } else {
             b.clear();
-            b.resize(layer.out_dim, 0.0);
-            layer.dense().apply(a, 1, b, wide);
+            b.resize(layer.out_features(), 0.0);
+            layer.dense(store).apply(a, 1, b, wide);
             for v in b.iter_mut() {
-                *v = match mlp.activation {
+                *v = match mlp.activation() {
                     Activation::Relu => v.max(0.0),
                     Activation::Tanh => math::tanh(*v),
                     Activation::Sigmoid => math::sigmoid(*v),
@@ -335,72 +278,9 @@ fn mlp_apply_row(
             std::mem::swap(a, b);
         }
     }
-    if mlp.sigmoid_output {
+    if mlp.has_sigmoid_output() {
         for v in out.iter_mut() {
             *v = math::sigmoid(*v);
-        }
-    }
-}
-
-/// The six GRU gate projections in flat form, in [`GruCell::gates`] order.
-#[derive(Debug, Clone)]
-struct GruW([LinW; 6]);
-
-impl GruW {
-    fn from_gru(store: &ParamStore, gru: &GruCell) -> Self {
-        GruW(gru.gates().map(|l| LinW::from_linear(store, l)))
-    }
-
-    fn dense(&self) -> [Dense<'_>; 6] {
-        self.0.each_ref().map(LinW::dense)
-    }
-}
-
-/// The aggregator weights in flat form, one variant per
-/// [`crate::AggregatorKind`].
-#[derive(Debug, Clone)]
-enum AggW {
-    ConvSum {
-        project: LinW,
-    },
-    Attention {
-        query: LinW,
-        key: LinW,
-        edge_attr: Option<LinW>,
-    },
-    DeepSet {
-        phi: MlpW,
-        rho: LinW,
-    },
-    GatedSum {
-        gate: LinW,
-        value: LinW,
-    },
-}
-
-impl AggW {
-    fn from_aggregator(store: &ParamStore, agg: &Aggregator) -> Self {
-        match agg.params() {
-            AggregatorParams::ConvSum { project } => AggW::ConvSum {
-                project: LinW::from_linear(store, project),
-            },
-            AggregatorParams::Attention {
-                query,
-                key,
-                edge_attr,
-            } => AggW::Attention {
-                query: LinW::from_linear(store, query),
-                key: LinW::from_linear(store, key),
-                edge_attr: edge_attr.as_ref().map(|l| LinW::from_linear(store, l)),
-            },
-            AggregatorParams::DeepSet { phi, rho } => AggW::DeepSet {
-                phi: MlpW::from_mlp(store, phi),
-                rho: LinW::from_linear(store, rho),
-            },
-            AggregatorParams::GatedSum { gate, value } => AggW::GatedSum {
-                gate: LinW::from_linear(store, gate),
-                value: LinW::from_linear(store, value),
-            },
         }
     }
 }
@@ -462,87 +342,39 @@ impl Scratch {
     }
 }
 
-/// A [`crate::DagRecGnn`] compiled for the CSR arena layout: flat weight
-/// copies plus the fused per-level kernels, independent of the parameter
-/// store. Build one per session via `DagRecGnn::compile` (or
-/// `deepgate::core::DeepGate::compile`) and reuse it across predictions.
-#[derive(Debug, Clone)]
-pub struct CompiledKernel {
-    feature_dim: usize,
-    hidden_dim: usize,
-    attr_dim: usize,
-    fix_gate_input: bool,
-    per_type_regressor: bool,
-    embed: LinW,
-    forward_agg: AggW,
-    forward_gru: GruW,
-    reverse: Option<(AggW, GruW)>,
-    heads: Vec<MlpW>,
-}
-
-impl CompiledKernel {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn build(
-        store: &ParamStore,
-        config: &crate::DagRecConfig,
-        embed: &Linear,
-        forward_agg: &Aggregator,
-        forward_gru: &GruCell,
-        reverse_agg: Option<&Aggregator>,
-        reverse_gru: Option<&GruCell>,
-        regressors: &[Mlp],
-    ) -> Self {
-        let reverse = match (reverse_agg, reverse_gru) {
-            (Some(a), Some(g)) => Some((AggW::from_aggregator(store, a), GruW::from_gru(store, g))),
-            _ => None,
-        };
-        CompiledKernel {
-            feature_dim: config.feature_dim,
-            hidden_dim: config.hidden_dim,
-            attr_dim: config.edge_attr_dim(),
-            fix_gate_input: config.fix_gate_input,
-            per_type_regressor: config.per_type_regressor,
-            embed: LinW::from_linear(store, embed),
-            forward_agg: AggW::from_aggregator(store, forward_agg),
-            forward_gru: GruW::from_gru(store, forward_gru),
-            reverse,
-            heads: regressors
-                .iter()
-                .map(|m| MlpW::from_mlp(store, m))
-                .collect(),
-        }
-    }
-
+/// The kernel: [`DagRecGnn`]'s recurrence and regressor over the CSR arena
+/// layout, every weight read in place out of the [`ParamStore`] the tape
+/// trains, so the next prediction sees every optimiser step.
+impl DagRecGnn {
     /// Runs the full recurrence over a packed plan, writing per-node
-    /// probabilities (original node order) into `out`.
+    /// probabilities (original node order) into `out` — the tape-free
+    /// inference path. Build the plan once per circuit
+    /// ([`DagRecGnn::plan`]) and reuse it across predictions.
     ///
     /// # Errors
     ///
     /// Returns [`GnnError::PlanMismatch`] if the plan's feature or
-    /// edge-attribute width does not match the compiled model.
-    pub fn predict_into(
+    /// edge-attribute width does not match the model.
+    pub fn predict_planned(
         &self,
+        store: &ParamStore,
         plan: &InferencePlan,
         num_iterations: usize,
         out: &mut Vec<f32>,
         metrics: Option<&GnnMetrics>,
     ) -> Result<(), GnnError> {
         let mut s = Scratch::default();
-        let h = self.run_recurrence(plan, num_iterations, &mut s, metrics)?;
-        let n = plan.num_nodes;
+        let h = self.recurrence(store, plan, num_iterations, &mut s, metrics)?;
 
         let regress_start = metrics.map(|_| Instant::now());
-        let mut pred = vec![0.0f32; n];
-        self.regress(plan, &h, &mut pred, &mut s);
+        let mut pred = vec![0.0f32; plan.num_nodes];
+        self.regress_rows(store, plan, &h, &mut pred, &mut s);
         if let (Some(m), Some(start)) = (metrics, regress_start) {
             m.regress_ns.record_duration(start.elapsed());
         }
 
         out.clear();
-        out.reserve(n);
-        for old in 0..n {
-            out.push(pred[plan.perm[old] as usize]);
-        }
+        out.extend(plan.perm.iter().map(|&packed| pred[packed as usize]));
         Ok(())
     }
 
@@ -552,14 +384,15 @@ impl CompiledKernel {
     ///
     /// # Errors
     ///
-    /// Same contract as [`CompiledKernel::predict_into`].
-    pub fn embeddings(
+    /// Same contract as [`DagRecGnn::predict_planned`].
+    pub fn embed_planned(
         &self,
+        store: &ParamStore,
         plan: &InferencePlan,
         num_iterations: usize,
     ) -> Result<Tensor, GnnError> {
-        let h = self.run_recurrence(plan, num_iterations, &mut Scratch::default(), None)?;
-        let d = self.hidden_dim;
+        let h = self.recurrence(store, plan, num_iterations, &mut Scratch::default(), None)?;
+        let d = self.config.hidden_dim;
         let mut rows = Vec::with_capacity(h.len());
         for &packed in &plan.perm {
             rows.extend_from_slice(&h[packed as usize * d..][..d]);
@@ -567,129 +400,97 @@ impl CompiledKernel {
         Ok(Tensor::from_vec(plan.num_nodes, d, rows))
     }
 
-    /// The `T`-iteration recurrence shared by [`CompiledKernel::predict_into`]
-    /// and [`CompiledKernel::embeddings`]: returns the final hidden-state
-    /// arena `[num_nodes, hidden_dim]` in *packed* node order.
-    fn run_recurrence(
+    /// The `T`-iteration recurrence shared by [`DagRecGnn::predict_planned`]
+    /// and [`DagRecGnn::embed_planned`], after the one check that the plan
+    /// fits the model: returns the final hidden-state arena
+    /// `[num_nodes, hidden_dim]` in *packed* node order.
+    fn recurrence(
         &self,
+        store: &ParamStore,
         plan: &InferencePlan,
         num_iterations: usize,
         s: &mut Scratch,
         metrics: Option<&GnnMetrics>,
     ) -> Result<Vec<f32>, GnnError> {
-        if plan.feature_dim != self.feature_dim || plan.attr_dim != self.attr_dim {
+        let config = &self.config;
+        if plan.feature_dim != config.feature_dim || plan.attr_dim != config.edge_attr_dim() {
             return Err(GnnError::PlanMismatch);
         }
         if let Some(m) = metrics {
             m.circuit_nodes.record(plan.num_nodes as u64);
         }
-        let n = plan.num_nodes;
-        let d = self.hidden_dim;
-        let gi = if self.fix_gate_input {
-            d + self.feature_dim
-        } else {
-            d
-        };
-        s.reserve(plan, d, gi);
+        let (n, d) = (plan.num_nodes, config.hidden_dim);
+        s.reserve(plan, d, config.gru_input_dim());
 
         // Initial embedding of the packed one-hot features.
         let mut h = vec![0.0f32; n * d];
-        self.embed
-            .dense()
-            .apply(&plan.features, n, &mut h, &mut s.wide);
+        let embed = self.embed.dense(store);
+        embed.apply(&plan.features, n, &mut h, &mut s.wide);
 
         // Attention attribute biases are constant across iterations:
         // project each forward level's attribute rows once.
-        let attr_bias = self.precompute_attr_bias(plan, s);
+        let attr_bias = attr_bias(&self.forward_agg, store, plan, s);
         // So are the attention walk's segment ids.
-        let forward_seg = segment_ids(&plan.forward, &self.forward_agg);
-        let reverse_seg = match &self.reverse {
-            Some((agg, _)) => segment_ids(&plan.reverse, agg),
-            None => Vec::new(),
-        };
+        let forward = (&self.forward_agg, &self.forward_gru);
+        let forward_seg = segment_ids(&plan.forward, forward.0);
+        let reverse = self.reverse_agg.as_ref().zip(self.reverse_gru.as_ref());
+        let reverse_seg = reverse.map_or_else(Vec::new, |(agg, _)| segment_ids(&plan.reverse, agg));
 
         for _ in 0..num_iterations {
             for (li, lvl) in plan.forward.iter().enumerate() {
-                let bias = attr_bias.get(li).and_then(|b| b.as_deref());
+                let bias = attr_bias.get(li).map(Vec::as_slice);
                 let seg = forward_seg.get(li).map_or(&[][..], Vec::as_slice);
-                self.level_pass(lvl, seg, bias, plan, false, &mut h, s, metrics);
+                self.level_pass(store, plan, lvl, seg, bias, forward, &mut h, s, metrics);
             }
-            if self.reverse.is_some() {
+            if let Some(reverse) = reverse {
                 for (li, lvl) in plan.reverse.iter().enumerate() {
                     let seg = reverse_seg.get(li).map_or(&[][..], Vec::as_slice);
-                    self.level_pass(lvl, seg, None, plan, true, &mut h, s, metrics);
+                    self.level_pass(store, plan, lvl, seg, None, reverse, &mut h, s, metrics);
                 }
             }
         }
         Ok(h)
     }
 
-    /// Projects each forward level's edge-attribute rows through the
-    /// attention attribute head. Returns one bias-per-edge vector per level
-    /// (`None` for levels without attributes or non-attention kernels).
-    fn precompute_attr_bias(&self, plan: &InferencePlan, s: &mut Scratch) -> Vec<Option<Vec<f32>>> {
-        let proj = match &self.forward_agg {
-            AggW::Attention {
-                edge_attr: Some(p), ..
-            } if plan.attr_dim > 0 => p,
-            _ => return Vec::new(),
-        };
-        plan.forward
-            .iter()
-            .map(|lvl| {
-                let edges = lvl.edge_src.len();
-                let mut bias = vec![0.0f32; edges];
-                proj.dense().apply(&lvl.attr, edges, &mut bias, &mut s.wide);
-                Some(bias)
-            })
-            .collect()
-    }
-
     /// One level's fused aggregation + GRU update over the packed arena,
-    /// each half timed into its own series when `metrics` is given. `seg` is
-    /// the level's [`segment_ids`] (empty unless the aggregator is
-    /// attention).
+    /// with the direction's aggregator and GRU, each half timed into its own
+    /// series when `metrics` is given. `seg` is the level's [`segment_ids`]
+    /// (empty unless the aggregator is attention).
     #[allow(clippy::too_many_arguments)]
     fn level_pass(
         &self,
+        store: &ParamStore,
+        plan: &InferencePlan,
         lvl: &CsrLevel,
         seg: &[u32],
         attr_bias: Option<&[f32]>,
-        plan: &InferencePlan,
-        reverse: bool,
+        (agg, gru): (&Aggregator, &GruCell),
         h: &mut [f32],
         s: &mut Scratch,
         metrics: Option<&GnnMetrics>,
     ) {
         let agg_start = metrics.map(|_| Instant::now());
-        let d = self.hidden_dim;
+        let d = self.config.hidden_dim;
         let m = lvl.end - lvl.start;
         let edges = lvl.edge_src.len();
-        let (agg, gru) = if reverse {
-            let (a, g) = self.reverse.as_ref().expect("reverse layer configured");
-            (a, g)
-        } else {
-            (&self.forward_agg, &self.forward_gru)
-        };
 
         // Arenas are pre-sized by `Scratch::reserve`; only `msg` (and the
         // DeepSet segment sum) accumulate, so only they need zeroing here —
         // every other arena is fully overwritten before it is read.
         let msg = &mut s.msg[..m * d];
         msg.fill(0.0);
-        match agg {
-            AggW::ConvSum { project } => {
+        match agg.params() {
+            AggregatorParams::ConvSum { project } => {
                 let e1 = &mut s.e1[..edges * d];
-                project
-                    .dense()
-                    .apply_gathered(h, &lvl.edge_src, e1, &mut s.wide);
+                let project = project.dense(store);
+                project.apply_gathered(h, &lvl.edge_src, e1, &mut s.wide);
                 segment_sum(e1, &lvl.offsets, d, msg);
             }
-            AggW::Attention { query, key, .. } => {
+            AggregatorParams::Attention { query, key, .. } => {
                 let arena: &[f32] = h;
                 dense::attention(
-                    query.dense(),
-                    key.dense(),
+                    query.dense(store),
+                    key.dense(store),
                     |e| &arena[lvl.edge_src[e] as usize * d..][..d],
                     &h[lvl.start * d..lvl.end * d],
                     seg,
@@ -701,32 +502,25 @@ impl CompiledKernel {
                     &mut s.wide,
                 );
             }
-            AggW::DeepSet { phi, rho } => {
+            AggregatorParams::DeepSet { phi, rho } => {
                 let e1 = &mut s.e1[..edges * d];
                 for (r, &src) in lvl.edge_src.iter().enumerate() {
                     let row = &h[src as usize * d..(src as usize + 1) * d];
-                    mlp_apply_row(
-                        phi,
-                        row,
-                        &mut e1[r * d..(r + 1) * d],
-                        &mut s.ha,
-                        &mut s.hb,
-                        &mut s.wide,
-                    );
+                    let out = &mut e1[r * d..(r + 1) * d];
+                    mlp_apply_row(phi, store, row, out, &mut s.ha, &mut s.hb, &mut s.wide);
                 }
                 let e2 = &mut s.e2[..m * d];
                 e2.fill(0.0);
                 segment_sum(e1, &lvl.offsets, d, e2);
-                rho.dense().apply(e2, m, msg, &mut s.wide);
+                rho.dense(store).apply(e2, m, msg, &mut s.wide);
             }
-            AggW::GatedSum { gate, value } => {
+            AggregatorParams::GatedSum { gate, value } => {
                 let e1 = &mut s.e1[..edges * d];
-                gate.dense()
-                    .apply_gathered(h, &lvl.edge_src, e1, &mut s.wide);
+                let gate = gate.dense(store);
+                gate.apply_gathered(h, &lvl.edge_src, e1, &mut s.wide);
                 let e2 = &mut s.e2[..edges * d];
-                value
-                    .dense()
-                    .apply_gathered(h, &lvl.edge_src, e2, &mut s.wide);
+                let value = value.dense(store);
+                value.apply_gathered(h, &lvl.edge_src, e2, &mut s.wide);
                 for (g, &v) in e1.iter_mut().zip(e2.iter()) {
                     *g = math::sigmoid(*g) * v;
                 }
@@ -737,8 +531,8 @@ impl CompiledKernel {
         let gru_start = metrics.map(|_| Instant::now());
         // GRU input: the message, with the gate one-hot appended when the
         // gate input is fixed (DeepGate's Eq. 6).
-        let f = self.feature_dim;
-        let input: &[f32] = if self.fix_gate_input {
+        let f = self.config.feature_dim;
+        let input: &[f32] = if self.config.fix_gate_input {
             let gi = d + f;
             let gin = &mut s.gin[..m * gi];
             for i in 0..m {
@@ -752,7 +546,8 @@ impl CompiledKernel {
         };
         let g = s.g.each_mut().map(|a| &mut a[..m * d]);
         let h_level = &mut h[lvl.start * d..lvl.end * d];
-        dense::gru_step::<false>(gru.dense(), input, h_level, m, g, &mut s.wide);
+        let gates = gru.gates().map(|l| l.dense(store));
+        dense::gru_step::<false>(gates, input, h_level, m, g, &mut s.wide);
         if let (Some(mt), Some(t0), Some(t1)) = (metrics, agg_start, gru_start) {
             mt.level_agg_ns.record_duration(t1 - t0);
             mt.level_gru_ns.record_duration(t1.elapsed());
@@ -765,51 +560,69 @@ impl CompiledKernel {
     /// path evaluates only the head selected by each node's one-hot — the
     /// tape runs every head over every node and masks after, which adds
     /// exact zeros for the heads not selected.
-    fn regress(&self, plan: &InferencePlan, h: &[f32], pred: &mut [f32], s: &mut Scratch) {
-        let d = self.hidden_dim;
-        let f = self.feature_dim;
-        if !self.per_type_regressor {
-            let head = &self.heads[0];
-            for i in 0..plan.num_nodes {
-                mlp_apply_row(
-                    head,
-                    &h[i * d..(i + 1) * d],
-                    &mut pred[i..i + 1],
-                    &mut s.ha,
-                    &mut s.hb,
-                    &mut s.wide,
-                );
+    fn regress_rows(
+        &self,
+        store: &ParamStore,
+        plan: &InferencePlan,
+        h: &[f32],
+        pred: &mut [f32],
+        s: &mut Scratch,
+    ) {
+        let (d, f) = (self.config.hidden_dim, self.config.feature_dim);
+        let (ha, hb, wide) = (&mut s.ha, &mut s.hb, &mut s.wide);
+        for (i, p) in pred.iter_mut().enumerate() {
+            let row = &h[i * d..(i + 1) * d];
+            if !self.config.per_type_regressor {
+                let head = &self.regressors[0];
+                mlp_apply_row(head, store, row, std::slice::from_mut(p), ha, hb, wide);
+                continue;
             }
-            return;
-        }
-        for i in 0..plan.num_nodes {
             let mut acc = 0.0f32;
             let mut one = [0.0f32];
-            for (head_idx, head) in self.heads.iter().enumerate() {
+            for (head_idx, head) in self.regressors.iter().enumerate() {
                 let mask = plan.features[i * f + head_idx];
                 if mask > 0.0 {
-                    mlp_apply_row(
-                        head,
-                        &h[i * d..(i + 1) * d],
-                        &mut one,
-                        &mut s.ha,
-                        &mut s.hb,
-                        &mut s.wide,
-                    );
+                    mlp_apply_row(head, store, row, &mut one, ha, hb, wide);
                     acc += mask * one[0];
                 }
             }
-            pred[i] = acc;
+            *p = acc;
         }
     }
+}
+
+/// Projects each forward level's edge-attribute rows through the attention
+/// aggregator's attribute head: one bias per edge per level, and no levels
+/// at all when `agg` has no such head.
+fn attr_bias(
+    agg: &Aggregator,
+    store: &ParamStore,
+    plan: &InferencePlan,
+    s: &mut Scratch,
+) -> Vec<Vec<f32>> {
+    let AggregatorParams::Attention {
+        edge_attr: Some(proj),
+        ..
+    } = agg.params()
+    else {
+        return Vec::new();
+    };
+    let proj = proj.dense(store);
+    let project = |lvl: &CsrLevel| {
+        let edges = lvl.edge_src.len();
+        let mut bias = vec![0.0f32; edges];
+        proj.apply(&lvl.attr, edges, &mut bias, &mut s.wide);
+        bias
+    };
+    plan.forward.iter().map(project).collect()
 }
 
 /// Each level's segment ids ([`CsrLevel::edge_rows`]) when `agg` is the
 /// attention walk, which takes them, and none otherwise. They are constant
 /// across the `T` iterations, so a run derives them once, not per visit.
-fn segment_ids(levels: &[CsrLevel], agg: &AggW) -> Vec<Vec<u32>> {
-    match agg {
-        AggW::Attention { .. } => levels.iter().map(|l| l.edge_rows().collect()).collect(),
+fn segment_ids(levels: &[CsrLevel], agg: &Aggregator) -> Vec<Vec<u32>> {
+    match agg.kind() {
+        AggregatorKind::Attention => levels.iter().map(|l| l.edge_rows().collect()).collect(),
         _ => Vec::new(),
     }
 }
@@ -1025,9 +838,6 @@ mod tests {
                 {
                     return Err(format!("reverse level {} is not a prefix", batch.level));
                 }
-            }
-            if !plan.matches(&circuit, 2 * frequencies) || plan.matches(&circuit, 1) {
-                return Err("matches() disagrees with compile()".to_string());
             }
         }
         Ok(())

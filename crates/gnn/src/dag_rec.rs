@@ -12,7 +12,7 @@
 //! | DeepGate w/o SC | Attention | yes | yes | no |
 //! | DeepGate w/ SC | Attention | yes | yes | yes |
 
-use crate::csr::{CompiledKernel, CsrLevel, InferencePlan};
+use crate::csr::{CsrLevel, InferencePlan};
 use crate::state::{Combine, NodeStates};
 use crate::{Aggregator, AggregatorKind, CircuitGraph, GnnError, ProbabilityModel};
 use deepgate_nn::{Activation, Graph, GruCell, Linear, Mlp, ParamStore, Tensor, Var};
@@ -108,13 +108,13 @@ struct LevelStep<'a> {
 /// fixed gate-type input and reconvergence skip connections.
 #[derive(Debug, Clone)]
 pub struct DagRecGnn {
-    config: DagRecConfig,
-    embed: Linear,
-    forward_agg: Aggregator,
-    forward_gru: GruCell,
-    reverse_agg: Option<Aggregator>,
-    reverse_gru: Option<GruCell>,
-    regressors: Vec<Mlp>,
+    pub(crate) config: DagRecConfig,
+    pub(crate) embed: Linear,
+    pub(crate) forward_agg: Aggregator,
+    pub(crate) forward_gru: GruCell,
+    pub(crate) reverse_agg: Option<Aggregator>,
+    pub(crate) reverse_gru: Option<GruCell>,
+    pub(crate) regressors: Vec<Mlp>,
 }
 
 impl DagRecGnn {
@@ -343,49 +343,30 @@ impl DagRecGnn {
         )
     }
 
-    /// Bakes the model's weights into a [`CompiledKernel`]. The kernel is
-    /// independent of the parameter store, so a session can compile once and
-    /// predict many times.
-    pub fn compile(&self, store: &ParamStore) -> CompiledKernel {
-        CompiledKernel::build(
-            store,
-            &self.config,
-            &self.embed,
-            &self.forward_agg,
-            &self.forward_gru,
-            self.reverse_agg.as_ref(),
-            self.reverse_gru.as_ref(),
-            &self.regressors,
-        )
-    }
-
-    /// Gradient-free prediction with an explicit iteration count. Used by the
+    /// Gradient-free prediction with an explicit iteration count, through
+    /// [`DagRecGnn::predict_planned`] on a fresh plan. Used by the
     /// recurrence-iteration sweep (Section IV-D2 of the paper) and for
     /// inference on circuits far larger than the training set (Table III),
     /// where recording an autodiff tape would exhaust memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the circuit's feature encoding does not match the model.
     pub fn predict_with_iterations(
         &self,
         store: &ParamStore,
         circuit: &CircuitGraph,
         num_iterations: usize,
     ) -> Vec<f32> {
-        assert_eq!(
-            circuit.encoding.dimension(),
-            self.config.feature_dim,
-            "circuit feature encoding does not match the model configuration"
-        );
-        let plan = self.plan(circuit);
-        let kernel = self.compile(store);
         let mut out = Vec::new();
-        kernel
-            .predict_into(&plan, num_iterations, &mut out, None)
-            .expect("plan freshly built for this circuit and model");
+        self.predict_planned(store, &self.plan(circuit), num_iterations, &mut out, None)
+            .expect("circuit feature encoding does not match the model configuration");
         out
     }
 
     /// Gradient-free computation of the final node embeddings `h_v^T` — the
     /// neural representations of the logic gates that downstream EDA tasks
-    /// would consume — through the CSR kernel.
+    /// would consume — through [`DagRecGnn::embed_planned`].
     ///
     /// # Panics
     ///
@@ -413,8 +394,7 @@ impl DagRecGnn {
         num_iterations: usize,
     ) -> Result<Tensor, GnnError> {
         self.check_encoding(circuit)?;
-        self.compile(store)
-            .embeddings(&self.plan(circuit), num_iterations)
+        self.embed_planned(store, &self.plan(circuit), num_iterations)
     }
 }
 
@@ -890,16 +870,17 @@ mod tests {
         let mut store = ParamStore::new();
         let model = DagRecGnn::new(&mut store, small_config(AggregatorKind::Attention));
         let plan = model.plan(&circuit);
-        let kernel = model.compile(&store);
 
         let mut plain = Vec::new();
-        kernel.predict_into(&plan, 2, &mut plain, None).unwrap();
+        model
+            .predict_planned(&store, &plan, 2, &mut plain, None)
+            .unwrap();
 
         let registry = deepgate_telemetry::Registry::new();
         let metrics = GnnMetrics::registered(&registry);
         let mut metered = Vec::new();
-        kernel
-            .predict_into(&plan, 2, &mut metered, Some(&metrics))
+        model
+            .predict_planned(&store, &plan, 2, &mut metered, Some(&metrics))
             .unwrap();
         assert_eq!(plain, metered, "telemetry must not perturb the prediction");
 

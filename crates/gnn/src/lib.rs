@@ -10,8 +10,9 @@
 //! - [`InferencePlan`] — the one level schedule (*topological batching*):
 //!   nodes packed level by level, each level's fan-in (forward, skip edges
 //!   and their positional encodings folded in) and fan-out (reverse) rows in
-//!   CSR form. The training tape and [`CompiledKernel`], the tape-free
-//!   inference executor, both walk it.
+//!   CSR form. The training tape and the tape-free inference kernel
+//!   ([`DagRecGnn::predict_planned`], reading the weights in place out of
+//!   the same `ParamStore`) both walk it.
 //! - [`Aggregator`] — the four aggregation functions of the paper. Attention
 //!   is one fused tape op (`Graph::attention`) running the kernel's own
 //!   attention walk; the other three are gather / scatter-add compositions
@@ -41,7 +42,7 @@ mod model;
 mod state;
 
 pub use aggregator::{Aggregator, AggregatorKind};
-pub use csr::{CompiledKernel, InferencePlan};
+pub use csr::InferencePlan;
 pub use dag_conv::{DagConvConfig, DagConvGnn};
 pub use dag_rec::{DagRecConfig, DagRecGnn};
 pub use error::GnnError;

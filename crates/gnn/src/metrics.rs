@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 /// Shared handles to the inference-kernel metric series.
 ///
-/// The kernel ([`crate::CompiledKernel::predict_into`]) records into these
+/// The kernel ([`crate::DagRecGnn::predict_planned`]) records into these
 /// when given a set; called with `None` it skips telemetry entirely, so
 /// training and offline benchmarking pay nothing.
 #[derive(Debug, Clone)]

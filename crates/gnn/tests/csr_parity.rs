@@ -1,8 +1,10 @@
 //! Parity suite for the CSR level-packed inference kernel.
 //!
-//! The CSR kernel ([`deepgate_gnn::CompiledKernel`]) is the one inference
-//! executor; the autodiff-tape forward ([`ProbabilityModel::try_forward`],
-//! the definition training optimises) is the ground truth. This suite is
+//! The CSR kernel ([`DagRecGnn::predict_planned`] /
+//! [`DagRecGnn::embed_planned`]) is the one inference executor; the
+//! autodiff-tape forward ([`ProbabilityModel::try_forward`], the definition
+//! training optimises) is the ground truth. Both read the weights in place
+//! out of the same `ParamStore`. This suite is
 //! the exactness gate: the kernel must be *bit-exact* with the tape
 //! (`to_bits` equality, not epsilon closeness) for **both** the per-node
 //! probabilities and the final hidden states `h_v^T`, on a fixed suite of
@@ -79,12 +81,11 @@ fn kernel_matches_tape(
 ) -> Result<(), String> {
     let iterations = model.config().num_iterations;
     let plan = model.plan(circuit);
-    let kernel = model.compile(store);
 
     let mut tape = Graph::new();
     let hidden = model.forward_hidden(&mut tape, store, circuit);
-    let embeddings = kernel
-        .embeddings(&plan, iterations)
+    let embeddings = model
+        .embed_planned(store, &plan, iterations)
         .expect("CSR kernel embeds");
     if embeddings.shape() != tape.value(hidden).shape() {
         return Err(format!(
@@ -104,8 +105,8 @@ fn kernel_matches_tape(
         .try_forward(&mut tape, store, circuit)
         .expect("tape forward runs");
     let mut csr = Vec::new();
-    kernel
-        .predict_into(&plan, iterations, &mut csr, None)
+    model
+        .predict_planned(store, &plan, iterations, &mut csr, None)
         .expect("CSR kernel predicts");
     first_bit_difference("node", tape.value(probs).as_slice(), &csr)
 }

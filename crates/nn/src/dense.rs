@@ -2,9 +2,10 @@
 //! ([`crate::GruCell::forward`], [`crate::Graph::attention`]) and the CSR
 //! inference kernel in `deepgate-gnn`: the flat layer view [`Dense`], the
 //! GRU update [`gru_step`] and the attention walk [`attention`]. Both
-//! executors call these functions over the same row-major weights — the tape
-//! straight out of the [`crate::ParamStore`], the kernel out of its own
-//! copies — so their forward values agree bit for bit by construction.
+//! executors call these functions over the very same row-major weights, read
+//! in place out of the one [`crate::ParamStore`] by
+//! [`crate::Linear::dense`], so their forward values agree bit for bit by
+//! construction.
 //!
 //! Every output element is one k-ascending accumulation chain with the
 //! zero-skip of [`crate::Tensor::matmul`] and the bias added after it.

@@ -79,23 +79,12 @@ impl Linear {
         }
     }
 
-    /// The `[in_features, out_features]` weight tensor (read-only view into
-    /// the store). Kernel compilers use this to bake weights into flat
-    /// inference-time layouts.
-    pub fn weight_tensor<'a>(&self, store: &'a ParamStore) -> &'a Tensor {
-        store.value(self.weight)
-    }
-
-    /// The `[1, out_features]` bias tensor, if the layer has one.
-    pub fn bias_tensor<'a>(&self, store: &'a ParamStore) -> Option<&'a Tensor> {
-        self.bias.map(|b| store.value(b))
-    }
-
-    /// The layer's weights read in place out of `store`, as the row code of
-    /// [`crate::dense`] takes them.
+    /// The layer's `[in_features, out_features]` weights and bias read in
+    /// place out of `store`, as the row code of [`crate::dense`] takes them
+    /// — the one way the tape's fused ops and the CSR kernel read a layer.
     pub fn dense<'a>(&self, store: &'a ParamStore) -> Dense<'a> {
-        let bias = self.bias_tensor(store).map_or(&[][..], Tensor::as_slice);
-        let weight = self.weight_tensor(store).as_slice();
+        let bias = self.bias.map_or(&[][..], |b| store.value(b).as_slice());
+        let weight = store.value(self.weight).as_slice();
         Dense::new(weight, bias, self.in_features, self.out_features)
     }
 

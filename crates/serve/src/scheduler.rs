@@ -386,8 +386,10 @@ impl Scheduler {
         error
     }
 
-    /// Submits and blocks until the result arrives — the per-connection
-    /// serving path.
+    /// Submits and blocks until the result arrives — the blocking path for
+    /// embedders and the benchmark. The server's event loop does not call
+    /// it: it hands jobs over with [`Scheduler::submit_async`] and is woken
+    /// when the result is ready.
     ///
     /// # Errors
     ///

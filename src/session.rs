@@ -2,9 +2,8 @@
 
 use crate::{DeepGateError, EngineMetrics};
 use deepgate_core::DeepGate;
-use deepgate_gnn::{CircuitGraph, CompiledKernel, GnnError, InferencePlan};
+use deepgate_gnn::{CircuitGraph, GnnError, InferencePlan};
 use rayon::prelude::*;
-use std::borrow::Borrow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -30,20 +29,21 @@ impl PreparedCircuit {
 
 /// A serving session: a model snapshot plus reusable inference state.
 ///
-/// The session owns its weights (cloned from the [`crate::Engine`] or moved
-/// out of it), so it is `Send + Sync` and can be shared across serving
-/// threads. Two mechanisms keep the hot path fast:
+/// The session owns the model — its one copy of the weights, cloned from
+/// the [`crate::Engine`] or moved out of it — so it is `Send + Sync` and can
+/// be shared across serving threads. The CSR kernel reads those weights in
+/// place out of the model's `ParamStore`. Two mechanisms keep the hot path
+/// fast:
 ///
-/// 1. **Parallel fan-out** — a batch is a list of independent prepared
-///    circuits; [`InferenceSession::predict_batch_into`] runs them side by
-///    side, rayon-parallel, each on the plan it already owns.
-/// 2. **Plan, kernel and buffer reuse** — the CSR arena layout
-///    ([`InferencePlan`]) is compiled once per circuit and reused across
-///    all `T` iterations, the model's weights are baked once into a
-///    [`CompiledKernel`]; [`InferenceSession::prepare`] /
-///    [`InferenceSession::prepare_batch`] pin plans across calls, and the
-///    `_into` variants write into caller-owned buffers, so a steady-state
-///    serving loop performs no per-request plan or kernel rebuilds.
+/// 1. **Parallel fan-out** — a batch is a list of independent circuits;
+///    [`InferenceSession::predict_batch`] runs them side by side,
+///    rayon-parallel, each on its own plan.
+/// 2. **Plan and buffer reuse** — the CSR arena layout ([`InferencePlan`])
+///    is compiled once per circuit and reused across all `T` iterations;
+///    [`InferenceSession::prepare`] / [`InferenceSession::prepare_batch`]
+///    pin plans across calls and [`InferenceSession::predict_into`] writes
+///    into a caller-owned buffer, so a steady-state serving loop performs no
+///    per-request plan rebuilds.
 ///
 /// There is one scoring mode: the kernel's probabilities are bit-identical
 /// to the training forward (`ProbabilityModel::try_forward`), which
@@ -53,19 +53,16 @@ pub struct InferenceSession {
     model: DeepGate,
     iterations: usize,
     metrics: Option<Arc<EngineMetrics>>,
-    kernel: CompiledKernel,
 }
 
 impl InferenceSession {
-    /// Wraps a model in a session, baking the weights into a CSR kernel.
+    /// Wraps a model in a session.
     pub fn new(model: DeepGate) -> Self {
         let iterations = model.config().num_iterations;
-        let kernel = model.compile();
         InferenceSession {
             model,
             iterations,
             metrics: None,
-            kernel,
         }
     }
 
@@ -147,8 +144,9 @@ impl InferenceSession {
         self.predict_planned_into(&prepared.circuit, &prepared.plan, out)
     }
 
-    /// Predicts a batch of circuits: each is prepared and the batch runs
-    /// through [`InferenceSession::predict_batch_into`]. Returns one
+    /// Predicts a batch of circuits: each is prepared, then the batch runs
+    /// side by side, rayon-parallel, each circuit through
+    /// [`InferenceSession::predict_into`] on its own plan. Returns one
     /// probability vector per circuit, in input order.
     ///
     /// # Errors
@@ -156,46 +154,14 @@ impl InferenceSession {
     /// Returns [`DeepGateError::EmptyBatch`] for an empty batch and
     /// [`DeepGateError::Gnn`] if any circuit is incompatible with the model.
     pub fn predict_batch(&self, circuits: &[CircuitGraph]) -> Result<Vec<Vec<f32>>, DeepGateError> {
-        let prepared = self.prepare_batch(circuits)?;
-        let mut out = Vec::new();
-        self.predict_batch_into(&prepared, &mut out)
-            .into_iter()
-            .collect::<Result<(), _>>()?;
-        Ok(out)
-    }
-
-    /// Predicts prepared circuits side by side, rayon-parallel, each on its
-    /// own plan — the steady-state serving hot path: no plan rebuilds, and
-    /// `out`'s buffers keep their allocations across calls. `out` is resized
-    /// to the batch length.
-    ///
-    /// Returns one result per circuit, in input order: `out[i]` holds
-    /// circuit `i`'s probabilities exactly when result `i` is `Ok`, so a
-    /// circuit that is incompatible with the model
-    /// ([`DeepGateError::Gnn`]) fails alone.
-    #[must_use = "every circuit reports its own result"]
-    pub fn predict_batch_into<P>(
-        &self,
-        prepared: &[P],
-        out: &mut Vec<Vec<f32>>,
-    ) -> Vec<Result<(), DeepGateError>>
-    where
-        P: Borrow<PreparedCircuit> + Sync,
-    {
-        let mut buffers = std::mem::take(out);
-        buffers.resize_with(prepared.len(), Vec::new);
-        let tasks: Vec<(&P, Vec<f32>)> = prepared.iter().zip(buffers).collect();
-        let (buffers, results) = tasks
-            .into_par_iter()
-            .map(|(prepared, mut buffer)| {
-                let result = self.predict_into(prepared.borrow(), &mut buffer);
-                (buffer, result)
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .unzip();
-        *out = buffers;
-        results
+        let predict = |prepared: &PreparedCircuit| {
+            let mut out = Vec::new();
+            self.predict_into(prepared, &mut out).map(|()| out)
+        };
+        self.prepare_batch(circuits)?
+            .par_iter()
+            .map(predict)
+            .collect()
     }
 
     fn predict_planned_into(
@@ -204,20 +170,18 @@ impl InferenceSession {
         plan: &InferencePlan,
         out: &mut Vec<f32>,
     ) -> Result<(), DeepGateError> {
-        // The kernel validates dimensions, not encodings — keep the
-        // circuit-level check (and its error) here.
+        // A plan is always built from its own circuit; the kernel checks it
+        // against the model (`PlanMismatch`). The circuit-level check, and
+        // its error, stay here.
         let expected = self.model.config().feature_dim;
         let got = circuit.encoding.dimension();
         if got != expected {
             return Err(GnnError::EncodingMismatch { expected, got }.into());
         }
-        if !plan.matches(circuit, self.model.model().config().edge_attr_dim()) {
-            return Err(GnnError::PlanMismatch.into());
-        }
         let metrics = self.metrics.as_deref();
         let predict_start = metrics.map(|_| Instant::now());
-        self.kernel
-            .predict_into(plan, self.iterations, out, metrics.map(|m| &m.gnn))?;
+        let (model, store) = (self.model.model(), self.model.store());
+        model.predict_planned(store, plan, self.iterations, out, metrics.map(|m| &m.gnn))?;
         if let (Some(m), Some(start)) = (metrics, predict_start) {
             m.predict_ns.record_duration(start.elapsed());
         }

@@ -391,20 +391,14 @@ fn predict_batch_results_are_index_aligned_with_inputs() {
         );
     }
 
-    // The prepared/steady-state path preserves the same order across
-    // repeated calls into reused buffers.
-    let prepared = session.prepare_batch(&circuits).unwrap();
-    let mut out = Vec::new();
+    // Repeated batches preserve the same order.
     for _ in 0..2 {
-        for result in session.predict_batch_into(&prepared, &mut out) {
-            result.unwrap();
-        }
-        assert_eq!(out, batch);
+        assert_eq!(session.predict_batch(&circuits).unwrap(), batch);
     }
 }
 
 #[test]
-fn prepared_batches_reuse_buffers_and_agree_with_fresh_predictions() {
+fn prepared_batches_agree_with_fresh_predictions() {
     let engine = quick_engine();
     let circuits = engine
         .prepare(
@@ -416,16 +410,9 @@ fn prepared_batches_reuse_buffers_and_agree_with_fresh_predictions() {
     let session = engine.into_session();
     let fresh = session.predict_batch(&circuits).unwrap();
 
-    let prepared = session.prepare_batch(&circuits).unwrap();
-    assert_eq!(prepared.len(), circuits.len());
-    assert!(!prepared.is_empty());
-    let mut out = Vec::new();
-    let mut allocations: Vec<Vec<*const f32>> = Vec::new();
-    // Two rounds through the same buffers: steady-state serving.
+    // Two rounds: steady-state serving repeats itself bit for bit.
     for _ in 0..2 {
-        let results = session.predict_batch_into(&prepared, &mut out);
-        assert_eq!(results.len(), circuits.len());
-        assert!(results.iter().all(Result::is_ok));
+        let out = session.predict_batch(&circuits).unwrap();
         assert_eq!(out.len(), fresh.len());
         for (a, b) in fresh.iter().zip(&out) {
             assert_eq!(a.len(), b.len());
@@ -433,17 +420,19 @@ fn prepared_batches_reuse_buffers_and_agree_with_fresh_predictions() {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
         }
-        allocations.push(out.iter().map(|buffer| buffer.as_ptr()).collect());
     }
-    assert_eq!(allocations[0], allocations[1], "round 2 reallocated");
 
     // The single-circuit prepared path agrees too.
-    let single = session.prepare(circuits[0].clone());
-    assert_eq!(single.circuit().num_nodes, circuits[0].num_nodes);
+    let prepared = session.prepare_batch(&circuits).unwrap();
+    assert_eq!(prepared.len(), circuits.len());
     let mut buf = Vec::new();
-    session.predict_into(&single, &mut buf).unwrap();
-    for (x, y) in buf.iter().zip(&fresh[0]) {
-        assert_eq!(x.to_bits(), y.to_bits());
+    for ((single, circuit), want) in prepared.iter().zip(&circuits).zip(&fresh) {
+        assert_eq!(single.circuit().num_nodes, circuit.num_nodes);
+        session.predict_into(single, &mut buf).unwrap();
+        assert_eq!(buf.len(), want.len());
+        for (x, y) in buf.iter().zip(want) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
     }
 }
 
@@ -518,12 +507,9 @@ fn engine_metrics_record_every_pipeline_stage() {
     assert_eq!(out, expected);
 
     // The batched path records the same series, once per circuit.
-    let batch = session
-        .prepare_batch(&[circuits[0].clone(), circuits[0].clone()])
+    let outs = session
+        .predict_batch(&[circuits[0].clone(), circuits[0].clone()])
         .unwrap();
-    let mut outs = Vec::new();
-    let results = session.predict_batch_into(&batch, &mut outs);
-    assert!(results.iter().all(Result::is_ok));
     assert_eq!(outs, [expected.clone(), expected]);
 
     let snap = registry.snapshot();
