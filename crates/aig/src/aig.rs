@@ -247,7 +247,7 @@ impl Aig {
     }
 
     /// Appends an AND node verbatim (no simplification, no strashing). Used
-    /// by the AIGER parsers to preserve literal numbering.
+    /// by the AIGER reader to preserve literal numbering.
     pub(crate) fn push_raw_and(&mut self, fanin0: AigLit, fanin1: AigLit) -> AigLit {
         let index = self.nodes.len();
         self.nodes.push(AigNode {

@@ -1,20 +1,24 @@
-//! Full AIGER subsystem: binary (`aig`) and ASCII (`aag`) readers and
-//! writers, plus the latch-aware ingestion policies.
+//! Full AIGER subsystem: one reader and one writer for both encodings,
+//! ASCII (`aag`) and binary (`aig`), plus the latch-aware ingestion policies.
 //!
 //! AIGER is the de-facto interchange format of the hardware model-checking
 //! and logic-synthesis communities; the circuit suites the DeepGate paper
 //! evaluates on (EPFL / ISCAS / HWMCC) ship in it. This module implements
 //! the format end-to-end, std-only:
 //!
-//! - [`parse_aag`] / [`parse_aig`] / [`parse_auto`] — readers for the ASCII
-//!   and binary encodings. The binary reader streams over any
-//!   [`std::io::Read`], decoding the delta-compressed AND section without
-//!   buffering the whole file. Malformed input of either flavour always
-//!   yields a typed [`AigerError`], never a panic.
-//! - [`write_aag`] / [`write_aig`] — writers emitting a *canonical* variable
-//!   numbering (inputs, then latches, then ANDs in topological order), so
-//!   two structurally identical AIGs serialise to identical bytes — the
-//!   property the round-trip tests and the serving cache rely on.
+//! - [`parse_auto`] — the reader. One pass over the file's bytes reads the
+//!   header, inputs, latches, outputs, ANDs and symbol table. The header
+//!   magic decides only three things: whether input lines exist, whether a
+//!   latch line starts with its state literal, and whether the AND section
+//!   is `lhs rhs0 rhs1` lines or delta-compressed varints. The header's
+//!   counts are checked against the bytes that follow it before anything is
+//!   allocated for them, so allocation stays proportional to the file size.
+//!   Malformed input always yields a typed [`AigerError`], never a panic.
+//! - [`write_aag`] / [`write_aig`] — one emitter for both encodings, with a
+//!   *canonical* variable numbering (inputs, then latches, then ANDs in
+//!   topological order), so two structurally identical AIGs serialise to
+//!   identical bytes — the property the round-trip tests and the serving
+//!   cache rely on.
 //! - [`LatchPolicy`] — how sequential circuits enter the (combinational)
 //!   DeepGate pipeline: cut latch boundaries into pseudo-PI/PO, or unroll a
 //!   fixed number of time frames.
@@ -23,10 +27,9 @@
 
 use crate::{Aig, AigLit};
 use std::fmt;
-use std::io::Read;
 
 /// Upper bound on the `M` (maximum variable index) header field accepted by
-/// the parsers. Guards against hostile headers that would otherwise drive
+/// the reader. Guards against hostile headers that would otherwise drive
 /// allocation of billions of nodes before any body byte is validated.
 pub const MAX_VARS: usize = 1 << 24;
 
@@ -36,16 +39,16 @@ pub const MAX_VARS: usize = 1 << 24;
 pub enum AigerError {
     /// The `aag`/`aig` header line is missing, malformed or inconsistent.
     Header(String),
-    /// A line of the ASCII body or symbol table could not be parsed.
+    /// A line of an ASCII file could not be parsed.
     Parse {
         /// 1-based line number of the offending line.
         line: usize,
         /// Human-readable description.
         message: String,
     },
-    /// The binary AND section is corrupt.
+    /// A binary file is corrupt.
     Binary {
-        /// Byte offset of the offending byte.
+        /// Byte offset just past the offending byte or line.
         offset: usize,
         /// Human-readable description.
         message: String,
@@ -58,8 +61,6 @@ pub enum AigerError {
     /// The parsed structure is inconsistent (cycles, bad references) or an
     /// in-memory AIG cannot be serialised.
     Structure(String),
-    /// An I/O error from the underlying reader.
-    Io(String),
 }
 
 impl fmt::Display for AigerError {
@@ -75,18 +76,11 @@ impl fmt::Display for AigerError {
             AigerError::Truncated(msg) => write!(f, "aiger input truncated: {msg}"),
             AigerError::Unsupported(msg) => write!(f, "unsupported aiger feature: {msg}"),
             AigerError::Structure(msg) => write!(f, "aiger structure error: {msg}"),
-            AigerError::Io(msg) => write!(f, "aiger i/o error: {msg}"),
         }
     }
 }
 
 impl std::error::Error for AigerError {}
-
-impl From<std::io::Error> for AigerError {
-    fn from(err: std::io::Error) -> Self {
-        AigerError::Io(err.to_string())
-    }
-}
 
 /// How a sequential AIG (one with latches) is turned into the combinational
 /// graph the DeepGate model consumes.
@@ -127,7 +121,7 @@ impl LatchPolicy {
 }
 
 // ---------------------------------------------------------------------------
-// Header
+// Reader
 // ---------------------------------------------------------------------------
 
 struct Header {
@@ -138,7 +132,15 @@ struct Header {
     a: usize,
 }
 
-fn parse_header(line: &str, tag: &str) -> Result<Header, AigerError> {
+/// Parses the header line and checks its counts against the `remaining`
+/// bytes after it, before anything proportional to them is allocated. Every
+/// latch, output and AND takes at least two bytes (a digit and a newline, or
+/// two varints), and so does an ASCII input line; only the file's last line
+/// may lack its newline. Binary inputs take no bytes, so they may number at
+/// most the 2A + L + O literal slots that can name one plus the byte count
+/// (inputs nothing names).
+fn parse_header(line: &str, binary: bool, remaining: usize) -> Result<Header, AigerError> {
+    let tag = if binary { "aig" } else { "aag" };
     let parts: Vec<&str> = line.split_whitespace().collect();
     if parts.len() != 6 || parts[0] != tag {
         return Err(AigerError::Header(format!(
@@ -149,37 +151,169 @@ fn parse_header(line: &str, tag: &str) -> Result<Header, AigerError> {
         s.parse()
             .map_err(|_| AigerError::Header(format!("invalid count `{s}`")))
     };
-    let header = Header {
+    let h = Header {
         m: num(parts[1])?,
         i: num(parts[2])?,
         l: num(parts[3])?,
         o: num(parts[4])?,
         a: num(parts[5])?,
     };
-    if header.m > MAX_VARS {
+    if h.m > MAX_VARS {
         return Err(AigerError::Unsupported(format!(
             "M = {} exceeds the supported maximum of {MAX_VARS}",
-            header.m
+            h.m
         )));
     }
-    let body = header
-        .i
-        .checked_add(header.l)
-        .and_then(|x| x.checked_add(header.a));
-    match body {
-        Some(total) if total == header.m => Ok(header),
-        Some(total) => Err(AigerError::Header(format!(
-            "M = {} but I + L + A = {total} (non-contiguous numbering is unsupported)",
-            header.m
-        ))),
-        None => Err(AigerError::Header("header counts overflow".into())),
+    match h.i.checked_add(h.l).and_then(|x| x.checked_add(h.a)) {
+        Some(total) if total == h.m => {}
+        Some(total) => {
+            return Err(AigerError::Header(format!(
+                "M = {} but I + L + A = {total} (non-contiguous numbering is unsupported)",
+                h.m
+            )))
+        }
+        None => return Err(AigerError::Header("header counts overflow".into())),
+    }
+    let input_lines = if binary { 0 } else { h.i };
+    let records = [input_lines, h.l, h.o, h.a]
+        .into_iter()
+        .fold(0usize, usize::saturating_add);
+    if records.saturating_mul(2) > remaining + 1
+        || (binary && h.i > 2 * h.a + h.l + h.o + remaining)
+    {
+        return Err(AigerError::Truncated(format!(
+            "header `{} {} {} {} {}` promises more than the {remaining} bytes after it hold",
+            h.m, h.i, h.l, h.o, h.a
+        )));
+    }
+    Ok(h)
+}
+
+/// A read position in an AIGER file: text lines and the binary AND
+/// section's varints come off the same byte slice.
+struct Cursor<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    line: usize,
+    binary: bool,
+}
+
+impl<'a> Cursor<'a> {
+    /// An error at the current position: the line number in an ASCII file,
+    /// the byte offset in a binary one (whose AND section has no lines).
+    fn error(&self, message: impl Into<String>) -> AigerError {
+        let message = message.into();
+        if self.binary {
+            AigerError::Binary {
+                offset: self.pos,
+                message,
+            }
+        } else {
+            AigerError::Parse {
+                line: self.line,
+                message,
+            }
+        }
+    }
+
+    /// The next line without its `\n`, or `None` at the end of the input.
+    fn next_line(&mut self) -> Result<Option<&'a str>, AigerError> {
+        let bytes = self.bytes;
+        let rest = &bytes[self.pos..];
+        if rest.is_empty() {
+            return Ok(None);
+        }
+        let end = rest.iter().position(|&b| b == b'\n');
+        self.pos += end.map_or(rest.len(), |end| end + 1);
+        self.line += 1;
+        let line = &rest[..end.unwrap_or(rest.len())];
+        std::str::from_utf8(line)
+            .map(Some)
+            .map_err(|_| self.error("line is not valid utf-8"))
+    }
+
+    /// The whitespace-separated literals of the next line; `what` names the
+    /// line in errors.
+    fn literals(&mut self, what: &str) -> Result<Vec<u64>, AigerError> {
+        let line = self
+            .next_line()?
+            .ok_or_else(|| AigerError::Truncated(format!("missing {what} line")))?;
+        line.split_whitespace()
+            .map(|s| {
+                s.parse::<u64>()
+                    .map_err(|_| self.error(format!("invalid {what} literal `{s}`")))
+            })
+            .collect()
+    }
+
+    /// A line holding exactly one literal.
+    fn literal(&mut self, what: &str) -> Result<u64, AigerError> {
+        match self.literals(what)?[..] {
+            [raw] => Ok(raw),
+            _ => Err(self.error(format!("{what} line must hold one literal"))),
+        }
+    }
+
+    /// Decodes one 7-bit little-endian varint (the AIGER delta encoding).
+    fn varint(&mut self) -> Result<u64, AigerError> {
+        let mut value: u64 = 0;
+        let mut shift = 0u32;
+        loop {
+            let &byte = self.bytes.get(self.pos).ok_or_else(|| {
+                AigerError::Truncated("binary and section ended mid-varint".into())
+            })?;
+            self.pos += 1;
+            if shift >= 63 {
+                return Err(self.error("varint exceeds 63 bits"));
+            }
+            value |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                return Ok(value);
+            }
+            shift += 7;
+        }
     }
 }
 
-/// Converts a raw AIGER literal into an [`AigLit`] through a variable → node
-/// literal map, preserving the complement bit.
-fn lit_from_raw(var2lit: &[AigLit], raw: u64) -> AigLit {
-    let base = var2lit[(raw / 2) as usize];
+/// One AIGER variable while a file is read.
+#[derive(Clone, Copy)]
+enum Var {
+    /// Not defined (yet).
+    Free,
+    /// Defined as the AND of two raw literals; not in the AIG yet.
+    And(u64, u64),
+    /// An AND on the resolution walk's current path.
+    Visiting(u64, u64),
+    /// In the AIG as this literal.
+    Node(AigLit),
+}
+
+/// Checks that `raw` names a variable no line has defined yet (even,
+/// non-zero, at most M) and returns its index.
+fn fresh_var(cur: &Cursor, vars: &[Var], raw: u64, what: &str) -> Result<usize, AigerError> {
+    if raw % 2 == 1 || raw == 0 {
+        return Err(cur.error(format!("{what} literal {raw} must be even and non-zero")));
+    }
+    check_literal(cur, raw, vars.len() - 1, what)?;
+    let var = (raw / 2) as usize;
+    if !matches!(vars[var], Var::Free) {
+        return Err(cur.error(format!("variable {var} is defined twice")));
+    }
+    Ok(var)
+}
+
+fn check_literal(cur: &Cursor, raw: u64, m: usize, what: &str) -> Result<(), AigerError> {
+    if raw / 2 > m as u64 {
+        return Err(cur.error(format!("{what} literal {raw} exceeds M = {m}")));
+    }
+    Ok(())
+}
+
+/// The AIG literal of a raw AIGER literal whose variable is resolved.
+fn node_lit(vars: &[Var], raw: u64) -> AigLit {
+    let Var::Node(base) = vars[(raw / 2) as usize] else {
+        unreachable!("fan-ins resolve before their gate")
+    };
     if raw % 2 == 1 {
         base.complement()
     } else {
@@ -187,175 +321,168 @@ fn lit_from_raw(var2lit: &[AigLit], raw: u64) -> AigLit {
     }
 }
 
-fn check_literal(raw: u64, m: usize, context: impl Fn() -> AigerError) -> Result<(), AigerError> {
-    if raw / 2 > m as u64 {
-        return Err(context());
+/// Adds the recorded AND definitions to `aig` in dependency order and
+/// rejects cycles. An explicit-stack DFS starts from each variable in index
+/// order, so deep circuits cannot overflow the stack and an out-of-order
+/// ASCII definition lands right after its fan-ins; in a binary file every
+/// fan-in precedes its gate, so variable k becomes node k.
+fn resolve_ands(aig: &mut Aig, vars: &mut [Var]) -> Result<(), AigerError> {
+    let mut stack: Vec<(usize, bool)> = Vec::new();
+    for root in 1..vars.len() {
+        if !matches!(vars[root], Var::And(..)) {
+            continue;
+        }
+        stack.push((root, false));
+        while let Some((var, exit)) = stack.pop() {
+            match (vars[var], exit) {
+                (Var::And(rhs0, rhs1), false) => {
+                    vars[var] = Var::Visiting(rhs0, rhs1);
+                    stack.push((var, true));
+                    for rhs in [rhs0, rhs1] {
+                        let child = (rhs / 2) as usize;
+                        if !matches!(vars[child], Var::Node(_)) {
+                            stack.push((child, false));
+                        }
+                    }
+                }
+                (Var::Visiting(rhs0, rhs1), true) => {
+                    let lit = aig.push_raw_and(node_lit(vars, rhs0), node_lit(vars, rhs1));
+                    vars[var] = Var::Node(lit);
+                }
+                (Var::Visiting(..), false) => {
+                    return Err(AigerError::Structure(format!(
+                        "combinational cycle through variable {var}"
+                    )))
+                }
+                // Entered twice (both fan-ins, or two gates, share it).
+                (Var::Node(_), _) => {}
+                (Var::Free, _) | (Var::And(..), true) => {
+                    unreachable!("I + L + A fresh definitions fill 1..=M; exits follow entries")
+                }
+            }
+        }
     }
     Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// ASCII reader
-// ---------------------------------------------------------------------------
-
-/// Parses AIGER-ASCII (`aag`) text into an [`Aig`] named `name`.
+/// Parses an AIGER file of either encoding into an [`Aig`] named `name`; the
+/// header magic (`aag` → ASCII, `aig` → binary) selects the encoding.
 ///
 /// Latches are read into first-class [`crate::AigLatch`] entries (AIGER 1.9
 /// reset semantics: `0`, `1`, or the latch's own literal for
-/// *uninitialised*). AND definitions may appear in any order; forward
+/// *uninitialised*). ASCII AND definitions may appear in any order; forward
 /// references are resolved as long as the definitions are acyclic.
 ///
 /// # Errors
 ///
-/// Returns an [`AigerError`] describing the first problem found; malformed
-/// input never panics.
-pub fn parse_aag(text: &str, name: impl Into<String>) -> Result<Aig, AigerError> {
-    let mut lines = text.lines().enumerate().map(|(n, l)| (n + 1, l));
-    let (_, header_line) = lines
-        .next()
-        .ok_or_else(|| AigerError::Truncated("empty file".into()))?;
-    let header = parse_header(header_line, "aag")?;
-    // Every variable needs at least two bytes of text (digit + separator), so
-    // a header promising more variables than bytes is rejected before any
-    // allocation proportional to M.
-    if header.m > text.len() {
-        return Err(AigerError::Truncated(format!(
-            "header promises {} variables but the file holds {} bytes",
-            header.m,
-            text.len()
-        )));
-    }
-
-    let parse_u64 = |s: &str, line: usize| -> Result<u64, AigerError> {
-        s.parse().map_err(|_| AigerError::Parse {
-            line,
-            message: format!("invalid literal `{s}`"),
-        })
+/// Returns an [`AigerError`] describing the first problem found — with line
+/// numbers for ASCII files and byte offsets for binary ones; malformed input
+/// never panics.
+pub fn parse_auto(bytes: &[u8], name: impl Into<String>) -> Result<Aig, AigerError> {
+    let binary = match bytes.get(..3) {
+        Some(b"aag") => false,
+        Some(b"aig") => true,
+        _ => {
+            return Err(AigerError::Header(
+                "input starts with neither `aag` nor `aig`".into(),
+            ))
+        }
     };
+    let mut cur = Cursor {
+        bytes,
+        pos: 0,
+        line: 0,
+        binary,
+    };
+    let header_line = cur
+        .next_line()
+        .map_err(|_| AigerError::Header("header line is not valid utf-8".into()))?
+        .unwrap_or_default();
+    let h = parse_header(header_line, binary, bytes.len() - cur.pos)?;
 
     let mut aig = Aig::new(name);
-    // Variable index -> literal in `aig`; slot 0 is the constant.
-    let mut var2lit: Vec<Option<AigLit>> = vec![None; header.m + 1];
-    var2lit[0] = Some(AigLit::FALSE);
+    // Variable index -> what defines it; slot 0 is the constant.
+    let mut vars = vec![Var::Free; h.m + 1];
+    vars[0] = Var::Node(AigLit::FALSE);
 
-    let mut next_line = |what: &str| -> Result<(usize, &str), AigerError> {
-        lines
-            .next()
-            .ok_or_else(|| AigerError::Truncated(format!("missing {what} line")))
-    };
-
-    let define = |var2lit: &mut [Option<AigLit>],
-                  raw: u64,
-                  line: usize,
-                  what: &str|
-     -> Result<usize, AigerError> {
-        if raw % 2 == 1 || raw == 0 {
-            return Err(AigerError::Parse {
-                line,
-                message: format!("{what} literal {raw} must be even and non-zero"),
-            });
-        }
-        let var = (raw / 2) as usize;
-        if var > header.m {
-            return Err(AigerError::Parse {
-                line,
-                message: format!("{what} literal {raw} exceeds M = {}", header.m),
-            });
-        }
-        if var2lit[var].is_some() {
-            return Err(AigerError::Parse {
-                line,
-                message: format!("variable {var} is defined twice"),
-            });
-        }
-        Ok(var)
-    };
-
-    for k in 0..header.i {
-        let (line_no, line) = next_line("input")?;
-        let raw = parse_u64(line.trim(), line_no)?;
-        let var = define(&mut var2lit, raw, line_no, "input")?;
-        var2lit[var] = Some(aig.add_input(format!("i{k}")));
-    }
-
-    // Latch lines: `state next [init]`.
-    let mut latch_state_raw = Vec::with_capacity(header.l.min(1024));
-    let mut latch_next_raw = Vec::with_capacity(header.l.min(1024));
-    let mut latch_init_raw: Vec<Option<u64>> = Vec::with_capacity(header.l.min(1024));
-    for k in 0..header.l {
-        let (line_no, line) = next_line("latch")?;
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        if fields.len() < 2 || fields.len() > 3 {
-            return Err(AigerError::Parse {
-                line: line_no,
-                message: "latch line must be `state next [init]`".into(),
-            });
-        }
-        let state = parse_u64(fields[0], line_no)?;
-        let next = parse_u64(fields[1], line_no)?;
-        check_literal(next, header.m, || AigerError::Parse {
-            line: line_no,
-            message: format!("latch next literal {next} exceeds M = {}", header.m),
-        })?;
-        let init = if fields.len() == 3 {
-            Some(parse_u64(fields[2], line_no)?)
+    // Binary files number inputs 1..=I, latches I+1..=I+L and ANDs
+    // I+L+1..=M implicitly; ASCII files spell each variable out.
+    for k in 0..h.i {
+        let raw = if binary {
+            2 * (k as u64 + 1)
         } else {
-            None
+            cur.literal("input")?
         };
-        let var = define(&mut var2lit, state, line_no, "latch")?;
-        var2lit[var] = Some(aig.add_latch(format!("l{k}")));
-        latch_state_raw.push(state);
-        latch_next_raw.push(next);
-        latch_init_raw.push(init);
+        let var = fresh_var(&cur, &vars, raw, "input")?;
+        vars[var] = Var::Node(aig.add_input(format!("i{k}")));
     }
 
-    let mut output_raw = Vec::with_capacity(header.o.min(1024));
-    for _ in 0..header.o {
-        let (line_no, line) = next_line("output")?;
-        let raw = parse_u64(line.trim(), line_no)?;
-        check_literal(raw, header.m, || AigerError::Parse {
-            line: line_no,
-            message: format!("output literal {raw} exceeds M = {}", header.m),
-        })?;
-        output_raw.push(raw);
-    }
-
-    // AND definitions, keyed by variable; resolved below so out-of-order
-    // (forward-referencing) definitions are accepted.
-    let mut and_defs: Vec<Option<(u64, u64)>> = vec![None; header.m + 1];
-    for _ in 0..header.a {
-        let (line_no, line) = next_line("and")?;
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        if fields.len() != 3 {
-            return Err(AigerError::Parse {
-                line: line_no,
-                message: "and line must be `lhs rhs0 rhs1`".into(),
-            });
+    // Latch lines: `state next [init]`, without `state` in binary.
+    let mut latches = Vec::with_capacity(h.l);
+    for k in 0..h.l {
+        let mut fields = cur.literals("latch")?;
+        if binary {
+            fields.insert(0, 2 * (h.i + k + 1) as u64);
         }
-        let lhs = parse_u64(fields[0], line_no)?;
-        let rhs0 = parse_u64(fields[1], line_no)?;
-        let rhs1 = parse_u64(fields[2], line_no)?;
+        let (state, next, init) = match fields[..] {
+            [state, next] => (state, next, None),
+            [state, next, init] => (state, next, Some(init)),
+            _ => {
+                return Err(cur.error(if binary {
+                    "latch line must be `next [init]`"
+                } else {
+                    "latch line must be `state next [init]`"
+                }))
+            }
+        };
+        check_literal(&cur, next, h.m, "latch next")?;
+        let var = fresh_var(&cur, &vars, state, "latch")?;
+        vars[var] = Var::Node(aig.add_latch(format!("l{k}")));
+        latches.push((state, next, init));
+    }
+
+    let mut outputs = Vec::with_capacity(h.o);
+    for _ in 0..h.o {
+        let raw = cur.literal("output")?;
+        check_literal(&cur, raw, h.m, "output")?;
+        outputs.push(raw);
+    }
+
+    for k in 0..h.a {
+        let (lhs, rhs0, rhs1) = if binary {
+            // Delta-coded: lhs = 2 * (I + L + k + 1), rhs0 = lhs - delta0,
+            // rhs1 = rhs0 - delta1.
+            let lhs = 2 * (h.i + h.l + k + 1) as u64;
+            let delta0 = cur.varint()?;
+            if delta0 == 0 || delta0 > lhs {
+                return Err(cur.error(format!(
+                    "and {k}: delta0 = {delta0} out of range for lhs {lhs}"
+                )));
+            }
+            let rhs0 = lhs - delta0;
+            let delta1 = cur.varint()?;
+            if delta1 > rhs0 {
+                return Err(cur.error(format!(
+                    "and {k}: delta1 = {delta1} out of range for rhs0 {rhs0}"
+                )));
+            }
+            (lhs, rhs0, rhs0 - delta1)
+        } else {
+            match cur.literals("and")?[..] {
+                [lhs, rhs0, rhs1] => (lhs, rhs0, rhs1),
+                _ => return Err(cur.error("and line must be `lhs rhs0 rhs1`")),
+            }
+        };
         for rhs in [rhs0, rhs1] {
-            check_literal(rhs, header.m, || AigerError::Parse {
-                line: line_no,
-                message: format!("and fan-in literal {rhs} exceeds M = {}", header.m),
-            })?;
+            check_literal(&cur, rhs, h.m, "and fan-in")?;
         }
-        let var = define(&mut var2lit, lhs, line_no, "and")?;
-        if and_defs[var].is_some() {
-            return Err(AigerError::Parse {
-                line: line_no,
-                message: format!("variable {var} is defined twice"),
-            });
-        }
-        and_defs[var] = Some((rhs0, rhs1));
+        let var = fresh_var(&cur, &vars, lhs, "and")?;
+        vars[var] = Var::And(rhs0, rhs1);
     }
 
-    // Symbol table (`iN`/`lN`/`oN` names) and trailing comment.
-    let mut input_names: Vec<Option<String>> = vec![None; header.i];
-    let mut latch_names: Vec<Option<String>> = vec![None; header.l];
-    let mut output_names: Vec<Option<String>> = vec![None; header.o];
-    for (line_no, line) in lines {
+    // Symbol table (`iN`/`lN`/`oN` names), up to the comment section.
+    let mut output_names: Vec<Option<String>> = vec![None; h.o];
+    while let Some(line) = cur.next_line()? {
         let line = line.trim();
         if line == "c" {
             break;
@@ -363,142 +490,23 @@ pub fn parse_aag(text: &str, name: impl Into<String>) -> Result<Aig, AigerError>
         if line.is_empty() {
             continue;
         }
-        let (kind, rest) = line.split_at(1);
-        let slot = match kind {
-            "i" => Some(&mut input_names),
-            "l" => Some(&mut latch_names),
-            "o" => Some(&mut output_names),
-            _ => None,
-        };
-        let parsed = slot.and_then(|names| {
-            let (idx, name) = rest.split_once(' ')?;
-            let idx: usize = idx.parse().ok()?;
-            if idx >= names.len() {
-                return None;
-            }
-            names[idx] = Some(name.to_string());
-            Some(())
-        });
-        if parsed.is_none() {
-            return Err(AigerError::Parse {
-                line: line_no,
-                message: format!("invalid symbol table line `{line}`"),
-            });
+        let mut chars = line.chars();
+        let kind = chars.next();
+        let entry = chars
+            .as_str()
+            .split_once(' ')
+            .and_then(|(idx, name)| Some((idx.parse::<usize>().ok()?, name)));
+        match (kind, entry) {
+            (Some('i'), Some((k, name))) if k < h.i => aig.set_input_name(k, name),
+            (Some('l'), Some((k, name))) if k < h.l => aig.set_latch_name(k, name),
+            (Some('o'), Some((k, name))) if k < h.o => output_names[k] = Some(name.to_string()),
+            _ => return Err(cur.error(format!("invalid symbol table line `{line}`"))),
         }
     }
 
-    // Every variable must be defined exactly once.
-    for var in 1..=header.m {
-        if var2lit[var].is_none() && and_defs[var].is_none() {
-            return Err(AigerError::Structure(format!(
-                "variable {var} is never defined"
-            )));
-        }
-    }
-
-    resolve_and_defs(&mut aig, &mut var2lit, &and_defs)?;
-    let var2lit: Vec<AigLit> = var2lit
-        .into_iter()
-        .map(|l| l.expect("all variables resolved above"))
-        .collect();
-
-    finish_latches(
-        &mut aig,
-        &var2lit,
-        &latch_state_raw,
-        &latch_next_raw,
-        &latch_init_raw,
-    )?;
-    for (k, raw) in output_raw.into_iter().enumerate() {
-        let name = output_names[k].take().unwrap_or_else(|| format!("o{k}"));
-        aig.add_output(lit_from_raw(&var2lit, raw), name);
-    }
-    for (k, name) in input_names.into_iter().enumerate() {
-        if let Some(name) = name {
-            aig.set_input_name(k, name);
-        }
-    }
-    for (k, name) in latch_names.into_iter().enumerate() {
-        if let Some(name) = name {
-            aig.set_latch_name(k, name);
-        }
-    }
-    aig.rebuild_strash();
-    Ok(aig)
-}
-
-/// Emits the stored AND definitions into `aig` in dependency order (iterative
-/// DFS, so deep circuits cannot overflow the stack), detecting cycles.
-fn resolve_and_defs(
-    aig: &mut Aig,
-    var2lit: &mut [Option<AigLit>],
-    and_defs: &[Option<(u64, u64)>],
-) -> Result<(), AigerError> {
-    enum Visit {
-        Enter(usize),
-        Exit(usize),
-    }
-    let mut on_path = vec![false; and_defs.len()];
-    let mut stack: Vec<Visit> = Vec::new();
-    for root in 1..and_defs.len() {
-        if and_defs[root].is_none() || var2lit[root].is_some() {
-            continue;
-        }
-        stack.push(Visit::Enter(root));
-        while let Some(visit) = stack.pop() {
-            match visit {
-                Visit::Enter(var) => {
-                    if var2lit[var].is_some() {
-                        continue;
-                    }
-                    if on_path[var] {
-                        return Err(AigerError::Structure(format!(
-                            "combinational cycle through variable {var}"
-                        )));
-                    }
-                    on_path[var] = true;
-                    let (rhs0, rhs1) = and_defs[var].expect("undefined variables rejected earlier");
-                    stack.push(Visit::Exit(var));
-                    for rhs in [rhs0, rhs1] {
-                        let child = (rhs / 2) as usize;
-                        if var2lit[child].is_none() {
-                            stack.push(Visit::Enter(child));
-                        }
-                    }
-                }
-                Visit::Exit(var) => {
-                    let (rhs0, rhs1) = and_defs[var].expect("undefined variables rejected earlier");
-                    let a = lit_from_raw_partial(var2lit, rhs0);
-                    let b = lit_from_raw_partial(var2lit, rhs1);
-                    var2lit[var] = Some(aig.push_raw_and(a, b));
-                    on_path[var] = false;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-fn lit_from_raw_partial(var2lit: &[Option<AigLit>], raw: u64) -> AigLit {
-    let base = var2lit[(raw / 2) as usize].expect("child resolved before parent");
-    if raw % 2 == 1 {
-        base.complement()
-    } else {
-        base
-    }
-}
-
-/// Applies the recorded latch next/init literals once all variables resolve.
-fn finish_latches(
-    aig: &mut Aig,
-    var2lit: &[AigLit],
-    state_raw: &[u64],
-    next_raw: &[u64],
-    init_raw: &[Option<u64>],
-) -> Result<(), AigerError> {
-    let entries = state_raw.iter().zip(next_raw).zip(init_raw).enumerate();
-    for (k, ((&state, &next), &init)) in entries {
-        aig.set_latch_next(k, lit_from_raw(var2lit, next));
+    resolve_ands(&mut aig, &mut vars)?;
+    for (k, (state, next, init)) in latches.into_iter().enumerate() {
+        aig.set_latch_next(k, node_lit(&vars, next));
         let init = match init {
             None | Some(0) => Some(false),
             Some(1) => Some(true),
@@ -511,274 +519,16 @@ fn finish_latches(
         };
         aig.set_latch_init(k, init);
     }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Binary reader
-// ---------------------------------------------------------------------------
-
-/// Tracks the byte offset while reading, for error reporting.
-struct ByteReader<R: Read> {
-    inner: R,
-    offset: usize,
-}
-
-impl<R: Read> ByteReader<R> {
-    fn new(inner: R) -> Self {
-        ByteReader { inner, offset: 0 }
-    }
-
-    /// Reads one byte; `Ok(None)` at end of input.
-    fn next_byte(&mut self) -> Result<Option<u8>, AigerError> {
-        let mut buf = [0u8; 1];
-        loop {
-            match self.inner.read(&mut buf) {
-                Ok(0) => return Ok(None),
-                Ok(_) => {
-                    self.offset += 1;
-                    return Ok(Some(buf[0]));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-
-    /// Reads an ASCII line up to `\n` (consumed, not returned); `Ok(None)` if
-    /// the input is already exhausted.
-    fn next_line(&mut self) -> Result<Option<String>, AigerError> {
-        let mut line = String::new();
-        let mut saw_any = false;
-        while let Some(byte) = self.next_byte()? {
-            saw_any = true;
-            if byte == b'\n' {
-                return Ok(Some(line));
-            }
-            if !byte.is_ascii() {
-                return Err(AigerError::Binary {
-                    offset: self.offset,
-                    message: format!("non-ascii byte 0x{byte:02x} in text section"),
-                });
-            }
-            line.push(byte as char);
-        }
-        if saw_any {
-            Ok(Some(line))
-        } else {
-            Ok(None)
-        }
-    }
-
-    /// Decodes one 7-bit little-endian varint (the AIGER delta encoding).
-    fn next_varint(&mut self) -> Result<u64, AigerError> {
-        let mut value: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.next_byte()?.ok_or_else(|| {
-                AigerError::Truncated("binary and section ended mid-varint".into())
-            })?;
-            if shift >= 63 {
-                return Err(AigerError::Binary {
-                    offset: self.offset,
-                    message: "varint exceeds 63 bits".into(),
-                });
-            }
-            value |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(value);
-            }
-            shift += 7;
-        }
-    }
-}
-
-/// Parses binary AIGER (`aig`) from a streaming reader into an [`Aig`] named
-/// `name`.
-///
-/// The delta-compressed AND section is decoded incrementally, so arbitrarily
-/// large files parse in one pass without buffering.
-///
-/// # Errors
-///
-/// Returns an [`AigerError`] describing the first problem found (with byte
-/// offsets for binary-section corruption); malformed input never panics.
-pub fn parse_aig<R: Read>(reader: R, name: impl Into<String>) -> Result<Aig, AigerError> {
-    let mut r = ByteReader::new(reader);
-    let header_line = r
-        .next_line()?
-        .ok_or_else(|| AigerError::Truncated("empty file".into()))?;
-    let header = parse_header(&header_line, "aig")?;
-
-    let mut aig = Aig::new(name);
-    // Binary AIGER fixes the variable order: inputs 1..=I, latches I+1..=I+L,
-    // ands I+L+1..=M — exactly the node layout `Aig` uses, so variable k is
-    // node k and no remapping table is needed.
-    for k in 0..header.i {
-        aig.add_input(format!("i{k}"));
-    }
-    for k in 0..header.l {
-        aig.add_latch(format!("l{k}"));
-    }
-
-    let parse_u64 = |s: &str, what: &str, offset: usize| -> Result<u64, AigerError> {
-        s.parse().map_err(|_| AigerError::Binary {
-            offset,
-            message: format!("invalid {what} literal `{s}`"),
-        })
-    };
-
-    let mut latch_next_raw = Vec::with_capacity(header.l.min(1024));
-    let mut latch_init_raw: Vec<Option<u64>> = Vec::with_capacity(header.l.min(1024));
-    for k in 0..header.l {
-        let line = r
-            .next_line()?
-            .ok_or_else(|| AigerError::Truncated(format!("missing latch line {k}")))?;
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        if fields.is_empty() || fields.len() > 2 {
-            return Err(AigerError::Binary {
-                offset: r.offset,
-                message: "latch line must be `next [init]`".into(),
-            });
-        }
-        let next = parse_u64(fields[0], "latch next", r.offset)?;
-        check_literal(next, header.m, || AigerError::Binary {
-            offset: r.offset,
-            message: format!("latch next literal {next} exceeds M = {}", header.m),
-        })?;
-        latch_next_raw.push(next);
-        latch_init_raw.push(if fields.len() == 2 {
-            Some(parse_u64(fields[1], "latch init", r.offset)?)
-        } else {
-            None
-        });
-    }
-
-    let mut output_raw = Vec::with_capacity(header.o.min(1024));
-    for k in 0..header.o {
-        let line = r
-            .next_line()?
-            .ok_or_else(|| AigerError::Truncated(format!("missing output line {k}")))?;
-        let raw = parse_u64(line.trim(), "output", r.offset)?;
-        check_literal(raw, header.m, || AigerError::Binary {
-            offset: r.offset,
-            message: format!("output literal {raw} exceeds M = {}", header.m),
-        })?;
-        output_raw.push(raw);
-    }
-
-    // Delta-coded AND section: for gate k, lhs = 2 * (I + L + k + 1),
-    // rhs0 = lhs - delta0, rhs1 = rhs0 - delta1.
-    for k in 0..header.a {
-        let lhs = 2 * (header.i + header.l + k + 1) as u64;
-        let delta0 = r.next_varint()?;
-        if delta0 == 0 || delta0 > lhs {
-            return Err(AigerError::Binary {
-                offset: r.offset,
-                message: format!("and {k}: delta0 = {delta0} out of range for lhs {lhs}"),
-            });
-        }
-        let rhs0 = lhs - delta0;
-        let delta1 = r.next_varint()?;
-        if delta1 > rhs0 {
-            return Err(AigerError::Binary {
-                offset: r.offset,
-                message: format!("and {k}: delta1 = {delta1} out of range for rhs0 {rhs0}"),
-            });
-        }
-        let rhs1 = rhs0 - delta1;
-        aig.push_raw_and(AigLit::from_raw(rhs0 as u32), AigLit::from_raw(rhs1 as u32));
-    }
-
-    // Symbol table and comment, same text grammar as ASCII AIGER.
-    let mut input_names: Vec<Option<String>> = vec![None; header.i];
-    let mut latch_names: Vec<Option<String>> = vec![None; header.l];
-    let mut output_names: Vec<Option<String>> = vec![None; header.o];
-    while let Some(line) = r.next_line()? {
-        let line = line.trim();
-        if line == "c" {
-            break;
-        }
-        if line.is_empty() {
-            continue;
-        }
-        let (kind, rest) = line.split_at(1);
-        let slot = match kind {
-            "i" => Some(&mut input_names),
-            "l" => Some(&mut latch_names),
-            "o" => Some(&mut output_names),
-            _ => None,
-        };
-        let parsed = slot.and_then(|names| {
-            let (idx, name) = rest.split_once(' ')?;
-            let idx: usize = idx.parse().ok()?;
-            if idx >= names.len() {
-                return None;
-            }
-            names[idx] = Some(name.to_string());
-            Some(())
-        });
-        if parsed.is_none() {
-            return Err(AigerError::Binary {
-                offset: r.offset,
-                message: format!("invalid symbol table line `{line}`"),
-            });
-        }
-    }
-
-    // Variable k is node k, so the identity map resolves literals.
-    let var2lit: Vec<AigLit> = (0..=header.m).map(AigLit::positive).collect();
-    let state_raw: Vec<u64> = (0..header.l)
-        .map(|k| 2 * (header.i + k + 1) as u64)
-        .collect();
-    finish_latches(
-        &mut aig,
-        &var2lit,
-        &state_raw,
-        &latch_next_raw,
-        &latch_init_raw,
-    )?;
-    for (k, raw) in output_raw.into_iter().enumerate() {
-        let name = output_names[k].take().unwrap_or_else(|| format!("o{k}"));
-        aig.add_output(lit_from_raw(&var2lit, raw), name);
-    }
-    for (k, name) in input_names.into_iter().enumerate() {
-        if let Some(name) = name {
-            aig.set_input_name(k, name);
-        }
-    }
-    for (k, name) in latch_names.into_iter().enumerate() {
-        if let Some(name) = name {
-            aig.set_latch_name(k, name);
-        }
+    for (k, (raw, name)) in outputs.into_iter().zip(output_names).enumerate() {
+        let name = name.unwrap_or_else(|| format!("o{k}"));
+        aig.add_output(node_lit(&vars, raw), name);
     }
     aig.rebuild_strash();
     Ok(aig)
 }
 
-/// Parses either AIGER flavour, dispatching on the header magic
-/// (`aag` → ASCII, `aig` → binary).
-///
-/// # Errors
-///
-/// Returns an [`AigerError`] for unrecognised magic bytes, non-UTF-8 ASCII
-/// input, or any flavour-specific parse failure.
-pub fn parse_auto(bytes: &[u8], name: impl Into<String>) -> Result<Aig, AigerError> {
-    if bytes.starts_with(b"aag") {
-        let text = std::str::from_utf8(bytes)
-            .map_err(|e| AigerError::Header(format!("ascii aiger is not valid utf-8: {e}")))?;
-        parse_aag(text, name)
-    } else if bytes.starts_with(b"aig") {
-        parse_aig(bytes, name)
-    } else {
-        Err(AigerError::Header(
-            "input starts with neither `aag` nor `aig`".into(),
-        ))
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Writers
+// Writer
 // ---------------------------------------------------------------------------
 
 /// Assigns the canonical AIGER variable numbering: inputs in declaration
@@ -803,82 +553,6 @@ fn assign_vars(aig: &Aig) -> Vec<u64> {
     var_of
 }
 
-fn aiger_lit(var_of: &[u64], lit: AigLit) -> u64 {
-    2 * var_of[lit.node()] + u64::from(lit.is_complemented())
-}
-
-/// One latch line's canonical text: next literal plus reset value when it is
-/// not the default 0 (`1` for set, the state literal itself for
-/// uninitialised).
-fn latch_suffix(var_of: &[u64], latch: &crate::AigLatch) -> String {
-    let next = aiger_lit(var_of, latch.next);
-    match latch.init {
-        Some(false) => next.to_string(),
-        Some(true) => format!("{next} 1"),
-        None => format!("{next} {}", 2 * var_of[latch.state]),
-    }
-}
-
-fn push_symbols(out: &mut String, aig: &Aig) {
-    use std::fmt::Write as _;
-    for (pos, _) in aig.inputs().iter().enumerate() {
-        let _ = writeln!(out, "i{pos} {}", aig.input_name(pos));
-    }
-    for (pos, latch) in aig.latches().iter().enumerate() {
-        let _ = writeln!(out, "l{pos} {}", latch.name);
-    }
-    for (pos, (_, name)) in aig.outputs().iter().enumerate() {
-        let _ = writeln!(out, "o{pos} {name}");
-    }
-    let _ = writeln!(out, "c\n{}", aig.name());
-}
-
-/// Serialises an [`Aig`] (latches included) to AIGER-ASCII text with
-/// canonical variable numbering, full symbol table and a trailing comment
-/// holding the design name.
-///
-/// Two structurally identical AIGs produce byte-identical text, which is what
-/// the round-trip isomorphism tests compare.
-pub fn write_aag(aig: &Aig) -> String {
-    use std::fmt::Write as _;
-    let var_of = assign_vars(aig);
-    let (i, l, o, a) = (
-        aig.num_inputs(),
-        aig.num_latches(),
-        aig.num_outputs(),
-        aig.num_ands(),
-    );
-    let m = i + l + a;
-    let mut out = String::new();
-    let _ = writeln!(out, "aag {m} {i} {l} {o} {a}");
-    for &idx in aig.inputs() {
-        let _ = writeln!(out, "{}", 2 * var_of[idx]);
-    }
-    for latch in aig.latches() {
-        let _ = writeln!(
-            out,
-            "{} {}",
-            2 * var_of[latch.state],
-            latch_suffix(&var_of, latch)
-        );
-    }
-    for (lit, _) in aig.outputs() {
-        let _ = writeln!(out, "{}", aiger_lit(&var_of, *lit));
-    }
-    for (idx, node) in aig.iter() {
-        if node.kind != crate::AigNodeKind::And {
-            continue;
-        }
-        let lhs = 2 * var_of[idx];
-        let f0 = aiger_lit(&var_of, node.fanin0);
-        let f1 = aiger_lit(&var_of, node.fanin1);
-        let (rhs0, rhs1) = (f0.max(f1), f0.min(f1));
-        let _ = writeln!(out, "{lhs} {rhs0} {rhs1}");
-    }
-    push_symbols(&mut out, aig);
-    out
-}
-
 fn push_varint(out: &mut Vec<u8>, mut value: u64) {
     loop {
         let byte = (value & 0x7f) as u8;
@@ -891,40 +565,56 @@ fn push_varint(out: &mut Vec<u8>, mut value: u64) {
     }
 }
 
-/// Serialises an [`Aig`] (latches included) to binary AIGER with the
-/// delta-compressed AND section and canonical variable numbering.
-///
-/// # Errors
-///
-/// Returns [`AigerError::Structure`] if an AND fan-in does not precede its
-/// gate in the canonical order (possible only for invalid hand-built AIGs).
-pub fn write_aig(aig: &Aig) -> Result<Vec<u8>, AigerError> {
+/// Serialises `aig` in either encoding. The two differ in the same three
+/// places as on the read side: input lines, the latch line's state literal,
+/// and the AND section.
+fn emit(aig: &Aig, binary: bool) -> Result<Vec<u8>, AigerError> {
+    use std::io::Write as _;
     let var_of = assign_vars(aig);
+    let aiger_lit = |lit: AigLit| 2 * var_of[lit.node()] + u64::from(lit.is_complemented());
     let (i, l, o, a) = (
         aig.num_inputs(),
         aig.num_latches(),
         aig.num_outputs(),
         aig.num_ands(),
     );
-    let m = i + l + a;
-    let mut out: Vec<u8> = Vec::new();
-    out.extend_from_slice(format!("aig {m} {i} {l} {o} {a}\n").as_bytes());
+    let tag = if binary { "aig" } else { "aag" };
+    let mut out = Vec::new();
+    // Writing into a `Vec` cannot fail, so the `io::Result`s are dropped.
+    let _ = writeln!(out, "{tag} {} {i} {l} {o} {a}", i + l + a);
+    if !binary {
+        for &idx in aig.inputs() {
+            let _ = writeln!(out, "{}", 2 * var_of[idx]);
+        }
+    }
+    // The reset value is written when it is not the default 0: `1` for set,
+    // the state literal itself for uninitialised.
     for latch in aig.latches() {
-        out.extend_from_slice(latch_suffix(&var_of, latch).as_bytes());
-        out.push(b'\n');
+        let state = 2 * var_of[latch.state];
+        let next = aiger_lit(latch.next);
+        if !binary {
+            let _ = write!(out, "{state} ");
+        }
+        let _ = match latch.init {
+            Some(false) => writeln!(out, "{next}"),
+            Some(true) => writeln!(out, "{next} 1"),
+            None => writeln!(out, "{next} {state}"),
+        };
     }
     for (lit, _) in aig.outputs() {
-        out.extend_from_slice(aiger_lit(&var_of, *lit).to_string().as_bytes());
-        out.push(b'\n');
+        let _ = writeln!(out, "{}", aiger_lit(*lit));
     }
     for (idx, node) in aig.iter() {
         if node.kind != crate::AigNodeKind::And {
             continue;
         }
         let lhs = 2 * var_of[idx];
-        let f0 = aiger_lit(&var_of, node.fanin0);
-        let f1 = aiger_lit(&var_of, node.fanin1);
+        let (f0, f1) = (aiger_lit(node.fanin0), aiger_lit(node.fanin1));
         let (rhs0, rhs1) = (f0.max(f1), f0.min(f1));
+        if !binary {
+            let _ = writeln!(out, "{lhs} {rhs0} {rhs1}");
+            continue;
+        }
         if rhs0 >= lhs {
             return Err(AigerError::Structure(format!(
                 "and node {idx} references a non-preceding fan-in"
@@ -933,10 +623,39 @@ pub fn write_aig(aig: &Aig) -> Result<Vec<u8>, AigerError> {
         push_varint(&mut out, lhs - rhs0);
         push_varint(&mut out, rhs0 - rhs1);
     }
-    let mut symbols = String::new();
-    push_symbols(&mut symbols, aig);
-    out.extend_from_slice(symbols.as_bytes());
+    for (pos, _) in aig.inputs().iter().enumerate() {
+        let _ = writeln!(out, "i{pos} {}", aig.input_name(pos));
+    }
+    for (pos, latch) in aig.latches().iter().enumerate() {
+        let _ = writeln!(out, "l{pos} {}", latch.name);
+    }
+    for (pos, (_, name)) in aig.outputs().iter().enumerate() {
+        let _ = writeln!(out, "o{pos} {name}");
+    }
+    let _ = writeln!(out, "c\n{}", aig.name());
     Ok(out)
+}
+
+/// Serialises an [`Aig`] (latches included) to AIGER-ASCII text with
+/// canonical variable numbering, full symbol table and a trailing comment
+/// holding the design name.
+///
+/// Two structurally identical AIGs produce byte-identical text, which is what
+/// the round-trip isomorphism tests compare.
+pub fn write_aag(aig: &Aig) -> String {
+    let bytes = emit(aig, false).expect("the ascii encoding puts no order on fan-ins");
+    String::from_utf8(bytes).expect("ascii aiger is digits, names and newlines")
+}
+
+/// Serialises an [`Aig`] (latches included) to binary AIGER with the
+/// delta-compressed AND section and canonical variable numbering.
+///
+/// # Errors
+///
+/// Returns [`AigerError::Structure`] if an AND fan-in does not precede its
+/// gate in the canonical order (possible only for invalid hand-built AIGs).
+pub fn write_aig(aig: &Aig) -> Result<Vec<u8>, AigerError> {
+    emit(aig, true)
 }
 
 // ---------------------------------------------------------------------------
@@ -1002,14 +721,14 @@ pub fn random_aig(seed: u64, inputs: usize, latches: usize, ands: usize) -> Aig 
 mod tests {
     use super::*;
 
-    fn counter_aag() -> &'static str {
+    fn counter_aag() -> &'static [u8] {
         // 2-bit counter: b0' = !b0, b1' = b1 XOR b0 (as 3 ANDs), outputs b0 b1.
-        "aag 5 0 2 2 3\n2 3\n4 10\n2\n4\n6 5 3\n8 4 2\n10 7 9\nl0 b0\nl1 b1\no0 y0\no1 y1\nc\ncounter\n"
+        b"aag 5 0 2 2 3\n2 3\n4 10\n2\n4\n6 5 3\n8 4 2\n10 7 9\nl0 b0\nl1 b1\no0 y0\no1 y1\nc\ncounter\n"
     }
 
     #[test]
-    fn parse_aag_reads_latches() {
-        let aig = parse_aag(counter_aag(), "counter").expect("counter fixture parses");
+    fn ascii_latches_are_read() {
+        let aig = parse_auto(counter_aag(), "counter").expect("counter fixture parses");
         assert_eq!(aig.num_latches(), 2);
         assert_eq!(aig.num_inputs(), 0);
         assert_eq!(aig.num_ands(), 3);
@@ -1019,19 +738,32 @@ mod tests {
     }
 
     #[test]
-    fn parse_aag_accepts_out_of_order_ands() {
-        // Same circuit with the AND lines reversed (forward references).
-        let text = "aag 3 1 0 1 2\n2\n6\n6 5 2\n4 3 2\n";
-        let aig = parse_aag(text, "x").expect("out-of-order ands resolve");
+    fn out_of_order_ascii_ands_resolve_after_their_fan_ins() {
+        // Same circuit with the AND lines reversed (forward references): each
+        // gate becomes a node right after its fan-ins, in variable order.
+        let text = b"aag 3 1 0 1 2\n2\n6\n6 5 2\n4 3 2\n";
+        let aig = parse_auto(text, "x").expect("out-of-order ands resolve");
         assert_eq!(aig.num_ands(), 2);
         assert!(aig.validate().is_ok());
+        assert_eq!(
+            write_aag(&aig),
+            "aag 3 1 0 1 2\n2\n6\n4 3 2\n6 5 2\ni0 i0\no0 o0\nc\nx\n"
+        );
+        // Variable 2 reads variable 3, so variable 3 becomes the first AND
+        // node and the canonical numbering swaps the two.
+        let text = b"aag 3 1 0 1 2\n2\n4\n4 6 2\n6 3 2\n";
+        let aig = parse_auto(text, "y").expect("forward reference resolves");
+        assert_eq!(
+            write_aag(&aig),
+            "aag 3 1 0 1 2\n2\n6\n4 3 2\n6 4 2\ni0 i0\no0 o0\nc\ny\n"
+        );
     }
 
     #[test]
-    fn parse_aag_rejects_cycles() {
-        let text = "aag 3 1 0 1 2\n2\n6\n4 6 2\n6 4 2\n";
+    fn ascii_cycles_are_rejected() {
+        let text = b"aag 3 1 0 1 2\n2\n6\n4 6 2\n6 4 2\n";
         assert!(matches!(
-            parse_aag(text, "x"),
+            parse_auto(text, "x"),
             Err(AigerError::Structure(_))
         ));
     }
@@ -1039,8 +771,8 @@ mod tests {
     #[test]
     fn latch_reset_semantics() {
         // Three latches: default 0, explicit 1, self-referential (uninit).
-        let text = "aag 3 0 3 0 0\n2 2\n4 4 1\n6 6 6\n";
-        let aig = parse_aag(text, "resets").expect("reset fixture parses");
+        let text = b"aag 3 0 3 0 0\n2 2\n4 4 1\n6 6 6\n";
+        let aig = parse_auto(text, "resets").expect("reset fixture parses");
         assert_eq!(aig.latches()[0].init, Some(false));
         assert_eq!(aig.latches()[1].init, Some(true));
         assert_eq!(aig.latches()[2].init, None);
@@ -1051,11 +783,11 @@ mod tests {
         let aig = random_aig(7, 4, 3, 20);
         assert!(aig.validate().is_ok());
         let text = write_aag(&aig);
-        let reparsed = parse_aag(&text, aig.name()).expect("own aag output reparses");
+        let reparsed = parse_auto(text.as_bytes(), aig.name()).expect("own aag output reparses");
         assert_eq!(write_aag(&reparsed), text);
 
         let bytes = write_aig(&aig).expect("valid aig serialises");
-        let reparsed = parse_aig(&bytes[..], aig.name()).expect("own aig output reparses");
+        let reparsed = parse_auto(&bytes, aig.name()).expect("own aig output reparses");
         assert_eq!(write_aig(&reparsed).expect("reparse serialises"), bytes);
         assert_eq!(write_aag(&reparsed), text);
     }
@@ -1070,7 +802,7 @@ mod tests {
         let y = aig.or(ab, c.complement());
         aig.add_output(y, "y");
         aig.add_output(ab.complement(), "nab");
-        let parsed = parse_aag(&write_aag(&aig), "sample").expect("own output reparses");
+        let parsed = parse_auto(write_aag(&aig).as_bytes(), "sample").expect("own output reparses");
         assert!(parsed.validate().is_ok());
         assert_eq!(parsed.num_inputs(), 3);
         assert_eq!(parsed.num_ands(), aig.num_ands());
@@ -1079,8 +811,8 @@ mod tests {
     }
 
     #[test]
-    fn parse_aag_reads_a_constant_output() {
-        let aig = parse_aag("aag 0 0 0 1 0\n1\n", "const").expect("constant circuit parses");
+    fn a_constant_output_is_read() {
+        let aig = parse_auto(b"aag 0 0 0 1 0\n1\n", "const").expect("constant circuit parses");
         assert_eq!(aig.outputs()[0].0, AigLit::TRUE);
     }
 
@@ -1091,7 +823,7 @@ mod tests {
         let bytes = write_aig(&aig).expect("serialises");
         let from_text = parse_auto(text.as_bytes(), "t").expect("auto ascii");
         let from_bin = parse_auto(&bytes, "t").expect("auto binary");
-        assert_eq!(write_aag(&from_text), write_aag(&from_bin));
+        assert_eq!(from_text, from_bin);
         assert!(matches!(
             parse_auto(b"nonsense", "t"),
             Err(AigerError::Header(_))
@@ -1103,8 +835,14 @@ mod tests {
         for value in [0u64, 1, 127, 128, 129, 16383, 16384, u32::MAX as u64] {
             let mut buf = Vec::new();
             push_varint(&mut buf, value);
-            let mut reader = ByteReader::new(&buf[..]);
-            assert_eq!(reader.next_varint().expect("decodes"), value);
+            let mut cur = Cursor {
+                bytes: &buf,
+                pos: 0,
+                line: 0,
+                binary: true,
+            };
+            assert_eq!(cur.varint().expect("decodes"), value);
+            assert_eq!(cur.pos, buf.len());
         }
     }
 
@@ -1113,7 +851,7 @@ mod tests {
         assert_eq!(LatchPolicy::Cut.to_string(), "cut");
         assert_eq!(LatchPolicy::Unroll(4).to_string(), "unroll:4");
         assert_eq!(LatchPolicy::default(), LatchPolicy::Cut);
-        let aig = parse_aag(counter_aag(), "counter").expect("counter fixture parses");
+        let aig = parse_auto(counter_aag(), "counter").expect("counter fixture parses");
         let cut = LatchPolicy::Cut.apply(&aig).expect("cut applies");
         assert!(cut.is_combinational());
         assert_eq!(cut.num_outputs(), 4); // y0 y1 + 2 next-state
@@ -1127,12 +865,20 @@ mod tests {
     fn hostile_header_is_rejected_cheaply() {
         let big = format!("aag {} {} 0 0 0\n", MAX_VARS + 1, MAX_VARS + 1);
         assert!(matches!(
-            parse_aag(&big, "x"),
+            parse_auto(big.as_bytes(), "x"),
             Err(AigerError::Unsupported(_))
         ));
-        let lying = "aag 1000000 1000000 0 0 0\n2\n";
+        let lying = b"aag 1000000 1000000 0 0 0\n2\n";
         assert!(matches!(
-            parse_aag(lying, "x"),
+            parse_auto(lying, "x"),
+            Err(AigerError::Truncated(_))
+        ));
+        // Binary inputs take no bytes: 2^24 of them behind one output line
+        // would allocate gigabytes if only the ASCII rule applied.
+        let lying = b"aig 16777216 16777216 0 1 0\n2\n";
+        assert_eq!(lying.len(), 30);
+        assert!(matches!(
+            parse_auto(lying, "x"),
             Err(AigerError::Truncated(_))
         ));
     }

@@ -20,9 +20,10 @@
 //! - [`recon`] — reconvergence analysis: for every node, the closest
 //!   fan-out stem through which two of its input cones reconverge, plus the
 //!   logic-level distance. These records drive DeepGate's skip connections.
-//! - [`aiger`] — the full AIGER subsystem: binary (`aig`) and ASCII (`aag`)
-//!   readers and writers, latch-aware, with the [`LatchPolicy`] ingestion
-//!   modes (cut latch boundaries or unroll time frames).
+//! - [`aiger`] — the full AIGER subsystem: one reader and one writer for
+//!   both encodings, ASCII (`aag`) and binary (`aig`), latch-aware, with the
+//!   [`LatchPolicy`] ingestion modes (cut latch boundaries or unroll time
+//!   frames).
 //!
 //! # Example
 //!

@@ -1,7 +1,8 @@
-//! Fuzz-lite corpus: every malformed `.aag`/`.aig` input must produce a
-//! typed [`AigerError`], never a panic. The corpus covers header, body,
-//! binary-section and symbol-table corruption plus systematic truncation of
-//! a valid file at every byte boundary.
+//! Fuzz-lite corpus for the one AIGER reader, [`aiger::parse_auto`]: every
+//! malformed `.aag`/`.aig` input must produce a typed [`AigerError`], never
+//! a panic. The corpus covers header, body, binary-section and symbol-table
+//! corruption; every prefix and every single-byte corruption of a valid
+//! file of either encoding must fail cleanly or decode to a sound AIG.
 
 use deepgate_aig::aiger::{self, AigerError};
 
@@ -9,7 +10,6 @@ use deepgate_aig::aiger::{self, AigerError};
 const BAD_AAG: &[(&str, &str)] = &[
     ("empty", ""),
     ("not aiger", "hello world\n"),
-    ("binary magic in ascii entry", "aig 1 1 0 0 0\n"),
     ("short header", "aag 1 1\n"),
     ("long header", "aag 1 1 0 0 0 7\n"),
     ("non-numeric header", "aag x 1 0 0 0\n"),
@@ -47,13 +47,16 @@ const BAD_AAG: &[(&str, &str)] = &[
     ("bad symbol table", "aag 1 1 0 0 0\n2\nq0 name\n"),
     ("symbol index out of range", "aag 1 1 0 0 0\n2\ni7 name\n"),
     ("symbol without name", "aag 1 1 0 0 0\n2\ni0\n"),
+    (
+        "symbol kind is a multi-byte character",
+        "aag 1 1 0 0 0\n2\né0 name\n",
+    ),
     ("lying giant header", "aag 1000000 1000000 0 0 0\n2\n"),
 ];
 
 /// Binary inputs that must be rejected. Each entry is `(label, bytes)`.
 const BAD_AIG: &[(&str, &[u8])] = &[
     ("empty", b""),
-    ("ascii magic in binary entry", b"aag 0 0 0 0 0\n"),
     ("header only ands missing", b"aig 1 0 0 0 1\n"),
     ("truncated varint", b"aig 1 0 0 0 1\n\x80"),
     ("delta0 zero", b"aig 1 0 0 0 1\n\x00\x00"),
@@ -74,7 +77,7 @@ const BAD_AIG: &[(&str, &[u8])] = &[
 #[test]
 fn malformed_ascii_corpus_errors_cleanly() {
     for (label, text) in BAD_AAG {
-        let result = aiger::parse_aag(text, "corpus");
+        let result = aiger::parse_auto(text.as_bytes(), "corpus");
         assert!(result.is_err(), "`{label}` parsed successfully: {result:?}");
     }
 }
@@ -82,7 +85,7 @@ fn malformed_ascii_corpus_errors_cleanly() {
 #[test]
 fn malformed_binary_corpus_errors_cleanly() {
     for (label, bytes) in BAD_AIG {
-        let result = aiger::parse_aig(*bytes, "corpus");
+        let result = aiger::parse_auto(bytes, "corpus");
         assert!(result.is_err(), "`{label}` parsed successfully: {result:?}");
     }
 }
@@ -99,30 +102,50 @@ fn auto_dispatch_rejects_unknown_magic() {
     ));
 }
 
-/// Every proper prefix of a valid file must either fail cleanly or (for the
-/// ASCII flavour, where the symbol table is optional) parse without panics.
-#[test]
-fn truncation_never_panics() {
-    let aig = aiger::random_aig(99, 3, 2, 12);
-    let text = aiger::write_aag(&aig);
-    for cut in 0..text.len() {
-        let _ = aiger::parse_aag(&text[..cut], "trunc");
+/// Damaged input must fail cleanly, or decode to an AIG that holds the
+/// `Aig` invariants and serialises through both writers.
+fn fails_or_decodes_soundly(bytes: &[u8], what: &str) {
+    let Ok(aig) = aiger::parse_auto(bytes, "damaged") else {
+        return;
+    };
+    if let Err(err) = aig.validate() {
+        panic!("{what} decodes to an invalid AIG: {err}");
     }
-    let bytes = aiger::write_aig(&aig).expect("valid aig serialises");
-    for cut in 0..bytes.len() {
-        let _ = aiger::parse_aig(&bytes[..cut], "trunc");
+    let _ = aiger::write_aag(&aig);
+    if let Err(err) = aiger::write_aig(&aig) {
+        panic!("{what} decodes to an AIG the binary writer rejects: {err}");
     }
 }
 
-/// Flipping each byte of the binary body must never panic (it may still
-/// parse: some corruptions are semantically valid AIGER).
+/// A valid `.aag` and `.aig` of one random sequential AIG.
+fn valid_files(seed: u64, inputs: usize, latches: usize, ands: usize) -> [Vec<u8>; 2] {
+    let aig = aiger::random_aig(seed, inputs, latches, ands);
+    let binary = aiger::write_aig(&aig).expect("valid aig serialises");
+    [aiger::write_aag(&aig).into_bytes(), binary]
+}
+
+/// Every proper prefix of a valid file of either encoding fails cleanly or
+/// decodes soundly (the symbol table and comment are optional).
+#[test]
+fn truncation_never_panics() {
+    for file in valid_files(99, 3, 2, 12) {
+        let magic = String::from_utf8_lossy(&file[..3]).into_owned();
+        for cut in 0..file.len() {
+            fails_or_decodes_soundly(&file[..cut], &format!("{cut}-byte prefix of {magic}"));
+        }
+    }
+}
+
+/// Flipping any byte of a valid file of either encoding fails cleanly or
+/// decodes soundly (some corruptions are valid AIGER).
 #[test]
 fn single_byte_corruption_never_panics() {
-    let aig = aiger::random_aig(5, 2, 2, 10);
-    let bytes = aiger::write_aig(&aig).expect("valid aig serialises");
-    for pos in 0..bytes.len() {
-        let mut corrupt = bytes.clone();
-        corrupt[pos] ^= 0xff;
-        let _ = aiger::parse_auto(&corrupt, "corrupt");
+    for file in valid_files(5, 2, 2, 10) {
+        let magic = String::from_utf8_lossy(&file[..3]).into_owned();
+        for pos in 0..file.len() {
+            let mut corrupt = file.clone();
+            corrupt[pos] ^= 0xff;
+            fails_or_decodes_soundly(&corrupt, &format!("{magic} with byte {pos} flipped"));
+        }
     }
 }

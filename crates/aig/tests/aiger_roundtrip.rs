@@ -31,14 +31,23 @@ fn ascii_then_binary_roundtrip_is_isomorphic() {
             let canon = aiger::write_aag(&original);
 
             // original -> .aag text -> parse
-            let from_text =
-                aiger::parse_aag(&canon, original.name()).expect("canonical aag reparses");
+            let from_text = aiger::parse_auto(canon.as_bytes(), original.name())
+                .expect("canonical aag reparses");
             from_text.validate().expect("parsed aag is valid");
+
+            // Both encodings of the original decode to the same `Aig`: node
+            // order, names, latches and outputs.
+            let original_binary = aiger::write_aig(&original).expect("generated AIGs serialise");
+            assert_eq!(
+                aiger::parse_auto(&original_binary, original.name()).expect("binary parses"),
+                from_text,
+                "seed {seed}, shape ({inputs}, {latches}, {ands})"
+            );
 
             // -> binary .aig -> parse
             let bytes = aiger::write_aig(&from_text).expect("parsed aag serialises to binary");
             let from_binary =
-                aiger::parse_aig(&bytes[..], original.name()).expect("binary output reparses");
+                aiger::parse_auto(&bytes, original.name()).expect("binary output reparses");
             from_binary.validate().expect("parsed aig is valid");
 
             // Structural isomorphism via canonical-form equality.
@@ -67,7 +76,7 @@ fn ascii_then_binary_roundtrip_is_isomorphic() {
 fn latch_policies_commute_with_roundtrip() {
     let original = aiger::random_aig(1234, 3, 4, 24);
     let bytes = aiger::write_aig(&original).expect("serialises");
-    let twin = aiger::parse_aig(&bytes[..], original.name()).expect("reparses");
+    let twin = aiger::parse_auto(&bytes, original.name()).expect("reparses");
     for policy in [
         aiger::LatchPolicy::Cut,
         aiger::LatchPolicy::Unroll(1),

@@ -143,6 +143,20 @@ fn main() {
         response.contains("error"),
         "truncated binary AIGER must yield an error, got: {response}"
     );
+    // A 30-byte binary header promising 2^24 inputs is refused before the
+    // reader allocates anything for them.
+    let response = roundtrip(
+        &mut reader,
+        &mut writer,
+        &format!(
+            r#"{{"id": "bad3", "aiger_b64": "{}"}}"#,
+            b64::encode(b"aig 16777216 16777216 0 1 0\n2\n")
+        ),
+    );
+    assert!(
+        response.contains("error") && response.contains("truncated"),
+        "a hostile binary header must yield an error, got: {response}"
+    );
 
     let response = roundtrip(&mut reader, &mut writer, r#"{"id": "q", "op": "shutdown"}"#);
     assert!(response.contains("ok"), "shutdown not acknowledged");

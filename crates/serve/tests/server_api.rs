@@ -5,7 +5,7 @@ use deepgate::core::DeepGateConfig;
 use deepgate::prelude::*;
 use deepgate_serve::{ServeConfig, Server};
 use serde::Value;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -545,7 +545,7 @@ fn a_one_byte_at_a_time_reader_drains_without_tripping_the_write_deadline() {
     let mut lines = 0usize;
     let mut byte = [0u8; 1];
     loop {
-        match std::io::Read::read(&mut reader, &mut byte) {
+        match reader.read(&mut byte) {
             Ok(0) => panic!("server cut a reader that was making progress"),
             Ok(_) => {
                 if byte[0] == b'\n' {
@@ -558,7 +558,7 @@ fn a_one_byte_at_a_time_reader_drains_without_tripping_the_write_deadline() {
     }
     let mut chunk = [0u8; 4096];
     while lines < REQUESTS {
-        match std::io::Read::read(&mut reader, &mut chunk) {
+        match reader.read(&mut chunk) {
             Ok(0) => panic!("connection cut after {lines}/{REQUESTS} responses"),
             Ok(n) => lines += chunk[..n].iter().filter(|&&b| b == b'\n').count(),
             Err(e) => panic!("read failed after {lines}/{REQUESTS} responses: {e}"),
@@ -753,6 +753,17 @@ fn malformed_aiger_requests_get_clean_errors() {
                 Value::Str(deepgate_serve::b64::encode(b"aig 5 0 0 0 5\n")),
             )]),
             "bad request",
+        ),
+        (
+            // A 30-byte binary file promising 2^24 inputs: refused by the
+            // reader's header check before anything is allocated for them.
+            request_of(&[(
+                "aiger_b64",
+                Value::Str(deepgate_serve::b64::encode(
+                    b"aig 16777216 16777216 0 1 0\n2\n",
+                )),
+            )]),
+            "truncated",
         ),
         (
             request_of(&[("aiger", Value::Str("aag 2 1 0 1 1\n2\n4\n4 3 5\n".into()))]),

@@ -10,7 +10,7 @@
 //! - [`CircuitSource`] — one trait unifying every input format: BENCH
 //!   text/files ([`BenchText`], [`BenchFile`]), structural Verilog
 //!   ([`VerilogText`], [`VerilogFile`]), AIGER ASCII and binary with
-//!   latch-aware ingestion ([`AigerText`], [`AigerBytes`], [`AigerFile`],
+//!   latch-aware ingestion ([`AigerBytes`], [`AigerFile`],
 //!   [`LatchPolicy`]), in-memory netlists ([`NetlistSource`]) and the
 //!   synthetic benchmark generators ([`SuiteSource`], [`LargeDesignSource`]).
 //! - [`DeepGateError`] — one crate-spanning error enum; every public entry
@@ -94,15 +94,15 @@ pub use error::DeepGateError;
 pub use metrics::EngineMetrics;
 pub use session::{InferenceSession, PreparedCircuit};
 pub use source::{
-    AigerBytes, AigerFile, AigerText, BenchFile, BenchText, CircuitSource, LargeDesignSource,
-    NetlistSource, SuiteSource, VerilogFile, VerilogText,
+    AigerBytes, AigerFile, BenchFile, BenchText, CircuitSource, LargeDesignSource, NetlistSource,
+    SuiteSource, VerilogFile, VerilogText,
 };
 
 /// Commonly used types, re-exported for convenient glob import.
 pub mod prelude {
     pub use crate::{
-        AigerBytes, AigerFile, AigerText, BenchFile, BenchText, CircuitSource, DeepGateError,
-        Engine, EngineBuilder, InferenceSession, LargeDesignSource, NetlistSource, PreparedCircuit,
+        AigerBytes, AigerFile, BenchFile, BenchText, CircuitSource, DeepGateError, Engine,
+        EngineBuilder, InferenceSession, LargeDesignSource, NetlistSource, PreparedCircuit,
         SuiteSource, VerilogFile, VerilogText,
     };
     pub use deepgate_aig::{Aig, AigLit, AigNodeKind, LatchPolicy};

@@ -137,47 +137,11 @@ fn aiger_netlist(aig: &Aig, policy: LatchPolicy) -> Result<Netlist, DeepGateErro
     Ok(combinational.to_netlist())
 }
 
-/// AIGER-ASCII (`aag`) circuit text held in memory.
+/// An in-memory AIGER file of either encoding (ASCII `aag` text goes in as
+/// its bytes); the header magic selects the encoding.
 ///
 /// Sequential circuits are admitted: latches are handled according to the
 /// configured [`LatchPolicy`] (default: cut into pseudo-PI/PO).
-pub struct AigerText {
-    name: String,
-    text: String,
-    policy: LatchPolicy,
-}
-
-impl AigerText {
-    /// Wraps AIGER-ASCII text under a design name.
-    pub fn new(name: impl Into<String>, text: impl Into<String>) -> Self {
-        AigerText {
-            name: name.into(),
-            text: text.into(),
-            policy: LatchPolicy::default(),
-        }
-    }
-
-    /// Sets the latch ingestion policy (default [`LatchPolicy::Cut`]).
-    pub fn latch_policy(mut self, policy: LatchPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-}
-
-impl CircuitSource for AigerText {
-    fn describe(&self) -> String {
-        format!("aiger:{}:{}", self.name, self.policy)
-    }
-
-    fn netlists(&self) -> Result<Vec<Netlist>, DeepGateError> {
-        let aig = aiger::parse_aag(&self.text, self.name.clone())
-            .map_err(deepgate_aig::AigError::from)?;
-        Ok(vec![aiger_netlist(&aig, self.policy)?])
-    }
-}
-
-/// An in-memory AIGER byte buffer, either flavour: the header magic selects
-/// the ASCII (`aag`) or binary (`aig`) reader.
 pub struct AigerBytes {
     name: String,
     bytes: Vec<u8>,
@@ -417,7 +381,7 @@ mod tests {
 
     #[test]
     fn aiger_text_cut_exposes_latch_interface() {
-        let source = AigerText::new("counter", COUNTER_AAG);
+        let source = AigerBytes::new("counter", COUNTER_AAG);
         let netlists = source.netlists().expect("the counter fixture parses");
         assert_eq!(netlists.len(), 1);
         // Cut mode: 2 pseudo-inputs (latch states), 2 + 2 outputs.
@@ -428,7 +392,7 @@ mod tests {
 
     #[test]
     fn aiger_text_unroll_replicates_frames() {
-        let source = AigerText::new("counter", COUNTER_AAG).latch_policy(LatchPolicy::Unroll(3));
+        let source = AigerBytes::new("counter", COUNTER_AAG).latch_policy(LatchPolicy::Unroll(3));
         let netlists = source.netlists().expect("the counter fixture unrolls");
         // 2 outputs per frame, no primary inputs.
         assert_eq!(netlists[0].num_outputs(), 6);
@@ -446,7 +410,7 @@ mod tests {
 
     #[test]
     fn aiger_error_maps_to_aig_variant() {
-        let source = AigerText::new("bad", "aag not-a-header\n");
+        let source = AigerBytes::new("bad", "aag not-a-header\n");
         assert!(matches!(source.netlists(), Err(DeepGateError::Aig(_))));
         let source = AigerFile::new("/nonexistent/never.aig");
         assert!(matches!(source.netlists(), Err(DeepGateError::Io { .. })));
