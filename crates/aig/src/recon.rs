@@ -14,9 +14,16 @@
 //! within a bounded level distance. A node is reconvergent when the stem sets
 //! reached through its two fan-ins intersect; the closest such stem (smallest
 //! level difference) is recorded.
+//!
+//! Memory is proportional to the *frontier*, not to the circuit: a stem set
+//! lives only from the node that computes it to its last reader (the
+//! highest-indexed gate that has it as a fan-in), and is freed right after
+//! that reader's merge. Each set is kept sorted by descending stem level, so
+//! the level window a reader keeps is a prefix and the fan-in sets merge in
+//! one pass, level group by level group, into a reused buffer.
 
 use crate::{Aig, AigNodeKind};
-use deepgate_netlist::Netlist;
+use deepgate_netlist::{Netlist, NodeId};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the reconvergence analysis.
@@ -67,17 +74,14 @@ impl ReconvergenceAnalysis {
     pub fn with_config(aig: &Aig, config: ReconvergenceConfig) -> Self {
         let fanout_counts = aig.fanout_counts();
         let (levels, _) = aig.levels();
-        let fanins: Vec<Vec<usize>> = aig
-            .iter()
-            .map(|(_, node)| {
-                if node.kind == AigNodeKind::And {
-                    vec![node.fanin0.node(), node.fanin1.node()]
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
-        analyse(&fanins, &levels, &fanout_counts, config)
+        let fanins = |i: usize| {
+            let node = aig.node(i);
+            let arity = if node.kind == AigNodeKind::And { 2 } else { 0 };
+            [node.fanin0.node(), node.fanin1.node()]
+                .into_iter()
+                .take(arity)
+        };
+        analyse(aig.len(), fanins, &levels, &fanout_counts, config).0
     }
 
     /// Runs the analysis on a gate-level [`Netlist`] (used when the circuit
@@ -86,11 +90,14 @@ impl ReconvergenceAnalysis {
     pub fn of_netlist(netlist: &Netlist, config: ReconvergenceConfig) -> Self {
         let fanout_counts = netlist.fanout_counts();
         let levels = netlist.levels();
-        let fanins: Vec<Vec<usize>> = netlist
-            .iter()
-            .map(|(_, node)| node.fanins.iter().map(|f| f.index()).collect())
-            .collect();
-        analyse(&fanins, &levels.level, &fanout_counts, config)
+        let fanins = |i: usize| {
+            netlist
+                .node(NodeId(i as u32))
+                .fanins
+                .iter()
+                .map(|f| f.index())
+        };
+        analyse(netlist.len(), fanins, &levels.level, &fanout_counts, config).0
     }
 
     /// Reconvergence record of a node, if it is a reconvergence node.
@@ -128,85 +135,146 @@ impl ReconvergenceAnalysis {
 ///
 /// A node is reconvergent when some fan-out stem is visible in the bounded
 /// transitive fan-in of at least two of its fan-in branches; the closest such
-/// stem (smallest level difference) is recorded.
-fn analyse(
-    fanins: &[Vec<usize>],
+/// stem (smallest level difference) is recorded. `fanins(i)` lists node `i`'s
+/// fan-ins; nodes are numbered in topological order.
+///
+/// A stored set is sorted by descending stem level and, within one level, in
+/// the order its stems were first reached through the fan-ins taken in
+/// fan-in order. The merge keeps that order, so both the stem that wins a
+/// tie on level difference and the stems that survive the
+/// `max_tracked_stems` cut are fixed by the circuit alone.
+///
+/// Also returns the peak number of stems held in live sets at once — the
+/// frontier the memory is proportional to.
+fn analyse<I: Iterator<Item = usize>>(
+    n: usize,
+    fanins: impl Fn(usize) -> I,
     levels: &[usize],
     fanout_counts: &[usize],
     config: ReconvergenceConfig,
-) -> ReconvergenceAnalysis {
-    let n = fanins.len();
-    let is_stem: Vec<bool> = fanout_counts.iter().map(|&c| c >= 2).collect();
-    let num_stems = is_stem.iter().filter(|&&s| s).count();
-    let mut stem_sets: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut per_node: Vec<Option<ReconvergenceInfo>> = vec![None; n];
-
+) -> (ReconvergenceAnalysis, usize) {
+    let is_stem = |node: usize| fanout_counts[node] >= 2;
+    let num_stems = (0..n).filter(|&node| is_stem(node)).count();
+    // The last gate that reads each node's set; a node no gate reads (0
+    // here, as readers come later) never stores one.
+    let mut last_reader = vec![0usize; n];
     for i in 0..n {
-        let node_fanins = &fanins[i];
-        if node_fanins.is_empty() {
+        for f in fanins(i) {
+            last_reader[f] = i;
+        }
+    }
+
+    let mut stem_sets: Vec<Box<[Stem]>> = vec![Box::default(); n];
+    let mut per_node: Vec<Option<ReconvergenceInfo>> = vec![None; n];
+    let mut branches: Vec<Branch> = Vec::new();
+    let mut group: Vec<(usize, bool)> = Vec::new();
+    let mut merged: Vec<Stem> = Vec::new();
+    let (mut live, mut peak_live) = (0, 0);
+    for i in 0..n {
+        let level_i = levels[i];
+        let floor = level_i.saturating_sub(config.max_level_distance);
+
+        // Stems reached through each fan-in branch: the branch node itself
+        // when it is a stem in the window, then the window of its set — a
+        // prefix, as the set is sorted by descending level and every stem in
+        // it sits below its owner, which sits below this node.
+        branches.clear();
+        for f in fanins(i) {
+            let head =
+                (is_stem(f) && (floor..=level_i).contains(&levels[f])).then_some((levels[f], f));
+            branches.push(Branch {
+                head,
+                node: f,
+                next: 0,
+                end: stem_sets[f].partition_point(|&(level, _)| level >= floor),
+            });
+        }
+        if branches.is_empty() {
             continue;
         }
-        let level_i = levels[i];
-        let keep = |stem: usize| {
-            level_i >= levels[stem] && level_i - levels[stem] <= config.max_level_distance
-        };
 
-        // Stem set reached through each fan-in branch: the branch's own set
-        // plus the branch node itself when it is a stem.
-        let branches: Vec<Vec<usize>> = node_fanins
-            .iter()
-            .map(|&f| {
-                let mut branch: Vec<usize> =
-                    stem_sets[f].iter().copied().filter(|&s| keep(s)).collect();
-                if is_stem[f] && keep(f) {
-                    branch.push(f);
-                }
-                branch
-            })
-            .collect();
-
-        // Reconvergence: a stem visible through at least two branches; pick
-        // the one with the smallest level difference.
+        // Merge level group by level group, highest level first. A stem
+        // seen through two branches is shared; the first shared one is the
+        // closest, i.e. the reconvergence source.
+        merged.clear();
         let mut best: Option<ReconvergenceInfo> = None;
-        if branches.len() >= 2 {
-            for (bi, branch) in branches.iter().enumerate() {
-                for &s in branch {
-                    let seen_elsewhere = branches
-                        .iter()
-                        .enumerate()
-                        .any(|(bj, other)| bj != bi && other.contains(&s));
-                    if seen_elsewhere {
-                        let diff = level_i - levels[s];
-                        if best.is_none_or(|b| diff < b.level_difference) {
-                            best = Some(ReconvergenceInfo {
-                                source: s,
-                                level_difference: diff,
-                            });
-                        }
+        while let Some(level) = branches
+            .iter()
+            .filter_map(|b| b.peek(&stem_sets))
+            .map(|(level, _)| level)
+            .max()
+        {
+            group.clear();
+            for branch in &mut branches {
+                while let Some((_, s)) = branch.peek(&stem_sets).filter(|&(l, _)| l == level) {
+                    branch.advance();
+                    match group.iter_mut().find(|(g, _)| *g == s) {
+                        Some((_, shared)) => *shared = true,
+                        None => group.push((s, false)),
                     }
                 }
             }
-        }
-        per_node[i] = best;
-
-        // The union of all branches becomes this node's stem set, capped to
-        // the closest stems.
-        let mut merged: Vec<usize> = Vec::new();
-        for branch in branches {
-            for s in branch {
-                if !merged.contains(&s) {
-                    merged.push(s);
-                }
+            if best.is_none() {
+                best = group
+                    .iter()
+                    .find(|(_, shared)| *shared)
+                    .map(|&(source, _)| ReconvergenceInfo {
+                        source,
+                        level_difference: level_i - level,
+                    });
+            }
+            let room = config.max_tracked_stems - merged.len();
+            merged.extend(group.iter().take(room).map(|&(s, _)| (level, s)));
+            if best.is_some() && merged.len() == config.max_tracked_stems {
+                break;
             }
         }
-        merged.sort_by_key(|&s| std::cmp::Reverse(levels[s]));
-        merged.truncate(config.max_tracked_stems);
-        stem_sets[i] = merged;
+        per_node[i] = best;
+        if last_reader[i] > i {
+            stem_sets[i] = merged.as_slice().into();
+            live += merged.len();
+            peak_live = peak_live.max(live);
+        }
+
+        // Free every fan-in set this node was the last reader of.
+        for f in fanins(i) {
+            if last_reader[f] == i {
+                live -= stem_sets[f].len();
+                stem_sets[f] = Box::default();
+            }
+        }
     }
 
-    ReconvergenceAnalysis {
+    let analysis = ReconvergenceAnalysis {
         per_node,
         num_stems,
+    };
+    (analysis, peak_live)
+}
+
+/// A stem in a stored set as `(level, node)`: the level rides along so the
+/// window search and the merge compare levels without looking them up.
+type Stem = (usize, usize);
+
+/// A merge cursor over one fan-in branch: the fan-in node itself first when
+/// it is a stem in the window (`head`), then its set's window `next..end`.
+struct Branch {
+    head: Option<Stem>,
+    node: usize,
+    next: usize,
+    end: usize,
+}
+
+impl Branch {
+    fn peek(&self, stem_sets: &[Box<[Stem]>]) -> Option<Stem> {
+        self.head
+            .or_else(|| (self.next < self.end).then(|| stem_sets[self.node][self.next]))
+    }
+
+    fn advance(&mut self) {
+        if self.head.take().is_none() {
+            self.next += 1;
+        }
     }
 }
 
@@ -233,6 +301,90 @@ mod tests {
     use super::*;
     use crate::AigLit;
 
+    /// The quadratic definition the frontier merge replaced: every set kept
+    /// to the end, branches collected, then pairwise `contains` tests and a
+    /// stable sort by level. The differential tests hold `analyse` to it.
+    fn reference(
+        fanins: &[Vec<usize>],
+        levels: &[usize],
+        fanout_counts: &[usize],
+        config: ReconvergenceConfig,
+    ) -> ReconvergenceAnalysis {
+        let n = fanins.len();
+        let is_stem: Vec<bool> = fanout_counts.iter().map(|&c| c >= 2).collect();
+        let num_stems = is_stem.iter().filter(|&&s| s).count();
+        let mut stem_sets: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut per_node: Vec<Option<ReconvergenceInfo>> = vec![None; n];
+
+        for i in 0..n {
+            let node_fanins = &fanins[i];
+            if node_fanins.is_empty() {
+                continue;
+            }
+            let level_i = levels[i];
+            let keep = |stem: usize| {
+                level_i >= levels[stem] && level_i - levels[stem] <= config.max_level_distance
+            };
+
+            // Stem set reached through each fan-in branch: the branch's own set
+            // plus the branch node itself when it is a stem.
+            let branches: Vec<Vec<usize>> = node_fanins
+                .iter()
+                .map(|&f| {
+                    let mut branch: Vec<usize> =
+                        stem_sets[f].iter().copied().filter(|&s| keep(s)).collect();
+                    if is_stem[f] && keep(f) {
+                        branch.push(f);
+                    }
+                    branch
+                })
+                .collect();
+
+            // Reconvergence: a stem visible through at least two branches; pick
+            // the one with the smallest level difference.
+            let mut best: Option<ReconvergenceInfo> = None;
+            if branches.len() >= 2 {
+                for (bi, branch) in branches.iter().enumerate() {
+                    for &s in branch {
+                        let seen_elsewhere = branches
+                            .iter()
+                            .enumerate()
+                            .any(|(bj, other)| bj != bi && other.contains(&s));
+                        if seen_elsewhere {
+                            let diff = level_i - levels[s];
+                            if best.is_none_or(|b| diff < b.level_difference) {
+                                best = Some(ReconvergenceInfo {
+                                    source: s,
+                                    level_difference: diff,
+                                });
+                            }
+                        }
+                    }
+                }
+            }
+            per_node[i] = best;
+
+            // The union of all branches becomes this node's stem set, capped to
+            // the closest stems.
+            let mut merged: Vec<usize> = Vec::new();
+            for branch in branches {
+                for s in branch {
+                    if !merged.contains(&s) {
+                        merged.push(s);
+                    }
+                }
+            }
+            merged.sort_by_key(|&s| std::cmp::Reverse(levels[s]));
+            merged.truncate(config.max_tracked_stems);
+            stem_sets[i] = merged;
+        }
+
+        ReconvergenceAnalysis {
+            per_node,
+            num_stems,
+        }
+    }
+
     /// Builds the classic reconvergent structure: stem s = a·b fans out to
     /// two paths that reconverge at r.
     fn reconvergent_aig() -> (Aig, usize, usize) {
@@ -247,6 +399,141 @@ mod tests {
         let recon = aig.and(p1, p2);
         aig.add_output(recon, "y");
         (aig, stem.node(), recon.node())
+    }
+
+    /// Configurations the differential tests sweep: the default, and tight
+    /// windows and caps under which ties on level and the cut of equal-level
+    /// stems decide the result.
+    const CONFIGS: [ReconvergenceConfig; 5] = [
+        ReconvergenceConfig {
+            max_level_distance: 24,
+            max_tracked_stems: 48,
+        },
+        ReconvergenceConfig {
+            max_level_distance: 64,
+            max_tracked_stems: 4,
+        },
+        ReconvergenceConfig {
+            max_level_distance: 6,
+            max_tracked_stems: 1,
+        },
+        ReconvergenceConfig {
+            max_level_distance: 3,
+            max_tracked_stems: 2,
+        },
+        ReconvergenceConfig {
+            max_level_distance: 2,
+            max_tracked_stems: 0,
+        },
+    ];
+
+    /// A seeded random netlist: `inputs` inputs, then `gates` NOT or AND
+    /// gates of one to four fan-ins (repeats allowed) drawn from the previous
+    /// `window` nodes — a narrow window makes a deep circuit with many stems
+    /// per level — and the last four nodes as outputs.
+    fn random_netlist(seed: u64, inputs: usize, gates: usize, window: usize) -> Netlist {
+        use deepgate_netlist::GateKind;
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut below = move |bound: usize| {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            (state.wrapping_mul(0x2545_f491_4f6c_dd1d) % bound as u64) as usize
+        };
+        let mut netlist = Netlist::new("random");
+        for k in 0..inputs {
+            netlist.add_input(format!("x{k}"));
+        }
+        for _ in 0..gates {
+            let len = netlist.len();
+            let arity = 1 + below(4);
+            let fanins: Vec<NodeId> = (0..arity)
+                .map(|_| NodeId((len - 1 - below(window.min(len))) as u32))
+                .collect();
+            let kind = if arity == 1 {
+                GateKind::Not
+            } else {
+                GateKind::And
+            };
+            netlist.add_gate(kind, &fanins).unwrap();
+        }
+        for k in 1..=4 {
+            netlist.mark_output(NodeId((netlist.len() - k) as u32), format!("y{k}"));
+        }
+        netlist
+    }
+
+    #[test]
+    fn frontier_merge_matches_reference_on_random_netlists() {
+        for seed in 0..16 {
+            for window in [3, 8, 40, 400] {
+                let netlist = random_netlist(seed, 6, 300, window);
+                let fanins: Vec<Vec<usize>> = netlist
+                    .iter()
+                    .map(|(_, node)| node.fanins.iter().map(|f| f.index()).collect())
+                    .collect();
+                let levels = netlist.levels().level;
+                for config in CONFIGS {
+                    let expected = reference(&fanins, &levels, &netlist.fanout_counts(), config);
+                    let analysis = ReconvergenceAnalysis::of_netlist(&netlist, config);
+                    assert_eq!(
+                        analysis, expected,
+                        "seed {seed}, window {window}, {config:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn frontier_merge_matches_reference_on_random_aigs() {
+        for seed in 0..16 {
+            for (inputs, latches, ands) in [(4, 0, 60), (8, 3, 300), (24, 0, 600)] {
+                let aig = crate::aiger::random_aig(seed, inputs, latches, ands);
+                let fanins: Vec<Vec<usize>> = aig
+                    .iter()
+                    .map(|(_, node)| match node.kind {
+                        AigNodeKind::And => vec![node.fanin0.node(), node.fanin1.node()],
+                        _ => Vec::new(),
+                    })
+                    .collect();
+                let (levels, _) = aig.levels();
+                for config in CONFIGS {
+                    let expected = reference(&fanins, &levels, &aig.fanout_counts(), config);
+                    let analysis = ReconvergenceAnalysis::with_config(&aig, config);
+                    assert_eq!(analysis, expected, "seed {seed}, {ands} ANDs, {config:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn live_sets_are_bounded_by_the_frontier() {
+        // Every fan-in lies within the previous 8 nodes, so at most 8 sets
+        // wait for a reader while the 9th is stored: the live stems stay
+        // under 9 full sets however long the circuit grows, where keeping
+        // every set would hold one per gate.
+        let config = ReconvergenceConfig::default();
+        for gates in [500, 5000] {
+            let netlist = random_netlist(7, 6, gates, 8);
+            let fanins = |i: usize| {
+                let node = netlist.node(NodeId(i as u32));
+                node.fanins.iter().map(|f| f.index())
+            };
+            let levels = netlist.levels().level;
+            let (analysis, peak_live) = analyse(
+                netlist.len(),
+                fanins,
+                &levels,
+                &netlist.fanout_counts(),
+                config,
+            );
+            assert!(analysis.num_reconvergence_nodes() > gates / 2);
+            assert!(
+                peak_live <= 9 * config.max_tracked_stems,
+                "{peak_live} live stems"
+            );
+        }
     }
 
     #[test]

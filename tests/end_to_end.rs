@@ -255,3 +255,68 @@ fn default_deepgate_prediction_bits_are_pinned() {
         );
     }
 }
+
+/// The reconvergence analysis, pinned from outside: the skip-edge count and
+/// the structural fingerprint (which covers every skip edge's source, target
+/// and level difference) of the `infer_large` benchmark's designs — the five
+/// Table III designs at their pool scales plus the 83k-node multiplier —
+/// through the serving ingest: AIG mapping, two optimisation rounds,
+/// PI/AND/NOT expansion. The values were recorded with the quadratic
+/// analysis, before stem sets were merged in one pass and freed after their
+/// last reader, so the stem that wins a tie and the stems that survive the
+/// per-node cap are held to that definition at 10^3–10^5 nodes, not only on
+/// small random circuits.
+#[test]
+fn table_iii_skip_edges_are_pinned() {
+    use deepgate::aig::opt;
+    let pinned: [(LargeDesign, f64, usize, u128); 6] = [
+        (
+            LargeDesign::Arbiter,
+            1.0,
+            23,
+            0x2f6ac981e958c3eb8ba35c5fa03771b7,
+        ),
+        (
+            LargeDesign::Processor80386,
+            1.0,
+            917,
+            0x5dbb7da04004a4fc7cf9bacab2980cc4,
+        ),
+        (
+            LargeDesign::ViperProcessor,
+            1.0,
+            1617,
+            0x3c49284aafbd68db6f091004ea35d6e8,
+        ),
+        (
+            LargeDesign::Squarer,
+            0.5,
+            4653,
+            0xf65d4f18e9180e0141a6040a804f31aa,
+        ),
+        (
+            LargeDesign::Multiplier,
+            0.5,
+            6082,
+            0xcb75b574f3281841afb9778a932fbc5b,
+        ),
+        (
+            LargeDesign::Multiplier,
+            1.0,
+            24418,
+            0x0a1c72ecd5b74ed9625d3c5eceff1f67,
+        ),
+    ];
+    for (design, scale, skip_edges, fingerprint) in pinned {
+        let aig = Aig::from_netlist(&design.generate(scale)).expect("maps to AIG");
+        let (circuit, _) = CircuitGraph::from_aig(&opt::optimize(&aig, 2));
+        assert_eq!(
+            (circuit.skip_edges.len(), circuit.fingerprint()),
+            (skip_edges, fingerprint),
+            "{design}@{scale}: {} nodes, {} skip edges, fingerprint {:#034x}",
+            circuit.num_nodes,
+            circuit.skip_edges.len(),
+            circuit.fingerprint()
+        );
+    }
+}
