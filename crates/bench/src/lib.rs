@@ -1,67 +1,39 @@
-//! Shared infrastructure for the experiment binaries that regenerate the
-//! tables and figures of the DeepGate paper.
+//! Shared infrastructure for `reproduce`, the binary that regenerates the
+//! tables and figures of the DeepGate paper:
 //!
-//! Every binary runs at paper scale with `--full`, its one scale switch;
-//! without it, the quick scale finishes on a laptop CPU in minutes and
-//! preserves the qualitative shape of the results (model ordering, relative
-//! improvements) rather than absolute values.
+//! ```text
+//! cargo run --release -p deepgate-bench --bin reproduce -- --table <name> [--full]
+//! ```
 //!
-//! Binaries:
+//! Without `--full`, its one scale switch, an experiment runs at the quick
+//! scale, which finishes on a laptop CPU in minutes and preserves the
+//! qualitative shape of the results (model ordering, relative improvements)
+//! rather than absolute values.
 //!
-//! | binary | reproduces |
-//! |---|---|
-//! | `table1` | Table I — dataset statistics |
-//! | `table2` | Table II — model / aggregator comparison |
-//! | `table3` | Table III — generalisation to five large designs |
-//! | `table4` | Table IV — effect of the AIG transformation |
-//! | `fig_iterations` | Section IV-D2 — error vs recurrence iterations |
-//! | `ablation` | extra ablation of DeepGate's design choices |
+//! | `--table` | reproduces | report in `target/experiments/` |
+//! |---|---|---|
+//! | `1` | Table I — dataset statistics | `table1.json` |
+//! | `2` | Table II — model / aggregator comparison | `table2.json` |
+//! | `3` | Table III — generalisation to five large designs | `table3.json` |
+//! | `4` | Table IV — effect of the AIG transformation | `table4.json` |
+//! | `iterations` | Section IV-D2 — error vs recurrence iterations | `fig_iterations.json` |
+//! | `ablation` | extra ablation of DeepGate's design choices | `ablation.json` |
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use deepgate_core::{Trainer, TrainerConfig};
+use deepgate_core::{DeepGateConfig, Trainer, TrainerConfig};
 use deepgate_dataset::{Dataset, DatasetConfig, SuiteKind};
-use deepgate_gnn::ProbabilityModel;
+use deepgate_gnn::{DagRecConfig, DagRecGnn, ProbabilityModel};
 use deepgate_nn::ParamStore;
 use serde::Serialize;
 use std::fs;
-use std::path::PathBuf;
 use std::time::Instant;
 
-/// The scale an experiment runs at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scale {
-    /// Reduced-scale configuration that completes in minutes on a CPU.
-    Quick,
-    /// Paper-scale configuration (hours of CPU time).
-    Full,
-}
-
-impl Scale {
-    /// [`Scale::Full`] when `--full` is on the command line, else
-    /// [`Scale::Quick`].
-    pub fn from_args() -> Scale {
-        if std::env::args().any(|a| a == "--full") {
-            Scale::Full
-        } else {
-            Scale::Quick
-        }
-    }
-
-    /// A short label for report headers.
-    pub fn label(self) -> &'static str {
-        match self {
-            Scale::Quick => "quick",
-            Scale::Full => "full",
-        }
-    }
-}
-
-/// Experiment-wide hyper-parameters derived from the scale.
+/// Experiment-wide hyper-parameters of one scale.
 #[derive(Debug, Clone, Copy)]
 pub struct ExperimentSettings {
-    /// Scale the settings were derived from.
-    pub scale: Scale,
+    /// Scale label for report headers (`quick` or `full`).
+    pub scale: &'static str,
     /// Designs generated per suite.
     pub designs_per_suite: usize,
     /// Design size scale factor.
@@ -81,83 +53,67 @@ pub struct ExperimentSettings {
 }
 
 impl ExperimentSettings {
-    /// Settings for a scale.
-    pub fn for_scale(scale: Scale) -> Self {
-        match scale {
-            Scale::Quick => ExperimentSettings {
-                scale,
-                designs_per_suite: 16,
-                size_scale: 0.2,
-                num_patterns: 4_096,
-                epochs: 20,
-                learning_rate: 3e-3,
-                hidden_dim: 32,
-                num_iterations: 6,
-                large_design_scale: 0.15,
-            },
-            Scale::Full => ExperimentSettings {
-                scale,
-                designs_per_suite: 64,
-                size_scale: 1.0,
-                num_patterns: 100_000,
-                epochs: 60,
-                learning_rate: 1e-4,
-                hidden_dim: 64,
-                num_iterations: 10,
-                large_design_scale: 1.0,
-            },
-        }
-    }
+    /// Reduced scale that completes in minutes on a CPU.
+    pub const QUICK: ExperimentSettings = ExperimentSettings {
+        scale: "quick",
+        designs_per_suite: 16,
+        size_scale: 0.2,
+        num_patterns: 4_096,
+        epochs: 20,
+        learning_rate: 3e-3,
+        hidden_dim: 32,
+        num_iterations: 6,
+        large_design_scale: 0.15,
+    };
 
-    /// The dataset configuration used by the training experiments.
-    pub fn dataset_config(&self, transform_to_aig: bool, suites: Vec<SuiteKind>) -> DatasetConfig {
-        DatasetConfig {
-            suites,
-            designs_per_suite: self.designs_per_suite,
-            num_patterns: self.num_patterns,
-            transform_to_aig,
-            optimize: true,
-            train_fraction: 0.85,
-            size_scale: self.size_scale,
-            seed: 42,
-        }
-    }
+    /// Paper scale (hours of CPU time).
+    pub const FULL: ExperimentSettings = ExperimentSettings {
+        scale: "full",
+        designs_per_suite: 64,
+        size_scale: 1.0,
+        num_patterns: 100_000,
+        epochs: 60,
+        learning_rate: 1e-4,
+        hidden_dim: 64,
+        num_iterations: 10,
+        large_design_scale: 1.0,
+    };
 
-    /// The trainer configuration used by the training experiments.
-    pub fn trainer_config(&self) -> TrainerConfig {
-        TrainerConfig {
-            epochs: self.epochs,
-            learning_rate: self.learning_rate,
-            grad_clip: 5.0,
-            shuffle_seed: 7,
-            eval_every: 0,
+    /// DeepGate as the experiments train it: the paper's model
+    /// ([`DeepGateConfig`]'s defaults) at this scale's width and depth, with
+    /// a regressor half as wide, under an experiment's own `seed` and
+    /// regressor-head choice.
+    pub fn deepgate(&self, seed: u64, per_type_regressor: bool) -> DagRecConfig {
+        DeepGateConfig {
+            hidden_dim: self.hidden_dim,
+            num_iterations: self.num_iterations,
+            regressor_hidden: self.hidden_dim / 2,
+            per_type_regressor,
+            seed,
+            ..DeepGateConfig::default()
         }
+        .to_dag_rec_config()
     }
 }
 
-/// Generates the shared training dataset for an experiment, printing timing
-/// information.
-///
-/// # Panics
-///
-/// Panics if dataset generation fails (invalid settings).
-pub fn build_dataset(settings: &ExperimentSettings, transform_to_aig: bool) -> Dataset {
-    build_dataset_for_suites(settings, transform_to_aig, SuiteKind::ALL.to_vec())
-}
-
-/// Generates a dataset restricted to specific suites.
-///
-/// # Panics
-///
-/// Panics if dataset generation fails (invalid settings).
-pub fn build_dataset_for_suites(
+/// Generates an experiment's labelled dataset from `suites`, printing timing
+/// information. Panics if generation fails (invalid settings).
+pub fn build_dataset(
     settings: &ExperimentSettings,
     transform_to_aig: bool,
-    suites: Vec<SuiteKind>,
+    suites: &[SuiteKind],
 ) -> Dataset {
     let start = Instant::now();
-    let config = settings.dataset_config(transform_to_aig, suites);
-    let dataset = Dataset::generate(&config).expect("dataset generation");
+    let dataset = Dataset::generate(&DatasetConfig {
+        suites: suites.to_vec(),
+        designs_per_suite: settings.designs_per_suite,
+        num_patterns: settings.num_patterns,
+        transform_to_aig,
+        train_fraction: 0.85,
+        size_scale: settings.size_scale,
+        seed: 42,
+    })
+    .expect("dataset generation");
     eprintln!(
         "[dataset] {} circuits ({} train / {} test), transform={}, {:.1}s",
         dataset.len(),
@@ -170,12 +126,8 @@ pub fn build_dataset_for_suites(
 }
 
 /// Trains a model on a dataset and returns the average prediction error on
-/// the test split.
-///
-/// # Panics
-///
-/// Panics if training fails (the experiment datasets are always labelled,
-/// so a failure here is a harness bug, not user input).
+/// the test split. Panics if training fails: the experiment datasets are
+/// always labelled, so a failure here is a harness bug, not user input.
 pub fn train_and_evaluate<M: ProbabilityModel + ?Sized>(
     model: &M,
     store: &mut ParamStore,
@@ -183,7 +135,13 @@ pub fn train_and_evaluate<M: ProbabilityModel + ?Sized>(
     settings: &ExperimentSettings,
 ) -> f64 {
     let start = Instant::now();
-    let mut trainer = Trainer::new(settings.trainer_config());
+    let mut trainer = Trainer::new(TrainerConfig {
+        epochs: settings.epochs,
+        learning_rate: settings.learning_rate,
+        grad_clip: 5.0,
+        shuffle_seed: 7,
+        eval_every: 0,
+    });
     let history = trainer
         .train(model, store, &dataset.train, &dataset.test)
         .expect("experiment circuits are labelled");
@@ -199,6 +157,20 @@ pub fn train_and_evaluate<M: ProbabilityModel + ?Sized>(
         start.elapsed().as_secs_f64()
     );
     error
+}
+
+/// Builds a recurrent DAG-GNN from `config` and trains it with
+/// [`train_and_evaluate`]; returns the model, its weights and its test
+/// error.
+pub fn train_dag_rec(
+    config: DagRecConfig,
+    dataset: &Dataset,
+    settings: &ExperimentSettings,
+) -> (DagRecGnn, ParamStore, f64) {
+    let mut store = ParamStore::new();
+    let model = DagRecGnn::new(&mut store, config);
+    let error = train_and_evaluate(&model, &mut store, dataset, settings);
+    (model, store, error)
 }
 
 /// One row of an experiment report.
@@ -226,20 +198,27 @@ pub struct Report {
 
 impl Report {
     /// Creates an empty report.
-    pub fn new(experiment: &str, reproduces: &str, scale: Scale) -> Self {
+    pub fn new(experiment: &str, reproduces: &str, scale: &str) -> Self {
         Report {
             experiment: experiment.to_string(),
             reproduces: reproduces.to_string(),
-            scale: scale.label().to_string(),
+            scale: scale.to_string(),
             rows: Vec::new(),
         }
     }
 
-    /// Appends a row.
-    pub fn push_row(&mut self, label: impl Into<String>, values: Vec<(String, String)>) {
+    /// Appends a row of named values.
+    pub fn push_row<'a>(
+        &mut self,
+        label: impl Into<String>,
+        values: impl IntoIterator<Item = (&'a str, String)>,
+    ) {
         self.rows.push(ReportRow {
             label: label.into(),
-            values,
+            values: values
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
         });
     }
 
@@ -250,42 +229,33 @@ impl Report {
             "=== {} — reproduces {} (scale: {}) ===",
             self.experiment, self.reproduces, self.scale
         );
-        if self.rows.is_empty() {
+        let Some(first) = self.rows.first() else {
             println!("(no rows)");
             return;
-        }
-        let headers: Vec<String> = std::iter::once("".to_string())
-            .chain(self.rows[0].values.iter().map(|(k, _)| k.clone()))
-            .collect();
-        let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+        };
+        let header = first.values.iter().map(|(k, _)| k.as_str());
+        let mut lines: Vec<Vec<&str>> = vec![std::iter::once("").chain(header).collect()];
         for row in &self.rows {
-            widths[0] = widths[0].max(row.label.len());
-            for (i, (_, v)) in row.values.iter().enumerate() {
-                widths[i + 1] = widths[i + 1].max(v.len());
+            let values = row.values.iter().map(|(_, v)| v.as_str());
+            lines.push(std::iter::once(row.label.as_str()).chain(values).collect());
+        }
+        let mut widths = vec![0; lines[0].len()];
+        for cells in &lines {
+            for (width, cell) in widths.iter_mut().zip(cells) {
+                *width = (*width).max(cell.len());
             }
         }
-        let print_line = |cells: &[String]| {
-            let line: Vec<String> = cells
+        for (i, cells) in lines.iter().enumerate() {
+            let padded: Vec<String> = cells
                 .iter()
-                .enumerate()
-                .map(|(i, c)| format!("{:<width$}", c, width = widths[i]))
+                .zip(&widths)
+                .map(|(c, w)| format!("{c:<w$}"))
                 .collect();
-            println!("| {} |", line.join(" | "));
-        };
-        print_line(&headers);
-        println!(
-            "|{}|",
-            widths
-                .iter()
-                .map(|w| "-".repeat(w + 2))
-                .collect::<Vec<_>>()
-                .join("|")
-        );
-        for row in &self.rows {
-            let cells: Vec<String> = std::iter::once(row.label.clone())
-                .chain(row.values.iter().map(|(_, v)| v.clone()))
-                .collect();
-            print_line(&cells);
+            println!("| {} |", padded.join(" | "));
+            if i == 0 {
+                let rule: Vec<String> = widths.iter().map(|w| "-".repeat(w + 2)).collect();
+                println!("|{}|", rule.join("|"));
+            }
         }
         println!();
     }
@@ -294,21 +264,11 @@ impl Report {
     /// Failures to write are reported on stderr but do not abort the
     /// experiment.
     pub fn save(&self) {
-        let dir = PathBuf::from("target/experiments");
-        if let Err(e) = fs::create_dir_all(&dir) {
-            eprintln!("[report] could not create {}: {e}", dir.display());
-            return;
-        }
-        let path = dir.join(format!("{}.json", self.experiment));
-        match serde_json::to_string_pretty(self) {
-            Ok(json) => {
-                if let Err(e) = fs::write(&path, json) {
-                    eprintln!("[report] could not write {}: {e}", path.display());
-                } else {
-                    eprintln!("[report] saved {}", path.display());
-                }
-            }
-            Err(e) => eprintln!("[report] serialisation failed: {e}"),
+        let path = format!("target/experiments/{}.json", self.experiment);
+        let json = serde_json::to_string_pretty(self).expect("a report of strings serialises");
+        match fs::create_dir_all("target/experiments").and_then(|()| fs::write(&path, json)) {
+            Ok(()) => eprintln!("[report] saved {path}"),
+            Err(e) => eprintln!("[report] could not write {path}: {e}"),
         }
     }
 }
@@ -332,18 +292,19 @@ mod tests {
 
     #[test]
     fn settings_scale_with_mode() {
-        let quick = ExperimentSettings::for_scale(Scale::Quick);
-        let full = ExperimentSettings::for_scale(Scale::Full);
+        let quick = ExperimentSettings::QUICK;
+        let full = ExperimentSettings::FULL;
         assert!(full.designs_per_suite > quick.designs_per_suite);
         assert!(full.num_patterns > quick.num_patterns);
         assert_eq!(full.num_iterations, 10);
-        assert_eq!(Scale::Quick.label(), "quick");
+        assert_eq!((quick.scale, full.scale), ("quick", "full"));
     }
 
     #[test]
     fn report_formatting() {
-        let mut report = Report::new("test", "Table X", Scale::Quick);
-        report.push_row("ModelA", vec![("Error".to_string(), fmt_error(0.12345))]);
+        let mut report = Report::new("test", "Table X", "quick");
+        report.push_row("ModelA", [("Error", fmt_error(0.12345))]);
+        assert_eq!(report.rows[0].values[0].0, "Error");
         assert_eq!(report.rows.len(), 1);
         assert_eq!(report.rows[0].values[0].1, "0.1235");
         report.print();

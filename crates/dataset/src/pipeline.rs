@@ -22,11 +22,10 @@ pub struct DatasetConfig {
     pub designs_per_suite: usize,
     /// Number of random simulation patterns per circuit for labelling.
     pub num_patterns: usize,
-    /// Whether circuits are transformed to AIG form (the DeepGate flow) or
-    /// kept with their original gate types (the Table IV ablation).
+    /// Whether circuits are transformed to AIG form and optimised (the
+    /// DeepGate flow) or kept with their original gate types (the Table IV
+    /// ablation).
     pub transform_to_aig: bool,
-    /// Whether the AIG optimisation passes run after transformation.
-    pub optimize: bool,
     /// Fraction of circuits that go into the training split (the paper uses
     /// a 90/10 split).
     pub train_fraction: f64,
@@ -44,7 +43,6 @@ impl Default for DatasetConfig {
             designs_per_suite: 24,
             num_patterns: 8_192,
             transform_to_aig: true,
-            optimize: true,
             train_fraction: 0.9,
             size_scale: 0.25,
             seed: 0,
@@ -112,11 +110,7 @@ impl Dataset {
                     if config.transform_to_aig {
                         let aig = Aig::from_netlist(netlist)
                             .map_err(|e| SimError::InvalidCircuit(e.to_string()))?;
-                        let aig = if config.optimize {
-                            opt::optimize(&aig, 2)
-                        } else {
-                            aig
-                        };
+                        let aig = opt::optimize(&aig, 2);
                         labelled_circuit_from_aig(&aig, config.num_patterns, label_seed)
                     } else {
                         labelled_circuit_from_netlist(
@@ -267,20 +261,20 @@ mod tests {
     }
 
     #[test]
-    fn optimisation_reduces_or_preserves_node_count() {
-        let base = DatasetConfig {
-            optimize: false,
-            ..quick_config()
-        };
-        let optimized = DatasetConfig {
-            optimize: true,
-            ..quick_config()
-        };
-        let raw = Dataset::generate(&base).unwrap();
-        let opt = Dataset::generate(&optimized).unwrap();
-        let raw_nodes: usize = raw.train.iter().chain(&raw.test).map(|g| g.num_nodes).sum();
-        let opt_nodes: usize = opt.train.iter().chain(&opt.test).map(|g| g.num_nodes).sum();
-        assert!(opt_nodes <= raw_nodes);
+    fn optimisation_never_grows_a_suite_design() {
+        for suite in SuiteKind::ALL {
+            for index in 0..4 {
+                let netlist = suite.generate_design(index, 0, 0.1);
+                let aig = Aig::from_netlist(&netlist).unwrap();
+                let optimized = opt::optimize(&aig, 2);
+                assert!(
+                    optimized.num_ands() <= aig.num_ands(),
+                    "{suite:?} design {index}: {} ANDs after optimisation, {} before",
+                    optimized.num_ands(),
+                    aig.num_ands()
+                );
+            }
+        }
     }
 
     #[test]

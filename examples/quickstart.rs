@@ -40,7 +40,7 @@ fn main() -> Result<(), DeepGateError> {
     );
 
     // 3. Fine-tune on this single circuit (a real workflow trains on
-    //    thousands of sub-circuits; see the `table2` experiment binary).
+    //    thousands of sub-circuits; see `reproduce --table 2` in deepgate-bench).
     let before = engine.evaluate(&circuits)?;
     let history = engine.train(&circuits, &circuits)?;
     let after = engine.evaluate(&circuits)?;

@@ -4,8 +4,9 @@
 use crate::{CircuitSource, DeepGateError, EngineMetrics, InferenceSession};
 use deepgate_aig::{opt, Aig};
 use deepgate_core::{DeepGate, DeepGateConfig, Trainer, TrainerConfig, TrainingHistory};
-use deepgate_dataset::{labelled_circuit_from_aig, labelled_circuit_from_netlist};
+use deepgate_dataset::labelled_circuit_from_netlist;
 use deepgate_gnn::{CircuitGraph, FeatureEncoding, GnnError};
+use deepgate_netlist::Netlist;
 use deepgate_nn::Tensor;
 use rayon::prelude::*;
 use std::path::Path;
@@ -19,6 +20,38 @@ struct PipelineConfig {
     num_patterns: usize,
     label_seed: u64,
     transform_to_aig: bool,
+}
+
+impl PipelineConfig {
+    /// One netlist through the pipeline: AIG transformation and optimisation
+    /// (when configured), then graph encoding — labelled by simulation under
+    /// `label_seed` when one is given. A successful ingest records its time
+    /// in `ingest_ns`.
+    fn ingest(
+        self,
+        netlist: &Netlist,
+        label_seed: Option<u64>,
+        metrics: Option<&EngineMetrics>,
+    ) -> Result<CircuitGraph, DeepGateError> {
+        let start = metrics.map(|_| Instant::now());
+        let aig_netlist;
+        let (netlist, encoding) = if self.transform_to_aig {
+            aig_netlist = opt::optimize(&Aig::from_netlist(netlist)?, 2).to_netlist();
+            (&aig_netlist, FeatureEncoding::AigGates)
+        } else {
+            (netlist, FeatureEncoding::AllGates)
+        };
+        let graph = match label_seed {
+            Some(seed) => {
+                labelled_circuit_from_netlist(netlist, encoding, self.num_patterns, seed)?
+            }
+            None => CircuitGraph::from_netlist(netlist, encoding, None),
+        };
+        if let (Some(m), Some(start)) = (metrics, start) {
+            m.ingest_ns.record_duration(start.elapsed());
+        }
+        Ok(graph)
+    }
 }
 
 /// Builder for an [`Engine`].
@@ -142,27 +175,8 @@ impl EngineBuilder {
                 "num_patterns must be at least 1".to_string(),
             ));
         }
-        let expected_dim = if self.pipeline.transform_to_aig {
-            FeatureEncoding::AigGates.dimension()
-        } else {
-            FeatureEncoding::AllGates.dimension()
-        };
-        let model = match self.checkpoint_json {
-            Some(json) => {
-                let model = DeepGate::from_checkpoint(&json)?;
-                if model.config().feature_dim != expected_dim {
-                    return Err(DeepGateError::Config(format!(
-                        "checkpoint feature_dim {} does not match the {} pipeline (expected {expected_dim})",
-                        model.config().feature_dim,
-                        if self.pipeline.transform_to_aig {
-                            "AIG"
-                        } else {
-                            "raw-netlist"
-                        },
-                    )));
-                }
-                model
-            }
+        let (model, origin) = match self.checkpoint_json {
+            Some(json) => (DeepGate::from_checkpoint(&json)?, "checkpoint "),
             None => {
                 if self.model.hidden_dim == 0 {
                     return Err(DeepGateError::Config(
@@ -174,20 +188,20 @@ impl EngineBuilder {
                         "num_iterations must be at least 1".to_string(),
                     ));
                 }
-                if self.model.feature_dim != expected_dim {
-                    return Err(DeepGateError::Config(format!(
-                        "feature_dim {} does not match the {} pipeline (expected {expected_dim})",
-                        self.model.feature_dim,
-                        if self.pipeline.transform_to_aig {
-                            "AIG"
-                        } else {
-                            "raw-netlist"
-                        },
-                    )));
-                }
-                DeepGate::new(self.model)
+                (DeepGate::new(self.model), "")
             }
         };
+        let (expected_dim, flow) = if self.pipeline.transform_to_aig {
+            (FeatureEncoding::AigGates.dimension(), "AIG")
+        } else {
+            (FeatureEncoding::AllGates.dimension(), "raw-netlist")
+        };
+        if model.config().feature_dim != expected_dim {
+            return Err(DeepGateError::Config(format!(
+                "{origin}feature_dim {} does not match the {flow} pipeline (expected {expected_dim})",
+                model.config().feature_dim,
+            )));
+        }
         Ok(Engine {
             model,
             trainer: self.trainer,
@@ -271,34 +285,14 @@ impl Engine {
         let netlists = source.netlists()?;
         let pipeline = self.pipeline;
         let metrics = self.metrics.as_deref();
-        let graphs: Result<Vec<CircuitGraph>, DeepGateError> = netlists
+        netlists
             .par_iter()
             .enumerate()
             .map(|(index, netlist)| {
-                let ingest_start = metrics.map(|_| Instant::now());
                 let seed = pipeline.label_seed ^ ((index as u64 + 1) << 20);
-                let graph = if pipeline.transform_to_aig {
-                    let aig = opt::optimize(&Aig::from_netlist(netlist)?, 2);
-                    Ok(labelled_circuit_from_aig(
-                        &aig,
-                        pipeline.num_patterns,
-                        seed,
-                    )?)
-                } else {
-                    Ok(labelled_circuit_from_netlist(
-                        netlist,
-                        FeatureEncoding::AllGates,
-                        pipeline.num_patterns,
-                        seed,
-                    )?)
-                };
-                if let (Some(m), Some(start)) = (metrics, ingest_start) {
-                    m.ingest_ns.record_duration(start.elapsed());
-                }
-                graph
+                pipeline.ingest(netlist, Some(seed), metrics)
             })
-            .collect();
-        graphs
+            .collect()
     }
 
     /// Ingests circuits from a source for *serving*: the same (optional) AIG
@@ -319,24 +313,7 @@ impl Engine {
         let metrics = self.metrics.as_deref();
         netlists
             .par_iter()
-            .map(|netlist| {
-                let ingest_start = metrics.map(|_| Instant::now());
-                let graph = if pipeline.transform_to_aig {
-                    let aig = opt::optimize(&Aig::from_netlist(netlist)?, 2);
-                    let (graph, _) = CircuitGraph::from_aig(&aig);
-                    Ok(graph)
-                } else {
-                    Ok(CircuitGraph::from_netlist(
-                        netlist,
-                        FeatureEncoding::AllGates,
-                        None,
-                    ))
-                };
-                if let (Some(m), Some(start)) = (metrics, ingest_start) {
-                    m.ingest_ns.record_duration(start.elapsed());
-                }
-                graph
-            })
+            .map(|netlist| pipeline.ingest(netlist, None, metrics))
             .collect()
     }
 
