@@ -209,8 +209,8 @@ fn table3(s: &ExperimentSettings) -> Report {
         let nodes = circuit.num_nodes;
         eprintln!("[table3] {design}: {nodes} nodes, {depth} levels");
         let [deepset, deepgate] = models.each_ref().map(|(model, store, _)| {
-            evaluate_prediction_error(&model.predict(store, &circuit), &circuit)
-                .expect("labelled circuit")
+            let probs = model.try_predict(store, &circuit).expect("AIG circuit");
+            evaluate_prediction_error(&probs, &circuit).expect("labelled circuit")
         });
         report.push_row(
             design.label(),
@@ -279,15 +279,17 @@ fn iterations(s: &ExperimentSettings) -> Report {
     let (model, store, _) = train_dag_rec(iterations_deepgate(s), &dataset, s);
     let reproduces = "Sec. IV-D2 (error vs recurrence iterations T)";
     let mut report = Report::new("fig_iterations", reproduces, s.scale);
+    let plans: Vec<_> = dataset.test.iter().map(|c| model.plan(c)).collect();
+    let mut probs = Vec::new();
     for t in [1, 2, 3, 5, 8, 10, 15, 20, 30, 50] {
-        let total: f64 = dataset
-            .test
-            .iter()
-            .map(|c| {
-                evaluate_prediction_error(&model.predict_with_iterations(&store, c, t), c)
-                    .expect("experiment circuits are labelled")
-            })
-            .sum();
+        let mut total = 0.0;
+        for (c, plan) in dataset.test.iter().zip(&plans) {
+            model
+                .predict_planned(&store, plan, t, &mut probs, None)
+                .expect("AIG circuit");
+            total +=
+                evaluate_prediction_error(&probs, c).expect("experiment circuits are labelled");
+        }
         let error = total / dataset.test.len().max(1) as f64;
         report.push_row(
             format!("T = {t}"),
@@ -521,6 +523,24 @@ mod tests {
             assert_eq!(table4_deepgate(&s, 12), deepgate_config(&s, 12));
             assert_eq!(iterations_deepgate(&s), fig_iterations_literal(&s));
             assert_eq!(ablation_variants(&s).to_vec(), ablation_literals(&s));
+        }
+    }
+
+    /// The closed form a checkpoint's configuration is bounded by counts
+    /// exactly the weights of every model the experiments build.
+    #[test]
+    fn closed_form_weight_count_matches_every_experiment_model() {
+        for s in [ExperimentSettings::QUICK, ExperimentSettings::FULL] {
+            let mut configs = table2_recurrent(&s).map(|(_, _, config)| config).to_vec();
+            configs.extend(table3_models(&s));
+            configs.extend([table4_deepgate(&s, 3), table4_deepgate(&s, 12)]);
+            configs.push(iterations_deepgate(&s));
+            configs.extend(ablation_variants(&s).map(|(_, config)| config));
+            for config in configs {
+                let mut store = ParamStore::new();
+                DagRecGnn::new(&mut store, config);
+                assert_eq!(config.num_weights(), store.num_weights(), "{config:?}");
+            }
         }
     }
 }

@@ -25,7 +25,7 @@
 //!
 //! ```rust
 //! use deepgate_core::{DeepGate, DeepGateConfig};
-//! use deepgate_gnn::{CircuitGraph, FeatureEncoding};
+//! use deepgate_gnn::{CircuitGraph, FeatureEncoding, ProbabilityModel};
 //! use deepgate_netlist::{GateKind, Netlist};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -37,9 +37,12 @@
 //! let circuit = CircuitGraph::from_netlist(&netlist, FeatureEncoding::AigGates, None);
 //!
 //! let deepgate = DeepGate::new(DeepGateConfig { hidden_dim: 16, ..DeepGateConfig::default() });
-//! let probabilities = deepgate.predict(&circuit);
+//! let probabilities = deepgate.try_predict(deepgate.store(), &circuit)?;
 //! assert_eq!(probabilities.len(), circuit.num_nodes);
-//! let embeddings = deepgate.embeddings(&circuit);
+//!
+//! // The embeddings h_v^T: the recurrence over the circuit's plan at T.
+//! let (dag, store) = (deepgate.model(), deepgate.store());
+//! let embeddings = dag.embed_planned(store, &dag.plan(&circuit), deepgate.config().num_iterations)?;
 //! assert_eq!(embeddings.shape(), [circuit.num_nodes, 16]);
 //! # Ok(())
 //! # }

@@ -2,11 +2,11 @@
 //! checkpointing.
 
 use deepgate_gnn::{
-    evaluate_prediction_error, AggregatorKind, CircuitGraph, DagRecConfig, DagRecGnn, GnnError,
-    InferencePlan, ProbabilityModel,
+    AggregatorKind, CircuitGraph, DagRecConfig, DagRecGnn, GnnError, ProbabilityModel,
 };
 use deepgate_nn::{Graph, NnError, ParamStore, Tensor, Var};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// Hyper-parameters of the [`DeepGate`] model.
 ///
@@ -74,11 +74,11 @@ impl DeepGateConfig {
     }
 }
 
-/// Checkpoint format: configuration plus serialised weights.
+/// Checkpoint format: configuration plus every weight tensor by name.
 #[derive(Debug, Serialize, Deserialize)]
 struct Checkpoint {
     config: DeepGateConfig,
-    weights: serde_json::Value,
+    weights: HashMap<String, Tensor>,
 }
 
 /// The DeepGate model together with its trainable parameters.
@@ -132,87 +132,23 @@ impl DeepGate {
         self.store.num_weights()
     }
 
-    /// Predicts the signal probability of every node of a circuit.
-    pub fn predict(&self, circuit: &CircuitGraph) -> Vec<f32> {
-        self.model.predict(&self.store, circuit)
-    }
-
-    /// Fallible prediction: validates the circuit's feature encoding against
-    /// the model configuration instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GnnError::EncodingMismatch`] for incompatible circuits.
-    pub fn try_predict(&self, circuit: &CircuitGraph) -> Result<Vec<f32>, GnnError> {
-        self.model.try_predict(&self.store, circuit)
-    }
-
-    /// Precomputes the reusable inference state of a circuit (see
-    /// [`InferencePlan`]).
-    pub fn plan(&self, circuit: &CircuitGraph) -> InferencePlan {
-        self.model.plan(circuit)
-    }
-
-    /// Predicts with an explicit recurrence iteration count (the paper's
-    /// Section IV-D2 sweeps `T` from 1 to 50 at inference time).
-    pub fn predict_with_iterations(&self, circuit: &CircuitGraph, iterations: usize) -> Vec<f32> {
-        self.model
-            .predict_with_iterations(&self.store, circuit, iterations)
-    }
-
-    /// Returns the final node embeddings `h_v^T` — the learned neural
-    /// representations of the logic gates.
-    pub fn embeddings(&self, circuit: &CircuitGraph) -> Tensor {
-        self.model
-            .embed_with_iterations(&self.store, circuit, self.config.num_iterations)
-    }
-
-    /// Fallible [`DeepGate::embeddings`]: validates the circuit's feature
-    /// encoding against the model configuration instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GnnError::EncodingMismatch`] for incompatible circuits.
-    pub fn try_embeddings(&self, circuit: &CircuitGraph) -> Result<Tensor, GnnError> {
-        self.model
-            .try_embed_with_iterations(&self.store, circuit, self.config.num_iterations)
-    }
-
-    /// Average prediction error (Eq. 8) of the model over a set of labelled
-    /// circuits.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`GnnError`] if any circuit has no labels attached or is
-    /// incompatible with the model.
-    pub fn evaluate(&self, circuits: &[CircuitGraph]) -> Result<f64, GnnError> {
-        if circuits.is_empty() {
-            return Ok(0.0);
-        }
-        let mut total = 0.0f64;
-        for circuit in circuits {
-            total += evaluate_prediction_error(&self.try_predict(circuit)?, circuit)?;
-        }
-        Ok(total / circuits.len() as f64)
-    }
-
     /// Serialises the configuration and weights to a JSON checkpoint.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::Serde`] if serialisation fails.
     pub fn to_checkpoint(&self) -> Result<String, NnError> {
-        let weights: serde_json::Value = serde_json::from_str(&self.store.to_json()?)
-            .map_err(|e| NnError::Serde(e.to_string()))?;
         let checkpoint = Checkpoint {
             config: self.config,
-            weights,
+            weights: self.store.to_map(),
         };
         serde_json::to_string(&checkpoint).map_err(|e| NnError::Serde(e.to_string()))
     }
 
     /// Restores a model from a checkpoint produced by
-    /// [`DeepGate::to_checkpoint`].
+    /// [`DeepGate::to_checkpoint`]. The configuration is held to the weights
+    /// the checkpoint carries before the model is built, so a hostile
+    /// configuration cannot allocate more than the file holds.
     ///
     /// # Errors
     ///
@@ -222,19 +158,22 @@ impl DeepGate {
     pub fn from_checkpoint(json: &str) -> Result<Self, NnError> {
         let checkpoint: Checkpoint =
             serde_json::from_str(json).map_err(|e| NnError::Serde(e.to_string()))?;
+        let implied = checkpoint.config.to_dag_rec_config().num_weights();
+        let carried = checkpoint.weights.values().map(Tensor::len).sum();
+        if implied > carried {
+            return Err(NnError::ShapeMismatch {
+                name: "weights".to_string(),
+                expected: vec![implied],
+                got: vec![carried],
+            });
+        }
         let mut model = DeepGate::new(checkpoint.config);
-        let weights_json = serde_json::to_string(&checkpoint.weights)
-            .map_err(|e| NnError::Serde(e.to_string()))?;
-        model.store.load_json(&weights_json)?;
+        model.store.load_map(checkpoint.weights)?;
         Ok(model)
     }
 }
 
 impl ProbabilityModel for DeepGate {
-    fn forward(&self, g: &mut Graph, store: &ParamStore, circuit: &CircuitGraph) -> Var {
-        self.model.forward(g, store, circuit)
-    }
-
     fn try_forward(
         &self,
         g: &mut Graph,
@@ -242,10 +181,6 @@ impl ProbabilityModel for DeepGate {
         circuit: &CircuitGraph,
     ) -> Result<Var, GnnError> {
         self.model.try_forward(g, store, circuit)
-    }
-
-    fn predict(&self, store: &ParamStore, circuit: &CircuitGraph) -> Vec<f32> {
-        self.model.predict(store, circuit)
     }
 
     fn try_predict(
@@ -289,14 +224,19 @@ mod tests {
         }
     }
 
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn prediction_and_embedding_shapes() {
         let c = circuit();
         let model = DeepGate::new(small_config());
-        let pred = model.predict(&c);
+        let pred = model.try_predict(model.store(), &c).unwrap();
         assert_eq!(pred.len(), c.num_nodes);
         assert!(pred.iter().all(|&p| (0.0..=1.0).contains(&p)));
-        let emb = model.embeddings(&c);
+        let dag = model.model();
+        let emb = dag.embed_planned(model.store(), &dag.plan(&c), 2).unwrap();
         assert_eq!(emb.shape(), [c.num_nodes, 12]);
         assert!(model.num_weights() > 0);
         assert!(ProbabilityModel::name(&model).contains("DeepGate"));
@@ -309,11 +249,10 @@ mod tests {
         let json = model.to_checkpoint().unwrap();
         let restored = DeepGate::from_checkpoint(&json).unwrap();
         assert_eq!(restored.config(), model.config());
-        let a = model.predict(&c);
-        let b = restored.predict(&c);
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() < 1e-6);
-        }
+        assert_eq!(restored.to_checkpoint().unwrap(), json);
+        let a = model.try_predict(model.store(), &c).unwrap();
+        let b = restored.try_predict(restored.store(), &c).unwrap();
+        assert_eq!(bits(&a), bits(&b));
     }
 
     #[test]
@@ -330,16 +269,8 @@ mod tests {
         c1.set_labels(vec![0.5; n]);
         c2.set_labels(vec![0.5; n]);
         let model = DeepGate::new(small_config());
-        let err = model.evaluate(&[c1, c2]).unwrap();
+        let err = crate::average_prediction_error(&model, model.store(), &[c1, c2]).unwrap();
         assert!((0.0..=0.5).contains(&err));
-        assert_eq!(model.evaluate(&[]).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn evaluate_rejects_unlabelled_circuits() {
-        let model = DeepGate::new(small_config());
-        let err = model.evaluate(&[circuit()]).unwrap_err();
-        assert!(matches!(err, GnnError::UnlabelledCircuit { .. }));
     }
 
     #[test]
@@ -347,19 +278,13 @@ mod tests {
         let c = circuit();
         let model = DeepGate::new(small_config());
         let (dag, store) = (model.model(), model.store());
-        let plan = model.plan(&c);
-        let iterations = model.config().num_iterations;
-        let bits = |values: &[f32]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-
         let mut planned = Vec::new();
-        dag.predict_planned(store, &plan, iterations, &mut planned, None)
+        dag.predict_planned(store, &dag.plan(&c), 2, &mut planned, None)
             .unwrap();
-        assert_eq!(bits(&planned), bits(&model.predict(&c)));
-
-        let embedded = dag.embed_planned(store, &plan, iterations).unwrap();
-        let embeddings = model.embeddings(&c);
-        assert_eq!(embedded.shape(), embeddings.shape());
-        assert_eq!(bits(embedded.as_slice()), bits(embeddings.as_slice()));
+        assert_eq!(bits(&planned), bits(&model.try_predict(store, &c).unwrap()));
+        let mut g = Graph::new();
+        let taped = model.try_forward(&mut g, store, &c).unwrap();
+        assert_eq!(bits(&planned), bits(g.value(taped).as_slice()));
     }
 
     #[test]
@@ -376,8 +301,11 @@ mod tests {
     fn iteration_count_changes_prediction() {
         let c = circuit();
         let model = DeepGate::new(small_config());
-        let p1 = model.predict_with_iterations(&c, 1);
-        let p5 = model.predict_with_iterations(&c, 5);
+        let (dag, store) = (model.model(), model.store());
+        let plan = dag.plan(&c);
+        let (mut p1, mut p5) = (Vec::new(), Vec::new());
+        dag.predict_planned(store, &plan, 1, &mut p1, None).unwrap();
+        dag.predict_planned(store, &plan, 5, &mut p5, None).unwrap();
         assert!(p1.iter().zip(&p5).any(|(a, b)| (a - b).abs() > 1e-7));
     }
 }

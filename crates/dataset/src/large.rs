@@ -52,17 +52,6 @@ impl LargeDesign {
         }
     }
 
-    /// Node count reported in Table III (for the paper-vs-measured report).
-    pub fn paper_node_count(self) -> usize {
-        match self {
-            LargeDesign::Arbiter => 23_700,
-            LargeDesign::Squarer => 36_000,
-            LargeDesign::Multiplier => 47_300,
-            LargeDesign::Processor80386 => 13_200,
-            LargeDesign::ViperProcessor => 40_500,
-        }
-    }
-
     /// Prediction error of the DeepSet baseline reported in Table III.
     pub fn paper_deepset_error(self) -> f64 {
         match self {
@@ -125,7 +114,6 @@ mod tests {
         assert_eq!(LargeDesign::Arbiter.label(), "Arbiter");
         for design in LargeDesign::ALL {
             assert!(design.paper_deepgate_error() < design.paper_deepset_error());
-            assert!(design.paper_node_count() > 10_000);
         }
     }
 

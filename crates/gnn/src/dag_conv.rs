@@ -3,7 +3,7 @@
 
 use crate::csr::InferencePlan;
 use crate::state::{Combine, NodeStates};
-use crate::{Aggregator, AggregatorKind, CircuitGraph, ProbabilityModel};
+use crate::{check_encoding, Aggregator, AggregatorKind, CircuitGraph, GnnError, ProbabilityModel};
 use deepgate_nn::{Activation, Graph, GruCell, Linear, Mlp, ParamStore, Var};
 use serde::{Deserialize, Serialize};
 
@@ -108,12 +108,8 @@ impl DagConvGnn {
         store: &ParamStore,
         circuit: &CircuitGraph,
         combine: Combine,
-    ) -> Var {
-        assert_eq!(
-            circuit.encoding.dimension(),
-            self.config.feature_dim,
-            "circuit feature encoding does not match the model configuration"
-        );
+    ) -> Result<Var, GnnError> {
+        check_encoding(circuit, self.config.feature_dim)?;
         // No skip edges and no edge attributes: the forward half of the
         // schedule alone.
         let plan = InferencePlan::compile(circuit, 0, 0);
@@ -144,12 +140,17 @@ impl DagConvGnn {
             }
         }
         let h = states.read_all(g, &plan.perm);
-        self.regressor.forward(g, store, h)
+        Ok(self.regressor.forward(g, store, h))
     }
 }
 
 impl ProbabilityModel for DagConvGnn {
-    fn forward(&self, g: &mut Graph, store: &ParamStore, circuit: &CircuitGraph) -> Var {
+    fn try_forward(
+        &self,
+        g: &mut Graph,
+        store: &ParamStore,
+        circuit: &CircuitGraph,
+    ) -> Result<Var, GnnError> {
         self.forward_with(g, store, circuit, GruCell::forward)
     }
 
@@ -189,7 +190,7 @@ mod tests {
                     ..DagConvConfig::default()
                 },
             );
-            let pred = model.predict(&store, &circuit);
+            let pred = model.try_predict(&store, &circuit).unwrap();
             assert_eq!(pred.len(), circuit.num_nodes);
             assert!(pred.iter().all(|&p| (0.0..=1.0).contains(&p)), "{kind}");
             assert!(model.name().contains("DAG-ConvGNN"));

@@ -14,7 +14,7 @@
 
 use crate::csr::{CsrLevel, InferencePlan};
 use crate::state::{Combine, NodeStates};
-use crate::{Aggregator, AggregatorKind, CircuitGraph, GnnError, ProbabilityModel};
+use crate::{check_encoding, Aggregator, AggregatorKind, CircuitGraph, GnnError, ProbabilityModel};
 use deepgate_nn::{Activation, Graph, GruCell, Linear, Mlp, ParamStore, Tensor, Var};
 use serde::{Deserialize, Serialize};
 
@@ -67,10 +67,11 @@ impl Default for DagRecConfig {
 }
 
 impl DagRecConfig {
-    /// Dimensionality of the positional-encoding edge attribute.
+    /// Dimensionality of the positional-encoding edge attribute
+    /// (saturating, like every size [`DagRecConfig::num_weights`] reads).
     pub fn edge_attr_dim(&self) -> usize {
         if self.use_skip_connections {
-            2 * self.skip_encoding_frequencies
+            self.skip_encoding_frequencies.saturating_mul(2)
         } else {
             0
         }
@@ -79,10 +80,48 @@ impl DagRecConfig {
     /// GRU input dimensionality (message plus, optionally, the gate one-hot).
     pub fn gru_input_dim(&self) -> usize {
         if self.fix_gate_input {
-            self.hidden_dim + self.feature_dim
+            self.hidden_dim.saturating_add(self.feature_dim)
         } else {
             self.hidden_dim
         }
+    }
+
+    /// The number of scalar weights [`DagRecGnn::new`] registers under this
+    /// configuration, in closed form and saturating — so a checkpoint
+    /// reader can hold a configuration to the weights the file carries
+    /// before anything is allocated.
+    pub fn num_weights(&self) -> usize {
+        let (d, f, r) = (self.hidden_dim, self.feature_dim, self.regressor_hidden);
+        // A biased `[i, o]` linear layer.
+        let linear = |i: usize, o: usize| i.saturating_mul(o).saturating_add(o);
+        let aggregator = |attr_dim: usize| match self.aggregator {
+            AggregatorKind::ConvSum => linear(d, d),
+            AggregatorKind::Attention => {
+                let attr = if attr_dim > 0 { linear(attr_dim, 1) } else { 0 };
+                linear(d, 1).saturating_mul(2).saturating_add(attr)
+            }
+            AggregatorKind::DeepSet | AggregatorKind::GatedSum => linear(d, d).saturating_mul(2),
+        };
+        // Three biased input-side gates, three unbiased hidden-side ones.
+        let gru = linear(self.gru_input_dim(), d)
+            .saturating_add(d.saturating_mul(d))
+            .saturating_mul(3);
+        let reverse = if self.reverse_layer {
+            aggregator(0).saturating_add(gru)
+        } else {
+            0
+        };
+        let heads = if self.per_type_regressor { f } else { 1 };
+        let regressor = linear(d, r).saturating_add(linear(r, 1));
+        [
+            linear(f, d),
+            aggregator(self.edge_attr_dim()),
+            gru,
+            reverse,
+            regressor.saturating_mul(heads),
+        ]
+        .into_iter()
+        .fold(0, usize::saturating_add)
     }
 }
 
@@ -270,13 +309,19 @@ impl DagRecGnn {
 
     /// Records the `T`-iteration recurrence on the tape and returns the
     /// final hidden states `h_v^T` (`[num_nodes, hidden_dim]`) — everything
-    /// [`ProbabilityModel::forward`] does short of the regressor, exposed so
-    /// the kernel's embeddings can be checked against the training forward.
+    /// [`ProbabilityModel::try_forward`] does short of the regressor, exposed
+    /// so the kernel's embeddings can be checked against the training
+    /// forward.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the circuit's feature encoding does not match the model.
-    pub fn forward_hidden(&self, g: &mut Graph, store: &ParamStore, circuit: &CircuitGraph) -> Var {
+    /// Returns [`GnnError::EncodingMismatch`] for an incompatible circuit.
+    pub fn forward_hidden(
+        &self,
+        g: &mut Graph,
+        store: &ParamStore,
+        circuit: &CircuitGraph,
+    ) -> Result<Var, GnnError> {
         self.hidden_with(g, store, circuit, GruCell::forward)
     }
 
@@ -288,12 +333,8 @@ impl DagRecGnn {
         store: &ParamStore,
         circuit: &CircuitGraph,
         combine: Combine,
-    ) -> Var {
-        assert_eq!(
-            circuit.encoding.dimension(),
-            self.config.feature_dim,
-            "circuit feature encoding does not match the model configuration"
-        );
+    ) -> Result<Var, GnnError> {
+        check_encoding(circuit, self.config.feature_dim)?;
         let plan = self.plan(circuit);
         let features = g.input(plan.feature_rows(0..circuit.num_nodes));
         let embedded = self.embed.forward(g, store, features);
@@ -314,19 +355,7 @@ impl DagRecGnn {
                 Self::run_level(g, store, &mut states, step, combine);
             }
         }
-        states.read_all(g, &plan.perm)
-    }
-
-    /// Validates that a circuit's feature encoding matches the model.
-    fn check_encoding(&self, circuit: &CircuitGraph) -> Result<(), GnnError> {
-        let got = circuit.encoding.dimension();
-        if got != self.config.feature_dim {
-            return Err(GnnError::EncodingMismatch {
-                expected: self.config.feature_dim,
-                got,
-            });
-        }
-        Ok(())
+        Ok(states.read_all(g, &plan.perm))
     }
 
     /// Compiles a circuit into the CSR arena layout consumed by the fused
@@ -342,89 +371,32 @@ impl DagRecGnn {
             self.config.skip_encoding_frequencies,
         )
     }
-
-    /// Gradient-free prediction with an explicit iteration count, through
-    /// [`DagRecGnn::predict_planned`] on a fresh plan. Used by the
-    /// recurrence-iteration sweep (Section IV-D2 of the paper) and for
-    /// inference on circuits far larger than the training set (Table III),
-    /// where recording an autodiff tape would exhaust memory.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuit's feature encoding does not match the model.
-    pub fn predict_with_iterations(
-        &self,
-        store: &ParamStore,
-        circuit: &CircuitGraph,
-        num_iterations: usize,
-    ) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.predict_planned(store, &self.plan(circuit), num_iterations, &mut out, None)
-            .expect("circuit feature encoding does not match the model configuration");
-        out
-    }
-
-    /// Gradient-free computation of the final node embeddings `h_v^T` — the
-    /// neural representations of the logic gates that downstream EDA tasks
-    /// would consume — through [`DagRecGnn::embed_planned`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuit's feature encoding does not match the model.
-    pub fn embed_with_iterations(
-        &self,
-        store: &ParamStore,
-        circuit: &CircuitGraph,
-        num_iterations: usize,
-    ) -> Tensor {
-        self.try_embed_with_iterations(store, circuit, num_iterations)
-            .expect("circuit feature encoding does not match the model configuration")
-    }
-
-    /// Fallible [`DagRecGnn::embed_with_iterations`]: validates the
-    /// circuit's feature encoding first.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GnnError::EncodingMismatch`] for incompatible circuits.
-    pub fn try_embed_with_iterations(
-        &self,
-        store: &ParamStore,
-        circuit: &CircuitGraph,
-        num_iterations: usize,
-    ) -> Result<Tensor, GnnError> {
-        self.check_encoding(circuit)?;
-        self.embed_planned(store, &self.plan(circuit), num_iterations)
-    }
 }
 
 impl ProbabilityModel for DagRecGnn {
-    fn forward(&self, g: &mut Graph, store: &ParamStore, circuit: &CircuitGraph) -> Var {
-        let h = self.forward_hidden(g, store, circuit);
-        self.regress(g, store, circuit, h)
-    }
-
     fn try_forward(
         &self,
         g: &mut Graph,
         store: &ParamStore,
         circuit: &CircuitGraph,
     ) -> Result<Var, GnnError> {
-        self.check_encoding(circuit)?;
-        Ok(self.forward(g, store, circuit))
+        let h = self.forward_hidden(g, store, circuit)?;
+        Ok(self.regress(g, store, circuit, h))
     }
 
-    fn predict(&self, store: &ParamStore, circuit: &CircuitGraph) -> Vec<f32> {
-        self.predict_with_iterations(store, circuit, self.config.num_iterations)
-    }
-
+    /// The tape-free kernel ([`DagRecGnn::predict_planned`]) on a fresh plan
+    /// at the configured `T` — bit-identical to the tape, without recording
+    /// one, so it fits circuits far larger than the training set (Table III).
     fn try_predict(
         &self,
         store: &ParamStore,
         circuit: &CircuitGraph,
     ) -> Result<Vec<f32>, GnnError> {
-        self.check_encoding(circuit)?;
-        Ok(self.predict_with_iterations(store, circuit, self.config.num_iterations))
+        check_encoding(circuit, self.config.feature_dim)?;
+        let mut out = Vec::new();
+        let plan = self.plan(circuit);
+        self.predict_planned(store, &plan, self.config.num_iterations, &mut out, None)?;
+        Ok(out)
     }
 
     fn name(&self) -> String {
@@ -478,7 +450,7 @@ mod tests {
             let mut store = ParamStore::new();
             let model = DagRecGnn::new(&mut store, small_config(kind));
             let mut g = Graph::new();
-            let pred = model.forward(&mut g, &store, &circuit);
+            let pred = model.try_forward(&mut g, &store, &circuit).unwrap();
             let values = g.value(pred);
             assert_eq!(values.shape(), [circuit.num_nodes, 1]);
             assert!(values.as_slice().iter().all(|&p| (0.0..=1.0).contains(&p)));
@@ -503,9 +475,9 @@ mod tests {
             };
             let model = DagRecGnn::new(&mut store, config);
             let mut g = Graph::new();
-            let tape_pred = model.forward(&mut g, &store, &circuit);
+            let tape_pred = model.try_forward(&mut g, &store, &circuit).unwrap();
             let tape_values = g.value(tape_pred).as_slice().to_vec();
-            let kernel_values = model.predict(&store, &circuit);
+            let kernel_values = model.try_predict(&store, &circuit).unwrap();
             for (a, b) in tape_values.iter().zip(&kernel_values) {
                 assert_eq!(
                     a.to_bits(),
@@ -529,12 +501,12 @@ mod tests {
     ) {
         let loss_of = |store: &ParamStore| -> f32 {
             let mut g = Graph::new();
-            let pred = model.forward(&mut g, store, circuit);
+            let pred = model.try_forward(&mut g, store, circuit).unwrap();
             let loss = crate::masked_l1_loss(&mut g, pred, circuit).unwrap();
             g.value(loss).get(0, 0)
         };
         let mut g = Graph::new();
-        let pred = model.forward(&mut g, store, circuit);
+        let pred = model.try_forward(&mut g, store, circuit).unwrap();
         let loss = crate::masked_l1_loss(&mut g, pred, circuit).unwrap();
         g.backward(loss, store);
 
@@ -638,7 +610,9 @@ mod tests {
         let model = tape_gate_model(&mut store);
         let elements = |depth: usize| {
             let mut g = Graph::new();
-            model.forward(&mut g, &store, &chain_graph(4, depth));
+            model
+                .try_forward(&mut g, &store, &chain_graph(4, depth))
+                .unwrap();
             g.value_elements()
         };
         let (shallow, deep) = (elements(50), elements(100));
@@ -663,7 +637,7 @@ mod tests {
         let plan = model.plan(&circuit);
         assert!(plan.num_batches() + plan.num_reverse_batches() >= 800);
         let mut g = Graph::new();
-        let pred = model.forward(&mut g, &store, &circuit);
+        let pred = model.try_forward(&mut g, &store, &circuit).unwrap();
         let loss = crate::masked_l1_loss(&mut g, pred, &circuit).unwrap();
         g.backward(loss, &mut store);
         assert!(store.grad_norm() > 0.0);
@@ -774,7 +748,7 @@ mod tests {
                 let model = DagRecGnn::new(&mut store, config);
                 let what = format!("{} d={hidden_dim}", circuit.name);
                 assert_matches_the_generic_gru_oracle(&mut store, &what, |g, store, combine| {
-                    let h = model.hidden_with(g, store, &circuit, combine);
+                    let h = model.hidden_with(g, store, &circuit, combine).unwrap();
                     let pred = model.regress(g, store, &circuit, h);
                     crate::masked_l1_loss(g, pred, &circuit).unwrap()
                 });
@@ -800,13 +774,41 @@ mod tests {
                         &mut store,
                         &what,
                         |g, store, combine| {
-                            let pred = model.forward_with(g, store, &circuit, combine);
+                            let pred = model.forward_with(g, store, &circuit, combine).unwrap();
                             crate::masked_l1_loss(g, pred, &circuit).unwrap()
                         },
                     );
                 }
             }
         }
+    }
+
+    #[test]
+    fn closed_form_weight_count_matches_the_built_model() {
+        for aggregator in AggregatorKind::ALL {
+            for flags in 0..16u32 {
+                let config = DagRecConfig {
+                    hidden_dim: 5,
+                    regressor_hidden: 3,
+                    skip_encoding_frequencies: 2,
+                    aggregator,
+                    reverse_layer: flags & 1 != 0,
+                    fix_gate_input: flags & 2 != 0,
+                    use_skip_connections: flags & 4 != 0,
+                    per_type_regressor: flags & 8 != 0,
+                    ..DagRecConfig::default()
+                };
+                let mut store = ParamStore::new();
+                DagRecGnn::new(&mut store, config);
+                assert_eq!(config.num_weights(), store.num_weights(), "{config:?}");
+            }
+        }
+        let hostile = DagRecConfig {
+            hidden_dim: usize::MAX / 3,
+            feature_dim: usize::MAX,
+            ..DagRecConfig::default()
+        };
+        assert_eq!(hostile.num_weights(), usize::MAX);
     }
 
     #[test]
@@ -847,8 +849,8 @@ mod tests {
         let model_a = DagRecGnn::new(&mut store_a, base_config);
         let mut store_b = ParamStore::new();
         let model_b = DagRecGnn::new(&mut store_b, skip_config);
-        let pred_a = model_a.predict(&store_a, &circuit);
-        let pred_b = model_b.predict(&store_b, &circuit);
+        let pred_a = model_a.try_predict(&store_a, &circuit).unwrap();
+        let pred_b = model_b.try_predict(&store_b, &circuit).unwrap();
         let diff: f32 = pred_a.iter().zip(&pred_b).map(|(a, b)| (a - b).abs()).sum();
         assert!(diff > 1e-6);
     }
@@ -858,8 +860,9 @@ mod tests {
         let circuit = reconvergent_graph();
         let mut store = ParamStore::new();
         let model = DagRecGnn::new(&mut store, small_config(AggregatorKind::Attention));
-        let h1 = model.embed_with_iterations(&store, &circuit, 1);
-        let h4 = model.embed_with_iterations(&store, &circuit, 4);
+        let plan = model.plan(&circuit);
+        let h1 = model.embed_planned(&store, &plan, 1).unwrap();
+        let h4 = model.embed_planned(&store, &plan, 4).unwrap();
         assert_eq!(h1.shape(), [circuit.num_nodes, 12]);
         assert_ne!(h1, h4);
     }
@@ -907,8 +910,14 @@ mod tests {
         let circuit = reconvergent_graph();
         let mut store = ParamStore::new();
         let model = DagRecGnn::new(&mut store, small_config(AggregatorKind::Attention));
-        let p1 = model.predict_with_iterations(&store, &circuit, 1);
-        let p8 = model.predict_with_iterations(&store, &circuit, 8);
+        let plan = model.plan(&circuit);
+        let (mut p1, mut p8) = (Vec::new(), Vec::new());
+        model
+            .predict_planned(&store, &plan, 1, &mut p1, None)
+            .unwrap();
+        model
+            .predict_planned(&store, &plan, 8, &mut p8, None)
+            .unwrap();
         assert_eq!(p1.len(), p8.len());
         assert!(p1.iter().zip(&p8).any(|(a, b)| (a - b).abs() > 1e-7));
     }

@@ -5,7 +5,7 @@
 //! the logic computation order, which is exactly why it trails the DAG-aware
 //! models in Table II.
 
-use crate::{Aggregator, AggregatorKind, CircuitGraph, ProbabilityModel};
+use crate::{check_encoding, Aggregator, AggregatorKind, CircuitGraph, GnnError, ProbabilityModel};
 use deepgate_nn::{Activation, Graph, Linear, Mlp, ParamStore, Var};
 use serde::{Deserialize, Serialize};
 
@@ -113,12 +113,13 @@ impl Gcn {
 }
 
 impl ProbabilityModel for Gcn {
-    fn forward(&self, g: &mut Graph, store: &ParamStore, circuit: &CircuitGraph) -> Var {
-        assert_eq!(
-            circuit.encoding.dimension(),
-            self.config.feature_dim,
-            "circuit feature encoding does not match the model configuration"
-        );
+    fn try_forward(
+        &self,
+        g: &mut Graph,
+        store: &ParamStore,
+        circuit: &CircuitGraph,
+    ) -> Result<Var, GnnError> {
+        check_encoding(circuit, self.config.feature_dim)?;
         let (edge_src, edge_dst) = Self::undirected_edges(circuit);
         let features = g.input(circuit.features.clone());
         let mut h = self.embed.forward(g, store, features);
@@ -129,7 +130,7 @@ impl ProbabilityModel for Gcn {
             let combined = self.combiners[layer].forward(g, store, concat);
             h = g.relu(combined);
         }
-        self.regressor.forward(g, store, h)
+        Ok(self.regressor.forward(g, store, h))
     }
 
     fn name(&self) -> String {
@@ -169,25 +170,10 @@ mod tests {
                     ..GcnConfig::default()
                 },
             );
-            let pred = model.predict(&store, &circuit);
+            let pred = model.try_predict(&store, &circuit).unwrap();
             assert_eq!(pred.len(), circuit.num_nodes);
             assert!(pred.iter().all(|&p| (0.0..=1.0).contains(&p)), "{kind}");
             assert!(model.name().contains("GCN"));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "does not match the model configuration")]
-    fn mismatched_feature_encoding_is_rejected() {
-        let circuit = graph();
-        let mut store = ParamStore::new();
-        let model = Gcn::new(
-            &mut store,
-            GcnConfig {
-                feature_dim: 12,
-                ..GcnConfig::default()
-            },
-        );
-        let _ = model.predict(&store, &circuit);
     }
 }

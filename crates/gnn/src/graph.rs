@@ -3,7 +3,7 @@
 //! propagation order over them is compiled in one place,
 //! [`crate::InferencePlan`].
 
-use deepgate_aig::recon::{positional_encoding, ReconvergenceAnalysis, ReconvergenceConfig};
+use deepgate_aig::recon::{ReconvergenceAnalysis, ReconvergenceConfig};
 use deepgate_aig::Aig;
 use deepgate_netlist::{GateKind, Netlist};
 use deepgate_nn::Tensor;
@@ -189,12 +189,6 @@ impl CircuitGraph {
         self.gate_mask.iter().filter(|&&g| g).count()
     }
 
-    /// The positional encoding γ(D) of a skip edge's level difference
-    /// (Eq. 7), with `l` frequency pairs.
-    pub fn skip_edge_encoding(edge: SkipEdge, l: usize) -> Vec<f32> {
-        positional_encoding(edge.level_difference, l)
-    }
-
     /// Labels as a `[num_nodes, 1]` tensor.
     ///
     /// # Panics
@@ -356,8 +350,6 @@ mod tests {
         assert_eq!(edge.target, 4);
         assert_eq!(graph.skip_edge_for(4), Some(edge));
         assert_eq!(graph.skip_edge_for(1), None);
-        let enc = CircuitGraph::skip_edge_encoding(edge, 8);
-        assert_eq!(enc.len(), 16);
     }
 
     #[test]

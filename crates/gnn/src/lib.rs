@@ -49,4 +49,4 @@ pub use error::GnnError;
 pub use gcn::{Gcn, GcnConfig};
 pub use graph::{CircuitGraph, FeatureEncoding, SkipEdge, StructuralHasher};
 pub use metrics::GnnMetrics;
-pub use model::{evaluate_prediction_error, masked_l1_loss, ProbabilityModel};
+pub use model::{check_encoding, evaluate_prediction_error, masked_l1_loss, ProbabilityModel};

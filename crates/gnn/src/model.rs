@@ -9,46 +9,61 @@ use deepgate_nn::{Graph, ParamStore, Tensor, Var};
 /// — GCN, DAG-ConvGNN, DAG-RecGNN and DeepGate itself — through this trait,
 /// which keeps the comparison of Table II honest: they share the same data
 /// pipeline, the same loss and the same evaluation metric.
+///
+/// Both operations are fallible: a circuit whose feature encoding does not
+/// match the model is a [`GnnError::EncodingMismatch`] from
+/// [`check_encoding`], never a panic.
 pub trait ProbabilityModel {
     /// Builds the forward pass on the autodiff tape and returns the
     /// `[num_nodes, 1]` prediction variable (values in `[0, 1]`).
-    fn forward(&self, g: &mut Graph, store: &ParamStore, circuit: &CircuitGraph) -> Var;
-
-    /// Fallible forward pass: validates model/circuit compatibility before
-    /// recording the tape. Models with structural requirements (e.g. a fixed
-    /// feature encoding) override this to report [`GnnError`] instead of
-    /// panicking.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GnnError::EncodingMismatch`] for an incompatible circuit,
+    /// before anything is recorded.
     fn try_forward(
         &self,
         g: &mut Graph,
         store: &ParamStore,
         circuit: &CircuitGraph,
-    ) -> Result<Var, GnnError> {
-        Ok(self.forward(g, store, circuit))
-    }
+    ) -> Result<Var, GnnError>;
 
-    /// Gradient-free forward pass; the default implementation runs the tape
-    /// forward and extracts the values, models override it with a cheaper
-    /// tensor-only path for inference on large circuits.
-    fn predict(&self, store: &ParamStore, circuit: &CircuitGraph) -> Vec<f32> {
-        let mut g = Graph::new();
-        let pred = self.forward(&mut g, store, circuit);
-        g.value(pred).as_slice().to_vec()
-    }
-
-    /// Fallible gradient-free prediction — the serving entry point. Like
-    /// [`ProbabilityModel::try_forward`], models override this to turn
-    /// compatibility panics into [`GnnError`]s.
+    /// Gradient-free prediction of every node's probability. The default
+    /// runs [`ProbabilityModel::try_forward`] on a scratch tape; `DagRecGnn`
+    /// overrides it with its tape-free kernel, which is bit-identical.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`ProbabilityModel::try_forward`].
     fn try_predict(
         &self,
         store: &ParamStore,
         circuit: &CircuitGraph,
     ) -> Result<Vec<f32>, GnnError> {
-        Ok(self.predict(store, circuit))
+        let mut g = Graph::new();
+        let pred = self.try_forward(&mut g, store, circuit)?;
+        Ok(g.value(pred).as_slice().to_vec())
     }
 
     /// A short, human-readable model name (used in experiment tables).
     fn name(&self) -> String;
+}
+
+/// The one compatibility check between a circuit and a model: the circuit's
+/// feature encoding must have the model's `feature_dim` columns.
+///
+/// # Errors
+///
+/// Returns [`GnnError::EncodingMismatch`] when it does not.
+pub fn check_encoding(circuit: &CircuitGraph, feature_dim: usize) -> Result<(), GnnError> {
+    let got = circuit.encoding.dimension();
+    if got != feature_dim {
+        return Err(GnnError::EncodingMismatch {
+            expected: feature_dim,
+            got,
+        });
+    }
+    Ok(())
 }
 
 /// Average prediction error (Eq. 8 of the paper): the mean absolute
@@ -130,7 +145,10 @@ pub fn masked_l1_loss(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FeatureEncoding;
+    use crate::{
+        AggregatorKind, DagConvConfig, DagConvGnn, DagRecConfig, DagRecGnn, FeatureEncoding, Gcn,
+        GcnConfig,
+    };
     use deepgate_netlist::{GateKind, Netlist};
 
     fn labelled_graph() -> CircuitGraph {
@@ -199,5 +217,61 @@ mod tests {
             masked_l1_loss(&mut g, pred, &graph),
             Err(GnnError::UnlabelledCircuit { .. })
         ));
+    }
+
+    #[test]
+    fn mismatched_feature_encoding_is_rejected() {
+        // A 12-feature untransformed netlist against 3-feature models.
+        let mut n = Netlist::new("raw");
+        let a = n.add_input("a");
+        let b = n.add_input("b");
+        let g1 = n.add_gate(GateKind::Or, &[a, b]).unwrap();
+        n.mark_output(g1, "y");
+        let circuit = CircuitGraph::from_netlist(&n, FeatureEncoding::AllGates, None);
+        let mut store = ParamStore::new();
+        let deepgate = DagRecConfig {
+            hidden_dim: 8,
+            aggregator: AggregatorKind::Attention,
+            fix_gate_input: true,
+            use_skip_connections: true,
+            per_type_regressor: true,
+            ..DagRecConfig::default()
+        };
+        let models: [Box<dyn ProbabilityModel>; 4] = [
+            Box::new(Gcn::new(
+                &mut store,
+                GcnConfig {
+                    hidden_dim: 8,
+                    ..GcnConfig::default()
+                },
+            )),
+            Box::new(DagConvGnn::new(
+                &mut store,
+                DagConvConfig {
+                    hidden_dim: 8,
+                    ..DagConvConfig::default()
+                },
+            )),
+            Box::new(DagRecGnn::new(
+                &mut store,
+                DagRecConfig {
+                    hidden_dim: 8,
+                    ..DagRecConfig::default()
+                },
+            )),
+            Box::new(DagRecGnn::new(&mut store, deepgate)),
+        ];
+        let mismatch = GnnError::EncodingMismatch {
+            expected: 3,
+            got: 12,
+        };
+        for model in &models {
+            let mut g = Graph::new();
+            let forward = model.try_forward(&mut g, &store, &circuit);
+            assert_eq!(forward.unwrap_err(), mismatch, "{}", model.name());
+            assert_eq!(g.len(), 0, "{}: nothing recorded", model.name());
+            let predict = model.try_predict(&store, &circuit);
+            assert_eq!(predict.unwrap_err(), mismatch, "{}", model.name());
+        }
     }
 }

@@ -83,7 +83,9 @@ fn kernel_matches_tape(
     let plan = model.plan(circuit);
 
     let mut tape = Graph::new();
-    let hidden = model.forward_hidden(&mut tape, store, circuit);
+    let hidden = model
+        .forward_hidden(&mut tape, store, circuit)
+        .expect("tape forward runs");
     let embeddings = model
         .embed_planned(store, &plan, iterations)
         .expect("CSR kernel embeds");

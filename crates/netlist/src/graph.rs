@@ -1,12 +1,11 @@
-//! DAG utilities over [`Netlist`]: topological ordering, levelisation,
-//! fan-out counting and transitive fan-in cones.
+//! DAG utilities over [`Netlist`]: topological ordering, levelisation and
+//! fan-out counting.
 //!
 //! These are the structural primitives shared by the logic-synthesis
 //! substitute (`deepgate-aig`), the simulator (`deepgate-sim`) and the
 //! topological batching used by the GNN models (`deepgate-gnn`).
 
 use crate::{GateKind, Netlist, NodeId};
-use std::collections::HashSet;
 
 /// A topological ordering of netlist nodes (fan-ins before fan-outs).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,17 +51,6 @@ impl Levels {
     /// The level of a given node.
     pub fn of(&self, id: NodeId) -> usize {
         self.level[id.index()]
-    }
-
-    /// Groups node ids by level: entry `l` holds every node at level `l`.
-    /// This grouping is exactly the *topological batching* used to
-    /// parallelise DAG-GNN propagation.
-    pub fn by_level(&self) -> Vec<Vec<NodeId>> {
-        let mut buckets = vec![Vec::new(); self.max_level + 1];
-        for (i, &l) in self.level.iter().enumerate() {
-            buckets[l].push(NodeId(i as u32));
-        }
-        buckets
     }
 }
 
@@ -113,49 +101,6 @@ pub fn fanout_counts(netlist: &Netlist) -> Vec<usize> {
     counts
 }
 
-/// Returns the set of nodes in the transitive fan-in cone of `roots`
-/// (including the roots themselves).
-pub fn transitive_fanin(netlist: &Netlist, roots: &[NodeId]) -> HashSet<NodeId> {
-    let mut seen: HashSet<NodeId> = HashSet::new();
-    let mut stack: Vec<NodeId> = roots.to_vec();
-    while let Some(id) = stack.pop() {
-        if !seen.insert(id) {
-            continue;
-        }
-        for &f in &netlist.node(id).fanins {
-            if !seen.contains(&f) {
-                stack.push(f);
-            }
-        }
-    }
-    seen
-}
-
-/// Returns the set of nodes in the transitive fan-out cone of `root`
-/// (including `root`).
-pub fn transitive_fanout(netlist: &Netlist, root: NodeId) -> HashSet<NodeId> {
-    // Build a forward adjacency once.
-    let mut fanouts: Vec<Vec<NodeId>> = vec![Vec::new(); netlist.len()];
-    for (id, node) in netlist.iter() {
-        for &f in &node.fanins {
-            fanouts[f.index()].push(id);
-        }
-    }
-    let mut seen: HashSet<NodeId> = HashSet::new();
-    let mut stack = vec![root];
-    while let Some(id) = stack.pop() {
-        if !seen.insert(id) {
-            continue;
-        }
-        for &s in &fanouts[id.index()] {
-            if !seen.contains(&s) {
-                stack.push(s);
-            }
-        }
-    }
-    seen
-}
-
 /// Counts how many nodes of each [`GateKind`] appear in the netlist,
 /// indexed by [`GateKind::one_hot_index`].
 pub fn kind_histogram(netlist: &Netlist) -> [usize; GateKind::ALL.len()] {
@@ -188,9 +133,6 @@ mod tests {
         assert_eq!(lv.max_level, 5);
         assert_eq!(lv.of(NodeId(0)), 0);
         assert_eq!(lv.of(NodeId(5)), 5);
-        let buckets = lv.by_level();
-        assert_eq!(buckets.len(), 6);
-        assert!(buckets.iter().all(|b| b.len() == 1));
     }
 
     #[test]
@@ -226,23 +168,6 @@ mod tests {
         assert_eq!(counts[b.index()], 1); // g1
         assert_eq!(counts[g1.index()], 2); // g2 + output
         assert_eq!(counts[g2.index()], 1); // output only
-    }
-
-    #[test]
-    fn transitive_fanin_and_fanout() {
-        let mut n = Netlist::new("t");
-        let a = n.add_input("a");
-        let b = n.add_input("b");
-        let c = n.add_input("c");
-        let ab = n.add_gate(GateKind::And, &[a, b]).unwrap();
-        let abc = n.add_gate(GateKind::Or, &[ab, c]).unwrap();
-        n.mark_output(abc, "y");
-        let cone = transitive_fanin(&n, &[ab]);
-        assert_eq!(cone.len(), 3);
-        assert!(cone.contains(&a) && cone.contains(&b) && cone.contains(&ab));
-        let fo = transitive_fanout(&n, a);
-        assert!(fo.contains(&ab) && fo.contains(&abc) && fo.contains(&a));
-        assert!(!fo.contains(&c));
     }
 
     #[test]

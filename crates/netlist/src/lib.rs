@@ -13,8 +13,8 @@
 //! - [`verilog`] — a reader and writer for the structural gate-level
 //!   Verilog subset the IWLS/OpenCores benchmarks circulate in.
 //! - [`graph`] — DAG utilities shared by the whole workspace: topological
-//!   ordering, levelisation, fan-out counting, transitive fan-in cones and
-//!   basic structural statistics.
+//!   ordering, levelisation, fan-out counting and basic structural
+//!   statistics.
 //! - [`builder`] — a small fluent API for constructing circuits in code, used
 //!   heavily by the synthetic benchmark generators of `deepgate-dataset`.
 //!

@@ -1,13 +1,11 @@
 use crate::{GateKind, Levels, NetlistError, NetlistStats, TopoOrder};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Index of a node inside a [`Netlist`].
 ///
 /// Node ids are dense, start at zero and are stable for the lifetime of the
-/// netlist (nodes are never removed; dead logic is dropped by rebuilding, see
-/// [`Netlist::retain_cone`]).
+/// netlist (nodes are never removed).
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
 )]
@@ -267,54 +265,6 @@ impl Netlist {
         NetlistStats::of(self)
     }
 
-    /// Builds a new netlist containing only the transitive fan-in cone of the
-    /// given output nodes (dead logic removed). Output markings referring to
-    /// retained nodes are preserved; `roots` that were not already outputs are
-    /// added as outputs named after the original node.
-    pub fn retain_cone(&self, roots: &[NodeId]) -> Netlist {
-        let keep = crate::graph::transitive_fanin(self, roots);
-        let mut remap: HashMap<NodeId, NodeId> = HashMap::new();
-        let mut out = Netlist::new(self.name.clone());
-        for (id, node) in self.iter() {
-            if !keep.contains(&id) {
-                continue;
-            }
-            let new_id = match node.kind {
-                GateKind::Input => out.add_input(
-                    node.name
-                        .clone()
-                        .unwrap_or_else(|| format!("pi_{}", id.index())),
-                ),
-                GateKind::Const0 => out.add_const(false),
-                GateKind::Const1 => out.add_const(true),
-                _ => {
-                    let fanins: Vec<NodeId> = node.fanins.iter().map(|f| remap[f]).collect();
-                    let new_id = out
-                        .add_gate(node.kind, &fanins)
-                        .expect("arity preserved by construction");
-                    if let Some(name) = &node.name {
-                        out.nodes[new_id.index()].name = Some(name.clone());
-                    }
-                    new_id
-                }
-            };
-            remap.insert(id, new_id);
-        }
-        for (node, name) in &self.outputs {
-            if let Some(new_id) = remap.get(node) {
-                out.mark_output(*new_id, name.clone());
-            }
-        }
-        for root in roots {
-            if let Some(new_id) = remap.get(root) {
-                if !out.outputs.iter().any(|(n, _)| n == new_id) {
-                    out.mark_output(*new_id, format!("cone_{}", root.index()));
-                }
-            }
-        }
-        out
-    }
-
     /// Checks internal invariants: fan-in ids in range, arities legal, every
     /// output refers to an existing node, primary inputs have no fan-ins.
     ///
@@ -416,31 +366,6 @@ mod tests {
         assert_eq!(n.node(a).kind, GateKind::Input);
         assert!(n.find_by_name("missing").is_none());
         assert_eq!(n.node_name(a), Some("a"));
-    }
-
-    #[test]
-    fn retain_cone_drops_dead_logic() {
-        let mut n = full_adder();
-        // Add dead logic not in any output cone.
-        let a = n.find_by_name("a").unwrap();
-        let dead = n.add_gate(GateKind::Not, &[a]).unwrap();
-        let _dead2 = n.add_gate(GateKind::Not, &[dead]).unwrap();
-        let sum_node = n.outputs()[0].0;
-        let cone = n.retain_cone(&[sum_node]);
-        assert!(cone.validate().is_ok());
-        // sum cone: a, b, cin, a^b, (a^b)^cin = 5 nodes
-        assert_eq!(cone.len(), 5);
-        assert_eq!(cone.num_outputs(), 1);
-        assert_eq!(cone.outputs()[0].1, "sum");
-    }
-
-    #[test]
-    fn retain_cone_preserves_all_outputs_when_rooted_at_all() {
-        let n = full_adder();
-        let roots: Vec<NodeId> = n.outputs().iter().map(|(id, _)| *id).collect();
-        let cone = n.retain_cone(&roots);
-        assert_eq!(cone.len(), n.len());
-        assert_eq!(cone.num_outputs(), n.num_outputs());
     }
 
     #[test]

@@ -31,8 +31,9 @@
 //!   vectorised loop give the same bits.
 //! - [`Linear`], [`Mlp`], [`GruCell`] — the layers used by the paper's
 //!   models (d = 64 hidden states, GRU state updates, MLP regressor).
-//! - [`Adam`] and [`Sgd`] optimisers, L1/MSE losses.
-//! - JSON (de)serialisation of parameter stores for model checkpoints.
+//! - The [`Adam`] optimiser, L1/MSE losses.
+//! - Parameter stores as name → tensor maps, the weights of a model
+//!   checkpoint.
 //!
 //! # Example
 //!
@@ -76,6 +77,6 @@ mod tensor;
 pub use error::NnError;
 pub use graph::{Graph, Var};
 pub use layers::{Activation, GruCell, Linear, Mlp};
-pub use optim::{Adam, Sgd};
+pub use optim::Adam;
 pub use params::{ParamId, ParamStore};
 pub use tensor::Tensor;

@@ -1,54 +1,6 @@
-//! First-order optimisers over a [`ParamStore`].
+//! The Adam optimiser over a [`ParamStore`].
 
 use crate::{ParamStore, Tensor};
-
-/// Plain stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    learning_rate: f32,
-    momentum: f32,
-    velocity: Vec<Tensor>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimiser.
-    pub fn new(learning_rate: f32, momentum: f32) -> Self {
-        Sgd {
-            learning_rate,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// The learning rate.
-    pub fn learning_rate(&self) -> f32 {
-        self.learning_rate
-    }
-
-    /// Applies one update step using the gradients accumulated in `store`.
-    pub fn step(&mut self, store: &mut ParamStore) {
-        let ids: Vec<_> = store.ids().collect();
-        if self.velocity.len() != ids.len() {
-            self.velocity = ids
-                .iter()
-                .map(|&id| {
-                    let v = store.value(id);
-                    Tensor::zeros(v.rows(), v.cols())
-                })
-                .collect();
-        }
-        for (slot, id) in ids.into_iter().enumerate() {
-            // A parameter without a gradient (`[0, 0]`) zips to nothing.
-            let (value, grad) = store.value_and_grad_mut(id);
-            let v = &mut self.velocity[slot];
-            let elements = value.as_mut_slice().iter_mut().zip(v.as_mut_slice());
-            for ((x, vel), &g) in elements.zip(grad.as_slice()) {
-                *vel = self.momentum * *vel - self.learning_rate * g;
-                *x += *vel;
-            }
-        }
-    }
-}
 
 /// The Adam optimiser (Kingma & Ba), used by the paper with a learning rate
 /// of `1e-4`.
@@ -86,11 +38,6 @@ impl Adam {
     /// The learning rate.
     pub fn learning_rate(&self) -> f32 {
         self.learning_rate
-    }
-
-    /// Overrides the learning rate (e.g. for schedules).
-    pub fn set_learning_rate(&mut self, learning_rate: f32) {
-        self.learning_rate = learning_rate;
     }
 
     /// Number of update steps applied so far.
@@ -148,24 +95,7 @@ mod tests {
     }
 
     #[test]
-    fn sgd_minimises_quadratic() {
-        let mut store = ParamStore::new();
-        let id = store.add("w", Tensor::zeros(1, 4));
-        let mut sgd = Sgd::new(0.1, 0.9);
-        assert_eq!(sgd.learning_rate(), 0.1);
-        for _ in 0..200 {
-            let (mut g, loss) = quadratic_loss(&store, id);
-            g.backward(loss, &mut store);
-            sgd.step(&mut store);
-            store.zero_grad();
-        }
-        for &v in store.value(id).as_slice() {
-            assert!((v - 3.0).abs() < 1e-2, "value {v}");
-        }
-    }
-
-    #[test]
-    fn adam_minimises_quadratic_faster_than_sgd_without_momentum() {
+    fn adam_minimises_quadratic() {
         let mut store_adam = ParamStore::new();
         let id_adam = store_adam.add("w", Tensor::zeros(1, 4));
         let mut adam = Adam::with_defaults(0.2);
@@ -181,16 +111,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn adam_learning_rate_can_be_changed() {
-        let mut adam = Adam::with_defaults(0.1);
-        assert_eq!(adam.learning_rate(), 0.1);
-        adam.set_learning_rate(0.01);
-        assert_eq!(adam.learning_rate(), 0.01);
-    }
-
-    /// Zeroed tensors shaped like every parameter — how both optimisers
-    /// size their state on the first step.
+    /// Zeroed tensors shaped like every parameter — how the optimiser sizes
+    /// its state on the first step.
     fn zeros_like(store: &ParamStore) -> Vec<Tensor> {
         let zeros = |id| Tensor::zeros(store.value(id).rows(), store.value(id).cols());
         store.ids().map(zeros).collect()
@@ -226,26 +148,6 @@ mod tests {
                 value.as_mut_slice()[i] -=
                     adam.learning_rate * m_hat / (v_hat.sqrt() + adam.epsilon);
             }
-        }
-    }
-
-    /// `Sgd::step` before it updated in place: gradient and velocity cloned,
-    /// the update added with `axpy`.
-    fn reference_sgd_step(sgd: &mut Sgd, store: &mut ParamStore) {
-        if sgd.velocity.len() != store.len() {
-            sgd.velocity = zeros_like(store);
-        }
-        for (slot, id) in store.ids().collect::<Vec<_>>().into_iter().enumerate() {
-            let grad = store.grad(id).clone();
-            if grad.is_empty() {
-                continue;
-            }
-            let v = &mut sgd.velocity[slot];
-            for (vel, &g) in v.as_mut_slice().iter_mut().zip(grad.as_slice()) {
-                *vel = sgd.momentum * *vel - sgd.learning_rate * g;
-            }
-            let update = v.clone();
-            store.value_mut(id).axpy(1.0, &update);
         }
     }
 
@@ -295,7 +197,6 @@ mod tests {
     fn in_place_steps_equal_the_cloning_reference_bit_for_bit() {
         let (mut store, mut want) = (loaded_store(), loaded_store());
         let (mut adam, mut adam_ref) = (Adam::with_defaults(0.01), Adam::with_defaults(0.01));
-        let (mut sgd, mut sgd_ref) = (Sgd::new(0.05, 0.9), Sgd::new(0.05, 0.9));
         for step in 0..3u64 {
             set_random_grads(&mut store, 10 * step);
             set_random_grads(&mut want, 10 * step);
@@ -304,8 +205,6 @@ mod tests {
             reference_clip(&mut want, 1.0);
             adam.step(&mut store);
             reference_adam_step(&mut adam_ref, &mut want);
-            sgd.step(&mut store);
-            reference_sgd_step(&mut sgd_ref, &mut want);
         }
         let values = |s: &ParamStore| bits(s.ids().map(|id| s.value(id)));
         let grads = |s: &ParamStore| bits(s.ids().map(|id| s.grad(id)));
@@ -313,7 +212,6 @@ mod tests {
         assert_eq!(grads(&store), grads(&want), "clipped gradients");
         assert_eq!(bits(&adam.first_moment), bits(&adam_ref.first_moment));
         assert_eq!(bits(&adam.second_moment), bits(&adam_ref.second_moment));
-        assert_eq!(bits(&sgd.velocity), bits(&sgd_ref.velocity));
         let last = store.ids().last().unwrap();
         assert_eq!(
             store.value(last),
@@ -327,10 +225,8 @@ mod tests {
         let mut store = ParamStore::new();
         let id = store.add("w", Tensor::ones(1, 2));
         let mut adam = Adam::with_defaults(0.1);
-        let mut sgd = Sgd::new(0.1, 0.0);
         // No backward pass ran; values must stay unchanged.
         adam.step(&mut store);
-        sgd.step(&mut store);
         assert_eq!(store.value(id).as_slice(), &[1.0, 1.0]);
     }
 }

@@ -24,8 +24,8 @@ impl Tensor {
 ///
 /// Models register their weights here once at construction time and reference
 /// them by [`ParamId`] on every forward pass; [`crate::Graph::backward`]
-/// accumulates gradients into the store and the optimisers
-/// ([`crate::Adam`], [`crate::Sgd`]) update the values in place.
+/// accumulates gradients into the store and the optimiser ([`crate::Adam`])
+/// updates the values in place.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ParamStore {
     params: Vec<Parameter>,
@@ -158,44 +158,40 @@ impl ParamStore {
         }
     }
 
-    /// Serialises all parameter values to a JSON string (a model checkpoint).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::Serde`] if serialisation fails.
-    pub fn to_json(&self) -> Result<String, NnError> {
-        let map: HashMap<&str, &Tensor> = self
-            .params
-            .iter()
-            .map(|p| (p.name.as_str(), &p.value))
-            .collect();
-        serde_json::to_string(&map).map_err(|e| NnError::Serde(e.to_string()))
+    /// Every parameter's value by name — the weights of a model checkpoint.
+    pub fn to_map(&self) -> HashMap<String, Tensor> {
+        let named = |p: &Parameter| (p.name.clone(), p.value.clone());
+        self.params.iter().map(named).collect()
     }
 
-    /// Loads parameter values from a JSON checkpoint produced by
-    /// [`ParamStore::to_json`]. Every parameter in the store must be present
-    /// in the checkpoint with a matching shape.
+    /// Loads parameter values from a map produced by [`ParamStore::to_map`]
+    /// (typically deserialised from a checkpoint). Every parameter in the
+    /// store must be present with a matching shape and exactly
+    /// `rows × cols` values.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::MissingParameter`] or [`NnError::ShapeMismatch`]
-    /// when the checkpoint does not match the store, and [`NnError::Serde`]
-    /// if the JSON cannot be parsed.
-    pub fn load_json(&mut self, json: &str) -> Result<(), NnError> {
-        let map: HashMap<String, Tensor> =
-            serde_json::from_str(json).map_err(|e| NnError::Serde(e.to_string()))?;
+    /// Returns [`NnError::MissingParameter`] for an absent parameter and
+    /// [`NnError::ShapeMismatch`] for a shape — or a value count — that
+    /// does not match the store.
+    pub fn load_map(&mut self, mut values: HashMap<String, Tensor>) -> Result<(), NnError> {
         for p in &mut self.params {
-            let loaded = map
-                .get(&p.name)
+            let loaded = values
+                .remove(&p.name)
                 .ok_or_else(|| NnError::MissingParameter(p.name.clone()))?;
+            let mismatch = |expected, got| NnError::ShapeMismatch {
+                name: p.name.clone(),
+                expected,
+                got,
+            };
             if loaded.shape() != p.value.shape() {
-                return Err(NnError::ShapeMismatch {
-                    name: p.name.clone(),
-                    expected: p.value.shape().to_vec(),
-                    got: loaded.shape().to_vec(),
-                });
+                return Err(mismatch(p.value.shape().to_vec(), loaded.shape().to_vec()));
             }
-            p.value = loaded.clone();
+            // A deserialised header can agree while its data is short.
+            if loaded.len() != p.value.len() {
+                return Err(mismatch(vec![p.value.len()], vec![loaded.len()]));
+            }
+            p.value = loaded;
             p.grad = Tensor::zeros(p.value.rows(), p.value.cols());
         }
         Ok(())
@@ -246,10 +242,9 @@ mod tests {
     fn checkpoint_roundtrip() {
         let mut store = ParamStore::new();
         let w = store.add("w", Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
-        let json = store.to_json().unwrap();
         let mut store2 = ParamStore::new();
         let w2 = store2.add("w", Tensor::zeros(2, 2));
-        store2.load_json(&json).unwrap();
+        store2.load_map(store.to_map()).unwrap();
         assert_eq!(store2.value(w2), store.value(w));
     }
 
@@ -258,19 +253,27 @@ mod tests {
         let mut store = ParamStore::new();
         store.add("w", Tensor::zeros(2, 2));
         assert!(matches!(
-            store.load_json("{}"),
+            store.load_map(HashMap::new()),
             Err(NnError::MissingParameter(_))
-        ));
-        assert!(matches!(
-            store.load_json("not json"),
-            Err(NnError::Serde(_))
         ));
         let mut other = ParamStore::new();
         other.add("w", Tensor::zeros(3, 3));
-        let json = other.to_json().unwrap();
         assert!(matches!(
-            store.load_json(&json),
+            store.load_map(other.to_map()),
             Err(NnError::ShapeMismatch { .. })
         ));
+        // A [2, 2] header over one value: the shape matches, the data does not.
+        let short: Tensor = serde_json::from_str(r#"{"rows":2,"cols":2,"data":[1.0]}"#).unwrap();
+        let err = store
+            .load_map(HashMap::from([("w".to_string(), short)]))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            NnError::ShapeMismatch {
+                name: "w".to_string(),
+                expected: vec![4],
+                got: vec![1],
+            }
+        );
     }
 }

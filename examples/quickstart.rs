@@ -54,7 +54,7 @@ fn main() -> Result<(), DeepGateError> {
     let session = engine.session();
     let batch = session.predict_batch(&circuits)?;
     println!("served {} circuits in one batch", batch.len());
-    let embeddings = session.model().embeddings(circuit);
+    let embeddings = engine.embeddings(circuit)?;
     println!(
         "learned {}-dimensional embeddings for {} gates",
         embeddings.cols(),

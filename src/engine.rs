@@ -3,9 +3,11 @@
 
 use crate::{CircuitSource, DeepGateError, EngineMetrics, InferenceSession};
 use deepgate_aig::{opt, Aig};
-use deepgate_core::{DeepGate, DeepGateConfig, Trainer, TrainerConfig, TrainingHistory};
+use deepgate_core::{
+    average_prediction_error, DeepGate, DeepGateConfig, Trainer, TrainerConfig, TrainingHistory,
+};
 use deepgate_dataset::labelled_circuit_from_netlist;
-use deepgate_gnn::{CircuitGraph, FeatureEncoding, GnnError};
+use deepgate_gnn::{check_encoding, CircuitGraph, FeatureEncoding, ProbabilityModel};
 use deepgate_netlist::Netlist;
 use deepgate_nn::Tensor;
 use rayon::prelude::*;
@@ -177,37 +179,33 @@ impl EngineBuilder {
         }
         let (model, origin) = match self.checkpoint_json {
             Some(json) => (DeepGate::from_checkpoint(&json)?, "checkpoint "),
-            None => {
-                if self.model.hidden_dim == 0 {
-                    return Err(DeepGateError::Config(
-                        "hidden_dim must be at least 1".to_string(),
-                    ));
-                }
-                if self.model.num_iterations == 0 {
-                    return Err(DeepGateError::Config(
-                        "num_iterations must be at least 1".to_string(),
-                    ));
-                }
-                (DeepGate::new(self.model), "")
-            }
+            None => (DeepGate::new(self.model), ""),
         };
+        // The same checks whichever origin the configuration came from.
+        let config = model.config();
         let (expected_dim, flow) = if self.pipeline.transform_to_aig {
             (FeatureEncoding::AigGates.dimension(), "AIG")
         } else {
             (FeatureEncoding::AllGates.dimension(), "raw-netlist")
         };
-        if model.config().feature_dim != expected_dim {
-            return Err(DeepGateError::Config(format!(
-                "{origin}feature_dim {} does not match the {flow} pipeline (expected {expected_dim})",
-                model.config().feature_dim,
-            )));
-        }
-        Ok(Engine {
-            model,
-            trainer: self.trainer,
-            pipeline: self.pipeline,
-            metrics: self.metrics,
-        })
+        let problem = if config.hidden_dim == 0 {
+            "hidden_dim must be at least 1".to_string()
+        } else if config.num_iterations == 0 {
+            "num_iterations must be at least 1".to_string()
+        } else if config.feature_dim != expected_dim {
+            format!(
+                "feature_dim {} does not match the {flow} pipeline (expected {expected_dim})",
+                config.feature_dim
+            )
+        } else {
+            return Ok(Engine {
+                model,
+                trainer: self.trainer,
+                pipeline: self.pipeline,
+                metrics: self.metrics,
+            });
+        };
+        Err(DeepGateError::Config(format!("{origin}{problem}")))
     }
 }
 
@@ -332,15 +330,9 @@ impl Engine {
     ) -> Result<TrainingHistory, DeepGateError> {
         // The trainer pre-checks labels; the encoding check needs the model
         // configuration, so it lives here — also before any step runs.
-        let expected = self.model.config().feature_dim;
+        let feature_dim = self.model.config().feature_dim;
         for circuit in train.iter().chain(valid) {
-            let got = circuit.encoding.dimension();
-            if got != expected {
-                return Err(DeepGateError::Gnn(GnnError::EncodingMismatch {
-                    expected,
-                    got,
-                }));
-            }
+            check_encoding(circuit, feature_dim)?;
         }
         let inner = self.model.model().clone();
         let mut trainer = Trainer::new(self.trainer);
@@ -368,7 +360,11 @@ impl Engine {
     /// Returns [`DeepGateError::Gnn`] for unlabelled or incompatible
     /// circuits.
     pub fn evaluate(&self, circuits: &[CircuitGraph]) -> Result<f64, DeepGateError> {
-        Ok(self.model.evaluate(circuits)?)
+        Ok(average_prediction_error(
+            &self.model,
+            self.model.store(),
+            circuits,
+        )?)
     }
 
     /// Predicts per-node signal probabilities for one circuit.
@@ -378,7 +374,7 @@ impl Engine {
     /// Returns [`DeepGateError::Gnn`] if the circuit's feature encoding does
     /// not match the model.
     pub fn predict(&self, circuit: &CircuitGraph) -> Result<Vec<f32>, DeepGateError> {
-        Ok(self.model.try_predict(circuit)?)
+        Ok(self.model.try_predict(self.model.store(), circuit)?)
     }
 
     /// Returns the learned per-gate embeddings `h_v^T` of a circuit.
@@ -388,7 +384,10 @@ impl Engine {
     /// Returns [`DeepGateError::Gnn`] if the circuit's feature encoding does
     /// not match the model.
     pub fn embeddings(&self, circuit: &CircuitGraph) -> Result<Tensor, DeepGateError> {
-        Ok(self.model.try_embeddings(circuit)?)
+        let (dag, store) = (self.model.model(), self.model.store());
+        check_encoding(circuit, dag.config().feature_dim)?;
+        let iterations = dag.config().num_iterations;
+        Ok(dag.embed_planned(store, &dag.plan(circuit), iterations)?)
     }
 
     /// Serialises the model (configuration + weights) to a JSON checkpoint.

@@ -2,7 +2,7 @@
 
 use crate::{DeepGateError, EngineMetrics};
 use deepgate_core::DeepGate;
-use deepgate_gnn::{CircuitGraph, GnnError, InferencePlan};
+use deepgate_gnn::{check_encoding, CircuitGraph, InferencePlan};
 use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
@@ -19,11 +19,6 @@ impl PreparedCircuit {
     /// The wrapped circuit graph.
     pub fn circuit(&self) -> &CircuitGraph {
         &self.circuit
-    }
-
-    /// Unwraps the circuit graph, discarding the plan.
-    pub fn into_circuit(self) -> CircuitGraph {
-        self.circuit
     }
 }
 
@@ -90,7 +85,7 @@ impl InferenceSession {
     /// Precomputes a circuit's reusable inference state.
     pub fn prepare(&self, circuit: CircuitGraph) -> PreparedCircuit {
         let plan_start = self.metrics.as_ref().map(|_| Instant::now());
-        let plan = self.model.plan(&circuit);
+        let plan = self.model.model().plan(&circuit);
         if let (Some(m), Some(start)) = (self.metrics.as_deref(), plan_start) {
             m.plan_ns.record_duration(start.elapsed());
         }
@@ -123,7 +118,7 @@ impl InferenceSession {
     /// Returns [`DeepGateError::Gnn`] if the circuit's feature encoding does
     /// not match the model.
     pub fn predict(&self, circuit: &CircuitGraph) -> Result<Vec<f32>, DeepGateError> {
-        let plan = self.model.plan(circuit);
+        let plan = self.model.model().plan(circuit);
         let mut out = Vec::new();
         self.predict_planned_into(circuit, &plan, &mut out)?;
         Ok(out)
@@ -173,11 +168,7 @@ impl InferenceSession {
         // A plan is always built from its own circuit; the kernel checks it
         // against the model (`PlanMismatch`). The circuit-level check, and
         // its error, stay here.
-        let expected = self.model.config().feature_dim;
-        let got = circuit.encoding.dimension();
-        if got != expected {
-            return Err(GnnError::EncodingMismatch { expected, got }.into());
-        }
+        check_encoding(circuit, self.model.config().feature_dim)?;
         let metrics = self.metrics.as_deref();
         let predict_start = metrics.map(|_| Instant::now());
         let (model, store) = (self.model.model(), self.model.store());

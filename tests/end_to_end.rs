@@ -3,7 +3,7 @@
 //! circuit-graph encoding → Engine training → InferenceSession serving.
 
 use deepgate::dataset::{generators, Dataset, DatasetConfig, LargeDesign, SuiteKind};
-use deepgate::gnn::{CircuitGraph, FeatureEncoding};
+use deepgate::gnn::{CircuitGraph, FeatureEncoding, ProbabilityModel};
 use deepgate::netlist::bench;
 use deepgate::prelude::*;
 
@@ -241,7 +241,7 @@ fn default_deepgate_prediction_bits_are_pinned() {
         let (circuit, _) = CircuitGraph::from_aig(&aig);
         assert_eq!(!circuit.skip_edges.is_empty(), reconvergent);
         let mut digest = StructuralHasher::new();
-        for p in model.predict(&circuit) {
+        for p in model.try_predict(model.store(), &circuit).unwrap() {
             digest.write(p.to_bits() as u64);
         }
         assert_eq!(

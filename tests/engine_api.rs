@@ -2,9 +2,12 @@
 //! error reporting (no panics on user input) and the batched
 //! InferenceSession serving path.
 
+use deepgate::core::average_prediction_error;
 use deepgate::dataset::generators;
-use deepgate::gnn::FeatureEncoding;
+use deepgate::gnn::{FeatureEncoding, ProbabilityModel};
+use deepgate::nn::NnError;
 use deepgate::prelude::*;
+use serde_json::Value;
 
 const FULL_ADDER: &str = "\
 INPUT(a)
@@ -66,11 +69,22 @@ fn bench_text_to_predict_batch_end_to_end() {
     assert_eq!(batch[0].len(), circuits[0].num_nodes);
     assert!(batch[0].iter().all(|&p| (0.0..=1.0).contains(&p)));
 
-    // Batched predictions agree with the single-circuit path.
-    let single = session.predict(&circuits[0]).unwrap();
-    for (a, b) in single.iter().zip(&batch[0]) {
-        assert!((a - b).abs() < 1e-6);
-    }
+    // Every prediction entry point agrees with the single-circuit path bit
+    // for bit: the batch, the engine, and the model's own `try_predict`.
+    let bits = |values: &[f32]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let single = bits(&session.predict(&circuits[0]).unwrap());
+    let model = engine.model();
+    assert_eq!(bits(&batch[0]), single);
+    assert_eq!(bits(&engine.predict(&circuits[0]).unwrap()), single);
+    let direct = model.try_predict(model.store(), &circuits[0]).unwrap();
+    assert_eq!(bits(&direct), single);
+
+    // `Engine::evaluate` is the trainer's average prediction error.
+    let shared = average_prediction_error(model, model.store(), &circuits).unwrap();
+    assert_eq!(
+        engine.evaluate(&circuits).unwrap().to_bits(),
+        shared.to_bits()
+    );
 }
 
 #[test]
@@ -210,7 +224,8 @@ fn embeddings_equal_the_training_forwards_final_hidden_states() {
     let mut tape = Graph::new();
     let hidden = model
         .model()
-        .forward_hidden(&mut tape, model.store(), circuit);
+        .forward_hidden(&mut tape, model.store(), circuit)
+        .unwrap();
     let hidden = tape.value(hidden);
     let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     for node in 0..circuit.num_nodes {
@@ -465,9 +480,92 @@ fn checkpoint_roundtrips_through_builder_json() {
         .unwrap();
     let a = engine.predict(&circuits[0]).unwrap();
     let b = restored.predict(&circuits[0]).unwrap();
+    assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(&b) {
-        assert!((x - y).abs() < 1e-6);
+        assert_eq!(x.to_bits(), y.to_bits());
     }
+}
+
+/// `quick_engine()`'s checkpoint with its top-level object edited.
+fn edited_checkpoint(edit: impl FnOnce(&mut Value)) -> String {
+    let json = quick_engine().checkpoint_json().unwrap();
+    let mut checkpoint: Value = serde_json::from_str(&json).unwrap();
+    edit(&mut checkpoint);
+    serde_json::to_string(&checkpoint).unwrap()
+}
+
+/// The object under `key` of a JSON object.
+fn field<'a>(value: &'a mut Value, key: &str) -> &'a mut Value {
+    match value {
+        Value::Object(map) => map.get_mut(key).expect("field present"),
+        _ => panic!("not an object"),
+    }
+}
+
+#[test]
+fn checkpoint_config_larger_than_its_weights_is_refused_before_allocating() {
+    // ~200 bytes promising a 100 000-wide model (~40 GB of weights) and
+    // carrying none: refused before the model is built.
+    let json = edited_checkpoint(|c| {
+        *field(field(c, "config"), "hidden_dim") = Value::UInt(100_000);
+        *field(c, "weights") = Value::Object(Default::default());
+    });
+    assert!(json.len() < 400, "{} bytes", json.len());
+    let err = Engine::builder()
+        .from_checkpoint_json(json)
+        .build()
+        .unwrap_err();
+    assert!(
+        matches!(err, DeepGateError::Nn(NnError::ShapeMismatch { .. })),
+        "{err}"
+    );
+}
+
+#[test]
+fn checkpoint_tensor_shorter_than_its_shape_is_refused() {
+    // The header still says [3, 12]; one value follows it. An unused
+    // tensor carries the 35 missing values, so the file as a whole holds
+    // as many weights as the configuration needs.
+    let json = edited_checkpoint(|c| {
+        let weights = field(c, "weights");
+        let mut padding = field(weights, "dagrec.embed.weight").clone();
+        *field(&mut padding, "rows") = Value::UInt(1);
+        *field(&mut padding, "cols") = Value::UInt(35);
+        *field(&mut padding, "data") = Value::Array(vec![Value::Float(0.5); 35]);
+        let tensor = field(weights, "dagrec.embed.weight");
+        *field(tensor, "data") = Value::Array(vec![Value::Float(0.5)]);
+        match weights {
+            Value::Object(map) => map.insert("padding".to_string(), padding),
+            _ => unreachable!("weights are an object"),
+        };
+    });
+    let err = Engine::builder()
+        .from_checkpoint_json(json)
+        .build()
+        .unwrap_err();
+    assert!(
+        matches!(
+            &err,
+            DeepGateError::Nn(NnError::ShapeMismatch { expected, got, .. })
+                if expected == &[36] && got == &[1]
+        ),
+        "{err}"
+    );
+}
+
+#[test]
+fn checkpoint_with_zero_iterations_is_refused_like_a_fresh_config() {
+    let json = edited_checkpoint(|c| {
+        *field(field(c, "config"), "num_iterations") = Value::UInt(0);
+    });
+    let err = Engine::builder()
+        .from_checkpoint_json(json)
+        .build()
+        .unwrap_err();
+    assert!(
+        matches!(&err, DeepGateError::Config(m) if m == "checkpoint num_iterations must be at least 1"),
+        "{err}"
+    );
 }
 
 #[test]
