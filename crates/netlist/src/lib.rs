@@ -8,7 +8,7 @@
 //!   (AND/NAND/OR/NOR/XOR/XNOR/NOT/BUF/MUX plus constants).
 //! - [`GateKind`] — the gate alphabet together with bit- and word-level
 //!   evaluation.
-//! - [`bench`] — a reader and writer for the ISCAS/BENCH text format, the
+//! - [`mod@bench`] — a reader and writer for the ISCAS/BENCH text format, the
 //!   interchange format used by the benchmark suites cited in the paper.
 //! - [`verilog`] — a reader and writer for the structural gate-level
 //!   Verilog subset the IWLS/OpenCores benchmarks circulate in.

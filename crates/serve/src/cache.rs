@@ -3,7 +3,6 @@
 //! front of the parser so byte-identical requests skip parsing too.
 
 use crate::metrics::CacheMetrics;
-use deepgate::telemetry::Registry;
 use deepgate::PreparedCircuit;
 use serde::Serialize;
 use std::collections::HashMap;
@@ -140,16 +139,10 @@ struct CacheState {
 
 impl CircuitCache {
     /// Creates a cache holding up to `capacity` prepared circuits (0
-    /// disables caching: every lookup misses and inserts are dropped).
-    pub fn new(capacity: usize) -> Self {
-        // Standalone caches get a private registry; the Server shares one
-        // via `with_metrics`.
-        CircuitCache::with_metrics(capacity, CacheMetrics::registered(&Registry::new()))
-    }
-
-    /// [`CircuitCache::new`] recording into externally registered telemetry
-    /// handles, so the cache's series share a registry (and therefore a
-    /// snapshot) with the rest of the serving stack.
+    /// disables caching: every lookup misses and inserts are dropped),
+    /// recording into externally registered telemetry handles, so the
+    /// cache's series share a registry (and therefore a snapshot) with the
+    /// rest of the serving stack.
     pub fn with_metrics(capacity: usize, metrics: CacheMetrics) -> Self {
         metrics.capacity.set(capacity as i64);
         CircuitCache {
@@ -201,23 +194,6 @@ impl CircuitCache {
         state.by_text.insert(key, fingerprint);
         state.by_fingerprint.insert(fingerprint, prepared);
         self.metrics.entries.set(state.by_fingerprint.len() as i64);
-    }
-
-    /// Current counters (each read individually; the server's `stats` verb
-    /// instead derives [`CacheStats`] from one registry snapshot via
-    /// [`CacheStats::from_snapshot`]).
-    pub fn stats(&self) -> CacheStats {
-        let state = self.state.lock().expect("cache lock");
-        let text_hits = self.metrics.text_hits.get();
-        let fingerprint_hits = self.metrics.fingerprint_hits.get();
-        CacheStats {
-            hits: text_hits + fingerprint_hits,
-            text_hits,
-            fingerprint_hits,
-            misses: self.metrics.misses.get(),
-            entries: state.by_fingerprint.len(),
-            capacity: state.by_fingerprint.capacity,
-        }
     }
 }
 

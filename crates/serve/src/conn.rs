@@ -210,13 +210,13 @@ impl WriteBuf {
 pub(crate) struct Conn {
     pub stream: TcpStream,
     /// Distinguishes this tenancy of the slab slot from earlier ones, so
-    /// stale timers and stale scheduler completions cannot act on a
-    /// recycled slot.
+    /// stale scheduler completions cannot act on a recycled slot.
     pub generation: u64,
     pub framer: LineFramer,
     pub out: WriteBuf,
-    /// Last instant a request line completed (or the connection opened);
-    /// the idle deadline measures from here.
+    /// Last instant a request line completed, a response was queued or the
+    /// write buffer drained (or the connection opened); the idle deadline
+    /// measures from here.
     pub last_activity: Instant,
     /// When the current partial request line started arriving; the
     /// line (slow-loris) deadline measures from here.
@@ -280,20 +280,20 @@ impl ConnTable {
         }
     }
 
-    /// Claims a slot, returning `(slot, generation)`.
-    pub fn insert(&mut self, build: impl FnOnce(u64) -> Conn) -> (usize, u64) {
+    /// Claims a slot for the connection `build` makes from its fresh
+    /// generation, returning the slot.
+    pub fn insert(&mut self, build: impl FnOnce(u64) -> Conn) -> usize {
         self.next_generation += 1;
-        let generation = self.next_generation;
-        let conn = build(generation);
+        let conn = build(self.next_generation);
         self.len += 1;
         match self.free.pop() {
             Some(slot) => {
                 self.slots[slot] = Some(conn);
-                (slot, generation)
+                slot
             }
             None => {
                 self.slots.push(Some(conn));
-                (self.slots.len() - 1, generation)
+                self.slots.len() - 1
             }
         }
     }
@@ -319,14 +319,18 @@ impl ConnTable {
         self.len
     }
 
-    /// Every occupied slot index (snapshot, so the caller may mutate the
-    /// table while iterating).
-    pub fn occupied(&self) -> Vec<usize> {
+    /// Every occupied slot with its connection.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &Conn)> {
         self.slots
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|_| i))
-            .collect()
+            .filter_map(|(i, s)| s.as_ref().map(|c| (i, c)))
+    }
+
+    /// Every occupied slot index (snapshot, so the caller may mutate the
+    /// table while iterating).
+    pub fn occupied(&self) -> Vec<usize> {
+        self.iter().map(|(i, _)| i).collect()
     }
 }
 
@@ -444,8 +448,9 @@ mod tests {
         };
         let mut table = ConnTable::new();
         let now = Instant::now();
-        let (slot_a, gen_a) = table.insert(|g| Conn::new(accept(), g, 0, now));
-        let (slot_b, _gen_b) = table.insert(|g| Conn::new(accept(), g, 0, now));
+        let slot_a = table.insert(|g| Conn::new(accept(), g, 0, now));
+        let slot_b = table.insert(|g| Conn::new(accept(), g, 0, now));
+        let gen_a = table.get_mut(slot_a).expect("present").generation;
         assert_eq!(table.len(), 2);
         assert_ne!(slot_a, slot_b);
         assert!(table.get_generation(slot_a, gen_a).is_some());
@@ -453,7 +458,8 @@ mod tests {
         assert_eq!(table.len(), 1);
         // The slot is recycled with a new generation: stale handles to the
         // old tenancy must not resolve to the new one.
-        let (slot_c, gen_c) = table.insert(|g| Conn::new(accept(), g, 0, now));
+        let slot_c = table.insert(|g| Conn::new(accept(), g, 0, now));
+        let gen_c = table.get_mut(slot_c).expect("present").generation;
         assert_eq!(slot_c, slot_a, "slab reuses the freed slot");
         assert!(table.get_generation(slot_c, gen_a).is_none(), "stale gen");
         assert!(table.get_generation(slot_c, gen_c).is_some());

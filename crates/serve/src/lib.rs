@@ -52,10 +52,12 @@
 //!   (`write_backpressure_pauses_total`) until the client catches up.
 //! - **closing** — on EOF, error, hygiene-deadline expiry, or drain.
 //!
-//! The hygiene deadlines (idle / line / write) are entries of a deadline
-//! min-heap, re-validated against live connection state when they fire
-//! (stale entries are dropped lazily, never searched for), not blocking
-//! read/write timeouts; their semantics and telemetry
+//! The hygiene deadlines (idle / line / write) are fields of the connection
+//! (`last_activity`, `line_started`, `write_deadline`), not blocking
+//! read/write timeouts: every loop iteration scans the connections once,
+//! cuts those past a deadline and sleeps until the earliest one left —
+//! the same O(connections) per wakeup that `poll(2)` already pays for its
+//! `pollfd` array. Their semantics and telemetry
 //! (`connections_reaped_total`, `write_timeouts_total`) are unchanged from
 //! the blocking front end.
 //!

@@ -146,7 +146,7 @@ pub struct ServeMetrics {
     /// into error responses instead of dropped connections.
     pub request_panics_recovered: Arc<Counter>,
     /// `eventloop_wakeups_total` — poller waits that returned (readiness,
-    /// timer expiry, or a wake from the scheduler).
+    /// a hygiene deadline, or a wake from the scheduler).
     pub eventloop_wakeups: Arc<Counter>,
     /// `eventloop_completions_total` — scheduler completions routed back to
     /// their connections by the event loop.

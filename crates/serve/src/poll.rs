@@ -1,8 +1,8 @@
-//! The event loop's platform layer: the [`Poller`] readiness set, a
+//! The event loop's platform layer: the [`Poller`] readiness set and a
 //! cross-thread [`Waker`] the scheduler's workers use to hand completions
-//! back to the loop, and the [`TimerHeap`] that drives the
-//! connection-hygiene deadlines (idle / line / write) without one blocking
-//! read per connection.
+//! back to the loop. The connection-hygiene deadlines need nothing here:
+//! the loop reads them from its connections and bounds the `wait` timeout
+//! by the earliest one.
 //!
 //! There is one readiness backend, `poll(2)`, because it runs on every
 //! platform the crate builds for. The poller keeps one `pollfd` per token;
@@ -24,14 +24,12 @@
 //! A ready-list backend returns only as a platform-selected path, and only
 //! once a many-connection benchmark workload shows the difference.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::io;
 use std::net::UdpSocket;
 use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Raw binding to `poll(2)`. `std` already links libc, so the symbol
 /// resolves without any external crate. This module is the only place in
@@ -286,75 +284,6 @@ pub fn waker() -> io::Result<(Waker, WakeReceiver)> {
     ))
 }
 
-/// What a connection timer polices; the heap itself is kind-agnostic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum TimerKind {
-    /// No completed request and no partial line for `idle_timeout`.
-    Idle,
-    /// A partial request line older than `line_timeout` (slow-loris).
-    Line,
-    /// A write buffer that has made no progress for `write_timeout`.
-    Write,
-}
-
-/// One scheduled timer, ordered by deadline first. Timers use **lazy
-/// cancellation**: entries are never removed early, so on expiry the owner
-/// must validate the entry against current connection state (generation
-/// *and* the live deadline) before acting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct TimerEntry {
-    /// Absolute expiry instant.
-    pub deadline: Instant,
-    /// The connection's slab token.
-    pub token: usize,
-    /// The connection's generation at scheduling time; a mismatch means
-    /// the slot was reused and the timer is stale.
-    pub generation: u64,
-    /// Which deadline this timer polices.
-    pub kind: TimerKind,
-}
-
-/// The hygiene deadlines as a min-heap on [`TimerEntry::deadline`].
-#[derive(Debug, Default)]
-pub struct TimerHeap {
-    heap: BinaryHeap<Reverse<TimerEntry>>,
-}
-
-impl TimerHeap {
-    /// Schedules an entry. A past deadline fires on the next
-    /// [`advance`](TimerHeap::advance).
-    pub fn insert(&mut self, entry: TimerEntry) {
-        self.heap.push(Reverse(entry));
-    }
-
-    /// Removes and returns every entry whose deadline is at or before
-    /// `now`, in deadline order.
-    pub fn advance(&mut self, now: Instant) -> Vec<TimerEntry> {
-        let mut expired = Vec::new();
-        while let Some(Reverse(entry)) = self.heap.peek() {
-            if entry.deadline > now {
-                break;
-            }
-            expired.push(*entry);
-            self.heap.pop();
-        }
-        expired
-    }
-
-    /// How long the owning loop may sleep before the earliest deadline is
-    /// due, floored at one millisecond so an imminent deadline cannot turn
-    /// the poll wait into a busy spin. `None` when nothing is scheduled.
-    pub fn next_timeout(&self, now: Instant) -> Option<Duration> {
-        let Reverse(earliest) = self.heap.peek()?;
-        Some(
-            earliest
-                .deadline
-                .saturating_duration_since(now)
-                .max(Duration::from_millis(1)),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -544,78 +473,5 @@ mod tests {
         // The channel survives draining: the next wake still arrives.
         wake_tx.wake();
         assert!(wait_for_token(&mut poller, &mut events, 0).is_some());
-    }
-
-    #[test]
-    fn timer_heap_fires_in_deadline_order_never_early() {
-        let start = Instant::now();
-        let mut timers = TimerHeap::default();
-        let at = |ms: u64| start + Duration::from_millis(ms);
-        let entry = |ms: u64, token: usize, kind: TimerKind| TimerEntry {
-            deadline: at(ms),
-            token,
-            generation: 1,
-            kind,
-        };
-        // Out-of-order insertion, near and far deadlines mixed.
-        timers.insert(entry(30, 3, TimerKind::Line));
-        timers.insert(entry(10, 1, TimerKind::Idle));
-        timers.insert(entry(130, 13, TimerKind::Idle));
-        timers.insert(entry(20, 2, TimerKind::Write));
-        assert_eq!(timers.heap.len(), 4);
-        // The poll timeout tracks the earliest deadline (10 ms out).
-        assert_eq!(timers.next_timeout(start), Some(Duration::from_millis(10)));
-        assert_eq!(
-            timers.next_timeout(at(100)),
-            Some(Duration::from_millis(1)),
-            "overdue deadlines floor at 1 ms instead of busy-spinning"
-        );
-
-        assert!(
-            timers.advance(at(9)).is_empty(),
-            "nothing expires before its deadline"
-        );
-        let first = timers.advance(at(25));
-        assert_eq!(
-            first.iter().map(|e| e.token).collect::<Vec<_>>(),
-            vec![1, 2],
-            "expired entries collect in deadline order"
-        );
-        assert_eq!(timers.next_timeout(at(25)), Some(Duration::from_millis(5)));
-        let second = timers.advance(at(50));
-        assert_eq!(second.iter().map(|e| e.token).collect::<Vec<_>>(), vec![3]);
-        assert_eq!(timers.heap.len(), 1);
-        let third = timers.advance(at(200));
-        assert_eq!(third.iter().map(|e| e.token).collect::<Vec<_>>(), vec![13]);
-        assert_eq!(third[0].kind, TimerKind::Idle);
-        assert!(timers.heap.is_empty());
-        assert_eq!(timers.next_timeout(at(200)), None);
-    }
-
-    #[test]
-    fn timer_heap_expires_past_deadlines_on_the_next_advance() {
-        let start = Instant::now();
-        let mut timers = TimerHeap::default();
-        let _ = timers.advance(start + Duration::from_millis(60));
-        // A deadline already behind the last advance fires on the very next
-        // one, and an entry due exactly at `now` is due.
-        timers.insert(TimerEntry {
-            deadline: start + Duration::from_millis(10),
-            token: 9,
-            generation: 1,
-            kind: TimerKind::Write,
-        });
-        timers.insert(TimerEntry {
-            deadline: start + Duration::from_millis(70),
-            token: 4,
-            generation: 2,
-            kind: TimerKind::Line,
-        });
-        let fired = timers.advance(start + Duration::from_millis(70));
-        assert_eq!(
-            fired.iter().map(|e| e.token).collect::<Vec<_>>(),
-            vec![9, 4]
-        );
-        assert!(timers.heap.is_empty());
     }
 }

@@ -388,8 +388,8 @@ impl Scheduler {
 
     /// Submits and blocks until the result arrives — the blocking path for
     /// embedders and the benchmark. The server's event loop does not call
-    /// it: it hands jobs over with [`Scheduler::submit_async`] and is woken
-    /// when the result is ready.
+    /// it: it hands jobs over without blocking and is woken when the
+    /// result is ready.
     ///
     /// # Errors
     ///

@@ -3,10 +3,12 @@
 
 use deepgate::core::DeepGateConfig;
 use deepgate::prelude::*;
-use deepgate_serve::{ServeConfig, Server};
+use deepgate::telemetry::Stage;
+use deepgate_serve::{FaultKind, FaultPlan, ServeConfig, Server};
 use serde::Value;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::Duration;
 
 const FULL_ADDER: &str = "INPUT(a)\nINPUT(b)\nINPUT(cin)\nOUTPUT(sum)\nOUTPUT(cout)\nx = XOR(a, b)\nsum = XOR(x, cin)\ng1 = AND(a, b)\ng2 = AND(x, cin)\ncout = OR(g1, g2)\n";
@@ -455,6 +457,67 @@ fn idle_connections_are_reaped() {
     );
     // A fresh client (connected after the reap, so it cannot itself idle
     // out mid-assertion) sees the reap in telemetry.
+    let mut bystander = Client::connect(&server);
+    let response = bystander.roundtrip(r#"{"op": "stats"}"#);
+    let reaped = field(field(&response, "stats"), "connections_reaped");
+    assert!(matches!(reaped, Value::UInt(n) if *n >= 1), "{response:?}");
+    server.shutdown();
+}
+
+#[test]
+fn idle_counts_from_the_last_answered_request_not_from_accept() {
+    // The first prediction sleeps 1 s in the worker, 2.5x the 400 ms idle
+    // timeout: a request in flight is not idleness.
+    let plan = FaultPlan::seeded(3).inject_limited(
+        Stage::Infer,
+        FaultKind::Delay(Duration::from_millis(1_000)),
+        1.0,
+        1,
+    );
+    let server = start_server(ServeConfig {
+        idle_timeout: Some(Duration::from_millis(400)),
+        line_timeout: Some(Duration::from_secs(30)),
+        faults: Some(Arc::new(plan)),
+        ..ServeConfig::default()
+    });
+    let predict = |id: u64| {
+        request_of(&[
+            ("id", Value::UInt(id)),
+            ("bench", Value::Str(FULL_ADDER.into())),
+        ])
+    };
+    let mut client = Client::connect(&server);
+    client
+        .reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("client read timeout");
+    let response = client.roundtrip(&predict(1));
+    assert!(
+        field(&response, "probs").as_array().is_some(),
+        "{response:?}"
+    );
+
+    // 1.25 s after accept but 250 ms after the answer: idle counts from
+    // the last answered request, so the connection still serves.
+    std::thread::sleep(Duration::from_millis(250));
+    let response = client.roundtrip(&predict(2));
+    assert!(
+        field(&response, "probs").as_array().is_some(),
+        "{response:?}"
+    );
+
+    // Then nothing: the connection is closed silently about 400 ms later,
+    // well inside the 10 s client-side guard, and counted as reaped.
+    let mut line = String::new();
+    assert_eq!(
+        client
+            .reader
+            .read_line(&mut line)
+            .expect("server closes before the client timeout"),
+        0,
+        "expected a silent close, got: {line}"
+    );
     let mut bystander = Client::connect(&server);
     let response = bystander.roundtrip(r#"{"op": "stats"}"#);
     let reaped = field(field(&response, "stats"), "connections_reaped");

@@ -37,33 +37,13 @@ impl SignalProbability {
         }
         aig.validate()
             .map_err(|e| SimError::InvalidCircuit(e.to_string()))?;
-        let num_words = num_patterns.div_ceil(64);
-        let mut source = PatternSource::new(aig.num_inputs(), seed);
-        let rows = source.word_rows(num_words);
-        let ones: Vec<u64> = rows
-            .par_iter()
-            .map(|row| {
-                let values = simulate_aig_words(aig, row).expect("input count matches");
-                values
-                    .iter()
-                    .map(|w| w.count_ones() as u64)
-                    .collect::<Vec<u64>>()
-            })
-            .reduce(
-                || vec![0u64; aig.len()],
-                |mut acc, row_counts| {
-                    for (a, c) in acc.iter_mut().zip(row_counts) {
-                        *a += c;
-                    }
-                    acc
-                },
-            );
-        let total = (num_words * 64) as f64;
-        Ok(SignalProbability {
-            values: ones.iter().map(|&c| c as f64 / total).collect(),
-            num_patterns: (num_words * 64) as u64,
-            exact: false,
-        })
+        Ok(Self::monte_carlo(
+            aig.num_inputs(),
+            aig.len(),
+            num_patterns,
+            seed,
+            |row| simulate_aig_words(aig, row),
+        ))
     }
 
     /// Estimates signal probabilities of a gate-level [`Netlist`] by random
@@ -86,20 +66,39 @@ impl SignalProbability {
         netlist
             .validate()
             .map_err(|e| SimError::InvalidCircuit(e.to_string()))?;
+        Ok(Self::monte_carlo(
+            netlist.num_inputs(),
+            netlist.len(),
+            num_patterns,
+            seed,
+            |row| simulate_netlist_words(netlist, row),
+        ))
+    }
+
+    /// The Monte-Carlo estimate of both `simulate*` constructors: one-counts
+    /// of `num_nodes` nodes summed over word rows of random input patterns,
+    /// each row simulated by `simulate_row` (rows run in parallel).
+    fn monte_carlo(
+        num_inputs: usize,
+        num_nodes: usize,
+        num_patterns: usize,
+        seed: u64,
+        simulate_row: impl Fn(&[u64]) -> Result<Vec<u64>, SimError> + Sync,
+    ) -> Self {
         let num_words = num_patterns.div_ceil(64);
-        let mut source = PatternSource::new(netlist.num_inputs(), seed);
+        let mut source = PatternSource::new(num_inputs, seed);
         let rows = source.word_rows(num_words);
         let ones: Vec<u64> = rows
             .par_iter()
             .map(|row| {
-                let values = simulate_netlist_words(netlist, row).expect("input count matches");
+                let values = simulate_row(row).expect("input count matches");
                 values
                     .iter()
                     .map(|w| w.count_ones() as u64)
                     .collect::<Vec<u64>>()
             })
             .reduce(
-                || vec![0u64; netlist.len()],
+                || vec![0u64; num_nodes],
                 |mut acc, row_counts| {
                     for (a, c) in acc.iter_mut().zip(row_counts) {
                         *a += c;
@@ -108,11 +107,11 @@ impl SignalProbability {
                 },
             );
         let total = (num_words * 64) as f64;
-        Ok(SignalProbability {
+        SignalProbability {
             values: ones.iter().map(|&c| c as f64 / total).collect(),
             num_patterns: (num_words * 64) as u64,
             exact: false,
-        })
+        }
     }
 
     /// Computes exact signal probabilities of an [`Aig`] by exhaustively
