@@ -114,14 +114,20 @@ impl Aggregator {
             },
             AggregatorKind::Attention => AggregatorParams::Attention {
                 query: Linear::new(store, &format!("{name}.query"), hidden_dim, 1, seed),
-                key: Linear::new(store, &format!("{name}.key"), hidden_dim, 1, seed + 1),
+                key: Linear::new(
+                    store,
+                    &format!("{name}.key"),
+                    hidden_dim,
+                    1,
+                    seed.wrapping_add(1),
+                ),
                 edge_attr: if edge_attr_dim > 0 {
                     Some(Linear::new(
                         store,
                         &format!("{name}.edge_attr"),
                         edge_attr_dim,
                         1,
-                        seed + 2,
+                        seed.wrapping_add(2),
                     ))
                 } else {
                     None
@@ -141,7 +147,7 @@ impl Aggregator {
                     &format!("{name}.rho"),
                     hidden_dim,
                     hidden_dim,
-                    seed + 1,
+                    seed.wrapping_add(1),
                 ),
             },
             AggregatorKind::GatedSum => AggregatorParams::GatedSum {
@@ -151,7 +157,7 @@ impl Aggregator {
                     &format!("{name}.value"),
                     hidden_dim,
                     hidden_dim,
-                    seed + 1,
+                    seed.wrapping_add(1),
                 ),
             },
         };

@@ -69,14 +69,14 @@ impl DagConvGnn {
                 config.aggregator,
                 config.hidden_dim,
                 0,
-                config.seed + 10 + layer as u64,
+                config.seed.wrapping_add(10 + layer as u64),
             ));
             combiners.push(GruCell::new(
                 store,
                 &format!("dagconv.layer{layer}.gru"),
                 config.hidden_dim,
                 config.hidden_dim,
-                config.seed + 100 + layer as u64,
+                config.seed.wrapping_add(100 + layer as u64),
             ));
         }
         let regressor = Mlp::new(
@@ -85,7 +85,7 @@ impl DagConvGnn {
             &[config.hidden_dim, config.hidden_dim, 1],
             Activation::Relu,
             true,
-            config.seed + 1000,
+            config.seed.wrapping_add(1000),
         );
         DagConvGnn {
             config,

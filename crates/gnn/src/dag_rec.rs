@@ -172,14 +172,14 @@ impl DagRecGnn {
             config.aggregator,
             config.hidden_dim,
             config.edge_attr_dim(),
-            config.seed + 1,
+            config.seed.wrapping_add(1),
         );
         let forward_gru = GruCell::new(
             store,
             "dagrec.forward.gru",
             config.gru_input_dim(),
             config.hidden_dim,
-            config.seed + 2,
+            config.seed.wrapping_add(2),
         );
         let (reverse_agg, reverse_gru) = if config.reverse_layer {
             (
@@ -189,14 +189,14 @@ impl DagRecGnn {
                     config.aggregator,
                     config.hidden_dim,
                     0,
-                    config.seed + 3,
+                    config.seed.wrapping_add(3),
                 )),
                 Some(GruCell::new(
                     store,
                     "dagrec.reverse.gru",
                     config.gru_input_dim(),
                     config.hidden_dim,
-                    config.seed + 4,
+                    config.seed.wrapping_add(4),
                 )),
             )
         } else {
@@ -215,7 +215,7 @@ impl DagRecGnn {
                     &[config.hidden_dim, config.regressor_hidden, 1],
                     Activation::Relu,
                     true,
-                    config.seed + 100 + head as u64,
+                    config.seed.wrapping_add(100 + head as u64),
                 )
             })
             .collect();

@@ -65,14 +65,14 @@ impl Gcn {
                 config.aggregator,
                 config.hidden_dim,
                 0,
-                config.seed + 10 + layer as u64,
+                config.seed.wrapping_add(10 + layer as u64),
             ));
             combiners.push(Linear::new(
                 store,
                 &format!("gcn.layer{layer}.combine"),
                 2 * config.hidden_dim,
                 config.hidden_dim,
-                config.seed + 100 + layer as u64,
+                config.seed.wrapping_add(100 + layer as u64),
             ));
         }
         let regressor = Mlp::new(
@@ -81,7 +81,7 @@ impl Gcn {
             &[config.hidden_dim, config.hidden_dim, 1],
             Activation::Relu,
             true,
-            config.seed + 1000,
+            config.seed.wrapping_add(1000),
         );
         Gcn {
             config,

@@ -143,7 +143,7 @@ impl Mlp {
                     &format!("{name}.layer{i}"),
                     w[0],
                     w[1],
-                    seed + i as u64,
+                    seed.wrapping_add(i as u64),
                 )
             })
             .collect();
@@ -238,35 +238,35 @@ impl GruCell {
                 &format!("{name}.w_hr"),
                 hidden_size,
                 hidden_size,
-                seed + 1,
+                seed.wrapping_add(1),
             ),
             w_xz: Linear::new(
                 store,
                 &format!("{name}.w_xz"),
                 input_size,
                 hidden_size,
-                seed + 2,
+                seed.wrapping_add(2),
             ),
             w_hz: Linear::new_without_bias(
                 store,
                 &format!("{name}.w_hz"),
                 hidden_size,
                 hidden_size,
-                seed + 3,
+                seed.wrapping_add(3),
             ),
             w_xn: Linear::new(
                 store,
                 &format!("{name}.w_xn"),
                 input_size,
                 hidden_size,
-                seed + 4,
+                seed.wrapping_add(4),
             ),
             w_hn: Linear::new_without_bias(
                 store,
                 &format!("{name}.w_hn"),
                 hidden_size,
                 hidden_size,
-                seed + 5,
+                seed.wrapping_add(5),
             ),
             input_size,
             hidden_size,

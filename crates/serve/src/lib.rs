@@ -43,9 +43,11 @@
 //!   complete line is dispatched (`&[u8]` sliced straight from the read
 //!   buffer, no per-request allocation before parsing).
 //! - **awaiting inference** — predict requests are submitted to the
-//!   [`Scheduler`] *without blocking*; workers push results into a
-//!   completion queue and wake the loop through a wakeup channel
-//!   (`eventloop_completions_total` counts the round trips).
+//!   [`Scheduler`] *without blocking*, each carrying one reply: whoever
+//!   settles the job — a worker, a full-queue or shutdown refusal, the
+//!   drain's flush — pushes its outcome into a completion queue and wakes
+//!   the loop through a wakeup channel (`eventloop_completions_total`
+//!   counts the round trips).
 //! - **writing** — responses queue in a per-connection write buffer that
 //!   drains through nonblocking partial writes. A buffer crossing the
 //!   high watermark (256 KiB) pauses request reading on that connection

@@ -148,8 +148,9 @@ pub struct ServeMetrics {
     /// `eventloop_wakeups_total` — poller waits that returned (readiness,
     /// a hygiene deadline, or a wake from the scheduler).
     pub eventloop_wakeups: Arc<Counter>,
-    /// `eventloop_completions_total` — scheduler completions routed back to
-    /// their connections by the event loop.
+    /// `eventloop_completions_total` — scheduler outcomes routed back to
+    /// their connections by the event loop: one per submitted prediction,
+    /// answered, failed or refused (`Overloaded`, `ShuttingDown`).
     pub eventloop_completions: Arc<Counter>,
     /// `write_backpressure_pauses_total` — connections whose request reading
     /// was paused because their response buffer crossed the high watermark.

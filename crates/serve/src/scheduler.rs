@@ -4,122 +4,46 @@
 
 use crate::fault::{panic_message, FaultPlan};
 use crate::metrics::SchedulerMetrics;
-use crate::poll::Waker;
 use crate::{ServeConfig, ServeError};
 use deepgate::telemetry::{Registry, Stage};
 use deepgate::{InferenceSession, PreparedCircuit};
 use serde::Serialize;
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// One terminal scheduler result addressed back to the event loop by the
-/// opaque token its submission carried.
-pub(crate) struct Completion {
-    /// The token passed to [`Scheduler::submit_async`].
-    pub token: u64,
-    /// The job's one terminal result.
-    pub result: Result<Vec<f32>, ServeError>,
-}
+/// A job's one terminal result.
+pub(crate) type Outcome = Result<Vec<f32>, ServeError>;
 
-/// The nonblocking response path: workers push completions here and wake
-/// the event loop, which drains the queue on its next iteration. The push
-/// side never blocks on anything but this short mutex, so inference is
-/// never coupled to socket backpressure.
-pub(crate) struct CompletionQueue {
-    queue: Mutex<Vec<Completion>>,
-    waker: Waker,
-}
-
-impl CompletionQueue {
-    pub fn new(waker: Waker) -> CompletionQueue {
-        CompletionQueue {
-            queue: Mutex::new(Vec::new()),
-            waker,
-        }
-    }
-
-    /// Completions can be pushed from a panicking worker's unwind (the
-    /// [`Reply`] drop guard), so a poisoned mutex is recovered rather than
-    /// propagated — the queued `Vec` is always structurally valid.
-    fn push(&self, token: u64, result: Result<Vec<f32>, ServeError>) {
-        let mut queue = match self.queue.lock() {
-            Ok(queue) => queue,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        queue.push(Completion { token, result });
-        drop(queue);
-        self.waker.wake();
-    }
-
-    /// Takes every queued completion.
-    pub fn drain(&self) -> Vec<Completion> {
-        let mut queue = match self.queue.lock() {
-            Ok(queue) => queue,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        std::mem::take(&mut *queue)
-    }
-
-    pub fn is_empty(&self) -> bool {
-        match self.queue.lock() {
-            Ok(queue) => queue.is_empty(),
-            Err(poisoned) => poisoned.into_inner().is_empty(),
-        }
-    }
-}
-
-/// How a job's terminal result travels back to its submitter: the
-/// blocking mpsc channel of [`Scheduler::predict`], or a completion-queue
-/// push that wakes the event loop. Exactly one terminal response per job
-/// is guaranteed on both paths — the async variant's drop guard converts
-/// a job dropped without a reply (a worker death even panic recovery
-/// missed) into an explicit internal error, mirroring what a dropped
-/// `Sender` signals to a blocking `recv`.
-enum Reply {
-    Sync(Sender<Result<Vec<f32>, ServeError>>),
-    Async {
-        token: u64,
-        queue: Arc<CompletionQueue>,
-        sent: AtomicBool,
-    },
-}
+/// How a job's terminal result travels back to its submitter: the callback
+/// passed to [`Scheduler::submit`], fired exactly once by whoever settles
+/// the job — a rejection, a worker, the shutdown flush. A job dropped
+/// unanswered (a worker death even panic recovery missed) fires it from the
+/// drop guard with an internal error instead of leaving the submitter
+/// waiting.
+struct Reply(Option<Box<dyn FnOnce(Outcome) + Send>>);
 
 impl Reply {
-    fn send(&self, result: Result<Vec<f32>, ServeError>) {
-        match self {
-            Reply::Sync(tx) => {
-                let _ = tx.send(result);
-            }
-            Reply::Async { token, queue, sent } => {
-                if !sent.swap(true, Ordering::SeqCst) {
-                    queue.push(*token, result);
-                }
-            }
+    fn send(mut self, outcome: Outcome) {
+        if let Some(reply) = self.0.take() {
+            reply(outcome);
         }
     }
 }
 
 impl Drop for Reply {
     fn drop(&mut self) {
-        if let Reply::Async { token, queue, sent } = self {
-            if !sent.swap(true, Ordering::SeqCst) {
-                queue.push(
-                    *token,
-                    Err(ServeError::Internal(
-                        "worker dropped the response channel without responding".into(),
-                    )),
-                );
-            }
+        if let Some(reply) = self.0.take() {
+            reply(Err(ServeError::Internal(
+                "worker dropped the response channel without responding".into(),
+            )));
         }
     }
 }
 
-/// One queued prediction request: the prepared circuit, the reply path its
+/// One queued prediction request: the prepared circuit, the reply its
 /// result is routed back through, and the instant after which the answer is
 /// worthless.
 struct Job {
@@ -204,7 +128,8 @@ struct Shared {
 /// [`ServeError::Overloaded`] rather than queueing unboundedly. Shutdown is
 /// graceful: jobs already executing complete and respond, still-queued
 /// requests are flushed with [`ServeError::ShuttingDown`], and
-/// [`Scheduler::shutdown`] joins every worker.
+/// [`Scheduler::shutdown`] joins every worker; once it returns, every
+/// submitted job's reply has fired.
 pub struct Scheduler {
     shared: Arc<Shared>,
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -278,134 +203,68 @@ impl Scheduler {
         &self.shared.session
     }
 
-    /// Enqueues a prepared circuit with no deadline, returning the channel
-    /// its result will arrive on.
+    /// Enqueues a prepared circuit; `reply` is called exactly once with its
+    /// result. A job still queued when its `deadline` passes is shed when
+    /// popped — before any inference — with [`ServeError::DeadlineExceeded`].
     ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Overloaded`] when the queue is full and
-    /// [`ServeError::ShuttingDown`] once [`Scheduler::shutdown`] has begun.
-    #[allow(clippy::type_complexity)]
+    /// A full queue answers [`ServeError::Overloaded`] and a scheduler that
+    /// has begun [`Scheduler::shutdown`] answers
+    /// [`ServeError::ShuttingDown`]; either rejection calls `reply` before
+    /// `submit` returns, outside the queue lock.
     pub fn submit(
         &self,
         circuit: Arc<PreparedCircuit>,
-    ) -> Result<Receiver<Result<Vec<f32>, ServeError>>, ServeError> {
-        self.submit_with_deadline(circuit, None)
-    }
-
-    /// [`Scheduler::submit`] with an optional deadline. A job still queued
-    /// when its deadline passes is shed when popped — before any inference
-    /// — and answered with [`ServeError::DeadlineExceeded`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Overloaded`] when the queue is full and
-    /// [`ServeError::ShuttingDown`] once [`Scheduler::shutdown`] has begun.
-    #[allow(clippy::type_complexity)]
-    pub fn submit_with_deadline(
-        &self,
-        circuit: Arc<PreparedCircuit>,
         deadline: Option<Instant>,
-    ) -> Result<Receiver<Result<Vec<f32>, ServeError>>, ServeError> {
-        let (respond, receive) = mpsc::channel();
-        self.enqueue(circuit, deadline, Reply::Sync(respond))?;
-        Ok(receive)
-    }
-
-    /// The event loop's nonblocking submission path: on completion the
-    /// result is pushed into `completions` under `token` and the loop's
-    /// waker fires. Rejections (queue full, shutting down) are returned
-    /// synchronously and push nothing — the caller answers inline.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::Overloaded`] when the queue is full and
-    /// [`ServeError::ShuttingDown`] once [`Scheduler::shutdown`] has begun.
-    pub(crate) fn submit_async(
-        &self,
-        circuit: Arc<PreparedCircuit>,
-        deadline: Option<Instant>,
-        token: u64,
-        completions: &Arc<CompletionQueue>,
-    ) -> Result<(), ServeError> {
-        self.enqueue(
-            circuit,
-            deadline,
-            Reply::Async {
-                token,
-                queue: Arc::clone(completions),
-                sent: AtomicBool::new(false),
-            },
-        )
-    }
-
-    fn enqueue(
-        &self,
-        circuit: Arc<PreparedCircuit>,
-        deadline: Option<Instant>,
-        respond: Reply,
-    ) -> Result<(), ServeError> {
-        {
-            let mut state = self.shared.state.lock().expect("scheduler lock");
-            if !state.open {
-                self.shared.metrics.rejected_shutdown.inc();
-                // `respond` is dropped OUTSIDE the rejection: the caller
-                // answers a synchronous Err, so the reply must not also
-                // fire its drop-guard completion.
-                return Err(self.defuse(respond, ServeError::ShuttingDown));
+        reply: impl FnOnce(Result<Vec<f32>, ServeError>) + Send + 'static,
+    ) {
+        let respond = Reply(Some(Box::new(reply)));
+        let metrics = &self.shared.metrics;
+        let mut state = self.shared.state.lock().expect("scheduler lock");
+        let rejection = if !state.open {
+            metrics.rejected_shutdown.inc();
+            ServeError::ShuttingDown
+        } else if state.jobs.len() >= self.shared.queue_depth {
+            metrics.rejected_overloaded.inc();
+            ServeError::Overloaded {
+                depth: self.shared.queue_depth,
             }
-            if state.jobs.len() >= self.shared.queue_depth {
-                self.shared.metrics.rejected_overloaded.inc();
-                return Err(self.defuse(
-                    respond,
-                    ServeError::Overloaded {
-                        depth: self.shared.queue_depth,
-                    },
-                ));
-            }
+        } else {
             state.jobs.push_back(Job {
                 circuit,
                 respond,
                 deadline,
                 enqueued: Instant::now(),
             });
-            self.shared.metrics.queue_depth.inc();
-        }
-        self.shared.metrics.submitted.inc();
-        self.shared.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Disarms a rejected reply so its drop guard stays silent — the
-    /// submitter gets the rejection as the synchronous return value, not
-    /// as a completion.
-    fn defuse(&self, respond: Reply, error: ServeError) -> ServeError {
-        if let Reply::Async { sent, .. } = &respond {
-            sent.store(true, Ordering::SeqCst);
-        }
-        error
+            metrics.queue_depth.inc();
+            drop(state);
+            metrics.submitted.inc();
+            self.shared.not_empty.notify_one();
+            return;
+        };
+        drop(state);
+        respond.send(Err(rejection));
     }
 
     /// Submits and blocks until the result arrives — the blocking path for
     /// embedders and the benchmark. The server's event loop does not call
-    /// it: it hands jobs over without blocking and is woken when the
-    /// result is ready.
+    /// it: its reply pushes the result to the loop and wakes it.
     ///
     /// # Errors
     ///
-    /// Propagates [`Scheduler::submit`] rejections and any engine error the
-    /// worker hit. A response channel dropped without a response — a worker
-    /// died mid-job in a way even panic recovery missed — reports
+    /// Returns every [`Scheduler::submit`] rejection and any engine error
+    /// the worker hit. A job dropped without a response — a worker died
+    /// mid-job in a way even panic recovery missed — reports
     /// [`ServeError::Internal`]; a clean drain reports
     /// [`ServeError::ShuttingDown`] explicitly.
     pub fn predict(&self, circuit: Arc<PreparedCircuit>) -> Result<Vec<f32>, ServeError> {
-        // Every terminal outcome arrives as an explicit message: worker
-        // results and shutdown flushes. A bare RecvError means
-        // the jobs were dropped without responding — a worker death that
-        // even `catch_unwind` recovery missed — which is an internal fault,
-        // NOT a clean shutdown; reporting it as such keeps real drains and
-        // lost requests distinguishable to clients.
-        self.submit(circuit)?.recv().unwrap_or_else(|_| {
+        let (respond, receive) = mpsc::channel();
+        self.submit(circuit, None, move |outcome| {
+            let _ = respond.send(outcome);
+        });
+        // The reply's drop guard answers a lost job, so the channel always
+        // carries an outcome; a bare RecvError would still be an internal
+        // fault, never a clean shutdown.
+        receive.recv().unwrap_or_else(|_| {
             Err(ServeError::Internal(
                 "worker dropped the response channel without responding".into(),
             ))
@@ -503,9 +362,9 @@ impl Drop for RespawnGuard {
         if self.shared.state.is_poisoned() {
             // The panic happened while the queue lock was held: every
             // future worker would panic on the same poisoned lock, and
-            // respawning would storm. Leave the scheduler broken (waiters
-            // get Internal errors from their dropped channels) rather than
-            // spin.
+            // respawning would storm. Leave the scheduler broken (the jobs
+            // it drops answer Internal from their reply's drop guard) rather
+            // than spin.
             return;
         }
         self.shared.metrics.worker_respawns.inc();
@@ -621,6 +480,20 @@ mod tests {
             .into_session()
     }
 
+    /// Submits through a channel, as [`Scheduler::predict`] does, without
+    /// waiting for the outcome.
+    fn submit(
+        scheduler: &Scheduler,
+        circuit: &Arc<PreparedCircuit>,
+        deadline: Option<Instant>,
+    ) -> mpsc::Receiver<Outcome> {
+        let (respond, receive) = mpsc::channel();
+        scheduler.submit(Arc::clone(circuit), deadline, move |outcome| {
+            let _ = respond.send(outcome);
+        });
+        receive
+    }
+
     /// Chains of distinct lengths, so per-circuit outputs are
     /// distinguishable by length and value.
     fn chain_circuit(engine_session: &InferenceSession, length: usize) -> Arc<PreparedCircuit> {
@@ -667,7 +540,7 @@ mod tests {
         // Submit everything first so both workers run at once, then collect.
         let receivers: Vec<_> = circuits
             .iter()
-            .map(|c| scheduler.submit(Arc::clone(c)).expect("queue open"))
+            .map(|c| submit(&scheduler, c, None))
             .collect();
         for (i, receiver) in receivers.into_iter().enumerate() {
             let probs = receiver.recv().expect("worker alive").expect("predicts");
@@ -695,9 +568,7 @@ mod tests {
         .expect("valid config");
         // The one `Arc` the structural cache hands out for a repeat, queued
         // eight times so several workers predict it at once.
-        let receivers: Vec<_> = (0..8)
-            .map(|_| scheduler.submit(Arc::clone(&circuit)).expect("queue open"))
-            .collect();
+        let receivers: Vec<_> = (0..8).map(|_| submit(&scheduler, &circuit, None)).collect();
         for (i, receiver) in receivers.into_iter().enumerate() {
             let probs = receiver.recv().expect("worker alive").expect("predicts");
             assert_eq!(bits(&probs), expected, "request {i} must match bit for bit");
@@ -743,7 +614,7 @@ mod tests {
         .expect("valid config");
         let receivers: Vec<_> = [&a, &bad, &b]
             .iter()
-            .map(|c| scheduler.submit(Arc::clone(c)).expect("queue open"))
+            .map(|c| submit(&scheduler, c, None))
             .collect();
         for _ in 0..3 {
             execute(
@@ -775,11 +646,12 @@ mod tests {
             },
         )
         .expect("valid config");
-        let _a = scheduler.submit(Arc::clone(&circuit)).expect("first fits");
-        let _b = scheduler.submit(Arc::clone(&circuit)).expect("second fits");
+        let _a = submit(&scheduler, &circuit, None);
+        let _b = submit(&scheduler, &circuit, None);
+        // The rejection is answered before `submit` returns.
         assert!(matches!(
-            scheduler.submit(Arc::clone(&circuit)),
-            Err(ServeError::Overloaded { depth: 2 })
+            submit(&scheduler, &circuit, None).try_recv(),
+            Ok(Err(ServeError::Overloaded { depth: 2 }))
         ));
         assert_eq!(scheduler.stats().rejected_overloaded, 1);
         assert_eq!(scheduler.queue_len(), 2);
@@ -798,9 +670,7 @@ mod tests {
             },
         )
         .expect("valid config");
-        let queued: Vec<_> = (0..3)
-            .map(|_| scheduler.submit(Arc::clone(&circuit)).expect("queue open"))
-            .collect();
+        let queued: Vec<_> = (0..3).map(|_| submit(&scheduler, &circuit, None)).collect();
         scheduler.shutdown();
         for receiver in queued {
             assert_eq!(
@@ -810,8 +680,8 @@ mod tests {
         }
         // Submissions after shutdown are rejected immediately.
         assert!(matches!(
-            scheduler.submit(circuit),
-            Err(ServeError::ShuttingDown)
+            submit(&scheduler, &circuit, None).try_recv(),
+            Ok(Err(ServeError::ShuttingDown))
         ));
         assert_eq!(scheduler.stats().rejected_shutdown, 4);
         // Idempotent.
@@ -832,15 +702,12 @@ mod tests {
             },
         )
         .expect("valid config");
-        let expired = scheduler
-            .submit_with_deadline(Arc::clone(&circuit), Some(Instant::now()))
-            .expect("queue open");
-        let live = scheduler
-            .submit_with_deadline(
-                Arc::clone(&circuit),
-                Some(Instant::now() + Duration::from_secs(3600)),
-            )
-            .expect("queue open");
+        let expired = submit(&scheduler, &circuit, Some(Instant::now()));
+        let live = submit(
+            &scheduler,
+            &circuit,
+            Some(Instant::now() + Duration::from_secs(3600)),
+        );
         for _ in 0..2 {
             execute(
                 &scheduler.shared,
@@ -877,9 +744,7 @@ mod tests {
         )
         .expect("valid config");
         let drain_one = |deadline: Instant| {
-            let receiver = scheduler
-                .submit_with_deadline(Arc::clone(&circuit), Some(deadline))
-                .expect("queue open");
+            let receiver = submit(&scheduler, &circuit, Some(deadline));
             execute(
                 &scheduler.shared,
                 next_job(&scheduler.shared).expect("job queued"),

@@ -7,15 +7,17 @@
 //! line / write) under those same tokens. Each loop iteration cuts the
 //! connections past a deadline and sleeps until the earliest one left —
 //! state-machine transitions instead of per-thread blocking reads. Predict
-//! requests are submitted to the scheduler without blocking; workers push
-//! results into a [`CompletionQueue`] and wake the loop through a
-//! [`Waker`], so the OS thread count stays flat — one loop plus the
-//! configured workers — at any connection fleet size.
+//! requests are submitted to the scheduler without blocking, each carrying
+//! its [`PendingPredict`] in its reply: whoever settles the job — a worker,
+//! a rejection, the shutdown flush — pushes it with the outcome into a
+//! [`CompletionQueue`] and wakes the loop through a [`Waker`], so the OS
+//! thread count stays flat — one loop plus the configured workers — at any
+//! connection fleet size.
 
 use crate::conn::{Conn, ConnTable, Flush, LineOverflow};
 use crate::fault::panic_message;
 use crate::poll::{waker, Event, Interest, Poller, WakeReceiver, Waker};
-use crate::scheduler::CompletionQueue;
+use crate::scheduler::Outcome;
 use crate::{
     b64, request_key, snapshot_to_value, CacheStats, CircuitCache, Scheduler, SchedulerStats,
     ServeConfig, ServeError, ServeMetrics,
@@ -23,7 +25,6 @@ use crate::{
 use deepgate::telemetry::{RequestTrace, SlowLog, Stage};
 use deepgate::{AigerBytes, BenchText, Engine, LatchPolicy, PreparedCircuit};
 use serde::{Serialize, Value};
-use std::collections::HashMap;
 use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -133,7 +134,10 @@ impl Server {
         engine.set_metrics(Arc::clone(&metrics.engine));
         let (wake_tx, wake_rx) =
             waker().map_err(|e| ServeError::Io(format!("wakeup channel: {e}")))?;
-        let completions = Arc::new(CompletionQueue::new(wake_tx.clone()));
+        let completions = Arc::new(CompletionQueue {
+            queue: Mutex::new(Vec::new()),
+            waker: wake_tx.clone(),
+        });
         let scheduler =
             Scheduler::with_metrics(engine.session(), &config, metrics.scheduler.clone())?;
         let listener = TcpListener::bind(&config.addr)
@@ -438,8 +442,8 @@ fn parse_payload(
     })
 }
 
-/// A predict request submitted to the scheduler and not yet answered: the
-/// routing context its completion needs to become a wire response.
+/// A predict request submitted to the scheduler, carried by its reply: the
+/// routing context its outcome needs to become a wire response.
 struct PendingPredict {
     slot: usize,
     generation: u64,
@@ -452,6 +456,31 @@ struct PendingPredict {
     infer_started: Instant,
 }
 
+/// The nonblocking response path: each job's reply pushes its request and
+/// outcome here and wakes the event loop, which drains the queue on its
+/// next iteration. The push side never blocks on anything but this short
+/// mutex, so inference is never coupled to socket backpressure.
+struct CompletionQueue {
+    queue: Mutex<Vec<(PendingPredict, Outcome)>>,
+    waker: Waker,
+}
+
+impl CompletionQueue {
+    /// Replies can fire from a panicking worker's unwind (their drop
+    /// guard), so a poisoned mutex is recovered rather than propagated —
+    /// the queued `Vec` is always structurally valid.
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<(PendingPredict, Outcome)>> {
+        self.queue
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    fn push(&self, pending: PendingPredict, outcome: Outcome) {
+        self.lock().push((pending, outcome));
+        self.waker.wake();
+    }
+}
+
 /// The event loop: the single thread owning the listener and every
 /// connection, hygiene deadlines included.
 struct EventLoop {
@@ -461,10 +490,7 @@ struct EventLoop {
     listener: Option<TcpListener>,
     wake_rx: WakeReceiver,
     table: ConnTable,
-    /// Outstanding async predictions keyed by completion token.
-    pending: HashMap<u64, PendingPredict>,
     completions: Arc<CompletionQueue>,
-    next_token: u64,
     /// Connections unpaused this iteration: their buffered requests resume
     /// processing after the event batch (not recursively inside it).
     resume: Vec<usize>,
@@ -533,9 +559,7 @@ impl EventLoop {
             listener: Some(listener),
             wake_rx,
             table: ConnTable::new(),
-            pending: HashMap::new(),
             completions,
-            next_token: 0,
             resume: Vec::new(),
             flush_deadline: None,
         })
@@ -890,42 +914,27 @@ impl EventLoop {
                 id,
                 name,
             } => {
-                let token = self.next_token;
-                self.next_token += 1;
-                let infer_started = Instant::now();
-                match self.inner.scheduler.submit_async(
-                    prepared,
-                    deadline,
-                    token,
-                    &self.completions,
-                ) {
-                    Ok(()) => {
-                        let Some(conn) = self.table.get_mut(slot) else {
-                            return true;
-                        };
-                        conn.inflight += 1;
-                        self.pending.insert(
-                            token,
-                            PendingPredict {
-                                slot,
-                                generation: conn.generation,
-                                id,
-                                name,
-                                trace,
-                                infer_started,
-                            },
-                        );
-                        false
-                    }
-                    // Rejections (queue full, shutting down) answer inline
-                    // on this connection, exactly like the blocking path.
-                    Err(e) => self.respond(
-                        Some(slot),
-                        error_response(id, &e.to_string()),
-                        trace,
-                        Some(&name),
-                    ),
-                }
+                let Some(conn) = self.table.get_mut(slot) else {
+                    return true;
+                };
+                conn.inflight += 1;
+                let pending = PendingPredict {
+                    slot,
+                    generation: conn.generation,
+                    id,
+                    name,
+                    trace,
+                    infer_started: Instant::now(),
+                };
+                // Every outcome, rejections included, comes back through
+                // the completion queue.
+                let completions = Arc::clone(&self.completions);
+                self.inner
+                    .scheduler
+                    .submit(prepared, deadline, move |outcome| {
+                        completions.push(pending, outcome)
+                    });
+                false
             }
         }
     }
@@ -1119,17 +1128,15 @@ impl EventLoop {
         }
     }
 
-    /// Hands every scheduler completion back to its connection. The wake
+    /// Hands every scheduler outcome back to its connection. The wake
     /// datagrams are drained FIRST: a producer that loses the coalescing
-    /// race has already enqueued its completion, so checking the queue
-    /// after the drain cannot miss it.
+    /// race has already enqueued its outcome, so checking the queue after
+    /// the drain cannot miss it.
     fn drain_completions(&mut self) {
         self.wake_rx.drain();
-        for completion in self.completions.drain() {
+        let completions = std::mem::take(&mut *self.completions.lock());
+        for (pending, outcome) in completions {
             self.inner.metrics.eventloop_completions.inc();
-            let Some(pending) = self.pending.remove(&completion.token) else {
-                continue;
-            };
             let PendingPredict {
                 slot,
                 generation,
@@ -1149,7 +1156,7 @@ impl EventLoop {
                 // still recorded.
                 None => None,
             };
-            let response = match completion.result {
+            let response = match outcome {
                 Ok(probs) => {
                     let mut response = object_with_id(id);
                     response.insert("probs".to_string(), probs.serialize());
@@ -1162,16 +1169,16 @@ impl EventLoop {
     }
 
     /// One drain iteration. Stops accepting immediately; once the
-    /// scheduler has flushed and every completion is routed, gives clients
-    /// a bounded grace to accept buffered responses, then retires every
-    /// connection. Returns `true` when the loop should exit.
+    /// scheduler has flushed — after which every job's reply has fired —
+    /// and every outcome is routed, gives clients a bounded grace to
+    /// accept buffered responses, then retires every connection. Returns
+    /// `true` when the loop should exit.
     fn drain_step(&mut self) -> bool {
         if self.listener.take().is_some() {
             let _ = self.poller.deregister(LISTENER);
         }
         if !self.inner.scheduler_drained.load(Ordering::SeqCst)
-            || !self.pending.is_empty()
-            || !self.completions.is_empty()
+            || !self.completions.lock().is_empty()
         {
             return false;
         }

@@ -526,6 +526,85 @@ fn idle_counts_from_the_last_answered_request_not_from_accept() {
 }
 
 #[test]
+fn overloaded_predictions_are_answered_on_the_wire() {
+    // One worker held 300 ms per prediction and room for one queued job:
+    // of four predictions pipelined on one connection at most two fit, so
+    // the rest are refused by the scheduler's backpressure.
+    let plan = FaultPlan::seeded(5).inject(
+        Stage::Infer,
+        FaultKind::Delay(Duration::from_millis(300)),
+        1.0,
+    );
+    let server = start_server(ServeConfig {
+        workers: 1,
+        queue_depth: 1,
+        faults: Some(Arc::new(plan)),
+        ..ServeConfig::default()
+    });
+    let mut client = Client::connect(&server);
+    client
+        .reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("client read timeout");
+    let batch: String = (0..4u64)
+        .map(|id| {
+            request_of(&[
+                ("id", Value::UInt(id)),
+                ("bench", Value::Str(FULL_ADDER.into())),
+            ]) + "\n"
+        })
+        .collect();
+    client
+        .writer
+        .write_all(batch.as_bytes())
+        .expect("requests written");
+
+    let mut ids = Vec::new();
+    let mut overloaded = 0;
+    for _ in 0..4 {
+        let mut line = String::new();
+        client
+            .reader
+            .read_line(&mut line)
+            .expect("response arrives");
+        let response: Value = serde_json::from_str(&line).expect("response is JSON");
+        let Value::UInt(id) = field(&response, "id") else {
+            panic!("id must echo back: {line}");
+        };
+        ids.push(*id);
+        match response.as_object().and_then(|o| o.get("error")) {
+            Some(Value::Str(error)) => {
+                assert!(error.contains("server overloaded"), "{line}");
+                overloaded += 1;
+            }
+            _ => assert!(field(&response, "probs").as_array().is_some(), "{line}"),
+        }
+    }
+    ids.sort_unstable();
+    assert_eq!(ids, [0, 1, 2, 3], "one response per request");
+    assert!(overloaded >= 1, "a queue of one must refuse some of four");
+
+    let stats = client.roundtrip(r#"{"op": "stats"}"#);
+    let rejected = field(
+        field(field(&stats, "stats"), "scheduler"),
+        "rejected_overloaded",
+    );
+    assert!(matches!(rejected, Value::UInt(n) if *n >= 1), "{stats:?}");
+    // Every prediction, refused or answered, is observed exactly once.
+    let metrics = client.roundtrip(r#"{"op": "metrics"}"#);
+    let metrics = field(&metrics, "metrics");
+    let predicts = field(field(metrics, "counters"), "requests_predict_total");
+    let latency = field(
+        field(field(metrics, "histograms"), "request_latency_ns"),
+        "count",
+    );
+    assert_eq!(latency, predicts, "{metrics:?}");
+    assert_eq!(predicts, &Value::UInt(4));
+    server.shutdown();
+}
+
+#[test]
 fn a_client_that_stops_reading_is_cut_by_the_write_timeout() {
     // A response stream big enough to overrun socket buffering: tens of
     // thousands of pipelined `metrics_text` requests — a few hundred KB of

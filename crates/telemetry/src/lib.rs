@@ -19,11 +19,11 @@
 //!   pass, so consumers (the `stats`/`metrics` verbs) assemble their view
 //!   from one read instead of polling subsystems at different instants.
 //!
-//! The span layer ([`Stage`], [`RequestTrace`], [`StageTimer`]) gives each
-//! request a per-stage latency breakdown from TCP read to response write;
-//! [`StageSet`] folds completed traces into per-stage histograms and
-//! [`SlowLog`] renders structured one-line records for requests over a
-//! threshold, naming the dominant stage.
+//! The span layer ([`Stage`], [`RequestTrace`]) gives each request a
+//! per-stage latency breakdown from TCP read to response write; [`StageSet`]
+//! folds completed traces into per-stage histograms and [`SlowLog`] renders
+//! structured one-line records for requests over a threshold, naming the
+//! dominant stage.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -33,4 +33,4 @@ mod span;
 
 pub use metric::{Bucket, Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{Registry, Snapshot};
-pub use span::{RequestTrace, SlowLog, Stage, StageSet, StageTimer};
+pub use span::{RequestTrace, SlowLog, Stage, StageSet};

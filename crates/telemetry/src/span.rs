@@ -54,10 +54,10 @@ impl Stage {
 ///
 /// A trace is created when the request line arrives and accumulates stage
 /// durations as the request moves through the path — via the closure-based
-/// [`RequestTrace::time`] or the RAII [`RequestTrace::timer`]. Stages that
-/// never ran (e.g. `Encode`/`Plan` on a cache hit) stay untouched and are
-/// not folded into the per-stage histograms, so each stage histogram's
-/// count reflects how often that stage actually executed.
+/// [`RequestTrace::time`], or [`RequestTrace::add`] for a span measured
+/// elsewhere. Stages that never ran (e.g. `Encode`/`Plan` on a cache hit)
+/// stay untouched and are not folded into the per-stage histograms, so each
+/// stage histogram's count reflects how often that stage actually executed.
 #[derive(Debug)]
 pub struct RequestTrace {
     started: Instant,
@@ -81,16 +81,6 @@ impl RequestTrace {
         let out = f();
         self.add(stage, start.elapsed());
         out
-    }
-
-    /// Returns an RAII timer that attributes the time until drop to
-    /// `stage`.
-    pub fn timer(&mut self, stage: Stage) -> StageTimer<'_> {
-        StageTimer {
-            trace: self,
-            stage,
-            started: Instant::now(),
-        }
     }
 
     /// Attributes an already-measured duration to `stage`.
@@ -126,22 +116,6 @@ impl RequestTrace {
             .into_iter()
             .filter(|s| self.ran(*s))
             .max_by_key(|s| self.stage_ns(*s))
-    }
-}
-
-/// RAII stage timer: attributes its lifetime to a stage on drop. Created by
-/// [`RequestTrace::timer`].
-#[derive(Debug)]
-pub struct StageTimer<'a> {
-    trace: &'a mut RequestTrace,
-    stage: Stage,
-    started: Instant,
-}
-
-impl Drop for StageTimer<'_> {
-    fn drop(&mut self) {
-        let elapsed = self.started.elapsed();
-        self.trace.add(self.stage, elapsed);
     }
 }
 
@@ -238,15 +212,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stages_accumulate_through_closures_and_timers() {
+    fn stages_accumulate_through_closures() {
         let mut trace = RequestTrace::start();
         trace.time(Stage::Parse, || {
             std::thread::sleep(Duration::from_micros(200))
         });
-        {
-            let _timer = trace.timer(Stage::Infer);
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        trace.time(Stage::Infer, || {
+            std::thread::sleep(Duration::from_millis(2))
+        });
         trace.add(Stage::Infer, Duration::from_millis(1));
         assert!(trace.ran(Stage::Parse));
         assert!(trace.ran(Stage::Infer));

@@ -17,9 +17,6 @@ use std::path::{Path, PathBuf};
 /// the engine owns the downstream AIG transformation, labelling and graph
 /// encoding, so every input format flows through one pipeline.
 pub trait CircuitSource {
-    /// A short human-readable description, used in diagnostics.
-    fn describe(&self) -> String;
-
     /// Produces the circuits.
     ///
     /// # Errors
@@ -45,10 +42,6 @@ impl BenchText {
 }
 
 impl CircuitSource for BenchText {
-    fn describe(&self) -> String {
-        format!("bench:{}", self.name)
-    }
-
     fn netlists(&self) -> Result<Vec<Netlist>, DeepGateError> {
         Ok(vec![deepgate_netlist::bench::parse(
             &self.text,
@@ -70,10 +63,6 @@ impl BenchFile {
 }
 
 impl CircuitSource for BenchFile {
-    fn describe(&self) -> String {
-        format!("bench-file:{}", self.path.display())
-    }
-
     fn netlists(&self) -> Result<Vec<Netlist>, DeepGateError> {
         let text = read_file(&self.path)?;
         let name = self
@@ -98,10 +87,6 @@ impl VerilogText {
 }
 
 impl CircuitSource for VerilogText {
-    fn describe(&self) -> String {
-        "verilog".to_string()
-    }
-
     fn netlists(&self) -> Result<Vec<Netlist>, DeepGateError> {
         Ok(vec![deepgate_netlist::verilog::parse(&self.text)?])
     }
@@ -120,10 +105,6 @@ impl VerilogFile {
 }
 
 impl CircuitSource for VerilogFile {
-    fn describe(&self) -> String {
-        format!("verilog-file:{}", self.path.display())
-    }
-
     fn netlists(&self) -> Result<Vec<Netlist>, DeepGateError> {
         let text = read_file(&self.path)?;
         Ok(vec![deepgate_netlist::verilog::parse(&text)?])
@@ -166,10 +147,6 @@ impl AigerBytes {
 }
 
 impl CircuitSource for AigerBytes {
-    fn describe(&self) -> String {
-        format!("aiger-bytes:{}:{}", self.name, self.policy)
-    }
-
     fn netlists(&self) -> Result<Vec<Netlist>, DeepGateError> {
         let aig = aiger::parse_auto(&self.bytes, self.name.clone())
             .map_err(deepgate_aig::AigError::from)?;
@@ -200,10 +177,6 @@ impl AigerFile {
 }
 
 impl CircuitSource for AigerFile {
-    fn describe(&self) -> String {
-        format!("aiger-file:{}:{}", self.path.display(), self.policy)
-    }
-
     fn netlists(&self) -> Result<Vec<Netlist>, DeepGateError> {
         let bytes = std::fs::read(&self.path).map_err(|e| DeepGateError::Io {
             path: self.path.display().to_string(),
@@ -246,10 +219,6 @@ impl From<Vec<Netlist>> for NetlistSource {
 }
 
 impl CircuitSource for NetlistSource {
-    fn describe(&self) -> String {
-        format!("netlists:{}", self.netlists.len())
-    }
-
     fn netlists(&self) -> Result<Vec<Netlist>, DeepGateError> {
         Ok(self.netlists.clone())
     }
@@ -290,10 +259,6 @@ impl SuiteSource {
 }
 
 impl CircuitSource for SuiteSource {
-    fn describe(&self) -> String {
-        format!("suite:{:?}x{}", self.suite, self.count)
-    }
-
     fn netlists(&self) -> Result<Vec<Netlist>, DeepGateError> {
         Ok((0..self.count)
             .map(|index| {
@@ -318,10 +283,6 @@ impl LargeDesignSource {
 }
 
 impl CircuitSource for LargeDesignSource {
-    fn describe(&self) -> String {
-        format!("large:{:?}", self.design)
-    }
-
     fn netlists(&self) -> Result<Vec<Netlist>, DeepGateError> {
         Ok(vec![self.design.generate(self.scale)])
     }
@@ -348,7 +309,6 @@ mod tests {
             .expect("the AND2 bench fixture should parse");
         assert_eq!(netlists.len(), 1);
         assert_eq!(netlists[0].num_inputs(), 2);
-        assert!(source.describe().contains("and2"));
     }
 
     #[test]
@@ -387,7 +347,6 @@ mod tests {
         // Cut mode: 2 pseudo-inputs (latch states), 2 + 2 outputs.
         assert_eq!(netlists[0].num_inputs(), 2);
         assert_eq!(netlists[0].num_outputs(), 4);
-        assert!(source.describe().contains("cut"));
     }
 
     #[test]
@@ -396,7 +355,6 @@ mod tests {
         let netlists = source.netlists().expect("the counter fixture unrolls");
         // 2 outputs per frame, no primary inputs.
         assert_eq!(netlists[0].num_outputs(), 6);
-        assert!(source.describe().contains("unroll:3"));
     }
 
     #[test]

@@ -569,6 +569,30 @@ fn checkpoint_with_zero_iterations_is_refused_like_a_fresh_config() {
 }
 
 #[test]
+fn checkpoint_with_the_largest_seed_loads_and_predicts_like_its_source() {
+    // The layer constructors derive one sub-seed per layer from the config
+    // seed; a seed at `u64::MAX` must wrap, not overflow.
+    let json = edited_checkpoint(|c| {
+        *field(field(c, "config"), "seed") = Value::UInt(u64::MAX);
+    });
+    let restored = Engine::builder()
+        .from_checkpoint_json(json)
+        .build()
+        .unwrap();
+    let engine = quick_engine();
+    let circuits = engine
+        .prepare(&BenchText::new("full_adder", FULL_ADDER))
+        .unwrap();
+    // The file's weights replace the seeded initialisation.
+    let a = engine.predict(&circuits[0]).unwrap();
+    let b = restored.predict(&circuits[0]).unwrap();
+    assert_eq!(
+        a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+        b.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+    );
+}
+
+#[test]
 fn engine_metrics_record_every_pipeline_stage() {
     use deepgate::telemetry::Registry;
     use deepgate::EngineMetrics;
