@@ -16,29 +16,29 @@
 //!
 //! `DFF` and other sequential primitives are rejected with a parse error —
 //! DeepGate operates on combinational (sub-)circuits only.
+//!
+//! Gates may be declared in any order. Inputs are numbered first, in
+//! declaration order; a file that defines every signal before reading it
+//! keeps its gates in declaration order too, and any other file numbers
+//! them as repeated in-order sweeps over its gate lines would add them
+//! (the `verilog` reader numbers its gates the same way).
 
+use crate::netlist::GateDecl;
 use crate::{GateKind, Netlist, NetlistError, NodeId};
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// Parses BENCH text into a [`Netlist`].
 ///
 /// # Errors
 ///
-/// Returns [`NetlistError::Parse`] for malformed lines,
-/// [`NetlistError::DuplicateSignal`] if a signal is defined twice and
-/// [`NetlistError::UndefinedSignal`] if a referenced signal is never defined.
+/// Returns [`NetlistError::Parse`] for malformed lines and for a gate whose
+/// kind rejects its fan-in count, [`NetlistError::DuplicateSignal`] if a
+/// signal is defined twice and [`NetlistError::UndefinedSignal`] if a
+/// referenced signal is never defined (or only on a combinational cycle).
 pub fn parse(text: &str, name: impl Into<String>) -> Result<Netlist, NetlistError> {
-    struct GateLine {
-        line_no: usize,
-        output: String,
-        kind: GateKind,
-        inputs: Vec<String>,
-    }
-
     let mut inputs: Vec<String> = Vec::new();
     let mut outputs: Vec<String> = Vec::new();
-    let mut gates: Vec<GateLine> = Vec::new();
+    let mut gates: Vec<GateDecl> = Vec::new();
 
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
@@ -91,76 +91,15 @@ pub fn parse(text: &str, name: impl Into<String>) -> Result<Netlist, NetlistErro
         } else {
             args_str.split(',').map(|s| s.trim().to_string()).collect()
         };
-        gates.push(GateLine {
-            line_no,
+        gates.push(GateDecl {
+            line: line_no,
             output,
             kind,
             inputs: args,
         });
     }
 
-    let mut netlist = Netlist::new(name);
-    let mut by_name: HashMap<String, NodeId> = HashMap::new();
-    for sig in &inputs {
-        if by_name.contains_key(sig) {
-            return Err(NetlistError::DuplicateSignal(sig.clone()));
-        }
-        let id = netlist.add_input(sig.clone());
-        by_name.insert(sig.clone(), id);
-    }
-
-    // Gates may be declared in any order; iterate until fixpoint.
-    let mut remaining: Vec<GateLine> = gates;
-    while !remaining.is_empty() {
-        let before = remaining.len();
-        let mut next_round = Vec::new();
-        for gate in remaining {
-            if by_name.contains_key(&gate.output) {
-                return Err(NetlistError::DuplicateSignal(gate.output.clone()));
-            }
-            let resolved: Option<Vec<NodeId>> = gate
-                .inputs
-                .iter()
-                .map(|s| by_name.get(s).copied())
-                .collect();
-            match resolved {
-                Some(fanins) => {
-                    let id = netlist
-                        .add_named_gate(gate.kind, &fanins, gate.output.clone())
-                        .map_err(|e| match e {
-                            NetlistError::ArityMismatch { kind, got } => NetlistError::Parse {
-                                line: gate.line_no,
-                                message: format!("gate {kind} cannot take {got} fan-ins"),
-                            },
-                            other => other,
-                        })?;
-                    by_name.insert(gate.output.clone(), id);
-                }
-                None => next_round.push(gate),
-            }
-        }
-        if next_round.len() == before {
-            // No progress: some signal is undefined (or there is a cycle).
-            let missing = next_round
-                .iter()
-                .flat_map(|g| g.inputs.iter())
-                .find(|s| !by_name.contains_key(*s))
-                .cloned()
-                .unwrap_or_else(|| next_round[0].output.clone());
-            return Err(NetlistError::UndefinedSignal(missing));
-        }
-        remaining = next_round;
-    }
-
-    for sig in &outputs {
-        let id = by_name
-            .get(sig)
-            .copied()
-            .ok_or_else(|| NetlistError::UndefinedSignal(sig.clone()))?;
-        netlist.mark_output(id, sig.clone());
-    }
-
-    Ok(netlist)
+    Netlist::from_declarations(name, inputs, outputs, gates)
 }
 
 fn parse_parenthesised(
@@ -339,6 +278,23 @@ w = NOT(a)
         assert!(text.contains("out_signal = BUF("));
         let n2 = parse(&text, "alias").unwrap();
         assert_eq!(n2.num_outputs(), 1);
+    }
+
+    #[test]
+    fn reverse_declared_chain_numbers_like_the_forward_one() {
+        let gate = |k: usize| format!("g{k} = NOT(g{})\n", k - 1);
+        let head = "INPUT(g0)\nOUTPUT(g5000)\n";
+        let forward: String = (1..=5000).map(gate).collect();
+        let reverse: String = (1..=5000).rev().map(gate).collect();
+        let forward = parse(&(head.to_string() + &forward), "chain").unwrap();
+        let reverse = parse(&(head.to_string() + &reverse), "chain").unwrap();
+        assert_eq!(reverse, forward);
+    }
+
+    #[test]
+    fn wrong_arity_is_a_parse_error_at_its_line() {
+        let err = parse("INPUT(a)\n\ny = NOT(a, a)\n", "bad").unwrap_err();
+        assert!(matches!(err, NetlistError::Parse { line: 3, .. }), "{err}");
     }
 
     #[test]

@@ -14,14 +14,15 @@ pub enum NetlistError {
     },
     /// A referenced node id does not exist in the netlist.
     UnknownNode(usize),
-    /// A signal name was referenced before being defined and never resolved
-    /// (BENCH parsing).
+    /// A signal name read by a gate or an output of a text netlist (BENCH or
+    /// Verilog) is never defined, or only on a combinational cycle.
     UndefinedSignal(String),
-    /// A signal name was defined twice (BENCH parsing).
+    /// A signal name of a text netlist (BENCH or Verilog) is defined twice.
     DuplicateSignal(String),
-    /// The BENCH text could not be parsed at the given line.
+    /// The BENCH or Verilog text could not be parsed at the given line.
     Parse {
-        /// 1-based line number of the offending line.
+        /// 1-based line number of the offending line (for Verilog, the line
+        /// its statement starts on).
         line: usize,
         /// Human-readable description of the problem.
         message: String,

@@ -5,16 +5,16 @@
 //!
 //! - [`Netlist`] — a directed acyclic graph of logic gates with named primary
 //!   inputs and outputs, supporting the common combinational gate alphabet
-//!   (AND/NAND/OR/NOR/XOR/XNOR/NOT/BUF/MUX plus constants).
+//!   (AND/NAND/OR/NOR/XOR/XNOR/NOT/BUF/MUX plus constants), with its logic
+//!   levels and fan-out counts.
 //! - [`GateKind`] — the gate alphabet together with bit- and word-level
 //!   evaluation.
 //! - [`mod@bench`] — a reader and writer for the ISCAS/BENCH text format, the
 //!   interchange format used by the benchmark suites cited in the paper.
 //! - [`verilog`] — a reader and writer for the structural gate-level
 //!   Verilog subset the IWLS/OpenCores benchmarks circulate in.
-//! - [`graph`] — DAG utilities shared by the whole workspace: topological
-//!   ordering, levelisation, fan-out counting and basic structural
-//!   statistics.
+//!   Both readers hand their declarations to one resolver, so a netlist
+//!   numbers its gates the same way whichever text it came from.
 //! - [`builder`] — a small fluent API for constructing circuits in code, used
 //!   heavily by the synthetic benchmark generators of `deepgate-dataset`.
 //!
@@ -41,14 +41,10 @@ pub mod bench;
 pub mod builder;
 mod error;
 mod gate;
-pub mod graph;
 mod netlist;
-pub mod stats;
 pub mod verilog;
 
 pub use builder::NetlistBuilder;
 pub use error::NetlistError;
 pub use gate::GateKind;
-pub use graph::{Levels, TopoOrder};
-pub use netlist::{Netlist, Node, NodeId};
-pub use stats::NetlistStats;
+pub use netlist::{Levels, Netlist, Node, NodeId};

@@ -1,5 +1,6 @@
-use crate::{GateKind, Levels, NetlistError, NetlistStats, TopoOrder};
+use crate::{GateKind, NetlistError};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Index of a node inside a [`Netlist`].
@@ -39,6 +40,35 @@ pub struct Node {
     pub fanins: Vec<NodeId>,
     /// Optional signal name (always present for primary inputs).
     pub name: Option<String>,
+}
+
+/// Logic levels of every node in a netlist.
+///
+/// Primary inputs and constants sit at level 0; every gate sits one level
+/// above its deepest fan-in. `max_level` is the circuit depth.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Levels {
+    /// Per-node logic level, indexed by [`NodeId::index`].
+    pub level: Vec<usize>,
+    /// The maximum level over all nodes (0 for a netlist with no gates).
+    pub max_level: usize,
+}
+
+impl Levels {
+    /// The level of a given node.
+    pub fn of(&self, id: NodeId) -> usize {
+        self.level[id.index()]
+    }
+}
+
+/// One gate declaration of a text netlist, `output = kind(inputs)`, as
+/// written on 1-based source line `line`.
+#[derive(Debug, Clone)]
+pub(crate) struct GateDecl {
+    pub(crate) line: usize,
+    pub(crate) output: String,
+    pub(crate) kind: GateKind,
+    pub(crate) inputs: Vec<String>,
 }
 
 /// A combinational gate-level netlist represented as a DAG.
@@ -244,25 +274,147 @@ impl Netlist {
             .map(|(id, _)| id)
     }
 
-    /// Returns node ids in a valid topological order (fan-ins before fan-outs).
-    pub fn topo_order(&self) -> TopoOrder {
-        crate::graph::topo_order(self)
-    }
-
     /// Computes the logic level of every node (inputs and constants are level
     /// 0, a gate is one more than its deepest fan-in).
     pub fn levels(&self) -> Levels {
-        crate::graph::levels(self)
+        let mut level = vec![0usize; self.len()];
+        let mut max_level = 0;
+        for (id, node) in self.iter() {
+            if !node.kind.is_source() {
+                let deepest = node.fanins.iter().map(|f| level[f.index()]).max();
+                level[id.index()] = deepest.unwrap_or(0) + 1;
+                max_level = max_level.max(level[id.index()]);
+            }
+        }
+        Levels { level, max_level }
     }
 
-    /// Number of fan-outs of every node (how many gates or outputs consume it).
+    /// Number of fan-outs of every node (how many gate fan-ins plus primary
+    /// outputs consume it).
     pub fn fanout_counts(&self) -> Vec<usize> {
-        crate::graph::fanout_counts(self)
+        let mut counts = vec![0usize; self.len()];
+        for node in &self.nodes {
+            for f in &node.fanins {
+                counts[f.index()] += 1;
+            }
+        }
+        for (id, _) in &self.outputs {
+            counts[id.index()] += 1;
+        }
+        counts
     }
 
-    /// Structural statistics of the netlist (gate histogram, depth, fan-out).
-    pub fn stats(&self) -> NetlistStats {
-        NetlistStats::of(self)
+    /// Builds a netlist from the declarations of a text netlist, whose gates
+    /// may be declared in any order; both text readers end here.
+    ///
+    /// Inputs take ids `0..inputs.len()` in declaration order. Gates follow
+    /// in the order repeated in-order sweeps over the declarations would add
+    /// them: gate `g` lands in sweep `s(g) = max(1, max over its producers h
+    /// of s(h) + [h declared after g])`, and gates are numbered by `(s(g),
+    /// declaration index)`, so a text that defines every signal before
+    /// reading it keeps declaration order. The resolve is Kahn's algorithm
+    /// over the producer graph: O(gates + pins), one name lookup per pin.
+    ///
+    /// # Errors
+    ///
+    /// In this order: [`NetlistError::DuplicateSignal`] for the first name
+    /// declared twice; [`NetlistError::Parse`] at its line for the first
+    /// gate, in numbering order, whose kind rejects its fan-in count;
+    /// [`NetlistError::UndefinedSignal`] for the first fan-in of the first
+    /// unresolvable gate that is undefined or unresolvable itself (a cycle),
+    /// then for the first undriven output.
+    pub(crate) fn from_declarations(
+        name: impl Into<String>,
+        inputs: Vec<String>,
+        outputs: Vec<String>,
+        mut gates: Vec<GateDecl>,
+    ) -> Result<Netlist, NetlistError> {
+        const NONE: usize = usize::MAX;
+        let (num_inputs, num_gates) = (inputs.len(), gates.len());
+        // Signal `s` is primary input `s`, or gate `s - num_inputs` above them.
+        let mut signal: HashMap<&str, usize> = HashMap::with_capacity(num_inputs + num_gates);
+        for name in inputs.iter().chain(gates.iter().map(|g| &g.output)) {
+            let next = signal.len();
+            if signal.insert(name, next).is_some() {
+                return Err(NetlistError::DuplicateSignal(name.clone()));
+            }
+        }
+        let lookup = |name: &String| signal.get(name.as_str()).copied().unwrap_or(NONE);
+        // Gate `g` reads signals `pins[first_pin[g]..first_pin[g + 1]]`
+        // (NONE: undefined), `pending[g]` of them not yet produced (an
+        // undefined one never is); `first_use[h]` chains through `uses`
+        // every pin gate `h` drives.
+        let mut pins = Vec::new();
+        let mut first_pin = vec![0];
+        let mut pending = vec![0usize; num_gates];
+        let mut first_use = vec![NONE; num_gates];
+        let mut uses: Vec<(usize, usize)> = Vec::new();
+        for (g, gate) in gates.iter().enumerate() {
+            for s in gate.inputs.iter().map(lookup) {
+                pending[g] += usize::from(s >= num_inputs);
+                if s != NONE && s >= num_inputs {
+                    uses.push((g, first_use[s - num_inputs]));
+                    first_use[s - num_inputs] = uses.len() - 1;
+                }
+                pins.push(s);
+            }
+            first_pin.push(pins.len());
+        }
+        let drivers: Vec<usize> = outputs.iter().map(lookup).collect();
+
+        let mut sweep = vec![1usize; num_gates];
+        let mut ready: Vec<usize> = (0..num_gates).filter(|&g| pending[g] == 0).collect();
+        while let Some(h) = ready.pop() {
+            let mut u = first_use[h];
+            while u != NONE {
+                let (g, next) = uses[u];
+                sweep[g] = sweep[g].max(sweep[h] + usize::from(h > g));
+                pending[g] -= 1;
+                if pending[g] == 0 {
+                    ready.push(g);
+                }
+                u = next;
+            }
+        }
+        // A sweep number never exceeds the gate count: bucket by it.
+        let mut by_sweep = vec![Vec::new(); num_gates + 1];
+        for g in (0..num_gates).filter(|&g| pending[g] == 0) {
+            by_sweep[sweep[g]].push(g);
+        }
+
+        let mut netlist = Netlist::new(name);
+        let mut node_of: Vec<NodeId> = inputs.into_iter().map(|i| netlist.add_input(i)).collect();
+        node_of.resize(num_inputs + num_gates, NodeId(0));
+        let mut fanins = Vec::new();
+        for g in by_sweep.into_iter().flatten() {
+            fanins.clear();
+            fanins.extend(
+                pins[first_pin[g]..first_pin[g + 1]]
+                    .iter()
+                    .map(|&s| node_of[s]),
+            );
+            let gate = &mut gates[g];
+            node_of[num_inputs + g] = netlist
+                .add_named_gate(gate.kind, &fanins, std::mem::take(&mut gate.output))
+                .map_err(|e| NetlistError::Parse {
+                    line: gate.line,
+                    message: e.to_string(),
+                })?;
+        }
+        let unproduced = |s: usize| s == NONE || (s >= num_inputs && pending[s - num_inputs] > 0);
+        for g in (0..num_gates).filter(|&g| pending[g] > 0) {
+            let pins = &pins[first_pin[g]..first_pin[g + 1]];
+            if let Some(at) = pins.iter().position(|&s| unproduced(s)) {
+                return Err(NetlistError::UndefinedSignal(gates[g].inputs[at].clone()));
+            }
+        }
+        for (output, s) in outputs.into_iter().zip(drivers) {
+            if s == NONE {
+                return Err(NetlistError::UndefinedSignal(output));
+            }
+            netlist.mark_output(node_of[s], output);
+        }
+        Ok(netlist)
     }
 
     /// Checks internal invariants: fan-in ids in range, arities legal, every
@@ -382,6 +534,242 @@ mod tests {
     fn display_of_node_id() {
         assert_eq!(NodeId(4).to_string(), "n4");
         assert_eq!(usize::from(NodeId(4)), 4);
+    }
+
+    fn chain(depth: usize) -> Netlist {
+        let mut n = Netlist::new("chain");
+        let mut prev = n.add_input("a");
+        for _ in 0..depth {
+            prev = n.add_gate(GateKind::Not, &[prev]).unwrap();
+        }
+        n.mark_output(prev, "y");
+        n
+    }
+
+    #[test]
+    fn levels_of_chain_match_depth() {
+        let n = chain(5);
+        let lv = n.levels();
+        assert_eq!(lv.max_level, 5);
+        assert_eq!(lv.of(NodeId(0)), 0);
+        assert_eq!(lv.of(NodeId(5)), 5);
+    }
+
+    #[test]
+    fn fanout_counts_include_outputs() {
+        let mut n = Netlist::new("f");
+        let a = n.add_input("a");
+        let b = n.add_input("b");
+        let g1 = n.add_gate(GateKind::And, &[a, b]).unwrap();
+        let g2 = n.add_gate(GateKind::Or, &[a, g1]).unwrap();
+        n.mark_output(g1, "o1");
+        n.mark_output(g2, "o2");
+        let counts = n.fanout_counts();
+        assert_eq!(counts[a.index()], 2); // g1, g2
+        assert_eq!(counts[b.index()], 1); // g1
+        assert_eq!(counts[g1.index()], 2); // g2 + output
+        assert_eq!(counts[g2.index()], 1); // output only
+    }
+
+    #[test]
+    fn empty_netlist_levels() {
+        let n = Netlist::new("empty");
+        let lv = n.levels();
+        assert_eq!(lv.max_level, 0);
+        assert!(lv.level.is_empty());
+    }
+
+    /// The resolve both text readers ran before `from_declarations`: sweep
+    /// the gate list in declaration order, adding every gate whose fan-ins
+    /// are all defined, until a sweep adds nothing. Quadratic on a chain
+    /// declared back to front; kept as the numbering and error oracle.
+    fn sweep_oracle(
+        inputs: Vec<String>,
+        outputs: Vec<String>,
+        gates: Vec<GateDecl>,
+    ) -> Result<Netlist, NetlistError> {
+        let mut netlist = Netlist::new("t");
+        let mut by_name: HashMap<String, NodeId> = HashMap::new();
+        for sig in &inputs {
+            if by_name.contains_key(sig) {
+                return Err(NetlistError::DuplicateSignal(sig.clone()));
+            }
+            let id = netlist.add_input(sig.clone());
+            by_name.insert(sig.clone(), id);
+        }
+        let mut remaining = gates;
+        while !remaining.is_empty() {
+            let before = remaining.len();
+            let mut next_round = Vec::new();
+            for gate in remaining {
+                if by_name.contains_key(&gate.output) {
+                    return Err(NetlistError::DuplicateSignal(gate.output));
+                }
+                let resolved: Option<Vec<NodeId>> = gate
+                    .inputs
+                    .iter()
+                    .map(|s| by_name.get(s).copied())
+                    .collect();
+                match resolved {
+                    Some(fanins) => {
+                        let id = netlist
+                            .add_named_gate(gate.kind, &fanins, gate.output.clone())
+                            .map_err(|e| NetlistError::Parse {
+                                line: gate.line,
+                                message: e.to_string(),
+                            })?;
+                        by_name.insert(gate.output, id);
+                    }
+                    None => next_round.push(gate),
+                }
+            }
+            if next_round.len() == before {
+                let missing = next_round
+                    .iter()
+                    .flat_map(|g| g.inputs.iter())
+                    .find(|s| !by_name.contains_key(*s))
+                    .cloned()
+                    .unwrap_or_else(|| next_round[0].output.clone());
+                return Err(NetlistError::UndefinedSignal(missing));
+            }
+            remaining = next_round;
+        }
+        for sig in outputs {
+            let id = by_name
+                .get(&sig)
+                .copied()
+                .ok_or_else(|| NetlistError::UndefinedSignal(sig.clone()))?;
+            netlist.mark_output(id, sig);
+        }
+        Ok(netlist)
+    }
+
+    /// xorshift64*: a seeded, dependency-free source for the property test.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33) as usize % n
+        }
+    }
+
+    /// Random declarations of 1-40 gates over 0-3 inputs, shuffled in three
+    /// cases of four. Half the cases mix in undefined fan-ins, cycles and
+    /// wrong arities; any may have an undriven output or a duplicated gate
+    /// output. Returns whether some gate output is declared twice.
+    fn random_declarations(rng: &mut Rng) -> (Vec<String>, Vec<String>, Vec<GateDecl>, bool) {
+        let inputs: Vec<String> = (0..rng.below(4)).map(|i| format!("i{i}")).collect();
+        let num_gates = 1 + rng.below(40);
+        let faulty = rng.below(2) == 0;
+        let mut gates: Vec<GateDecl> = (0..num_gates)
+            .map(|k| {
+                let kind = GateKind::ALL[1 + rng.below(GateKind::ALL.len() - 1)];
+                let (lo, hi) = kind.arity();
+                let arity = if faulty && rng.below(15) == 0 {
+                    rng.below(5)
+                } else {
+                    lo + rng.below(hi.min(4) - lo + 1)
+                };
+                let pins = (0..arity)
+                    .map(|_| match if faulty { rng.below(40) } else { 2 } {
+                        0 => "ghost".to_string(),
+                        _ if inputs.is_empty() && k == 0 => "ghost".to_string(),
+                        1 => format!("w{}", k + rng.below(num_gates - k)),
+                        _ => match rng.below(inputs.len() + k) {
+                            j if j < inputs.len() => inputs[j].clone(),
+                            j => format!("w{}", j - inputs.len()),
+                        },
+                    })
+                    .collect();
+                GateDecl {
+                    line: k + 1,
+                    output: format!("w{k}"),
+                    kind,
+                    inputs: pins,
+                }
+            })
+            .collect();
+        if rng.below(8) == 0 {
+            gates[rng.below(num_gates)].output = match rng.below(inputs.len() + num_gates) {
+                j if j < inputs.len() => inputs[j].clone(),
+                j => format!("w{}", j - inputs.len()),
+            };
+        }
+        let mut names: Vec<&String> = inputs
+            .iter()
+            .chain(gates.iter().map(|g| &g.output))
+            .collect();
+        names.sort();
+        let duplicated = names.windows(2).any(|w| w[0] == w[1]);
+        if rng.below(4) != 0 {
+            for i in (1..num_gates).rev() {
+                gates.swap(i, rng.below(i + 1));
+            }
+        }
+        let outputs = (0..1 + rng.below(3))
+            .map(|_| match rng.below(30) {
+                0 => "nowhere".to_string(),
+                _ => format!("w{}", rng.below(num_gates)),
+            })
+            .collect();
+        (inputs, outputs, gates, duplicated)
+    }
+
+    #[test]
+    fn resolver_matches_the_sweep_oracle() {
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        let (mut accepted, mut rejected) = (0, 0);
+        for case in 0..4000 {
+            let (inputs, outputs, gates, duplicated) = random_declarations(&mut rng);
+            let expected = sweep_oracle(inputs.clone(), outputs.clone(), gates.clone());
+            let got = Netlist::from_declarations("t", inputs, outputs, gates.clone());
+            match (expected, got) {
+                (Ok(expected), Ok(got)) => {
+                    assert_eq!(got, expected, "case {case}: {gates:?}");
+                    accepted += 1;
+                }
+                (Err(expected), Err(got)) => {
+                    if duplicated {
+                        assert!(matches!(got, NetlistError::DuplicateSignal(_)));
+                    } else {
+                        assert_eq!(got, expected, "case {case}: {gates:?}");
+                    }
+                    rejected += 1;
+                }
+                (expected, got) => panic!("case {case}: {expected:?} vs {got:?}: {gates:?}"),
+            }
+        }
+        // Both outcomes are well represented, so neither half is vacuous.
+        assert!(
+            accepted > 1000 && rejected > 1000,
+            "{accepted} / {rejected}"
+        );
+    }
+
+    #[test]
+    fn out_of_order_gates_take_their_sweep_position() {
+        let decl = |line, output: &str, kind, inputs: &[&str]| GateDecl {
+            line,
+            output: output.into(),
+            kind,
+            inputs: inputs.iter().map(|s| s.to_string()).collect(),
+        };
+        // Sweep 1 adds x, then z and v, each reading a gate declared
+        // before it. w reads v, declared after it: sweep 2. y reads w,
+        // declared after it: sweep 3.
+        let gates = vec![
+            decl(1, "y", GateKind::Not, &["w"]),
+            decl(2, "x", GateKind::Not, &["a"]),
+            decl(3, "w", GateKind::Buf, &["v"]),
+            decl(4, "z", GateKind::Buf, &["x"]),
+            decl(5, "v", GateKind::Not, &["z"]),
+        ];
+        let n = Netlist::from_declarations("t", vec!["a".into()], vec!["y".into()], gates).unwrap();
+        let names: Vec<&str> = n.iter().filter_map(|(id, _)| n.node_name(id)).collect();
+        assert_eq!(names, ["a", "x", "z", "v", "w", "y"]);
     }
 
     #[test]

@@ -19,9 +19,15 @@
 //!   not  u3 (g7, g6);
 //! endmodule
 //! ```
+//!
+//! Instances may appear in any order; the reader numbers nodes exactly as
+//! [`bench`](crate::bench) does: inputs first in declaration order, then
+//! gates in declaration order when every signal is defined before it is
+//! read, and otherwise in the order repeated in-order sweeps over the
+//! instances would add them.
 
+use crate::netlist::GateDecl;
 use crate::{GateKind, Netlist, NetlistError, NodeId};
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// Writes a [`Netlist`] as structural Verilog.
@@ -48,30 +54,10 @@ pub fn write(netlist: &Netlist) -> String {
         let out = signal(id);
         match node.kind {
             GateKind::Input => continue,
-            GateKind::Const0 => {
-                // 0 = x & ~x needs a helper; use `and` of a wire with its
-                // negation through an auxiliary net.
-                let aux = format!("{out}_aux");
-                wires.push(aux.clone());
-                wires.push(out.clone());
-                // Tie the auxiliary net to an arbitrary existing signal: the
-                // first primary input, or itself when there are none (then
-                // the constant is still well-defined as x & ~x).
-                let base = netlist
-                    .inputs()
-                    .first()
-                    .map(|&pi| signal(pi))
-                    .unwrap_or_else(|| aux.clone());
-                emit(
-                    &mut body,
-                    "not",
-                    &aux,
-                    std::slice::from_ref(&base),
-                    &mut instance,
-                );
-                emit(&mut body, "and", &out, &[base, aux], &mut instance);
-            }
-            GateKind::Const1 => {
+            GateKind::Const0 | GateKind::Const1 => {
+                // 0 = x & ~x and 1 = x | ~x, with ~x on an auxiliary net. x
+                // is the first primary input, or the auxiliary net itself
+                // when there are none (the constant is still well-defined).
                 let aux = format!("{out}_aux");
                 wires.push(aux.clone());
                 wires.push(out.clone());
@@ -87,7 +73,12 @@ pub fn write(netlist: &Netlist) -> String {
                     std::slice::from_ref(&base),
                     &mut instance,
                 );
-                emit(&mut body, "or", &out, &[base, aux], &mut instance);
+                let op = if node.kind == GateKind::Const0 {
+                    "and"
+                } else {
+                    "or"
+                };
+                emit(&mut body, op, &out, &[base, aux], &mut instance);
             }
             GateKind::Mux => {
                 // y = (~s & a) | (s & b), lowered to primitives.
@@ -191,67 +182,43 @@ fn sanitise_identifier(name: &str) -> String {
 ///
 /// # Errors
 ///
-/// Returns [`NetlistError::Parse`] for constructs outside the subset
-/// (multiple modules, vectors, assigns, behavioural blocks) and the usual
+/// Returns [`NetlistError::Parse`], at the line its statement starts on,
+/// for constructs outside the subset (multiple modules, vectors, assigns,
+/// behavioural blocks, an unterminated `/*` comment) and for a gate whose
+/// kind rejects its fan-in count, and the usual
 /// [`NetlistError::UndefinedSignal`] / [`NetlistError::DuplicateSignal`]
 /// errors for inconsistent netlists.
 pub fn parse(text: &str) -> Result<Netlist, NetlistError> {
-    // Strip comments, then split into `;`-terminated statements.
-    let mut cleaned = String::with_capacity(text.len());
-    for line in text.lines() {
-        let line = line.split("//").next().unwrap_or("");
-        cleaned.push_str(line);
-        cleaned.push('\n');
-    }
-    // Remove block comments.
-    while let (Some(start), Some(end)) = (cleaned.find("/*"), cleaned.find("*/")) {
-        if end > start {
-            cleaned.replace_range(start..end + 2, " ");
-        } else {
-            break;
-        }
-    }
-
+    let cleaned = strip_comments(text)?;
     let mut module_name = String::from("top");
     let mut inputs: Vec<String> = Vec::new();
     let mut outputs: Vec<String> = Vec::new();
-    struct GateInst {
-        kind: GateKind,
-        output: String,
-        inputs: Vec<String>,
-        line: usize,
-    }
-    let mut gates: Vec<GateInst> = Vec::new();
+    let mut gates: Vec<GateDecl> = Vec::new();
     let mut seen_module = false;
     let mut seen_endmodule = false;
+    let mut next_line = 1;
 
-    for (stmt_no, raw) in cleaned.split(';').enumerate() {
+    for raw in cleaned.split(';') {
+        // The line of the statement's first non-blank character.
+        let line = next_line
+            + raw[..raw.len() - raw.trim_start().len()]
+                .matches('\n')
+                .count();
+        next_line += raw.matches('\n').count();
         let stmt = raw.replace(['\n', '\r'], " ");
-        let stmt = stmt.trim();
-        if stmt.is_empty() {
-            continue;
-        }
-        if stmt.contains("endmodule") {
-            seen_endmodule = true;
-            let rest = stmt.replace("endmodule", "");
-            if rest.trim().is_empty() {
-                continue;
-            }
-        }
+        seen_endmodule |= stmt.contains("endmodule");
         let stmt = stmt.replace("endmodule", "");
         let stmt = stmt.trim();
         if stmt.is_empty() {
             continue;
         }
+        let parse_error = |message: String| NetlistError::Parse { line, message };
         let mut tokens = stmt.split_whitespace();
         let keyword = tokens.next().unwrap_or("");
         match keyword {
             "module" => {
                 if seen_module {
-                    return Err(NetlistError::Parse {
-                        line: stmt_no + 1,
-                        message: "multiple modules are not supported".into(),
-                    });
+                    return Err(parse_error("multiple modules are not supported".into()));
                 }
                 seen_module = true;
                 let rest = stmt["module".len()..].trim();
@@ -265,10 +232,7 @@ pub fn parse(text: &str) -> Result<Netlist, NetlistError> {
             }
             "input" | "output" | "wire" => {
                 if stmt.contains('[') {
-                    return Err(NetlistError::Parse {
-                        line: stmt_no + 1,
-                        message: "vector declarations are not supported".into(),
-                    });
+                    return Err(parse_error("vector declarations are not supported".into()));
                 }
                 let names = stmt[keyword.len()..]
                     .split(',')
@@ -281,10 +245,9 @@ pub fn parse(text: &str) -> Result<Netlist, NetlistError> {
                 }
             }
             "assign" | "always" | "reg" | "initial" => {
-                return Err(NetlistError::Parse {
-                    line: stmt_no + 1,
-                    message: format!("`{keyword}` is outside the structural subset"),
-                });
+                return Err(parse_error(format!(
+                    "`{keyword}` is outside the structural subset"
+                )));
             }
             primitive => {
                 let kind = match primitive {
@@ -296,37 +259,31 @@ pub fn parse(text: &str) -> Result<Netlist, NetlistError> {
                     "xnor" => GateKind::Xnor,
                     "not" => GateKind::Not,
                     "buf" => GateKind::Buf,
-                    other => {
-                        return Err(NetlistError::Parse {
-                            line: stmt_no + 1,
-                            message: format!("unknown gate primitive `{other}`"),
-                        })
-                    }
+                    other => return Err(parse_error(format!("unknown gate primitive `{other}`"))),
                 };
-                let open = stmt.find('(').ok_or_else(|| NetlistError::Parse {
-                    line: stmt_no + 1,
-                    message: "missing port list".into(),
-                })?;
-                let close = stmt.rfind(')').ok_or_else(|| NetlistError::Parse {
-                    line: stmt_no + 1,
-                    message: "missing closing `)`".into(),
-                })?;
-                let ports: Vec<String> = stmt[open + 1..close]
+                let open = stmt
+                    .find('(')
+                    .ok_or_else(|| parse_error("missing port list".into()))?;
+                let close = stmt
+                    .rfind(')')
+                    .filter(|&close| close > open)
+                    .ok_or_else(|| parse_error("missing closing `)`".into()))?;
+                let mut ports = stmt[open + 1..close]
                     .split(',')
                     .map(|s| s.trim().to_string())
-                    .filter(|s| !s.is_empty())
-                    .collect();
-                if ports.len() < 2 {
-                    return Err(NetlistError::Parse {
-                        line: stmt_no + 1,
-                        message: "gate needs an output and at least one input".into(),
-                    });
+                    .filter(|s| !s.is_empty());
+                let output = ports.next().unwrap_or_default();
+                let ins: Vec<String> = ports.collect();
+                if ins.is_empty() {
+                    return Err(parse_error(
+                        "gate needs an output and at least one input".into(),
+                    ));
                 }
-                gates.push(GateInst {
+                gates.push(GateDecl {
+                    line,
+                    output,
                     kind,
-                    output: ports[0].clone(),
-                    inputs: ports[1..].to_vec(),
-                    line: stmt_no + 1,
+                    inputs: ins,
                 });
             }
         }
@@ -337,63 +294,36 @@ pub fn parse(text: &str) -> Result<Netlist, NetlistError> {
             message: "expected a single `module ... endmodule`".into(),
         });
     }
+    Netlist::from_declarations(module_name, inputs, outputs, gates)
+}
 
-    // Build the netlist: inputs first, then gates resolved to a fixpoint
-    // (instances may appear in any order).
-    let mut netlist = Netlist::new(module_name);
-    let mut by_name: HashMap<String, NodeId> = HashMap::new();
-    for name in &inputs {
-        if by_name.contains_key(name) {
-            return Err(NetlistError::DuplicateSignal(name.clone()));
-        }
-        let id = netlist.add_input(name.clone());
-        by_name.insert(name.clone(), id);
+/// Blanks out `//` and `/* ... */` comments in one left-to-right pass,
+/// keeping every newline so statements keep their line numbers.
+fn strip_comments(text: &str) -> Result<String, NetlistError> {
+    let mut out = String::with_capacity(text.len());
+    let mut rest = text;
+    while let Some(at) = rest.find('/') {
+        let (code, tail) = rest.split_at(at);
+        out.push_str(code);
+        let end = if tail.starts_with("//") {
+            tail.find('\n').unwrap_or(tail.len())
+        } else if let Some(body) = tail.strip_prefix("/*") {
+            body.find("*/")
+                .map(|close| close + 4)
+                .ok_or_else(|| NetlistError::Parse {
+                    line: out.matches('\n').count() + 1,
+                    message: "unterminated `/*` comment".into(),
+                })?
+        } else {
+            out.push('/');
+            rest = &tail[1..];
+            continue;
+        };
+        out.extend(tail[..end].chars().map(|c| if c == '\n' { c } else { ' ' }));
+        rest = &tail[end..];
     }
-    let mut remaining = gates;
-    while !remaining.is_empty() {
-        let before = remaining.len();
-        let mut next = Vec::new();
-        for gate in remaining {
-            if by_name.contains_key(&gate.output) {
-                return Err(NetlistError::DuplicateSignal(gate.output));
-            }
-            let resolved: Option<Vec<NodeId>> = gate
-                .inputs
-                .iter()
-                .map(|n| by_name.get(n).copied())
-                .collect();
-            match resolved {
-                Some(fanins) => {
-                    let id = netlist
-                        .add_named_gate(gate.kind, &fanins, gate.output.clone())
-                        .map_err(|e| NetlistError::Parse {
-                            line: gate.line,
-                            message: e.to_string(),
-                        })?;
-                    by_name.insert(gate.output, id);
-                }
-                None => next.push(gate),
-            }
-        }
-        if next.len() == before {
-            let missing = next
-                .iter()
-                .flat_map(|g| g.inputs.iter())
-                .find(|n| !by_name.contains_key(*n))
-                .cloned()
-                .unwrap_or_else(|| next[0].output.clone());
-            return Err(NetlistError::UndefinedSignal(missing));
-        }
-        remaining = next;
-    }
-    for name in &outputs {
-        let id = by_name
-            .get(name)
-            .copied()
-            .ok_or_else(|| NetlistError::UndefinedSignal(name.clone()))?;
-        netlist.mark_output(id, name.clone());
-    }
-    Ok(netlist)
+    out.push_str(rest);
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -483,6 +413,7 @@ endmodule
         assert!(parse("module m (a); input a; foo u0 (a, a); endmodule").is_err());
         assert!(parse("module m (a); input a;").is_err()); // no endmodule
         assert!(parse("module m (); module n (); endmodule endmodule").is_err());
+        assert!(parse("module m (a); input a; and g )a, a(; endmodule").is_err());
     }
 
     #[test]
@@ -514,6 +445,50 @@ endmodule
         let n = parse(text).unwrap();
         assert_eq!(n.num_gates(), 2);
         assert!(n.validate().is_ok());
+    }
+
+    #[test]
+    fn line_comment_inside_block_comment_stays_in_the_comment() {
+        let text =
+            "/* header // note */\nmodule top (a, y); input a; output y; not g (y, a); endmodule";
+        let n = parse(text).unwrap();
+        assert_eq!(n.name(), "top");
+        assert_eq!(n.num_gates(), 1);
+    }
+
+    #[test]
+    fn many_block_comments_parse_in_one_pass() {
+        let text = |gate: &str| {
+            let comments = "/* c */\n".repeat(40_000);
+            format!("module m (a, y);\n input a; output y;\n{comments}\n {gate};\nendmodule\n")
+        };
+        assert_eq!(parse(&text("not g (y, a)")).unwrap().num_gates(), 1);
+        let err = parse(&text("not g (y, a, a)")).unwrap_err();
+        assert!(
+            matches!(err, NetlistError::Parse { line: 40_004, .. }),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn unterminated_block_comment_is_an_error_at_its_line() {
+        let err = parse("module m (a);\n input a;\n /* open\n endmodule\n").unwrap_err();
+        assert!(matches!(err, NetlistError::Parse { line: 3, .. }), "{err}");
+    }
+
+    #[test]
+    fn errors_name_the_line_a_statement_starts_on() {
+        let line_of = |text: &str| match parse(text) {
+            Err(NetlistError::Parse { line, .. }) => line,
+            other => panic!("{other:?}"),
+        };
+        let unknown = "module m (a, y);\n  input a;\n  output y;\n  wire w;\n\n  // note\n  foo g1 (y, a);\nendmodule\n";
+        assert_eq!(line_of(unknown), 7);
+        let short = "module m (a, y);\n  input a; output y;\n  wire w; not g1 (w, a);\n  and g2 (y);\nendmodule\n";
+        assert_eq!(line_of(short), 4);
+        // Arity is checked by the shared resolver, at the declaring line.
+        let arity = "module m (a, y); input a; output y;\n\n not g (y,\n a, a);\nendmodule";
+        assert_eq!(line_of(arity), 3);
     }
 
     #[test]

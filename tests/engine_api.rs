@@ -99,6 +99,20 @@ fn verilog_source_flows_through_the_same_pipeline() {
 }
 
 #[test]
+fn reverse_declared_bench_chain_is_prepared() {
+    // A 64 000-gate NOT chain, each gate declared before the gate it reads:
+    // resolving it by repeated sweeps over the gate list took minutes.
+    let mut text = String::from("INPUT(g0)\nOUTPUT(g64000)\n");
+    for k in (1..=64_000).rev() {
+        text.push_str(&format!("g{k} = NOT(g{})\n", k - 1));
+    }
+    let circuits = quick_engine()
+        .prepare_unlabelled(&BenchText::new("reverse_chain", text))
+        .unwrap();
+    assert_eq!(circuits.len(), 1);
+}
+
+#[test]
 fn aiger_binary_flows_through_the_engine_in_both_latch_modes() {
     // A random sequential AIG serialised to binary AIGER must prepare,
     // train and predict end-to-end under both latch treatments.
