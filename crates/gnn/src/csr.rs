@@ -26,6 +26,15 @@
 //!   fused GRU and attention ops run the same functions over the same
 //!   store; what stays here is the level walk, the regressor and the
 //!   aggregators the tape still records from generic ops.
+//! * **Two threads** (kernel-specific). A row of a level reads only other
+//!   levels, so a level's rows are independent. A large plan
+//!   ([`Split`]) starts one helper thread per prediction, and cuts each
+//!   wide level in half: the caller runs the lower rows, the helper the
+//!   upper ones, both through the one level executor and against the
+//!   hidden states behind a read lock; the caller then writes both halves
+//!   back. A half the helper has not claimed by the time the caller is done
+//!   with its own is run by the caller (`handoff.rs`), so a busy or absent
+//!   second core costs a hand-off, never a wait.
 //!
 //! **Exactness contract:** the kernel reproduces the autodiff-tape forward
 //! ([`crate::DagRecGnn::forward_hidden`] and, through the regressor,
@@ -45,11 +54,14 @@
 //! prediction bits recorded before the schedules were merged.
 
 use crate::aggregator::AggregatorParams;
+use crate::handoff::Handoff;
 use crate::{Aggregator, AggregatorKind, CircuitGraph, DagRecGnn, GnnError, GnnMetrics};
 use deepgate_aig::recon::positional_encoding;
 use deepgate_nn::dense;
 use deepgate_nn::{math, Activation, GruCell, Mlp, ParamStore, Tensor};
 use std::ops::Range;
+use std::sync::{Mutex, OnceLock, RwLock};
+use std::thread;
 use std::time::Instant;
 
 /// One level of one propagation direction: a contiguous range of packed
@@ -285,7 +297,99 @@ fn mlp_apply_row(
     }
 }
 
-/// Per-predict scratch arenas, reused across levels and iterations so the
+/// Plans of at least this many nodes cut their wide levels between two
+/// threads: one helper spawn and join (~35 µs on a 2-vCPU x86-64 guest)
+/// against ≥ 50 ms of kernel work at the default d = 64, T = 10 (~25 µs a
+/// node).
+const SPLIT_MIN_NODES: usize = 2048;
+
+/// Levels of at least this many rows are cut in half. A hand-off round trip
+/// to a spinning helper costs 0.5–1.3 µs on the same guest, against ~1.4 µs
+/// of work a row at d = 64, so even a half of two rows gains; on the Table
+/// III designs a threshold of 4 read a few percent faster than 8 or 16.
+const SPLIT_MIN_ROWS: usize = 4;
+
+/// Which levels a prediction cuts in half between the calling thread and
+/// its helper. [`Split::DEFAULT`] everywhere but the tests, which lower it
+/// so the small parity shapes take the two-thread path.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Split {
+    /// Smallest plan, in nodes, that cuts its wide levels.
+    pub(crate) min_nodes: usize,
+    /// Smallest level, in rows, that is cut.
+    pub(crate) min_rows: usize,
+}
+
+impl Split {
+    /// The thresholds every prediction runs with.
+    pub(crate) const DEFAULT: Split = Split {
+        min_nodes: SPLIT_MIN_NODES,
+        min_rows: SPLIT_MIN_ROWS,
+    };
+
+    /// Where `lvl` of `plan` is cut: the caller runs rows `..cut`, the
+    /// helper rows `cut..` — none, when the level stays whole.
+    fn cut(self, plan: &InferencePlan, lvl: &CsrLevel) -> usize {
+        let m = lvl.end - lvl.start;
+        if plan.num_nodes >= self.min_nodes && m >= self.min_rows.max(2) {
+            m / 2
+        } else {
+            m
+        }
+    }
+}
+
+/// One level pass of the recurrence, as either thread runs it.
+#[derive(Debug, Clone, Copy)]
+struct Pass<'a> {
+    lvl: &'a CsrLevel,
+    /// Rows `..cut` are the caller's, rows `cut..` the helper's
+    /// ([`Split::cut`]).
+    cut: usize,
+    /// The level's [`segment_ids`] (empty unless the aggregator is
+    /// attention).
+    seg: &'a [u32],
+    /// The level's attention attribute bias per edge (forward levels only).
+    attr_bias: Option<&'a [f32]>,
+    agg: &'a Aggregator,
+    gru: &'a GruCell,
+}
+
+impl Pass<'_> {
+    fn rows(&self) -> usize {
+        self.lvl.end - self.lvl.start
+    }
+
+    /// What a thread's arenas must hold to run the level rows `rows`: the
+    /// aggregator, the row count and the edge count.
+    fn share(&self, rows: Range<usize>) -> (AggregatorKind, usize, usize) {
+        let edges = self.lvl.offsets[rows.end] - self.lvl.offsets[rows.start];
+        (self.agg.kind(), rows.len(), edges as usize)
+    }
+}
+
+/// The helper thread of a prediction that cuts levels: its hand-off, and
+/// the rows of the last upper half it ran.
+#[derive(Debug)]
+struct Helper<'a> {
+    handoff: Handoff<Pass<'a>>,
+    out: Mutex<Vec<f32>>,
+}
+
+/// Why the kernel's locks are never poisoned: a thread that panics ends the
+/// prediction — the helper's panic reaches the caller through the hand-off
+/// before the caller touches a lock the helper held.
+const LOCKS: &str = "a panicking kernel thread ends the prediction";
+
+/// Whether this process may run two threads at once. On one core a helper
+/// would only take turns with the caller, so none is started.
+fn two_cores() -> bool {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = CORES.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()));
+    *cores >= 2
+}
+
+/// Per-thread scratch arenas, reused across levels and iterations so the
 /// hot loop never allocates.
 #[derive(Debug, Default)]
 struct Scratch {
@@ -298,7 +402,7 @@ struct Scratch {
     sum: Vec<f32>,
     /// Per-edge attention scores / softmax weights.
     score: Vec<f32>,
-    /// Per-edge projection arenas.
+    /// Per-edge projection arenas (DeepSet's second holds per-target sums).
     e1: Vec<f32>,
     e2: Vec<f32>,
     /// Per-target message arena.
@@ -313,31 +417,51 @@ struct Scratch {
 }
 
 impl Scratch {
-    /// Sizes every arena for the widest level of `plan` once per predict,
-    /// so the per-level hot path only slices (and zeroes the arenas that
-    /// are accumulated into) instead of re-zeroing every buffer on every
-    /// pass.
-    fn reserve(&mut self, plan: &InferencePlan, d: usize, gi: usize) {
+    /// Sizes the arenas once per predict for the largest of the `shares`
+    /// (aggregator, rows, edges) this thread will run, each arena only for
+    /// the aggregators that read it, so the per-level hot path only slices
+    /// (and zeroes the arenas that are accumulated into) instead of
+    /// re-zeroing every buffer on every pass. `gin_width` is the GRU input
+    /// width when the gate input is fixed, 0 when the message is the input.
+    fn reserve(
+        &mut self,
+        shares: impl Iterator<Item = (AggregatorKind, usize, usize)>,
+        d: usize,
+        gin_width: usize,
+    ) {
         fn grow(v: &mut Vec<f32>, len: usize) {
             if v.len() < len {
                 v.resize(len, 0.0);
             }
         }
-        let levels = plan.forward.iter().chain(&plan.reverse);
-        let (mut max_m, mut max_e) = (0usize, 0usize);
-        for lvl in levels {
-            max_m = max_m.max(lvl.end - lvl.start);
-            max_e = max_e.max(lvl.edge_src.len());
+        // score, tq / sum, e1, e2, msg / g, gin
+        let mut need = [0usize; 6];
+        for (kind, m, e) in shares {
+            let attention = kind == AggregatorKind::Attention;
+            let e2 = match kind {
+                AggregatorKind::GatedSum => e * d,
+                AggregatorKind::DeepSet => m * d,
+                _ => 0,
+            };
+            let lens = if attention {
+                [e, m, 0, 0, m * d, m * gin_width]
+            } else {
+                [0, 0, e * d, e2, m * d, m * gin_width]
+            };
+            for (n, len) in need.iter_mut().zip(lens) {
+                *n = (*n).max(len);
+            }
         }
-        grow(&mut self.tq, max_m);
-        grow(&mut self.sum, max_m);
-        grow(&mut self.score, max_e);
-        grow(&mut self.e1, max_e * d);
-        grow(&mut self.e2, max_e * d);
-        grow(&mut self.msg, max_m * d);
-        grow(&mut self.gin, max_m * gi);
+        let [score, rows, e1, e2, msg, gin] = need;
+        grow(&mut self.score, score);
+        grow(&mut self.tq, rows);
+        grow(&mut self.sum, rows);
+        grow(&mut self.e1, e1);
+        grow(&mut self.e2, e2);
+        grow(&mut self.msg, msg);
+        grow(&mut self.gin, gin);
         for g in &mut self.g {
-            grow(g, max_m * d);
+            grow(g, msg);
         }
     }
 }
@@ -350,6 +474,11 @@ impl DagRecGnn {
     /// probabilities (original node order) into `out` — the tape-free
     /// inference path. Build the plan once per circuit
     /// ([`DagRecGnn::plan`]) and reuse it across predictions.
+    ///
+    /// A plan of 2 048 nodes or more runs each level of 4 rows or more in
+    /// two halves, one on the calling thread and one on a helper thread
+    /// started for this call; the probabilities are bit for bit those of one
+    /// thread.
     ///
     /// # Errors
     ///
@@ -364,7 +493,7 @@ impl DagRecGnn {
         metrics: Option<&GnnMetrics>,
     ) -> Result<(), GnnError> {
         let mut s = Scratch::default();
-        let h = self.recurrence(store, plan, num_iterations, &mut s, metrics)?;
+        let h = self.recurrence(store, plan, num_iterations, Split::DEFAULT, &mut s, metrics)?;
 
         let regress_start = metrics.map(|_| Instant::now());
         let mut pred = vec![0.0f32; plan.num_nodes];
@@ -384,14 +513,15 @@ impl DagRecGnn {
     ///
     /// # Errors
     ///
-    /// Same contract as [`DagRecGnn::predict_planned`].
+    /// Same contract as [`DagRecGnn::predict_planned`], threads included.
     pub fn embed_planned(
         &self,
         store: &ParamStore,
         plan: &InferencePlan,
         num_iterations: usize,
     ) -> Result<Tensor, GnnError> {
-        let h = self.recurrence(store, plan, num_iterations, &mut Scratch::default(), None)?;
+        let mut s = Scratch::default();
+        let h = self.recurrence(store, plan, num_iterations, Split::DEFAULT, &mut s, None)?;
         let d = self.config.hidden_dim;
         let mut rows = Vec::with_capacity(h.len());
         for &packed in &plan.perm {
@@ -404,11 +534,18 @@ impl DagRecGnn {
     /// and [`DagRecGnn::embed_planned`], after the one check that the plan
     /// fits the model: returns the final hidden-state arena
     /// `[num_nodes, hidden_dim]` in *packed* node order.
+    ///
+    /// `split` is [`Split::DEFAULT`] outside the tests. When it cuts any
+    /// level (and the process has two cores), one
+    /// helper thread serves every cut level of all `T` iterations; it sees
+    /// `h` through a read lock while the caller writes each level back
+    /// under the write lock.
     fn recurrence(
         &self,
         store: &ParamStore,
         plan: &InferencePlan,
         num_iterations: usize,
+        split: Split,
         s: &mut Scratch,
         metrics: Option<&GnnMetrics>,
     ) -> Result<Vec<f32>, GnnError> {
@@ -420,7 +557,6 @@ impl DagRecGnn {
             m.circuit_nodes.record(plan.num_nodes as u64);
         }
         let (n, d) = (plan.num_nodes, config.hidden_dim);
-        s.reserve(plan, d, config.gru_input_dim());
 
         // Initial embedding of the packed one-hot features.
         let mut h = vec![0.0f32; n * d];
@@ -428,74 +564,179 @@ impl DagRecGnn {
         embed.apply(&plan.features, n, &mut h, &mut s.wide);
 
         // Attention attribute biases are constant across iterations:
-        // project each forward level's attribute rows once.
+        // project each forward level's attribute rows once. So are the
+        // attention walk's segment ids, and where each level is cut.
         let attr_bias = attr_bias(&self.forward_agg, store, plan, s);
-        // So are the attention walk's segment ids.
-        let forward = (&self.forward_agg, &self.forward_gru);
-        let forward_seg = segment_ids(&plan.forward, forward.0);
+        let cut = move |lvl: &CsrLevel| split.cut(plan, lvl);
+        let forward_seg = segment_ids(&plan.forward, &self.forward_agg, cut);
         let reverse = self.reverse_agg.as_ref().zip(self.reverse_gru.as_ref());
-        let reverse_seg = reverse.map_or_else(Vec::new, |(agg, _)| segment_ids(&plan.reverse, agg));
+        let reverse_seg =
+            reverse.map_or_else(Vec::new, |(agg, _)| segment_ids(&plan.reverse, agg, cut));
+        let forward = (&self.forward_agg, &self.forward_gru);
+        let forward = level_passes(&plan.forward, &forward_seg, &attr_bias, forward, cut);
+        let mut passes: Vec<Pass> = forward.collect();
+        if let Some(reverse) = reverse {
+            passes.extend(level_passes(&plan.reverse, &reverse_seg, &[], reverse, cut));
+        }
 
-        for _ in 0..num_iterations {
-            for (li, lvl) in plan.forward.iter().enumerate() {
-                let bias = attr_bias.get(li).map(Vec::as_slice);
-                let seg = forward_seg.get(li).map_or(&[][..], Vec::as_slice);
-                self.level_pass(store, plan, lvl, seg, bias, forward, &mut h, s, metrics);
+        // The caller runs whole levels and both halves of a cut one (the
+        // upper when it reclaims it), and collects the level in `out`; the
+        // helper runs upper halves only.
+        let gin_width = if config.fix_gate_input {
+            config.gru_input_dim()
+        } else {
+            0
+        };
+        let upper = |p: &Pass| p.share(p.cut..p.rows());
+        let halves = |p: &Pass| [p.share(0..p.cut), upper(p)];
+        s.reserve(passes.iter().flat_map(halves), d, gin_width);
+        let mut out = vec![0.0f32; passes.iter().map(Pass::rows).max().unwrap_or(0) * d];
+        let helper = (passes.iter().any(|p| p.cut < p.rows()) && two_cores()).then(|| Helper {
+            handoff: Handoff::new(),
+            out: Mutex::new(Vec::new()),
+        });
+
+        // The helper's side: arenas for the upper halves, then the upper
+        // half of every level it claims, into its own rows.
+        let h = RwLock::new(h);
+        let serve = |helper: &Helper| {
+            let mut hs = Scratch::default();
+            hs.reserve(passes.iter().map(upper), d, gin_width);
+            let most = passes.iter().map(|p| p.rows() - p.cut).max().unwrap_or(0);
+            *helper.out.lock().expect(LOCKS) = vec![0.0; most * d];
+            helper.handoff.serve(|pass| {
+                let (arena, mut out) = (h.read().expect(LOCKS), helper.out.lock().expect(LOCKS));
+                let rows = pass.cut..pass.rows();
+                self.level_pass(store, plan, &pass, rows, &arena, &mut out, &mut hs, false);
+            });
+        };
+        thread::scope(|scope| {
+            // Without a helper thread the caller runs every half itself.
+            let helper = helper.as_ref().filter(|&helper| {
+                let builder = thread::Builder::new().name("deepgate-gnn-level".into());
+                let spawned = builder.spawn_scoped(scope, move || serve(helper));
+                spawned
+                    .map(|handle| helper.handoff.attach(handle.thread().clone()))
+                    .is_ok()
+            });
+            let _closer = helper.map(|helper| helper.handoff.closer());
+            for _ in 0..num_iterations {
+                for pass in &passes {
+                    self.walk_level(store, plan, pass, &h, helper, &mut out, s, metrics);
+                }
             }
-            if let Some(reverse) = reverse {
-                for (li, lvl) in plan.reverse.iter().enumerate() {
-                    let seg = reverse_seg.get(li).map_or(&[][..], Vec::as_slice);
-                    self.level_pass(store, plan, lvl, seg, None, reverse, &mut h, s, metrics);
+        });
+        Ok(h.into_inner().expect(LOCKS))
+    }
+
+    /// One level pass: the caller's rows, then the upper half of a cut
+    /// level — the helper's, or the caller's when the helper has not
+    /// claimed it (or there is none) — then the rows written back into `h`.
+    /// With `metrics`, `gnn_level_agg_ns` records the caller's aggregation
+    /// and `gnn_level_gru_ns` the rest of the level's wall time.
+    #[allow(clippy::too_many_arguments)]
+    fn walk_level<'a>(
+        &self,
+        store: &ParamStore,
+        plan: &InferencePlan,
+        pass: &Pass<'a>,
+        h: &RwLock<Vec<f32>>,
+        helper: Option<&Helper<'a>>,
+        out: &mut [f32],
+        s: &mut Scratch,
+        metrics: Option<&GnnMetrics>,
+    ) {
+        let start = metrics.map(|_| Instant::now());
+        let d = self.config.hidden_dim;
+        let (cut, m) = (pass.cut, pass.rows());
+        let helper = helper.filter(|_| cut < m);
+        if let Some(helper) = helper {
+            helper.handoff.post(*pass);
+        }
+        let (agg_end, helped) = {
+            let arena = h.read().expect(LOCKS);
+            let timed = start.is_some();
+            let lower = &mut out[..cut * d];
+            let agg_end = self.level_pass(store, plan, pass, 0..cut, &arena, lower, s, timed);
+            let helped = helper.is_some_and(|helper| helper.handoff.reclaim_or_wait().is_none());
+            if cut < m && !helped {
+                let upper = &mut out[cut * d..m * d];
+                self.level_pass(store, plan, pass, cut..m, &arena, upper, s, false);
+            }
+            (agg_end, helped)
+        };
+        let mut arena = h.write().expect(LOCKS);
+        let (lower, upper) = arena[pass.lvl.start * d..pass.lvl.end * d].split_at_mut(cut * d);
+        lower.copy_from_slice(&out[..cut * d]);
+        match helper.filter(|_| helped) {
+            Some(helper) => {
+                let rows = helper.out.lock().expect(LOCKS);
+                upper.copy_from_slice(&rows[..upper.len()]);
+            }
+            None => upper.copy_from_slice(&out[cut * d..m * d]),
+        }
+        drop(arena);
+        if let (Some(mt), Some(t0), Some(t1)) = (metrics, start, agg_end) {
+            mt.level_agg_ns.record_duration(t1 - t0);
+            mt.level_gru_ns.record_duration(t1.elapsed());
+            mt.levels_total.inc();
+            mt.csr_level_width.record(m as u64);
+            if cut < m {
+                mt.levels_split_total.inc();
+                if !helped {
+                    mt.level_halves_reclaimed_total.inc();
                 }
             }
         }
-        Ok(h)
     }
 
-    /// One level's fused aggregation + GRU update over the packed arena,
-    /// with the direction's aggregator and GRU, each half timed into its own
-    /// series when `metrics` is given. `seg` is the level's [`segment_ids`]
-    /// (empty unless the aggregator is attention).
+    /// The one level executor: aggregation and GRU update of the level rows
+    /// `rows` of `pass` — the whole level, or one half of a cut one —
+    /// reading `h` and writing the updated rows to `out`. A row reads only
+    /// other levels, and its arithmetic is the same whichever range it runs
+    /// in, so the halves run side by side and match one whole run bit for
+    /// bit. Returns when aggregation ended, if `timed`.
     #[allow(clippy::too_many_arguments)]
     fn level_pass(
         &self,
         store: &ParamStore,
         plan: &InferencePlan,
-        lvl: &CsrLevel,
-        seg: &[u32],
-        attr_bias: Option<&[f32]>,
-        (agg, gru): (&Aggregator, &GruCell),
-        h: &mut [f32],
+        pass: &Pass,
+        rows: Range<usize>,
+        h: &[f32],
+        out: &mut [f32],
         s: &mut Scratch,
-        metrics: Option<&GnnMetrics>,
-    ) {
-        let agg_start = metrics.map(|_| Instant::now());
+        timed: bool,
+    ) -> Option<Instant> {
         let d = self.config.hidden_dim;
-        let m = lvl.end - lvl.start;
-        let edges = lvl.edge_src.len();
+        let lvl = pass.lvl;
+        let m = rows.len();
+        let offsets = &lvl.offsets[rows.start..=rows.end];
+        let edges = offsets[0] as usize..offsets[m] as usize;
+        let (edge_src, e) = (&lvl.edge_src[edges.clone()], edges.len());
+        let targets = lvl.start + rows.start..lvl.start + rows.end;
 
         // Arenas are pre-sized by `Scratch::reserve`; only `msg` (and the
         // DeepSet segment sum) accumulate, so only they need zeroing here —
         // every other arena is fully overwritten before it is read.
         let msg = &mut s.msg[..m * d];
         msg.fill(0.0);
-        match agg.params() {
+        match pass.agg.params() {
             AggregatorParams::ConvSum { project } => {
-                let e1 = &mut s.e1[..edges * d];
+                let e1 = &mut s.e1[..e * d];
                 let project = project.dense(store);
-                project.apply_gathered(h, &lvl.edge_src, e1, &mut s.wide);
-                segment_sum(e1, &lvl.offsets, d, msg);
+                project.apply_gathered(h, edge_src, e1, &mut s.wide);
+                segment_sum(e1, offsets, d, msg);
             }
             AggregatorParams::Attention { query, key, .. } => {
-                let arena: &[f32] = h;
                 dense::attention(
                     query.dense(store),
                     key.dense(store),
-                    |e| &arena[lvl.edge_src[e] as usize * d..][..d],
-                    &h[lvl.start * d..lvl.end * d],
-                    seg,
-                    attr_bias,
-                    &mut s.score[..edges],
+                    |i| &h[edge_src[i] as usize * d..][..d],
+                    &h[targets.start * d..targets.end * d],
+                    &pass.seg[edges.clone()],
+                    pass.attr_bias.map(|bias| &bias[edges.clone()]),
+                    &mut s.score[..e],
                     &mut s.tq[..m],
                     &mut s.sum[..m],
                     msg,
@@ -503,57 +744,52 @@ impl DagRecGnn {
                 );
             }
             AggregatorParams::DeepSet { phi, rho } => {
-                let e1 = &mut s.e1[..edges * d];
-                for (r, &src) in lvl.edge_src.iter().enumerate() {
+                let e1 = &mut s.e1[..e * d];
+                for (r, &src) in edge_src.iter().enumerate() {
                     let row = &h[src as usize * d..(src as usize + 1) * d];
                     let out = &mut e1[r * d..(r + 1) * d];
                     mlp_apply_row(phi, store, row, out, &mut s.ha, &mut s.hb, &mut s.wide);
                 }
                 let e2 = &mut s.e2[..m * d];
                 e2.fill(0.0);
-                segment_sum(e1, &lvl.offsets, d, e2);
+                segment_sum(e1, offsets, d, e2);
                 rho.dense(store).apply(e2, m, msg, &mut s.wide);
             }
             AggregatorParams::GatedSum { gate, value } => {
-                let e1 = &mut s.e1[..edges * d];
+                let e1 = &mut s.e1[..e * d];
                 let gate = gate.dense(store);
-                gate.apply_gathered(h, &lvl.edge_src, e1, &mut s.wide);
-                let e2 = &mut s.e2[..edges * d];
+                gate.apply_gathered(h, edge_src, e1, &mut s.wide);
+                let e2 = &mut s.e2[..e * d];
                 let value = value.dense(store);
-                value.apply_gathered(h, &lvl.edge_src, e2, &mut s.wide);
+                value.apply_gathered(h, edge_src, e2, &mut s.wide);
                 for (g, &v) in e1.iter_mut().zip(e2.iter()) {
                     *g = math::sigmoid(*g) * v;
                 }
-                segment_sum(e1, &lvl.offsets, d, msg);
+                segment_sum(e1, offsets, d, msg);
             }
         }
 
-        let gru_start = metrics.map(|_| Instant::now());
+        let agg_end = timed.then(Instant::now);
         // GRU input: the message, with the gate one-hot appended when the
         // gate input is fixed (DeepGate's Eq. 6).
         let f = self.config.feature_dim;
         let input: &[f32] = if self.config.fix_gate_input {
             let gi = d + f;
             let gin = &mut s.gin[..m * gi];
-            for i in 0..m {
+            for (i, t) in targets.clone().enumerate() {
                 gin[i * gi..i * gi + d].copy_from_slice(&msg[i * d..(i + 1) * d]);
-                gin[i * gi + d..(i + 1) * gi]
-                    .copy_from_slice(&plan.features[(lvl.start + i) * f..(lvl.start + i + 1) * f]);
+                gin[i * gi + d..(i + 1) * gi].copy_from_slice(&plan.features[t * f..(t + 1) * f]);
             }
             gin
         } else {
             msg
         };
+        let out = &mut out[..m * d];
+        out.copy_from_slice(&h[targets.start * d..targets.end * d]);
         let g = s.g.each_mut().map(|a| &mut a[..m * d]);
-        let h_level = &mut h[lvl.start * d..lvl.end * d];
-        let gates = gru.gates().map(|l| l.dense(store));
-        dense::gru_step::<false>(gates, input, h_level, m, g, &mut s.wide);
-        if let (Some(mt), Some(t0), Some(t1)) = (metrics, agg_start, gru_start) {
-            mt.level_agg_ns.record_duration(t1 - t0);
-            mt.level_gru_ns.record_duration(t1.elapsed());
-            mt.levels_total.inc();
-            mt.csr_level_width.record(m as u64);
-        }
+        let gates = pass.gru.gates().map(|l| l.dense(store));
+        dense::gru_step::<false>(gates, input, out, m, g, &mut s.wide);
+        agg_end
     }
 
     /// The regressor heads over the packed final embeddings. The per-type
@@ -617,23 +853,54 @@ fn attr_bias(
     plan.forward.iter().map(project).collect()
 }
 
+/// The passes over `levels`, each with its segment ids and attribute bias
+/// (none past the end of `seg` / `bias`) and its cut.
+fn level_passes<'a>(
+    levels: &'a [CsrLevel],
+    seg: &'a [Vec<u32>],
+    bias: &'a [Vec<f32>],
+    (agg, gru): (&'a Aggregator, &'a GruCell),
+    cut: impl Fn(&CsrLevel) -> usize + 'a,
+) -> impl Iterator<Item = Pass<'a>> + 'a {
+    levels.iter().enumerate().map(move |(li, lvl)| Pass {
+        lvl,
+        cut: cut(lvl),
+        seg: seg.get(li).map_or(&[][..], Vec::as_slice),
+        attr_bias: bias.get(li).map(Vec::as_slice),
+        agg,
+        gru,
+    })
+}
+
 /// Each level's segment ids ([`CsrLevel::edge_rows`]) when `agg` is the
-/// attention walk, which takes them, and none otherwise. They are constant
-/// across the `T` iterations, so a run derives them once, not per visit.
-fn segment_ids(levels: &[CsrLevel], agg: &Aggregator) -> Vec<Vec<u32>> {
-    match agg.kind() {
-        AggregatorKind::Attention => levels.iter().map(|l| l.edge_rows().collect()).collect(),
-        _ => Vec::new(),
+/// attention walk, which takes them, and none otherwise — counted from the
+/// first row of the edge's half of the level ([`Split::cut`]), the range the
+/// walk runs over. They are constant across the `T` iterations, so a run
+/// derives them once, not per visit.
+fn segment_ids(
+    levels: &[CsrLevel],
+    agg: &Aggregator,
+    cut: impl Fn(&CsrLevel) -> usize,
+) -> Vec<Vec<u32>> {
+    if agg.kind() != AggregatorKind::Attention {
+        return Vec::new();
     }
+    let rebased = |lvl: &CsrLevel| {
+        let cut = cut(lvl) as u32;
+        let half = move |row: u32| if row < cut { row } else { row - cut };
+        lvl.edge_rows().map(half).collect()
+    };
+    levels.iter().map(rebased).collect()
 }
 
 /// Adds each CSR row's edge rows into its target row, in edge order — the
-/// dense form of the tape's `scatter_add_rows`.
+/// dense form of the tape's `scatter_add_rows`. `edge_rows` starts at edge
+/// `offsets[0]`.
 fn segment_sum(edge_rows: &[f32], offsets: &[u32], d: usize, out: &mut [f32]) {
-    for i in 0..offsets.len() - 1 {
-        let (a, b) = (offsets[i] as usize, offsets[i + 1] as usize);
+    let base = offsets[0] as usize;
+    for (i, w) in offsets.windows(2).enumerate() {
         let orow = &mut out[i * d..(i + 1) * d];
-        for e in a..b {
+        for e in w[0] as usize - base..w[1] as usize - base {
             let erow = &edge_rows[e * d..(e + 1) * d];
             for (o, &v) in orow.iter_mut().zip(erow) {
                 *o += v;
@@ -649,7 +916,7 @@ pub(crate) mod shapes;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FeatureEncoding;
+    use crate::{DagRecConfig, FeatureEncoding};
     use deepgate_netlist::{GateKind, Netlist};
     use proptest::prelude::*;
 
@@ -895,11 +1162,148 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
+        fn split_levels_are_bit_exact_with_one_range_on_random_circuits(
+            netlist in shapes::random_netlist(30),
+            kind in 0usize..4,
+            reverse in any::<bool>(),
+            skip in any::<bool>(),
+        ) {
+            let netlist = shapes::expand(&netlist);
+            let circuit = CircuitGraph::from_netlist(&netlist, FeatureEncoding::AigGates, None);
+            let config = split_config(AggregatorKind::ALL[kind], 8, reverse, skip);
+            let outcome = split_matches_one_range(config, &circuit);
+            prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+        }
+
+        #[test]
         fn plan_matches_the_level_definition_on_random_circuits(
             netlist in shapes::random_netlist(40),
         ) {
             let outcome = plan_matches_the_level_definition(&shapes::expand(&netlist));
             prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+        }
+    }
+
+    /// Cuts every level of two rows or more, with a helper thread on even
+    /// the smallest plan.
+    const SPLIT_ALL: Split = Split {
+        min_nodes: 0,
+        min_rows: 2,
+    };
+    /// Runs every level as one range on the calling thread.
+    const SPLIT_NONE: Split = Split {
+        min_nodes: usize::MAX,
+        min_rows: usize::MAX,
+    };
+
+    /// Fails naming the first value at which two runs differ in any bit.
+    fn same_bits(what: &str, one: &[f32], two: &[f32]) -> Result<(), String> {
+        if one.len() != two.len() {
+            return Err(format!("{what}: {} vs {} values", one.len(), two.len()));
+        }
+        match one
+            .iter()
+            .zip(two)
+            .position(|(a, b)| a.to_bits() != b.to_bits())
+        {
+            Some(i) => Err(format!(
+                "{what} {i}: one range {} vs split {}",
+                one[i], two[i]
+            )),
+            None => Ok(()),
+        }
+    }
+
+    /// The final hidden-state arena and the probabilities, both in packed
+    /// order, of `model` on `plan` under `split`.
+    fn run_split(
+        model: &DagRecGnn,
+        store: &ParamStore,
+        plan: &InferencePlan,
+        split: Split,
+        metrics: Option<&GnnMetrics>,
+    ) -> (Vec<f32>, Vec<f32>) {
+        let mut s = Scratch::default();
+        let t = model.config.num_iterations;
+        let h = model
+            .recurrence(store, plan, t, split, &mut s, metrics)
+            .expect("plan fits");
+        let mut probs = vec![0.0f32; plan.num_nodes];
+        model.regress_rows(store, plan, &h, &mut probs, &mut s);
+        (h, probs)
+    }
+
+    /// Final states and probabilities of `circuit` with every level cut
+    /// against one range per level, bit for bit; the cut run's telemetry
+    /// counts a split for every level pass of two rows or more.
+    fn split_matches_one_range(config: DagRecConfig, circuit: &CircuitGraph) -> Result<(), String> {
+        let mut store = ParamStore::new();
+        let model = DagRecGnn::new(&mut store, config);
+        let plan = model.plan(circuit);
+        let registry = deepgate_telemetry::Registry::new();
+        let metrics = GnnMetrics::registered(&registry);
+        let whole = run_split(&model, &store, &plan, SPLIT_NONE, None);
+        let halves = run_split(&model, &store, &plan, SPLIT_ALL, Some(&metrics));
+        same_bits("hidden value", &whole.0, &halves.0)?;
+        same_bits("node", &whole.1, &halves.1)?;
+
+        let snap = registry.snapshot();
+        let mut levels = plan.forward.iter().collect::<Vec<_>>();
+        if model.config.reverse_layer {
+            levels.extend(&plan.reverse);
+        }
+        let wide = levels.iter().filter(|l| l.end - l.start >= 2).count();
+        let (split, reclaimed) = (
+            snap.counter("gnn_levels_split_total"),
+            snap.counter("gnn_level_halves_reclaimed_total"),
+        );
+        if split != (model.config.num_iterations * wide) as u64 || reclaimed > split {
+            return Err(format!(
+                "{split} levels split, {reclaimed} halves reclaimed"
+            ));
+        }
+        Ok(())
+    }
+
+    fn split_config(
+        kind: AggregatorKind,
+        hidden_dim: usize,
+        reverse: bool,
+        skip: bool,
+    ) -> DagRecConfig {
+        DagRecConfig {
+            hidden_dim,
+            num_iterations: 3,
+            regressor_hidden: 8,
+            aggregator: kind,
+            reverse_layer: reverse,
+            fix_gate_input: true,
+            use_skip_connections: skip,
+            ..DagRecConfig::default()
+        }
+    }
+
+    #[test]
+    fn split_levels_are_bit_exact_with_one_range_on_the_shape_suite() {
+        let mut shapes = shapes::shape_suite();
+        shapes.push(shapes::shape_funnel());
+        for netlist in &shapes {
+            let netlist = shapes::expand(netlist);
+            let circuit = CircuitGraph::from_netlist(&netlist, FeatureEncoding::AigGates, None);
+            for kind in AggregatorKind::ALL {
+                for (reverse, skip) in [(false, false), (true, false), (false, true), (true, true)]
+                {
+                    for hidden_dim in [8, 12, 64] {
+                        let config = split_config(kind, hidden_dim, reverse, skip);
+                        if let Err(e) = split_matches_one_range(config, &circuit) {
+                            panic!(
+                                "{} kind={kind:?} d={hidden_dim} reverse={reverse} skip={skip}: {e}",
+                                circuit.name
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -37,6 +37,7 @@ mod dag_rec;
 mod error;
 mod gcn;
 mod graph;
+mod handoff;
 mod metrics;
 mod model;
 mod state;

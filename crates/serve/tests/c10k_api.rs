@@ -191,7 +191,10 @@ fn c10k_512_concurrent_connections_flat_thread_count() {
 
     // The flat-thread-model claim, measured at peak fleet: one event loop
     // plus the workers, regardless of connection count (the blocking front
-    // end would sit at `fleet + 1` threads here).
+    // end would sit at `fleet + 1` threads here). The fleet's full adders
+    // stay far under the kernel's split threshold (2 048 nodes), so no
+    // worker starts a per-prediction level helper thread either (those are
+    // named "deepgate-gnn-level", outside the prefix counted here).
     #[cfg(target_os = "linux")]
     {
         let during = server_thread_count();

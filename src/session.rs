@@ -27,7 +27,7 @@ impl PreparedCircuit {
 /// The session owns the model — its one copy of the weights, cloned from
 /// the [`crate::Engine`] or moved out of it — so it is `Send + Sync` and can
 /// be shared across serving threads. The CSR kernel reads those weights in
-/// place out of the model's `ParamStore`. Two mechanisms keep the hot path
+/// place out of the model's `ParamStore`. Three mechanisms keep the hot path
 /// fast:
 ///
 /// 1. **Parallel fan-out** — a batch is a list of independent circuits;
@@ -39,6 +39,13 @@ impl PreparedCircuit {
 ///    pin plans across calls and [`InferenceSession::predict_into`] writes
 ///    into a caller-owned buffer, so a steady-state serving loop performs no
 ///    per-request plan rebuilds.
+/// 3. **Split levels** — one prediction of a circuit with 2 048 nodes or
+///    more starts one helper thread and cuts each level of 4 rows or more
+///    in half between it and the calling thread. A half the helper has not
+///    claimed when the caller is done with its own, the caller runs itself,
+///    so a batch's fan-out or a second serving worker on the same cores
+///    never waits on a helper that is not running. The output bits are
+///    those of one thread.
 ///
 /// There is one scoring mode: the kernel's probabilities are bit-identical
 /// to the training forward (`ProbabilityModel::try_forward`), which

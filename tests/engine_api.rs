@@ -380,6 +380,48 @@ fn batched_predictions_agree_with_single_circuit_predictions() {
     }
 }
 
+/// Circuits large enough to cut their wide levels between the calling
+/// thread and a helper: every prediction of the batch starts its helper
+/// beside the batch's own fan-out, and the batch still finishes with every
+/// probability equal, bit for bit, to serial `predict_into`'s.
+#[test]
+fn predict_batch_of_split_circuits_equals_serial_predict_into() {
+    use deepgate::telemetry::Registry;
+    use deepgate::EngineMetrics;
+    use std::sync::Arc;
+
+    let registry = Registry::new();
+    let engine = Engine::builder()
+        .model(DeepGateConfig {
+            hidden_dim: 8,
+            num_iterations: 2,
+            regressor_hidden: 4,
+            ..DeepGateConfig::default()
+        })
+        .metrics(Arc::new(EngineMetrics::registered(&registry)))
+        .build()
+        .unwrap();
+    let netlists = (16..20).map(generators::array_multiplier).collect();
+    let circuits = engine
+        .prepare_unlabelled(&NetlistSource::new(netlists))
+        .unwrap();
+    let session = engine.session();
+    let batch = session.predict_batch(&circuits).unwrap();
+    let split = registry.snapshot().counter("gnn_levels_split_total");
+    assert!(split > 0, "the batch must take the two-thread path");
+
+    assert_eq!(batch.len(), circuits.len());
+    for (circuit, probs) in circuits.iter().zip(&batch) {
+        let mut serial = Vec::new();
+        let prepared = session.prepare(circuit.clone());
+        session.predict_into(&prepared, &mut serial).unwrap();
+        assert_eq!(serial.len(), probs.len());
+        for (x, y) in serial.iter().zip(probs) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{}", circuit.name);
+        }
+    }
+}
+
 #[test]
 fn predict_batch_results_are_index_aligned_with_inputs() {
     // The batch's circuits run in parallel and finish in arbitrary
