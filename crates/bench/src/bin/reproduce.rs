@@ -1,14 +1,15 @@
 //! `reproduce --table <1|2|3|4|iterations|ablation> [--full]`: runs one of
 //! the DeepGate paper's experiments (see the `deepgate_bench` crate docs for
-//! the list) and writes its report.
+//! the list) and writes its report. Every circuit comes from
+//! `deepgate::Engine::prepare` through the crate's `labelling_engine`.
 
-use deepgate_aig::Aig;
+use deepgate::LargeDesignSource;
 use deepgate_bench::{
-    build_dataset, fmt_error, fmt_reduction, train_and_evaluate, train_dag_rec, ExperimentSettings,
-    Report,
+    build_dataset, fmt_error, fmt_reduction, labelling_engine, train_and_evaluate, train_dag_rec,
+    CircuitStats, ExperimentSettings, Report,
 };
 use deepgate_core::average_prediction_error;
-use deepgate_dataset::{labelled_circuit_from_aig, LargeDesign, SuiteKind, SuiteStats};
+use deepgate_dataset::{LargeDesign, SuiteKind};
 use deepgate_gnn::{
     evaluate_prediction_error, AggregatorKind, DagConvConfig, DagConvGnn, DagRecConfig, DagRecGnn,
     Gcn, GcnConfig, ProbabilityModel,
@@ -70,39 +71,22 @@ fn parse_args(args: &[String]) -> Result<(&'static (&'static str, Experiment), b
 /// node range and level range per benchmark suite).
 fn table1(s: &ExperimentSettings) -> Report {
     let dataset = build_dataset(s, true, &SuiteKind::ALL);
-    let stats = &dataset.suite_stats;
-    let row = |count: usize, nodes: [usize; 2], levels: [usize; 2], paper: usize| {
+    let range = |[low, high]: [usize; 2]| format!("[{low}-{high}]");
+    let row = |stats: CircuitStats, paper: usize| {
         [
-            ("#Subcircuits", count.to_string()),
-            ("#Node", format!("[{}-{}]", nodes[0], nodes[1])),
-            ("#Level", format!("[{}-{}]", levels[0], levels[1])),
+            ("#Subcircuits", stats.count.to_string()),
+            ("#Node", range(stats.nodes)),
+            ("#Level", range(stats.levels)),
             ("Paper #Subcircuits", paper.to_string()),
         ]
     };
     let mut report = Report::new("table1", "Table I (dataset statistics)", s.scale);
-    for st in stats {
-        let nodes = [st.min_nodes, st.max_nodes];
-        let levels = [st.min_level, st.max_level];
-        let paper = st.suite.paper_subcircuit_count();
-        report.push_row(
-            st.suite.label(),
-            row(st.num_subcircuits, nodes, levels, paper),
-        );
+    for &(suite, stats) in &dataset.suite_stats {
+        report.push_row(suite.label(), row(stats, suite.paper_subcircuit_count()));
     }
-    let range = |min: fn(&SuiteStats) -> usize, max: fn(&SuiteStats) -> usize| {
-        let lowest = stats.iter().map(min).min().unwrap_or(usize::MAX);
-        [lowest, stats.iter().map(max).max().unwrap_or(0)]
-    };
-    let total = row(
-        stats.iter().map(|st| st.num_subcircuits).sum(),
-        range(|st| st.min_nodes, |st| st.max_nodes),
-        range(|st| st.min_level, |st| st.max_level),
-        SuiteKind::ALL
-            .iter()
-            .map(|k| k.paper_subcircuit_count())
-            .sum(),
-    );
-    report.push_row("Total", total);
+    let all = CircuitStats::of(dataset.train.iter().chain(&dataset.test));
+    let paper = SuiteKind::ALL.iter().map(|k| k.paper_subcircuit_count());
+    report.push_row("Total", row(all, paper.sum()));
     report
 }
 
@@ -194,19 +178,22 @@ fn table3_models(s: &ExperimentSettings) -> [DagRecConfig; 2] {
 }
 
 /// Table III: generalisation of DeepGate and the DeepSet baseline to five
-/// designs far larger than the training circuits.
+/// designs far larger than the training circuits. Each design is prepared
+/// like the training set (mapped, optimised, labelled); `Levels` is the
+/// depth of its circuit graph.
 fn table3(s: &ExperimentSettings) -> Report {
     // Train the two contenders on the small sub-circuit dataset only.
     let dataset = build_dataset(s, true, &SuiteKind::ALL);
     let models = table3_models(s).map(|config| train_dag_rec(config, &dataset, s));
+    let engine = labelling_engine(s, true);
     let mut report = Report::new("table3", "Table III (large circuits)", s.scale);
     for design in LargeDesign::ALL {
-        let aig =
-            Aig::from_netlist(&design.generate(s.large_design_scale)).expect("netlist maps to AIG");
-        let circuit =
-            labelled_circuit_from_aig(&aig, s.num_patterns, 99).expect("labelling large design");
-        let (_, depth) = aig.levels();
-        let nodes = circuit.num_nodes;
+        let source = LargeDesignSource::new(design, s.large_design_scale);
+        let circuit = engine
+            .prepare(&source)
+            .expect("labelling large design")
+            .remove(0);
+        let (nodes, depth) = (circuit.num_nodes, circuit.max_level);
         eprintln!("[table3] {design}: {nodes} nodes, {depth} levels");
         let [deepset, deepgate] = models.each_ref().map(|(model, store, _)| {
             let probs = model.try_predict(store, &circuit).expect("AIG circuit");

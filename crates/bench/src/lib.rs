@@ -10,6 +10,12 @@
 //! qualitative shape of the results (model ordering, relative improvements)
 //! rather than absolute values.
 //!
+//! Every circuit an experiment trains or scores is prepared by
+//! [`deepgate::Engine::prepare`], the path serving and the benchmark
+//! measure: AIG mapping and optimisation (unless Table IV asks for raw
+//! gates), simulation labelling and graph encoding, under the label seed
+//! of [`labelling_engine`].
+//!
 //! | `--table` | reproduces | report in `target/experiments/` |
 //! |---|---|---|
 //! | `1` | Table I — dataset statistics | `table1.json` |
@@ -21,10 +27,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use deepgate::{Engine, SuiteSource};
 use deepgate_core::{DeepGateConfig, Trainer, TrainerConfig};
-use deepgate_dataset::{Dataset, DatasetConfig, SuiteKind};
-use deepgate_gnn::{DagRecConfig, DagRecGnn, ProbabilityModel};
+use deepgate_dataset::SuiteKind;
+use deepgate_gnn::{CircuitGraph, DagRecConfig, DagRecGnn, FeatureEncoding, ProbabilityModel};
 use deepgate_nn::ParamStore;
+use rand::rngs::SmallRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 use serde::Serialize;
 use std::fs;
 use std::time::Instant;
@@ -96,27 +106,104 @@ impl ExperimentSettings {
     }
 }
 
-/// Generates an experiment's labelled dataset from `suites`, printing timing
-/// information. Panics if generation fails (invalid settings).
+/// The seed of every experiment's suite designs, labels and train/test split.
+const SEED: u64 = 42;
+
+/// The engine every experiment prepares its circuits with: this scale's
+/// `num_patterns`, label seed 42 and the AIG transformation on or off. Its
+/// model is never trained; it only carries the feature width the pipeline
+/// checks (3 for AIG circuits, 12 for raw gates).
+pub fn labelling_engine(settings: &ExperimentSettings, transform_to_aig: bool) -> Engine {
+    let encoding = if transform_to_aig {
+        FeatureEncoding::AigGates
+    } else {
+        FeatureEncoding::AllGates
+    };
+    let model = DeepGateConfig {
+        feature_dim: encoding.dimension(),
+        ..DeepGateConfig::default()
+    };
+    Engine::builder()
+        .model(model)
+        .num_patterns(settings.num_patterns)
+        .label_seed(SEED)
+        .transform_to_aig(transform_to_aig)
+        .build()
+        .expect("experiment pipeline settings are valid")
+}
+
+/// Table I's statistics of a set of circuits: how many, and their node and
+/// level ranges.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CircuitStats {
+    /// Number of circuits.
+    pub count: usize,
+    /// Smallest and largest node count.
+    pub nodes: [usize; 2],
+    /// Smallest and largest logic depth.
+    pub levels: [usize; 2],
+}
+
+impl CircuitStats {
+    /// The statistics of `circuits`.
+    pub fn of<'a>(circuits: impl Iterator<Item = &'a CircuitGraph> + Clone) -> CircuitStats {
+        let range = |values: Vec<usize>| {
+            let min = values.iter().min().copied().unwrap_or(0);
+            [min, values.into_iter().max().unwrap_or(0)]
+        };
+        CircuitStats {
+            count: circuits.clone().count(),
+            nodes: range(circuits.clone().map(|c| c.num_nodes).collect()),
+            levels: range(circuits.map(|c| c.max_level).collect()),
+        }
+    }
+}
+
+/// An experiment's labelled circuits, shuffled and split 85/15 into train
+/// and test sets.
+#[derive(Debug)]
+pub struct Dataset {
+    /// Training circuits.
+    pub train: Vec<CircuitGraph>,
+    /// Held-out test circuits.
+    pub test: Vec<CircuitGraph>,
+    /// Each suite's statistics, in the order of the suites.
+    pub suite_stats: Vec<(SuiteKind, CircuitStats)>,
+}
+
+/// Prepares `designs_per_suite` designs of each of `suites` through
+/// [`labelling_engine`] (generation seed 42), then shuffles them and
+/// splits them 85/15, printing timing information. Panics if
+/// preparation fails (invalid settings).
 pub fn build_dataset(
     settings: &ExperimentSettings,
     transform_to_aig: bool,
     suites: &[SuiteKind],
 ) -> Dataset {
     let start = Instant::now();
-    let dataset = Dataset::generate(&DatasetConfig {
-        suites: suites.to_vec(),
-        designs_per_suite: settings.designs_per_suite,
-        num_patterns: settings.num_patterns,
-        transform_to_aig,
-        train_fraction: 0.85,
-        size_scale: settings.size_scale,
-        seed: 42,
-    })
-    .expect("dataset generation");
+    let engine = labelling_engine(settings, transform_to_aig);
+    let mut all = Vec::new();
+    let mut suite_stats = Vec::new();
+    for &suite in suites {
+        let source = SuiteSource::new(suite, settings.designs_per_suite)
+            .seed(SEED)
+            .size_scale(settings.size_scale);
+        let circuits = engine.prepare(&source).expect("suite designs prepare");
+        suite_stats.push((suite, CircuitStats::of(circuits.iter())));
+        all.extend(circuits);
+    }
+    let mut rng = SmallRng::seed_from_u64(SEED + 0xD5);
+    all.shuffle(&mut rng);
+    let train_count = ((all.len() as f64) * 0.85).round() as usize;
+    let test = all.split_off(train_count);
+    let dataset = Dataset {
+        train: all,
+        test,
+        suite_stats,
+    };
     eprintln!(
         "[dataset] {} circuits ({} train / {} test), transform={}, {:.1}s",
-        dataset.len(),
+        dataset.train.len() + dataset.test.len(),
         dataset.train.len(),
         dataset.test.len(),
         transform_to_aig,
@@ -289,6 +376,123 @@ pub fn fmt_reduction(baseline: f64, improved: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use deepgate_aig::{opt, Aig};
+    use deepgate_dataset::{labelled_circuit_from_aig, labelled_circuit_from_netlist};
+    use deepgate_sim::SimError;
+
+    /// The oracle: the dataset generator the experiments ran before they
+    /// prepared their circuits through the engine, kept as it was (its
+    /// configuration fixed to the experiments' seed 42 and 85/15 split, its
+    /// `par_iter` a plain iterator — the fan-out never changed a result).
+    fn generate_oracle(
+        settings: &ExperimentSettings,
+        transform_to_aig: bool,
+        suites: &[SuiteKind],
+    ) -> Result<Dataset, SimError> {
+        let (seed, train_fraction) = (42u64, 0.85);
+        let mut all: Vec<(SuiteKind, CircuitGraph)> = Vec::new();
+        let mut suite_stats = Vec::new();
+        for &suite in suites {
+            let designs: Vec<_> = (0..settings.designs_per_suite)
+                .map(|index| suite.generate_design(index, seed, settings.size_scale))
+                .collect();
+            let graphs: Result<Vec<CircuitGraph>, SimError> = designs
+                .iter()
+                .enumerate()
+                .map(|(index, netlist)| {
+                    let label_seed = seed ^ ((index as u64 + 1) << 20);
+                    if transform_to_aig {
+                        let aig = Aig::from_netlist(netlist)
+                            .map_err(|e| SimError::InvalidCircuit(e.to_string()))?;
+                        let aig = opt::optimize(&aig, 2);
+                        labelled_circuit_from_aig(&aig, settings.num_patterns, label_seed)
+                    } else {
+                        labelled_circuit_from_netlist(
+                            netlist,
+                            FeatureEncoding::AllGates,
+                            settings.num_patterns,
+                            label_seed,
+                        )
+                    }
+                })
+                .collect();
+            let graphs = graphs?;
+            let stats = CircuitStats {
+                count: graphs.len(),
+                nodes: [
+                    graphs.iter().map(|g| g.num_nodes).min().unwrap_or(0),
+                    graphs.iter().map(|g| g.num_nodes).max().unwrap_or(0),
+                ],
+                levels: [
+                    graphs.iter().map(|g| g.max_level).min().unwrap_or(0),
+                    graphs.iter().map(|g| g.max_level).max().unwrap_or(0),
+                ],
+            };
+            suite_stats.push((suite, stats));
+            all.extend(graphs.into_iter().map(|g| (suite, g)));
+        }
+
+        // Deterministic shuffled train/test split.
+        let mut rng = SmallRng::seed_from_u64(seed.wrapping_add(0xD5));
+        all.shuffle(&mut rng);
+        let train_count = ((all.len() as f64) * train_fraction).round() as usize;
+        let train_count = train_count.min(all.len());
+        let mut train = Vec::with_capacity(train_count);
+        let mut test = Vec::with_capacity(all.len() - train_count);
+        for (i, (_, graph)) in all.into_iter().enumerate() {
+            if i < train_count {
+                train.push(graph);
+            } else {
+                test.push(graph);
+            }
+        }
+        Ok(Dataset {
+            train,
+            test,
+            suite_stats,
+        })
+    }
+
+    /// What the oracle compares of a circuit graph: its name, size, edges,
+    /// skip edges and labels bit for bit.
+    fn fingerprint(circuit: &CircuitGraph) -> impl PartialEq + std::fmt::Debug + '_ {
+        let labels = circuit
+            .labels
+            .as_ref()
+            .map(|labels| labels.iter().map(|p| p.to_bits()).collect::<Vec<_>>());
+        (
+            &circuit.name,
+            circuit.num_nodes,
+            &circuit.edges,
+            &circuit.skip_edges,
+            labels,
+        )
+    }
+
+    #[test]
+    fn engine_prepared_dataset_equals_the_old_generator() {
+        let settings = ExperimentSettings {
+            designs_per_suite: 4,
+            size_scale: 0.1,
+            num_patterns: 512,
+            ..ExperimentSettings::QUICK
+        };
+        let suites = [SuiteKind::Epfl, SuiteKind::Iwls];
+        for transform_to_aig in [true, false] {
+            let dataset = build_dataset(&settings, transform_to_aig, &suites);
+            let oracle = generate_oracle(&settings, transform_to_aig, &suites).unwrap();
+            assert_eq!((dataset.train.len(), dataset.test.len()), (7, 1));
+            for (got, want) in [
+                (&dataset.train, &oracle.train),
+                (&dataset.test, &oracle.test),
+            ] {
+                let got: Vec<_> = got.iter().map(fingerprint).collect();
+                let want: Vec<_> = want.iter().map(fingerprint).collect();
+                assert_eq!(got, want, "transform_to_aig = {transform_to_aig}");
+            }
+            assert_eq!(dataset.suite_stats, oracle.suite_stats);
+        }
+    }
 
     #[test]
     fn settings_scale_with_mode() {

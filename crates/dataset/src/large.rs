@@ -4,9 +4,9 @@
 //! sub-circuits and are used to demonstrate DeepGate's generalisation
 //! capability. The paper's designs (Arbiter, Squarer, Multiplier from the
 //! EPFL suite plus an 80386 and a Viper processor) are emulated with the
-//! generators of [`crate::generators`]; the `scale` knob lets the benchmark
-//! harness run reduced versions quickly while `paper_scale` targets node
-//! counts comparable to Table III.
+//! generators of [`crate::generators`]; [`LargeDesign::generate`]'s `scale`
+//! runs reduced versions quickly, while a scale of 1.0 targets node counts
+//! comparable to Table III.
 
 use crate::generators;
 use deepgate_netlist::Netlist;

@@ -1,9 +1,12 @@
 //! Offline stand-in for `rayon`.
 //!
 //! Implements the `par_iter().map(..).collect()/reduce(..)` subset the
-//! workspace uses with genuine data parallelism: items are dispatched to
-//! `std::thread::scope` workers through a shared work queue (dynamic
-//! scheduling, order-preserving results). Not a work-stealing pool — worker
+//! workspace uses — the labelling reduce of `deepgate-sim`,
+//! `Engine::prepare` / `prepare_unlabelled` and
+//! `InferenceSession::{prepare_batch, predict_batch}` — with genuine data
+//! parallelism: items are dispatched to `std::thread::scope` workers
+//! through a shared work queue (dynamic scheduling, order-preserving
+//! results). Not a work-stealing pool — worker
 //! threads live for one call — but for the coarse-grained tasks in this
 //! workspace (circuit simulation, per-circuit inference) the per-call thread
 //! cost is noise while the parallel speed-up is real.
@@ -12,7 +15,7 @@ use std::sync::Mutex;
 
 /// Commonly used traits, mirroring `rayon::prelude`.
 pub mod prelude {
-    pub use crate::{FromParallelVec, IntoParallelIterator, IntoParallelRefIterator};
+    pub use crate::{FromParallelVec, IntoParallelRefIterator};
 }
 
 /// The number of worker threads a parallel call will use for `n` items.
@@ -56,25 +59,7 @@ impl<'a, T: Sync> ParIter<'a, T> {
     }
 }
 
-/// `.into_par_iter()` on owned collections.
-pub trait IntoParallelIterator {
-    /// The owned item type.
-    type Item: Send;
-
-    /// Converts the collection into a parallel iterator over owned items.
-    fn into_par_iter(self) -> ParPipeline<Self::Item>;
-}
-
-impl<T: Send> IntoParallelIterator for Vec<T> {
-    type Item = T;
-
-    fn into_par_iter(self) -> ParPipeline<T> {
-        ParPipeline { items: self }
-    }
-}
-
-/// A materialised parallel pipeline stage (after `enumerate` or
-/// `into_par_iter`).
+/// A materialised parallel pipeline stage (after `enumerate`).
 pub struct ParPipeline<I: Send> {
     items: Vec<I>,
 }

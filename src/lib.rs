@@ -63,7 +63,8 @@
 //! - [`nn`] — minimal tensor / reverse-mode autodiff substrate.
 //! - [`gnn`] — DAG-GNN framework and the baseline model zoo.
 //! - [`core`] — the DeepGate model, trainer and evaluation metrics.
-//! - [`dataset`] — benchmark-suite generators and the dataset pipeline.
+//! - [`dataset`] — benchmark-suite and large-design generators and the
+//!   labelling step [`Engine::prepare`] runs on every circuit.
 //!
 //! The `deepgate-serve` crate (`crates/serve`) layers a concurrent
 //! inference server on top of this facade: one job per worker thread over
@@ -107,7 +108,7 @@ pub mod prelude {
     };
     pub use deepgate_aig::{Aig, AigLit, AigNodeKind, LatchPolicy};
     pub use deepgate_core::{DeepGate, DeepGateConfig, Trainer, TrainerConfig};
-    pub use deepgate_dataset::{Dataset, DatasetConfig, SuiteKind};
+    pub use deepgate_dataset::SuiteKind;
     pub use deepgate_gnn::{Aggregator, CircuitGraph, DagRecGnn, Gcn, GnnError};
     pub use deepgate_netlist::{GateKind, Netlist, NodeId};
     pub use deepgate_nn::{Graph, Tensor};

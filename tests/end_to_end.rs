@@ -2,7 +2,7 @@
 //! facade: netlist front-end → AIG transformation → simulation labelling →
 //! circuit-graph encoding → Engine training → InferenceSession serving.
 
-use deepgate::dataset::{generators, Dataset, DatasetConfig, LargeDesign, SuiteKind};
+use deepgate::dataset::{generators, LargeDesign, SuiteKind};
 use deepgate::gnn::{CircuitGraph, FeatureEncoding, ProbabilityModel};
 use deepgate::netlist::bench;
 use deepgate::prelude::*;
@@ -120,17 +120,15 @@ fn engine_overfits_a_single_circuit() {
 
 #[test]
 fn dataset_pipeline_feeds_engine_training_end_to_end() {
-    let config = DatasetConfig {
-        suites: vec![SuiteKind::Epfl, SuiteKind::Itc99],
-        designs_per_suite: 4,
-        num_patterns: 1_024,
-        size_scale: 0.1,
-        ..DatasetConfig::default()
-    };
-    let dataset = Dataset::generate(&config).unwrap();
-    assert_eq!(dataset.len(), 8);
     let mut engine = quick_engine();
-    let history = engine.train(&dataset.train, &dataset.test).unwrap();
+    let mut circuits = Vec::new();
+    for suite in [SuiteKind::Epfl, SuiteKind::Itc99] {
+        let source = SuiteSource::new(suite, 4).seed(0).size_scale(0.1);
+        circuits.extend(engine.prepare(&source).unwrap());
+    }
+    assert_eq!(circuits.len(), 8);
+    let test = circuits.split_off(7);
+    let history = engine.train(&circuits, &test).unwrap();
     assert_eq!(history.epochs.len(), 10);
     assert!(history.best_valid_error().is_some());
 }
