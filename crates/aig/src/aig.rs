@@ -1,5 +1,5 @@
 use crate::{AigError, AigLit};
-use deepgate_netlist::{GateKind, Netlist, NodeId};
+use deepgate_netlist::{Dag, GateKind, Netlist, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -14,10 +14,14 @@ pub enum AigNodeKind {
     /// The current-state output of a latch (sequential state element).
     ///
     /// In the combinational view a latch node behaves like a primary input:
-    /// it has no fan-ins and its value is free. Its next-state function and
-    /// reset value live in the latch table ([`Aig::latches`]); the ingestion
-    /// policies ([`Aig::cut_latches`], [`Aig::unroll`]) eliminate latch
-    /// nodes before a circuit reaches the learning pipeline.
+    /// it has no fan-ins and its value is free, whatever its reset value. It
+    /// is a source of the [`Dag`] view after the primary inputs, so
+    /// simulation drives it with random patterns like an input, as
+    /// [`Aig::to_netlist`] does with the pseudo-input it becomes. Its
+    /// next-state function and reset value live in the latch table
+    /// ([`Aig::latches`]); the ingestion policies ([`Aig::cut_latches`],
+    /// [`Aig::unroll`]) eliminate latch nodes before a circuit reaches the
+    /// learning pipeline.
     Latch,
     /// A 2-input AND node.
     And,
@@ -417,40 +421,6 @@ impl Aig {
         Ok(aig)
     }
 
-    /// Logic level of every node (constant and inputs at level 0, AND nodes
-    /// one above their deepest fan-in). The second element is the maximum
-    /// level.
-    pub fn levels(&self) -> (Vec<usize>, usize) {
-        let mut level = vec![0usize; self.nodes.len()];
-        let mut max = 0;
-        for (i, node) in self.iter() {
-            if node.kind == AigNodeKind::And {
-                let l = level[node.fanin0.node()].max(level[node.fanin1.node()]) + 1;
-                level[i] = l;
-                max = max.max(l);
-            }
-        }
-        (level, max)
-    }
-
-    /// Number of fan-outs (AND consumers plus primary outputs) of every node.
-    pub fn fanout_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.nodes.len()];
-        for (_, node) in self.iter() {
-            if node.kind == AigNodeKind::And {
-                counts[node.fanin0.node()] += 1;
-                counts[node.fanin1.node()] += 1;
-            }
-        }
-        for (lit, _) in &self.outputs {
-            counts[lit.node()] += 1;
-        }
-        for latch in &self.latches {
-            counts[latch.next.node()] += 1;
-        }
-        counts
-    }
-
     /// Expands the AIG into an explicit PI/AND/NOT netlist.
     ///
     /// Complemented edges are materialised as `NOT` gates (one per distinct
@@ -739,6 +709,56 @@ fn resolve_mapped(map: &[AigLit], lit: AigLit) -> AigLit {
     }
 }
 
+/// The combinational view: the sources are the primary inputs, then the
+/// latch states; the sinks are the primary outputs, then the latch
+/// next-states.
+impl Dag for Aig {
+    type Error = AigError;
+
+    fn num_nodes(&self) -> usize {
+        self.nodes.len()
+    }
+
+    fn num_sources(&self) -> usize {
+        self.inputs.len() + self.latches.len()
+    }
+
+    fn fanins(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        let node = &self.nodes[i];
+        let arity = if node.kind == AigNodeKind::And { 2 } else { 0 };
+        [node.fanin0.node(), node.fanin1.node()]
+            .into_iter()
+            .take(arity)
+    }
+
+    fn sinks(&self) -> impl Iterator<Item = usize> + '_ {
+        let outputs = self.outputs.iter().map(|(lit, _)| lit.node());
+        outputs.chain(self.latches.iter().map(|latch| latch.next.node()))
+    }
+
+    fn eval_words(&self, sources: &[u64]) -> Vec<u64> {
+        let mut values = vec![0u64; self.nodes.len()];
+        let states = self.latches.iter().map(|latch| latch.state);
+        for (node, &word) in self.inputs.iter().copied().chain(states).zip(sources) {
+            values[node] = word;
+        }
+        // A literal's word: its node's, XOR all ones when complemented.
+        let word = |values: &[u64], lit: AigLit| {
+            values[lit.node()] ^ u64::from(lit.is_complemented()).wrapping_neg()
+        };
+        for (i, node) in self.iter() {
+            if node.kind == AigNodeKind::And {
+                values[i] = word(&values, node.fanin0) & word(&values, node.fanin1);
+            }
+        }
+        values
+    }
+
+    fn validate(&self) -> Result<(), AigError> {
+        Aig::validate(self)
+    }
+}
+
 impl fmt::Display for Aig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -930,6 +950,20 @@ mod tests {
         let mut aig = toggle_aig();
         aig.latches.clear();
         assert!(aig.validate().is_err());
+        assert!(Dag::validate(&aig).is_err());
+    }
+
+    #[test]
+    fn latch_state_is_a_source_and_its_next_state_a_sink() {
+        let aig = toggle_aig();
+        let (en, q) = (aig.inputs()[0], aig.latches()[0].state);
+        assert_eq!(aig.num_sources(), 2);
+        // y observes q, and the latch observes its next state.
+        let sinks: Vec<usize> = aig.sinks().collect();
+        assert_eq!(sinks, [q, aig.latches()[0].next.node()]);
+        let next = aig.latches()[0].next.node();
+        assert_eq!(aig.fanout_counts()[next], 1);
+        assert_eq!(aig.fanins(en).count(), 0);
     }
 
     #[test]

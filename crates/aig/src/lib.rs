@@ -6,7 +6,9 @@
 //! crate is the from-scratch substitute for that step:
 //!
 //! - [`Aig`] — an AIG with complemented edges ([`AigLit`]), structural
-//!   hashing and constant folding on construction.
+//!   hashing and constant folding on construction. It implements
+//!   [`Dag`](deepgate_netlist::Dag), the circuit interface the analyses
+//!   read, with its latch states as free sources.
 //! - [`Aig::from_netlist`] — maps an arbitrary gate-level
 //!   [`Netlist`](deepgate_netlist::Netlist) (AND/OR/XOR/NAND/NOR/MUX/…)
 //!   into AIG form, the equivalent of ABC's `strash`; [`Aig::to_netlist`]

@@ -8,6 +8,7 @@
 //! `balance`), and [`optimize`] which runs them to a fixpoint.
 
 use crate::{Aig, AigLit, AigNodeKind};
+use deepgate_netlist::Dag;
 
 /// Maps node indices of the source AIG to literals of the AIG being built;
 /// `None` until the node has been rebuilt.

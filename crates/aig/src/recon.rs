@@ -9,11 +9,14 @@
 //! node whose attribute is a sinusoidal positional encoding of that distance
 //! (Eq. 7 of the paper).
 //!
-//! The analysis here processes nodes in topological order and propagates, for
-//! every node, the set of fan-out stems present in its transitive fan-in
-//! within a bounded level distance. A node is reconvergent when the stem sets
-//! reached through its two fan-ins intersect; the closest such stem (smallest
-//! level difference) is recorded.
+//! The analysis reads a circuit through [`Dag`] alone — `fanins(i)`, its
+//! levels and fan-out counts — so one pass serves an [`Aig`](crate::Aig) and
+//! the PI/AND/NOT or original-gate [`Netlist`](deepgate_netlist::Netlist)
+//! the learning front-end encodes. It processes nodes in topological order
+//! and propagates, for every node, the set of fan-out stems present in its
+//! transitive fan-in within a bounded level distance. A node is reconvergent
+//! when the stem sets reached through two of its fan-ins intersect; the
+//! closest such stem (smallest level difference) is recorded.
 //!
 //! Memory is proportional to the *frontier*, not to the circuit: a stem set
 //! lives only from the node that computes it to its last reader (the
@@ -22,8 +25,7 @@
 //! the level window a reader keeps is a prefix and the fan-in sets merge in
 //! one pass, level group by level group, into a reused buffer.
 
-use crate::{Aig, AigNodeKind};
-use deepgate_netlist::{Netlist, NodeId};
+use deepgate_netlist::Dag;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the reconvergence analysis.
@@ -57,7 +59,7 @@ pub struct ReconvergenceInfo {
     pub level_difference: usize,
 }
 
-/// Result of analysing an [`Aig`] for reconvergence.
+/// Result of analysing a circuit (any [`Dag`]) for reconvergence.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReconvergenceAnalysis {
     per_node: Vec<Option<ReconvergenceInfo>>,
@@ -66,38 +68,13 @@ pub struct ReconvergenceAnalysis {
 
 impl ReconvergenceAnalysis {
     /// Runs the analysis with the default configuration.
-    pub fn of(aig: &Aig) -> Self {
-        Self::with_config(aig, ReconvergenceConfig::default())
+    pub fn of(dag: &impl Dag) -> Self {
+        Self::with_config(dag, ReconvergenceConfig::default())
     }
 
     /// Runs the analysis with an explicit configuration.
-    pub fn with_config(aig: &Aig, config: ReconvergenceConfig) -> Self {
-        let fanout_counts = aig.fanout_counts();
-        let (levels, _) = aig.levels();
-        let fanins = |i: usize| {
-            let node = aig.node(i);
-            let arity = if node.kind == AigNodeKind::And { 2 } else { 0 };
-            [node.fanin0.node(), node.fanin1.node()]
-                .into_iter()
-                .take(arity)
-        };
-        analyse(aig.len(), fanins, &levels, &fanout_counts, config).0
-    }
-
-    /// Runs the analysis on a gate-level [`Netlist`] (used when the circuit
-    /// graph is an explicit PI/AND/NOT expansion or an original-gate-type
-    /// netlist for the "without transformation" experiments).
-    pub fn of_netlist(netlist: &Netlist, config: ReconvergenceConfig) -> Self {
-        let fanout_counts = netlist.fanout_counts();
-        let levels = netlist.levels();
-        let fanins = |i: usize| {
-            netlist
-                .node(NodeId(i as u32))
-                .fanins
-                .iter()
-                .map(|f| f.index())
-        };
-        analyse(netlist.len(), fanins, &levels.level, &fanout_counts, config).0
+    pub fn with_config(dag: &impl Dag, config: ReconvergenceConfig) -> Self {
+        analyse(dag, config).0
     }
 
     /// Reconvergence record of a node, if it is a reconvergence node.
@@ -105,7 +82,7 @@ impl ReconvergenceAnalysis {
         self.per_node.get(node).copied().flatten()
     }
 
-    /// Per-node records indexed by AIG node index.
+    /// Per-node records indexed by node.
     pub fn per_node(&self) -> &[Option<ReconvergenceInfo>] {
         &self.per_node
     }
@@ -115,28 +92,17 @@ impl ReconvergenceAnalysis {
         self.per_node.iter().filter(|r| r.is_some()).count()
     }
 
-    /// Number of fan-out stems (fan-out ≥ 2) in the analysed AIG.
+    /// Number of fan-out stems (fan-out ≥ 2) in the analysed circuit.
     pub fn num_stems(&self) -> usize {
         self.num_stems
     }
-
-    /// The skip-connection edge list `(stem, reconvergence_node,
-    /// level_difference)` the DeepGate model adds to the circuit graph.
-    pub fn skip_edges(&self) -> Vec<(usize, usize, usize)> {
-        self.per_node
-            .iter()
-            .enumerate()
-            .filter_map(|(node, info)| info.map(|i| (i.source, node, i.level_difference)))
-            .collect()
-    }
 }
 
-/// Core stem-set propagation shared by the AIG and netlist entry points.
+/// The stem-set propagation behind both entry points.
 ///
 /// A node is reconvergent when some fan-out stem is visible in the bounded
 /// transitive fan-in of at least two of its fan-in branches; the closest such
-/// stem (smallest level difference) is recorded. `fanins(i)` lists node `i`'s
-/// fan-ins; nodes are numbered in topological order.
+/// stem (smallest level difference) is recorded.
 ///
 /// A stored set is sorted by descending stem level and, within one level, in
 /// the order its stems were first reached through the fan-ins taken in
@@ -146,20 +112,17 @@ impl ReconvergenceAnalysis {
 ///
 /// Also returns the peak number of stems held in live sets at once — the
 /// frontier the memory is proportional to.
-fn analyse<I: Iterator<Item = usize>>(
-    n: usize,
-    fanins: impl Fn(usize) -> I,
-    levels: &[usize],
-    fanout_counts: &[usize],
-    config: ReconvergenceConfig,
-) -> (ReconvergenceAnalysis, usize) {
+fn analyse(dag: &impl Dag, config: ReconvergenceConfig) -> (ReconvergenceAnalysis, usize) {
+    let n = dag.num_nodes();
+    let (levels, _) = dag.levels();
+    let fanout_counts = dag.fanout_counts();
     let is_stem = |node: usize| fanout_counts[node] >= 2;
     let num_stems = (0..n).filter(|&node| is_stem(node)).count();
     // The last gate that reads each node's set; a node no gate reads (0
     // here, as readers come later) never stores one.
     let mut last_reader = vec![0usize; n];
     for i in 0..n {
-        for f in fanins(i) {
+        for f in dag.fanins(i) {
             last_reader[f] = i;
         }
     }
@@ -179,7 +142,7 @@ fn analyse<I: Iterator<Item = usize>>(
         // prefix, as the set is sorted by descending level and every stem in
         // it sits below its owner, which sits below this node.
         branches.clear();
-        for f in fanins(i) {
+        for f in dag.fanins(i) {
             let head =
                 (is_stem(f) && (floor..=level_i).contains(&levels[f])).then_some((levels[f], f));
             branches.push(Branch {
@@ -237,7 +200,7 @@ fn analyse<I: Iterator<Item = usize>>(
         }
 
         // Free every fan-in set this node was the last reader of.
-        for f in fanins(i) {
+        for f in dag.fanins(i) {
             if last_reader[f] == i {
                 live -= stem_sets[f].len();
                 stem_sets[f] = Box::default();
@@ -299,18 +262,17 @@ pub fn positional_encoding(level_difference: usize, l: usize) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AigLit;
+    use crate::{Aig, AigLit};
+    use deepgate_netlist::{Netlist, NodeId};
 
     /// The quadratic definition the frontier merge replaced: every set kept
     /// to the end, branches collected, then pairwise `contains` tests and a
     /// stable sort by level. The differential tests hold `analyse` to it.
-    fn reference(
-        fanins: &[Vec<usize>],
-        levels: &[usize],
-        fanout_counts: &[usize],
-        config: ReconvergenceConfig,
-    ) -> ReconvergenceAnalysis {
-        let n = fanins.len();
+    fn reference(dag: &impl Dag, config: ReconvergenceConfig) -> ReconvergenceAnalysis {
+        let n = dag.num_nodes();
+        let fanins: Vec<Vec<usize>> = (0..n).map(|i| dag.fanins(i).collect()).collect();
+        let (levels, _) = dag.levels();
+        let fanout_counts = dag.fanout_counts();
         let is_stem: Vec<bool> = fanout_counts.iter().map(|&c| c >= 2).collect();
         let num_stems = is_stem.iter().filter(|&&s| s).count();
         let mut stem_sets: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -468,14 +430,9 @@ mod tests {
         for seed in 0..16 {
             for window in [3, 8, 40, 400] {
                 let netlist = random_netlist(seed, 6, 300, window);
-                let fanins: Vec<Vec<usize>> = netlist
-                    .iter()
-                    .map(|(_, node)| node.fanins.iter().map(|f| f.index()).collect())
-                    .collect();
-                let levels = netlist.levels().level;
                 for config in CONFIGS {
-                    let expected = reference(&fanins, &levels, &netlist.fanout_counts(), config);
-                    let analysis = ReconvergenceAnalysis::of_netlist(&netlist, config);
+                    let expected = reference(&netlist, config);
+                    let analysis = ReconvergenceAnalysis::with_config(&netlist, config);
                     assert_eq!(
                         analysis, expected,
                         "seed {seed}, window {window}, {config:?}"
@@ -490,16 +447,8 @@ mod tests {
         for seed in 0..16 {
             for (inputs, latches, ands) in [(4, 0, 60), (8, 3, 300), (24, 0, 600)] {
                 let aig = crate::aiger::random_aig(seed, inputs, latches, ands);
-                let fanins: Vec<Vec<usize>> = aig
-                    .iter()
-                    .map(|(_, node)| match node.kind {
-                        AigNodeKind::And => vec![node.fanin0.node(), node.fanin1.node()],
-                        _ => Vec::new(),
-                    })
-                    .collect();
-                let (levels, _) = aig.levels();
                 for config in CONFIGS {
-                    let expected = reference(&fanins, &levels, &aig.fanout_counts(), config);
+                    let expected = reference(&aig, config);
                     let analysis = ReconvergenceAnalysis::with_config(&aig, config);
                     assert_eq!(analysis, expected, "seed {seed}, {ands} ANDs, {config:?}");
                 }
@@ -516,18 +465,7 @@ mod tests {
         let config = ReconvergenceConfig::default();
         for gates in [500, 5000] {
             let netlist = random_netlist(7, 6, gates, 8);
-            let fanins = |i: usize| {
-                let node = netlist.node(NodeId(i as u32));
-                node.fanins.iter().map(|f| f.index())
-            };
-            let levels = netlist.levels().level;
-            let (analysis, peak_live) = analyse(
-                netlist.len(),
-                fanins,
-                &levels,
-                &netlist.fanout_counts(),
-                config,
-            );
+            let (analysis, peak_live) = analyse(&netlist, config);
             assert!(analysis.num_reconvergence_nodes() > gates / 2);
             assert!(
                 peak_live <= 9 * config.max_tracked_stems,
@@ -545,8 +483,10 @@ mod tests {
         assert_eq!(info.level_difference, 2);
         assert_eq!(analysis.num_reconvergence_nodes(), 1);
         assert!(analysis.num_stems() >= 1);
-        let edges = analysis.skip_edges();
-        assert_eq!(edges, vec![(stem, recon, 2)]);
+        let reconvergent: Vec<usize> = (0..aig.len())
+            .filter(|&node| analysis.per_node()[node].is_some())
+            .collect();
+        assert_eq!(reconvergent, [recon]);
     }
 
     #[test]
@@ -557,7 +497,7 @@ mod tests {
         aig.add_output(y, "y");
         let analysis = ReconvergenceAnalysis::of(&aig);
         assert_eq!(analysis.num_reconvergence_nodes(), 0);
-        assert!(analysis.skip_edges().is_empty());
+        assert!(analysis.per_node().iter().all(Option::is_none));
     }
 
     #[test]
@@ -603,7 +543,7 @@ mod tests {
 
     #[test]
     fn netlist_analysis_detects_reconvergence_through_nots() {
-        use deepgate_netlist::{GateKind, Netlist};
+        use deepgate_netlist::GateKind;
         let mut n = Netlist::new("recon");
         let a = n.add_input("a");
         let b = n.add_input("b");
@@ -614,7 +554,7 @@ mod tests {
         let p2 = n.add_gate(GateKind::And, &[inv, c]).unwrap();
         let recon = n.add_gate(GateKind::And, &[p1, p2]).unwrap();
         n.mark_output(recon, "y");
-        let analysis = ReconvergenceAnalysis::of_netlist(&n, ReconvergenceConfig::default());
+        let analysis = ReconvergenceAnalysis::of(&n);
         let info = analysis.info(recon.index()).expect("reconvergence found");
         // Both c and stem reconverge at `recon`; the closest is reported.
         assert!(info.source == stem.index() || info.source == c.index());

@@ -216,7 +216,7 @@ mod tests {
             let netlist = b.finish();
             let aig = deepgate_aig::Aig::from_netlist(&netlist).unwrap();
             let expanded = aig.to_netlist();
-            let probs = SignalProbability::simulate_netlist(&expanded, 4096, 7).unwrap();
+            let probs = SignalProbability::simulate(&expanded, 4096, 7).unwrap();
             let labels: Vec<f32> = probs.values().iter().map(|&v| v as f32).collect();
             circuits.push(CircuitGraph::from_netlist(
                 &expanded,

@@ -318,12 +318,12 @@ pub fn processor_datapath(scale: usize) -> Netlist {
 mod tests {
     use super::*;
     use deepgate_aig::Aig;
-    use deepgate_sim::{simulate_netlist_words, SignalProbability};
+    use deepgate_sim::{simulate_words, SignalProbability};
 
     /// Simulates a netlist on one random word and returns the output bits of
     /// the first output for functional spot checks.
     fn output_word(netlist: &Netlist, inputs: &[u64]) -> u64 {
-        let values = simulate_netlist_words(netlist, inputs).expect("input count matches");
+        let values = simulate_words(netlist, inputs).expect("input count matches");
         values[netlist.outputs()[0].0.index()]
     }
 
@@ -339,7 +339,7 @@ mod tests {
         inputs[1] = u64::MAX; // a[1]  -> a = 3
         inputs[8] = u64::MAX; // b[0]
         inputs[10] = u64::MAX; // b[2] -> b = 5
-        let values = simulate_netlist_words(&n, &inputs).unwrap();
+        let values = simulate_words(&n, &inputs).unwrap();
         // sum = 8 -> sum[3] set, others clear.
         let sum_bits: Vec<u64> = n
             .outputs()
@@ -372,7 +372,7 @@ mod tests {
         let mut inputs = vec![0u64; 8];
         inputs[2] = u64::MAX;
         inputs[5] = u64::MAX;
-        let values = simulate_netlist_words(&n, &inputs).unwrap();
+        let values = simulate_words(&n, &inputs).unwrap();
         for (i, (id, _)) in n.outputs().iter().enumerate() {
             let expected = if i == 2 { u64::MAX } else { 0 };
             assert_eq!(values[id.index()], expected, "grant {i}");
@@ -393,7 +393,7 @@ mod tests {
         let n = comparator(6);
         assert!(n.validate().is_ok());
         // eq, lt, gt are mutually exclusive for every pattern.
-        let probs = SignalProbability::simulate_netlist(&n, 8192, 3).unwrap();
+        let probs = SignalProbability::simulate(&n, 8192, 3).unwrap();
         let ids: Vec<usize> = n.outputs().iter().map(|(id, _)| id.index()).collect();
         let total: f64 = ids.iter().map(|&i| probs.of(i)).sum();
         assert!((total - 1.0).abs() < 0.05, "eq+lt+gt = {total}");
@@ -402,7 +402,7 @@ mod tests {
     #[test]
     fn parity_probability_is_half() {
         let n = parity_tree(12);
-        let probs = SignalProbability::simulate_netlist(&n, 8192, 5).unwrap();
+        let probs = SignalProbability::simulate(&n, 8192, 5).unwrap();
         let out = n.outputs()[0].0.index();
         assert!((probs.of(out) - 0.5).abs() < 0.03);
     }
@@ -417,7 +417,7 @@ mod tests {
         inputs[0] = u64::MAX; // sel[0]
         inputs[2] = u64::MAX; // sel[2] -> 5
         inputs[3] = u64::MAX; // enable
-        let values = simulate_netlist_words(&n, &inputs).unwrap();
+        let values = simulate_words(&n, &inputs).unwrap();
         for (i, (id, _)) in n.outputs().iter().enumerate() {
             let expected = if i == 5 { u64::MAX } else { 0 };
             assert_eq!(values[id.index()], expected, "output {i}");
@@ -435,7 +435,7 @@ mod tests {
         inputs[5] = u64::MAX; // b[1]
         inputs[7] = u64::MAX; // b[3]
         inputs[8] = u64::MAX; // op[0] = 1
-        let values = simulate_netlist_words(&n, &inputs).unwrap();
+        let values = simulate_words(&n, &inputs).unwrap();
         let bits: Vec<u64> = n
             .outputs()
             .iter()

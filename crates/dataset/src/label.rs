@@ -35,7 +35,7 @@ pub fn labelled_circuit_from_netlist(
     num_patterns: usize,
     seed: u64,
 ) -> Result<CircuitGraph, SimError> {
-    let probs = SignalProbability::simulate_netlist(netlist, num_patterns, seed)?;
+    let probs = SignalProbability::simulate(netlist, num_patterns, seed)?;
     let labels: Vec<f32> = probs.values().iter().map(|&v| v as f32).collect();
     Ok(CircuitGraph::from_netlist(netlist, encoding, Some(labels)))
 }

@@ -3,9 +3,9 @@
 //! propagation order over them is compiled in one place,
 //! [`crate::InferencePlan`].
 
-use deepgate_aig::recon::{ReconvergenceAnalysis, ReconvergenceConfig};
+use deepgate_aig::recon::ReconvergenceAnalysis;
 use deepgate_aig::Aig;
-use deepgate_netlist::{GateKind, Netlist};
+use deepgate_netlist::{Dag, GateKind, Netlist};
 use deepgate_nn::Tensor;
 use serde::{Deserialize, Serialize};
 
@@ -116,9 +116,7 @@ impl CircuitGraph {
             features.set(id.index(), encoding.index_of(node.kind), 1.0);
             gate_mask[id.index()] = node.kind.is_gate();
         }
-        let level_info = netlist.levels();
-        let levels = level_info.level.clone();
-        let max_level = level_info.max_level;
+        let (levels, max_level) = netlist.levels();
 
         let mut edges = Vec::new();
         for (id, node) in netlist.iter() {
@@ -127,7 +125,7 @@ impl CircuitGraph {
             }
         }
 
-        let recon = ReconvergenceAnalysis::of_netlist(netlist, ReconvergenceConfig::default());
+        let recon = ReconvergenceAnalysis::of(netlist);
         let mut skip_edges = Vec::new();
         for (target, info) in recon.per_node().iter().enumerate() {
             if let Some(info) = info {

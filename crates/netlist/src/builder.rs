@@ -272,6 +272,7 @@ impl NetlistBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Dag;
 
     #[test]
     fn ripple_add_structure() {
@@ -319,7 +320,7 @@ mod tests {
         let n = b.finish();
         // Balanced tree over 8 leaves: 7 AND gates, depth 3.
         assert_eq!(n.num_gates(), 7);
-        assert_eq!(n.levels().max_level, 3);
+        assert_eq!(n.levels().1, 3);
     }
 
     #[test]

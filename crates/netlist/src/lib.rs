@@ -5,8 +5,11 @@
 //!
 //! - [`Netlist`] — a directed acyclic graph of logic gates with named primary
 //!   inputs and outputs, supporting the common combinational gate alphabet
-//!   (AND/NAND/OR/NOR/XOR/XNOR/NOT/BUF/MUX plus constants), with its logic
-//!   levels and fan-out counts.
+//!   (AND/NAND/OR/NOR/XOR/XNOR/NOT/BUF/MUX plus constants).
+//! - [`Dag`] — the circuit interface every analysis reads: nodes in
+//!   topological order with their fan-ins, sources, sinks and one 64-pattern
+//!   evaluation, with logic levels and fan-out counts written once on top.
+//!   `Netlist` implements it here and `deepgate_aig::Aig` in its own crate.
 //! - [`GateKind`] — the gate alphabet together with bit- and word-level
 //!   evaluation.
 //! - [`mod@bench`] — a reader and writer for the ISCAS/BENCH text format, the
@@ -21,7 +24,7 @@
 //! # Example
 //!
 //! ```rust
-//! use deepgate_netlist::{GateKind, Netlist};
+//! use deepgate_netlist::{Dag, GateKind, Netlist};
 //!
 //! # fn main() -> Result<(), deepgate_netlist::NetlistError> {
 //! let mut n = Netlist::new("toy");
@@ -30,7 +33,7 @@
 //! let g = n.add_gate(GateKind::And, &[a, b])?;
 //! n.mark_output(g, "y");
 //! assert_eq!(n.num_gates(), 1);
-//! assert_eq!(n.levels().max_level, 1);
+//! assert_eq!(n.levels().1, 1);
 //! # Ok(())
 //! # }
 //! ```
@@ -39,12 +42,14 @@
 
 pub mod bench;
 pub mod builder;
+mod dag;
 mod error;
 mod gate;
 mod netlist;
 pub mod verilog;
 
 pub use builder::NetlistBuilder;
+pub use dag::Dag;
 pub use error::NetlistError;
 pub use gate::GateKind;
-pub use netlist::{Levels, Netlist, Node, NodeId};
+pub use netlist::{Netlist, Node, NodeId};

@@ -1,4 +1,4 @@
-use crate::{GateKind, NetlistError};
+use crate::{Dag, GateKind, NetlistError};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -40,25 +40,6 @@ pub struct Node {
     pub fanins: Vec<NodeId>,
     /// Optional signal name (always present for primary inputs).
     pub name: Option<String>,
-}
-
-/// Logic levels of every node in a netlist.
-///
-/// Primary inputs and constants sit at level 0; every gate sits one level
-/// above its deepest fan-in. `max_level` is the circuit depth.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Levels {
-    /// Per-node logic level, indexed by [`NodeId::index`].
-    pub level: Vec<usize>,
-    /// The maximum level over all nodes (0 for a netlist with no gates).
-    pub max_level: usize,
-}
-
-impl Levels {
-    /// The level of a given node.
-    pub fn of(&self, id: NodeId) -> usize {
-        self.level[id.index()]
-    }
 }
 
 /// One gate declaration of a text netlist, `output = kind(inputs)`, as
@@ -274,36 +255,6 @@ impl Netlist {
             .map(|(id, _)| id)
     }
 
-    /// Computes the logic level of every node (inputs and constants are level
-    /// 0, a gate is one more than its deepest fan-in).
-    pub fn levels(&self) -> Levels {
-        let mut level = vec![0usize; self.len()];
-        let mut max_level = 0;
-        for (id, node) in self.iter() {
-            if !node.kind.is_source() {
-                let deepest = node.fanins.iter().map(|f| level[f.index()]).max();
-                level[id.index()] = deepest.unwrap_or(0) + 1;
-                max_level = max_level.max(level[id.index()]);
-            }
-        }
-        Levels { level, max_level }
-    }
-
-    /// Number of fan-outs of every node (how many gate fan-ins plus primary
-    /// outputs consume it).
-    pub fn fanout_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.len()];
-        for node in &self.nodes {
-            for f in &node.fanins {
-                counts[f.index()] += 1;
-            }
-        }
-        for (id, _) in &self.outputs {
-            counts[id.index()] += 1;
-        }
-        counts
-    }
-
     /// Builds a netlist from the declarations of a text netlist, whose gates
     /// may be declared in any order; both text readers end here.
     ///
@@ -452,6 +403,47 @@ impl Netlist {
     }
 }
 
+impl Dag for Netlist {
+    type Error = NetlistError;
+
+    fn num_nodes(&self) -> usize {
+        self.nodes.len()
+    }
+
+    fn num_sources(&self) -> usize {
+        self.inputs.len()
+    }
+
+    fn fanins(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        self.nodes[i].fanins.iter().map(|f| f.index())
+    }
+
+    fn sinks(&self) -> impl Iterator<Item = usize> + '_ {
+        self.outputs.iter().map(|(id, _)| id.index())
+    }
+
+    fn eval_words(&self, sources: &[u64]) -> Vec<u64> {
+        let mut values = vec![0u64; self.nodes.len()];
+        let mut sources = sources.iter();
+        let mut fanin_buf: Vec<u64> = Vec::new();
+        for (i, node) in self.nodes.iter().enumerate() {
+            values[i] = match node.kind {
+                GateKind::Input => *sources.next().expect("one word per input"),
+                kind => {
+                    fanin_buf.clear();
+                    fanin_buf.extend(node.fanins.iter().map(|f| values[f.index()]));
+                    kind.eval_words(&fanin_buf)
+                }
+            };
+        }
+        values
+    }
+
+    fn validate(&self) -> Result<(), NetlistError> {
+        Netlist::validate(self)
+    }
+}
+
 impl fmt::Display for Netlist {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -549,10 +541,10 @@ mod tests {
     #[test]
     fn levels_of_chain_match_depth() {
         let n = chain(5);
-        let lv = n.levels();
-        assert_eq!(lv.max_level, 5);
-        assert_eq!(lv.of(NodeId(0)), 0);
-        assert_eq!(lv.of(NodeId(5)), 5);
+        let (level, max_level) = n.levels();
+        assert_eq!(max_level, 5);
+        assert_eq!(level[0], 0);
+        assert_eq!(level[5], 5);
     }
 
     #[test]
@@ -574,9 +566,9 @@ mod tests {
     #[test]
     fn empty_netlist_levels() {
         let n = Netlist::new("empty");
-        let lv = n.levels();
-        assert_eq!(lv.max_level, 0);
-        assert!(lv.level.is_empty());
+        let (level, max_level) = n.levels();
+        assert_eq!(max_level, 0);
+        assert!(level.is_empty());
     }
 
     /// The resolve both text readers ran before `from_declarations`: sweep
@@ -779,5 +771,6 @@ mod tests {
         // Introduce an illegal forward edge by swapping a fan-in.
         n.nodes[3].fanins[0] = NodeId(7);
         assert!(matches!(n.validate(), Err(NetlistError::Cycle { .. })));
+        assert!(matches!(Dag::validate(&n), Err(NetlistError::Cycle { .. })));
     }
 }

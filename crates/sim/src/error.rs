@@ -5,9 +5,9 @@ use std::fmt;
 #[non_exhaustive]
 pub enum SimError {
     /// The number of supplied input words does not match the number of
-    /// primary inputs of the circuit.
+    /// sources of the circuit (its primary inputs and latch states).
     InputCountMismatch {
-        /// Number of primary inputs the circuit has.
+        /// Number of sources the circuit has.
         expected: usize,
         /// Number of input words supplied.
         got: usize,
@@ -15,9 +15,9 @@ pub enum SimError {
     /// The requested number of patterns is zero.
     NoPatterns,
     /// Exhaustive enumeration was requested for a circuit with too many
-    /// primary inputs.
+    /// sources.
     TooManyInputsForExact {
-        /// Number of primary inputs of the circuit.
+        /// Number of sources of the circuit.
         inputs: usize,
         /// Maximum supported for exhaustive enumeration.
         max: usize,
@@ -35,7 +35,7 @@ impl fmt::Display for SimError {
             SimError::NoPatterns => write!(f, "at least one simulation pattern is required"),
             SimError::TooManyInputsForExact { inputs, max } => write!(
                 f,
-                "exhaustive enumeration supports at most {max} inputs, circuit has {inputs}"
+                "exhaustive enumeration supports at most {max} sources, circuit has {inputs}"
             ),
             SimError::InvalidCircuit(msg) => write!(f, "invalid circuit: {msg}"),
         }
@@ -43,6 +43,13 @@ impl fmt::Display for SimError {
 }
 
 impl std::error::Error for SimError {}
+
+impl SimError {
+    /// A circuit's validation error as [`SimError::InvalidCircuit`].
+    pub(crate) fn invalid(error: impl fmt::Display) -> Self {
+        SimError::InvalidCircuit(error.to_string())
+    }
+}
 
 #[cfg(test)]
 mod tests {

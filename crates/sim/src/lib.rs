@@ -3,14 +3,16 @@
 //! DeepGate is supervised with the *signal probability* of every gate — the
 //! probability that the gate evaluates to logic `1` under uniformly random
 //! primary-input patterns. The paper obtains these labels by simulating up to
-//! 100k random patterns per circuit. This crate is that simulator:
+//! 100k random patterns per circuit. This crate is that simulator, written
+//! once for any [`Dag`](deepgate_netlist::Dag) — an `Aig`, its PI/AND/NOT
+//! expansion or an original-gate `Netlist`:
 //!
-//! - [`simulate_aig_words`] / [`simulate_netlist_words`] — 64-way
-//!   bit-parallel evaluation of a pattern word per node.
-//! - [`SignalProbability`] — Monte-Carlo probability estimation over many
-//!   pattern words (parallelised with rayon across words), plus exhaustive
-//!   enumeration for circuits with few primary inputs where the exact value
-//!   is cheap to compute.
+//! - [`simulate_words`] — 64-way bit-parallel evaluation of a pattern word
+//!   per node, input count and circuit checked.
+//! - [`SignalProbability`] — Monte-Carlo estimation over many pattern words
+//!   and exhaustive enumeration for circuits with at most 20 sources, one
+//!   validate-then-count pass with rows evaluated in parallel (rayon). An
+//!   AIG's latch states are free sources, like its primary inputs.
 //! - [`PatternSource`] — seeded random pattern generation so every label in
 //!   the dataset pipeline is reproducible.
 //!
@@ -44,4 +46,4 @@ mod simulator;
 pub use error::SimError;
 pub use patterns::PatternSource;
 pub use probability::SignalProbability;
-pub use simulator::{simulate_aig_words, simulate_netlist_words};
+pub use simulator::simulate_words;

@@ -1,16 +1,18 @@
 //! Signal-probability estimation — the supervision labels of DeepGate.
 
-use crate::{simulate_aig_words, simulate_netlist_words, PatternSource, SimError};
-use deepgate_aig::Aig;
-use deepgate_netlist::Netlist;
+use crate::{PatternSource, SimError};
+use deepgate_netlist::Dag;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-/// Maximum number of primary inputs supported by exhaustive enumeration.
+/// Maximum number of sources supported by exhaustive enumeration.
 const MAX_EXACT_INPUTS: usize = 20;
 
 /// Per-node signal probabilities of a circuit: the probability of each node
-/// evaluating to logic `1` under uniformly random primary inputs.
+/// evaluating to logic `1` under uniformly random sources ([`Dag`]: the
+/// primary inputs, then an AIG's latch states). A latch state is free
+/// whatever its reset value, like the pseudo-input `Aig::to_netlist` makes
+/// of it, so an AIG and its expansion agree on the nodes they share.
 ///
 /// Probabilities are indexed by node index (AIG node index or
 /// [`NodeId::index`](deepgate_netlist::NodeId) for netlists), so
@@ -23,148 +25,88 @@ pub struct SignalProbability {
 }
 
 impl SignalProbability {
-    /// Estimates signal probabilities of an [`Aig`] by simulating
-    /// `num_patterns` random patterns (rounded up to a multiple of 64),
-    /// seeded with `seed`.
+    /// Estimates the signal probabilities of a circuit — an AIG, its
+    /// PI/AND/NOT expansion or an original-gate netlist (Table IV) — by
+    /// simulating `num_patterns` random patterns (rounded up to a multiple of
+    /// 64) from a [`PatternSource`] seeded with `seed`.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::NoPatterns`] if `num_patterns` is zero and
-    /// [`SimError::InvalidCircuit`] if the AIG fails validation.
-    pub fn simulate(aig: &Aig, num_patterns: usize, seed: u64) -> Result<Self, SimError> {
+    /// [`SimError::InvalidCircuit`] if the circuit fails validation.
+    pub fn simulate(dag: &impl Dag, num_patterns: usize, seed: u64) -> Result<Self, SimError> {
         if num_patterns == 0 {
             return Err(SimError::NoPatterns);
         }
-        aig.validate()
-            .map_err(|e| SimError::InvalidCircuit(e.to_string()))?;
-        Ok(Self::monte_carlo(
-            aig.num_inputs(),
-            aig.len(),
-            num_patterns,
-            seed,
-            |row| simulate_aig_words(aig, row),
-        ))
+        let rows = PatternSource::new(dag.num_sources(), seed).word_rows(num_patterns.div_ceil(64));
+        Self::count(dag, &rows)
     }
 
-    /// Estimates signal probabilities of a gate-level [`Netlist`] by random
-    /// simulation. Used for the "without AIG transformation" experiments
-    /// (Table IV), where the model is trained directly on the original gate
-    /// types.
+    /// Computes the exact signal probabilities of a circuit by enumerating
+    /// all `2^n` combinations of its `n` sources.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::NoPatterns`] if `num_patterns` is zero and
-    /// [`SimError::InvalidCircuit`] if the netlist fails validation.
-    pub fn simulate_netlist(
-        netlist: &Netlist,
-        num_patterns: usize,
-        seed: u64,
-    ) -> Result<Self, SimError> {
-        if num_patterns == 0 {
-            return Err(SimError::NoPatterns);
-        }
-        netlist
-            .validate()
-            .map_err(|e| SimError::InvalidCircuit(e.to_string()))?;
-        Ok(Self::monte_carlo(
-            netlist.num_inputs(),
-            netlist.len(),
-            num_patterns,
-            seed,
-            |row| simulate_netlist_words(netlist, row),
-        ))
-    }
-
-    /// The Monte-Carlo estimate of both `simulate*` constructors: one-counts
-    /// of `num_nodes` nodes summed over word rows of random input patterns,
-    /// each row simulated by `simulate_row` (rows run in parallel).
-    fn monte_carlo(
-        num_inputs: usize,
-        num_nodes: usize,
-        num_patterns: usize,
-        seed: u64,
-        simulate_row: impl Fn(&[u64]) -> Result<Vec<u64>, SimError> + Sync,
-    ) -> Self {
-        let num_words = num_patterns.div_ceil(64);
-        let mut source = PatternSource::new(num_inputs, seed);
-        let rows = source.word_rows(num_words);
-        let ones: Vec<u64> = rows
-            .par_iter()
-            .map(|row| {
-                let values = simulate_row(row).expect("input count matches");
-                values
-                    .iter()
-                    .map(|w| w.count_ones() as u64)
-                    .collect::<Vec<u64>>()
-            })
-            .reduce(
-                || vec![0u64; num_nodes],
-                |mut acc, row_counts| {
-                    for (a, c) in acc.iter_mut().zip(row_counts) {
-                        *a += c;
-                    }
-                    acc
-                },
-            );
-        let total = (num_words * 64) as f64;
-        SignalProbability {
-            values: ones.iter().map(|&c| c as f64 / total).collect(),
-            num_patterns: (num_words * 64) as u64,
-            exact: false,
-        }
-    }
-
-    /// Computes exact signal probabilities of an [`Aig`] by exhaustively
-    /// enumerating all `2^n` input combinations.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::TooManyInputsForExact`] if the AIG has more than
-    /// 20 primary inputs.
-    pub fn exact(aig: &Aig) -> Result<Self, SimError> {
-        let n = aig.num_inputs();
+    /// Returns [`SimError::TooManyInputsForExact`] if the circuit has more
+    /// than 20 sources and [`SimError::InvalidCircuit`] if it fails
+    /// validation.
+    pub fn exact(dag: &impl Dag) -> Result<Self, SimError> {
+        let n = dag.num_sources();
         if n > MAX_EXACT_INPUTS {
             return Err(SimError::TooManyInputsForExact {
                 inputs: n,
                 max: MAX_EXACT_INPUTS,
             });
         }
-        aig.validate()
-            .map_err(|e| SimError::InvalidCircuit(e.to_string()))?;
-        let total_patterns: u64 = 1u64 << n;
-        // Enumerate patterns in blocks of 64 by composing the counter bits.
-        let num_words = (total_patterns as usize).div_ceil(64);
-        let mut ones = vec![0u64; aig.len()];
-        let mut counted = 0u64;
-        for block in 0..num_words {
-            let mut row = vec![0u64; n];
-            let remaining = (total_patterns - counted).min(64);
-            for bit in 0..remaining {
-                let pattern = block as u64 * 64 + bit;
-                for (i, word) in row.iter_mut().enumerate() {
-                    if (pattern >> i) & 1 == 1 {
-                        *word |= 1u64 << bit;
-                    }
-                }
-            }
-            let mask: u64 = if remaining == 64 {
-                u64::MAX
-            } else {
-                (1u64 << remaining) - 1
-            };
-            let values = simulate_aig_words(aig, &row)?;
-            for (o, v) in ones.iter_mut().zip(values) {
-                *o += (v & mask).count_ones() as u64;
-            }
-            counted += remaining;
-        }
+        // Bit `b` of row `r` is pattern `64 r + b`, which drives source `k`
+        // with bit `k` of its index. Under 64 patterns (n < 6) the one row
+        // repeats all 2^n of them 64 / 2^n times, which leaves every count
+        // over 64 the same fraction, bit for bit.
+        let rows: Vec<Vec<u64>> = (0..(1usize << n).div_ceil(64))
+            .map(|row| {
+                (0..n)
+                    .map(|k| {
+                        (0..64)
+                            .filter(|b| ((64 * row + b) >> k) & 1 == 1)
+                            .fold(0u64, |word, b| word | 1 << b)
+                    })
+                    .collect()
+            })
+            .collect();
+        let probs = Self::count(dag, &rows)?;
         Ok(SignalProbability {
-            values: ones
-                .iter()
-                .map(|&c| c as f64 / total_patterns as f64)
-                .collect(),
-            num_patterns: total_patterns,
+            num_patterns: 1 << n,
             exact: true,
+            ..probs
+        })
+    }
+
+    /// The pass behind [`SignalProbability::simulate`] and
+    /// [`SignalProbability::exact`]: validates the circuit, then counts each
+    /// node's ones over the source word `rows` (in parallel) and divides by
+    /// the patterns they hold.
+    fn count(dag: &impl Dag, rows: &[Vec<u64>]) -> Result<Self, SimError> {
+        dag.validate().map_err(SimError::invalid)?;
+        let ones: Vec<u64> = rows
+            .par_iter()
+            .map(|row| {
+                let values = dag.eval_words(row);
+                values.iter().map(|w| u64::from(w.count_ones())).collect()
+            })
+            .reduce(
+                || vec![0u64; dag.num_nodes()],
+                |mut acc, row_counts: Vec<u64>| {
+                    for (a, c) in acc.iter_mut().zip(row_counts) {
+                        *a += c;
+                    }
+                    acc
+                },
+            );
+        let total = rows.len() * 64;
+        Ok(SignalProbability {
+            values: ones.iter().map(|&c| c as f64 / total as f64).collect(),
+            num_patterns: total as u64,
+            exact: false,
         })
     }
 
@@ -228,7 +170,7 @@ impl SignalProbability {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepgate_aig::AigLit;
+    use deepgate_aig::{Aig, AigLit};
 
     fn two_level_aig() -> (Aig, AigLit, AigLit) {
         let mut aig = Aig::new("t");
@@ -282,10 +224,34 @@ mod tests {
         let x = n.add_gate(GateKind::Xor, &[a, b]).unwrap();
         n.mark_output(x, "y");
         let aig = Aig::from_netlist(&n).unwrap();
-        let np = SignalProbability::simulate_netlist(&n, 8192, 11).unwrap();
-        let _ap = SignalProbability::simulate(&aig, 8192, 11).unwrap();
-        // P(xor) = 0.5.
+        let np = SignalProbability::simulate(&n, 8192, 11).unwrap();
+        let ap = SignalProbability::simulate(&aig, 8192, 11).unwrap();
+        // P(xor) = 0.5, and both forms see the same input words.
         assert!((np.of(x.index()) - 0.5).abs() < 0.03);
+        let (lit, _) = aig.outputs()[0];
+        let p = ap.of(lit.node());
+        let p = if lit.is_complemented() { 1.0 - p } else { p };
+        assert_eq!(p, np.of(x.index()));
+        let exact = SignalProbability::exact(&n).unwrap();
+        assert_eq!(exact.of(x.index()), 0.5);
+        assert_eq!(exact.num_patterns(), 4);
+    }
+
+    #[test]
+    fn latch_states_are_free_sources() {
+        // A latch reset to 1 still reads as a free source, like an input.
+        let mut aig = Aig::new("seq");
+        let a = aig.add_input("a");
+        let q = aig.add_latch("q");
+        aig.set_latch_init(0, Some(true));
+        let y = aig.and(a, q);
+        aig.set_latch_next(0, y);
+        aig.add_output(y, "y");
+        let exact = SignalProbability::exact(&aig).unwrap();
+        assert_eq!(exact.of(q.node()), 0.5);
+        assert_eq!(exact.of(y.node()), 0.25);
+        let mc = SignalProbability::simulate(&aig, 4096, 2).unwrap();
+        assert!((mc.of(q.node()) - 0.5).abs() < 0.05);
     }
 
     #[test]

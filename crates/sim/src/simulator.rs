@@ -2,88 +2,47 @@
 //! simulation patterns.
 
 use crate::SimError;
-use deepgate_aig::{Aig, AigNodeKind};
-use deepgate_netlist::{GateKind, Netlist};
+use deepgate_netlist::Dag;
 
-/// Evaluates an [`Aig`] for one row of input pattern words.
+/// Evaluates a circuit for one row of source pattern words.
 ///
-/// `input_words[i]` holds 64 patterns for the `i`-th primary input (in
-/// [`Aig::inputs`] order). Returns one word per AIG node (index-aligned with
-/// the AIG), where bit `k` of word `n` is the value of node `n` under
-/// pattern `k`.
+/// `source_words[k]` holds 64 patterns for source `k` ([`Dag::num_sources`]:
+/// the primary inputs, then an AIG's latch states). Returns one word per
+/// node, where bit `b` of word `i` is the value of node `i` under pattern
+/// `b`.
 ///
 /// # Errors
 ///
-/// Returns [`SimError::InputCountMismatch`] if the number of input words does
-/// not match the number of primary inputs.
-pub fn simulate_aig_words(aig: &Aig, input_words: &[u64]) -> Result<Vec<u64>, SimError> {
-    if input_words.len() != aig.num_inputs() {
+/// Returns [`SimError::InputCountMismatch`] if the number of words does not
+/// match the number of sources, and [`SimError::InvalidCircuit`] if the
+/// circuit fails validation.
+pub fn simulate_words(dag: &impl Dag, source_words: &[u64]) -> Result<Vec<u64>, SimError> {
+    if source_words.len() != dag.num_sources() {
         return Err(SimError::InputCountMismatch {
-            expected: aig.num_inputs(),
-            got: input_words.len(),
+            expected: dag.num_sources(),
+            got: source_words.len(),
         });
     }
-    let mut values = vec![0u64; aig.len()];
-    for (pos, &node_idx) in aig.inputs().iter().enumerate() {
-        values[node_idx] = input_words[pos];
-    }
-    for (i, node) in aig.iter() {
-        if node.kind != AigNodeKind::And {
-            continue;
-        }
-        let a = values[node.fanin0.node()];
-        let a = if node.fanin0.is_complemented() { !a } else { a };
-        let b = values[node.fanin1.node()];
-        let b = if node.fanin1.is_complemented() { !b } else { b };
-        values[i] = a & b;
-    }
-    Ok(values)
-}
-
-/// Evaluates a [`Netlist`] for one row of input pattern words.
-///
-/// `input_words[i]` holds 64 patterns for the `i`-th primary input (in
-/// [`Netlist::inputs`] order). Returns one word per netlist node.
-///
-/// # Errors
-///
-/// Returns [`SimError::InputCountMismatch`] if the number of input words does
-/// not match the number of primary inputs.
-pub fn simulate_netlist_words(
-    netlist: &Netlist,
-    input_words: &[u64],
-) -> Result<Vec<u64>, SimError> {
-    if input_words.len() != netlist.num_inputs() {
-        return Err(SimError::InputCountMismatch {
-            expected: netlist.num_inputs(),
-            got: input_words.len(),
-        });
-    }
-    let mut values = vec![0u64; netlist.len()];
-    let mut input_pos = 0usize;
-    let mut fanin_buf: Vec<u64> = Vec::new();
-    for (id, node) in netlist.iter() {
-        match node.kind {
-            GateKind::Input => {
-                values[id.index()] = input_words[input_pos];
-                input_pos += 1;
-            }
-            GateKind::Const0 => values[id.index()] = 0,
-            GateKind::Const1 => values[id.index()] = u64::MAX,
-            kind => {
-                fanin_buf.clear();
-                fanin_buf.extend(node.fanins.iter().map(|f| values[f.index()]));
-                values[id.index()] = kind.eval_words(&fanin_buf);
-            }
-        }
-    }
-    Ok(values)
+    dag.validate().map_err(SimError::invalid)?;
+    Ok(dag.eval_words(source_words))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepgate_netlist::GateKind;
+    use deepgate_aig::{Aig, AigLit};
+    use deepgate_netlist::{GateKind, Netlist};
+
+    /// The word of an AIG literal: its node's word, inverted when the
+    /// literal is complemented.
+    fn lit_word(values: &[u64], lit: AigLit) -> u64 {
+        let v = values[lit.node()];
+        if lit.is_complemented() {
+            !v
+        } else {
+            v
+        }
+    }
 
     #[test]
     fn aig_simulation_matches_truth_table() {
@@ -99,18 +58,10 @@ mod tests {
         // Patterns: a = 0101..., b = 0011...
         let a_w = 0xAAAA_AAAA_AAAA_AAAAu64;
         let b_w = 0xCCCC_CCCC_CCCC_CCCCu64;
-        let values = simulate_aig_words(&aig, &[a_w, b_w]).unwrap();
-        let lit_value = |lit: deepgate_aig::AigLit| {
-            let v = values[lit.node()];
-            if lit.is_complemented() {
-                !v
-            } else {
-                v
-            }
-        };
-        assert_eq!(lit_value(and), a_w & b_w);
-        assert_eq!(lit_value(or), a_w | b_w);
-        assert_eq!(lit_value(xor), a_w ^ b_w);
+        let values = simulate_words(&aig, &[a_w, b_w]).unwrap();
+        assert_eq!(lit_word(&values, and), a_w & b_w);
+        assert_eq!(lit_word(&values, or), a_w | b_w);
+        assert_eq!(lit_word(&values, xor), a_w ^ b_w);
     }
 
     #[test]
@@ -120,14 +71,8 @@ mod tests {
         let b = aig.add_input("b");
         let nand = aig.and(a, b).complement();
         aig.add_output(nand, "nand");
-        let values = simulate_aig_words(&aig, &[0xF0F0, 0xFF00]).unwrap();
-        let node_val = values[nand.node()];
-        let lit_val = if nand.is_complemented() {
-            !node_val
-        } else {
-            node_val
-        };
-        assert_eq!(lit_val, !(0xF0F0u64 & 0xFF00u64));
+        let values = simulate_words(&aig, &[0xF0F0, 0xFF00]).unwrap();
+        assert_eq!(lit_word(&values, nand), !(0xF0F0u64 & 0xFF00u64));
     }
 
     #[test]
@@ -147,36 +92,43 @@ mod tests {
             0x0F0F_F0F0_00FF_FF00,
             0xAAAA_5555_CCCC_3333,
         ];
-        let nv = simulate_netlist_words(&n, &words).unwrap();
-        let av = simulate_aig_words(&aig, &words).unwrap();
+        let nv = simulate_words(&n, &words).unwrap();
+        let av = simulate_words(&aig, &words).unwrap();
         // Compare the primary output value.
         let n_out = nv[n.outputs()[0].0.index()];
-        let (lit, _) = aig.outputs()[0];
-        let a_out_raw = av[lit.node()];
-        let a_out = if lit.is_complemented() {
-            !a_out_raw
-        } else {
-            a_out_raw
-        };
-        assert_eq!(n_out, a_out);
+        assert_eq!(n_out, lit_word(&av, aig.outputs()[0].0));
+    }
+
+    #[test]
+    fn latch_states_take_the_words_after_the_inputs() {
+        let mut aig = Aig::new("t");
+        let a = aig.add_input("a");
+        let q = aig.add_latch("q");
+        aig.set_latch_init(0, Some(true));
+        let y = aig.and(a, q);
+        aig.add_output(y, "y");
+        let values = simulate_words(&aig, &[0b1100, 0b1010]).unwrap();
+        assert_eq!(values[q.node()], 0b1010);
+        assert_eq!(lit_word(&values, y), 0b1000);
     }
 
     #[test]
     fn input_count_mismatch_detected() {
         let mut aig = Aig::new("t");
         let _ = aig.add_input("a");
-        let err = simulate_aig_words(&aig, &[]).unwrap_err();
+        let _ = aig.add_latch("q");
+        let err = simulate_words(&aig, &[1]).unwrap_err();
         assert!(matches!(
             err,
             SimError::InputCountMismatch {
-                expected: 1,
-                got: 0
+                expected: 2,
+                got: 1
             }
         ));
 
         let mut n = Netlist::new("t");
         let _ = n.add_input("a");
-        let err = simulate_netlist_words(&n, &[1, 2]).unwrap_err();
+        let err = simulate_words(&n, &[1, 2]).unwrap_err();
         assert!(matches!(
             err,
             SimError::InputCountMismatch {
@@ -187,13 +139,27 @@ mod tests {
     }
 
     #[test]
+    fn invalid_circuit_is_an_error() {
+        let mut aig = Aig::new("t");
+        let a = aig.add_input("a");
+        let _ = aig.add_latch("q");
+        aig.add_output(a, "y");
+        // A next state read from a node that does not exist.
+        aig.set_latch_next(0, AigLit::positive(99));
+        assert!(matches!(
+            simulate_words(&aig, &[0, 0]),
+            Err(SimError::InvalidCircuit(_))
+        ));
+    }
+
+    #[test]
     fn constants_simulate_correctly() {
         let mut n = Netlist::new("c");
         let zero = n.add_const(false);
         let one = n.add_const(true);
         let g = n.add_gate(GateKind::Or, &[zero, one]).unwrap();
         n.mark_output(g, "y");
-        let values = simulate_netlist_words(&n, &[]).unwrap();
+        let values = simulate_words(&n, &[]).unwrap();
         assert_eq!(values[g.index()], u64::MAX);
     }
 }

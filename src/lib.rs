@@ -110,7 +110,7 @@ pub mod prelude {
     pub use deepgate_core::{DeepGate, DeepGateConfig, Trainer, TrainerConfig};
     pub use deepgate_dataset::SuiteKind;
     pub use deepgate_gnn::{Aggregator, CircuitGraph, DagRecGnn, Gcn, GnnError};
-    pub use deepgate_netlist::{GateKind, Netlist, NodeId};
+    pub use deepgate_netlist::{Dag, GateKind, Netlist, NodeId};
     pub use deepgate_nn::{Graph, Tensor};
     pub use deepgate_sim::SignalProbability;
 }

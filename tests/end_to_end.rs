@@ -37,8 +37,8 @@ fn bench_roundtrip_preserves_signal_probabilities() {
         .netlists()
         .expect("round-trip parse")
         .remove(0);
-    let p_original = SignalProbability::simulate_netlist(&original, 8192, 5).unwrap();
-    let p_parsed = SignalProbability::simulate_netlist(&parsed, 8192, 5).unwrap();
+    let p_original = SignalProbability::simulate(&original, 8192, 5).unwrap();
+    let p_parsed = SignalProbability::simulate(&parsed, 8192, 5).unwrap();
     // Compare per-output probabilities by name.
     for (id, name) in original.outputs() {
         let other = parsed
@@ -65,7 +65,7 @@ fn aig_transformation_preserves_output_probabilities() {
     ] {
         let aig = Aig::from_netlist(&netlist).unwrap();
         let optimized = opt::optimize(&aig, 3);
-        let p_netlist = SignalProbability::simulate_netlist(&netlist, 16_384, 9).unwrap();
+        let p_netlist = SignalProbability::simulate(&netlist, 16_384, 9).unwrap();
         let p_aig = SignalProbability::simulate(&optimized, 16_384, 9).unwrap();
         for (k, (lit, name)) in optimized.outputs().iter().enumerate() {
             let (orig_id, _) = netlist.outputs()[k];

@@ -2,12 +2,34 @@
 //! spanning the netlist, AIG and simulation crates plus the unified
 //! Engine/InferenceSession facade.
 
+use deepgate::aig::aiger::random_aig;
 use deepgate::aig::{opt, Aig, ReconvergenceAnalysis, ReconvergenceConfig};
 use deepgate::gnn::{CircuitGraph, FeatureEncoding};
 use deepgate::netlist::{bench, GateKind, Netlist, NodeId};
 use deepgate::prelude::*;
-use deepgate::sim::{simulate_aig_words, simulate_netlist_words};
+use deepgate::sim::simulate_words;
 use proptest::prelude::*;
+
+/// The probabilities of an AIG's outputs: each literal's node probability,
+/// or one minus it when complemented. Exact whenever the pattern count is a
+/// power of two, as every count over it is then a dyadic fraction.
+fn aig_outputs(aig: &Aig, probs: &SignalProbability) -> Vec<f64> {
+    let of_lit = |lit: AigLit| {
+        let p = probs.of(lit.node());
+        if lit.is_complemented() {
+            1.0 - p
+        } else {
+            p
+        }
+    };
+    aig.outputs().iter().map(|&(lit, _)| of_lit(lit)).collect()
+}
+
+/// The probabilities of a netlist's outputs.
+fn netlist_outputs(netlist: &Netlist, probs: &SignalProbability) -> Vec<f64> {
+    let outputs = netlist.outputs().iter();
+    outputs.map(|(id, _)| probs.of(id.index())).collect()
+}
 
 /// Strategy: a random valid combinational netlist description, as a list of
 /// (gate kind index, fan-in picks) build steps over a fixed input count.
@@ -61,8 +83,8 @@ proptest! {
         let words: Vec<u64> = (0..netlist.num_inputs())
             .map(|i| seed.rotate_left(i as u32 * 7).wrapping_mul(0x9E37_79B9_7F4A_7C15))
             .collect();
-        let nv = simulate_netlist_words(&netlist, &words).expect("simulates");
-        let av = simulate_aig_words(&aig, &words).expect("simulates");
+        let nv = simulate_words(&netlist, &words).expect("simulates");
+        let av = simulate_words(&aig, &words).expect("simulates");
         for (k, (lit, _)) in aig.outputs().iter().enumerate() {
             let (orig, _) = netlist.outputs()[k];
             let expected = nv[orig.index()];
@@ -86,8 +108,8 @@ proptest! {
         let words: Vec<u64> = (0..aig.num_inputs())
             .map(|i| seed.rotate_right(i as u32 * 5) ^ 0xA5A5_5A5A_F0F0_0F0F)
             .collect();
-        let before = simulate_aig_words(&aig, &words).expect("simulates");
-        let after = simulate_aig_words(&optimized, &words).expect("simulates");
+        let before = simulate_words(&aig, &words).expect("simulates");
+        let after = simulate_words(&optimized, &words).expect("simulates");
         for (k, (lit_b, _)) in aig.outputs().iter().enumerate() {
             let (lit_a, _) = optimized.outputs()[k];
             let vb = { let v = before[lit_b.node()]; if lit_b.is_complemented() { !v } else { v } };
@@ -156,6 +178,60 @@ proptest! {
         );
         prop_assert!(tight.num_reconvergence_nodes() <= loose.num_reconvergence_nodes());
     }
+
+    /// An AIG and its PI/AND/NOT expansion are one circuit to the simulator:
+    /// every latch state is a free source in the expansion's pseudo-input
+    /// order, so the output probabilities agree bit for bit under one seed
+    /// and under exhaustive enumeration, and a latch state reads ½ whatever
+    /// its reset value (`random_aig` cycles them through 0, 1 and none).
+    #[test]
+    fn aig_probabilities_equal_their_expansion_with_latches_as_sources(
+        seed in any::<u64>(),
+        shape in 0usize..4,
+    ) {
+        let (inputs, latches, ands) = [(6, 0, 40), (3, 1, 30), (5, 3, 80), (4, 6, 120)][shape];
+        let aig = random_aig(seed, inputs, latches, ands);
+        let netlist = aig.to_netlist();
+        let aig_probs = SignalProbability::simulate(&aig, 4096, seed).expect("simulates");
+        let netlist_probs = SignalProbability::simulate(&netlist, 4096, seed).expect("simulates");
+        prop_assert_eq!(aig_outputs(&aig, &aig_probs), netlist_outputs(&netlist, &netlist_probs));
+        for latch in aig.latches() {
+            let p = aig_probs.of(latch.state);
+            prop_assert!((p - 0.5).abs() < 0.05, "latch {} reads {}", latch.name, p);
+        }
+        let aig_exact = SignalProbability::exact(&aig).expect("at most 10 sources");
+        let netlist_exact = SignalProbability::exact(&netlist).expect("at most 10 sources");
+        prop_assert_eq!(aig_outputs(&aig, &aig_exact), netlist_outputs(&netlist, &netlist_exact));
+    }
+}
+
+/// Exhaustive enumeration reads a labelling netlist and the AIG it maps to
+/// alike: on every suite design with at most 12 inputs, the exact output
+/// probabilities of both are the same fractions.
+#[test]
+fn exact_probabilities_of_a_netlist_equal_those_of_its_aig() {
+    let mut checked = 0;
+    for suite in SuiteKind::ALL {
+        for index in 0..10 {
+            let netlist = suite.generate_design(index, 42, 0.1);
+            if netlist.num_inputs() > 12 {
+                continue;
+            }
+            let aig = Aig::from_netlist(&netlist).expect("maps to AIG");
+            let netlist_exact = SignalProbability::exact(&netlist).expect("at most 12 inputs");
+            let aig_exact = SignalProbability::exact(&aig).expect("at most 12 inputs");
+            assert_eq!(
+                aig_outputs(&aig, &aig_exact),
+                netlist_outputs(&netlist, &netlist_exact),
+                "{suite:?} design {index}"
+            );
+            checked += 1;
+        }
+    }
+    assert!(
+        checked >= 8,
+        "only {checked} designs with at most 12 inputs"
+    );
 }
 
 proptest! {
