@@ -6,26 +6,35 @@
 //! * [`InferencePlan`] (**shared**) permutes the nodes into
 //!   **level-contiguous order** (reverse-propagation targets first within
 //!   each level, so a level is one range of packed rows in either direction)
-//!   and stores each level's adjacency as **CSR**: one `offsets` and one flat
-//!   `edge_src` array per level, skip edges appended to their target's row
-//!   with the positional-encoding attribute rows precomputed.
+//!   and stores each direction's adjacency as one **CSR** over all packed
+//!   rows — one `offsets` and one flat `edge_src` array — with its levels
+//!   kept as row ranges, each read through a borrowed `Level` view. Skip
+//!   edges are appended to their target's row, and each is also kept once
+//!   as an `(edge, level difference)` pair: the plan holds no attribute
+//!   rows, and the model turns a level difference into γ(D) (Eq. 7) with its
+//!   own `skip_encoding_frequencies` when it runs.
 //!   [`InferencePlan::compile`] is the only place a row's edge order is
 //!   decided. The training tape ([`crate::DagRecGnn::forward_hidden`],
 //!   [`crate::DagConvGnn`]) compiles a plan per forward pass and records each
 //!   level as gathers over packed rows (`state.rs`), aggregator and GRU; only
-//!   the attribute and gate-input rows it puts on the tape are its own.
+//!   the attribute rows (built from the same pairs) and gate-input rows it
+//!   puts on the tape are its own.
 //! * The kernel (**kernel-specific**, the rest of this file:
 //!   [`crate::DagRecGnn::predict_planned`] and
 //!   [`crate::DagRecGnn::embed_planned`]) reads the model's weights in place
 //!   out of the [`ParamStore`] — already flat, row-major and cache-dense, as
 //!   the DLGN line keeps its gate arrays — and fuses each level's gather +
 //!   GEMM + combine into one dense slice walk over a packed hidden-state
-//!   arena, without allocating per level. The row code it walks with — the
-//!   flat layer view, the fixed-width matvec banks, the GRU update and the
-//!   attention walk — lives in [`deepgate_nn::dense`], because the tape's
-//!   fused GRU and attention ops run the same functions over the same
-//!   store; what stays here is the level walk, the regressor and the
-//!   aggregators the tape still records from generic ops.
+//!   arena, without allocating per level. Its attention attribute bias is
+//!   one projection of a zero row on every forward edge, overwritten on the
+//!   skip edges with the projection of their γ(D) — the values projecting
+//!   the dense rows would give, zero rows included, without building them.
+//!   The row code it walks with — the flat layer view, the fixed-width
+//!   matvec banks, the GRU update and the attention walk — lives in
+//!   [`deepgate_nn::dense`], because the tape's fused GRU and attention ops
+//!   run the same functions over the same store; what stays here is the
+//!   level walk, the regressor and the aggregators the tape still records
+//!   from generic ops.
 //! * **Two threads** (kernel-specific). A row of a level reads only other
 //!   levels, so a level's rows are independent. A large plan
 //!   ([`Split`]) starts one helper thread per prediction, and cuts each
@@ -64,34 +73,79 @@ use std::sync::{Mutex, OnceLock, RwLock};
 use std::thread;
 use std::time::Instant;
 
-/// One level of one propagation direction: a contiguous range of packed
-/// target rows and the edges entering them, in CSR form.
+/// One propagation direction of a plan in CSR form over all packed rows,
+/// and the levels that walk it.
 #[derive(Debug, Clone)]
-pub(crate) struct CsrLevel {
+pub(crate) struct Csr {
+    /// `offsets[r]..offsets[r + 1]` are the edges of packed row `r`
+    /// (`num_nodes + 1` entries). A forward row lists the ordinary fan-ins in
+    /// netlist order (duplicates kept) with the skip edge, if any, last; a
+    /// reverse row lists the fan-outs in ascending consumer order
+    /// (duplicates kept). Every per-target sum of either executor runs in
+    /// this order — it is the exactness contract.
+    offsets: Vec<u32>,
+    /// Packed source node index of every edge.
+    edge_src: Vec<u32>,
+    /// The packed rows each level updates, in walk order.
+    levels: Vec<Range<u32>>,
+}
+
+impl Csr {
+    /// The levels in walk order.
+    pub(crate) fn levels(&self) -> impl ExactSizeIterator<Item = Level<'_>> + '_ {
+        self.levels.iter().map(|rows| {
+            let (start, end) = (rows.start as usize, rows.end as usize);
+            Level {
+                start,
+                end,
+                offsets: &self.offsets[start..=end],
+                edge_src: &self.edge_src,
+            }
+        })
+    }
+
+    /// Number of edges in the direction.
+    pub(crate) fn num_edges(&self) -> usize {
+        self.edge_src.len()
+    }
+}
+
+/// One level of one propagation direction, borrowed from its [`Csr`]: a
+/// contiguous range of packed target rows and the edges entering them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Level<'a> {
     /// First packed node index updated by this level.
     pub(crate) start: usize,
     /// One past the last packed node index updated by this level.
     pub(crate) end: usize,
-    /// CSR row offsets into `edge_src` / `attr`; `offsets[i]..offsets[i+1]`
-    /// are the edges of packed target `start + i`. A forward row lists the
-    /// ordinary fan-ins in netlist order (duplicates kept) with the skip
-    /// edge, if any, last; a reverse row lists the fan-outs in ascending
-    /// consumer order (duplicates kept). Every per-target sum of either
-    /// executor runs in this order — it is the exactness contract.
-    pub(crate) offsets: Vec<u32>,
-    /// Packed source node index of every edge.
-    pub(crate) edge_src: Vec<u32>,
-    /// Flat `[num_edges, attr_dim]` edge attributes (positional encodings on
-    /// skip edges, zeros elsewhere); empty when the plan has no attributes.
-    pub(crate) attr: Vec<f32>,
+    /// `offsets[i]..offsets[i + 1]` are the edges of packed target
+    /// `start + i`, numbered across the whole direction.
+    pub(crate) offsets: &'a [u32],
+    /// Packed source node index of every edge of the direction.
+    pub(crate) edge_src: &'a [u32],
 }
 
-impl CsrLevel {
+impl<'a> Level<'a> {
+    /// Number of target rows.
+    pub(crate) fn rows(&self) -> usize {
+        self.end - self.start
+    }
+
+    /// The level's edges, numbered across the direction.
+    pub(crate) fn edges(&self) -> Range<usize> {
+        self.offsets[0] as usize..self.offsets[self.rows()] as usize
+    }
+
+    /// Packed source node index of each of the level's edges.
+    pub(crate) fn sources(&self) -> &'a [u32] {
+        &self.edge_src[self.edges()]
+    }
+
     /// The row of every edge's target within the level, in edge order — the
     /// segment ids the attention walk and the tape's scatter-add take.
     /// Derived once per forward pass or kernel run rather than stored: a
     /// cached plan would carry them for every edge.
-    pub(crate) fn edge_rows(&self) -> impl Iterator<Item = u32> + '_ {
+    pub(crate) fn edge_rows(&self) -> impl Iterator<Item = u32> + 'a {
         let rows = self.offsets.windows(2).enumerate();
         rows.flat_map(|(row, w)| std::iter::repeat_n(row as u32, (w[1] - w[0]) as usize))
     }
@@ -102,7 +156,10 @@ impl CsrLevel {
 ///
 /// Nodes are permuted into level-contiguous order so every level's update is
 /// one dense range of packed rows; the permutation is undone when results
-/// are read out, so callers see original node order.
+/// are read out, so callers see original node order. A plan holds a fixed
+/// number of heap buffers whatever the circuit's depth, and no edge
+/// attributes: skip edges are kept as level differences, which the model
+/// encodes as γ(D) when it runs.
 #[derive(Debug, Clone)]
 pub struct InferencePlan {
     num_nodes: usize,
@@ -112,22 +169,26 @@ pub struct InferencePlan {
     pub(crate) perm: Vec<u32>,
     /// `[num_nodes, feature_dim]` one-hot features in packed order.
     features: Vec<f32>,
-    /// Forward levels 1, 2, … in ascending order; each target range spans
-    /// its whole level.
-    pub(crate) forward: Vec<CsrLevel>,
-    /// Reverse levels in descending level order; each target range is the
-    /// fan-out-bearing prefix of its level.
-    pub(crate) reverse: Vec<CsrLevel>,
+    /// Fan-ins and skip edges; levels 1, 2, … in ascending order, each
+    /// spanning its whole level.
+    pub(crate) forward: Csr,
+    /// Fan-outs; levels in descending level order, each the fan-out-bearing
+    /// prefix of its level.
+    pub(crate) reverse: Csr,
+    /// Every skip edge as `(forward edge, level difference)`, ascending by
+    /// edge; empty when the plan has no attributes.
+    pub(crate) skips: Vec<(u32, u32)>,
 }
 
 /// Stable counting sort of `(row, value)` pairs into CSR form over `n` rows:
 /// row `r` holds its values, in the order the pairs came, at
-/// `offsets[r]..offsets[r + 1]`.
+/// `offsets[r]..offsets[r + 1]`. The caller keeps the pair count below
+/// `u32::MAX`.
 fn group_by_row(
     n: usize,
     pairs: impl Iterator<Item = (usize, u32)> + Clone,
-) -> (Vec<usize>, Vec<u32>) {
-    let mut offsets = vec![0usize; n + 1];
+) -> (Vec<u32>, Vec<u32>) {
+    let mut offsets = vec![0u32; n + 1];
     for (row, _) in pairs.clone() {
         offsets[row + 1] += 1;
     }
@@ -135,41 +196,24 @@ fn group_by_row(
         offsets[row + 1] += offsets[row];
     }
     let mut next = offsets.clone();
-    let mut values = vec![0u32; offsets[n]];
+    let mut values = vec![0u32; offsets[n] as usize];
     for (row, value) in pairs {
-        values[next[row]] = value;
+        values[next[row] as usize] = value;
         next[row] += 1;
     }
     (offsets, values)
 }
 
-/// Cuts the packed rows `rows` out of a whole-circuit CSR, with a zeroed
-/// attribute row per edge.
-fn cut_level(csr: &(Vec<usize>, Vec<u32>), rows: Range<usize>, attr_dim: usize) -> CsrLevel {
-    let (offsets, values) = csr;
-    let edges = offsets[rows.start]..offsets[rows.end];
-    let rebased = offsets[rows.start..=rows.end].iter();
-    CsrLevel {
-        start: rows.start,
-        end: rows.end,
-        offsets: rebased.map(|&o| (o - edges.start) as u32).collect(),
-        attr: vec![0.0; edges.len() * attr_dim],
-        edge_src: values[edges].to_vec(),
-    }
-}
-
 impl InferencePlan {
     /// Compiles a circuit's levels, edges and skip edges into the schedule,
-    /// in O(nodes + edges). `attr_dim` and `frequencies` come from the model
-    /// configuration (0 attributes when skip connections are disabled, and
-    /// then no skip edges either).
-    pub(crate) fn compile(circuit: &CircuitGraph, attr_dim: usize, frequencies: usize) -> Self {
+    /// in O(nodes + edges). `attr_dim` comes from the model configuration
+    /// (0 attributes when skip connections are disabled, and then no skip
+    /// edges either).
+    pub(crate) fn compile(circuit: &CircuitGraph, attr_dim: usize) -> Self {
+        const TOO_LARGE: &str = "circuit too large for CSR plan";
         let n = circuit.num_nodes;
         let num_edges = circuit.edges.len() + circuit.skip_edges.len();
-        assert!(
-            n.max(num_edges) < u32::MAX as usize,
-            "circuit too large for CSR plan"
-        );
+        assert!(n.max(num_edges) < u32::MAX as usize, "{TOO_LARGE}");
         let f = circuit.encoding.dimension();
 
         // Packed order: by level, the reverse-propagation targets (the nodes
@@ -201,24 +245,34 @@ impl InferencePlan {
         let skips = circuit.skip_edges.iter().filter(|_| attr_dim > 0);
         let fanins = (edges.clone().map(|&(src, dst)| (row(dst), perm[src])))
             .chain(skips.clone().map(|e| (row(e.target), perm[e.source])));
-        let fanins = group_by_row(n, fanins);
-        let fanouts = group_by_row(n, edges.map(|&(src, dst)| (row(src), perm[dst])));
-
-        let level_rows = |level: usize| group_start[2 * level]..group_start[2 * level + 2];
-        let mut forward: Vec<CsrLevel> = (1..=circuit.max_level)
-            .map(|level| cut_level(&fanins, level_rows(level), attr_dim))
+        let (offsets, edge_src) = group_by_row(n, fanins);
+        let forward = Csr {
+            levels: (1..=circuit.max_level)
+                .map(|level| group_start[2 * level]..group_start[2 * level + 2])
+                .collect(),
+            offsets,
+            edge_src,
+        };
+        // Each skip edge is the last edge of its target's row.
+        let mut skips: Vec<(u32, u32)> = skips
+            .map(|skip| {
+                let edge = forward.offsets[row(skip.target) + 1] - 1;
+                let diff = u32::try_from(skip.level_difference).expect(TOO_LARGE);
+                (edge, diff)
+            })
             .collect();
-        for skip in skips {
-            let lvl = &mut forward[circuit.levels[skip.target] - 1];
-            let last = lvl.offsets[row(skip.target) - lvl.start + 1] as usize - 1;
-            lvl.attr[last * attr_dim..][..attr_dim]
-                .copy_from_slice(&positional_encoding(skip.level_difference, frequencies));
-        }
+        skips.sort_unstable();
         // Descending: a node's fan-outs sit at strictly higher levels and
         // have been updated by the time the node is.
-        let reverse_rows = |level: usize| group_start[2 * level]..group_start[2 * level + 1];
-        let reverse = (0..circuit.max_level).rev();
-        let reverse = reverse.map(|level| cut_level(&fanouts, reverse_rows(level), 0));
+        let (offsets, edge_src) = group_by_row(n, edges.map(|&(src, dst)| (row(src), perm[dst])));
+        let reverse = Csr {
+            levels: (0..circuit.max_level)
+                .rev()
+                .map(|level| group_start[2 * level]..group_start[2 * level + 1])
+                .collect(),
+            offsets,
+            edge_src,
+        };
 
         InferencePlan {
             num_nodes: n,
@@ -227,8 +281,30 @@ impl InferencePlan {
             perm,
             features,
             forward,
-            reverse: reverse.collect(),
+            reverse,
+            skips,
         }
+    }
+
+    /// The `[edges, attr_dim]` attribute rows of the forward `edges` as the
+    /// tape records them: γ(D) with `frequencies` frequency pairs on each
+    /// skip edge, zeros on every other; `None` when the plan has no
+    /// attributes.
+    pub(crate) fn attr_rows(&self, edges: Range<usize>, frequencies: usize) -> Option<Tensor> {
+        if self.attr_dim == 0 {
+            return None;
+        }
+        let a = self.attr_dim;
+        let mut rows = vec![0.0f32; edges.len() * a];
+        let first = self
+            .skips
+            .partition_point(|&(e, _)| (e as usize) < edges.start);
+        let skips = self.skips[first..].iter();
+        for &(edge, diff) in skips.take_while(|&&(e, _)| (e as usize) < edges.end) {
+            rows[(edge as usize - edges.start) * a..][..a]
+                .copy_from_slice(&positional_encoding(diff as usize, frequencies));
+        }
+        Some(Tensor::from_vec(edges.len(), a, rows))
     }
 
     /// The one-hot feature rows of the packed nodes `rows`, for the tape.
@@ -240,12 +316,12 @@ impl InferencePlan {
 
     /// Number of forward level batches the plan covers.
     pub fn num_batches(&self) -> usize {
-        self.forward.len()
+        self.forward.levels.len()
     }
 
     /// Number of reverse level batches the plan covers.
     pub fn num_reverse_batches(&self) -> usize {
-        self.reverse.len()
+        self.reverse.levels.len()
     }
 
     /// Number of circuit nodes the plan was built for.
@@ -329,8 +405,8 @@ impl Split {
 
     /// Where `lvl` of `plan` is cut: the caller runs rows `..cut`, the
     /// helper rows `cut..` — none, when the level stays whole.
-    fn cut(self, plan: &InferencePlan, lvl: &CsrLevel) -> usize {
-        let m = lvl.end - lvl.start;
+    fn cut(self, plan: &InferencePlan, lvl: Level) -> usize {
+        let m = lvl.rows();
         if plan.num_nodes >= self.min_nodes && m >= self.min_rows.max(2) {
             m / 2
         } else {
@@ -342,14 +418,15 @@ impl Split {
 /// One level pass of the recurrence, as either thread runs it.
 #[derive(Debug, Clone, Copy)]
 struct Pass<'a> {
-    lvl: &'a CsrLevel,
+    lvl: Level<'a>,
     /// Rows `..cut` are the caller's, rows `cut..` the helper's
     /// ([`Split::cut`]).
     cut: usize,
-    /// The level's [`segment_ids`] (empty unless the aggregator is
-    /// attention).
+    /// The direction's [`segment_ids`], indexed by edge (empty unless the
+    /// aggregator is attention).
     seg: &'a [u32],
-    /// The level's attention attribute bias per edge (forward levels only).
+    /// The direction's attention attribute bias per edge ([`attr_bias`];
+    /// forward levels only).
     attr_bias: Option<&'a [f32]>,
     agg: &'a Aggregator,
     gru: &'a GruCell,
@@ -357,7 +434,7 @@ struct Pass<'a> {
 
 impl Pass<'_> {
     fn rows(&self) -> usize {
-        self.lvl.end - self.lvl.start
+        self.lvl.rows()
     }
 
     /// What a thread's arenas must hold to run the level rows `rows`: the
@@ -563,20 +640,28 @@ impl DagRecGnn {
         let embed = self.embed.dense(store);
         embed.apply(&plan.features, n, &mut h, &mut s.wide);
 
-        // Attention attribute biases are constant across iterations:
-        // project each forward level's attribute rows once. So are the
-        // attention walk's segment ids, and where each level is cut.
-        let attr_bias = attr_bias(&self.forward_agg, store, plan, s);
-        let cut = move |lvl: &CsrLevel| split.cut(plan, lvl);
+        // The attention attribute bias is constant across iterations, so
+        // each forward edge's is computed once. So are the attention walk's
+        // segment ids, and where each level is cut.
+        let frequencies = config.skip_encoding_frequencies;
+        let attr_bias = attr_bias(&self.forward_agg, store, plan, frequencies, s);
+        let cut = move |lvl: Level| split.cut(plan, lvl);
         let forward_seg = segment_ids(&plan.forward, &self.forward_agg, cut);
         let reverse = self.reverse_agg.as_ref().zip(self.reverse_gru.as_ref());
         let reverse_seg =
             reverse.map_or_else(Vec::new, |(agg, _)| segment_ids(&plan.reverse, agg, cut));
         let forward = (&self.forward_agg, &self.forward_gru);
-        let forward = level_passes(&plan.forward, &forward_seg, &attr_bias, forward, cut);
+        let forward_bias = attr_bias.as_deref();
+        let forward = level_passes(&plan.forward, &forward_seg, forward_bias, forward, cut);
         let mut passes: Vec<Pass> = forward.collect();
         if let Some(reverse) = reverse {
-            passes.extend(level_passes(&plan.reverse, &reverse_seg, &[], reverse, cut));
+            passes.extend(level_passes(
+                &plan.reverse,
+                &reverse_seg,
+                None,
+                reverse,
+                cut,
+            ));
         }
 
         // The caller runs whole levels and both halves of a cut one (the
@@ -827,70 +912,77 @@ impl DagRecGnn {
     }
 }
 
-/// Projects each forward level's edge-attribute rows through the attention
-/// aggregator's attribute head: one bias per edge per level, and no levels
-/// at all when `agg` has no such head.
+/// The attention aggregator's attribute bias of every forward edge of
+/// `plan`, or `None` when `agg` has no attribute head: the projection of a
+/// zero row on every edge, overwritten on each skip edge with the projection
+/// of its γ(D) at `frequencies`. Each value is the one projecting the dense
+/// `[edges, attr_dim]` rows gives (a zero row projects to `0.0 + b`),
+/// without building them.
 fn attr_bias(
     agg: &Aggregator,
     store: &ParamStore,
     plan: &InferencePlan,
+    frequencies: usize,
     s: &mut Scratch,
-) -> Vec<Vec<f32>> {
+) -> Option<Vec<f32>> {
     let AggregatorParams::Attention {
         edge_attr: Some(proj),
         ..
     } = agg.params()
     else {
-        return Vec::new();
+        return None;
     };
     let proj = proj.dense(store);
-    let project = |lvl: &CsrLevel| {
-        let edges = lvl.edge_src.len();
-        let mut bias = vec![0.0f32; edges];
-        proj.apply(&lvl.attr, edges, &mut bias, &mut s.wide);
-        bias
+    let mut project = |row: &[f32]| {
+        let mut out = [0.0f32];
+        proj.apply(row, 1, &mut out, &mut s.wide);
+        out[0]
     };
-    plan.forward.iter().map(project).collect()
+    let mut bias = vec![project(&vec![0.0; plan.attr_dim]); plan.forward.num_edges()];
+    for &(edge, diff) in &plan.skips {
+        bias[edge as usize] = project(&positional_encoding(diff as usize, frequencies));
+    }
+    Some(bias)
 }
 
-/// The passes over `levels`, each with its segment ids and attribute bias
-/// (none past the end of `seg` / `bias`) and its cut.
+/// The passes over the levels of `csr`, each with the direction's segment
+/// ids and attribute bias, and its cut.
 fn level_passes<'a>(
-    levels: &'a [CsrLevel],
-    seg: &'a [Vec<u32>],
-    bias: &'a [Vec<f32>],
+    csr: &'a Csr,
+    seg: &'a [u32],
+    attr_bias: Option<&'a [f32]>,
     (agg, gru): (&'a Aggregator, &'a GruCell),
-    cut: impl Fn(&CsrLevel) -> usize + 'a,
+    cut: impl Fn(Level) -> usize + 'a,
 ) -> impl Iterator<Item = Pass<'a>> + 'a {
-    levels.iter().enumerate().map(move |(li, lvl)| Pass {
+    csr.levels().map(move |lvl| Pass {
         lvl,
         cut: cut(lvl),
-        seg: seg.get(li).map_or(&[][..], Vec::as_slice),
-        attr_bias: bias.get(li).map(Vec::as_slice),
+        seg,
+        attr_bias,
         agg,
         gru,
     })
 }
 
-/// Each level's segment ids ([`CsrLevel::edge_rows`]) when `agg` is the
+/// Every edge's segment id ([`Level::edge_rows`]) when `agg` is the
 /// attention walk, which takes them, and none otherwise — counted from the
-/// first row of the edge's half of the level ([`Split::cut`]), the range the
-/// walk runs over. They are constant across the `T` iterations, so a run
-/// derives them once, not per visit.
-fn segment_ids(
-    levels: &[CsrLevel],
-    agg: &Aggregator,
-    cut: impl Fn(&CsrLevel) -> usize,
-) -> Vec<Vec<u32>> {
+/// first row of the edge's half of its level ([`Split::cut`]), the range the
+/// walk runs over, and indexed by edge like the direction. They are
+/// constant across the `T` iterations, so a run derives them once, not per
+/// visit.
+fn segment_ids(csr: &Csr, agg: &Aggregator, cut: impl Fn(Level) -> usize) -> Vec<u32> {
     if agg.kind() != AggregatorKind::Attention {
         return Vec::new();
     }
-    let rebased = |lvl: &CsrLevel| {
+    let mut seg = vec![0u32; csr.num_edges()];
+    for lvl in csr.levels() {
         let cut = cut(lvl) as u32;
-        let half = move |row: u32| if row < cut { row } else { row - cut };
-        lvl.edge_rows().map(half).collect()
-    };
-    levels.iter().map(rebased).collect()
+        let half = |row: u32| if row < cut { row } else { row - cut };
+        for (id, row) in seg[lvl.edges()].iter_mut().zip(lvl.edge_rows()) {
+            *id = half(row);
+        }
+    }
+    seg
 }
 
 /// Adds each CSR row's edge rows into its target row, in edge order — the
@@ -997,30 +1089,34 @@ mod tests {
     }
 
     /// One direction of a plan against its batches: the same levels in the
-    /// same order, and row by row the same edges in the same order. With
-    /// `skips` a row's skip edge comes last, under γ(D); every other
-    /// attribute row is zero.
+    /// same order, row by row the same edges in the same order, and every
+    /// edge of the direction in one of them. With `skips` a row's skip edge
+    /// comes last; returns the `(edge, level difference)` pair each such
+    /// row's skip edge must have in the plan, in edge order.
     fn levels_match_batches(
         circuit: &CircuitGraph,
         plan: &InferencePlan,
-        levels: &[CsrLevel],
+        csr: &Csr,
         batches: &[LevelBatch],
         skips: bool,
-        frequencies: usize,
-    ) -> Result<(), String> {
+    ) -> Result<Vec<(u32, u32)>, String> {
         let mut inv = vec![usize::MAX; plan.num_nodes];
         for (old, &packed) in plan.perm.iter().enumerate() {
             inv[packed as usize] = old;
         }
-        let attr_dim = if skips { plan.attr_dim } else { 0 };
-        if levels.len() != batches.len() {
+        if csr.levels().len() != batches.len() {
             return Err(format!(
                 "{} levels, {} batches",
-                levels.len(),
+                csr.levels().len(),
                 batches.len()
             ));
         }
-        for (lvl, batch) in levels.iter().zip(batches) {
+        let walked: usize = csr.levels().map(|lvl| lvl.edges().len()).sum();
+        if csr.offsets.len() != plan.num_nodes + 1 || walked != csr.num_edges() {
+            return Err(format!("{}: {walked} of the edges walked", circuit.name));
+        }
+        let mut pairs = Vec::new();
+        for (lvl, batch) in csr.levels().zip(batches) {
             let what = format!("{} level {}", circuit.name, batch.level);
             let rows = &inv[lvl.start..lvl.end];
             let mut sorted = rows.to_vec();
@@ -1031,11 +1127,6 @@ mod tests {
                     batch.targets
                 ));
             }
-            if lvl.offsets.len() != rows.len() + 1
-                || lvl.attr.len() != lvl.edge_src.len() * attr_dim
-            {
-                return Err(format!("{what}: array lengths"));
-            }
             for (row, &target) in rows.iter().enumerate() {
                 let seg = batch.targets.binary_search(&target).expect("a target");
                 let edges = batch.edge_src.iter().zip(&batch.edge_seg);
@@ -1043,12 +1134,12 @@ mod tests {
                     .filter(|&(_, &s)| s == seg)
                     .map(|(&src, _)| src)
                     .collect();
-                let mut want_attr = vec![0.0f32; want.len() * attr_dim];
-                if let Some(skip) = circuit.skip_edge_for(target).filter(|_| attr_dim > 0) {
-                    want.push(skip.source);
-                    want_attr.extend(positional_encoding(skip.level_difference, frequencies));
-                }
                 let (a, b) = (lvl.offsets[row] as usize, lvl.offsets[row + 1] as usize);
+                if let Some(skip) = circuit.skip_edge_for(target).filter(|_| skips) {
+                    want.push(skip.source);
+                    let diff = u32::try_from(skip.level_difference).expect("a small circuit");
+                    pairs.push((b as u32 - 1, diff));
+                }
                 let got: Vec<usize> = lvl.edge_src[a..b]
                     .iter()
                     .map(|&src| inv[src as usize])
@@ -1056,12 +1147,10 @@ mod tests {
                 if got != want {
                     return Err(format!("{what}: node {target} reads {got:?}, not {want:?}"));
                 }
-                if lvl.attr[a * attr_dim..b * attr_dim] != want_attr[..] {
-                    return Err(format!("{what}: attribute rows of node {target}"));
-                }
             }
         }
-        Ok(())
+        pairs.sort_unstable();
+        Ok(pairs)
     }
 
     /// The plan of `netlist`, with and without skip edges, against the
@@ -1070,8 +1159,8 @@ mod tests {
         let circuit = CircuitGraph::from_netlist(netlist, FeatureEncoding::AigGates, None);
         let forward = build_forward_batches(netlist, &circuit.levels);
         let reverse = build_reverse_batches(netlist, &circuit.levels);
-        for frequencies in [0usize, 8] {
-            let plan = InferencePlan::compile(&circuit, 2 * frequencies, frequencies);
+        for attr_dim in [0usize, 16] {
+            let plan = InferencePlan::compile(&circuit, attr_dim);
             // Every node has exactly one packed row, holding its features.
             let mut seen = vec![false; circuit.num_nodes];
             for (old, &packed) in plan.perm.iter().enumerate() {
@@ -1083,18 +1172,25 @@ mod tests {
                     return Err(format!("features of node {old}"));
                 }
             }
-            // Forward level l is all of level l …
-            levels_match_batches(&circuit, &plan, &plan.forward, &forward, true, frequencies)?;
-            for (lvl, batch) in plan.forward.iter().zip(&forward) {
+            // Forward level l is all of level l, with each skip edge last in
+            // its target's row and kept as that edge's pair — the source and
+            // level difference `skip_edge_for` gives; a plan without
+            // attributes (DAG-ConvGNN's) has neither …
+            let skips = attr_dim > 0;
+            let pairs = levels_match_batches(&circuit, &plan, &plan.forward, &forward, skips)?;
+            if plan.skips != pairs {
+                return Err(format!("skip pairs {:?}, not {pairs:?}", plan.skips));
+            }
+            for (lvl, batch) in plan.forward.levels().zip(&forward) {
                 let members = circuit.levels.iter().filter(|&&l| l == batch.level);
-                if members.count() != lvl.end - lvl.start {
+                if members.count() != lvl.rows() {
                     return Err(format!("forward level {} is not whole", batch.level));
                 }
             }
             // … and a reverse level is its fan-out-bearing prefix, in
-            // ascending node order.
-            levels_match_batches(&circuit, &plan, &plan.reverse, &reverse, false, 0)?;
-            for (lvl, batch) in plan.reverse.iter().zip(&reverse) {
+            // ascending node order, holding fan-outs only.
+            levels_match_batches(&circuit, &plan, &plan.reverse, &reverse, false)?;
+            for (lvl, batch) in plan.reverse.levels().zip(&reverse) {
                 let level = circuit.levels.iter().zip(&plan.perm);
                 let level_rows = level
                     .filter(|&(&l, _)| l == batch.level)
@@ -1149,13 +1245,153 @@ mod tests {
         let top = n.add_gate(GateKind::Not, &[again]).unwrap();
         n.mark_output(top, "y");
         let circuit = CircuitGraph::from_netlist(&n, FeatureEncoding::AigGates, None);
-        let plan = InferencePlan::compile(&circuit, 0, 0);
-        let level_one = &plan.forward[0];
+        let plan = InferencePlan::compile(&circuit, 0);
+        let level_one = plan.forward.levels().next().expect("gates");
         assert_eq!(level_one.offsets, [0, 2, 3], "a twice, then b");
-        assert_eq!(level_one.edge_src[0], level_one.edge_src[1]);
-        let last = plan.reverse.last().expect("inputs feed gates");
-        assert_eq!((last.end - last.start, last.edge_src.len()), (2, 4));
+        assert_eq!(level_one.sources()[0], level_one.sources()[1]);
+        let last = plan.reverse.levels().last().expect("inputs feed gates");
+        assert_eq!((last.rows(), last.sources().len()), (2, 4));
         plan_matches_the_level_definition(&n).unwrap();
+    }
+
+    /// A plan's heap buffers and the bytes they hold, by capacity: the
+    /// memory a cached plan keeps, counted rather than read off RSS.
+    fn plan_heap(plan: &InferencePlan) -> (usize, usize) {
+        fn held<T>(v: &Vec<T>) -> (usize, usize) {
+            let bytes = v.capacity() * std::mem::size_of::<T>();
+            (usize::from(bytes > 0), bytes)
+        }
+        let csr = |c: &Csr| [held(&c.offsets), held(&c.edge_src), held(&c.levels)];
+        let buffers = [held(&plan.perm), held(&plan.features), held(&plan.skips)];
+        let buffers = buffers
+            .into_iter()
+            .chain(csr(&plan.forward))
+            .chain(csr(&plan.reverse));
+        buffers.fold((0, 0), |(n, b), (dn, db)| (n + dn, b + db))
+    }
+
+    /// Plan memory, gated by count: the positional-encoding width adds no
+    /// byte — a plan keeps level differences, not γ(D) rows — and depth adds
+    /// no buffer — a direction is one CSR, not one per level.
+    #[test]
+    fn plan_memory_is_independent_of_frequencies_and_depth() {
+        let graph = |netlist: &Netlist| {
+            CircuitGraph::from_netlist(netlist, FeatureEncoding::AigGates, None)
+        };
+        let attr_dim = |frequencies: usize| {
+            let config = DagRecConfig {
+                use_skip_connections: true,
+                skip_encoding_frequencies: frequencies,
+                ..DagRecConfig::default()
+            };
+            config.edge_attr_dim()
+        };
+        let ladder = graph(&shapes::shape_ladder(6));
+        assert!(!ladder.skip_edges.is_empty());
+        let [eight, sixty_four] = [8, 64]
+            .map(|frequencies| plan_heap(&InferencePlan::compile(&ladder, attr_dim(frequencies))));
+        assert_eq!(eight, sixty_four, "(buffers, bytes) at L = 8 and L = 64");
+
+        // A 500-level chain against a 5-level ladder without attributes; a
+        // 501-level ladder against it with them (both carry skip pairs).
+        let shallow = graph(&shapes::shape_ladder(2));
+        assert_eq!(shallow.max_level, 5);
+        for (deep, dim) in [
+            (shapes::shape_chain(499), 0),
+            (shapes::shape_ladder(250), 16),
+        ] {
+            let deep = graph(&deep);
+            assert!(deep.max_level >= 500);
+            let (deep, shallow) = (
+                InferencePlan::compile(&deep, dim),
+                InferencePlan::compile(&shallow, dim),
+            );
+            assert_eq!(
+                plan_heap(&deep).0,
+                plan_heap(&shallow).0,
+                "buffers at 500 and 5 levels, attr_dim {dim}"
+            );
+        }
+    }
+
+    /// The kernel's attribute bias, built from the skip pairs, against
+    /// `Dense::apply` over the dense rows the tape records from the same
+    /// pairs, bit for bit on every forward edge.
+    fn sparse_bias_matches_dense_rows(
+        model: &DagRecGnn,
+        store: &ParamStore,
+        plan: &InferencePlan,
+    ) -> Result<Vec<f32>, String> {
+        let frequencies = model.config.skip_encoding_frequencies;
+        let mut s = Scratch::default();
+        let sparse = attr_bias(&model.forward_agg, store, plan, frequencies, &mut s)
+            .ok_or("an attribute head")?;
+        let AggregatorParams::Attention {
+            edge_attr: Some(proj),
+            ..
+        } = model.forward_agg.params()
+        else {
+            return Err("an attention aggregator".into());
+        };
+        let edges = 0..plan.forward.num_edges();
+        let rows = plan
+            .attr_rows(edges.clone(), frequencies)
+            .ok_or("attributes")?;
+        let mut dense = vec![0.0f32; edges.len()];
+        let wide = &mut s.wide;
+        proj.dense(store)
+            .apply(rows.as_slice(), edges.len(), &mut dense, wide);
+        same_bits("forward edge bias", &dense, &sparse)?;
+        Ok(sparse)
+    }
+
+    #[test]
+    fn attr_bias_from_skip_pairs_equals_the_dense_projection() {
+        let config = split_config(AggregatorKind::Attention, 8, true, true);
+        let mut shapes = shapes::shape_suite();
+        shapes.push(shapes::shape_ladder(40));
+        for netlist in &shapes {
+            let netlist = shapes::expand(netlist);
+            let circuit = CircuitGraph::from_netlist(&netlist, FeatureEncoding::AigGates, None);
+            let mut store = ParamStore::new();
+            let model = DagRecGnn::new(&mut store, config);
+            let plan = model.plan(&circuit);
+            let param = |store: &ParamStore, name: &str| {
+                let mut ids = store.ids();
+                ids.find(|&id| store.name(id) == format!("dagrec.forward.agg.edge_attr.{name}"))
+                    .expect("an attribute head")
+            };
+            let skip = |edge: usize| plan.skips.iter().any(|&(e, _)| e as usize == edge);
+            let (bias, weight) = (param(&store, "bias"), param(&store, "weight"));
+            sparse_bias_matches_dense_rows(&model, &store, &plan).unwrap();
+
+            // A `-0.0` bias: a zero row projects to `0.0 + -0.0 = +0.0`.
+            store.value_mut(bias).as_mut_slice()[0] = -0.0;
+            let got = sparse_bias_matches_dense_rows(&model, &store, &plan).unwrap();
+            for (edge, b) in got.iter().enumerate().filter(|&(e, _)| !skip(e)) {
+                assert_eq!(
+                    b.to_bits(),
+                    0.0f32.to_bits(),
+                    "{} edge {edge}",
+                    circuit.name
+                );
+            }
+
+            // An infinite weight reaches the skip edges only: a zero row's
+            // zeros are skipped, never multiplied.
+            store.value_mut(weight).as_mut_slice()[1] = f32::INFINITY;
+            let got = sparse_bias_matches_dense_rows(&model, &store, &plan).unwrap();
+            for (edge, b) in got.iter().enumerate().filter(|&(e, _)| !skip(e)) {
+                assert!(b.is_finite(), "{} edge {edge}: {b}", circuit.name);
+            }
+            assert!(
+                plan.skips
+                    .iter()
+                    .all(|&(e, _)| !got[e as usize].is_finite()),
+                "{}: a skip edge's γ(D) has no zero cosine",
+                circuit.name
+            );
+        }
     }
 
     proptest! {
@@ -1248,11 +1484,11 @@ mod tests {
         same_bits("node", &whole.1, &halves.1)?;
 
         let snap = registry.snapshot();
-        let mut levels = plan.forward.iter().collect::<Vec<_>>();
+        let mut levels = plan.forward.levels().collect::<Vec<_>>();
         if model.config.reverse_layer {
-            levels.extend(&plan.reverse);
+            levels.extend(plan.reverse.levels());
         }
-        let wide = levels.iter().filter(|l| l.end - l.start >= 2).count();
+        let wide = levels.iter().filter(|l| l.rows() >= 2).count();
         let (split, reclaimed) = (
             snap.counter("gnn_levels_split_total"),
             snap.counter("gnn_level_halves_reclaimed_total"),
@@ -1326,23 +1562,25 @@ mod tests {
     #[test]
     fn forward_levels_cover_all_gates_once() {
         let graph = diamond_graph();
-        let plan = InferencePlan::compile(&graph, 0, 0);
+        let plan = InferencePlan::compile(&graph, 0);
         let levels = packed_levels(&graph, &plan);
-        let covered: usize = plan.forward.iter().map(|l| l.end - l.start).sum();
+        let covered: usize = plan.forward.levels().map(|l| l.rows()).sum();
         assert_eq!(covered, graph.num_gates());
         // Levels are strictly ascending and edges reference earlier levels
         // only.
         let mut prev_level = 0;
-        for lvl in &plan.forward {
+        for lvl in plan.forward.levels() {
             let level = levels[lvl.start];
             assert!(level > prev_level);
             prev_level = level;
             assert!(levels[lvl.start..lvl.end].iter().all(|&l| l == level));
-            assert_eq!(*lvl.offsets.last().unwrap() as usize, lvl.edge_src.len());
-            assert!(lvl.edge_src.iter().all(|&src| levels[src as usize] < level));
+            assert!(lvl
+                .sources()
+                .iter()
+                .all(|&src| levels[src as usize] < level));
             let seg: Vec<u32> = lvl.edge_rows().collect();
-            assert_eq!(seg.len(), lvl.edge_src.len());
-            assert!(seg.iter().all(|&row| (row as usize) < lvl.end - lvl.start));
+            assert_eq!(seg.len(), lvl.sources().len());
+            assert!(seg.iter().all(|&row| (row as usize) < lvl.rows()));
             assert!(seg.windows(2).all(|w| w[0] <= w[1]));
         }
     }
@@ -1350,19 +1588,22 @@ mod tests {
     #[test]
     fn reverse_levels_point_to_successors() {
         let graph = diamond_graph();
-        let plan = InferencePlan::compile(&graph, 0, 0);
+        let plan = InferencePlan::compile(&graph, 0);
         let levels = packed_levels(&graph, &plan);
         // Reverse levels are in descending order and sources are at
         // strictly higher levels.
         let mut prev = usize::MAX;
-        for lvl in &plan.reverse {
+        for lvl in plan.reverse.levels() {
             let level = levels[lvl.start];
             assert!(level < prev);
             prev = level;
-            assert!(lvl.edge_src.iter().all(|&src| levels[src as usize] > level));
+            assert!(lvl
+                .sources()
+                .iter()
+                .all(|&src| levels[src as usize] > level));
         }
         // Every node with at least one fan-out appears exactly once.
-        let covered: usize = plan.reverse.iter().map(|l| l.end - l.start).sum();
+        let covered: usize = plan.reverse.levels().map(|l| l.rows()).sum();
         assert_eq!(covered, 6); // All but the join have fan-outs.
     }
 }

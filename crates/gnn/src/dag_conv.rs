@@ -112,20 +112,18 @@ impl DagConvGnn {
         check_encoding(circuit, self.config.feature_dim)?;
         // No skip edges and no edge attributes: the forward half of the
         // schedule alone.
-        let plan = InferencePlan::compile(circuit, 0, 0);
+        let plan = InferencePlan::compile(circuit, 0);
         let features = g.input(plan.feature_rows(0..circuit.num_nodes));
         let embedded = self.embed.forward(g, store, features);
         let mut states = NodeStates::new(g, embedded);
-        let segs: Vec<Vec<u32>> = plan
-            .forward
-            .iter()
+        let segs: Vec<Vec<u32>> = (plan.forward.levels())
             .map(|lvl| lvl.edge_rows().collect())
             .collect();
         for layer in 0..self.config.num_layers {
             let prev_layer = states.clone();
-            for (lvl, seg) in plan.forward.iter().zip(&segs) {
+            for (lvl, seg) in plan.forward.levels().zip(&segs) {
                 let targets = lvl.start..lvl.end;
-                let src_states = states.read(g, lvl.edge_src.iter().map(|&src| src as usize));
+                let src_states = states.read(g, lvl.sources().iter().map(|&src| src as usize));
                 let h_targets_prev = prev_layer.read(g, targets.clone());
                 let msg = self.aggregators[layer].aggregate(
                     g,

@@ -12,7 +12,7 @@
 //! | DeepGate w/o SC | Attention | yes | yes | no |
 //! | DeepGate w/ SC | Attention | yes | yes | yes |
 
-use crate::csr::{CsrLevel, InferencePlan};
+use crate::csr::{InferencePlan, Level};
 use crate::state::{Combine, NodeStates};
 use crate::{check_encoding, Aggregator, AggregatorKind, CircuitGraph, GnnError, ProbabilityModel};
 use deepgate_nn::{Activation, Graph, GruCell, Linear, Mlp, ParamStore, Tensor, Var};
@@ -130,7 +130,7 @@ impl DagRecConfig {
 /// once per forward pass and replayed by each of the `T` iterations.
 struct LevelStep<'a> {
     /// The packed target rows and their edges.
-    lvl: &'a CsrLevel,
+    lvl: Level<'a>,
     /// Row of every edge's target within the level.
     seg: Vec<u32>,
     /// Edge attributes: zeros for ordinary edges, γ(D) for skip edges.
@@ -235,19 +235,18 @@ impl DagRecGnn {
         self.config
     }
 
-    /// Puts one level's attribute and gate-input rows on the tape.
+    /// Puts one level's attribute rows (`attr`, forward levels only) and
+    /// gate-input rows on the tape.
     fn level_step<'a>(
         &self,
         g: &mut Graph,
-        plan: &'a InferencePlan,
-        lvl: &'a CsrLevel,
+        plan: &InferencePlan,
+        lvl: Level<'a>,
+        attr: Option<Tensor>,
         agg: &'a Aggregator,
         gru: &'a GruCell,
     ) -> LevelStep<'a> {
-        let attr = (!lvl.attr.is_empty()).then(|| {
-            let attr = Tensor::from_vec(lvl.edge_src.len(), plan.attr_dim(), lvl.attr.clone());
-            g.input(attr)
-        });
+        let attr = attr.map(|attr| g.input(attr));
         let gate_input =
             (self.config.fix_gate_input).then(|| g.input(plan.feature_rows(lvl.start..lvl.end)));
         LevelStep {
@@ -273,7 +272,7 @@ impl DagRecGnn {
     ) {
         let lvl = step.lvl;
         let targets = lvl.start..lvl.end;
-        let src_states = states.read(g, lvl.edge_src.iter().map(|&src| src as usize));
+        let src_states = states.read(g, lvl.sources().iter().map(|&src| src as usize));
         // The targets' own states are the attention query and the GRU's h.
         let h_targets = states.read(g, targets.clone());
         let msg = step
@@ -341,14 +340,17 @@ impl DagRecGnn {
         let mut states = NodeStates::new(g, embedded);
         // One iteration: forward propagation in topological order, then
         // the reversed propagation, if configured.
+        let frequencies = self.config.skip_encoding_frequencies;
         let (agg, gru) = (&self.forward_agg, &self.forward_gru);
-        let forward = plan.forward.iter();
-        let mut sweep: Vec<LevelStep> = forward
-            .map(|lvl| self.level_step(g, &plan, lvl, agg, gru))
+        let mut sweep: Vec<LevelStep> = (plan.forward.levels())
+            .map(|lvl| {
+                let attr = plan.attr_rows(lvl.edges(), frequencies);
+                self.level_step(g, &plan, lvl, attr, agg, gru)
+            })
             .collect();
         if let (Some(agg), Some(gru)) = (&self.reverse_agg, &self.reverse_gru) {
-            let reverse = plan.reverse.iter();
-            sweep.extend(reverse.map(|lvl| self.level_step(g, &plan, lvl, agg, gru)));
+            let reverse = plan.reverse.levels();
+            sweep.extend(reverse.map(|lvl| self.level_step(g, &plan, lvl, None, agg, gru)));
         }
         for _ in 0..self.config.num_iterations {
             for step in &sweep {
@@ -359,17 +361,14 @@ impl DagRecGnn {
     }
 
     /// Compiles a circuit into the CSR arena layout consumed by the fused
-    /// inference kernel: level-contiguous node ordering, per-level CSR
-    /// adjacency with skip edges folded in and their positional encodings
-    /// precomputed. Build once per circuit, reuse across iterations and
-    /// inference calls (a serving layer — see `deepgate::InferenceSession` —
-    /// reuses it across requests for repeated circuits).
+    /// inference kernel: level-contiguous node ordering, one CSR adjacency
+    /// per direction with skip edges folded in, each skip edge's level
+    /// difference kept for the model to encode as γ(D) when it runs. Build
+    /// once per circuit, reuse across iterations and inference calls (a
+    /// serving layer — see `deepgate::InferenceSession` — reuses it across
+    /// requests for repeated circuits).
     pub fn plan(&self, circuit: &CircuitGraph) -> InferencePlan {
-        InferencePlan::compile(
-            circuit,
-            self.config.edge_attr_dim(),
-            self.config.skip_encoding_frequencies,
-        )
+        InferencePlan::compile(circuit, self.config.edge_attr_dim())
     }
 }
 
