@@ -11,8 +11,9 @@
 //!   per node, input count and circuit checked.
 //! - [`SignalProbability`] — Monte-Carlo estimation over many pattern words
 //!   and exhaustive enumeration for circuits with at most 20 sources, one
-//!   validate-then-count pass with rows evaluated in parallel (rayon). An
-//!   AIG's latch states are free sources, like its primary inputs.
+//!   validate-then-count pass whose rows are split into one chunk per core,
+//!   each counted on its own scoped thread. An AIG's latch states are free
+//!   sources, like its primary inputs.
 //! - [`PatternSource`] — seeded random pattern generation so every label in
 //!   the dataset pipeline is reproducible.
 //!

@@ -2,8 +2,10 @@
 
 use crate::{PatternSource, SimError};
 use deepgate_netlist::Dag;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::num::NonZeroUsize;
+use std::panic::resume_unwind;
+use std::thread;
 
 /// Maximum number of sources supported by exhaustive enumeration.
 const MAX_EXACT_INPUTS: usize = 20;
@@ -83,25 +85,38 @@ impl SignalProbability {
 
     /// The pass behind [`SignalProbability::simulate`] and
     /// [`SignalProbability::exact`]: validates the circuit, then counts each
-    /// node's ones over the source word `rows` (in parallel) and divides by
-    /// the patterns they hold.
+    /// node's ones over the source word `rows` and divides by the patterns
+    /// they hold. The rows are cut into one contiguous chunk per core; each
+    /// scoped thread folds its chunk into its own count vector, so the pass
+    /// holds one vector per thread, not one per row. Counts are integers, so
+    /// the split never moves a bit.
     fn count(dag: &impl Dag, rows: &[Vec<u64>]) -> Result<Self, SimError> {
         dag.validate().map_err(SimError::invalid)?;
-        let ones: Vec<u64> = rows
-            .par_iter()
-            .map(|row| {
-                let values = dag.eval_words(row);
-                values.iter().map(|w| u64::from(w.count_ones())).collect()
-            })
-            .reduce(
-                || vec![0u64; dag.num_nodes()],
-                |mut acc, row_counts: Vec<u64>| {
-                    for (a, c) in acc.iter_mut().zip(row_counts) {
-                        *a += c;
-                    }
-                    acc
-                },
-            );
+        let count_chunk = |chunk: &[Vec<u64>]| {
+            let mut ones = vec![0u64; dag.num_nodes()];
+            for row in chunk {
+                for (count, word) in ones.iter_mut().zip(dag.eval_words(row)) {
+                    *count += u64::from(word.count_ones());
+                }
+            }
+            ones
+        };
+        let threads = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let mut chunks = rows.chunks(rows.len().div_ceil(threads).max(1));
+        let first = chunks.next().unwrap_or_default();
+        let ones = thread::scope(|scope| {
+            let helpers: Vec<_> = chunks
+                .map(|chunk| scope.spawn(move || count_chunk(chunk)))
+                .collect();
+            let mut ones = count_chunk(first);
+            for helper in helpers {
+                let counts = helper.join().unwrap_or_else(|panic| resume_unwind(panic));
+                for (total, count) in ones.iter_mut().zip(counts) {
+                    *total += count;
+                }
+            }
+            ones
+        });
         let total = rows.len() * 64;
         Ok(SignalProbability {
             values: ones.iter().map(|&c| c as f64 / total as f64).collect(),
@@ -252,6 +267,23 @@ mod tests {
         assert_eq!(exact.of(y.node()), 0.25);
         let mc = SignalProbability::simulate(&aig, 4096, 2).unwrap();
         assert!((mc.of(q.node()) - 0.5).abs() < 0.05);
+    }
+
+    #[test]
+    fn counts_split_across_threads_equal_one_sequential_fold() {
+        // 37 rows do not split evenly between cores.
+        let (aig, _, _) = two_level_aig();
+        let rows = PatternSource::new(aig.num_sources(), 9).word_rows(37);
+        let mut ones = vec![0u64; aig.num_nodes()];
+        for row in &rows {
+            for (count, word) in ones.iter_mut().zip(aig.eval_words(row)) {
+                *count += u64::from(word.count_ones());
+            }
+        }
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let expected: Vec<f64> = ones.iter().map(|&c| c as f64 / (37.0 * 64.0)).collect();
+        let probs = SignalProbability::count(&aig, &rows).unwrap();
+        assert_eq!(bits(probs.values()), bits(&expected));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The [`Engine`]: one coherent surface over dataset preparation, training,
 //! evaluation, checkpointing and inference.
 
+use crate::fan_out::fan_out;
 use crate::{CircuitSource, DeepGateError, EngineMetrics, InferenceSession};
 use deepgate_aig::{opt, Aig};
 use deepgate_core::{
@@ -10,7 +11,6 @@ use deepgate_dataset::labelled_circuit_from_netlist;
 use deepgate_gnn::{check_encoding, CircuitGraph, FeatureEncoding, ProbabilityModel};
 use deepgate_netlist::Netlist;
 use deepgate_nn::Tensor;
-use rayon::prelude::*;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -274,7 +274,8 @@ impl Engine {
     /// Ingests circuits from a source and prepares them for learning:
     /// (optional) AIG transformation and optimisation, signal-probability
     /// labelling by logic simulation, and circuit-graph encoding. Circuits
-    /// are processed in parallel.
+    /// are prepared one after another in input order; the labelling of each
+    /// spreads its simulation rows across the cores.
     ///
     /// # Errors
     ///
@@ -284,7 +285,7 @@ impl Engine {
         let pipeline = self.pipeline;
         let metrics = self.metrics.as_deref();
         netlists
-            .par_iter()
+            .iter()
             .enumerate()
             .map(|(index, netlist)| {
                 let seed = pipeline.label_seed ^ ((index as u64 + 1) << 20);
@@ -297,11 +298,14 @@ impl Engine {
     /// transformation, optimisation and graph encoding as [`Engine::prepare`],
     /// but without the simulation labelling pass — predictions do not need
     /// labels, and skipping simulation keeps request preparation cheap. This
-    /// is the ingestion path of the `deepgate-serve` subsystem.
+    /// is the ingestion path of the `deepgate-serve` subsystem. Several
+    /// circuits are ingested side by side, one per core; results keep input
+    /// order.
     ///
     /// # Errors
     ///
-    /// Propagates source and AIG errors as [`DeepGateError`].
+    /// Propagates source and AIG errors as [`DeepGateError`] — the first in
+    /// input order.
     pub fn prepare_unlabelled(
         &self,
         source: &dyn CircuitSource,
@@ -309,10 +313,7 @@ impl Engine {
         let netlists = source.netlists()?;
         let pipeline = self.pipeline;
         let metrics = self.metrics.as_deref();
-        netlists
-            .par_iter()
-            .map(|netlist| pipeline.ingest(netlist, None, metrics))
-            .collect()
+        fan_out(&netlists, |netlist| pipeline.ingest(netlist, None, metrics))
     }
 
     /// Trains the model on prepared circuits (fresh Adam state per call),

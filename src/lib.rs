@@ -85,6 +85,7 @@ pub use deepgate_telemetry as telemetry;
 
 mod engine;
 mod error;
+mod fan_out;
 mod metrics;
 mod session;
 mod source;

@@ -1,9 +1,9 @@
 //! [`InferenceSession`] — the batched, allocation-reusing serving hot path.
 
+use crate::fan_out::fan_out;
 use crate::{DeepGateError, EngineMetrics};
 use deepgate_core::DeepGate;
 use deepgate_gnn::{check_encoding, CircuitGraph, InferencePlan};
-use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -31,8 +31,8 @@ impl PreparedCircuit {
 /// fast:
 ///
 /// 1. **Parallel fan-out** — a batch is a list of independent circuits;
-///    [`InferenceSession::predict_batch`] runs them side by side,
-///    rayon-parallel, each on its own plan.
+///    [`InferenceSession::predict_batch`] runs them side by side, one
+///    scoped thread per core, each on its own plan.
 /// 2. **Plan and buffer reuse** — the CSR arena layout ([`InferencePlan`])
 ///    is compiled once per circuit and reused across all `T` iterations;
 ///    [`InferenceSession::prepare`] / [`InferenceSession::prepare_batch`]
@@ -100,7 +100,8 @@ impl InferenceSession {
     }
 
     /// Prepares every circuit of a batch ([`InferenceSession::prepare`],
-    /// rayon-parallel) — the setup step of the steady-state serving loop.
+    /// side by side, one scoped thread per core) — the setup step of the
+    /// steady-state serving loop.
     ///
     /// # Errors
     ///
@@ -112,10 +113,7 @@ impl InferenceSession {
         if circuits.is_empty() {
             return Err(DeepGateError::EmptyBatch);
         }
-        Ok(circuits
-            .par_iter()
-            .map(|circuit| self.prepare(circuit.clone()))
-            .collect())
+        fan_out(circuits, |circuit| Ok(self.prepare(circuit.clone())))
     }
 
     /// Predicts per-node signal probabilities for one circuit.
@@ -146,24 +144,25 @@ impl InferenceSession {
         self.predict_planned_into(&prepared.circuit, &prepared.plan, out)
     }
 
-    /// Predicts a batch of circuits: each is prepared, then the batch runs
-    /// side by side, rayon-parallel, each circuit through
+    /// Predicts a batch of circuits side by side, one scoped thread per
+    /// core: each circuit is prepared, then predicted through
     /// [`InferenceSession::predict_into`] on its own plan. Returns one
     /// probability vector per circuit, in input order.
     ///
     /// # Errors
     ///
     /// Returns [`DeepGateError::EmptyBatch`] for an empty batch and
-    /// [`DeepGateError::Gnn`] if any circuit is incompatible with the model.
+    /// [`DeepGateError::Gnn`] if any circuit is incompatible with the model
+    /// — the first in input order.
     pub fn predict_batch(&self, circuits: &[CircuitGraph]) -> Result<Vec<Vec<f32>>, DeepGateError> {
-        let predict = |prepared: &PreparedCircuit| {
+        if circuits.is_empty() {
+            return Err(DeepGateError::EmptyBatch);
+        }
+        fan_out(circuits, |circuit| {
             let mut out = Vec::new();
-            self.predict_into(prepared, &mut out).map(|()| out)
-        };
-        self.prepare_batch(circuits)?
-            .par_iter()
-            .map(predict)
-            .collect()
+            self.predict_into(&self.prepare(circuit.clone()), &mut out)
+                .map(|()| out)
+        })
     }
 
     fn predict_planned_into(

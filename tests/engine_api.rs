@@ -294,6 +294,34 @@ fn builder_rejects_inconsistent_configuration() {
     ));
 }
 
+/// `Engine::prepare` labels its netlists one after another, each spreading
+/// its simulation rows across the cores; the graphs and label bits are
+/// pinned to those of the per-netlist fan-out it replaced, on a suite whose
+/// 4 096 patterns (64 rows) split between threads.
+#[test]
+fn prepare_of_a_multi_netlist_suite_is_pinned() {
+    use deepgate::gnn::StructuralHasher;
+    let engine = Engine::builder().num_patterns(4_096).build().unwrap();
+    let graphs = engine
+        .prepare(&SuiteSource::new(SuiteKind::Epfl, 4).seed(5).size_scale(0.1))
+        .unwrap();
+    let mut digest = StructuralHasher::new();
+    for graph in &graphs {
+        digest.write((graph.fingerprint() >> 64) as u64);
+        digest.write(graph.fingerprint() as u64);
+        for label in graph.labels.as_ref().expect("labelled") {
+            digest.write(u64::from(label.to_bits()));
+        }
+    }
+    let nodes: Vec<usize> = graphs.iter().map(|g| g.num_nodes).collect();
+    assert_eq!(
+        digest.finish(),
+        0x1ff90b97c298c5ca22925f58a6213468,
+        "{nodes:?} nodes, digest {:#034x}",
+        digest.finish()
+    );
+}
+
 #[test]
 fn plan_from_differently_configured_model_is_rejected() {
     // Prepare under a model without skip connections, predict under one
