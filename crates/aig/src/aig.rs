@@ -1,43 +1,25 @@
 use crate::{AigError, AigLit};
 use deepgate_netlist::{Dag, GateKind, Netlist, NodeId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
-
-/// The kind of an AIG node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum AigNodeKind {
-    /// The constant-false node (always node 0).
-    ConstFalse,
-    /// A primary input.
-    Input,
-    /// The current-state output of a latch (sequential state element).
-    ///
-    /// In the combinational view a latch node behaves like a primary input:
-    /// it has no fan-ins and its value is free, whatever its reset value. It
-    /// is a source of the [`Dag`] view after the primary inputs, so
-    /// simulation drives it with random patterns like an input, as
-    /// [`Aig::to_netlist`] does with the pseudo-input it becomes. Its
-    /// next-state function and reset value live in the latch table
-    /// ([`Aig::latches`]); the ingestion policies ([`Aig::cut_latches`],
-    /// [`Aig::unroll`]) eliminate latch nodes before a circuit reaches the
-    /// learning pipeline.
-    Latch,
-    /// A 2-input AND node.
-    And,
-}
+use std::ops::Range;
 
 /// One sequential state element of an [`Aig`].
 ///
-/// `state` names the [`AigNodeKind::Latch`] node that carries the latch's
-/// current-state value through the combinational logic; `next` is the
-/// literal latched at every clock edge; `init` is the reset value
-/// (`Some(false)`/`Some(true)`) or `None` for an uninitialised latch, the
-/// three-way semantics of AIGER 1.9.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Latch `j`'s current-state value is node `1 + num_inputs + j` (the `j`-th
+/// of [`Aig::latch_states`]); `next` is the literal latched at every clock
+/// edge; `init` is the reset value (`Some(false)`/`Some(true)`) or `None` for
+/// an uninitialised latch, the three-way semantics of AIGER 1.9.
+///
+/// In the combinational view a latch state behaves like a primary input: it
+/// has no fan-ins and its value is free, whatever its reset value. It is a
+/// source of the [`Dag`] view after the primary inputs, so simulation drives
+/// it with random patterns like an input, as [`Aig::to_netlist`] does with
+/// the pseudo-input it becomes. The ingestion policies
+/// ([`Aig::cut_latches`], [`Aig::unroll`]) eliminate latches before a
+/// circuit reaches the learning pipeline.
+#[derive(Debug, Clone, PartialEq)]
 pub struct AigLatch {
-    /// Node index of the latch's current-state node.
-    pub state: usize,
     /// The next-state literal.
     pub next: AigLit,
     /// Reset value; `None` means uninitialised.
@@ -46,34 +28,26 @@ pub struct AigLatch {
     pub name: String,
 }
 
-/// One node of an [`Aig`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AigNode {
-    /// The node kind.
-    pub kind: AigNodeKind,
-    /// First fan-in literal (only meaningful for AND nodes).
-    pub fanin0: AigLit,
-    /// Second fan-in literal (only meaningful for AND nodes).
-    pub fanin1: AigLit,
-}
-
-/// An And-Inverter Graph with structural hashing.
+/// An And-Inverter Graph with structural hashing, numbered the way AIGER
+/// numbers its variables.
 ///
-/// Node 0 is the constant-false node, followed by the primary inputs and then
-/// the AND nodes in topological order. Edges are [`AigLit`]s that carry a
-/// complement bit, so inverters are free. Construction performs constant
-/// folding, trivial simplification (`x·x = x`, `x·¬x = 0`, `x·1 = x`,
-/// `x·0 = 0`) and structural hashing, mirroring the behaviour of ABC's
-/// `strash` command that the paper relies on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Node 0 is the constant-false node, nodes [`Aig::inputs`] the primary
+/// inputs, then [`Aig::latch_states`], then the AND nodes ([`Aig::ands`]) in
+/// topological order, each stored as its two fan-in literals. A node's kind
+/// is the range its index falls in, and node `k` is AIGER variable `k`; so
+/// every input and latch is declared before the first AND. Edges are
+/// [`AigLit`]s that carry a complement bit, so inverters are free.
+/// Construction performs constant folding, trivial simplification
+/// (`x·x = x`, `x·¬x = 0`, `x·1 = x`, `x·0 = 0`) and structural hashing,
+/// mirroring the behaviour of ABC's `strash` command that the paper relies
+/// on.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Aig {
     name: String,
-    nodes: Vec<AigNode>,
-    inputs: Vec<usize>,
     input_names: Vec<String>,
     latches: Vec<AigLatch>,
+    ands: Vec<[AigLit; 2]>,
     outputs: Vec<(AigLit, String)>,
-    #[serde(skip)]
     strash: HashMap<(AigLit, AigLit), usize>,
 }
 
@@ -82,14 +56,9 @@ impl Aig {
     pub fn new(name: impl Into<String>) -> Self {
         Aig {
             name: name.into(),
-            nodes: vec![AigNode {
-                kind: AigNodeKind::ConstFalse,
-                fanin0: AigLit::FALSE,
-                fanin1: AigLit::FALSE,
-            }],
-            inputs: Vec::new(),
             input_names: Vec::new(),
             latches: Vec::new(),
+            ands: Vec::new(),
             outputs: Vec::new(),
             strash: HashMap::new(),
         }
@@ -107,25 +76,22 @@ impl Aig {
 
     /// Total node count including the constant node.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.first_and() + self.ands.len()
     }
 
     /// Returns `true` if the AIG contains only the constant node.
     pub fn is_empty(&self) -> bool {
-        self.nodes.len() == 1
+        self.len() == 1
     }
 
     /// Number of primary inputs.
     pub fn num_inputs(&self) -> usize {
-        self.inputs.len()
+        self.input_names.len()
     }
 
     /// Number of AND nodes.
     pub fn num_ands(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| n.kind == AigNodeKind::And)
-            .count()
+        self.ands.len()
     }
 
     /// Number of primary outputs.
@@ -148,9 +114,37 @@ impl Aig {
         self.latches.is_empty()
     }
 
-    /// Node indices of the primary inputs, in declaration order.
-    pub fn inputs(&self) -> &[usize] {
-        &self.inputs
+    /// Node indices of the primary inputs, in declaration order: `1..=I`.
+    pub fn inputs(&self) -> Range<usize> {
+        1..1 + self.input_names.len()
+    }
+
+    /// Node indices of the latch current-state values, in latch-table order.
+    pub fn latch_states(&self) -> Range<usize> {
+        self.inputs().end..self.first_and()
+    }
+
+    /// The AND nodes as `(index, [fanin0, fanin1])`, in topological (index)
+    /// order.
+    pub fn ands(&self) -> impl Iterator<Item = (usize, [AigLit; 2])> + '_ {
+        (self.first_and()..).zip(self.ands.iter().copied())
+    }
+
+    /// The fan-in literals of node `index`, or `None` if it is not an AND.
+    pub fn and_fanins(&self, index: usize) -> Option<[AigLit; 2]> {
+        let k = index.checked_sub(self.first_and())?;
+        self.ands.get(k).copied()
+    }
+
+    /// Index of the first AND node, one past the last source.
+    fn first_and(&self) -> usize {
+        1 + self.input_names.len() + self.latches.len()
+    }
+
+    /// Input names, then latch names: one per source, in source order.
+    fn source_names(&self) -> impl Iterator<Item = &String> {
+        let latches = self.latches.iter().map(|latch| &latch.name);
+        self.input_names.iter().chain(latches)
     }
 
     /// Name of the `i`-th primary input.
@@ -163,31 +157,18 @@ impl Aig {
         &self.outputs
     }
 
-    /// Access a node by index.
+    /// Adds a primary input and returns its (positive) literal.
     ///
     /// # Panics
     ///
-    /// Panics if `index` is out of range.
-    pub fn node(&self, index: usize) -> &AigNode {
-        &self.nodes[index]
-    }
-
-    /// Iterates over `(index, node)` pairs in topological (index) order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &AigNode)> {
-        self.nodes.iter().enumerate()
-    }
-
-    /// Adds a primary input and returns its (positive) literal.
+    /// Panics if a latch or an AND node has been added: inputs come first.
     pub fn add_input(&mut self, name: impl Into<String>) -> AigLit {
-        let index = self.nodes.len();
-        self.nodes.push(AigNode {
-            kind: AigNodeKind::Input,
-            fanin0: AigLit::FALSE,
-            fanin1: AigLit::FALSE,
-        });
-        self.inputs.push(index);
+        assert!(
+            self.latches.is_empty() && self.ands.is_empty(),
+            "inputs are declared before every latch and AND node"
+        );
         self.input_names.push(name.into());
-        AigLit::positive(index)
+        AigLit::positive(self.input_names.len())
     }
 
     /// Marks a literal as a primary output.
@@ -198,20 +179,21 @@ impl Aig {
     /// Adds a latch (reset to 0, next state constant-false until
     /// [`Aig::set_latch_next`] is called) and returns the positive literal of
     /// its current-state node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an AND node has been added: latches come before the ANDs.
     pub fn add_latch(&mut self, name: impl Into<String>) -> AigLit {
-        let index = self.nodes.len();
-        self.nodes.push(AigNode {
-            kind: AigNodeKind::Latch,
-            fanin0: AigLit::FALSE,
-            fanin1: AigLit::FALSE,
-        });
+        assert!(
+            self.ands.is_empty(),
+            "latches are declared before every AND node"
+        );
         self.latches.push(AigLatch {
-            state: index,
             next: AigLit::FALSE,
             init: Some(false),
             name: name.into(),
         });
-        AigLit::positive(index)
+        AigLit::positive(self.first_and() - 1)
     }
 
     /// Sets the next-state literal of the `i`-th latch.
@@ -253,13 +235,8 @@ impl Aig {
     /// Appends an AND node verbatim (no simplification, no strashing). Used
     /// by the AIGER reader to preserve literal numbering.
     pub(crate) fn push_raw_and(&mut self, fanin0: AigLit, fanin1: AigLit) -> AigLit {
-        let index = self.nodes.len();
-        self.nodes.push(AigNode {
-            kind: AigNodeKind::And,
-            fanin0,
-            fanin1,
-        });
-        AigLit::positive(index)
+        self.ands.push([fanin0, fanin1]);
+        AigLit::positive(self.len() - 1)
     }
 
     /// Returns the AND of two literals, applying constant folding, trivial
@@ -286,14 +263,9 @@ impl Aig {
         if let Some(&idx) = self.strash.get(&(lo, hi)) {
             return AigLit::positive(idx);
         }
-        let index = self.nodes.len();
-        self.nodes.push(AigNode {
-            kind: AigNodeKind::And,
-            fanin0: lo,
-            fanin1: hi,
-        });
-        self.strash.insert((lo, hi), index);
-        AigLit::positive(index)
+        let lit = self.push_raw_and(lo, hi);
+        self.strash.insert((lo, hi), lit.node());
+        lit
     }
 
     /// Returns the OR of two literals (built as `¬(¬a·¬b)`).
@@ -358,7 +330,8 @@ impl Aig {
     }
 
     /// Converts a gate-level netlist into AIG form (the ABC `strash`
-    /// substitute).
+    /// substitute). The netlist's inputs are declared first, in
+    /// [`Netlist::inputs`] order; its gates follow in id order.
     ///
     /// # Errors
     ///
@@ -366,57 +339,33 @@ impl Aig {
     pub fn from_netlist(netlist: &Netlist) -> Result<Self, AigError> {
         netlist.validate()?;
         let mut aig = Aig::new(netlist.name());
-        let mut map: HashMap<NodeId, AigLit> = HashMap::new();
+        // Netlist node index -> its literal; fan-ins precede their gates.
+        let mut map = vec![AigLit::FALSE; netlist.len()];
+        for &id in netlist.inputs() {
+            let name = netlist.node(id).name.clone();
+            map[id.index()] = aig.add_input(name.unwrap_or_else(|| format!("pi_{}", id.index())));
+        }
+        let mut lits = Vec::new();
         for (id, node) in netlist.iter() {
+            lits.clear();
+            lits.extend(node.fanins.iter().map(|f| map[f.index()]));
             let lit = match node.kind {
-                GateKind::Input => aig.add_input(
-                    node.name
-                        .clone()
-                        .unwrap_or_else(|| format!("pi_{}", id.index())),
-                ),
-                GateKind::Const0 => AigLit::FALSE,
-                GateKind::Const1 => AigLit::TRUE,
-                GateKind::Buf => map[&node.fanins[0]],
-                GateKind::Not => map[&node.fanins[0]].complement(),
-                GateKind::And | GateKind::Nand => {
-                    let lits: Vec<AigLit> = node.fanins.iter().map(|f| map[f]).collect();
-                    let res = aig.and_many(&lits);
-                    if node.kind == GateKind::Nand {
-                        res.complement()
-                    } else {
-                        res
-                    }
-                }
-                GateKind::Or | GateKind::Nor => {
-                    let lits: Vec<AigLit> = node.fanins.iter().map(|f| map[f]).collect();
-                    let res = aig.or_many(&lits);
-                    if node.kind == GateKind::Nor {
-                        res.complement()
-                    } else {
-                        res
-                    }
-                }
-                GateKind::Xor | GateKind::Xnor => {
-                    let lits: Vec<AigLit> = node.fanins.iter().map(|f| map[f]).collect();
-                    let res = aig.xor_many(&lits);
-                    if node.kind == GateKind::Xnor {
-                        res.complement()
-                    } else {
-                        res
-                    }
-                }
-                GateKind::Mux => {
-                    let sel = map[&node.fanins[0]];
-                    let a = map[&node.fanins[1]];
-                    let b = map[&node.fanins[2]];
-                    aig.mux(sel, a, b)
-                }
+                GateKind::Input => continue,
+                GateKind::Const0 | GateKind::Const1 => AigLit::FALSE,
+                GateKind::Buf | GateKind::Not => lits[0],
+                GateKind::And | GateKind::Nand => aig.and_many(&lits),
+                GateKind::Or | GateKind::Nor => aig.or_many(&lits),
+                GateKind::Xor | GateKind::Xnor => aig.xor_many(&lits),
+                GateKind::Mux => aig.mux(lits[0], lits[1], lits[2]),
             };
-            map.insert(id, lit);
+            let inverted = matches!(
+                node.kind,
+                GateKind::Const1 | GateKind::Not | GateKind::Nand | GateKind::Nor | GateKind::Xnor
+            );
+            map[id.index()] = if inverted { !lit } else { lit };
         }
         for (po, name) in netlist.outputs() {
-            let lit = map[po];
-            aig.add_output(lit, name.clone());
+            aig.add_output(map[po.index()], name.clone());
         }
         Ok(aig)
     }
@@ -433,87 +382,18 @@ impl Aig {
     /// observable, or [`Aig::unroll`] for a time-expanded view.
     pub fn to_netlist(&self) -> Netlist {
         let mut out = Netlist::new(self.name.clone());
-        // Map each AIG node index to its netlist node.
-        let mut node_map: Vec<Option<NodeId>> = vec![None; self.nodes.len()];
-        // Lazily created NOT node per complemented source.
-        let mut not_map: HashMap<usize, NodeId> = HashMap::new();
-        // The constant node is only materialised if referenced.
-        let mut const_node: Option<NodeId> = None;
-        let mut const_not: Option<NodeId> = None;
-
-        for (i, input_idx) in self.inputs.iter().enumerate() {
-            let id = out.add_input(self.input_names[i].clone());
-            node_map[*input_idx] = Some(id);
+        // The netlist node of each literal, indexed by `AigLit::raw`.
+        let mut ids: Vec<Option<NodeId>> = vec![None; 2 * self.len()];
+        for (node, name) in (1..).zip(self.source_names()) {
+            ids[2 * node] = Some(out.add_input(name.clone()));
         }
-        for latch in &self.latches {
-            let id = out.add_input(latch.name.clone());
-            node_map[latch.state] = Some(id);
+        for (i, fanins) in self.ands() {
+            let fanins = fanins.map(|lit| resolve(&mut out, &mut ids, lit));
+            ids[2 * i] = Some(out.add_gate(GateKind::And, &fanins).expect("arity 2"));
         }
-
-        // Resolve a literal to a netlist node, creating NOT/const nodes on
-        // demand. Implemented as a closure-free helper to appease borrowck.
-        fn resolve(
-            out: &mut Netlist,
-            node_map: &[Option<NodeId>],
-            not_map: &mut HashMap<usize, NodeId>,
-            const_node: &mut Option<NodeId>,
-            const_not: &mut Option<NodeId>,
-            lit: AigLit,
-        ) -> NodeId {
-            if lit.is_constant() {
-                let base = *const_node.get_or_insert_with(|| out.add_const(false));
-                if lit.is_complemented() {
-                    return *const_not.get_or_insert_with(|| {
-                        out.add_gate(GateKind::Not, &[base]).expect("arity 1")
-                    });
-                }
-                return base;
-            }
-            let base = node_map[lit.node()].expect("fan-in built before use");
-            if lit.is_complemented() {
-                *not_map
-                    .entry(lit.node())
-                    .or_insert_with(|| out.add_gate(GateKind::Not, &[base]).expect("arity 1"))
-            } else {
-                base
-            }
-        }
-
-        for (i, node) in self.iter() {
-            if node.kind != AigNodeKind::And {
-                continue;
-            }
-            let a = resolve(
-                &mut out,
-                &node_map,
-                &mut not_map,
-                &mut const_node,
-                &mut const_not,
-                node.fanin0,
-            );
-            let b = resolve(
-                &mut out,
-                &node_map,
-                &mut not_map,
-                &mut const_node,
-                &mut const_not,
-                node.fanin1,
-            );
-            let id = out.add_gate(GateKind::And, &[a, b]).expect("arity 2");
-            node_map[i] = Some(id);
-        }
-
-        let outputs: Vec<(AigLit, String)> = self.outputs.clone();
-        for (lit, name) in outputs {
-            let id = resolve(
-                &mut out,
-                &node_map,
-                &mut not_map,
-                &mut const_node,
-                &mut const_not,
-                lit,
-            );
-            out.mark_output(id, name);
+        for (lit, name) in &self.outputs {
+            let id = resolve(&mut out, &mut ids, *lit);
+            out.mark_output(id, name.clone());
         }
         out
     }
@@ -528,28 +408,18 @@ impl Aig {
     /// come back as a plain (re-strashed) copy.
     pub fn cut_latches(&self) -> Aig {
         let mut out = Aig::new(self.name.clone());
-        let mut map: Vec<AigLit> = vec![AigLit::FALSE; self.nodes.len()];
-        for (pos, &idx) in self.inputs.iter().enumerate() {
-            map[idx] = out.add_input(self.input_names[pos].clone());
+        let sources: Vec<AigLit> = self
+            .source_names()
+            .map(|name| out.add_input(name.clone()))
+            .collect();
+        let (outputs, nexts) = self.rebuild(&mut out, &sources, |out, map, _, fanins| {
+            Some(map.and(out, fanins))
+        });
+        for ((_, name), lit) in self.outputs.iter().zip(outputs) {
+            out.add_output(lit, name.clone());
         }
-        for latch in &self.latches {
-            map[latch.state] = out.add_input(latch.name.clone());
-        }
-        for (i, node) in self.iter() {
-            if node.kind == AigNodeKind::And {
-                let a = resolve_mapped(&map, node.fanin0);
-                let b = resolve_mapped(&map, node.fanin1);
-                map[i] = out.and(a, b);
-            }
-        }
-        for (lit, name) in &self.outputs {
-            out.add_output(resolve_mapped(&map, *lit), name.clone());
-        }
-        for latch in &self.latches {
-            out.add_output(
-                resolve_mapped(&map, latch.next),
-                format!("{}_next", latch.name),
-            );
+        for (latch, lit) in self.latches.iter().zip(nexts) {
+            out.add_output(lit, format!("{}_next", latch.name));
         }
         out
     }
@@ -561,7 +431,8 @@ impl Aig {
     /// become fresh pseudo-inputs named `<name>@init`); frame `t > 0` sees
     /// frame `t-1`'s next-state literal. Primary inputs and outputs are
     /// replicated per frame as `<name>@t`, keeping every frame's outputs
-    /// observable. Combinational AIGs come back as a single-frame copy.
+    /// observable; every frame's inputs are declared before the first AND.
+    /// Combinational AIGs come back as a single-frame copy.
     ///
     /// # Errors
     ///
@@ -587,109 +458,84 @@ impl Aig {
         }
         let mut out = Aig::new(self.name.clone());
         // Current-state literal of each latch entering the frame being built.
-        let mut state: Vec<AigLit> = Vec::with_capacity(self.latches.len());
-        for latch in &self.latches {
-            state.push(match latch.init {
-                Some(false) => AigLit::FALSE,
-                Some(true) => AigLit::TRUE,
+        let mut state: Vec<AigLit> = (self.latches.iter())
+            .map(|latch| match latch.init {
+                Some(init) => AigLit::FALSE.with_complement(init),
                 None => out.add_input(format!("{}@init", latch.name)),
-            });
-        }
+            })
+            .collect();
+        let inputs: Vec<AigLit> = (0..frames)
+            .flat_map(|frame| (self.input_names.iter()).map(move |name| format!("{name}@{frame}")))
+            .map(|name| out.add_input(name))
+            .collect();
+        let width = self.num_inputs();
         for frame in 0..frames {
-            let mut map: Vec<AigLit> = vec![AigLit::FALSE; self.nodes.len()];
-            for (pos, &idx) in self.inputs.iter().enumerate() {
-                map[idx] = out.add_input(format!("{}@{frame}", self.input_names[pos]));
+            let mut sources = inputs[frame * width..(frame + 1) * width].to_vec();
+            sources.extend_from_slice(&state);
+            let (outputs, nexts) = self.rebuild(&mut out, &sources, |out, map, _, fanins| {
+                Some(map.and(out, fanins))
+            });
+            for ((_, name), lit) in self.outputs.iter().zip(outputs) {
+                out.add_output(lit, format!("{name}@{frame}"));
             }
-            for (j, latch) in self.latches.iter().enumerate() {
-                map[latch.state] = state[j];
-            }
-            for (i, node) in self.iter() {
-                if node.kind == AigNodeKind::And {
-                    let a = resolve_mapped(&map, node.fanin0);
-                    let b = resolve_mapped(&map, node.fanin1);
-                    map[i] = out.and(a, b);
-                }
-            }
-            for (lit, name) in &self.outputs {
-                out.add_output(resolve_mapped(&map, *lit), format!("{name}@{frame}"));
-            }
-            for (j, latch) in self.latches.iter().enumerate() {
-                state[j] = resolve_mapped(&map, latch.next);
-            }
+            state = nexts;
         }
         Ok(out)
     }
 
-    /// Rebuilds the structural-hash table (needed after deserialisation or
-    /// AIGER parsing). Keys are canonicalised to the `(lo, hi)` fan-in order
-    /// [`Aig::and`] looks up, so raw-pushed nodes with swapped fan-ins still
-    /// deduplicate future construction.
-    pub fn rebuild_strash(&mut self) {
-        self.strash.clear();
-        for (i, node) in self.nodes.iter().enumerate() {
-            if node.kind == AigNodeKind::And {
-                let (lo, hi) = if node.fanin0.raw() <= node.fanin1.raw() {
-                    (node.fanin0, node.fanin1)
-                } else {
-                    (node.fanin1, node.fanin0)
-                };
-                self.strash.insert((lo, hi), i);
-            }
+    /// The one rebuild walk every pass shares. Seeds a [`NodeMap`] with
+    /// `sources` (the literals this AIG's inputs, then latch states, become
+    /// in `out`), rebuilds each AND in index order through `and` (`None`
+    /// drops it), and returns the output and next-state literals translated
+    /// into `out`.
+    pub(crate) fn rebuild(
+        &self,
+        out: &mut Aig,
+        sources: &[AigLit],
+        mut and: impl FnMut(&mut Aig, &NodeMap, usize, [AigLit; 2]) -> Option<AigLit>,
+    ) -> (Vec<AigLit>, Vec<AigLit>) {
+        debug_assert_eq!(sources.len(), self.num_sources());
+        let mut map = NodeMap(vec![None; self.len()]);
+        map.0[0] = Some(AigLit::FALSE);
+        for (slot, &lit) in map.0[1..].iter_mut().zip(sources) {
+            *slot = Some(lit);
         }
+        for (i, fanins) in self.ands() {
+            map.0[i] = and(out, &map, i, fanins);
+        }
+        let outputs = self.outputs.iter().map(|(lit, _)| map.translate(*lit));
+        let nexts = self.latches.iter().map(|latch| map.translate(latch.next));
+        (outputs.collect(), nexts.collect())
     }
 
-    /// Checks internal invariants: node 0 is the constant, fan-ins of AND
-    /// nodes point to earlier nodes, inputs have kind `Input`.
+    /// Rebuilds the structural-hash table (needed after AIGER parsing). Keys
+    /// are canonicalised to the `(lo, hi)` fan-in order [`Aig::and`] looks
+    /// up, so raw-pushed nodes with swapped fan-ins still deduplicate future
+    /// construction.
+    pub fn rebuild_strash(&mut self) {
+        let canonical = |(i, [a, b]): (usize, [AigLit; 2])| {
+            (if a.raw() <= b.raw() { (a, b) } else { (b, a) }, i)
+        };
+        self.strash = self.ands().map(canonical).collect();
+    }
+
+    /// Checks internal invariants: AND fan-ins point to earlier nodes, and
+    /// every output and next-state literal names a node.
     ///
     /// # Errors
     ///
     /// Returns [`AigError::InvalidNetlist`] describing the first violation.
     pub fn validate(&self) -> Result<(), AigError> {
-        if self.nodes.is_empty() || self.nodes[0].kind != AigNodeKind::ConstFalse {
-            return Err(AigError::InvalidNetlist(
-                "node 0 must be the constant-false node".into(),
-            ));
-        }
-        let mut latch_nodes = 0usize;
-        for (i, node) in self.iter().skip(1) {
-            match node.kind {
-                AigNodeKind::ConstFalse => {
-                    return Err(AigError::InvalidNetlist(format!(
-                        "node {i} duplicates the constant node"
-                    )))
-                }
-                AigNodeKind::Input => {}
-                AigNodeKind::Latch => latch_nodes += 1,
-                AigNodeKind::And => {
-                    if node.fanin0.node() >= i || node.fanin1.node() >= i {
-                        return Err(AigError::InvalidNetlist(format!(
-                            "and node {i} references a later node"
-                        )));
-                    }
-                }
-            }
-        }
-        if latch_nodes != self.latches.len() {
-            return Err(AigError::InvalidNetlist(format!(
-                "{} latch nodes but {} latch table entries",
-                latch_nodes,
-                self.latches.len()
-            )));
-        }
-        for (j, latch) in self.latches.iter().enumerate() {
-            if latch.state >= self.nodes.len() || self.nodes[latch.state].kind != AigNodeKind::Latch
-            {
+        for (i, [a, b]) in self.ands() {
+            if a.node() >= i || b.node() >= i {
                 return Err(AigError::InvalidNetlist(format!(
-                    "latch {j} state node {} is not a latch node",
-                    latch.state
+                    "and node {i} references a later node"
                 )));
             }
-            if latch.next.node() >= self.nodes.len() {
-                return Err(AigError::UnknownNode(latch.next.node()));
-            }
         }
-        for (lit, _) in &self.outputs {
-            if lit.node() >= self.nodes.len() {
+        let outputs = self.outputs.iter().map(|(lit, _)| lit);
+        for lit in outputs.chain(self.latches.iter().map(|latch| &latch.next)) {
+            if lit.node() >= self.len() {
                 return Err(AigError::UnknownNode(lit.node()));
             }
         }
@@ -697,15 +543,41 @@ impl Aig {
     }
 }
 
-/// Translates `lit` through a node-index → literal map, preserving the
-/// complement bit. XOR semantics: a complemented reference to a node whose
-/// mapped literal is itself complemented resolves to the positive form.
-fn resolve_mapped(map: &[AigLit], lit: AigLit) -> AigLit {
-    let base = map[lit.node()];
-    if lit.is_complemented() {
-        base.complement()
+/// The netlist node of `lit` in [`Aig::to_netlist`]'s literal table, adding
+/// the constant and each inverter the first time a literal names it.
+fn resolve(out: &mut Netlist, ids: &mut [Option<NodeId>], lit: AigLit) -> NodeId {
+    if let Some(id) = ids[lit.raw() as usize] {
+        return id;
+    }
+    let id = if lit.is_complemented() {
+        let base = resolve(out, ids, !lit);
+        out.add_gate(GateKind::Not, &[base]).expect("arity 1")
     } else {
-        base
+        assert!(lit.is_constant(), "fan-in built before use");
+        out.add_const(false)
+    };
+    ids[lit.raw() as usize] = Some(id);
+    id
+}
+
+/// A rebuild's node map: node `i` of the source AIG to its literal in the
+/// AIG being built; `None` until rebuilt, or for a node the pass drops.
+pub(crate) struct NodeMap(Vec<Option<AigLit>>);
+
+impl NodeMap {
+    /// Translates `lit` through the map, complement bit included.
+    pub(crate) fn translate(&self, lit: AigLit) -> AigLit {
+        let base = self.0[lit.node()].expect("fan-ins are rebuilt before their consumers");
+        if lit.is_complemented() {
+            !base
+        } else {
+            base
+        }
+    }
+
+    /// The AND of two source fan-ins, translated and strashed into `out`.
+    pub(crate) fn and(&self, out: &mut Aig, [a, b]: [AigLit; 2]) -> AigLit {
+        out.and(self.translate(a), self.translate(b))
     }
 }
 
@@ -716,19 +588,15 @@ impl Dag for Aig {
     type Error = AigError;
 
     fn num_nodes(&self) -> usize {
-        self.nodes.len()
+        self.len()
     }
 
     fn num_sources(&self) -> usize {
-        self.inputs.len() + self.latches.len()
+        self.first_and() - 1
     }
 
     fn fanins(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
-        let node = &self.nodes[i];
-        let arity = if node.kind == AigNodeKind::And { 2 } else { 0 };
-        [node.fanin0.node(), node.fanin1.node()]
-            .into_iter()
-            .take(arity)
+        self.and_fanins(i).into_iter().flatten().map(AigLit::node)
     }
 
     fn sinks(&self) -> impl Iterator<Item = usize> + '_ {
@@ -737,19 +605,16 @@ impl Dag for Aig {
     }
 
     fn eval_words(&self, sources: &[u64]) -> Vec<u64> {
-        let mut values = vec![0u64; self.nodes.len()];
-        let states = self.latches.iter().map(|latch| latch.state);
-        for (node, &word) in self.inputs.iter().copied().chain(states).zip(sources) {
-            values[node] = word;
+        let mut values = vec![0u64; self.len()];
+        for (value, &word) in values[1..self.first_and()].iter_mut().zip(sources) {
+            *value = word;
         }
         // A literal's word: its node's, XOR all ones when complemented.
         let word = |values: &[u64], lit: AigLit| {
             values[lit.node()] ^ u64::from(lit.is_complemented()).wrapping_neg()
         };
-        for (i, node) in self.iter() {
-            if node.kind == AigNodeKind::And {
-                values[i] = word(&values, node.fanin0) & word(&values, node.fanin1);
-            }
+        for (i, [a, b]) in self.ands() {
+            values[i] = word(&values, a) & word(&values, b);
         }
         values
     }
@@ -897,7 +762,7 @@ mod tests {
         let b = aig.add_input("b");
         let _ = aig.and(a, b);
         // Corrupt: make the AND node reference a future node.
-        aig.nodes[3].fanin0 = AigLit::positive(10);
+        aig.ands[0][0] = AigLit::positive(10);
         assert!(aig.validate().is_err());
     }
 
@@ -946,17 +811,58 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_inconsistent_latch_table() {
+    fn validate_rejects_a_dangling_next_state() {
         let mut aig = toggle_aig();
-        aig.latches.clear();
+        aig.set_latch_next(0, AigLit::positive(aig.len()));
         assert!(aig.validate().is_err());
         assert!(Dag::validate(&aig).is_err());
     }
 
     #[test]
+    fn kinds_are_index_ranges() {
+        let aig = toggle_aig();
+        assert_eq!(aig.inputs(), 1..2);
+        assert_eq!(aig.latch_states(), 2..3);
+        assert_eq!(aig.and_fanins(2), None);
+        let ands: Vec<usize> = aig.ands().map(|(i, _)| i).collect();
+        assert_eq!(ands, [3, 4, 5]);
+        assert_eq!(aig.len(), 6);
+        assert!(ands.iter().all(|&i| aig.and_fanins(i).is_some()));
+        assert_eq!(aig.and_fanins(6), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "inputs are declared before every latch")]
+    fn an_input_after_a_latch_panics() {
+        let mut aig = Aig::new("t");
+        aig.add_latch("q");
+        aig.add_input("a");
+    }
+
+    #[test]
+    #[should_panic(expected = "inputs are declared before every latch and AND")]
+    fn an_input_after_an_and_panics() {
+        let mut aig = Aig::new("t");
+        let a = aig.add_input("a");
+        let b = aig.add_input("b");
+        aig.and(a, b);
+        aig.add_input("c");
+    }
+
+    #[test]
+    #[should_panic(expected = "latches are declared before every AND")]
+    fn a_latch_after_an_and_panics() {
+        let mut aig = Aig::new("t");
+        let a = aig.add_input("a");
+        let b = aig.add_input("b");
+        aig.and(a, b);
+        aig.add_latch("q");
+    }
+
+    #[test]
     fn latch_state_is_a_source_and_its_next_state_a_sink() {
         let aig = toggle_aig();
-        let (en, q) = (aig.inputs()[0], aig.latches()[0].state);
+        let (en, q) = (aig.inputs().start, aig.latch_states().start);
         assert_eq!(aig.num_sources(), 2);
         // y observes q, and the latch observes its next state.
         let sinks: Vec<usize> = aig.sinks().collect();

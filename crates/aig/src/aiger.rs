@@ -14,11 +14,11 @@
 //!   counts are checked against the bytes that follow it before anything is
 //!   allocated for them, so allocation stays proportional to the file size.
 //!   Malformed input always yields a typed [`AigerError`], never a panic.
-//! - [`write_aag`] / [`write_aig`] — one emitter for both encodings, with a
-//!   *canonical* variable numbering (inputs, then latches, then ANDs in
-//!   topological order), so two structurally identical AIGs serialise to
-//!   identical bytes — the property the round-trip tests and the serving
-//!   cache rely on.
+//! - [`write_aag`] / [`write_aig`] — one emitter for both encodings. An
+//!   [`Aig`] is numbered the way AIGER numbers its variables (inputs, then
+//!   latches, then ANDs in topological order), so variable `k` is node `k`
+//!   and two structurally identical AIGs serialise to identical bytes — the
+//!   property the round-trip tests and the serving cache rely on.
 //! - [`LatchPolicy`] — how sequential circuits enter the (combinational)
 //!   DeepGate pipeline: cut latch boundaries into pseudo-PI/PO, or unroll a
 //!   fixed number of time frames.
@@ -531,28 +531,6 @@ pub fn parse_auto(bytes: &[u8], name: impl Into<String>) -> Result<Aig, AigerErr
 // Writer
 // ---------------------------------------------------------------------------
 
-/// Assigns the canonical AIGER variable numbering: inputs in declaration
-/// order, then latches in table order, then AND nodes in index order.
-fn assign_vars(aig: &Aig) -> Vec<u64> {
-    let mut var_of = vec![0u64; aig.len()];
-    let mut next = 1u64;
-    for &idx in aig.inputs() {
-        var_of[idx] = next;
-        next += 1;
-    }
-    for latch in aig.latches() {
-        var_of[latch.state] = next;
-        next += 1;
-    }
-    for (i, node) in aig.iter() {
-        if node.kind == crate::AigNodeKind::And {
-            var_of[i] = next;
-            next += 1;
-        }
-    }
-    var_of
-}
-
 fn push_varint(out: &mut Vec<u8>, mut value: u64) {
     loop {
         let byte = (value & 0x7f) as u8;
@@ -565,13 +543,11 @@ fn push_varint(out: &mut Vec<u8>, mut value: u64) {
     }
 }
 
-/// Serialises `aig` in either encoding. The two differ in the same three
-/// places as on the read side: input lines, the latch line's state literal,
-/// and the AND section.
+/// Serialises `aig` in either encoding; AIGER variable `k` is node `k`. The
+/// two encodings differ in the same three places as on the read side: input
+/// lines, the latch line's state literal, and the AND section.
 fn emit(aig: &Aig, binary: bool) -> Result<Vec<u8>, AigerError> {
     use std::io::Write as _;
-    let var_of = assign_vars(aig);
-    let aiger_lit = |lit: AigLit| 2 * var_of[lit.node()] + u64::from(lit.is_complemented());
     let (i, l, o, a) = (
         aig.num_inputs(),
         aig.num_latches(),
@@ -583,15 +559,14 @@ fn emit(aig: &Aig, binary: bool) -> Result<Vec<u8>, AigerError> {
     // Writing into a `Vec` cannot fail, so the `io::Result`s are dropped.
     let _ = writeln!(out, "{tag} {} {i} {l} {o} {a}", i + l + a);
     if !binary {
-        for &idx in aig.inputs() {
-            let _ = writeln!(out, "{}", 2 * var_of[idx]);
+        for node in aig.inputs() {
+            let _ = writeln!(out, "{}", 2 * node);
         }
     }
     // The reset value is written when it is not the default 0: `1` for set,
     // the state literal itself for uninitialised.
-    for latch in aig.latches() {
-        let state = 2 * var_of[latch.state];
-        let next = aiger_lit(latch.next);
+    for (state, latch) in aig.latch_states().zip(aig.latches()) {
+        let (state, next) = (2 * state, latch.next.raw());
         if !binary {
             let _ = write!(out, "{state} ");
         }
@@ -602,15 +577,11 @@ fn emit(aig: &Aig, binary: bool) -> Result<Vec<u8>, AigerError> {
         };
     }
     for (lit, _) in aig.outputs() {
-        let _ = writeln!(out, "{}", aiger_lit(*lit));
+        let _ = writeln!(out, "{}", lit.raw());
     }
-    for (idx, node) in aig.iter() {
-        if node.kind != crate::AigNodeKind::And {
-            continue;
-        }
-        let lhs = 2 * var_of[idx];
-        let (f0, f1) = (aiger_lit(node.fanin0), aiger_lit(node.fanin1));
-        let (rhs0, rhs1) = (f0.max(f1), f0.min(f1));
+    for (idx, [f0, f1]) in aig.ands() {
+        let lhs = AigLit::positive(idx).raw();
+        let (rhs0, rhs1) = (f0.raw().max(f1.raw()), f0.raw().min(f1.raw()));
         if !binary {
             let _ = writeln!(out, "{lhs} {rhs0} {rhs1}");
             continue;
@@ -620,10 +591,10 @@ fn emit(aig: &Aig, binary: bool) -> Result<Vec<u8>, AigerError> {
                 "and node {idx} references a non-preceding fan-in"
             )));
         }
-        push_varint(&mut out, lhs - rhs0);
-        push_varint(&mut out, rhs0 - rhs1);
+        push_varint(&mut out, u64::from(lhs - rhs0));
+        push_varint(&mut out, u64::from(rhs0 - rhs1));
     }
-    for (pos, _) in aig.inputs().iter().enumerate() {
+    for pos in 0..i {
         let _ = writeln!(out, "i{pos} {}", aig.input_name(pos));
     }
     for (pos, latch) in aig.latches().iter().enumerate() {
@@ -653,7 +624,7 @@ pub fn write_aag(aig: &Aig) -> String {
 /// # Errors
 ///
 /// Returns [`AigerError::Structure`] if an AND fan-in does not precede its
-/// gate in the canonical order (possible only for invalid hand-built AIGs).
+/// gate (possible only for an AIG that fails [`Aig::validate`]).
 pub fn write_aig(aig: &Aig) -> Result<Vec<u8>, AigerError> {
     emit(aig, true)
 }

@@ -6,19 +6,26 @@
 //! crate is the from-scratch substitute for that step:
 //!
 //! - [`Aig`] — an AIG with complemented edges ([`AigLit`]), structural
-//!   hashing and constant folding on construction. It implements
-//!   [`Dag`](deepgate_netlist::Dag), the circuit interface the analyses
-//!   read, with its latch states as free sources.
+//!   hashing and constant folding on construction, stored in the AIGER
+//!   numbering: node 0 is the constant, then the inputs, then the latch
+//!   states, then one `[AigLit; 2]` per AND. A node's kind is the index
+//!   range it falls in ([`Aig::inputs`], [`Aig::latch_states`],
+//!   [`Aig::ands`]), so inputs and latches are declared before the first
+//!   AND. It implements [`Dag`](deepgate_netlist::Dag), the circuit
+//!   interface the analyses read, with its latch states as free sources.
 //! - [`Aig::from_netlist`] — maps an arbitrary gate-level
 //!   [`Netlist`](deepgate_netlist::Netlist) (AND/OR/XOR/NAND/NOR/MUX/…)
 //!   into AIG form, the equivalent of ABC's `strash`; [`Aig::to_netlist`]
 //!   expands it back into the explicit PI/AND/NOT netlist the learning
-//!   front-end consumes.
+//!   front-end consumes. The round trip is the identity on every AIG the
+//!   latch policies and [`opt::optimize`] make.
 //! - [`opt`] — light optimisation passes (dead-node sweeping, AND-tree
 //!   balancing, constant propagation) that inject the structural inductive
-//!   bias the paper attributes to logic synthesis. Every pass is a forward
-//!   sweep or an explicit-stack walk, so circuit depth never reaches the
-//!   call stack.
+//!   bias the paper attributes to logic synthesis. Every pass, and the latch
+//!   policies, rebuild an AIG through one walk: map the sources, rebuild
+//!   each AND through the map, translate the outputs and next-states. Every
+//!   walk is a forward sweep or an explicit stack, so circuit depth never
+//!   reaches the call stack.
 //! - [`recon`] — reconvergence analysis: for every node, the closest
 //!   fan-out stem through which two of its input cones reconverge, plus the
 //!   logic-level distance. These records drive DeepGate's skip connections.
@@ -56,7 +63,7 @@ mod lit;
 pub mod opt;
 pub mod recon;
 
-pub use aig::{Aig, AigLatch, AigNode, AigNodeKind};
+pub use aig::{Aig, AigLatch};
 pub use aiger::{AigerError, LatchPolicy};
 pub use error::AigError;
 pub use lit::AigLit;

@@ -7,27 +7,32 @@
 //! `balance` pass that reassociates AND trees to reduce depth (ABC's
 //! `balance`), and [`optimize`] which runs them to a fixpoint.
 
-use crate::{Aig, AigLit, AigNodeKind};
+use crate::aig::NodeMap;
+use crate::{Aig, AigLit};
 use deepgate_netlist::Dag;
 
-/// Maps node indices of the source AIG to literals of the AIG being built;
-/// `None` until the node has been rebuilt.
-type NodeMap = Vec<Option<AigLit>>;
-
-/// Starts a rebuild of `aig`: a fresh AIG with the same interface (inputs
-/// and latches are always kept) and the map seeded with it.
-fn copy_interface(aig: &Aig) -> (Aig, NodeMap) {
+/// Rebuilds `aig` with the same interface (inputs and latches are always
+/// kept), each AND through `and`, by [`Aig::rebuild`]'s walk.
+fn rebuild(
+    aig: &Aig,
+    and: impl FnMut(&mut Aig, &NodeMap, usize, [AigLit; 2]) -> Option<AigLit>,
+) -> Aig {
     let mut out = Aig::new(aig.name());
-    let mut map: NodeMap = vec![None; aig.len()];
-    map[0] = Some(AigLit::FALSE);
-    for (pos, &idx) in aig.inputs().iter().enumerate() {
-        map[idx] = Some(out.add_input(aig.input_name(pos)));
-    }
+    let mut sources: Vec<AigLit> = (0..aig.num_inputs())
+        .map(|pos| out.add_input(aig.input_name(pos)))
+        .collect();
     for (j, latch) in aig.latches().iter().enumerate() {
-        map[latch.state] = Some(out.add_latch(latch.name.clone()));
+        sources.push(out.add_latch(latch.name.clone()));
         out.set_latch_init(j, latch.init);
     }
-    (out, map)
+    let (outputs, nexts) = aig.rebuild(&mut out, &sources, and);
+    for ((_, name), lit) in aig.outputs().iter().zip(outputs) {
+        out.add_output(lit, name.clone());
+    }
+    for (j, lit) in nexts.into_iter().enumerate() {
+        out.set_latch_next(j, lit);
+    }
+    out
 }
 
 /// Removes dead AND nodes (not reachable from any primary output or latch
@@ -35,61 +40,41 @@ fn copy_interface(aig: &Aig) -> (Aig, NodeMap) {
 /// again. Returns the new AIG and the number of removed AND nodes.
 pub fn sweep(aig: &Aig) -> (Aig, usize) {
     let mut reachable = vec![false; aig.len()];
-    let mut stack: Vec<usize> = aig.outputs().iter().map(|(l, _)| l.node()).collect();
-    stack.extend(aig.latches().iter().map(|l| l.next.node()));
+    let mut stack: Vec<usize> = aig.sinks().collect();
     while let Some(i) = stack.pop() {
-        if reachable[i] {
-            continue;
-        }
-        reachable[i] = true;
-        let node = aig.node(i);
-        if node.kind == AigNodeKind::And {
-            stack.push(node.fanin0.node());
-            stack.push(node.fanin1.node());
+        if !std::mem::replace(&mut reachable[i], true) {
+            stack.extend(aig.fanins(i));
         }
     }
-    let (mut out, mut map) = copy_interface(aig);
     let mut removed = 0usize;
-    for (i, node) in aig.iter() {
-        if node.kind != AigNodeKind::And {
-            continue;
-        }
-        if !reachable[i] {
+    let out = rebuild(aig, |out, map, i, fanins| {
+        if reachable[i] {
+            Some(map.and(out, fanins))
+        } else {
             removed += 1;
-            continue;
+            None
         }
-        let a = translate(&map, node.fanin0);
-        let b = translate(&map, node.fanin1);
-        map[i] = Some(out.and(a, b));
-    }
-    for (lit, name) in aig.outputs() {
-        let mapped = translate(&map, *lit);
-        out.add_output(mapped, name.clone());
-    }
-    for (j, latch) in aig.latches().iter().enumerate() {
-        out.set_latch_next(j, translate(&map, latch.next));
-    }
+    });
     (out, removed)
 }
 
-/// Whether a fan-in is expanded into its consumer's multi-input AND
-/// "super-gate": a non-complemented reference to a single-fan-out AND.
-fn expandable(aig: &Aig, fanout: &[usize], lit: AigLit) -> bool {
-    !lit.is_complemented()
-        && aig.node(lit.node()).kind == AigNodeKind::And
-        && fanout[lit.node()] == 1
+/// The fan-ins a fan-in expands into when its consumer's multi-input AND
+/// "super-gate" absorbs it: those of a single-fan-out AND it names without
+/// a complement; `None` if it is a leaf.
+fn expansion(aig: &Aig, fanout: &[usize], lit: AigLit) -> Option<[AigLit; 2]> {
+    if lit.is_complemented() || fanout[lit.node()] != 1 {
+        return None;
+    }
+    aig.and_fanins(lit.node())
 }
 
-/// The AND nodes absorbed into a parent super-gate — [`expandable`] seen
+/// The AND nodes absorbed into a parent super-gate — [`expansion`] seen
 /// from the child — in one pass over the ANDs.
 fn absorbed_nodes(aig: &Aig, fanout: &[usize]) -> Vec<bool> {
     let mut absorbed = vec![false; aig.len()];
-    for (_, node) in aig.iter() {
-        if node.kind != AigNodeKind::And {
-            continue;
-        }
-        for lit in [node.fanin0, node.fanin1] {
-            if expandable(aig, fanout, lit) {
+    for (_, fanins) in aig.ands() {
+        for lit in fanins {
+            if expansion(aig, fanout, lit).is_some() {
                 absorbed[lit.node()] = true;
             }
         }
@@ -97,20 +82,17 @@ fn absorbed_nodes(aig: &Aig, fanout: &[usize]) -> Vec<bool> {
     absorbed
 }
 
-/// Appends the leaves of the super-gate rooted at `root` to `leaves`, in
-/// depth-first order — fanin0's subtree before fanin1's, the order
+/// Appends the leaves of the super-gate over the fan-ins `[f0, f1]` to
+/// `leaves`, in depth-first order — `f0`'s subtree before `f1`'s, the order
 /// [`Aig::and_many`] pairs them in. An explicit stack instead of recursion:
-/// a chain of single-fan-out ANDs is as deep as the circuit is long, and
-/// the circuit comes off the wire.
-fn collect_leaves(aig: &Aig, fanout: &[usize], root: usize, leaves: &mut Vec<AigLit>) {
-    let node = aig.node(root);
-    let mut stack = vec![node.fanin1, node.fanin0];
+/// a chain of single-fan-out ANDs is as deep as the circuit is long, and the
+/// circuit comes off the wire.
+fn collect_leaves(aig: &Aig, fanout: &[usize], [f0, f1]: [AigLit; 2], leaves: &mut Vec<AigLit>) {
+    let mut stack = vec![f1, f0];
     while let Some(lit) = stack.pop() {
-        if expandable(aig, fanout, lit) {
-            let child = aig.node(lit.node());
-            stack.extend([child.fanin1, child.fanin0]);
-        } else {
-            leaves.push(lit);
+        match expansion(aig, fanout, lit) {
+            Some([c0, c1]) => stack.extend([c1, c0]),
+            None => leaves.push(lit),
         }
     }
 }
@@ -118,33 +100,26 @@ fn collect_leaves(aig: &Aig, fanout: &[usize], root: usize, leaves: &mut Vec<Aig
 /// Reassociates chains of AND nodes into balanced trees to reduce logic depth
 /// (the ABC `balance` pass). Only single-fan-out internal nodes are collapsed
 /// so shared logic is preserved. Returns the rebuilt AIG.
+///
+/// Every output and next-state literal is mapped when the walk translates
+/// them. Only absorbed ANDs are unmapped, and an absorbed AND has exactly one
+/// fan-out, from an AND — while `fanout_counts` also counts output and
+/// next-state references. (`every_output_and_next_state_is_mapped` holds it.)
 pub fn balance(aig: &Aig) -> Aig {
     let fanout = aig.fanout_counts();
     let absorbed = absorbed_nodes(aig, &fanout);
-    let (mut out, mut map) = copy_interface(aig);
     let mut leaves = Vec::new();
-    for (i, node) in aig.iter() {
-        if node.kind != AigNodeKind::And || absorbed[i] {
-            continue;
+    rebuild(aig, |out, map, i, fanins| {
+        if absorbed[i] {
+            return None;
         }
         leaves.clear();
-        collect_leaves(aig, &fanout, i, &mut leaves);
+        collect_leaves(aig, &fanout, fanins, &mut leaves);
         for leaf in &mut leaves {
-            *leaf = translate(&map, *leaf);
+            *leaf = map.translate(*leaf);
         }
-        map[i] = Some(out.and_many(&leaves));
-    }
-    // Every output and next-state literal is mapped by now. Only absorbed
-    // ANDs are unmapped, and an absorbed AND has exactly one fan-out, from
-    // an AND — while `fanout_counts` also counts output and next-state
-    // references. (`every_output_and_next_state_is_mapped` holds it.)
-    for (lit, name) in aig.outputs() {
-        out.add_output(translate(&map, *lit), name.clone());
-    }
-    for (j, latch) in aig.latches().iter().enumerate() {
-        out.set_latch_next(j, translate(&map, latch.next));
-    }
-    out
+        Some(out.and_many(&leaves))
+    })
 }
 
 /// Runs `sweep` and `balance` to a fixpoint (bounded by `max_rounds`), the
@@ -161,15 +136,6 @@ pub fn optimize(aig: &Aig, max_rounds: usize) -> Aig {
         }
     }
     current
-}
-
-fn translate(map: &NodeMap, lit: AigLit) -> AigLit {
-    let base = map[lit.node()].expect("fan-ins are rebuilt before their consumers");
-    if lit.is_complemented() {
-        base.complement()
-    } else {
-        base
-    }
 }
 
 #[cfg(test)]
@@ -219,15 +185,13 @@ mod tests {
     fn collect_leaves_recursive(
         aig: &Aig,
         fanout: &[usize],
-        root: usize,
+        fanins: [AigLit; 2],
         leaves: &mut Vec<AigLit>,
     ) {
-        let node = aig.node(root);
-        for lit in [node.fanin0, node.fanin1] {
-            if expandable(aig, fanout, lit) {
-                collect_leaves_recursive(aig, fanout, lit.node(), leaves);
-            } else {
-                leaves.push(lit);
+        for lit in fanins {
+            match expansion(aig, fanout, lit) {
+                Some(children) => collect_leaves_recursive(aig, fanout, children, leaves),
+                None => leaves.push(lit),
             }
         }
     }
@@ -249,14 +213,12 @@ mod tests {
         fn absorbed_set_matches_the_definition(aig in random_aig(40)) {
             let fanout = aig.fanout_counts();
             let absorbed = absorbed_nodes(&aig, &fanout);
-            for (i, node) in aig.iter() {
-                let expected = node.kind == AigNodeKind::And
+            for i in 0..aig.len() {
+                let expected = aig.and_fanins(i).is_some()
                     && fanout[i] == 1
-                    && aig.iter().any(|(j, n)| {
-                        n.kind == AigNodeKind::And
-                            && j > i
-                            && (n.fanin0 == AigLit::positive(i) || n.fanin1 == AigLit::positive(i))
-                    });
+                    && aig
+                        .ands()
+                        .any(|(j, fanins)| j > i && fanins.contains(&AigLit::positive(i)));
                 prop_assert!(absorbed[i] == expected, "node {i}: {} vs {expected}", absorbed[i]);
             }
         }
@@ -267,13 +229,10 @@ mod tests {
         fn collect_leaves_matches_the_recursive_order(aig in random_aig(40), seed in any::<u64>()) {
             for aig in both_flavours(&aig, seed) {
                 let fanout = aig.fanout_counts();
-                for (i, node) in aig.iter() {
-                    if node.kind != AigNodeKind::And {
-                        continue;
-                    }
+                for (i, fanins) in aig.ands() {
                     let (mut got, mut want) = (Vec::new(), Vec::new());
-                    collect_leaves(&aig, &fanout, i, &mut got);
-                    collect_leaves_recursive(&aig, &fanout, i, &mut want);
+                    collect_leaves(&aig, &fanout, fanins, &mut got);
+                    collect_leaves_recursive(&aig, &fanout, fanins, &mut want);
                     prop_assert!(got == want, "root {i}: {got:?} vs {want:?}");
                 }
             }
@@ -351,18 +310,19 @@ mod tests {
 
     /// A 200 000-AND left-deep chain — a one-line `aiger_b64` request away
     /// from the server — optimised on a thread with a 256 KiB stack: any
-    /// per-level recursion left in the passes overflows it. Each input is
-    /// created after the chain it extends, so the chain is every AND's
-    /// `fanin0`: the side a recursive walk cannot turn into a loop.
+    /// per-level recursion left in the passes overflows it. The ANDs are
+    /// pushed as the AIGER reader pushes a file's `lhs rhs0 rhs1` lines
+    /// (`rhs0 ≥ rhs1`), so the chain is every AND's `fanin0`: the side a
+    /// recursive walk cannot turn into a loop.
     #[test]
     fn optimize_handles_a_deep_chain_on_a_small_stack() {
         let mut aig = Aig::new("deep");
-        let mut acc = aig.add_input("a0");
-        for i in 1..200_001 {
-            let x = aig.add_input(format!("a{i}"));
-            let next = aig.and(acc, x);
-            assert_eq!(aig.node(next.node()).fanin0, acc);
-            acc = next;
+        let inputs: Vec<AigLit> = (0..200_001)
+            .map(|i| aig.add_input(format!("a{i}")))
+            .collect();
+        let mut acc = inputs[0];
+        for &x in &inputs[1..] {
+            acc = aig.push_raw_and(acc, x);
         }
         aig.add_output(acc, "y");
         let optimized = std::thread::Builder::new()

@@ -6,7 +6,7 @@
 //! topological order), so two AIGs are structurally identical iff their
 //! canonical `.aag` text is byte-identical.
 
-use deepgate_aig::aiger;
+use deepgate_aig::{aiger, opt, Aig};
 
 /// Interface shapes exercised by the property: pure-combinational, input-free
 /// sequential, wide and deep mixes.
@@ -90,5 +90,32 @@ fn latch_policies_commute_with_roundtrip() {
             "policy {policy} diverged after round-trip"
         );
         assert!(a.is_combinational());
+    }
+}
+
+/// The AIG → netlist → AIG detour every AIGER source takes is a structural
+/// no-op: an AIG is numbered interface-first, and `from_netlist` declares
+/// the netlist's inputs first, so every AIG the latch policies and
+/// `opt::optimize` make comes back equal, node numbering included.
+#[test]
+fn netlist_detour_is_the_identity() {
+    for seed in 0..5u64 {
+        for &(inputs, latches, ands) in SHAPES {
+            let original = aiger::random_aig(seed, inputs, latches, ands);
+            for policy in [
+                aiger::LatchPolicy::Cut,
+                aiger::LatchPolicy::Unroll(1),
+                aiger::LatchPolicy::Unroll(3),
+            ] {
+                let applied = policy.apply(&original).expect("policy applies");
+                for aig in [opt::optimize(&applied, 2), applied] {
+                    let detour = Aig::from_netlist(&aig.to_netlist()).expect("netlist maps back");
+                    assert!(
+                        detour == aig,
+                        "seed {seed}, shape ({inputs}, {latches}, {ands}), policy {policy}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -290,7 +290,7 @@ mod tests {
     fn inputs_have_probability_half() {
         let (aig, _, _) = two_level_aig();
         let probs = SignalProbability::simulate(&aig, 32_768, 5).unwrap();
-        for &i in aig.inputs() {
+        for i in aig.inputs() {
             assert!((probs.of(i) - 0.5).abs() < 0.02);
         }
         // The constant node is always 0.

@@ -107,7 +107,7 @@ pub mod prelude {
         EngineBuilder, InferenceSession, LargeDesignSource, NetlistSource, PreparedCircuit,
         SuiteSource, VerilogFile, VerilogText,
     };
-    pub use deepgate_aig::{Aig, AigLit, AigNodeKind, LatchPolicy};
+    pub use deepgate_aig::{Aig, AigLit, LatchPolicy};
     pub use deepgate_core::{DeepGate, DeepGateConfig, Trainer, TrainerConfig};
     pub use deepgate_dataset::SuiteKind;
     pub use deepgate_gnn::{Aggregator, CircuitGraph, DagRecGnn, Gcn, GnnError};

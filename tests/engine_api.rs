@@ -139,6 +139,35 @@ fn aiger_binary_flows_through_the_engine_in_both_latch_modes() {
     assert!(probs.iter().all(|&p| (0.0..=1.0).contains(&p)));
 }
 
+/// `unroll:3` is the one ingest an interface-first AIG numbers differently
+/// (every frame's inputs now come before the first AND, not after the
+/// previous frame's ANDs). Its AIGER text reads the same under both
+/// numberings, and so does the graph the engine prepares from it: the
+/// engine maps the netlist back to an AIG inputs first either way.
+#[test]
+fn unrolled_aiger_text_and_graph_are_pinned() {
+    use deepgate::aig::aiger;
+    use deepgate::gnn::StructuralHasher;
+    let aig = aiger::random_aig(1234, 3, 4, 24);
+    let mut digest = StructuralHasher::new();
+    digest.write_bytes(aiger::write_aag(&aig.unroll(3).expect("3 frames")).as_bytes());
+    assert_eq!(
+        digest.finish(),
+        0x09b5c9144c157fdfb3422da2ff57f8d8,
+        "text digest {:#034x}",
+        digest.finish()
+    );
+    let bytes = aiger::write_aig(&aig).expect("valid aig serialises");
+    let source = AigerBytes::new("seq", bytes).latch_policy(LatchPolicy::Unroll(3));
+    let graphs = quick_engine().prepare_unlabelled(&source).unwrap();
+    assert_eq!(
+        graphs[0].fingerprint(),
+        0x9d849a253242b0266257840a1d29b6aa,
+        "graph fingerprint {:#034x}",
+        graphs[0].fingerprint()
+    );
+}
+
 #[test]
 fn malformed_aiger_is_an_error_not_a_panic() {
     let engine = quick_engine();

@@ -195,8 +195,8 @@ proptest! {
         let aig_probs = SignalProbability::simulate(&aig, 4096, seed).expect("simulates");
         let netlist_probs = SignalProbability::simulate(&netlist, 4096, seed).expect("simulates");
         prop_assert_eq!(aig_outputs(&aig, &aig_probs), netlist_outputs(&netlist, &netlist_probs));
-        for latch in aig.latches() {
-            let p = aig_probs.of(latch.state);
+        for (state, latch) in aig.latch_states().zip(aig.latches()) {
+            let p = aig_probs.of(state);
             prop_assert!((p - 0.5).abs() < 0.05, "latch {} reads {}", latch.name, p);
         }
         let aig_exact = SignalProbability::exact(&aig).expect("at most 10 sources");
