@@ -604,19 +604,16 @@ impl Dag for Aig {
         outputs.chain(self.latches.iter().map(|latch| latch.next.node()))
     }
 
-    fn eval_words(&self, sources: &[u64]) -> Vec<u64> {
-        let mut values = vec![0u64; self.len()];
-        for (value, &word) in values[1..self.first_and()].iter_mut().zip(sources) {
-            *value = word;
-        }
+    fn eval_words(&self, sources: &[u64], values: &mut [u64]) {
+        values[0] = 0;
+        values[1..self.first_and()].copy_from_slice(sources);
         // A literal's word: its node's, XOR all ones when complemented.
         let word = |values: &[u64], lit: AigLit| {
             values[lit.node()] ^ u64::from(lit.is_complemented()).wrapping_neg()
         };
         for (i, [a, b]) in self.ands() {
-            values[i] = word(&values, a) & word(&values, b);
+            values[i] = word(values, a) & word(values, b);
         }
-        values
     }
 
     fn validate(&self) -> Result<(), AigError> {

@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A literal: a reference to an AIG node together with a complement bit.
@@ -6,9 +5,7 @@ use std::fmt;
 /// The encoding follows the AIGER convention: `2 * node_index + complement`.
 /// Node 0 is the constant-false node, so [`AigLit::FALSE`] is literal `0` and
 /// [`AigLit::TRUE`] is literal `1`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct AigLit(u32);
 
 impl AigLit {

@@ -26,10 +26,9 @@
 //! one pass, level group by level group, into a reused buffer.
 
 use deepgate_netlist::Dag;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the reconvergence analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReconvergenceConfig {
     /// Maximum logic-level distance between a stem and a reconvergence node;
     /// stems further away are not tracked (their influence on the node's
@@ -51,7 +50,7 @@ impl Default for ReconvergenceConfig {
 }
 
 /// Reconvergence record for a single node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReconvergenceInfo {
     /// Node index of the source fan-out stem.
     pub source: usize,
@@ -60,7 +59,7 @@ pub struct ReconvergenceInfo {
 }
 
 /// Result of analysing a circuit (any [`Dag`]) for reconvergence.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReconvergenceAnalysis {
     per_node: Vec<Option<ReconvergenceInfo>>,
     num_stems: usize,

@@ -12,10 +12,9 @@ use deepgate_nn::{Adam, Graph, ParamStore};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters of the training loop.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainerConfig {
     /// Number of passes over the training set (the paper trains for 60).
     pub epochs: usize,
@@ -45,7 +44,7 @@ impl Default for TrainerConfig {
 }
 
 /// Statistics of one training epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochStats {
     /// Epoch index (0-based).
     pub epoch: usize,
@@ -57,7 +56,7 @@ pub struct EpochStats {
 }
 
 /// The loss / error trajectory of a training run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TrainingHistory {
     /// Per-epoch statistics in order.
     pub epochs: Vec<EpochStats>,

@@ -10,11 +10,10 @@
 
 use crate::generators;
 use deepgate_netlist::Netlist;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The five large designs used in Table III.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LargeDesign {
     /// A bus arbiter with repeated priority logic and heavy reconvergence
     /// (paper: 23.7k nodes, 173 levels).

@@ -16,11 +16,10 @@ use crate::generators;
 use deepgate_netlist::Netlist;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The four benchmark suites the training circuits are drawn from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SuiteKind {
     /// EPFL combinational benchmark suite (arithmetic-dominated).
     Epfl,

@@ -10,11 +10,10 @@
 //! kernel's; the three Table II baselines are recorded from generic ops.
 
 use deepgate_nn::{Activation, Graph, Linear, Mlp, ParamStore, Var};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The aggregation designs evaluated in Table II of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggregatorKind {
     /// Convolutional sum: a shared linear projection of each predecessor
     /// state followed by a sum (Selsam et al.).

@@ -5,10 +5,9 @@ use crate::csr::InferencePlan;
 use crate::state::{Combine, NodeStates};
 use crate::{check_encoding, Aggregator, AggregatorKind, CircuitGraph, GnnError, ProbabilityModel};
 use deepgate_nn::{Activation, Graph, GruCell, Linear, Mlp, ParamStore, Var};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the [`DagConvGnn`] baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DagConvConfig {
     /// Node feature dimensionality.
     pub feature_dim: usize,

@@ -16,10 +16,9 @@ use crate::csr::{InferencePlan, Level};
 use crate::state::{Combine, NodeStates};
 use crate::{check_encoding, Aggregator, AggregatorKind, CircuitGraph, GnnError, ProbabilityModel};
 use deepgate_nn::{Activation, Graph, GruCell, Linear, Mlp, ParamStore, Tensor, Var};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a [`DagRecGnn`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DagRecConfig {
     /// Node feature dimensionality (3 for AIG circuits).
     pub feature_dim: usize,

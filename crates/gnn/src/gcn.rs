@@ -7,10 +7,9 @@
 
 use crate::{check_encoding, Aggregator, AggregatorKind, CircuitGraph, GnnError, ProbabilityModel};
 use deepgate_nn::{Activation, Graph, Linear, Mlp, ParamStore, Var};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the [`Gcn`] baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GcnConfig {
     /// Node feature dimensionality (matches the circuit graph encoding).
     pub feature_dim: usize,

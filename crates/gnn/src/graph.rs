@@ -7,10 +7,9 @@ use deepgate_aig::recon::ReconvergenceAnalysis;
 use deepgate_aig::Aig;
 use deepgate_netlist::{Dag, GateKind, Netlist};
 use deepgate_nn::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// How gate types are encoded as node feature vectors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FeatureEncoding {
     /// Three-symbol alphabet of the AIG representation: primary input /
     /// constant, AND gate, NOT gate. This is the encoding DeepGate uses
@@ -51,7 +50,7 @@ impl FeatureEncoding {
 }
 
 /// A skip-connection edge from a fan-out stem to a reconvergence node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SkipEdge {
     /// Node index of the source fan-out stem.
     pub source: usize,
@@ -62,7 +61,7 @@ pub struct SkipEdge {
 }
 
 /// A circuit prepared for GNN consumption.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CircuitGraph {
     /// Design name.
     pub name: String,

@@ -32,10 +32,14 @@ pub trait Dag: Sync {
     fn sinks(&self) -> impl Iterator<Item = usize> + '_;
 
     /// One sweep of 64 patterns: `sources[k]` holds 64 patterns of source
-    /// `k`; returns one word per node, bit `b` of word `i` the value of node
-    /// `i` under pattern `b`. The circuit must be valid and `sources` hold
-    /// [`Dag::num_sources`] words; `deepgate_sim::simulate_words` checks both.
-    fn eval_words(&self, sources: &[u64]) -> Vec<u64>;
+    /// `k`; writes one word per node into `values`, bit `b` of word `i` the
+    /// value of node `i` under pattern `b`. Every word of `values` is
+    /// overwritten and nothing is allocated, so one buffer serves any number
+    /// of sweeps. The circuit must be valid, `sources` hold
+    /// [`Dag::num_sources`] words and `values` [`Dag::num_nodes`];
+    /// `deepgate_sim::simulate_words` is the checked form that returns a
+    /// fresh `Vec`.
+    fn eval_words(&self, sources: &[u64], values: &mut [u64]);
 
     /// Checks the invariants the other methods rely on.
     ///

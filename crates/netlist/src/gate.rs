@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The combinational gate alphabet supported by [`crate::Netlist`].
@@ -11,7 +10,7 @@ use std::fmt;
 /// Word-level evaluation ([`GateKind::eval_words`]) operates on 64 parallel
 /// Boolean patterns packed into a `u64`, which is the core primitive of the
 /// bit-parallel logic simulator in `deepgate-sim`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum GateKind {
     /// Primary input. No fan-ins.
     Input,
@@ -130,65 +129,44 @@ impl GateKind {
         })
     }
 
-    /// Evaluates the gate over Boolean fan-in values.
+    /// Evaluates the gate over 64 packed Boolean patterns per fan-in, read
+    /// in argument order from `inputs` (a slice's words, or a netlist
+    /// node's fan-in words straight from its value buffer).
     ///
     /// # Panics
     ///
-    /// Panics if `inputs.len()` is not a legal arity for this kind (see
-    /// [`GateKind::arity`]); netlist construction validates arities so this
-    /// only triggers on misuse of the raw evaluation API.
-    pub fn eval_bool(self, inputs: &[bool]) -> bool {
+    /// Panics if the number of words is not a legal arity for this kind (see
+    /// [`GateKind::arity`]) or the kind is [`GateKind::Input`]; netlist
+    /// construction validates arities so this only triggers on misuse of the
+    /// raw evaluation API.
+    pub fn eval_words<I>(self, inputs: I) -> u64
+    where
+        I: IntoIterator<Item = u64>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let mut inputs = inputs.into_iter();
         assert!(
             self.accepts_arity(inputs.len()),
             "gate kind {self} cannot take {} fan-ins",
             inputs.len()
         );
-        match self {
-            GateKind::Input => panic!("primary inputs have no evaluation"),
-            GateKind::Const0 => false,
-            GateKind::Const1 => true,
-            GateKind::Buf => inputs[0],
-            GateKind::Not => !inputs[0],
-            GateKind::And => inputs.iter().all(|&b| b),
-            GateKind::Nand => !inputs.iter().all(|&b| b),
-            GateKind::Or => inputs.iter().any(|&b| b),
-            GateKind::Nor => !inputs.iter().any(|&b| b),
-            GateKind::Xor => inputs.iter().fold(false, |acc, &b| acc ^ b),
-            GateKind::Xnor => !inputs.iter().fold(false, |acc, &b| acc ^ b),
-            GateKind::Mux => {
-                if inputs[0] {
-                    inputs[2]
-                } else {
-                    inputs[1]
-                }
-            }
-        }
-    }
-
-    /// Evaluates the gate over 64 packed Boolean patterns per fan-in.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`GateKind::eval_bool`].
-    pub fn eval_words(self, inputs: &[u64]) -> u64 {
-        assert!(
-            self.accepts_arity(inputs.len()),
-            "gate kind {self} cannot take {} fan-ins",
-            inputs.len()
-        );
+        let mut next = || inputs.next().expect("arity checked");
         match self {
             GateKind::Input => panic!("primary inputs have no evaluation"),
             GateKind::Const0 => 0,
             GateKind::Const1 => u64::MAX,
-            GateKind::Buf => inputs[0],
-            GateKind::Not => !inputs[0],
-            GateKind::And => inputs.iter().fold(u64::MAX, |acc, &w| acc & w),
-            GateKind::Nand => !inputs.iter().fold(u64::MAX, |acc, &w| acc & w),
-            GateKind::Or => inputs.iter().fold(0, |acc, &w| acc | w),
-            GateKind::Nor => !inputs.iter().fold(0, |acc, &w| acc | w),
-            GateKind::Xor => inputs.iter().fold(0, |acc, &w| acc ^ w),
-            GateKind::Xnor => !inputs.iter().fold(0, |acc, &w| acc ^ w),
-            GateKind::Mux => (!inputs[0] & inputs[1]) | (inputs[0] & inputs[2]),
+            GateKind::Buf => next(),
+            GateKind::Not => !next(),
+            GateKind::Mux => {
+                let (sel, a, b) = (next(), next(), next());
+                (!sel & a) | (sel & b)
+            }
+            GateKind::And => inputs.fold(u64::MAX, |acc, w| acc & w),
+            GateKind::Nand => !inputs.fold(u64::MAX, |acc, w| acc & w),
+            GateKind::Or => inputs.fold(0, |acc, w| acc | w),
+            GateKind::Nor => !inputs.fold(0, |acc, w| acc | w),
+            GateKind::Xor => inputs.fold(0, |acc, w| acc ^ w),
+            GateKind::Xnor => !inputs.fold(0, |acc, w| acc ^ w),
         }
     }
 
@@ -224,68 +202,43 @@ mod tests {
         assert!(!GateKind::Input.accepts_arity(1));
     }
 
+    /// Patterns 0..4 of two fan-ins: `a` = 0101, `b` = 0011 (bit 0 first).
+    const A: u64 = 0b1010;
+    const B: u64 = 0b1100;
+
+    /// The four low bits of a two-input gate's word over `A` and `B`: its
+    /// truth table, pattern `i` in bit `i`.
+    fn table2(kind: GateKind) -> u64 {
+        kind.eval_words([A, B]) & 0b1111
+    }
+
     #[test]
-    fn bool_truth_tables_two_input() {
-        let cases = [(false, false), (false, true), (true, false), (true, true)];
-        for (a, b) in cases {
-            assert_eq!(GateKind::And.eval_bool(&[a, b]), a & b);
-            assert_eq!(GateKind::Nand.eval_bool(&[a, b]), !(a & b));
-            assert_eq!(GateKind::Or.eval_bool(&[a, b]), a | b);
-            assert_eq!(GateKind::Nor.eval_bool(&[a, b]), !(a | b));
-            assert_eq!(GateKind::Xor.eval_bool(&[a, b]), a ^ b);
-            assert_eq!(GateKind::Xnor.eval_bool(&[a, b]), !(a ^ b));
-        }
+    fn word_truth_tables_two_input() {
+        assert_eq!(table2(GateKind::And), 0b1000);
+        assert_eq!(table2(GateKind::Nand), 0b0111);
+        assert_eq!(table2(GateKind::Or), 0b1110);
+        assert_eq!(table2(GateKind::Nor), 0b0001);
+        assert_eq!(table2(GateKind::Xor), 0b0110);
+        assert_eq!(table2(GateKind::Xnor), 0b1001);
     }
 
     #[test]
     fn mux_selects_correct_branch() {
-        // sel=0 -> first data input, sel=1 -> second data input.
-        assert!(!GateKind::Mux.eval_bool(&[false, false, true]));
-        assert!(GateKind::Mux.eval_bool(&[true, false, true]));
-        assert_eq!(GateKind::Mux.eval_words(&[0, 0xAAAA, 0x5555]), 0xAAAA);
-        assert_eq!(
-            GateKind::Mux.eval_words(&[u64::MAX, 0xAAAA, 0x5555]),
-            0x5555
-        );
-    }
-
-    #[test]
-    fn word_eval_matches_bool_eval() {
-        // Exhaustively compare bit 0 of word evaluation against bool
-        // evaluation for all 2- and 3-input combinations.
-        for kind in [
-            GateKind::And,
-            GateKind::Nand,
-            GateKind::Or,
-            GateKind::Nor,
-            GateKind::Xor,
-            GateKind::Xnor,
-        ] {
-            for bits in 0..4u8 {
-                let a = bits & 1 != 0;
-                let b = bits & 2 != 0;
-                let w = kind.eval_words(&[a as u64, b as u64]) & 1;
-                assert_eq!(w == 1, kind.eval_bool(&[a, b]), "{kind} {a} {b}");
-            }
-        }
-        for bits in 0..8u8 {
-            let s = bits & 1 != 0;
-            let a = bits & 2 != 0;
-            let b = bits & 4 != 0;
-            let w = GateKind::Mux.eval_words(&[s as u64, a as u64, b as u64]) & 1;
-            assert_eq!(w == 1, GateKind::Mux.eval_bool(&[s, a, b]));
-        }
+        // sel=0 -> first data input, sel=1 -> second data input. Over all
+        // eight patterns (sel = bit 0, a = bit 1, b = bit 2 of the index):
+        // output = a for indices 0, 2, 4, 6 and b for 1, 3, 5, 7.
+        let (sel, a, b) = (0b1010_1010, 0b1100_1100, 0b1111_0000);
+        assert_eq!(GateKind::Mux.eval_words([sel, a, b]) & 0xFF, 0b1110_0100);
+        assert_eq!(GateKind::Mux.eval_words([0, 0xAAAA, 0x5555]), 0xAAAA);
+        assert_eq!(GateKind::Mux.eval_words([u64::MAX, 0xAAAA, 0x5555]), 0x5555);
     }
 
     #[test]
     fn constants_and_inverter() {
-        assert!(!GateKind::Const0.eval_bool(&[]));
-        assert!(GateKind::Const1.eval_bool(&[]));
-        assert_eq!(GateKind::Const0.eval_words(&[]), 0);
-        assert_eq!(GateKind::Const1.eval_words(&[]), u64::MAX);
-        assert!(GateKind::Not.eval_bool(&[false]));
-        assert_eq!(GateKind::Not.eval_words(&[0]), u64::MAX);
-        assert_eq!(GateKind::Buf.eval_words(&[42]), 42);
+        assert_eq!(GateKind::Const0.eval_words([]), 0);
+        assert_eq!(GateKind::Const1.eval_words([]), u64::MAX);
+        assert_eq!(GateKind::Not.eval_words([0]), u64::MAX);
+        assert_eq!(GateKind::Buf.eval_words([42]), 42);
     }
 
     #[test]
@@ -310,13 +263,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot take")]
     fn eval_with_bad_arity_panics() {
-        GateKind::Not.eval_bool(&[true, false]);
+        GateKind::Not.eval_words([1, 0]);
     }
 
     #[test]
     fn multi_input_parity() {
-        assert!(GateKind::Xor.eval_bool(&[true, true, true]));
-        assert!(!GateKind::Xor.eval_bool(&[true, true, false, false]));
-        assert!(!GateKind::Xnor.eval_bool(&[true, true, true]));
+        assert_eq!(GateKind::Xor.eval_words([1, 1, 1]), 1);
+        assert_eq!(GateKind::Xor.eval_words([1, 1, 0, 0]), 0);
+        assert_eq!(GateKind::Xnor.eval_words([1, 1, 1]) & 1, 0);
     }
 }

@@ -1,5 +1,4 @@
 use crate::{Dag, GateKind, NetlistError};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -7,9 +6,7 @@ use std::fmt;
 ///
 /// Node ids are dense, start at zero and are stable for the lifetime of the
 /// netlist (nodes are never removed).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -32,7 +29,7 @@ impl From<NodeId> for usize {
 }
 
 /// One node (primary input, constant or gate) of a [`Netlist`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Node {
     /// The gate kind of this node.
     pub kind: GateKind,
@@ -78,7 +75,7 @@ pub(crate) struct GateDecl {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Netlist {
     name: String,
     nodes: Vec<Node>,
@@ -422,21 +419,14 @@ impl Dag for Netlist {
         self.outputs.iter().map(|(id, _)| id.index())
     }
 
-    fn eval_words(&self, sources: &[u64]) -> Vec<u64> {
-        let mut values = vec![0u64; self.nodes.len()];
+    fn eval_words(&self, sources: &[u64], values: &mut [u64]) {
         let mut sources = sources.iter();
-        let mut fanin_buf: Vec<u64> = Vec::new();
         for (i, node) in self.nodes.iter().enumerate() {
             values[i] = match node.kind {
                 GateKind::Input => *sources.next().expect("one word per input"),
-                kind => {
-                    fanin_buf.clear();
-                    fanin_buf.extend(node.fanins.iter().map(|f| values[f.index()]));
-                    kind.eval_words(&fanin_buf)
-                }
+                kind => kind.eval_words(node.fanins.iter().map(|f| values[f.index()])),
             };
         }
-        values
     }
 
     fn validate(&self) -> Result<(), NetlistError> {
@@ -766,7 +756,7 @@ mod tests {
 
     #[test]
     fn validate_detects_forward_reference_cycle() {
-        // Hand-construct a broken netlist through serde to bypass the API.
+        // Break the netlist through its private fields, bypassing the API.
         let mut n = full_adder();
         // Introduce an illegal forward edge by swapping a fan-in.
         n.nodes[3].fanins[0] = NodeId(7);

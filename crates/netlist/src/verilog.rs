@@ -377,33 +377,19 @@ endmodule
         assert!(!text.contains("mux"));
         let parsed = parse(&text).unwrap();
         assert!(parsed.validate().is_ok());
-        // Functional check: outputs agree for a couple of patterns.
-        use crate::GateKind as G;
-        let eval = |net: &Netlist, pat: &[bool]| -> bool {
-            let mut values = vec![false; net.len()];
-            let mut input_pos = 0;
-            for (id, node) in net.iter() {
-                values[id.index()] = match node.kind {
-                    G::Input => {
-                        let v = pat[input_pos];
-                        input_pos += 1;
-                        v
-                    }
-                    G::Const0 => false,
-                    G::Const1 => true,
-                    kind => {
-                        let ins: Vec<bool> =
-                            node.fanins.iter().map(|f| values[f.index()]).collect();
-                        kind.eval_bool(&ins)
-                    }
-                };
-            }
+        // Functional check: one sweep covers all eight patterns of a, b, s.
+        let sources = [
+            0xAAAA_AAAA_AAAA_AAAA,
+            0xCCCC_CCCC_CCCC_CCCC,
+            0xF0F0_F0F0_F0F0_F0F0,
+        ];
+        let output = |net: &Netlist| {
+            let mut values = vec![0; net.len()];
+            crate::Dag::eval_words(net, &sources, &mut values);
             values[net.outputs()[0].0.index()]
         };
-        for bits in 0..8u8 {
-            let pat = [bits & 1 != 0, bits & 2 != 0, bits & 4 != 0];
-            assert_eq!(eval(&n, &pat), eval(&parsed, &pat), "pattern {bits:03b}");
-        }
+        assert_eq!(output(&n), output(&parsed));
+        assert_eq!(output(&n), 0xCACA_CACA_CACA_CACA, "mux(s, a, b)");
     }
 
     #[test]

@@ -1,23 +1,15 @@
 use crate::{NnError, Tensor};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Handle to a parameter inside a [`ParamStore`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ParamId(pub(crate) usize);
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Parameter {
     name: String,
     value: Tensor,
-    #[serde(skip, default = "Tensor::empty_grad")]
     grad: Tensor,
-}
-
-impl Tensor {
-    fn empty_grad() -> Tensor {
-        Tensor::zeros(0, 0)
-    }
 }
 
 /// A flat store of named, trainable parameters.
@@ -26,7 +18,7 @@ impl Tensor {
 /// them by [`ParamId`] on every forward pass; [`crate::Graph::backward`]
 /// accumulates gradients into the store and the optimiser ([`crate::Adam`])
 /// updates the values in place.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ParamStore {
     params: Vec<Parameter>,
 }
@@ -78,15 +70,10 @@ impl ParamStore {
         &self.params[id.0].grad
     }
 
-    /// Mutable access to the gradient of a parameter, allocated on first use
-    /// (a loaded checkpoint carries none) — where the fused ops' backwards
-    /// add their weight gradients.
+    /// Mutable access to the gradient of a parameter — where the fused ops'
+    /// backwards add their weight gradients.
     pub(crate) fn grad_mut(&mut self, id: ParamId) -> &mut Tensor {
-        let p = &mut self.params[id.0];
-        if p.grad.is_empty() {
-            p.grad = Tensor::zeros(p.value.rows(), p.value.cols());
-        }
-        &mut p.grad
+        &mut self.params[id.0].grad
     }
 
     /// A parameter's value and gradient at once, for the optimisers' in-place
@@ -113,21 +100,13 @@ impl ParamStore {
     ///
     /// Panics if the gradient shape does not match the parameter shape.
     pub fn accumulate_grad(&mut self, id: ParamId, delta: &Tensor) {
-        let p = &mut self.params[id.0];
-        if p.grad.is_empty() {
-            p.grad = Tensor::zeros(p.value.rows(), p.value.cols());
-        }
-        p.grad.axpy(1.0, delta);
+        self.params[id.0].grad.axpy(1.0, delta);
     }
 
     /// Resets all gradients to zero.
     pub fn zero_grad(&mut self) {
         for p in &mut self.params {
-            if p.grad.is_empty() {
-                p.grad = Tensor::zeros(p.value.rows(), p.value.cols());
-            } else {
-                p.grad.fill_zero();
-            }
+            p.grad.fill_zero();
         }
     }
 
@@ -136,13 +115,7 @@ impl ParamStore {
     pub fn grad_norm(&self) -> f32 {
         self.params
             .iter()
-            .map(|p| {
-                if p.grad.is_empty() {
-                    0.0
-                } else {
-                    p.grad.norm().powi(2)
-                }
-            })
+            .map(|p| p.grad.norm().powi(2))
             .sum::<f32>()
             .sqrt()
     }

@@ -8,14 +8,19 @@
 //! expansion or an original-gate `Netlist`:
 //!
 //! - [`simulate_words`] — 64-way bit-parallel evaluation of a pattern word
-//!   per node, input count and circuit checked.
+//!   per node, input count and circuit checked: the checked form of
+//!   [`Dag::eval_words`](deepgate_netlist::Dag::eval_words), which writes
+//!   into a caller's buffer.
 //! - [`SignalProbability`] — Monte-Carlo estimation over many pattern words
 //!   and exhaustive enumeration for circuits with at most 20 sources, one
-//!   validate-then-count pass whose rows are split into one chunk per core,
-//!   each counted on its own scoped thread. An AIG's latch states are free
-//!   sources, like its primary inputs.
+//!   validate-then-count pass whose rows are split into one contiguous range
+//!   per core, each counted on its own scoped thread. A thread makes the
+//!   rows of its range itself, into buffers allocated once before any
+//!   thread starts, so a pass allocates nothing per row. An AIG's latch
+//!   states are free sources, like its primary inputs.
 //! - [`PatternSource`] — seeded random pattern generation so every label in
-//!   the dataset pipeline is reproducible.
+//!   the dataset pipeline is reproducible; a thread opens the one stream at
+//!   its first row, so the split never moves a bit.
 //!
 //! # Example
 //!

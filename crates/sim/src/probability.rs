@@ -2,9 +2,8 @@
 
 use crate::{PatternSource, SimError};
 use deepgate_netlist::Dag;
-use serde::{Deserialize, Serialize};
 use std::num::NonZeroUsize;
-use std::panic::resume_unwind;
+use std::sync::OnceLock;
 use std::thread;
 
 /// Maximum number of sources supported by exhaustive enumeration.
@@ -19,11 +18,47 @@ const MAX_EXACT_INPUTS: usize = 20;
 /// Probabilities are indexed by node index (AIG node index or
 /// [`NodeId::index`](deepgate_netlist::NodeId) for netlists), so
 /// `probs.of(i)` aligns with the circuit the labels were computed from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SignalProbability {
     values: Vec<f64>,
     num_patterns: u64,
     exact: bool,
+}
+
+/// The core count, read once per process: asking the system costs ~24 µs
+/// on a 2-vCPU Linux guest, as much as labelling a small circuit with 64
+/// patterns.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// Row `r` of the exhaustive enumeration: bit `b` of source `k`'s word is bit
+/// `k` of pattern `64 r + b`. Sources 0–5 are the same mask in every row;
+/// source `k ≥ 6` is all ones or all zeros, by bit `k − 6` of `r`.
+fn exhaustive_row(r: usize, row: &mut [u64]) {
+    const LOW: [u64; 6] = [
+        0xAAAA_AAAA_AAAA_AAAA,
+        0xCCCC_CCCC_CCCC_CCCC,
+        0xF0F0_F0F0_F0F0_F0F0,
+        0xFF00_FF00_FF00_FF00,
+        0xFFFF_0000_FFFF_0000,
+        0xFFFF_FFFF_0000_0000,
+    ];
+    for (k, word) in row.iter_mut().enumerate() {
+        *word = match LOW.get(k) {
+            Some(&mask) => mask,
+            None => ((r >> (k - 6)) as u64 & 1).wrapping_neg(),
+        };
+    }
+}
+
+/// One counting thread's buffers, all allocated before any thread starts:
+/// its count of ones per node, one evaluated row and one source row.
+struct Lane {
+    ones: Vec<u64>,
+    values: Vec<u64>,
+    row: Vec<u64>,
 }
 
 impl SignalProbability {
@@ -40,8 +75,14 @@ impl SignalProbability {
         if num_patterns == 0 {
             return Err(SimError::NoPatterns);
         }
-        let rows = PatternSource::new(dag.num_sources(), seed).word_rows(num_patterns.div_ceil(64));
-        Self::count(dag, &rows)
+        let sources = dag.num_sources();
+        // Each thread opens the one stream at its first row, so every row
+        // holds the words a single sequential source gives it.
+        Self::count(dag, num_patterns.div_ceil(64), |first| {
+            let mut patterns = PatternSource::new(sources, seed);
+            patterns.skip_rows(first);
+            move |_, row: &mut [u64]| patterns.fill_row(row)
+        })
     }
 
     /// Computes the exact signal probabilities of a circuit by enumerating
@@ -60,22 +101,10 @@ impl SignalProbability {
                 max: MAX_EXACT_INPUTS,
             });
         }
-        // Bit `b` of row `r` is pattern `64 r + b`, which drives source `k`
-        // with bit `k` of its index. Under 64 patterns (n < 6) the one row
-        // repeats all 2^n of them 64 / 2^n times, which leaves every count
-        // over 64 the same fraction, bit for bit.
-        let rows: Vec<Vec<u64>> = (0..(1usize << n).div_ceil(64))
-            .map(|row| {
-                (0..n)
-                    .map(|k| {
-                        (0..64)
-                            .filter(|b| ((64 * row + b) >> k) & 1 == 1)
-                            .fold(0u64, |word, b| word | 1 << b)
-                    })
-                    .collect()
-            })
-            .collect();
-        let probs = Self::count(dag, &rows)?;
+        // Under 64 patterns (n < 6) the one row repeats all 2^n of them
+        // 64 / 2^n times, which leaves every count over 64 the same
+        // fraction, bit for bit.
+        let probs = Self::count(dag, (1usize << n).div_ceil(64), |_| exhaustive_row)?;
         Ok(SignalProbability {
             num_patterns: 1 << n,
             exact: true,
@@ -85,41 +114,57 @@ impl SignalProbability {
 
     /// The pass behind [`SignalProbability::simulate`] and
     /// [`SignalProbability::exact`]: validates the circuit, then counts each
-    /// node's ones over the source word `rows` and divides by the patterns
-    /// they hold. The rows are cut into one contiguous chunk per core; each
-    /// scoped thread folds its chunk into its own count vector, so the pass
-    /// holds one vector per thread, not one per row. Counts are integers, so
-    /// the split never moves a bit.
-    fn count(dag: &impl Dag, rows: &[Vec<u64>]) -> Result<Self, SimError> {
+    /// node's ones over `rows` rows of source words and divides by the
+    /// patterns they hold. The rows are cut into one contiguous range per
+    /// core, each counted on its own scoped thread into the [`Lane`]
+    /// allocated for it up front. `open(first)` returns the maker that writes
+    /// row `r` of a range starting at `first`, on the thread that evaluates
+    /// it. So the pass allocates nothing per row, and its peak depends on
+    /// neither the row count nor thread timing. Counts are integers, so the
+    /// split never moves a bit.
+    fn count<R: FnMut(usize, &mut [u64])>(
+        dag: &impl Dag,
+        rows: usize,
+        open: impl Fn(usize) -> R + Sync,
+    ) -> Result<Self, SimError> {
         dag.validate().map_err(SimError::invalid)?;
-        let count_chunk = |chunk: &[Vec<u64>]| {
-            let mut ones = vec![0u64; dag.num_nodes()];
-            for row in chunk {
-                for (count, word) in ones.iter_mut().zip(dag.eval_words(row)) {
+        let chunk = rows.div_ceil(cores()).max(1);
+        let mut lanes: Vec<Lane> = (0..rows.div_ceil(chunk))
+            .map(|_| Lane {
+                ones: vec![0; dag.num_nodes()],
+                values: vec![0; dag.num_nodes()],
+                row: vec![0; dag.num_sources()],
+            })
+            .collect();
+        let count_range = |first: usize, lane: &mut Lane| {
+            let mut next_row = open(first);
+            for r in first..rows.min(first + chunk) {
+                next_row(r, &mut lane.row);
+                dag.eval_words(&lane.row, &mut lane.values);
+                for (count, word) in lane.ones.iter_mut().zip(&lane.values) {
                     *count += u64::from(word.count_ones());
                 }
             }
-            ones
         };
-        let threads = thread::available_parallelism().map_or(1, NonZeroUsize::get);
-        let mut chunks = rows.chunks(rows.len().div_ceil(threads).max(1));
-        let first = chunks.next().unwrap_or_default();
-        let ones = thread::scope(|scope| {
-            let helpers: Vec<_> = chunks
-                .map(|chunk| scope.spawn(move || count_chunk(chunk)))
-                .collect();
-            let mut ones = count_chunk(first);
-            for helper in helpers {
-                let counts = helper.join().unwrap_or_else(|panic| resume_unwind(panic));
-                for (total, count) in ones.iter_mut().zip(counts) {
-                    *total += count;
+        if let Some((lane, helpers)) = lanes.split_first_mut() {
+            // The scope joins the helpers, and re-raises a helper's panic.
+            thread::scope(|scope| {
+                for (t, lane) in helpers.iter_mut().enumerate() {
+                    scope.spawn(move || count_range((t + 1) * chunk, lane));
                 }
+                count_range(0, lane);
+            });
+        }
+        let mut lanes = lanes.into_iter().map(|lane| lane.ones);
+        let mut ones = lanes.next().unwrap_or_default();
+        for counts in lanes {
+            for (total, count) in ones.iter_mut().zip(counts) {
+                *total += count;
             }
-            ones
-        });
-        let total = rows.len() * 64;
+        }
+        let total = rows * 64;
         Ok(SignalProbability {
-            values: ones.iter().map(|&c| c as f64 / total as f64).collect(),
+            values: ones.into_iter().map(|c| c as f64 / total as f64).collect(),
             num_patterns: total as u64,
             exact: false,
         })
@@ -269,21 +314,113 @@ mod tests {
         assert!((mc.of(q.node()) - 0.5).abs() < 0.05);
     }
 
-    #[test]
-    fn counts_split_across_threads_equal_one_sequential_fold() {
-        // 37 rows do not split evenly between cores.
-        let (aig, _, _) = two_level_aig();
-        let rows = PatternSource::new(aig.num_sources(), 9).word_rows(37);
-        let mut ones = vec![0u64; aig.num_nodes()];
-        for row in &rows {
-            for (count, word) in ones.iter_mut().zip(aig.eval_words(row)) {
+    /// The row-table fold the streaming pass replaced, kept as its oracle:
+    /// every row built up front, one fresh node vector evaluated per row,
+    /// the counts folded on one thread.
+    fn row_table_fold(dag: &impl Dag, rows: &[Vec<u64>]) -> Vec<u64> {
+        let mut ones = vec![0u64; dag.num_nodes()];
+        for row in rows {
+            let values = crate::simulate_words(dag, row).unwrap();
+            for (count, word) in ones.iter_mut().zip(values) {
                 *count += u64::from(word.count_ones());
             }
         }
-        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let expected: Vec<f64> = ones.iter().map(|&c| c as f64 / (37.0 * 64.0)).collect();
-        let probs = SignalProbability::count(&aig, &rows).unwrap();
-        assert_eq!(bits(probs.values()), bits(&expected));
+        let total = (rows.len() * 64) as f64;
+        ones.iter().map(|&c| (c as f64 / total).to_bits()).collect()
+    }
+
+    /// `count` rows of one sequential stream, drawn straight from the
+    /// generator: the rows `simulate` must count, however it splits them.
+    fn random_rows(sources: usize, seed: u64, count: usize) -> Vec<Vec<u64>> {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut row = || (0..sources).map(|_| rng.gen()).collect();
+        (0..count).map(|_| row()).collect()
+    }
+
+    /// The old exhaustive row table: bit `b` of source `k` in row `r` is bit
+    /// `k` of pattern `64 r + b`.
+    fn exhaustive_rows(sources: usize) -> Vec<Vec<u64>> {
+        let word = |row: usize, k: usize| {
+            (0..64)
+                .filter(|b| ((64 * row + b) >> k) & 1 == 1)
+                .fold(0u64, |word, b| word | 1 << b)
+        };
+        let rows = (1usize << sources).div_ceil(64);
+        (0..rows)
+            .map(|row| (0..sources).map(|k| word(row, k)).collect())
+            .collect()
+    }
+
+    /// `sources` inputs, two constants and `gates` gates of every kind but
+    /// `Input`, fan-ins picked by a fixed LCG; and the same circuit as an
+    /// AIG.
+    fn random_circuit(sources: usize, gates: usize) -> (deepgate_netlist::Netlist, Aig) {
+        use deepgate_netlist::{GateKind, Netlist};
+        let mut netlist = Netlist::new("stream");
+        let mut nodes = vec![netlist.add_const(false), netlist.add_const(true)];
+        nodes.extend((0..sources).map(|i| netlist.add_input(format!("x{i}"))));
+        let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ sources as u64;
+        let mut pick = |len: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % len
+        };
+        let kinds = &GateKind::ALL[3..];
+        for g in 0..gates {
+            let kind = kinds[g % kinds.len()];
+            let arity = match kind {
+                GateKind::Buf | GateKind::Not => 1,
+                GateKind::Mux => 3,
+                _ => 2 + g % 2,
+            };
+            let fanins: Vec<_> = (0..arity).map(|_| nodes[pick(nodes.len())]).collect();
+            nodes.push(netlist.add_gate(kind, &fanins).unwrap());
+        }
+        netlist.mark_output(*nodes.last().unwrap(), "y");
+        let aig = Aig::from_netlist(&netlist).unwrap();
+        (netlist, aig)
+    }
+
+    fn bits(probs: &SignalProbability) -> Vec<u64> {
+        probs.values().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn streamed_random_rows_equal_the_row_table_fold() {
+        // 37 rows do not split evenly between cores.
+        let (netlist, aig) = random_circuit(9, 60);
+        for patterns in [64usize, 128, 192, 2_368, 15_000] {
+            let rows = random_rows(9, 17, patterns.div_ceil(64));
+            let probs = SignalProbability::simulate(&netlist, patterns, 17).unwrap();
+            assert_eq!(
+                bits(&probs),
+                row_table_fold(&netlist, &rows),
+                "netlist, {patterns}"
+            );
+            assert_eq!(probs.num_patterns(), rows.len() as u64 * 64);
+            let probs = SignalProbability::simulate(&aig, patterns, 17).unwrap();
+            assert_eq!(bits(&probs), row_table_fold(&aig, &rows), "aig, {patterns}");
+        }
+    }
+
+    #[test]
+    fn streamed_exhaustive_rows_equal_the_row_table_fold() {
+        for sources in (0..=8).chain([12]) {
+            let (netlist, aig) = random_circuit(sources, 40);
+            let rows = exhaustive_rows(sources);
+            let probs = SignalProbability::exact(&netlist).unwrap();
+            assert_eq!(
+                bits(&probs),
+                row_table_fold(&netlist, &rows),
+                "netlist, {sources}"
+            );
+            assert_eq!(probs.num_patterns(), 1 << sources);
+            let probs = SignalProbability::exact(&aig).unwrap();
+            assert_eq!(bits(&probs), row_table_fold(&aig, &rows), "aig, {sources}");
+        }
     }
 
     #[test]

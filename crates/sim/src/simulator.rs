@@ -4,7 +4,8 @@
 use crate::SimError;
 use deepgate_netlist::Dag;
 
-/// Evaluates a circuit for one row of source pattern words.
+/// Evaluates a circuit for one row of source pattern words: the checked
+/// form of [`Dag::eval_words`], into a fresh `Vec`.
 ///
 /// `source_words[k]` holds 64 patterns for source `k` ([`Dag::num_sources`]:
 /// the primary inputs, then an AIG's latch states). Returns one word per
@@ -24,7 +25,9 @@ pub fn simulate_words(dag: &impl Dag, source_words: &[u64]) -> Result<Vec<u64>, 
         });
     }
     dag.validate().map_err(SimError::invalid)?;
-    Ok(dag.eval_words(source_words))
+    let mut values = vec![0; dag.num_nodes()];
+    dag.eval_words(source_words, &mut values);
+    Ok(values)
 }
 
 #[cfg(test)]

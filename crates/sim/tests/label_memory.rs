@@ -1,10 +1,13 @@
 //! Labelling memory, gated by count rather than by RSS: a counting global
-//! allocator reports the peak of live heap bytes while
-//! `SignalProbability::{simulate, exact}` run on a 10k-gate netlist. The
-//! counting pass must hold one count vector per thread, not one per 64-pattern
-//! row, so its peak grows with the pattern rows themselves and the core
-//! count, not with rows × nodes. The allocator is process-wide, so this
-//! binary holds exactly one test. No wall clock.
+//! allocator reports the peak of live heap bytes, and the number of
+//! allocations, while `SignalProbability::{simulate, exact}` run. The
+//! counting pass allocates each thread's count vector, value buffer and
+//! source row once, before any thread starts, and makes its pattern rows on
+//! the thread that uses them, so its peak depends on neither the pattern
+//! count nor thread timing. The allocator is process-wide, so this binary
+//! holds exactly one test and runs it from its own `main` (`harness =
+//! false`): libtest's threads would allocate inside the measured window
+//! whenever the scheduler let them. No wall clock.
 
 use deepgate_netlist::{Dag, GateKind, Netlist, NodeId};
 use deepgate_sim::SignalProbability;
@@ -16,11 +19,13 @@ struct Counting;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let ptr = System.alloc(layout);
         if !ptr.is_null() {
+            ALLOCS.fetch_add(1, Ordering::SeqCst);
             let live = LIVE.fetch_add(layout.size(), Ordering::SeqCst) + layout.size();
             PEAK.fetch_max(live, Ordering::SeqCst);
         }
@@ -36,12 +41,15 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Peak live heap bytes above the live bytes at entry while `f` runs.
-fn peak_during<T>(f: impl FnOnce() -> T) -> usize {
+/// Peak live heap bytes above the live bytes at entry while `f` runs, and
+/// the number of allocations it makes.
+fn peak_during<T>(f: impl FnOnce() -> T) -> (usize, usize) {
     let base = LIVE.load(Ordering::SeqCst);
     PEAK.store(base, Ordering::SeqCst);
+    let allocs = ALLOCS.load(Ordering::SeqCst);
     drop(f());
-    PEAK.load(Ordering::SeqCst) - base
+    let peak = PEAK.load(Ordering::SeqCst) - base;
+    (peak, ALLOCS.load(Ordering::SeqCst) - allocs)
 }
 
 /// `inputs` sources and `gates` two-input gates, each reading two earlier
@@ -67,40 +75,48 @@ fn random_netlist(inputs: usize, gates: usize) -> Netlist {
     netlist
 }
 
-/// Heap bytes of `rows` pattern rows of `sources` words each.
-fn row_bytes(rows: usize, sources: usize) -> usize {
-    rows * (size_of::<Vec<u64>>() + sources * size_of::<u64>())
+fn main() {
+    labelling_holds_one_count_vector_per_thread_not_per_row();
+    println!("label_memory: labelling_holds_one_count_vector_per_thread_not_per_row ok");
 }
 
-#[test]
 fn labelling_holds_one_count_vector_per_thread_not_per_row() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let slack = 64 << 10;
 
     let netlist = random_netlist(32, 10_000);
     let node_bytes = netlist.num_nodes() * size_of::<u64>();
-    // A warm-up pass, so one-time allocations (thread bookkeeping, the
-    // pattern generator) are not charged to either measured run.
-    SignalProbability::simulate(&netlist, 64, 1).unwrap();
-    let small = peak_during(|| SignalProbability::simulate(&netlist, 4_096, 1).unwrap());
-    let large = peak_during(|| SignalProbability::simulate(&netlist, 65_536, 1).unwrap());
-    let more_rows = row_bytes(65_536 / 64, 32) - row_bytes(4_096 / 64, 32);
+    // A warm-up pass of two rows, one per core on two cores, so one-time
+    // allocations (the core count, a first thread) are not charged to
+    // either measured run.
+    SignalProbability::simulate(&netlist, 128, 1).unwrap();
+    let (small, small_allocs) =
+        peak_during(|| SignalProbability::simulate(&netlist, 4_096, 1).unwrap());
+    let (large, large_allocs) =
+        peak_during(|| SignalProbability::simulate(&netlist, 65_536, 1).unwrap());
     assert!(
-        large <= small + more_rows + slack,
-        "simulate peak grew {small} -> {large} bytes from 4 096 to 65 536 patterns; \
-         the extra pattern rows are {more_rows} bytes ({node_bytes} bytes per node vector)"
+        large <= small + slack,
+        "simulate peak grew {small} -> {large} bytes from 4 096 to 65 536 patterns \
+         ({node_bytes} bytes per node vector)"
     );
+    assert_eq!(
+        small_allocs, large_allocs,
+        "simulate allocations at 4 096 vs 65 536 patterns"
+    );
+    println!("simulate: {small} / {large} bytes peak, {small_allocs} allocations each");
 
-    let netlist = random_netlist(16, 10_000);
-    let node_bytes = netlist.num_nodes() * size_of::<u64>();
-    let rows = row_bytes((1 << 16) / 64, 16);
-    // Per thread: its count vector and one evaluated row; then the result
-    // beside the summed counts.
-    let bound = rows + (2 * cores + 2) * node_bytes + slack;
-    let exact = peak_during(|| SignalProbability::exact(&netlist).unwrap());
-    assert!(
-        exact <= bound,
-        "exact at 16 sources peaked at {exact} bytes, over {bound} \
-         ({cores} cores, {node_bytes} bytes per node vector, {rows} bytes of rows)"
-    );
+    // Per thread: its count vector and one value buffer; then the result
+    // beside the summed counts. No term for the rows.
+    for (sources, gates) in [(16, 10_000), (20, 1_000)] {
+        let netlist = random_netlist(sources, gates);
+        let node_bytes = netlist.num_nodes() * size_of::<u64>();
+        let bound = (2 * cores + 2) * node_bytes + slack;
+        let (exact, _) = peak_during(|| SignalProbability::exact(&netlist).unwrap());
+        assert!(
+            exact <= bound,
+            "exact at {sources} sources peaked at {exact} bytes, over {bound} \
+             ({cores} cores, {node_bytes} bytes per node vector)"
+        );
+        println!("exact at {sources} sources: {exact} bytes peak, bound {bound}");
+    }
 }
