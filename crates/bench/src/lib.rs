@@ -35,7 +35,6 @@ use deepgate_nn::ParamStore;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::Serialize;
 use std::fs;
 use std::time::Instant;
 
@@ -261,7 +260,7 @@ pub fn train_dag_rec(
 }
 
 /// One row of an experiment report.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ReportRow {
     /// Row label (model name, design name, …).
     pub label: String,
@@ -271,7 +270,7 @@ pub struct ReportRow {
 
 /// A full experiment report: a table plus metadata, printed to stdout and
 /// saved as JSON under `target/experiments/`.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Report {
     /// Experiment identifier (e.g. `table2`).
     pub experiment: String,
@@ -282,6 +281,9 @@ pub struct Report {
     /// The rows.
     pub rows: Vec<ReportRow>,
 }
+
+serde::fields!(Serialize for ReportRow { label, values });
+serde::fields!(Serialize for Report { experiment, reproduces, scale, rows });
 
 impl Report {
     /// Creates an empty report.
@@ -512,6 +514,56 @@ mod tests {
         assert_eq!(report.rows.len(), 1);
         assert_eq!(report.rows[0].values[0].1, "0.1235");
         report.print();
+    }
+
+    /// The report format, pinned: the saved JSON of a fixed two-row report.
+    const PINNED: &str = r#"{
+  "experiment": "table9",
+  "reproduces": "Table IX",
+  "rows": [
+    {
+      "label": "ModelA",
+      "values": [
+        [
+          "Error",
+          "0.1235"
+        ],
+        [
+          "Nodes",
+          "12"
+        ]
+      ]
+    },
+    {
+      "label": "ModelB",
+      "values": [
+        [
+          "Error",
+          "0.5000"
+        ],
+        [
+          "Nodes",
+          "7"
+        ]
+      ]
+    }
+  ],
+  "scale": "quick"
+}"#;
+
+    #[test]
+    fn report_json_is_pinned() {
+        let mut report = Report::new("table9", "Table IX", "quick");
+        report.push_row(
+            "ModelA",
+            [("Error", fmt_error(0.12345)), ("Nodes", "12".to_string())],
+        );
+        report.push_row(
+            "ModelB",
+            [("Error", fmt_error(0.5)), ("Nodes", "7".to_string())],
+        );
+        let json = serde_json::to_string_pretty(&report).unwrap();
+        assert_eq!(json, PINNED);
     }
 
     #[test]

@@ -5,7 +5,6 @@ use deepgate_gnn::{
     AggregatorKind, CircuitGraph, DagRecConfig, DagRecGnn, GnnError, ProbabilityModel,
 };
 use deepgate_nn::{Graph, NnError, ParamStore, Tensor, Var};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Hyper-parameters of the [`DeepGate`] model.
@@ -14,7 +13,7 @@ use std::collections::HashMap;
 /// iterations, attention aggregation, reversed propagation, fixed gate-type
 /// input, skip connections with `L = 8` positional-encoding frequencies and a
 /// per-gate-type regressor head.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeepGateConfig {
     /// Hidden-state dimensionality `d`.
     pub hidden_dim: usize,
@@ -37,6 +36,18 @@ pub struct DeepGateConfig {
     /// Seed for weight initialisation.
     pub seed: u64,
 }
+
+serde::fields!(Serialize, Deserialize for DeepGateConfig {
+    hidden_dim,
+    num_iterations,
+    use_skip_connections,
+    skip_encoding_frequencies,
+    reverse_layer,
+    feature_dim,
+    regressor_hidden,
+    per_type_regressor,
+    seed,
+});
 
 impl Default for DeepGateConfig {
     fn default() -> Self {
@@ -75,11 +86,13 @@ impl DeepGateConfig {
 }
 
 /// Checkpoint format: configuration plus every weight tensor by name.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 struct Checkpoint {
     config: DeepGateConfig,
     weights: HashMap<String, Tensor>,
 }
+
+serde::fields!(Serialize, Deserialize for Checkpoint { config, weights });
 
 /// The DeepGate model together with its trainable parameters.
 ///

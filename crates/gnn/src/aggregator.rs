@@ -9,7 +9,7 @@
 //! is one fused tape op ([`Graph::attention`]) whose forward is the CSR
 //! kernel's; the three Table II baselines are recorded from generic ops.
 
-use deepgate_nn::{Activation, Graph, Linear, Mlp, ParamStore, Var};
+use deepgate_nn::{Graph, Linear, Mlp, ParamStore, Var};
 use std::fmt;
 
 /// The aggregation designs evaluated in Table II of the paper.
@@ -137,7 +137,6 @@ impl Aggregator {
                     store,
                     &format!("{name}.phi"),
                     &[hidden_dim, hidden_dim],
-                    Activation::Relu,
                     false,
                     seed,
                 ),

@@ -67,7 +67,7 @@ use crate::handoff::Handoff;
 use crate::{Aggregator, AggregatorKind, CircuitGraph, DagRecGnn, GnnError, GnnMetrics};
 use deepgate_aig::recon::positional_encoding;
 use deepgate_nn::dense;
-use deepgate_nn::{math, Activation, GruCell, Mlp, ParamStore, Tensor};
+use deepgate_nn::{math, GruCell, Mlp, ParamStore, Tensor};
 use std::ops::Range;
 use std::sync::{Mutex, OnceLock, RwLock};
 use std::thread;
@@ -357,11 +357,7 @@ fn mlp_apply_row(
             b.resize(layer.out_features(), 0.0);
             layer.dense(store).apply(a, 1, b, wide);
             for v in b.iter_mut() {
-                *v = match mlp.activation() {
-                    Activation::Relu => v.max(0.0),
-                    Activation::Tanh => math::tanh(*v),
-                    Activation::Sigmoid => math::sigmoid(*v),
-                };
+                *v = v.max(0.0);
             }
             std::mem::swap(a, b);
         }

@@ -4,7 +4,7 @@
 use crate::csr::InferencePlan;
 use crate::state::{Combine, NodeStates};
 use crate::{check_encoding, Aggregator, AggregatorKind, CircuitGraph, GnnError, ProbabilityModel};
-use deepgate_nn::{Activation, Graph, GruCell, Linear, Mlp, ParamStore, Var};
+use deepgate_nn::{Graph, GruCell, Linear, Mlp, ParamStore, Var};
 
 /// Configuration of the [`DagConvGnn`] baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,7 +82,6 @@ impl DagConvGnn {
             store,
             "dagconv.regressor",
             &[config.hidden_dim, config.hidden_dim, 1],
-            Activation::Relu,
             true,
             config.seed.wrapping_add(1000),
         );

@@ -15,7 +15,7 @@
 use crate::csr::{InferencePlan, Level};
 use crate::state::{Combine, NodeStates};
 use crate::{check_encoding, Aggregator, AggregatorKind, CircuitGraph, GnnError, ProbabilityModel};
-use deepgate_nn::{Activation, Graph, GruCell, Linear, Mlp, ParamStore, Tensor, Var};
+use deepgate_nn::{Graph, GruCell, Linear, Mlp, ParamStore, Tensor, Var};
 
 /// Configuration of a [`DagRecGnn`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -212,7 +212,6 @@ impl DagRecGnn {
                     store,
                     &format!("dagrec.regressor{head}"),
                     &[config.hidden_dim, config.regressor_hidden, 1],
-                    Activation::Relu,
                     true,
                     config.seed.wrapping_add(100 + head as u64),
                 )

@@ -6,7 +6,7 @@
 //! models in Table II.
 
 use crate::{check_encoding, Aggregator, AggregatorKind, CircuitGraph, GnnError, ProbabilityModel};
-use deepgate_nn::{Activation, Graph, Linear, Mlp, ParamStore, Var};
+use deepgate_nn::{Graph, Linear, Mlp, ParamStore, Var};
 
 /// Configuration of the [`Gcn`] baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,7 +78,6 @@ impl Gcn {
             store,
             "gcn.regressor",
             &[config.hidden_dim, config.hidden_dim, 1],
-            Activation::Relu,
             true,
             config.seed.wrapping_add(1000),
         );

@@ -97,24 +97,12 @@ impl Linear {
     }
 }
 
-/// The hidden-layer activation of an [`Mlp`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Activation {
-    /// Rectified linear unit.
-    Relu,
-    /// Hyperbolic tangent.
-    Tanh,
-    /// Logistic sigmoid.
-    Sigmoid,
-}
-
-/// A multi-layer perceptron with a configurable activation on hidden layers
-/// and a linear final layer (optionally followed by a sigmoid, as used by the
-/// probability regressor of DeepGate).
+/// A multi-layer perceptron with a ReLU on hidden layers and a linear final
+/// layer (optionally followed by a sigmoid, as used by the probability
+/// regressor of DeepGate).
 #[derive(Debug, Clone)]
 pub struct Mlp {
     layers: Vec<Linear>,
-    activation: Activation,
     sigmoid_output: bool,
 }
 
@@ -129,7 +117,6 @@ impl Mlp {
         store: &mut ParamStore,
         name: &str,
         sizes: &[usize],
-        activation: Activation,
         sigmoid_output: bool,
         seed: u64,
     ) -> Self {
@@ -149,7 +136,6 @@ impl Mlp {
             .collect();
         Mlp {
             layers,
-            activation,
             sigmoid_output,
         }
     }
@@ -157,11 +143,6 @@ impl Mlp {
     /// The linear layers in application order.
     pub fn layers(&self) -> &[Linear] {
         &self.layers
-    }
-
-    /// The hidden-layer activation.
-    pub fn activation(&self) -> Activation {
-        self.activation
     }
 
     /// Whether a sigmoid follows the final linear layer.
@@ -176,11 +157,7 @@ impl Mlp {
         for (i, layer) in self.layers.iter().enumerate() {
             x = layer.forward(g, store, x);
             if i < last {
-                x = match self.activation {
-                    Activation::Relu => g.relu(x),
-                    Activation::Tanh => g.tanh(x),
-                    Activation::Sigmoid => g.sigmoid(x),
-                };
+                x = g.relu(x);
             }
         }
         if self.sigmoid_output {
@@ -330,7 +307,7 @@ mod tests {
     #[test]
     fn mlp_forward_shapes_and_sigmoid_range() {
         let mut store = ParamStore::new();
-        let mlp = Mlp::new(&mut store, "m", &[4, 8, 1], Activation::Relu, true, 3);
+        let mlp = Mlp::new(&mut store, "m", &[4, 8, 1], true, 3);
         let mut g = Graph::new();
         let x = g.input(Tensor::randn(5, 4, 1.0, 9));
         let y = mlp.forward(&mut g, &store, x);
@@ -346,7 +323,7 @@ mod tests {
     #[should_panic(expected = "at least two layer sizes")]
     fn mlp_rejects_single_size() {
         let mut store = ParamStore::new();
-        let _ = Mlp::new(&mut store, "m", &[4], Activation::Relu, false, 0);
+        let _ = Mlp::new(&mut store, "m", &[4], false, 0);
     }
 
     #[test]

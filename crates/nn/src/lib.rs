@@ -76,7 +76,7 @@ mod tensor;
 
 pub use error::NnError;
 pub use graph::{Graph, Var};
-pub use layers::{Activation, GruCell, Linear, Mlp};
+pub use layers::{GruCell, Linear, Mlp};
 pub use optim::Adam;
 pub use params::{ParamId, ParamStore};
 pub use tensor::Tensor;

@@ -1,6 +1,5 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense, row-major 2-D tensor of `f32` values.
@@ -9,12 +8,14 @@ use std::fmt;
 /// or `[features_in, features_out]`), so the tensor type is deliberately
 /// restricted to two dimensions; vectors are represented as `[n, 1]` or
 /// `[1, n]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
 }
+
+serde::fields!(Serialize, Deserialize for Tensor { rows, cols, data });
 
 impl Tensor {
     /// Creates a tensor filled with zeros.

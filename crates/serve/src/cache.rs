@@ -4,7 +4,6 @@
 
 use crate::metrics::CacheMetrics;
 use deepgate::PreparedCircuit;
-use serde::Serialize;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex};
@@ -78,7 +77,7 @@ impl<K: Eq + Hash + Copy, V: Clone> Lru<K, V> {
 }
 
 /// Cache counters, as reported by the `stats` wire verb.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
     /// Requests served from the cache (text-level or fingerprint-level;
     /// `hits == text_hits + fingerprint_hits`).
@@ -96,6 +95,15 @@ pub struct CacheStats {
     /// Configured capacity.
     pub capacity: usize,
 }
+
+serde::fields!(Serialize for CacheStats {
+    hits,
+    text_hits,
+    fingerprint_hits,
+    misses,
+    entries,
+    capacity,
+});
 
 impl CacheStats {
     /// Derives the stats from a registry [`Snapshot`] — the server's
@@ -187,9 +195,10 @@ impl CircuitCache {
     }
 
     /// Inserts a freshly prepared circuit under both its request key and
-    /// its structural fingerprint.
-    pub fn insert(&self, key: u128, prepared: Arc<PreparedCircuit>) {
-        let fingerprint = prepared.circuit().fingerprint();
+    /// its structural fingerprint, which the caller has already computed
+    /// for [`CircuitCache::lookup_fingerprint`].
+    pub fn insert(&self, key: u128, fingerprint: u128, prepared: Arc<PreparedCircuit>) {
+        debug_assert_eq!(fingerprint, prepared.circuit().fingerprint());
         let mut state = self.state.lock().expect("cache lock");
         state.by_text.insert(key, fingerprint);
         state.by_fingerprint.insert(fingerprint, prepared);

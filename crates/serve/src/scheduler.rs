@@ -7,7 +7,6 @@ use crate::metrics::SchedulerMetrics;
 use crate::{ServeConfig, ServeError};
 use deepgate::telemetry::{Registry, Stage};
 use deepgate::{InferenceSession, PreparedCircuit};
-use serde::Serialize;
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -56,7 +55,7 @@ struct Job {
 }
 
 /// Scheduler counters, as reported by the `stats` wire verb.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerStats {
     /// Requests accepted into the queue.
     pub submitted: u64,
@@ -78,6 +77,17 @@ pub struct SchedulerStats {
     /// Worker threads that died anyway and were replaced.
     pub worker_respawns: u64,
 }
+
+serde::fields!(Serialize for SchedulerStats {
+    submitted,
+    completed,
+    failed,
+    rejected_overloaded,
+    rejected_shutdown,
+    deadline_shed,
+    worker_panics_recovered,
+    worker_respawns,
+});
 
 impl SchedulerStats {
     /// Derives the stats from a registry [`Snapshot`] — the server's

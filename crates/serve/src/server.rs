@@ -54,7 +54,7 @@ const DRAIN_GRACE: Duration = Duration::from_secs(3);
 
 /// A point-in-time snapshot of every serving counter, serialised verbatim
 /// into the `stats` wire response.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ServerStats {
     /// Scheduler counters (queueing, shedding, completion).
     pub scheduler: SchedulerStats,
@@ -73,6 +73,16 @@ pub struct ServerStats {
     /// Request-handler panics converted into error responses.
     pub request_panics_recovered: u64,
 }
+
+serde::fields!(Serialize for ServerStats {
+    scheduler,
+    cache,
+    connections,
+    connections_reaped,
+    connections_rejected,
+    write_timeouts,
+    request_panics_recovered,
+});
 
 struct Inner {
     engine: Engine,
@@ -312,14 +322,15 @@ impl Inner {
             .map_err(|e| ServeError::BadRequest(e.to_string()))?
             .pop()
             .ok_or_else(|| ServeError::BadRequest("request contained no circuit".into()))?;
-        if let Some(prepared) = self.cache.lookup_fingerprint(key, circuit.fingerprint()) {
+        let fingerprint = circuit.fingerprint();
+        if let Some(prepared) = self.cache.lookup_fingerprint(key, fingerprint) {
             return Ok(prepared);
         }
         self.fault(Stage::Plan)?;
         let prepared = trace.time(Stage::Plan, || {
             Arc::new(self.scheduler.session().prepare(circuit))
         });
-        self.cache.insert(key, Arc::clone(&prepared));
+        self.cache.insert(key, fingerprint, Arc::clone(&prepared));
         Ok(prepared)
     }
 }

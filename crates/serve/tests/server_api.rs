@@ -205,6 +205,54 @@ fn stats_verb_reports_counters() {
     server.shutdown();
 }
 
+/// The `stats` wire format, pinned: every key path of a fresh server's
+/// response, nested objects included.
+#[test]
+fn stats_response_key_set_is_pinned() {
+    fn paths(prefix: &str, value: &Value, out: &mut Vec<String>) {
+        for (key, inner) in value.as_object().into_iter().flatten() {
+            let path = format!("{prefix}{key}");
+            paths(&format!("{path}."), inner, out);
+            out.push(path);
+        }
+    }
+    let server = start_server(ServeConfig::default());
+    let mut client = Client::connect(&server);
+    let response = client.roundtrip(r#"{"id": 1, "op": "stats"}"#);
+    let mut keys = Vec::new();
+    paths("", &response, &mut keys);
+    keys.sort();
+    assert_eq!(
+        keys,
+        [
+            "id",
+            "stats",
+            "stats.cache",
+            "stats.cache.capacity",
+            "stats.cache.entries",
+            "stats.cache.fingerprint_hits",
+            "stats.cache.hits",
+            "stats.cache.misses",
+            "stats.cache.text_hits",
+            "stats.connections",
+            "stats.connections_reaped",
+            "stats.connections_rejected",
+            "stats.request_panics_recovered",
+            "stats.scheduler",
+            "stats.scheduler.completed",
+            "stats.scheduler.deadline_shed",
+            "stats.scheduler.failed",
+            "stats.scheduler.rejected_overloaded",
+            "stats.scheduler.rejected_shutdown",
+            "stats.scheduler.submitted",
+            "stats.scheduler.worker_panics_recovered",
+            "stats.scheduler.worker_respawns",
+            "stats.write_timeouts",
+        ]
+    );
+    server.shutdown();
+}
+
 #[test]
 fn shutdown_verb_drains_gracefully_under_load() {
     // Several clients fire requests while one of them asks for shutdown:

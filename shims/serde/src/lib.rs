@@ -6,12 +6,10 @@
 //!
 //! - [`Serialize`] / [`Deserialize`] traits (`T -> Value` / `&Value -> T`),
 //! - impls for the primitives and containers the workspace serialises,
-//! - re-exported `#[derive(Serialize, Deserialize)]` macros from the
-//!   sibling `serde_derive` shim.
+//! - the [`fields!`] macro, which implements both traits for a struct
+//!   with named fields from its field list (there is no derive).
 //!
 //! The `serde_json` shim renders [`Value`] to JSON text and parses it back.
-
-pub use serde_derive::{Deserialize, Serialize};
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -89,7 +87,54 @@ pub trait Deserialize: Sized {
     fn deserialize(v: &Value) -> Result<Self, DeError>;
 }
 
-/// Derive-macro helper: looks up a struct field by name, treating a missing
+/// Implements [`Serialize`], or [`Serialize`] and [`Deserialize`], for a
+/// struct with named fields:
+///
+/// ```
+/// struct Point {
+///     x: u64,
+///     y: u64,
+/// }
+/// serde::fields!(Serialize, Deserialize for Point { x, y });
+/// let json = serde::Serialize::serialize(&Point { x: 1, y: 2 });
+/// let back: Point = serde::Deserialize::deserialize(&json).unwrap();
+/// assert_eq!((back.x, back.y), (1, 2));
+/// ```
+///
+/// A struct serialises to a [`Value::Object`] keyed by field name. Reading
+/// one back takes each listed field through [`__field`] and ignores unknown
+/// keys. Every field must be listed: `Serialize` destructures the struct
+/// without `..` and `Deserialize` builds it with a struct literal, so a
+/// field left off fails to compile. Invoke it in the struct's own module,
+/// where private fields are in scope.
+#[macro_export]
+macro_rules! fields {
+    (Serialize for $t:ident { $($f:ident),+ $(,)? }) => {
+        impl $crate::Serialize for $t {
+            fn serialize(&self) -> $crate::Value {
+                let $t { $($f),+ } = self;
+                $crate::Value::Object(::std::collections::BTreeMap::from([$((
+                    ::std::string::String::from(stringify!($f)),
+                    $crate::Serialize::serialize($f),
+                )),+]))
+            }
+        }
+    };
+    (Serialize, Deserialize for $t:ident { $($f:ident),+ $(,)? }) => {
+        $crate::fields!(Serialize for $t { $($f),+ });
+        impl $crate::Deserialize for $t {
+            fn deserialize(v: &$crate::Value) -> ::std::result::Result<Self, $crate::DeError> {
+                let $crate::Value::Object(obj) = v else {
+                    let message = concat!("expected object for ", stringify!($t));
+                    return Err($crate::DeError::custom(message));
+                };
+                Ok($t { $($f: $crate::__field(obj, stringify!($f))?),+ })
+            }
+        }
+    };
+}
+
+/// [`fields!`] helper: looks up a struct field by name, treating a missing
 /// key as `null` (so `Option` fields tolerate omission).
 pub fn __field<T: Deserialize>(obj: &BTreeMap<String, Value>, name: &str) -> Result<T, DeError> {
     match obj.get(name) {
@@ -139,34 +184,17 @@ macro_rules! impl_uint {
         }
     )*};
 }
-impl_uint!(u8, u16, u32, u64, usize);
+impl_uint!(u32, u64, usize);
 
-macro_rules! impl_int {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn serialize(&self) -> Value {
-                let v = *self as i64;
-                if v >= 0 {
-                    Value::UInt(v as u64)
-                } else {
-                    Value::Int(v)
-                }
-            }
+impl Serialize for i64 {
+    fn serialize(&self) -> Value {
+        if *self >= 0 {
+            Value::UInt(*self as u64)
+        } else {
+            Value::Int(*self)
         }
-        impl Deserialize for $t {
-            fn deserialize(v: &Value) -> Result<Self, DeError> {
-                let raw: i64 = match v {
-                    Value::Int(i) => *i,
-                    Value::UInt(u) if *u <= i64::MAX as u64 => *u as i64,
-                    Value::Float(f) if f.fract() == 0.0 => *f as i64,
-                    _ => return Err(DeError::custom("expected integer")),
-                };
-                <$t>::try_from(raw).map_err(|_| DeError::custom("integer out of range"))
-            }
-        }
-    )*};
+    }
 }
-impl_int!(i8, i16, i32, i64, isize);
 
 impl Serialize for f32 {
     fn serialize(&self) -> Value {
@@ -212,19 +240,7 @@ impl Deserialize for String {
     }
 }
 
-impl Serialize for str {
-    fn serialize(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
 // --------------------------------------------------------------- containers
-
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn serialize(&self) -> Value {
-        (**self).serialize()
-    }
-}
 
 impl<T: Serialize> Serialize for Vec<T> {
     fn serialize(&self) -> Value {
@@ -237,15 +253,6 @@ impl<T: Deserialize> Deserialize for Vec<T> {
         match v {
             Value::Array(a) => a.iter().map(T::deserialize).collect(),
             _ => Err(DeError::custom("expected array")),
-        }
-    }
-}
-
-impl<T: Serialize> Serialize for Option<T> {
-    fn serialize(&self) -> Value {
-        match self {
-            Some(v) => v.serialize(),
-            None => Value::Null,
         }
     }
 }
@@ -274,29 +281,6 @@ impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
     }
 }
 
-impl<A: Serialize, B: Serialize, C: Serialize> Serialize for (A, B, C) {
-    fn serialize(&self) -> Value {
-        Value::Array(vec![
-            self.0.serialize(),
-            self.1.serialize(),
-            self.2.serialize(),
-        ])
-    }
-}
-
-impl<A: Deserialize, B: Deserialize, C: Deserialize> Deserialize for (A, B, C) {
-    fn deserialize(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Array(a) if a.len() == 3 => Ok((
-                A::deserialize(&a[0])?,
-                B::deserialize(&a[1])?,
-                C::deserialize(&a[2])?,
-            )),
-            _ => Err(DeError::custom("expected 3-element array")),
-        }
-    }
-}
-
 impl<V: Serialize, S> Serialize for HashMap<String, V, S> {
     fn serialize(&self) -> Value {
         Value::Object(
@@ -307,39 +291,7 @@ impl<V: Serialize, S> Serialize for HashMap<String, V, S> {
     }
 }
 
-impl<V: Serialize, S> Serialize for HashMap<&str, V, S> {
-    fn serialize(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.to_string(), v.serialize()))
-                .collect(),
-        )
-    }
-}
-
 impl<V: Deserialize, S: std::hash::BuildHasher + Default> Deserialize for HashMap<String, V, S> {
-    fn deserialize(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Object(m) => m
-                .iter()
-                .map(|(k, v)| V::deserialize(v).map(|v| (k.clone(), v)))
-                .collect(),
-            _ => Err(DeError::custom("expected object")),
-        }
-    }
-}
-
-impl<V: Serialize> Serialize for BTreeMap<String, V> {
-    fn serialize(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.clone(), v.serialize()))
-                .collect(),
-        )
-    }
-}
-
-impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
     fn deserialize(v: &Value) -> Result<Self, DeError> {
         match v {
             Value::Object(m) => m

@@ -4,14 +4,15 @@
 use std::num::NonZeroUsize;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::thread;
 
 /// Runs `f` on every item, on up to one scoped thread per core (the caller
 /// included), and returns the results in input order — or the first error
 /// in input order, not the first one to finish. Threads claim the next
 /// unclaimed item through one shared index, so a slow item holds up only its
-/// own thread. Zero or one item runs inline, without asking for the core
-/// count.
+/// own thread. Zero or one item runs inline. The core count is read once per
+/// process.
 pub(crate) fn fan_out<T: Sync, U: Send, E: Send>(
     items: &[T],
     f: impl Fn(&T) -> Result<U, E> + Sync,
@@ -19,9 +20,9 @@ pub(crate) fn fan_out<T: Sync, U: Send, E: Send>(
     if items.len() <= 1 {
         return items.iter().map(f).collect();
     }
-    let threads = thread::available_parallelism()
-        .map_or(1, NonZeroUsize::get)
-        .min(items.len());
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get));
+    let threads = cores.min(items.len());
     // The index publishes nothing: results come back through `join`.
     let next = AtomicUsize::new(0);
     let claim = || {

@@ -705,6 +705,33 @@ fn checkpoint_with_the_largest_seed_loads_and_predicts_like_its_source() {
     );
 }
 
+/// The checkpoint format, pinned from outside: a digest of the
+/// `to_checkpoint()` bytes of a small seeded model. Key names, key order,
+/// number formatting and every weight bit are covered; a change to how the
+/// configuration or a tensor is written moves the digest.
+#[test]
+fn checkpoint_bytes_of_a_seeded_model_are_pinned() {
+    use deepgate::gnn::StructuralHasher;
+    let model = DeepGate::new(DeepGateConfig {
+        hidden_dim: 4,
+        num_iterations: 2,
+        regressor_hidden: 4,
+        skip_encoding_frequencies: 2,
+        seed: 7,
+        ..DeepGateConfig::default()
+    });
+    let json = model.to_checkpoint().unwrap();
+    let mut digest = StructuralHasher::new();
+    digest.write_bytes(json.as_bytes());
+    assert_eq!(
+        (json.len(), digest.finish()),
+        (10_005, 0x23e2bc91f9d9812e82df1c5f72c7b8b0),
+        "{} bytes, digest {:#034x}",
+        json.len(),
+        digest.finish()
+    );
+}
+
 #[test]
 fn engine_metrics_record_every_pipeline_stage() {
     use deepgate::telemetry::Registry;
