@@ -144,10 +144,14 @@ fn main() {
         config.max_request_bytes,
     );
     server.wait();
-    let stats = server.stats();
+    let snapshot = server.metrics().snapshot();
     eprintln!(
         "[deepgate-serve] drained: {} completed, {} failed, cache {}/{} hits/misses",
-        stats.scheduler.completed, stats.scheduler.failed, stats.cache.hits, stats.cache.misses
+        snapshot.counter("scheduler_completed_total"),
+        snapshot.counter("scheduler_failed_total"),
+        snapshot.counter("cache_text_hits_total")
+            + snapshot.counter("cache_fingerprint_hits_total"),
+        snapshot.counter("cache_misses_total")
     );
 }
 

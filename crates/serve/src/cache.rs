@@ -16,7 +16,7 @@ use std::sync::{Arc, Mutex};
 /// produce different circuits — they must not share a cache entry. Each
 /// component is length-prefixed so `("ab","c")` and `("a","bc")` differ.
 /// Same hash construction as [`deepgate::gnn::CircuitGraph::fingerprint`].
-pub fn request_key(kind: &str, variant: &str, payload: &[u8]) -> u128 {
+pub(crate) fn request_key(kind: &str, variant: &str, payload: &[u8]) -> u128 {
     let mut hasher = deepgate::gnn::StructuralHasher::new();
     for part in [kind.as_bytes(), variant.as_bytes(), payload] {
         hasher.write(part.len() as u64);
@@ -76,54 +76,6 @@ impl<K: Eq + Hash + Copy, V: Clone> Lru<K, V> {
     }
 }
 
-/// Cache counters, as reported by the `stats` wire verb.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Requests served from the cache (text-level or fingerprint-level;
-    /// `hits == text_hits + fingerprint_hits`).
-    pub hits: u64,
-    /// Hits at the text-memo level: byte-identical repeats that skipped
-    /// parsing entirely.
-    pub text_hits: u64,
-    /// Hits at the structural level: textually new requests whose parsed
-    /// circuit fingerprint was already prepared.
-    pub fingerprint_hits: u64,
-    /// Requests that had to be prepared from scratch.
-    pub misses: u64,
-    /// Prepared circuits currently held.
-    pub entries: usize,
-    /// Configured capacity.
-    pub capacity: usize,
-}
-
-serde::fields!(Serialize for CacheStats {
-    hits,
-    text_hits,
-    fingerprint_hits,
-    misses,
-    entries,
-    capacity,
-});
-
-impl CacheStats {
-    /// Derives the stats from a registry [`Snapshot`] — the server's
-    /// one-snapshot `stats` path.
-    ///
-    /// [`Snapshot`]: deepgate::telemetry::Snapshot
-    pub fn from_snapshot(snapshot: &deepgate::telemetry::Snapshot) -> Self {
-        let text_hits = snapshot.counter("cache_text_hits_total");
-        let fingerprint_hits = snapshot.counter("cache_fingerprint_hits_total");
-        CacheStats {
-            hits: text_hits + fingerprint_hits,
-            text_hits,
-            fingerprint_hits,
-            misses: snapshot.counter("cache_misses_total"),
-            entries: snapshot.gauge("cache_entries").max(0) as usize,
-            capacity: snapshot.gauge("cache_capacity").max(0) as usize,
-        }
-    }
-}
-
 /// A thread-safe structural circuit cache.
 ///
 /// Lookup is two-level. The *text* level maps a hash of the raw BENCH text
@@ -134,7 +86,7 @@ impl CacheStats {
 /// signal names) still share one prepared entry — the fingerprint is
 /// structural, not textual.
 #[derive(Debug)]
-pub struct CircuitCache {
+pub(crate) struct CircuitCache {
     state: Mutex<CacheState>,
     metrics: CacheMetrics,
 }

@@ -131,7 +131,7 @@ impl LineFramer {
 
 /// Result of one [`WriteBuf::flush_to`] attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Flush {
+pub(crate) enum Flush {
     /// Everything buffered went out; the buffer is empty.
     Drained,
     /// The socket stopped accepting bytes; `progressed` says whether any
@@ -146,7 +146,7 @@ pub enum Flush {
 /// loop drains through nonblocking partial writes whenever the socket
 /// reports writable.
 #[derive(Debug, Default)]
-pub struct WriteBuf {
+pub(crate) struct WriteBuf {
     buf: Vec<u8>,
     pos: usize,
 }

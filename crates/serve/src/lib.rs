@@ -11,7 +11,7 @@
 //!   with, and routes the result back to its requester. A full queue
 //!   rejects new work ([`ServeError::Overloaded`]) instead of building
 //!   unbounded backlog.
-//! - [`CircuitCache`] — a structural circuit cache: an LRU keyed by
+//! - A structural circuit cache: an LRU keyed by
 //!   [`deepgate::gnn::CircuitGraph::fingerprint`] (plus a text-hash memo in
 //!   front of the parser) holding prepared circuits with their inference
 //!   plans, so repeated circuits skip BENCH parsing, AIG transformation,
@@ -72,13 +72,17 @@
 //! → {"id": 1, "bench": "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n"}
 //! ← {"id": 1, "probs": [0.5, 0.5, 0.27]}
 //! → {"id": 2, "op": "stats"}
-//! ← {"id": 2, "stats": {"completed": 1, ...}}
+//! ← {"id": 2, "stats": {"cache": {"capacity": 256, ...}, "connections": 1, ...,
+//!                        "scheduler": {"completed": 1, ...}, "write_timeouts": 0}}
 //! → {"id": 3, "op": "shutdown"}
 //! ← {"id": 3, "ok": true}
 //! ```
 //!
-//! Two more verbs expose the telemetry subsystem (see [`ServeMetrics`] for
-//! the full series list):
+//! `stats` is a fixed view of one registry snapshot: each key reports one
+//! series (`cache.hits` the sum of the text and fingerprint hits), with
+//! `scheduler` and `cache` as nested objects. Two more verbs expose the
+//! whole telemetry subsystem (see [`ServeMetrics`] for the full series
+//! list):
 //!
 //! - `{"op": "metrics"}` → `{"id": ..., "metrics": {"counters": {...},
 //!   "gauges": {...}, "histograms": {...}}}` — every counter and gauge by
@@ -188,12 +192,11 @@ mod poll;
 mod scheduler;
 mod server;
 
-pub use cache::{request_key, CacheStats, CircuitCache};
-pub use conn::{Flush, LineFramer, LineOverflow, WriteBuf};
+pub use conn::{LineFramer, LineOverflow};
 pub use fault::{FaultKind, FaultPlan};
-pub use metrics::{snapshot_to_value, CacheMetrics, SchedulerMetrics, ServeMetrics};
-pub use scheduler::{Scheduler, SchedulerStats};
-pub use server::{Server, ServerStats};
+pub use metrics::{CacheMetrics, SchedulerMetrics, ServeMetrics};
+pub use scheduler::Scheduler;
+pub use server::Server;
 
 use deepgate::DeepGateError;
 use std::fmt;

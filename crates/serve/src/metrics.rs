@@ -103,7 +103,7 @@ pub struct ServeMetrics {
     pub engine: Arc<EngineMetrics>,
     /// Scheduler series (hand to [`crate::Scheduler::with_metrics`]).
     pub scheduler: SchedulerMetrics,
-    /// Cache series (hand to [`crate::CircuitCache::with_metrics`]).
+    /// Cache series (the server's circuit cache records through them).
     pub cache: CacheMetrics,
     /// `requests_predict_total` — predict requests received.
     pub requests_predict: Arc<Counter>,
@@ -208,11 +208,72 @@ impl ServeMetrics {
     }
 }
 
+/// What one key of the `stats` wire response reads from a snapshot.
+enum Read {
+    /// A counter.
+    Counter(&'static str),
+    /// The sum of two counters.
+    Sum(&'static str, &'static str),
+    /// A gauge, clamped at 0.
+    Gauge(&'static str),
+    /// A nested object of its own rows.
+    Object(&'static [(&'static str, Read)]),
+}
+
+/// The `stats` wire response: each key and the series it reports. The
+/// series are documented on the [`SchedulerMetrics`], [`CacheMetrics`] and
+/// [`ServeMetrics`] handles that record them.
+#[rustfmt::skip]
+const STATS: &[(&str, Read)] = &[
+    ("scheduler", Read::Object(&[
+        ("submitted", Read::Counter("scheduler_submitted_total")),
+        ("completed", Read::Counter("scheduler_completed_total")),
+        ("failed", Read::Counter("scheduler_failed_total")),
+        ("rejected_overloaded", Read::Counter("scheduler_rejected_overloaded_total")),
+        ("rejected_shutdown", Read::Counter("scheduler_rejected_shutdown_total")),
+        ("deadline_shed", Read::Counter("scheduler_deadline_shed_total")),
+        ("worker_panics_recovered", Read::Counter("worker_panics_recovered_total")),
+        ("worker_respawns", Read::Counter("worker_respawns_total")),
+    ])),
+    ("cache", Read::Object(&[
+        ("hits", Read::Sum("cache_text_hits_total", "cache_fingerprint_hits_total")),
+        ("text_hits", Read::Counter("cache_text_hits_total")),
+        ("fingerprint_hits", Read::Counter("cache_fingerprint_hits_total")),
+        ("misses", Read::Counter("cache_misses_total")),
+        ("entries", Read::Gauge("cache_entries")),
+        ("capacity", Read::Gauge("cache_capacity")),
+    ])),
+    ("connections", Read::Counter("connections_accepted_total")),
+    ("connections_reaped", Read::Counter("connections_reaped_total")),
+    ("connections_rejected", Read::Counter("connections_rejected_total")),
+    ("write_timeouts", Read::Counter("write_timeouts_total")),
+    ("request_panics_recovered", Read::Counter("request_panics_recovered_total")),
+];
+
+/// Renders a registry snapshot as the JSON of the `stats` wire verb, one
+/// value per row of [`STATS`].
+pub(crate) fn stats_to_value(snapshot: &Snapshot) -> Value {
+    render(STATS, snapshot)
+}
+
+fn render(rows: &[(&str, Read)], snapshot: &Snapshot) -> Value {
+    let object = rows.iter().map(|(key, read)| {
+        let value = match read {
+            Read::Counter(name) => Value::UInt(snapshot.counter(name)),
+            Read::Sum(a, b) => Value::UInt(snapshot.counter(a) + snapshot.counter(b)),
+            Read::Gauge(name) => Value::UInt(snapshot.gauge(name).max(0) as u64),
+            Read::Object(rows) => render(rows, snapshot),
+        };
+        (key.to_string(), value)
+    });
+    Value::Object(object.collect())
+}
+
 /// Renders a registry snapshot as the structured JSON of the `metrics` wire
 /// verb: `counters` and `gauges` as name→value objects, `histograms` as
 /// name→`{count, sum, max, p50, p90, p99, buckets}` with `buckets` a list of
 /// `[upper_bound, count]` pairs (non-empty buckets only, ascending).
-pub fn snapshot_to_value(snapshot: &Snapshot) -> Value {
+pub(crate) fn snapshot_to_value(snapshot: &Snapshot) -> Value {
     let counters: BTreeMap<String, Value> = snapshot
         .counters
         .iter()

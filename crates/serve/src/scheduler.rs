@@ -54,61 +54,6 @@ struct Job {
     enqueued: Instant,
 }
 
-/// Scheduler counters, as reported by the `stats` wire verb.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SchedulerStats {
-    /// Requests accepted into the queue.
-    pub submitted: u64,
-    /// Requests answered with predictions.
-    pub completed: u64,
-    /// Requests answered with an engine error.
-    pub failed: u64,
-    /// Submissions rejected because the queue was full.
-    pub rejected_overloaded: u64,
-    /// Queued requests flushed with [`ServeError::ShuttingDown`] during
-    /// drain (plus submissions after the drain began).
-    pub rejected_shutdown: u64,
-    /// Requests whose deadline expired before inference, shed when popped
-    /// with [`ServeError::DeadlineExceeded`].
-    pub deadline_shed: u64,
-    /// Inferences that panicked and were converted to internal errors; the
-    /// worker survived and kept draining.
-    pub worker_panics_recovered: u64,
-    /// Worker threads that died anyway and were replaced.
-    pub worker_respawns: u64,
-}
-
-serde::fields!(Serialize for SchedulerStats {
-    submitted,
-    completed,
-    failed,
-    rejected_overloaded,
-    rejected_shutdown,
-    deadline_shed,
-    worker_panics_recovered,
-    worker_respawns,
-});
-
-impl SchedulerStats {
-    /// Derives the stats from a registry [`Snapshot`] — the server's
-    /// one-snapshot `stats` path, so these values are consistent with every
-    /// other series read from the same snapshot.
-    ///
-    /// [`Snapshot`]: deepgate::telemetry::Snapshot
-    pub fn from_snapshot(snapshot: &deepgate::telemetry::Snapshot) -> Self {
-        SchedulerStats {
-            submitted: snapshot.counter("scheduler_submitted_total"),
-            completed: snapshot.counter("scheduler_completed_total"),
-            failed: snapshot.counter("scheduler_failed_total"),
-            rejected_overloaded: snapshot.counter("scheduler_rejected_overloaded_total"),
-            rejected_shutdown: snapshot.counter("scheduler_rejected_shutdown_total"),
-            deadline_shed: snapshot.counter("scheduler_deadline_shed_total"),
-            worker_panics_recovered: snapshot.counter("worker_panics_recovered_total"),
-            worker_respawns: snapshot.counter("worker_respawns_total"),
-        }
-    }
-}
-
 struct QueueState {
     jobs: VecDeque<Job>,
     open: bool,
@@ -281,25 +226,9 @@ impl Scheduler {
         })
     }
 
-    /// Current counters (each read individually; the server's `stats` verb
-    /// instead derives [`SchedulerStats`] from one registry snapshot via
-    /// [`SchedulerStats::from_snapshot`]).
-    pub fn stats(&self) -> SchedulerStats {
-        let m = &self.shared.metrics;
-        SchedulerStats {
-            submitted: m.submitted.get(),
-            completed: m.completed.get(),
-            failed: m.failed.get(),
-            rejected_overloaded: m.rejected_overloaded.get(),
-            rejected_shutdown: m.rejected_shutdown.get(),
-            deadline_shed: m.deadline_shed.get(),
-            worker_panics_recovered: m.worker_panics_recovered.get(),
-            worker_respawns: m.worker_respawns.get(),
-        }
-    }
-
     /// Requests queued right now.
-    pub fn queue_len(&self) -> usize {
+    #[cfg(test)]
+    fn queue_len(&self) -> usize {
         self.shared.state.lock().expect("scheduler lock").jobs.len()
     }
 
@@ -490,6 +419,17 @@ mod tests {
             .into_session()
     }
 
+    /// A scheduler recording into a registry the test keeps, so the test
+    /// reads its counters back from a registry snapshot.
+    fn counted(
+        session: InferenceSession,
+        config: &ServeConfig,
+    ) -> Result<(Scheduler, Registry), ServeError> {
+        let registry = Registry::new();
+        let metrics = SchedulerMetrics::registered(&registry);
+        Ok((Scheduler::with_metrics(session, config, metrics)?, registry))
+    }
+
     /// Submits through a channel, as [`Scheduler::predict`] does, without
     /// waiting for the outcome.
     fn submit(
@@ -539,7 +479,7 @@ mod tests {
             .map(|c| session.predict(c.circuit()).expect("predicts"))
             .collect();
 
-        let scheduler = Scheduler::new(
+        let (scheduler, registry) = counted(
             test_session(),
             &ServeConfig {
                 workers: 2,
@@ -556,8 +496,11 @@ mod tests {
             let probs = receiver.recv().expect("worker alive").expect("predicts");
             assert_eq!(probs, expected[i], "request {i} got someone else's result");
         }
-        let stats = scheduler.stats();
-        assert_eq!(stats.completed, circuits.len() as u64);
+        let snapshot = registry.snapshot();
+        assert_eq!(
+            snapshot.counter("scheduler_completed_total"),
+            circuits.len() as u64
+        );
         scheduler.shutdown();
     }
 
@@ -568,7 +511,7 @@ mod tests {
         let circuit = chain_circuit(&session, 5);
         let expected = bits(&session.predict(circuit.circuit()).expect("predicts"));
 
-        let scheduler = Scheduler::new(
+        let (scheduler, registry) = counted(
             test_session(),
             &ServeConfig {
                 workers: 4,
@@ -583,7 +526,7 @@ mod tests {
             let probs = receiver.recv().expect("worker alive").expect("predicts");
             assert_eq!(bits(&probs), expected, "request {i} must match bit for bit");
         }
-        assert_eq!(scheduler.stats().completed, 8);
+        assert_eq!(registry.snapshot().counter("scheduler_completed_total"), 8);
         assert_eq!(scheduler.shared.metrics.queue_wait_ns.count(), 8);
         scheduler.shutdown();
     }
@@ -614,7 +557,7 @@ mod tests {
         )));
 
         // No workers: drain the queue by hand so the order is exact.
-        let scheduler = Scheduler::new(
+        let (scheduler, registry) = counted(
             test_session(),
             &ServeConfig {
                 workers: 0,
@@ -637,9 +580,9 @@ mod tests {
         assert_eq!(results.next(), Some(Ok(expected_a)));
         assert!(matches!(results.next(), Some(Err(ServeError::Engine(_)))));
         assert_eq!(results.next(), Some(Ok(expected_b)));
-        let stats = scheduler.stats();
-        assert_eq!(stats.completed, 2);
-        assert_eq!(stats.failed, 1);
+        let snapshot = registry.snapshot();
+        assert_eq!(snapshot.counter("scheduler_completed_total"), 2);
+        assert_eq!(snapshot.counter("scheduler_failed_total"), 1);
     }
 
     #[test]
@@ -647,7 +590,7 @@ mod tests {
         let session = test_session();
         let circuit = chain_circuit(&session, 3);
         // No workers: the queue can only fill.
-        let scheduler = Scheduler::new(
+        let (scheduler, registry) = counted(
             session,
             &ServeConfig {
                 workers: 0,
@@ -663,7 +606,12 @@ mod tests {
             submit(&scheduler, &circuit, None).try_recv(),
             Ok(Err(ServeError::Overloaded { depth: 2 }))
         ));
-        assert_eq!(scheduler.stats().rejected_overloaded, 1);
+        assert_eq!(
+            registry
+                .snapshot()
+                .counter("scheduler_rejected_overloaded_total"),
+            1
+        );
         assert_eq!(scheduler.queue_len(), 2);
     }
 
@@ -671,7 +619,7 @@ mod tests {
     fn shutdown_flushes_queued_requests_with_clean_errors() {
         let session = test_session();
         let circuit = chain_circuit(&session, 3);
-        let scheduler = Scheduler::new(
+        let (scheduler, registry) = counted(
             session,
             &ServeConfig {
                 workers: 0,
@@ -693,7 +641,12 @@ mod tests {
             submit(&scheduler, &circuit, None).try_recv(),
             Ok(Err(ServeError::ShuttingDown))
         ));
-        assert_eq!(scheduler.stats().rejected_shutdown, 4);
+        assert_eq!(
+            registry
+                .snapshot()
+                .counter("scheduler_rejected_shutdown_total"),
+            4
+        );
         // Idempotent.
         scheduler.shutdown();
     }
@@ -704,7 +657,7 @@ mod tests {
         let circuit = chain_circuit(&session, 3);
         // No workers: queue by hand, then drain both jobs so the shed point
         // is exercised deterministically.
-        let scheduler = Scheduler::new(
+        let (scheduler, registry) = counted(
             session,
             &ServeConfig {
                 workers: 0,
@@ -733,9 +686,9 @@ mod tests {
             live.recv().expect("terminal response").is_ok(),
             "the in-budget job still predicts"
         );
-        let stats = scheduler.stats();
-        assert_eq!(stats.deadline_shed, 1);
-        assert_eq!(stats.completed, 1);
+        let snapshot = registry.snapshot();
+        assert_eq!(snapshot.counter("scheduler_deadline_shed_total"), 1);
+        assert_eq!(snapshot.counter("scheduler_completed_total"), 1);
         // Queue wait is recorded per popped job, shed or not.
         assert_eq!(scheduler.shared.metrics.queue_wait_ns.count(), 2);
     }
@@ -745,7 +698,7 @@ mod tests {
         let engine_metrics = Arc::new(EngineMetrics::registered(&Registry::new()));
         let session = test_session().with_metrics(Arc::clone(&engine_metrics));
         let circuit = chain_circuit(&session, 3);
-        let scheduler = Scheduler::new(
+        let (scheduler, registry) = counted(
             session,
             &ServeConfig {
                 workers: 0,
@@ -767,9 +720,9 @@ mod tests {
         // The kernel's own series never saw a circuit.
         assert_eq!(engine_metrics.gnn.circuit_nodes.count(), 0);
         assert_eq!(engine_metrics.predict_ns.count(), 0);
-        let stats = scheduler.stats();
-        assert_eq!(stats.deadline_shed, 3);
-        assert_eq!(stats.completed, 0);
+        let snapshot = registry.snapshot();
+        assert_eq!(snapshot.counter("scheduler_deadline_shed_total"), 3);
+        assert_eq!(snapshot.counter("scheduler_completed_total"), 0);
 
         // The same circuit in budget does reach the kernel.
         assert!(drain_one(Instant::now() + Duration::from_secs(3600)).is_ok());
@@ -782,7 +735,7 @@ mod tests {
         let circuit = chain_circuit(&session, 3);
         let faults =
             Arc::new(FaultPlan::seeded(11).inject_limited(Stage::Infer, FaultKind::Panic, 1.0, 3));
-        let scheduler = Scheduler::new(
+        let (scheduler, registry) = counted(
             session,
             &ServeConfig {
                 workers: 1,
@@ -807,11 +760,15 @@ mod tests {
             .predict(Arc::clone(&circuit))
             .expect("worker survived three panics");
         assert!(!probs.is_empty());
-        let stats = scheduler.stats();
-        assert_eq!(stats.worker_panics_recovered, 3);
-        assert_eq!(stats.worker_respawns, 0, "catch_unwind kept the thread");
-        assert_eq!(stats.failed, 3);
-        assert_eq!(stats.completed, 1);
+        let snapshot = registry.snapshot();
+        assert_eq!(snapshot.counter("worker_panics_recovered_total"), 3);
+        assert_eq!(
+            snapshot.counter("worker_respawns_total"),
+            0,
+            "catch_unwind kept the thread"
+        );
+        assert_eq!(snapshot.counter("scheduler_failed_total"), 3);
+        assert_eq!(snapshot.counter("scheduler_completed_total"), 1);
         scheduler.shutdown();
     }
 
@@ -855,7 +812,7 @@ mod tests {
         let circuit = chain_circuit(&session, 3);
         // No workers at start: the only drain capacity will come from the
         // respawn path.
-        let scheduler = Scheduler::new(
+        let (scheduler, registry) = counted(
             session,
             &ServeConfig {
                 workers: 0,
@@ -878,7 +835,7 @@ mod tests {
             .predict(Arc::clone(&circuit))
             .expect("replacement worker drains the queue");
         assert!(!probs.is_empty());
-        assert_eq!(scheduler.stats().worker_respawns, 1);
+        assert_eq!(registry.snapshot().counter("worker_respawns_total"), 1);
         scheduler.shutdown(); // joins the respawned worker too
     }
 

@@ -14,14 +14,13 @@
 //! thread count stays flat — one loop plus the configured workers — at any
 //! connection fleet size.
 
+use crate::cache::{request_key, CircuitCache};
 use crate::conn::{Conn, ConnTable, Flush, LineOverflow};
 use crate::fault::panic_message;
+use crate::metrics::{snapshot_to_value, stats_to_value};
 use crate::poll::{waker, Event, Interest, Poller, WakeReceiver, Waker};
 use crate::scheduler::Outcome;
-use crate::{
-    b64, request_key, snapshot_to_value, CacheStats, CircuitCache, Scheduler, SchedulerStats,
-    ServeConfig, ServeError, ServeMetrics,
-};
+use crate::{b64, Scheduler, ServeConfig, ServeError, ServeMetrics};
 use deepgate::telemetry::{RequestTrace, SlowLog, Stage};
 use deepgate::{AigerBytes, BenchText, Engine, LatchPolicy, PreparedCircuit};
 use serde::{Serialize, Value};
@@ -51,38 +50,6 @@ const DRAIN_POLL: Duration = Duration::from_millis(20);
 /// How long the drain waits for clients to accept already-buffered
 /// responses before cutting the remaining connections.
 const DRAIN_GRACE: Duration = Duration::from_secs(3);
-
-/// A point-in-time snapshot of every serving counter, serialised verbatim
-/// into the `stats` wire response.
-#[derive(Debug, Clone, Copy)]
-pub struct ServerStats {
-    /// Scheduler counters (queueing, shedding, completion).
-    pub scheduler: SchedulerStats,
-    /// Structural-cache counters.
-    pub cache: CacheStats,
-    /// Connections accepted since start.
-    pub connections: u64,
-    /// Connections cut by the hygiene layer (idle past `idle_timeout`, or
-    /// trickling a request line past `line_timeout`).
-    pub connections_reaped: u64,
-    /// Connections refused at accept because `max_connections` were open.
-    pub connections_rejected: u64,
-    /// Response writes dropped on a client that stopped reading within
-    /// `write_timeout`.
-    pub write_timeouts: u64,
-    /// Request-handler panics converted into error responses.
-    pub request_panics_recovered: u64,
-}
-
-serde::fields!(Serialize for ServerStats {
-    scheduler,
-    cache,
-    connections,
-    connections_reaped,
-    connections_rejected,
-    write_timeouts,
-    request_panics_recovered,
-});
 
 struct Inner {
     engine: Engine,
@@ -189,11 +156,6 @@ impl Server {
         self.inner.addr
     }
 
-    /// Current counters, derived from one telemetry snapshot.
-    pub fn stats(&self) -> ServerStats {
-        self.inner.stats()
-    }
-
     /// The server's telemetry: every series of the serving stack, readable
     /// through one consistent [`ServeMetrics::snapshot`].
     pub fn metrics(&self) -> &ServeMetrics {
@@ -255,22 +217,6 @@ impl Drop for Server {
 }
 
 impl Inner {
-    /// Builds the `stats` response from ONE registry snapshot, so the
-    /// scheduler and cache sections describe the same instant instead of
-    /// being polled from each subsystem separately.
-    fn stats(&self) -> ServerStats {
-        let snapshot = self.metrics.snapshot();
-        ServerStats {
-            scheduler: SchedulerStats::from_snapshot(&snapshot),
-            cache: CacheStats::from_snapshot(&snapshot),
-            connections: snapshot.counter("connections_accepted_total"),
-            connections_reaped: snapshot.counter("connections_reaped_total"),
-            connections_rejected: snapshot.counter("connections_rejected_total"),
-            write_timeouts: snapshot.counter("write_timeouts_total"),
-            request_panics_recovered: snapshot.counter("request_panics_recovered_total"),
-        }
-    }
-
     /// Consults the fault plan at a stage hook: panic and delay faults
     /// apply in place (the panic unwinds into the caller's recovery layer),
     /// I/O faults surface as [`ServeError::Internal`].
@@ -1250,7 +1196,10 @@ fn handle_line(inner: &Arc<Inner>, line: &str, trace: &mut RequestTrace) -> Line
         "stats" => {
             inner.metrics.requests_stats.inc();
             let mut response = object_with_id(id);
-            response.insert("stats".to_string(), inner.stats().serialize());
+            response.insert(
+                "stats".to_string(),
+                stats_to_value(&inner.metrics.snapshot()),
+            );
             LineAction::reply(Value::Object(response))
         }
         "metrics" => {

@@ -215,11 +215,13 @@ fn c10k_512_concurrent_connections_flat_thread_count() {
         fleet,
         "every request must get exactly one terminal response"
     );
-    let stats = server.stats();
+    let accepted = server
+        .metrics()
+        .snapshot()
+        .counter("connections_accepted_total");
     assert!(
-        stats.connections >= fleet as u64,
-        "accepted {} connections, expected at least {fleet}",
-        stats.connections
+        accepted >= fleet as u64,
+        "accepted {accepted} connections, expected at least {fleet}"
     );
     server.shutdown();
 }

@@ -118,10 +118,10 @@ fn predict_roundtrips_and_matches_local_inference() {
     // The same circuit again: served from the structural cache.
     let response = client.roundtrip(&request);
     assert_eq!(probs_of(&response), probs);
-    let stats = server.stats();
-    assert_eq!(stats.cache.hits, 1);
-    assert_eq!(stats.cache.misses, 1);
-    assert_eq!(stats.scheduler.completed, 2);
+    let snapshot = server.metrics().snapshot();
+    assert_eq!(snapshot.counter("cache_text_hits_total"), 1);
+    assert_eq!(snapshot.counter("cache_misses_total"), 1);
+    assert_eq!(snapshot.counter("scheduler_completed_total"), 2);
     server.shutdown();
 }
 
@@ -143,12 +143,12 @@ fn structurally_identical_texts_share_one_cache_entry() {
         let response = client.roundtrip(&request);
         assert!(field(&response, "probs").as_array().is_some());
     }
-    let stats = server.stats();
+    let snapshot = server.metrics().snapshot();
     // Text differs, structure does not: the fingerprint level hits, so one
     // prepared entry serves both requests.
-    assert_eq!(stats.cache.entries, 1);
-    assert_eq!(stats.cache.hits, 1);
-    assert_eq!(stats.cache.misses, 1);
+    assert_eq!(snapshot.gauge("cache_entries"), 1);
+    assert_eq!(snapshot.counter("cache_fingerprint_hits_total"), 1);
+    assert_eq!(snapshot.counter("cache_misses_total"), 1);
     server.shutdown();
 }
 
@@ -249,6 +249,117 @@ fn stats_response_key_set_is_pinned() {
             "stats.scheduler.worker_respawns",
             "stats.write_timeouts",
         ]
+    );
+    server.shutdown();
+}
+
+/// The `stats` wire values, pinned: a fresh server's response byte for
+/// byte, and — after a miss, a text hit and a fingerprint hit — every leaf
+/// equal to its series in one registry snapshot.
+#[test]
+fn stats_response_values_are_pinned() {
+    let server = start_server(ServeConfig::default());
+    let mut client = Client::connect(&server);
+    client
+        .writer
+        .write_all(b"{\"id\": 1, \"op\": \"stats\"}\n")
+        .expect("request written");
+    let mut line = String::new();
+    client
+        .reader
+        .read_line(&mut line)
+        .expect("response arrives");
+    assert_eq!(
+        line,
+        concat!(
+            r#"{"id":1,"stats":{"cache":{"capacity":256,"entries":0,"fingerprint_hits":0,"#,
+            r#""hits":0,"misses":0,"text_hits":0},"connections":1,"connections_reaped":0,"#,
+            r#""connections_rejected":0,"request_panics_recovered":0,"scheduler":{"#,
+            r#""completed":0,"deadline_shed":0,"failed":0,"rejected_overloaded":0,"#,
+            r#""rejected_shutdown":0,"submitted":0,"worker_panics_recovered":0,"#,
+            r#""worker_respawns":0},"write_timeouts":0}}"#,
+            "\n"
+        )
+    );
+
+    // A miss, a byte-identical repeat and a reformatted copy.
+    let commented = format!("# reformatted\n{FULL_ADDER}");
+    for text in [FULL_ADDER, FULL_ADDER, &commented] {
+        let request = request_of(&[("bench", Value::Str(text.to_string()))]);
+        assert!(field(&client.roundtrip(&request), "probs")
+            .as_array()
+            .is_some());
+    }
+    let response = client.roundtrip(r#"{"op": "stats"}"#);
+    let snapshot = server.metrics().snapshot();
+    let counter = |name: &str| Value::UInt(snapshot.counter(name));
+    let gauge = |name: &str| Value::UInt(snapshot.gauge(name).max(0) as u64);
+    let object = |pairs: Vec<(&str, Value)>| {
+        Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    };
+    let expected = object(vec![
+        (
+            "cache",
+            object(vec![
+                ("capacity", gauge("cache_capacity")),
+                ("entries", gauge("cache_entries")),
+                ("fingerprint_hits", counter("cache_fingerprint_hits_total")),
+                (
+                    "hits",
+                    Value::UInt(
+                        snapshot.counter("cache_text_hits_total")
+                            + snapshot.counter("cache_fingerprint_hits_total"),
+                    ),
+                ),
+                ("misses", counter("cache_misses_total")),
+                ("text_hits", counter("cache_text_hits_total")),
+            ]),
+        ),
+        ("connections", counter("connections_accepted_total")),
+        ("connections_reaped", counter("connections_reaped_total")),
+        (
+            "connections_rejected",
+            counter("connections_rejected_total"),
+        ),
+        (
+            "request_panics_recovered",
+            counter("request_panics_recovered_total"),
+        ),
+        (
+            "scheduler",
+            object(vec![
+                ("completed", counter("scheduler_completed_total")),
+                ("deadline_shed", counter("scheduler_deadline_shed_total")),
+                ("failed", counter("scheduler_failed_total")),
+                (
+                    "rejected_overloaded",
+                    counter("scheduler_rejected_overloaded_total"),
+                ),
+                (
+                    "rejected_shutdown",
+                    counter("scheduler_rejected_shutdown_total"),
+                ),
+                ("submitted", counter("scheduler_submitted_total")),
+                (
+                    "worker_panics_recovered",
+                    counter("worker_panics_recovered_total"),
+                ),
+                ("worker_respawns", counter("worker_respawns_total")),
+            ]),
+        ),
+        ("write_timeouts", counter("write_timeouts_total")),
+    ]);
+    let stats = field(&response, "stats");
+    assert_eq!(stats, &expected);
+    let cache = field(stats, "cache");
+    assert_eq!(field(cache, "text_hits"), &Value::UInt(1));
+    assert_eq!(field(cache, "fingerprint_hits"), &Value::UInt(1));
+    assert_eq!(field(cache, "hits"), &Value::UInt(2));
+    assert_eq!(field(cache, "misses"), &Value::UInt(1));
+    assert_eq!(field(cache, "entries"), &Value::UInt(1));
+    assert_eq!(
+        field(field(stats, "scheduler"), "completed"),
+        &Value::UInt(3)
     );
     server.shutdown();
 }
@@ -758,9 +869,9 @@ fn a_one_byte_at_a_time_reader_drains_without_tripping_the_write_deadline() {
     drop(reader);
     drop(writer);
 
-    let stats = server.stats();
     assert_eq!(
-        stats.write_timeouts, 0,
+        server.metrics().snapshot().counter("write_timeouts_total"),
+        0,
         "a progressing reader must never count as a write timeout"
     );
     server.shutdown();
@@ -871,7 +982,13 @@ fn server_side_default_deadline_caps_every_request() {
         matches!(field(&response, "error"), Value::Str(m) if m.contains("deadline exceeded")),
         "{response:?}"
     );
-    assert_eq!(server.stats().scheduler.deadline_shed, 2);
+    assert_eq!(
+        server
+            .metrics()
+            .snapshot()
+            .counter("scheduler_deadline_shed_total"),
+        2
+    );
     server.shutdown();
 }
 
@@ -904,7 +1021,7 @@ fn aiger_payloads_flow_through_the_wire_in_both_latch_modes() {
     ]);
     let bin_probs = probs_of(&client.roundtrip(&binary_request));
     assert_eq!(bin_probs, cut_probs);
-    assert_eq!(server.stats().cache.entries, 1);
+    assert_eq!(server.metrics().snapshot().gauge("cache_entries"), 1);
 
     // Unrolling time-frame-expands the latch transition logic (with frame-0
     // reset constants folded in), yielding a structurally different circuit
@@ -921,7 +1038,7 @@ fn aiger_payloads_flow_through_the_wire_in_both_latch_modes() {
     let unrolled_probs = probs_of(&client.roundtrip(&unrolled_request));
     assert!(!unrolled_probs.is_empty());
     assert_ne!(unrolled_probs, cut_probs);
-    assert_eq!(server.stats().cache.entries, 2);
+    assert_eq!(server.metrics().snapshot().gauge("cache_entries"), 2);
     server.shutdown();
 }
 

@@ -204,7 +204,12 @@ impl Serialize for f32 {
 
 impl Deserialize for f32 {
     fn deserialize(v: &Value) -> Result<Self, DeError> {
-        f64::deserialize(v).map(|f| f as f32)
+        let wide = f64::deserialize(v)?;
+        let narrow = wide as f32;
+        if !narrow.is_finite() {
+            return Err(DeError::custom(&format!("{wide} is outside the f32 range")));
+        }
+        Ok(narrow)
     }
 }
 
@@ -312,5 +317,21 @@ impl Serialize for Value {
 impl Deserialize for Value {
     fn deserialize(v: &Value) -> Result<Self, DeError> {
         Ok(v.clone())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn f32_range_boundary() {
+        let max = f32::MAX as f64;
+        assert_eq!(f32::deserialize(&Value::Float(max)), Ok(f32::MAX));
+        assert_eq!(f32::deserialize(&Value::Float(-max)), Ok(f32::MIN));
+        assert!(f32::deserialize(&Value::Float(1e39)).is_err());
+        assert!(f32::deserialize(&Value::Float(-1e39)).is_err());
+        // JSON text such as `1e400` parses to an infinite f64.
+        assert!(f32::deserialize(&Value::Float(f64::INFINITY)).is_err());
     }
 }

@@ -49,30 +49,23 @@ impl PreparedCircuit {
 ///
 /// There is one scoring mode: the kernel's probabilities are bit-identical
 /// to the training forward (`ProbabilityModel::try_forward`), which
-/// `crates/gnn/tests/csr_parity.rs` holds it to.
+/// `crates/gnn/tests/csr_parity.rs` holds it to. Every prediction runs the
+/// model's own `num_iterations` recurrence steps; a sweep over `T` (the
+/// paper's Section IV-D2) calls `DagRecGnn::predict_planned` with each `T`
+/// directly.
 #[derive(Debug)]
 pub struct InferenceSession {
     model: DeepGate,
-    iterations: usize,
     metrics: Option<Arc<EngineMetrics>>,
 }
 
 impl InferenceSession {
     /// Wraps a model in a session.
     pub fn new(model: DeepGate) -> Self {
-        let iterations = model.config().num_iterations;
         InferenceSession {
             model,
-            iterations,
             metrics: None,
         }
-    }
-
-    /// Overrides the recurrence iteration count `T` used at inference time
-    /// (the paper's Section IV-D2 sweeps this without retraining).
-    pub fn with_iterations(mut self, iterations: usize) -> Self {
-        self.iterations = iterations.max(1);
-        self
     }
 
     /// Attaches telemetry: plan builds and every planned prediction record
@@ -178,7 +171,8 @@ impl InferenceSession {
         let metrics = self.metrics.as_deref();
         let predict_start = metrics.map(|_| Instant::now());
         let (model, store) = (self.model.model(), self.model.store());
-        model.predict_planned(store, plan, self.iterations, out, metrics.map(|m| &m.gnn))?;
+        let iterations = self.model.config().num_iterations;
+        model.predict_planned(store, plan, iterations, out, metrics.map(|m| &m.gnn))?;
         if let (Some(m), Some(start)) = (metrics, predict_start) {
             m.predict_ns.record_duration(start.elapsed());
         }

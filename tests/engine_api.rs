@@ -565,21 +565,6 @@ fn prepared_batches_agree_with_fresh_predictions() {
 }
 
 #[test]
-fn session_iteration_override_changes_predictions() {
-    let engine = quick_engine();
-    let circuits = engine
-        .prepare(&BenchText::new("full_adder", FULL_ADDER))
-        .unwrap();
-    let base = engine.session().predict(&circuits[0]).unwrap();
-    let deeper = engine
-        .session()
-        .with_iterations(6)
-        .predict(&circuits[0])
-        .unwrap();
-    assert!(base.iter().zip(&deeper).any(|(a, b)| (a - b).abs() > 1e-7));
-}
-
-#[test]
 fn checkpoint_roundtrips_through_builder_json() {
     let engine = quick_engine();
     let json = engine.checkpoint_json().unwrap();
@@ -662,6 +647,26 @@ fn checkpoint_tensor_shorter_than_its_shape_is_refused() {
             DeepGateError::Nn(NnError::ShapeMismatch { expected, got, .. })
                 if expected == &[36] && got == &[1]
         ),
+        "{err}"
+    );
+}
+
+#[test]
+fn checkpoint_weight_beyond_f32_range_is_refused() {
+    // A finite JSON number that no f32 can hold must not load as infinity.
+    let json = edited_checkpoint(|c| {
+        let bias = field(field(c, "weights"), "dagrec.embed.bias");
+        match field(bias, "data") {
+            Value::Array(data) => data[0] = Value::Float(1e39),
+            _ => panic!("tensor data is an array"),
+        }
+    });
+    let err = Engine::builder()
+        .from_checkpoint_json(json)
+        .build()
+        .unwrap_err();
+    assert!(
+        matches!(&err, DeepGateError::Nn(NnError::Serde(_))),
         "{err}"
     );
 }
