@@ -1,5 +1,5 @@
 use crate::{AigError, AigLit};
-use deepgate_netlist::{Dag, GateKind, Netlist, NodeId};
+use deepgate_netlist::{Dag, GateKind, Netlist, NodeId, WordProgram};
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
@@ -604,16 +604,17 @@ impl Dag for Aig {
         outputs.chain(self.latches.iter().map(|latch| latch.next.node()))
     }
 
-    fn eval_words(&self, sources: &[u64], values: &mut [u64]) {
-        values[0] = 0;
-        values[1..self.first_and()].copy_from_slice(sources);
-        // A literal's word: its node's, XOR all ones when complemented.
-        let word = |values: &[u64], lit: AigLit| {
-            values[lit.node()] ^ u64::from(lit.is_complemented()).wrapping_neg()
-        };
-        for (i, [a, b]) in self.ands() {
-            values[i] = word(values, a) & word(values, b);
+    fn program(&self) -> WordProgram {
+        let mut program = WordProgram::with_capacity(self.len());
+        program.gate(GateKind::Const0, []);
+        for _ in 1..self.first_and() {
+            program.source();
         }
+        for (_, fanins) in self.ands() {
+            let invert = fanins.map(AigLit::is_complemented);
+            program.and(fanins.map(AigLit::node), invert);
+        }
+        program
     }
 
     fn validate(&self) -> Result<(), AigError> {

@@ -913,7 +913,8 @@ impl DagRecGnn {
 /// zero row on every edge, overwritten on each skip edge with the projection
 /// of its γ(D) at `frequencies`. Each value is the one projecting the dense
 /// `[edges, attr_dim]` rows gives (a zero row projects to `0.0 + b`),
-/// without building them.
+/// without building them, and each distinct level difference is encoded
+/// and projected once per call.
 fn attr_bias(
     agg: &Aggregator,
     store: &ParamStore,
@@ -935,8 +936,15 @@ fn attr_bias(
         out[0]
     };
     let mut bias = vec![project(&vec![0.0; plan.attr_dim]); plan.forward.num_edges()];
+    // Skip edges share a few level differences: project each one once.
+    let mut by_diff: Vec<Option<f32>> = Vec::new();
     for &(edge, diff) in &plan.skips {
-        bias[edge as usize] = project(&positional_encoding(diff as usize, frequencies));
+        let diff = diff as usize;
+        if by_diff.len() <= diff {
+            by_diff.resize(diff + 1, None);
+        }
+        bias[edge as usize] =
+            *by_diff[diff].get_or_insert_with(|| project(&positional_encoding(diff, frequencies)));
     }
     Some(bias)
 }

@@ -1,5 +1,6 @@
 //! The circuit interface every analysis reads.
 
+use crate::WordProgram;
 use std::fmt::Display;
 
 /// A circuit as a DAG whose node ids `0..num_nodes()` are a topological
@@ -18,7 +19,7 @@ pub trait Dag: Sync {
     fn num_nodes(&self) -> usize;
 
     /// Number of sources: the free nodes one input word each drives in
-    /// [`Dag::eval_words`] — the primary inputs in declaration order, then
+    /// [`Dag::program`] — the primary inputs in declaration order, then
     /// an AIG's latch states in latch-table order (the order `Aig::to_netlist`
     /// gives them as pseudo-inputs).
     fn num_sources(&self) -> usize;
@@ -31,15 +32,12 @@ pub trait Dag: Sync {
     /// the primary outputs, then an AIG's latch next-states.
     fn sinks(&self) -> impl Iterator<Item = usize> + '_;
 
-    /// One sweep of 64 patterns: `sources[k]` holds 64 patterns of source
-    /// `k`; writes one word per node into `values`, bit `b` of word `i` the
-    /// value of node `i` under pattern `b`. Every word of `values` is
-    /// overwritten and nothing is allocated, so one buffer serves any number
-    /// of sweeps. The circuit must be valid, `sources` hold
-    /// [`Dag::num_sources`] words and `values` [`Dag::num_nodes`];
-    /// `deepgate_sim::simulate_words` is the checked form that returns a
-    /// fresh `Vec`.
-    fn eval_words(&self, sources: &[u64], values: &mut [u64]);
+    /// This circuit compiled for simulation: one op per node, in node
+    /// order, source `k` the `k`-th source node. Gate arities are checked
+    /// once, here, so [`WordProgram::run`] evaluates rows of 64 patterns
+    /// with no check per node. The circuit must be valid;
+    /// `deepgate_sim::simulate_words` is the checked one-row form.
+    fn program(&self) -> WordProgram;
 
     /// Checks the invariants the other methods rely on.
     ///

@@ -1,3 +1,4 @@
+use std::array;
 use std::fmt;
 
 /// The combinational gate alphabet supported by [`crate::Netlist`].
@@ -130,8 +131,7 @@ impl GateKind {
     }
 
     /// Evaluates the gate over 64 packed Boolean patterns per fan-in, read
-    /// in argument order from `inputs` (a slice's words, or a netlist
-    /// node's fan-in words straight from its value buffer).
+    /// in argument order from `inputs`.
     ///
     /// # Panics
     ///
@@ -144,29 +144,50 @@ impl GateKind {
         I: IntoIterator<Item = u64>,
         I::IntoIter: ExactSizeIterator,
     {
-        let mut inputs = inputs.into_iter();
+        let inputs = inputs.into_iter();
         assert!(
             self.accepts_arity(inputs.len()),
             "gate kind {self} cannot take {} fan-ins",
             inputs.len()
         );
+        let [word] = self.eval_lanes(inputs.map(|word| [word]));
+        word
+    }
+
+    /// [`GateKind::eval_words`] over `W` lanes of words per fan-in at once:
+    /// lane `l` of the result is the gate over lane `l` of every fan-in. The
+    /// arity is the caller's to have checked, as
+    /// [`WordProgram::gate`](crate::WordProgram::gate) does when it builds
+    /// the op.
+    pub(crate) fn eval_lanes<const W: usize>(
+        self,
+        mut inputs: impl Iterator<Item = [u64; W]>,
+    ) -> [u64; W] {
+        fn fold<const W: usize>(
+            inputs: impl Iterator<Item = [u64; W]>,
+            init: u64,
+            op: impl Fn(u64, u64) -> u64,
+        ) -> [u64; W] {
+            inputs.fold([init; W], |acc, w| array::from_fn(|l| op(acc[l], w[l])))
+        }
+        let not = |w: [u64; W]| w.map(|x| !x);
         let mut next = || inputs.next().expect("arity checked");
         match self {
             GateKind::Input => panic!("primary inputs have no evaluation"),
-            GateKind::Const0 => 0,
-            GateKind::Const1 => u64::MAX,
+            GateKind::Const0 => [0; W],
+            GateKind::Const1 => [u64::MAX; W],
             GateKind::Buf => next(),
-            GateKind::Not => !next(),
+            GateKind::Not => not(next()),
             GateKind::Mux => {
                 let (sel, a, b) = (next(), next(), next());
-                (!sel & a) | (sel & b)
+                array::from_fn(|l| (!sel[l] & a[l]) | (sel[l] & b[l]))
             }
-            GateKind::And => inputs.fold(u64::MAX, |acc, w| acc & w),
-            GateKind::Nand => !inputs.fold(u64::MAX, |acc, w| acc & w),
-            GateKind::Or => inputs.fold(0, |acc, w| acc | w),
-            GateKind::Nor => !inputs.fold(0, |acc, w| acc | w),
-            GateKind::Xor => inputs.fold(0, |acc, w| acc ^ w),
-            GateKind::Xnor => !inputs.fold(0, |acc, w| acc ^ w),
+            GateKind::And => fold(inputs, u64::MAX, |acc, w| acc & w),
+            GateKind::Nand => not(fold(inputs, u64::MAX, |acc, w| acc & w)),
+            GateKind::Or => fold(inputs, 0, |acc, w| acc | w),
+            GateKind::Nor => not(fold(inputs, 0, |acc, w| acc | w)),
+            GateKind::Xor => fold(inputs, 0, |acc, w| acc ^ w),
+            GateKind::Xnor => not(fold(inputs, 0, |acc, w| acc ^ w)),
         }
     }
 

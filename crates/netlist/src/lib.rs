@@ -7,9 +7,12 @@
 //!   inputs and outputs, supporting the common combinational gate alphabet
 //!   (AND/NAND/OR/NOR/XOR/XNOR/NOT/BUF/MUX plus constants).
 //! - [`Dag`] — the circuit interface every analysis reads: nodes in
-//!   topological order with their fan-ins, sources, sinks and one 64-pattern
-//!   evaluation, with logic levels and fan-out counts written once on top.
-//!   `Netlist` implements it here and `deepgate_aig::Aig` in its own crate.
+//!   topological order with their fan-ins, sources, sinks and their
+//!   [`WordProgram`], with logic levels and fan-out counts written once on
+//!   top. `Netlist` implements it here and `deepgate_aig::Aig` in its own
+//!   crate.
+//! - [`WordProgram`] — a circuit compiled for simulation: one op per node,
+//!   evaluated over several rows of 64 packed patterns per walk.
 //! - [`GateKind`] — the gate alphabet together with bit- and word-level
 //!   evaluation.
 //! - [`mod@bench`] — a reader and writer for the ISCAS/BENCH text format, the
@@ -46,6 +49,7 @@ mod dag;
 mod error;
 mod gate;
 mod netlist;
+mod program;
 pub mod verilog;
 
 pub use builder::NetlistBuilder;
@@ -53,3 +57,4 @@ pub use dag::Dag;
 pub use error::NetlistError;
 pub use gate::GateKind;
 pub use netlist::{Netlist, Node, NodeId};
+pub use program::WordProgram;

@@ -1,4 +1,4 @@
-use crate::{Dag, GateKind, NetlistError};
+use crate::{Dag, GateKind, NetlistError, WordProgram};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -419,14 +419,15 @@ impl Dag for Netlist {
         self.outputs.iter().map(|(id, _)| id.index())
     }
 
-    fn eval_words(&self, sources: &[u64], values: &mut [u64]) {
-        let mut sources = sources.iter();
-        for (i, node) in self.nodes.iter().enumerate() {
-            values[i] = match node.kind {
-                GateKind::Input => *sources.next().expect("one word per input"),
-                kind => kind.eval_words(node.fanins.iter().map(|f| values[f.index()])),
-            };
+    fn program(&self) -> WordProgram {
+        let mut program = WordProgram::with_capacity(self.nodes.len());
+        for node in &self.nodes {
+            match node.kind {
+                GateKind::Input => program.source(),
+                kind => program.gate(kind, node.fanins.iter().map(|f| f.index())),
+            }
         }
+        program
     }
 
     fn validate(&self) -> Result<(), NetlistError> {

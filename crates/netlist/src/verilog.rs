@@ -383,11 +383,8 @@ endmodule
             0xCCCC_CCCC_CCCC_CCCC,
             0xF0F0_F0F0_F0F0_F0F0,
         ];
-        let output = |net: &Netlist| {
-            let mut values = vec![0; net.len()];
-            crate::Dag::eval_words(net, &sources, &mut values);
-            values[net.outputs()[0].0.index()]
-        };
+        let output =
+            |net: &Netlist| crate::Dag::program(net).eval(&sources)[net.outputs()[0].0.index()];
         assert_eq!(output(&n), output(&parsed));
         assert_eq!(output(&n), 0xCACA_CACA_CACA_CACA, "mux(s, a, b)");
     }

@@ -8,19 +8,27 @@
 //! expansion or an original-gate `Netlist`:
 //!
 //! - [`simulate_words`] — 64-way bit-parallel evaluation of a pattern word
-//!   per node, input count and circuit checked: the checked form of
-//!   [`Dag::eval_words`](deepgate_netlist::Dag::eval_words), which writes
-//!   into a caller's buffer.
+//!   per node, input count and circuit checked: the circuit's program run
+//!   over one row, into a fresh `Vec`.
 //! - [`SignalProbability`] — Monte-Carlo estimation over many pattern words
 //!   and exhaustive enumeration for circuits with at most 20 sources, one
-//!   validate-then-count pass whose rows are split into one contiguous range
-//!   per core, each counted on its own scoped thread. A thread makes the
-//!   rows of its range itself, into buffers allocated once before any
-//!   thread starts, so a pass allocates nothing per row. An AIG's latch
-//!   states are free sources, like its primary inputs.
+//!   validate-compile-count pass. Each walk of the program evaluates
+//!   [`SignalProbability::BLOCK_ROWS`] rows and counts the ones as it makes
+//!   each node's words. A pass large enough to pay for a thread splits its
+//!   rows into one contiguous range per core, each counted on its own
+//!   scoped thread; a small one runs on the caller. A thread makes the rows
+//!   of its range itself, into buffers allocated once before any thread
+//!   starts, so a pass allocates nothing per row. An AIG's latch states are
+//!   free sources, like its primary inputs.
 //! - [`PatternSource`] — seeded random pattern generation so every label in
 //!   the dataset pipeline is reproducible; a thread opens the one stream at
 //!   its first row, so the split never moves a bit.
+//!
+//! Every pass runs the circuit's
+//! [`WordProgram`](deepgate_netlist::WordProgram), compiled once by
+//! [`Dag::program`](deepgate_netlist::Dag::program): one op per node, gate
+//! arities checked when it is built, AND/NOT/BUF as one branch-free masked
+//! AND.
 //!
 //! # Example
 //!

@@ -53,15 +53,31 @@ fn exhaustive_row(r: usize, row: &mut [u64]) {
     }
 }
 
+/// Smallest pass, in node-words (nodes × rows), that spreads its rows
+/// across the cores, like the kernel's split threshold. Measured on a
+/// 2-vCPU Linux guest: a scoped thread costs ~35 µs to spawn and join, and
+/// two threads beat one only from ~100–150k node-words (a 130-node circuit
+/// at 50 000 patterns, 150 µs either way). The eight ~95-node training
+/// circuits at 15 000 patterns (~22k node-words each) run on the caller.
+const FAN_OUT_MIN_WORK: usize = 1 << 17;
+
 /// One counting thread's buffers, all allocated before any thread starts:
-/// its count of ones per node, one evaluated row and one source row.
+/// its count of ones per node, one block of evaluated words per node and
+/// one block of source rows.
 struct Lane {
     ones: Vec<u64>,
-    values: Vec<u64>,
-    row: Vec<u64>,
+    values: Vec<[u64; SignalProbability::BLOCK_ROWS]>,
+    rows: Vec<u64>,
 }
 
 impl SignalProbability {
+    /// Rows of 64 patterns evaluated per walk of a circuit's
+    /// [`WordProgram`](deepgate_netlist::WordProgram): each node holds this
+    /// many words per counting thread. Measured on a 2-vCPU guest over the
+    /// five Table III designs at 15 000 patterns, best of 5: 4 rows took
+    /// 13.5–15.6 ms, 8 rows 8.4–11.6 ms and 16 rows 12.4–13.0 ms.
+    pub const BLOCK_ROWS: usize = 8;
+
     /// Estimates the signal probabilities of a circuit — an AIG, its
     /// PI/AND/NOT expansion or an original-gate netlist (Table IV) — by
     /// simulating `num_patterns` random patterns (rounded up to a multiple of
@@ -78,7 +94,7 @@ impl SignalProbability {
         let sources = dag.num_sources();
         // Each thread opens the one stream at its first row, so every row
         // holds the words a single sequential source gives it.
-        Self::count(dag, num_patterns.div_ceil(64), |first| {
+        Self::count(dag, num_patterns.div_ceil(64), FAN_OUT_MIN_WORK, |first| {
             let mut patterns = PatternSource::new(sources, seed);
             patterns.skip_rows(first);
             move |_, row: &mut [u64]| patterns.fill_row(row)
@@ -104,7 +120,8 @@ impl SignalProbability {
         // Under 64 patterns (n < 6) the one row repeats all 2^n of them
         // 64 / 2^n times, which leaves every count over 64 the same
         // fraction, bit for bit.
-        let probs = Self::count(dag, (1usize << n).div_ceil(64), |_| exhaustive_row)?;
+        let rows = (1usize << n).div_ceil(64);
+        let probs = Self::count(dag, rows, FAN_OUT_MIN_WORK, |_| exhaustive_row)?;
         Ok(SignalProbability {
             num_patterns: 1 << n,
             exact: true,
@@ -113,37 +130,61 @@ impl SignalProbability {
     }
 
     /// The pass behind [`SignalProbability::simulate`] and
-    /// [`SignalProbability::exact`]: validates the circuit, then counts each
-    /// node's ones over `rows` rows of source words and divides by the
-    /// patterns they hold. The rows are cut into one contiguous range per
-    /// core, each counted on its own scoped thread into the [`Lane`]
-    /// allocated for it up front. `open(first)` returns the maker that writes
-    /// row `r` of a range starting at `first`, on the thread that evaluates
-    /// it. So the pass allocates nothing per row, and its peak depends on
-    /// neither the row count nor thread timing. Counts are integers, so the
-    /// split never moves a bit.
+    /// [`SignalProbability::exact`]: validates and compiles the circuit,
+    /// then counts each node's ones over `rows` rows of source words and
+    /// divides by the patterns they hold. A pass of at least `min_work`
+    /// node-words ([`FAN_OUT_MIN_WORK`] outside tests) cuts its rows into
+    /// one contiguous range per core, each counted on its own scoped thread;
+    /// a smaller one runs on the caller. Each range is counted into the
+    /// [`Lane`] allocated for it up front,
+    /// [`SignalProbability::BLOCK_ROWS`] rows per walk of the program, the
+    /// ones counted as the walk makes each node's words. `open(first)`
+    /// returns the maker that writes row `r` of a range starting at
+    /// `first`, on the thread that evaluates it. So the pass allocates
+    /// nothing per row, and its peak depends on neither the row count nor
+    /// thread timing. Counts are integers, so neither the split nor the
+    /// blocks move a bit.
     fn count<R: FnMut(usize, &mut [u64])>(
         dag: &impl Dag,
         rows: usize,
+        min_work: usize,
         open: impl Fn(usize) -> R + Sync,
     ) -> Result<Self, SimError> {
+        const W: usize = SignalProbability::BLOCK_ROWS;
         dag.validate().map_err(SimError::invalid)?;
-        let chunk = rows.div_ceil(cores()).max(1);
+        let program = dag.program();
+        let (nodes, sources) = (program.len(), program.num_sources());
+        let threads = if nodes.saturating_mul(rows) >= min_work {
+            cores()
+        } else {
+            1
+        };
+        // Whole blocks per range, so only the last range ends in a short one.
+        let chunk = rows.div_ceil(threads).next_multiple_of(W).max(W);
         let mut lanes: Vec<Lane> = (0..rows.div_ceil(chunk))
             .map(|_| Lane {
-                ones: vec![0; dag.num_nodes()],
-                values: vec![0; dag.num_nodes()],
-                row: vec![0; dag.num_sources()],
+                ones: vec![0; nodes],
+                values: vec![[0; W]; nodes],
+                rows: vec![0; W * sources],
             })
             .collect();
         let count_range = |first: usize, lane: &mut Lane| {
             let mut next_row = open(first);
-            for r in first..rows.min(first + chunk) {
-                next_row(r, &mut lane.row);
-                dag.eval_words(&lane.row, &mut lane.values);
-                for (count, word) in lane.ones.iter_mut().zip(&lane.values) {
-                    *count += u64::from(word.count_ones());
+            let end = rows.min(first + chunk);
+            for block in (first..end).step_by(W) {
+                // A short last block leaves its unused rows stale: they are
+                // evaluated with the rest but not counted.
+                let used = W.min(end - block);
+                for j in 0..used {
+                    next_row(block + j, &mut lane.rows[j * sources..(j + 1) * sources]);
                 }
+                let ones = &mut lane.ones;
+                program.run(&lane.rows, &mut lane.values, |i, words| {
+                    ones[i] += words[..used]
+                        .iter()
+                        .map(|w| u64::from(w.count_ones()))
+                        .sum::<u64>();
+                });
             }
         };
         if let Some((lane, helpers)) = lanes.split_first_mut() {
@@ -390,26 +431,38 @@ mod tests {
 
     #[test]
     fn streamed_random_rows_equal_the_row_table_fold() {
-        // 37 rows do not split evenly between cores.
+        // 37 rows do not split evenly between cores; W - 1, W and W + 1 rows
+        // end in a short block, none and a one-row one.
+        const W: usize = SignalProbability::BLOCK_ROWS;
         let (netlist, aig) = random_circuit(9, 60);
-        for patterns in [64usize, 128, 192, 2_368, 15_000] {
-            let rows = random_rows(9, 17, patterns.div_ceil(64));
+        let latched = random_latch_aig(6, 3, 60);
+        for rows in [1, 2, 3, W - 1, W, W + 1, 37, 235] {
+            let table = random_rows(9, 17, rows);
+            let patterns = 64 * rows - 63;
             let probs = SignalProbability::simulate(&netlist, patterns, 17).unwrap();
             assert_eq!(
                 bits(&probs),
-                row_table_fold(&netlist, &rows),
-                "netlist, {patterns}"
+                row_table_fold(&netlist, &table),
+                "netlist, {rows}"
             );
-            assert_eq!(probs.num_patterns(), rows.len() as u64 * 64);
+            assert_eq!(probs.num_patterns(), rows as u64 * 64);
             let probs = SignalProbability::simulate(&aig, patterns, 17).unwrap();
-            assert_eq!(bits(&probs), row_table_fold(&aig, &rows), "aig, {patterns}");
+            assert_eq!(bits(&probs), row_table_fold(&aig, &table), "aig, {rows}");
+            let probs = SignalProbability::simulate(&latched, patterns, 17).unwrap();
+            assert_eq!(
+                bits(&probs),
+                row_table_fold(&latched, &table),
+                "latches, {rows}"
+            );
         }
     }
 
     #[test]
     fn streamed_exhaustive_rows_equal_the_row_table_fold() {
-        for sources in (0..=8).chain([12]) {
+        // 9 sources make W = 8 rows.
+        for sources in (0..=9).chain([12]) {
             let (netlist, aig) = random_circuit(sources, 40);
+            let latched = random_latch_aig(sources / 2, sources - sources / 2, 40);
             let rows = exhaustive_rows(sources);
             let probs = SignalProbability::exact(&netlist).unwrap();
             assert_eq!(
@@ -420,6 +473,91 @@ mod tests {
             assert_eq!(probs.num_patterns(), 1 << sources);
             let probs = SignalProbability::exact(&aig).unwrap();
             assert_eq!(bits(&probs), row_table_fold(&aig, &rows), "aig, {sources}");
+            let probs = SignalProbability::exact(&latched).unwrap();
+            assert_eq!(
+                bits(&probs),
+                row_table_fold(&latched, &rows),
+                "latches, {sources}"
+            );
+        }
+    }
+
+    /// `inputs` inputs, `latches` latches and `ands` ANDs over literals of
+    /// either polarity picked by a fixed LCG, each latch's next state an
+    /// AND: a sequential AIG whose latch states are sources.
+    fn random_latch_aig(inputs: usize, latches: usize, ands: usize) -> Aig {
+        let mut aig = Aig::new("latches");
+        let mut lits = vec![AigLit::FALSE];
+        lits.extend((0..inputs).map(|i| aig.add_input(format!("x{i}"))));
+        lits.extend((0..latches).map(|l| aig.add_latch(format!("q{l}"))));
+        let mut state = 0x51_7cc1_b727_220au64;
+        let mut pick = |lits: &[AigLit]| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let lit = lits[(state >> 33) as usize % lits.len()];
+            if state >> 63 == 1 {
+                lit.complement()
+            } else {
+                lit
+            }
+        };
+        for _ in 0..ands {
+            let (a, b) = (pick(&lits), pick(&lits));
+            lits.push(aig.and(a, b));
+        }
+        for l in 0..latches {
+            aig.set_latch_next(l, pick(&lits));
+        }
+        aig.add_output(*lits.last().unwrap(), "y");
+        aig
+    }
+
+    /// The counts `count` makes of the first `rows` rows of `table`,
+    /// from `open`, inline and fanned out, each checked against the
+    /// row-table fold.
+    fn assert_counts<R: FnMut(usize, &mut [u64])>(
+        dag: &impl Dag,
+        table: &[Vec<u64>],
+        open: impl Fn(usize) -> R + Sync,
+        what: &str,
+    ) {
+        let want = row_table_fold(dag, table);
+        // Below the threshold a pass runs on the caller; from 0 node-words it
+        // fans out (on a host with one core, it runs inline either way).
+        for min_work in [usize::MAX, 0] {
+            let probs = SignalProbability::count(dag, table.len(), min_work, &open).unwrap();
+            assert_eq!(
+                bits(&probs),
+                want,
+                "{what}, {} rows, min_work {min_work}",
+                table.len()
+            );
+        }
+    }
+
+    #[test]
+    fn blocked_counts_equal_the_row_table_fold_at_every_tail() {
+        const W: usize = SignalProbability::BLOCK_ROWS;
+        let (netlist, aig) = random_circuit(14, 80);
+        let latched = random_latch_aig(9, 5, 80);
+        let enumeration = exhaustive_rows(14);
+        for rows in [1, W - 1, W, W + 1, 235] {
+            let random = |sources| random_rows(sources, 29, rows);
+            let open = |sources| {
+                move |first| {
+                    let mut patterns = PatternSource::new(sources, 29);
+                    patterns.skip_rows(first);
+                    move |_, row: &mut [u64]| patterns.fill_row(row)
+                }
+            };
+            assert_counts(&netlist, &random(14), open(14), "random, netlist");
+            assert_counts(&aig, &random(14), open(14), "random, aig");
+            assert_counts(&latched, &random(14), open(14), "random, latches");
+            let first = &enumeration[..rows];
+            assert_counts(&netlist, first, |_| exhaustive_row, "exact, netlist");
+            assert_counts(&aig, first, |_| exhaustive_row, "exact, aig");
+            assert_counts(&latched, first, |_| exhaustive_row, "exact, latches");
         }
     }
 

@@ -5,7 +5,7 @@ use crate::SimError;
 use deepgate_netlist::Dag;
 
 /// Evaluates a circuit for one row of source pattern words: the checked
-/// form of [`Dag::eval_words`], into a fresh `Vec`.
+/// one-row form of the circuit's [`Dag::program`], into a fresh `Vec`.
 ///
 /// `source_words[k]` holds 64 patterns for source `k` ([`Dag::num_sources`]:
 /// the primary inputs, then an AIG's latch states). Returns one word per
@@ -25,9 +25,7 @@ pub fn simulate_words(dag: &impl Dag, source_words: &[u64]) -> Result<Vec<u64>, 
         });
     }
     dag.validate().map_err(SimError::invalid)?;
-    let mut values = vec![0; dag.num_nodes()];
-    dag.eval_words(source_words, &mut values);
-    Ok(values)
+    Ok(dag.program().eval(source_words))
 }
 
 #[cfg(test)]

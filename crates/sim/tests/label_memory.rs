@@ -1,8 +1,9 @@
 //! Labelling memory, gated by count rather than by RSS: a counting global
 //! allocator reports the peak of live heap bytes, and the number of
 //! allocations, while `SignalProbability::{simulate, exact}` run. The
-//! counting pass allocates each thread's count vector, value buffer and
-//! source row once, before any thread starts, and makes its pattern rows on
+//! counting pass compiles the circuit once, allocates each thread's count
+//! vector, block of value words and block of source rows once, before any
+//! thread starts, and makes its pattern rows on
 //! the thread that uses them, so its peak depends on neither the pattern
 //! count nor thread timing. The allocator is process-wide, so this binary
 //! holds exactly one test and runs it from its own `main` (`harness =
@@ -86,10 +87,10 @@ fn labelling_holds_one_count_vector_per_thread_not_per_row() {
 
     let netlist = random_netlist(32, 10_000);
     let node_bytes = netlist.num_nodes() * size_of::<u64>();
-    // A warm-up pass of two rows, one per core on two cores, so one-time
-    // allocations (the core count, a first thread) are not charged to
-    // either measured run.
-    SignalProbability::simulate(&netlist, 128, 1).unwrap();
+    // A warm-up pass large enough to fan out (16 rows of 10k nodes), so
+    // one-time allocations (the core count, a first thread) are not
+    // charged to either measured run.
+    SignalProbability::simulate(&netlist, 1_024, 1).unwrap();
     let (small, small_allocs) =
         peak_during(|| SignalProbability::simulate(&netlist, 4_096, 1).unwrap());
     let (large, large_allocs) =
@@ -105,18 +106,24 @@ fn labelling_holds_one_count_vector_per_thread_not_per_row() {
     );
     println!("simulate: {small} / {large} bytes peak, {small_allocs} allocations each");
 
-    // Per thread: its count vector and one value buffer; then the result
-    // beside the summed counts. No term for the rows.
+    // Per thread: its count vector and one block of `BLOCK_ROWS` words per
+    // node; then the circuit's compiled program, and the result beside the
+    // summed counts. No term for the rows.
+    let per_thread = SignalProbability::BLOCK_ROWS + 1;
     for (sources, gates) in [(16, 10_000), (20, 1_000)] {
         let netlist = random_netlist(sources, gates);
         let node_bytes = netlist.num_nodes() * size_of::<u64>();
-        let bound = (2 * cores + 2) * node_bytes + slack;
+        let (program, _) = peak_during(|| netlist.program());
+        let bound = (per_thread * cores + 2) * node_bytes + program + slack;
         let (exact, _) = peak_during(|| SignalProbability::exact(&netlist).unwrap());
         assert!(
             exact <= bound,
             "exact at {sources} sources peaked at {exact} bytes, over {bound} \
-             ({cores} cores, {node_bytes} bytes per node vector)"
+             ({cores} cores, {node_bytes} bytes per node vector, {program} for the program)"
         );
-        println!("exact at {sources} sources: {exact} bytes peak, bound {bound}");
+        println!(
+            "exact at {sources} sources: {exact} bytes peak, bound {bound} \
+             ({program} for the program)"
+        );
     }
 }

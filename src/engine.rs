@@ -274,8 +274,10 @@ impl Engine {
     /// Ingests circuits from a source and prepares them for learning:
     /// (optional) AIG transformation and optimisation, signal-probability
     /// labelling by logic simulation, and circuit-graph encoding. Circuits
-    /// are prepared one after another in input order; the labelling of each
-    /// spreads its simulation rows across the cores.
+    /// are prepared one after another in input order; the labelling of a
+    /// circuit large enough to pay for a thread (nodes × pattern rows, see
+    /// `deepgate_sim::SignalProbability`) spreads its rows across the cores,
+    /// and a small one runs on the caller.
     ///
     /// # Errors
     ///
