@@ -18,12 +18,20 @@
 //! when the stem sets reached through two of its fan-ins intersect; the
 //! closest such stem (smallest level difference) is recorded.
 //!
+//! A stem is one packed word, its level above its node. A stored set holds
+//! its node first when that node is a stem, then the stems merged from its
+//! fan-ins, sorted by descending level, so the level window a reader keeps
+//! is a prefix. A NOT or BUF copies that prefix; an AND merges its two
+//! prefixes level by level with two cursors; a gate of three or more
+//! fan-ins merges level group by level group.
+//!
 //! Memory is proportional to the *frontier*, not to the circuit: a stem set
-//! lives only from the node that computes it to its last reader (the
-//! highest-indexed gate that has it as a fan-in), and is freed right after
-//! that reader's merge. Each set is kept sorted by descending stem level, so
-//! the level window a reader keeps is a prefix and the fan-in sets merge in
-//! one pass, level group by level group, into a reused buffer.
+//! lives only from the node that builds it to its last reader (the
+//! highest-indexed gate that has it as a fan-in), and its slot is freed
+//! right after that reader's merge. The sets live in the slots of one slab
+//! whose freed buffers the next sets reuse, so the slab holds as many slots
+//! as sets were ever live at once, each of at most `max_tracked_stems` + 1
+//! stems, and allocates nothing once every slot has held its largest set.
 
 use deepgate_netlist::Dag;
 
@@ -34,9 +42,19 @@ pub struct ReconvergenceConfig {
     /// stems further away are not tracked (their influence on the node's
     /// signal probability decays with distance, which is exactly the prior
     /// the positional encoding captures).
+    ///
+    /// A wider window costs only through the stems it admits: sets fill up
+    /// to `max_tracked_stems` from more levels.
     pub max_level_distance: usize,
     /// Maximum number of candidate stems tracked per node; the closest stems
     /// are kept when the budget is exceeded.
+    ///
+    /// A gate's time and each live set's memory grow with its set, up to
+    /// this cap plus one word: a NOT copies its fan-in's set, an AND merges
+    /// two. Any value works, `usize::MAX` included; without a cap (and with
+    /// an unbounded window) every set holds every stem of its fan-in cone,
+    /// so time and memory grow with the cones, quadratically in the worst
+    /// case.
     pub max_tracked_stems: usize,
 }
 
@@ -67,11 +85,21 @@ pub struct ReconvergenceAnalysis {
 
 impl ReconvergenceAnalysis {
     /// Runs the analysis with the default configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the circuit has `u32::MAX` nodes or more ("circuit too
+    /// large for reconvergence analysis").
     pub fn of(dag: &impl Dag) -> Self {
         Self::with_config(dag, ReconvergenceConfig::default())
     }
 
     /// Runs the analysis with an explicit configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the circuit has `u32::MAX` nodes or more ("circuit too
+    /// large for reconvergence analysis").
     pub fn with_config(dag: &impl Dag, config: ReconvergenceConfig) -> Self {
         analyse(dag, config).0
     }
@@ -103,107 +131,95 @@ impl ReconvergenceAnalysis {
 /// transitive fan-in of at least two of its fan-in branches; the closest such
 /// stem (smallest level difference) is recorded.
 ///
-/// A stored set is sorted by descending stem level and, within one level, in
-/// the order its stems were first reached through the fan-ins taken in
-/// fan-in order. The merge keeps that order, so both the stem that wins a
-/// tie on level difference and the stems that survive the
-/// `max_tracked_stems` cut are fixed by the circuit alone.
+/// A branch is the window of its fan-in's stored set, which holds the fan-in
+/// itself first when it is a stem, then the fan-in's merged stems. A merged
+/// set is sorted by descending stem level and, within one level, in the
+/// order its stems were first reached through the fan-ins taken in fan-in
+/// order. The merge keeps that order, so both the stem that wins a tie on
+/// level difference and the stems that survive the `max_tracked_stems` cut
+/// are fixed by the circuit alone.
 ///
-/// Also returns the peak number of stems held in live sets at once — the
-/// frontier the memory is proportional to.
-fn analyse(dag: &impl Dag, config: ReconvergenceConfig) -> (ReconvergenceAnalysis, usize) {
+/// Also returns the slab the sets lived in, whose size at the end is its
+/// peak — the frontier the memory is proportional to.
+///
+/// # Panics
+///
+/// Panics if the circuit has `u32::MAX` nodes or more: a stem packs its node
+/// and its level into 32 bits each, and `u32::MAX` marks a node with no
+/// stored set.
+fn analyse(dag: &impl Dag, config: ReconvergenceConfig) -> (ReconvergenceAnalysis, Slab) {
     let n = dag.num_nodes();
+    // A level is below the node count, so this bounds both halves of a stem.
+    assert!(n < NO_SET as usize, "{TOO_LARGE}: {n} nodes");
     let (levels, _) = dag.levels();
     let fanout_counts = dag.fanout_counts();
     let is_stem = |node: usize| fanout_counts[node] >= 2;
     let num_stems = (0..n).filter(|&node| is_stem(node)).count();
     // The last gate that reads each node's set; a node no gate reads (0
     // here, as readers come later) never stores one.
-    let mut last_reader = vec![0usize; n];
+    let mut last_reader = vec![0u32; n];
     for i in 0..n {
         for f in dag.fanins(i) {
-            last_reader[f] = i;
+            last_reader[f] = i as u32;
         }
     }
 
-    let mut stem_sets: Vec<Box<[Stem]>> = vec![Box::default(); n];
+    let cap = config.max_tracked_stems;
+    let mut slab = Slab::default();
+    let mut slot_of = vec![NO_SET; n];
     let mut per_node: Vec<Option<ReconvergenceInfo>> = vec![None; n];
-    let mut branches: Vec<Branch> = Vec::new();
-    let mut group: Vec<(usize, bool)> = Vec::new();
-    let mut merged: Vec<Stem> = Vec::new();
-    let (mut live, mut peak_live) = (0, 0);
+    let mut set: Vec<Stem> = Vec::new();
+    let mut cursors: Vec<Cursor> = Vec::new();
+    let mut group: Vec<(Stem, bool)> = Vec::new();
     for i in 0..n {
         let level_i = levels[i];
-        let floor = level_i.saturating_sub(config.max_level_distance);
+        let low = first_at(level_i.saturating_sub(config.max_level_distance));
+        // Only a set a later gate reads is built: this node itself first when
+        // it is a stem, then at most `cap` merged stems. A node nobody reads
+        // merges with no room, only to find its closest shared stem.
+        let read = last_reader[i] as usize > i;
+        let head = (read && is_stem(i)).then(|| pack(level_i, i));
+        let limit = if read {
+            cap.saturating_add(head.is_some() as usize)
+        } else {
+            0
+        };
 
-        // Stems reached through each fan-in branch: the branch node itself
-        // when it is a stem in the window, then the window of its set — a
-        // prefix, as the set is sorted by descending level and every stem in
-        // it sits below its owner, which sits below this node.
-        branches.clear();
+        let mut fanins = dag.fanins(i);
+        let best = match (fanins.next(), fanins.next(), fanins.next()) {
+            // A source, a NOT or BUF (one window, copied) or an AND.
+            (a, b, None) => {
+                let window = |f: Option<usize>| f.map_or(&[][..], |f| slab.window(slot_of[f], low));
+                let (wa, wb) = (window(a), window(b));
+                begin(&mut set, head, limit, wa.len() + wb.len());
+                merge_two(wa, wb, limit, &mut set)
+            }
+            _ => {
+                cursors.clear();
+                cursors.extend(dag.fanins(i).map(|f| Cursor {
+                    slot: slot_of[f],
+                    next: 0,
+                    end: slab.window(slot_of[f], low).len(),
+                }));
+                let stems = cursors.iter().map(|c| c.end).sum();
+                begin(&mut set, head, limit, stems);
+                merge_many(&slab, &mut cursors, limit, &mut set, &mut group)
+            }
+        };
+        per_node[i] = best.map(|stem| ReconvergenceInfo {
+            source: node_of(stem),
+            level_difference: level_i - level_of(stem),
+        });
+
+        // Free every fan-in set this node was the last reader of, then store
+        // this node's set, maybe in a slot just freed.
         for f in dag.fanins(i) {
-            let head =
-                (is_stem(f) && (floor..=level_i).contains(&levels[f])).then_some((levels[f], f));
-            branches.push(Branch {
-                head,
-                node: f,
-                next: 0,
-                end: stem_sets[f].partition_point(|&(level, _)| level >= floor),
-            });
-        }
-        if branches.is_empty() {
-            continue;
-        }
-
-        // Merge level group by level group, highest level first. A stem
-        // seen through two branches is shared; the first shared one is the
-        // closest, i.e. the reconvergence source.
-        merged.clear();
-        let mut best: Option<ReconvergenceInfo> = None;
-        while let Some(level) = branches
-            .iter()
-            .filter_map(|b| b.peek(&stem_sets))
-            .map(|(level, _)| level)
-            .max()
-        {
-            group.clear();
-            for branch in &mut branches {
-                while let Some((_, s)) = branch.peek(&stem_sets).filter(|&(l, _)| l == level) {
-                    branch.advance();
-                    match group.iter_mut().find(|(g, _)| *g == s) {
-                        Some((_, shared)) => *shared = true,
-                        None => group.push((s, false)),
-                    }
-                }
-            }
-            if best.is_none() {
-                best = group
-                    .iter()
-                    .find(|(_, shared)| *shared)
-                    .map(|&(source, _)| ReconvergenceInfo {
-                        source,
-                        level_difference: level_i - level,
-                    });
-            }
-            let room = config.max_tracked_stems - merged.len();
-            merged.extend(group.iter().take(room).map(|&(s, _)| (level, s)));
-            if best.is_some() && merged.len() == config.max_tracked_stems {
-                break;
+            if last_reader[f] as usize == i {
+                slab.release(std::mem::replace(&mut slot_of[f], NO_SET));
             }
         }
-        per_node[i] = best;
-        if last_reader[i] > i {
-            stem_sets[i] = merged.as_slice().into();
-            live += merged.len();
-            peak_live = peak_live.max(live);
-        }
-
-        // Free every fan-in set this node was the last reader of.
-        for f in dag.fanins(i) {
-            if last_reader[f] == i {
-                live -= stem_sets[f].len();
-                stem_sets[f] = Box::default();
-            }
+        if !set.is_empty() {
+            slot_of[i] = slab.store(&mut set);
         }
     }
 
@@ -211,31 +227,195 @@ fn analyse(dag: &impl Dag, config: ReconvergenceConfig) -> (ReconvergenceAnalysi
         per_node,
         num_stems,
     };
-    (analysis, peak_live)
+    (analysis, slab)
 }
 
-/// A stem in a stored set as `(level, node)`: the level rides along so the
-/// window search and the merge compare levels without looking them up.
-type Stem = (usize, usize);
+/// Panic message of a circuit too large to pack its stems.
+const TOO_LARGE: &str = "circuit too large for reconvergence analysis";
 
-/// A merge cursor over one fan-in branch: the fan-in node itself first when
-/// it is a stem in the window (`head`), then its set's window `next..end`.
-struct Branch {
-    head: Option<Stem>,
-    node: usize,
+/// The slot of a node that stores no set; it reads as an empty set.
+const NO_SET: u32 = u32::MAX;
+
+/// A stem packed as `level << 32 | node`: the stems of one level lie between
+/// [`first_at`] that level and the next, so in a set sorted by descending
+/// level a level window or a level run ends at the first word below
+/// `first_at` its lowest level.
+type Stem = u64;
+
+fn pack(level: usize, node: usize) -> Stem {
+    (level as u64) << 32 | node as u64
+}
+
+fn level_of(stem: Stem) -> usize {
+    (stem >> 32) as usize
+}
+
+fn node_of(stem: Stem) -> usize {
+    stem as u32 as usize
+}
+
+/// The smallest packed stem at `level`.
+fn first_at(level: usize) -> Stem {
+    (level as u64) << 32
+}
+
+/// Clears `set` for a node's new set, with room for its head and `stems`
+/// more within `limit`, and writes the head.
+fn begin(set: &mut Vec<Stem>, head: Option<Stem>, limit: usize, stems: usize) {
+    set.clear();
+    set.reserve_exact(limit.min(stems.saturating_add(head.is_some() as usize)));
+    set.extend(head);
+}
+
+/// Merges two fan-in windows into `set`, up to `limit` stems, and returns
+/// the closest stem both reach.
+///
+/// Level by level, highest first: stems at levels only one window reaches
+/// are copied as they stand; at a level both reach, `a`'s run comes first,
+/// then the stems of `b`'s run that `a`'s run lacks, and the first stem of
+/// `a`'s run that `b`'s run also holds is the closest shared one. The search
+/// goes on once `set` is full, as the closest shared stem may lie below the
+/// cut. Once one window is done the rest of the other is copied, so a single
+/// window (a NOT's) is a copy of its prefix.
+fn merge_two<'a>(
+    mut a: &'a [Stem],
+    mut b: &'a [Stem],
+    limit: usize,
+    set: &mut Vec<Stem>,
+) -> Option<Stem> {
+    let mut best = None;
+    loop {
+        let room = limit - set.len();
+        let (Some(&top_a), Some(&top_b)) = (a.first(), b.first()) else {
+            // One window is done, so nothing more is shared.
+            let rest = if a.is_empty() { b } else { a };
+            set.extend_from_slice(&rest[..rest.len().min(room)]);
+            return best;
+        };
+        if best.is_some() && room == 0 {
+            return best;
+        }
+        let (level_a, level_b) = (level_of(top_a), level_of(top_b));
+        if level_a != level_b {
+            let (high, other_top) = if level_a > level_b {
+                (&mut a, level_b)
+            } else {
+                (&mut b, level_a)
+            };
+            let own = run_end(high, other_top + 1);
+            set.extend_from_slice(&high[..own.min(room)]);
+            *high = &high[own..];
+            continue;
+        }
+        let (run_a, run_b) = (&a[..run_end(a, level_a)], &b[..run_end(b, level_a)]);
+        (a, b) = (&a[run_a.len()..], &b[run_b.len()..]);
+        set.extend_from_slice(&run_a[..run_a.len().min(room)]);
+        let mut shared = run_a.len();
+        for &stem in run_b {
+            match run_a.iter().position(|&s| s == stem) {
+                Some(k) => shared = shared.min(k),
+                None if set.len() < limit => set.push(stem),
+                None => {}
+            }
+        }
+        if best.is_none() {
+            best = run_a.get(shared).copied();
+        }
+    }
+}
+
+/// Length of the prefix of a window at or above `level`.
+fn run_end(window: &[Stem], level: usize) -> usize {
+    let low = first_at(level);
+    window.iter().position(|&s| s < low).unwrap_or(window.len())
+}
+
+/// A merge cursor over one fan-in's window `next..end` of its slot.
+struct Cursor {
+    slot: u32,
     next: usize,
     end: usize,
 }
 
-impl Branch {
-    fn peek(&self, stem_sets: &[Box<[Stem]>]) -> Option<Stem> {
-        self.head
-            .or_else(|| (self.next < self.end).then(|| stem_sets[self.node][self.next]))
+/// Merges the windows of three or more fan-ins into `set`, up to `limit`
+/// stems, level group by level group, and returns the closest stem two of
+/// them reach: a group holds the level's stems in the order the fan-ins
+/// first reach them, each marked once a second fan-in reaches it.
+fn merge_many(
+    slab: &Slab,
+    cursors: &mut [Cursor],
+    limit: usize,
+    set: &mut Vec<Stem>,
+    group: &mut Vec<(Stem, bool)>,
+) -> Option<Stem> {
+    let peek = |c: &Cursor| (c.next < c.end).then(|| slab.slots[c.slot as usize][c.next]);
+    let mut best = None;
+    while let Some(top) = cursors.iter().filter_map(peek).max() {
+        let low = first_at(level_of(top));
+        group.clear();
+        for cursor in cursors.iter_mut() {
+            while let Some(stem) = peek(cursor).filter(|&s| s >= low) {
+                cursor.next += 1;
+                match group.iter_mut().find(|(g, _)| *g == stem) {
+                    Some((_, shared)) => *shared = true,
+                    None => group.push((stem, false)),
+                }
+            }
+        }
+        if best.is_none() {
+            best = group.iter().find(|(_, shared)| *shared).map(|&(s, _)| s);
+        }
+        let room = limit - set.len();
+        set.extend(group.iter().take(room).map(|&(s, _)| s));
+        if best.is_some() && set.len() == limit {
+            break;
+        }
+    }
+    best
+}
+
+/// Where stem sets live between the node that builds one and its last
+/// reader: slots whose buffers come back through a free list, so the slab
+/// holds as many slots as sets were ever live at once, each buffer sized by
+/// the largest merge it took, `max_tracked_stems` + 1 stems at most.
+#[derive(Default)]
+struct Slab {
+    slots: Vec<Vec<Stem>>,
+    free: Vec<u32>,
+    live: usize,
+    peak_live: usize,
+}
+
+impl Slab {
+    /// The window of a slot's set at or above the packed `low`: a prefix, as
+    /// the set is sorted by descending level.
+    fn window(&self, slot: u32, low: Stem) -> &[Stem] {
+        let stems = self.slots.get(slot as usize).map_or(&[][..], Vec::as_slice);
+        let mut end = stems.len();
+        while end > 0 && stems[end - 1] < low {
+            end -= 1;
+        }
+        &stems[..end]
     }
 
-    fn advance(&mut self) {
-        if self.head.take().is_none() {
-            self.next += 1;
+    /// Moves `set` into a free slot and leaves that slot's emptied buffer in
+    /// its place.
+    fn store(&mut self, set: &mut Vec<Stem>) -> u32 {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(Vec::new());
+            (self.slots.len() - 1) as u32
+        });
+        std::mem::swap(&mut self.slots[slot as usize], set);
+        set.clear();
+        self.live += 1;
+        self.peak_live = self.peak_live.max(self.live);
+        slot
+    }
+
+    fn release(&mut self, slot: u32) {
+        if slot != NO_SET {
+            self.free.push(slot);
+            self.live -= 1;
         }
     }
 }
@@ -424,6 +604,268 @@ mod tests {
         netlist
     }
 
+    /// The limits of the configuration: no cap at all, caps around 64
+    /// under an unbounded window, and an unbounded cap under the default
+    /// window.
+    const LIMIT_CONFIGS: [ReconvergenceConfig; 7] = [
+        ReconvergenceConfig {
+            max_level_distance: usize::MAX,
+            max_tracked_stems: 0,
+        },
+        ReconvergenceConfig {
+            max_level_distance: usize::MAX,
+            max_tracked_stems: 1,
+        },
+        ReconvergenceConfig {
+            max_level_distance: usize::MAX,
+            max_tracked_stems: 63,
+        },
+        ReconvergenceConfig {
+            max_level_distance: usize::MAX,
+            max_tracked_stems: 64,
+        },
+        ReconvergenceConfig {
+            max_level_distance: usize::MAX,
+            max_tracked_stems: 65,
+        },
+        ReconvergenceConfig {
+            max_level_distance: usize::MAX,
+            max_tracked_stems: usize::MAX,
+        },
+        ReconvergenceConfig {
+            max_level_distance: 24,
+            max_tracked_stems: usize::MAX,
+        },
+    ];
+
+    /// The size of the largest uncapped stem set within `max_level_distance`:
+    /// the test circuits must grow sets past the caps they test.
+    fn longest_set(dag: &impl Dag, max_level_distance: usize) -> usize {
+        let (levels, _) = dag.levels();
+        let is_stem: Vec<bool> = dag.fanout_counts().iter().map(|&c| c >= 2).collect();
+        let mut sets: Vec<Vec<usize>> = Vec::new();
+        for i in 0..dag.num_nodes() {
+            let mut set: Vec<usize> = Vec::new();
+            for f in dag.fanins(i) {
+                let reached = sets[f].iter().copied().chain(is_stem[f].then_some(f));
+                for s in reached {
+                    if levels[i] - levels[s] <= max_level_distance && !set.contains(&s) {
+                        set.push(s);
+                    }
+                }
+            }
+            sets.push(set);
+        }
+        sets.iter().map(Vec::len).max().unwrap_or(0)
+    }
+
+    /// A seeded random netlist of one- and two-input gates shaped to reach
+    /// every path of the two-fan-in merge: NOT chains of 1 to 12 gates whose
+    /// end is ANDed with their start, ANDs of a node with itself, ANDs of a
+    /// gate with one of its own fan-ins (a stem inside the other fan-in's
+    /// set, in either fan-in position) and ANDs of two nodes among the
+    /// previous `window`.
+    fn random_two_input_netlist(seed: u64, gates: usize, window: usize) -> Netlist {
+        use deepgate_netlist::GateKind;
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut below = move |bound: usize| {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            (state.wrapping_mul(0x2545_f491_4f6c_dd1d) % bound as u64) as usize
+        };
+        let mut netlist = Netlist::new("two-input");
+        for k in 0..6 {
+            netlist.add_input(format!("x{k}"));
+        }
+        while netlist.len() < 6 + gates {
+            let len = netlist.len();
+            let x = NodeId((len - 1 - below(window.min(len))) as u32);
+            let fanins = match below(6) {
+                0 => {
+                    let mut end = x;
+                    for _ in 0..1 + below(12) {
+                        end = netlist.add_gate(GateKind::Not, &[end]).unwrap();
+                    }
+                    vec![end, x]
+                }
+                1 => vec![x, x],
+                2 | 3 => match netlist.node(x).fanins.as_slice() {
+                    [] => vec![x],
+                    inner => {
+                        let y = inner[below(inner.len())];
+                        if below(2) == 0 {
+                            vec![x, y]
+                        } else {
+                            vec![y, x]
+                        }
+                    }
+                },
+                _ => vec![x, NodeId((len - 1 - below(window.min(len))) as u32)],
+            };
+            let kind = if fanins.len() == 1 {
+                GateKind::Not
+            } else {
+                GateKind::And
+            };
+            netlist.add_gate(kind, &fanins).unwrap();
+        }
+        for k in 1..=4 {
+            netlist.mark_output(NodeId((netlist.len() - k) as u32), format!("y{k}"));
+        }
+        netlist
+    }
+
+    #[test]
+    fn two_input_merge_paths_match_reference() {
+        for seed in 0..16 {
+            for window in [4, 16, 200] {
+                let netlist = random_two_input_netlist(seed, 300, window);
+                for config in CONFIGS.into_iter().chain(LIMIT_CONFIGS) {
+                    let expected = reference(&netlist, config);
+                    let analysis = ReconvergenceAnalysis::with_config(&netlist, config);
+                    assert_eq!(
+                        analysis, expected,
+                        "seed {seed}, window {window}, {config:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn limit_configs_match_reference() {
+        // Wide windows over many inputs grow sets past every finite cap.
+        let netlists = (0..6).map(|seed| random_netlist(seed, 24, 400, 400));
+        let aigs = (0..6).map(|seed| crate::aiger::random_aig(seed, 24, 2, 400).to_netlist());
+        for (k, netlist) in netlists.chain(aigs).enumerate() {
+            assert!(longest_set(&netlist, usize::MAX) > 65, "circuit {k}");
+            for config in LIMIT_CONFIGS {
+                let expected = reference(&netlist, config);
+                let analysis = ReconvergenceAnalysis::with_config(&netlist, config);
+                assert_eq!(analysis, expected, "circuit {k}, {config:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn two_input_merge_orders_and_searches_past_the_cap() {
+        let stems = |packed: &[(usize, usize)]| -> Vec<Stem> {
+            packed
+                .iter()
+                .map(|&(level, node)| pack(level, node))
+                .collect()
+        };
+        let a = stems(&[(4, 10), (2, 5), (2, 7), (1, 3)]);
+        let b = stems(&[(3, 11), (2, 7), (2, 8), (2, 5), (1, 3)]);
+        let mut set = Vec::new();
+        // Room for all: `a`'s level-2 run, then what `b`'s adds; the first
+        // of `a`'s run that `b` reaches is the closest shared stem.
+        let best = merge_two(&a, &b, usize::MAX, &mut set);
+        assert_eq!(
+            set,
+            stems(&[(4, 10), (3, 11), (2, 5), (2, 7), (2, 8), (1, 3)])
+        );
+        assert_eq!(best, Some(pack(2, 5)));
+        // A cap in the middle of the level-2 group keeps its head.
+        set.clear();
+        assert_eq!(merge_two(&a, &b, 3, &mut set), Some(pack(2, 5)));
+        assert_eq!(set, stems(&[(4, 10), (3, 11), (2, 5)]));
+        // A full set before any shared level: the search goes on below it.
+        set.clear();
+        assert_eq!(merge_two(&a, &b, 2, &mut set), Some(pack(2, 5)));
+        assert_eq!(set, stems(&[(4, 10), (3, 11)]));
+        // The same window twice shares its first stem; no room still finds it.
+        set.clear();
+        assert_eq!(merge_two(&b, &b, 0, &mut set), Some(pack(3, 11)));
+        assert!(set.is_empty());
+    }
+
+    /// Stems `u` and `v` (level 1) reached through one fan-in each, then
+    /// the only shared stem `r` (level 0) at the end of the other fan-in's
+    /// level-0 run, behind `p` when `behind_p`. The reconvergence node has a
+    /// reader, so its set is built, not only searched. Returns the netlist,
+    /// the reconvergence node and `r`.
+    fn shared_stem_below_the_cap(behind_p: bool) -> (Netlist, NodeId, NodeId) {
+        use deepgate_netlist::GateKind;
+        let mut n = Netlist::new("late-share");
+        let [p, r, x, z] = ["p", "r", "x", "z"].map(|name| n.add_input(name));
+        let u = n.add_gate(GateKind::Not, &[x]).unwrap();
+        let v = n.add_gate(GateKind::Not, &[z]).unwrap();
+        let a = if behind_p {
+            let pr = n.add_gate(GateKind::And, &[p, r]).unwrap();
+            n.add_gate(GateKind::And, &[u, pr]).unwrap()
+        } else {
+            n.add_gate(GateKind::And, &[u, r]).unwrap()
+        };
+        let b = n.add_gate(GateKind::And, &[v, r]).unwrap();
+        let top = n.add_gate(GateKind::And, &[a, b]).unwrap();
+        let reader = n.add_gate(GateKind::Not, &[top]).unwrap();
+        for (k, stem) in [p, u, v, reader].into_iter().enumerate() {
+            n.mark_output(stem, format!("y{k}"));
+        }
+        (n, top, r)
+    }
+
+    #[test]
+    fn closest_stem_is_found_after_the_set_is_full() {
+        // cap 2: `u` and `v` fill the set at level 1 and `r` is shared at
+        // level 0. cap 3: one fan-in's level-0 run is `p, r` and the cut
+        // falls between them.
+        for (behind_p, cap) in [(false, 2), (true, 3)] {
+            let (netlist, top, r) = shared_stem_below_the_cap(behind_p);
+            let config = ReconvergenceConfig {
+                max_tracked_stems: cap,
+                ..ReconvergenceConfig::default()
+            };
+            let analysis = ReconvergenceAnalysis::with_config(&netlist, config);
+            let info = analysis
+                .info(top.index())
+                .expect("`top` reconverges on `r`");
+            assert_eq!(info.source, r.index());
+            assert_eq!(info.level_difference, 3);
+            assert_eq!(analysis, reference(&netlist, config));
+        }
+    }
+
+    /// A circuit whose node indices do not fit a packed stem; nothing but
+    /// its size is ever read.
+    struct Oversized;
+
+    impl Dag for Oversized {
+        type Error = std::convert::Infallible;
+
+        fn num_nodes(&self) -> usize {
+            u32::MAX as usize
+        }
+
+        fn num_sources(&self) -> usize {
+            unreachable!()
+        }
+
+        fn fanins(&self, _: usize) -> impl Iterator<Item = usize> + '_ {
+            std::iter::empty()
+        }
+
+        fn sinks(&self) -> impl Iterator<Item = usize> + '_ {
+            std::iter::empty()
+        }
+
+        fn program(&self) -> deepgate_netlist::WordProgram {
+            unreachable!()
+        }
+
+        fn validate(&self) -> Result<(), Self::Error> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "circuit too large for reconvergence analysis")]
+    fn oversized_circuit_is_refused_by_name() {
+        ReconvergenceAnalysis::of(&Oversized);
+    }
+
     #[test]
     fn frontier_merge_matches_reference_on_random_netlists() {
         for seed in 0..16 {
@@ -458,17 +900,21 @@ mod tests {
     #[test]
     fn live_sets_are_bounded_by_the_frontier() {
         // Every fan-in lies within the previous 8 nodes, so at most 8 sets
-        // wait for a reader while the 9th is stored: the live stems stay
-        // under 9 full sets however long the circuit grows, where keeping
-        // every set would hold one per gate.
+        // wait for a reader when the 9th is stored: the slab stays at 9
+        // slots of at most a full set and its head however long the circuit
+        // grows, where keeping every set would hold one per gate.
         let config = ReconvergenceConfig::default();
         for gates in [500, 5000] {
             let netlist = random_netlist(7, 6, gates, 8);
-            let (analysis, peak_live) = analyse(&netlist, config);
+            let (analysis, slab) = analyse(&netlist, config);
             assert!(analysis.num_reconvergence_nodes() > gates / 2);
+            let slots = slab.slots.len();
+            assert!(slots <= slab.peak_live, "{slots} slots");
+            assert!(slab.peak_live <= 9, "{} live sets", slab.peak_live);
+            let words: usize = slab.slots.iter().map(Vec::capacity).sum();
             assert!(
-                peak_live <= 9 * config.max_tracked_stems,
-                "{peak_live} live stems"
+                words <= slots * (config.max_tracked_stems + 1),
+                "{words} words in {slots} slots"
             );
         }
     }

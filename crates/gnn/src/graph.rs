@@ -109,32 +109,35 @@ impl CircuitGraph {
         if let Some(l) = &labels {
             assert_eq!(l.len(), n, "labels must cover every netlist node");
         }
-        let mut features = Tensor::zeros(n, encoding.dimension());
-        let mut gate_mask = vec![false; n];
-        for (id, node) in netlist.iter() {
-            features.set(id.index(), encoding.index_of(node.kind), 1.0);
-            gate_mask[id.index()] = node.kind.is_gate();
+        // One pass over the nodes writes the feature rows, the gate mask
+        // and the edges, each into a buffer of its final size.
+        let dim = encoding.dimension();
+        let mut features = Tensor::zeros(n, dim);
+        let mut gate_mask = Vec::with_capacity(n);
+        let mut edges = Vec::with_capacity(netlist.iter().map(|(_, node)| node.fanins.len()).sum());
+        let rows = features.as_mut_slice().chunks_exact_mut(dim);
+        for ((id, node), row) in netlist.iter().zip(rows) {
+            row[encoding.index_of(node.kind)] = 1.0;
+            gate_mask.push(node.kind.is_gate());
+            edges.extend(node.fanins.iter().map(|f| (f.index(), id.index())));
         }
         let (levels, max_level) = netlist.levels();
 
-        let mut edges = Vec::new();
-        for (id, node) in netlist.iter() {
-            for f in &node.fanins {
-                edges.push((f.index(), id.index()));
-            }
-        }
-
         let recon = ReconvergenceAnalysis::of(netlist);
-        let mut skip_edges = Vec::new();
-        for (target, info) in recon.per_node().iter().enumerate() {
-            if let Some(info) = info {
-                skip_edges.push(SkipEdge {
-                    source: info.source,
-                    target,
-                    level_difference: info.level_difference,
-                });
-            }
-        }
+        let mut skip_edges = Vec::with_capacity(recon.num_reconvergence_nodes());
+        skip_edges.extend(
+            recon
+                .per_node()
+                .iter()
+                .enumerate()
+                .filter_map(|(target, info)| {
+                    info.map(|info| SkipEdge {
+                        source: info.source,
+                        target,
+                        level_difference: info.level_difference,
+                    })
+                }),
+        );
 
         CircuitGraph {
             name: netlist.name().to_string(),
