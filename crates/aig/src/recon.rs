@@ -81,6 +81,8 @@ pub struct ReconvergenceInfo {
 pub struct ReconvergenceAnalysis {
     per_node: Vec<Option<ReconvergenceInfo>>,
     num_stems: usize,
+    /// [`Dag::levels`] of the circuit, which the analysis needs anyway.
+    levels: (Vec<usize>, usize),
 }
 
 impl ReconvergenceAnalysis {
@@ -123,6 +125,13 @@ impl ReconvergenceAnalysis {
     pub fn num_stems(&self) -> usize {
         self.num_stems
     }
+
+    /// The circuit's [`Dag::levels`] — every node's logic level and the
+    /// largest — which the analysis computed for itself, so a caller that
+    /// needs both does not walk the circuit twice.
+    pub fn into_levels(self) -> (Vec<usize>, usize) {
+        self.levels
+    }
 }
 
 /// The stem-set propagation behind both entry points.
@@ -151,7 +160,7 @@ fn analyse(dag: &impl Dag, config: ReconvergenceConfig) -> (ReconvergenceAnalysi
     let n = dag.num_nodes();
     // A level is below the node count, so this bounds both halves of a stem.
     assert!(n < NO_SET as usize, "{TOO_LARGE}: {n} nodes");
-    let (levels, _) = dag.levels();
+    let (levels, max_level) = dag.levels();
     let fanout_counts = dag.fanout_counts();
     let is_stem = |node: usize| fanout_counts[node] >= 2;
     let num_stems = (0..n).filter(|&node| is_stem(node)).count();
@@ -226,6 +235,7 @@ fn analyse(dag: &impl Dag, config: ReconvergenceConfig) -> (ReconvergenceAnalysi
     let analysis = ReconvergenceAnalysis {
         per_node,
         num_stems,
+        levels: (levels, max_level),
     };
     (analysis, slab)
 }
@@ -450,7 +460,7 @@ mod tests {
     fn reference(dag: &impl Dag, config: ReconvergenceConfig) -> ReconvergenceAnalysis {
         let n = dag.num_nodes();
         let fanins: Vec<Vec<usize>> = (0..n).map(|i| dag.fanins(i).collect()).collect();
-        let (levels, _) = dag.levels();
+        let (levels, max_level) = dag.levels();
         let fanout_counts = dag.fanout_counts();
         let is_stem: Vec<bool> = fanout_counts.iter().map(|&c| c >= 2).collect();
         let num_stems = is_stem.iter().filter(|&&s| s).count();
@@ -523,6 +533,7 @@ mod tests {
         ReconvergenceAnalysis {
             per_node,
             num_stems,
+            levels: (levels, max_level),
         }
     }
 

@@ -118,7 +118,7 @@ impl DagConvGnn {
             .map(|lvl| lvl.edge_rows().collect())
             .collect();
         for layer in 0..self.config.num_layers {
-            let prev_layer = states.clone();
+            let mut prev_layer = states.clone();
             for (lvl, seg) in plan.forward.levels().zip(&segs) {
                 let targets = lvl.start..lvl.end;
                 let src_states = states.read(g, lvl.sources().iter().map(|&src| src as usize));
@@ -131,7 +131,7 @@ impl DagConvGnn {
                     seg,
                     None,
                 );
-                let updated = combine(&self.combiners[layer], g, store, msg, h_targets_prev);
+                let updated = combine(&self.combiners[layer], g, store, msg, None, h_targets_prev);
                 states.write(targets, updated);
             }
         }
@@ -147,7 +147,7 @@ impl ProbabilityModel for DagConvGnn {
         store: &ParamStore,
         circuit: &CircuitGraph,
     ) -> Result<Var, GnnError> {
-        self.forward_with(g, store, circuit, GruCell::forward)
+        self.forward_with(g, store, circuit, GruCell::forward_with_fixed)
     }
 
     fn name(&self) -> String {

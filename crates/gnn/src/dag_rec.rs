@@ -260,7 +260,8 @@ impl DagRecGnn {
     /// Updates the nodes of one level: aggregate the predecessors' states,
     /// combine with each target's own state in the GRU, and repoint the
     /// targets at the result — two gathers, the aggregator (one entry for
-    /// attention), the gate-input concat and one GRU entry.
+    /// attention) and one GRU entry, which reads the gate-input rows as its
+    /// fixed input columns.
     fn run_level(
         g: &mut Graph,
         store: &ParamStore,
@@ -276,11 +277,7 @@ impl DagRecGnn {
         let msg = step
             .agg
             .aggregate(g, store, src_states, h_targets, &step.seg, step.attr);
-        let gru_input = match step.gate_input {
-            Some(gate_input) => g.concat_cols(msg, gate_input),
-            None => msg,
-        };
-        let updated = combine(step.gru, g, store, gru_input, h_targets);
+        let updated = combine(step.gru, g, store, msg, step.gate_input, h_targets);
         states.write(targets, updated);
     }
 
@@ -319,7 +316,7 @@ impl DagRecGnn {
         store: &ParamStore,
         circuit: &CircuitGraph,
     ) -> Result<Var, GnnError> {
-        self.hidden_with(g, store, circuit, GruCell::forward)
+        self.hidden_with(g, store, circuit, GruCell::forward_with_fixed)
     }
 
     /// [`DagRecGnn::forward_hidden`] with each GRU update recorded by
@@ -333,29 +330,54 @@ impl DagRecGnn {
     ) -> Result<Var, GnnError> {
         check_encoding(circuit, self.config.feature_dim)?;
         let plan = self.plan(circuit);
-        let features = g.input(plan.feature_rows(0..circuit.num_nodes));
-        let embedded = self.embed.forward(g, store, features);
-        let mut states = NodeStates::new(g, embedded);
-        // One iteration: forward propagation in topological order, then
-        // the reversed propagation, if configured.
+        let (features, sweep) = self.record_constants(g, &plan);
+        Ok(self.recur(g, store, &plan, features, &sweep, combine))
+    }
+
+    /// Puts the recurrence's constants on the tape, once per pass: the
+    /// feature rows of every node (packed order) and each level's attribute
+    /// and gate-input rows. No gradient is computed for any of them.
+    fn record_constants<'a>(
+        &'a self,
+        g: &mut Graph,
+        plan: &'a InferencePlan,
+    ) -> (Var, Vec<LevelStep<'a>>) {
+        let features = g.input(plan.feature_rows(0..plan.perm.len()));
         let frequencies = self.config.skip_encoding_frequencies;
         let (agg, gru) = (&self.forward_agg, &self.forward_gru);
         let mut sweep: Vec<LevelStep> = (plan.forward.levels())
             .map(|lvl| {
                 let attr = plan.attr_rows(lvl.edges(), frequencies);
-                self.level_step(g, &plan, lvl, attr, agg, gru)
+                self.level_step(g, plan, lvl, attr, agg, gru)
             })
             .collect();
         if let (Some(agg), Some(gru)) = (&self.reverse_agg, &self.reverse_gru) {
             let reverse = plan.reverse.levels();
-            sweep.extend(reverse.map(|lvl| self.level_step(g, &plan, lvl, None, agg, gru)));
+            sweep.extend(reverse.map(|lvl| self.level_step(g, plan, lvl, None, agg, gru)));
         }
+        (features, sweep)
+    }
+
+    /// The `T` iterations over `sweep` from the embedded `features`: each a
+    /// forward propagation in topological order, then the reversed
+    /// propagation, if configured. Returns `h_v^T` in original node order.
+    fn recur(
+        &self,
+        g: &mut Graph,
+        store: &ParamStore,
+        plan: &InferencePlan,
+        features: Var,
+        sweep: &[LevelStep],
+        combine: Combine,
+    ) -> Var {
+        let embedded = self.embed.forward(g, store, features);
+        let mut states = NodeStates::new(g, embedded);
         for _ in 0..self.config.num_iterations {
-            for step in &sweep {
+            for step in sweep {
                 Self::run_level(g, store, &mut states, step, combine);
             }
         }
-        Ok(states.read_all(g, &plan.perm))
+        states.read_all(g, &plan.perm)
     }
 
     /// Compiles a circuit into the CSR arena layout consumed by the fused
@@ -620,8 +642,8 @@ mod tests {
             deep as f64 <= 2.2 * shallow as f64,
             "depth 50: {shallow} elements, depth 100: {deep}"
         );
-        // 172 057 measured; the GRU and attention as generic ops recorded
-        // 465 918.
+        // 154 633 measured (172 057 with a gate-input concat per visit); the
+        // GRU and attention as generic ops recorded 465 918.
         assert!(deep <= 200_000, "depth 100: {deep} elements");
     }
 
@@ -638,22 +660,24 @@ mod tests {
         let loss = crate::masked_l1_loss(&mut g, pred, &circuit).unwrap();
         g.backward(loss, &mut store);
         assert!(store.grad_norm() > 0.0);
-        // ~440 elements per level visit, T x 2 directions x 499 visits
-        // (0.87 M measured); the GRU and attention as generic ops recorded
-        // 2.35 M, the per-level state rebuild 103 M.
+        // ~390 elements per level visit, T x 2 directions x 499 visits
+        // (0.78 M measured, 0.87 M with a gate-input concat per visit); the
+        // GRU and attention as generic ops recorded 2.35 M, the per-level
+        // state rebuild 103 M.
         const BUDGET: usize = 1_000_000;
         assert!(
             g.value_elements() <= BUDGET,
             "{} tape elements for 2 000 nodes over 500 levels (budget {BUDGET})",
             g.value_elements()
         );
-        // Five entries per level visit — two gathers, attention, the
-        // gate-input concat, GRU — plus each level's attribute and gate-type
-        // rows, recorded once per pass (11 497 measured; 68 411 as generic
-        // ops).
+        // Four entries per level visit — two gathers, attention, and the
+        // GRU, which reads the gate-type rows in place — plus each level's
+        // attribute and gate-type rows, recorded once per pass (9 501
+        // measured; 11 497 with a gate-input concat per visit, 68 411 as
+        // generic ops).
         let visits = 2 * (plan.num_batches() + plan.num_reverse_batches());
         assert!(
-            g.len() <= 6 * visits,
+            g.len() <= 5 * visits,
             "{} tape entries for {visits} level visits",
             g.len()
         );
@@ -662,6 +686,35 @@ mod tests {
             g.len(),
             g.value_elements()
         );
+    }
+
+    /// The recurrence's constants — the feature rows, every level's γ(D)
+    /// attribute rows and gate-type rows — take no gradient in a DeepGate
+    /// backward, while every parameter still gets one.
+    #[test]
+    fn constant_leaves_get_no_gradient() {
+        let circuit = labelled(reconvergent_graph());
+        assert!(!circuit.skip_edges.is_empty());
+        let mut store = ParamStore::new();
+        let model = tape_gate_model(&mut store);
+        let plan = model.plan(&circuit);
+        let mut g = Graph::new();
+        let (features, sweep) = model.record_constants(&mut g, &plan);
+        let combine = GruCell::forward_with_fixed as Combine;
+        let h = model.recur(&mut g, &store, &plan, features, &sweep, combine);
+        let pred = model.regress(&mut g, &store, &circuit, h);
+        let loss = crate::masked_l1_loss(&mut g, pred, &circuit).unwrap();
+        g.backward(loss, &mut store);
+        assert!(g.grad(features).is_none(), "feature rows");
+        let attrs: Vec<Var> = sweep.iter().filter_map(|step| step.attr).collect();
+        let gates: Vec<Var> = sweep.iter().filter_map(|step| step.gate_input).collect();
+        assert!(!attrs.is_empty() && gates.len() == sweep.len());
+        for var in attrs.into_iter().chain(gates) {
+            assert!(g.grad(var).is_none(), "attribute or gate-type rows");
+        }
+        for id in store.ids() {
+            assert!(store.grad(id).norm() > 0.0, "{}", store.name(id));
+        }
     }
 
     /// Labels for every node of `circuit`, deterministic and spread over
@@ -689,7 +742,7 @@ mod tests {
         let mut grads = Vec::new();
         let mut losses = Vec::new();
         for combine in [
-            GruCell::forward as Combine,
+            GruCell::forward_with_fixed as Combine,
             crate::state::oracle::generic_gru,
         ] {
             store.zero_grad();

@@ -5,7 +5,7 @@
 
 use deepgate_aig::recon::ReconvergenceAnalysis;
 use deepgate_aig::Aig;
-use deepgate_netlist::{Dag, GateKind, Netlist};
+use deepgate_netlist::{GateKind, Netlist};
 use deepgate_nn::Tensor;
 
 /// How gate types are encoded as node feature vectors.
@@ -121,8 +121,6 @@ impl CircuitGraph {
             gate_mask.push(node.kind.is_gate());
             edges.extend(node.fanins.iter().map(|f| (f.index(), id.index())));
         }
-        let (levels, max_level) = netlist.levels();
-
         let recon = ReconvergenceAnalysis::of(netlist);
         let mut skip_edges = Vec::with_capacity(recon.num_reconvergence_nodes());
         skip_edges.extend(
@@ -138,6 +136,7 @@ impl CircuitGraph {
                     })
                 }),
         );
+        let (levels, max_level) = recon.into_levels();
 
         CircuitGraph {
             name: netlist.name().to_string(),

@@ -3,9 +3,10 @@
 use deepgate_nn::{Graph, GruCell, ParamStore, Var};
 use std::ops::Range;
 
-/// How a level model records its GRU update: [`GruCell::forward`], or, in
-/// the gradient tests, the generic-op oracle it replaced.
-pub(crate) type Combine = fn(&GruCell, &mut Graph, &ParamStore, Var, Var) -> Var;
+/// How a level model records its GRU update over the input rows `[message |
+/// fixed]`: [`GruCell::forward_with_fixed`], or, in the gradient tests, the
+/// generic-op oracle it replaced.
+pub(crate) type Combine = fn(&GruCell, &mut Graph, &ParamStore, Var, Option<Var>, Var) -> Var;
 
 /// `generic_gru`, the generic-op GRU oracle: `deepgate-nn`'s own test-only
 /// copy, not a second one.
@@ -35,6 +36,8 @@ pub(crate) mod oracle;
 pub(crate) struct NodeStates {
     initial: Var,
     loc: Vec<(Var, usize)>,
+    /// The picks of the read in progress, reused from read to read.
+    picks: Vec<(Var, usize)>,
 }
 
 impl NodeStates {
@@ -43,7 +46,11 @@ impl NodeStates {
         let loc = (0..g.value(initial).rows())
             .map(|row| (initial, row))
             .collect();
-        NodeStates { initial, loc }
+        NodeStates {
+            initial,
+            loc,
+            picks: Vec::new(),
+        }
     }
 
     /// The `i`-th node of the level `nodes` now lives in row `i` of
@@ -55,15 +62,17 @@ impl NodeStates {
     }
 
     /// The states of `nodes`, in order, as one `[nodes.len(), d]` variable.
-    pub(crate) fn read(&self, g: &mut Graph, nodes: impl IntoIterator<Item = usize>) -> Var {
-        let picks: Vec<(Var, usize)> = nodes.into_iter().map(|node| self.loc[node]).collect();
-        g.gather_from(&picks)
+    pub(crate) fn read(&mut self, g: &mut Graph, nodes: impl IntoIterator<Item = usize>) -> Var {
+        self.picks.clear();
+        self.picks
+            .extend(nodes.into_iter().map(|node| self.loc[node]));
+        g.gather_from(&self.picks)
     }
 
     /// All node states in original node order (`[num_nodes, d]`), through
     /// the plan's `perm` (original → packed) — the single full-size read,
     /// taken once before the regressor.
-    pub(crate) fn read_all(&self, g: &mut Graph, perm: &[u32]) -> Var {
+    pub(crate) fn read_all(&mut self, g: &mut Graph, perm: &[u32]) -> Var {
         if perm.is_empty() {
             // A circuit without nodes: the `[0, d]` embedding keeps its width.
             return self.initial;

@@ -3,48 +3,114 @@
 //!
 //! A fused op's forward *is* the row code of [`crate::dense`], the same
 //! functions the CSR inference kernel runs, reading the parameters in place
-//! out of the [`ParamStore`] (they are already row-major `[in, out]`). Its
-//! backward reads the op's inputs off the tape plus the little it saved —
-//! `r`, `z` and `n` for the GRU, the softmax weights for attention — and:
+//! out of the [`ParamStore`] (they are already row-major `[in, out]`). The
+//! GRU's input may end in fixed columns — DeepGate's gate-type one-hot, a
+//! constant operand read where it lies on the tape and laid after the
+//! message columns only for the forward's row walk.
 //!
-//! * adds each weight's gradient straight into the store, as k-outer axpy
-//!   rows over the op's rows ([`add_linear_grad`]);
-//! * sends input gradients through each weight's transpose, built once per
-//!   backward pass ([`Transposes`]).
+//! A backward reads the op's inputs off the tape plus the little it saved —
+//! `r`, `z` and `n` for the GRU, the softmax weights for attention — and
+//! computes only what a parameter's gradient reads:
 //!
-//! Both run the crate's one product kernel, [`add_products`] — the one
-//! behind [`Tensor::matmul`].
+//! * each weight's gradient goes straight into the store, from the op's
+//!   input rows read in place ([`add_transposed_products`]: rows ascending,
+//!   the zero-skip on the input, a score layer as one axpy per edge), and
+//!   each bias's as a row sum;
+//! * an input's gradient goes through each weight's transpose, built once
+//!   per backward pass ([`Scratch`]), and only to an input the tape marks
+//!   as needing one.
+//!
+//! What it skips: no activation is transposed, and no gradient is formed
+//! for a constant — the GRU's fixed columns, or DeepGate's γ(D) attribute
+//! rows. The intermediates (the gate pre-activation gradients, `r ⊙ h`, the
+//! softmax sums) live in the pass's [`Scratch`], and the input gradients
+//! are made in the buffers of gradients already propagated.
 
 use crate::dense;
-use crate::tensor::add_products;
+use crate::tensor::{add_products, add_row_sums, add_transposed_products};
 use crate::{GruCell, Linear, ParamId, ParamStore, Tensor, Var};
 
-/// Every parameter's transpose, built for the first backward op that needs
-/// it and reused by the rest of that pass.
-pub(crate) struct Transposes(Vec<Option<Tensor>>);
+/// What one backward pass reuses across the ops it runs: every
+/// parameter's transpose, built for the first op that needs it, the
+/// buffers of the fused ops' intermediate gradients, and a pool of the
+/// gradient buffers of entries already propagated, which the next
+/// gradients are made in.
+pub(crate) struct Scratch {
+    transposes: Vec<Option<Tensor>>,
+    buffers: [Vec<f32>; 5],
+    pool: Vec<Vec<f32>>,
+}
 
-impl Transposes {
+impl Scratch {
     pub(crate) fn new(store: &ParamStore) -> Self {
-        Transposes(vec![None; store.len()])
+        Scratch {
+            transposes: vec![None; store.len()],
+            buffers: Default::default(),
+            pool: Vec::new(),
+        }
     }
 
-    pub(crate) fn get<const N: usize>(
-        &mut self,
+    /// A `[rows, cols]` tensor of zeros, in a pooled buffer when there is
+    /// one.
+    pub(crate) fn zeros(&mut self, rows: usize, cols: usize) -> Tensor {
+        pooled_zeros(&mut self.pool, rows, cols)
+    }
+
+    /// Returns a gradient nobody reads any more to the pool.
+    pub(crate) fn recycle(&mut self, t: Tensor) {
+        self.pool.push(t.into_vec());
+    }
+
+    /// The transpose of a parameter.
+    pub(crate) fn transpose(&mut self, store: &ParamStore, id: ParamId) -> &Tensor {
+        let rows = store.value(id).rows();
+        let [t] = Self::transposes(&mut self.transposes, store, [id], rows);
+        t
+    }
+
+    /// The transposes of the first `rows` rows of each parameter in `ids`
+    /// (`[cols, rows]`).
+    fn transposes<'t, const N: usize>(
+        transposes: &'t mut [Option<Tensor>],
         store: &ParamStore,
         ids: [ParamId; N],
-    ) -> [&Tensor; N] {
+        rows: usize,
+    ) -> [&'t Tensor; N] {
         for id in ids {
-            self.0[id.0].get_or_insert_with(|| store.value(id).transpose());
+            let slot = &mut transposes[id.0];
+            if slot.as_ref().is_none_or(|t| t.cols() != rows) {
+                let value = store.value(id);
+                let top = &value.as_slice()[..rows * value.cols()];
+                *slot = Some(Tensor::from_vec(rows, value.cols(), top.to_vec()).transpose());
+            }
         }
-        ids.map(|id| self.0[id.0].as_ref().expect("built above"))
+        ids.map(|id| transposes[id.0].as_ref().expect("built above"))
     }
 }
 
-/// A recorded GRU update `h' = GRU(x, h)`.
+/// A `[rows, cols]` tensor of zeros in the last buffer of `pool`, or a new
+/// one.
+fn pooled_zeros(pool: &mut Vec<Vec<f32>>, rows: usize, cols: usize) -> Tensor {
+    let mut data = pool.pop().unwrap_or_default();
+    data.clear();
+    data.resize(rows * cols, 0.0);
+    Tensor::from_vec(rows, cols, data)
+}
+
+/// `buf` as `len` zeros.
+fn zeroed(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    buf.clear();
+    buf.resize(len, 0.0);
+    buf
+}
+
+/// A recorded GRU update `h' = GRU([x | fixed], h)`.
 #[derive(Debug)]
 pub(crate) struct GruOp {
     pub(crate) cell: GruCell,
     pub(crate) x: Var,
+    /// Constant input columns after `x`'s, read but never differentiated.
+    pub(crate) fixed: Option<Var>,
     pub(crate) h: Var,
     /// `[r | z | n]`, each `[m, d]`.
     pub(crate) saved: Vec<f32>,
@@ -52,25 +118,45 @@ pub(crate) struct GruOp {
 
 impl GruOp {
     /// The updated rows and the `[r | z | n]` gates of `m = h.rows()` rows.
+    /// With `fixed`, the GRU's input rows are `[x | fixed]`, laid out in
+    /// `scratch` for the forward only.
     pub(crate) fn forward(
         store: &ParamStore,
         cell: &GruCell,
         x: &Tensor,
+        fixed: Option<&Tensor>,
         h: &Tensor,
+        scratch: &mut Vec<f32>,
     ) -> (Tensor, Vec<f32>) {
         let (m, d) = (h.rows(), h.cols());
         assert_eq!(x.rows(), m, "gru row mismatch");
-        assert_eq!(x.cols(), cell.input_size(), "gru input width");
+        let width = x.cols() + fixed.map_or(0, |f| f.cols());
+        assert_eq!(width, cell.input_size(), "gru input width");
         assert_eq!(d, cell.hidden_size(), "gru hidden width");
         let mut out = h.clone();
         let mut saved = vec![0.0f32; 3 * m * d];
-        let mut scratch = vec![0.0f32; 2 * m * d];
+        scratch.clear();
+        if let Some(fixed) = fixed {
+            assert_eq!(fixed.rows(), m, "gru fixed-input row mismatch");
+            for r in 0..m {
+                scratch.extend_from_slice(x.row(r));
+                scratch.extend_from_slice(fixed.row(r));
+            }
+        }
+        let concat = scratch.len();
+        scratch.resize(concat + 2 * m * d, 0.0);
+        let (input, arenas) = scratch.split_at_mut(concat);
+        let input = if fixed.is_some() {
+            &*input
+        } else {
+            x.as_slice()
+        };
         let (r, rest) = saved.split_at_mut(m * d);
         let (z, n) = rest.split_at_mut(m * d);
-        let (rh, hn) = scratch.split_at_mut(m * d);
+        let (rh, hn) = arenas.split_at_mut(m * d);
         dense::gru_step::<true>(
             cell.gates().map(|l| l.dense(store)),
-            x.as_slice(),
+            input,
             out.as_mut_slice(),
             m,
             [r, rh, z, hn, n],
@@ -79,61 +165,86 @@ impl GruOp {
         (out, saved)
     }
 
-    /// `(dx, dh)` from `dout`, with every gate weight's and bias's gradient
-    /// added into `store`.
+    /// `(dx, dh)` from `dout` — each only when `want` asks for it; `dx`
+    /// covers `x`'s columns, never `fixed`'s — with every gate weight's and
+    /// bias's gradient added into `store`.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn backward(
         &self,
         dout: &Tensor,
         x: &Tensor,
+        fixed: Option<&Tensor>,
         h: &Tensor,
+        want: [bool; 2],
         store: &mut ParamStore,
-        wt: &mut Transposes,
-    ) -> (Tensor, Tensor) {
+        scratch: &mut Scratch,
+    ) -> (Option<Tensor>, Option<Tensor>) {
         let (m, d) = (h.rows(), h.cols());
         let len = m * d;
         let (r, rest) = self.saved.split_at(len);
         let (z, n) = rest.split_at(len);
         let (hv, go) = (h.as_slice(), dout.as_slice());
+        let Scratch {
+            transposes,
+            buffers: [dar, daz, dan, drh, rh],
+            pool,
+        } = scratch;
+        let (dar, daz, dan) = (zeroed(dar, len), zeroed(daz, len), zeroed(dan, len));
+        let (drh, rh) = (zeroed(drh, len), zeroed(rh, len));
         // Through h' = (1 - z) ⊙ n + z ⊙ h into the pre-activations of z
-        // and n, and straight into h.
-        let mut dh = Tensor::zeros(m, d);
-        let (mut dar, mut daz, mut dan) = (vec![0.0f32; len], vec![0.0f32; len], vec![0.0f32; len]);
+        // and n.
         for i in 0..len {
             let g = go[i];
-            dh.as_mut_slice()[i] = g * z[i];
             daz[i] = g * (hv[i] - n[i]) * z[i] * (1.0 - z[i]);
             dan[i] = g * (1.0 - z[i]) * (1.0 - n[i] * n[i]);
         }
         let gates = self.cell.gates();
         let [xr, hr, xz, hz, xn, hn] = gates;
-        let [wxr, whr, wxz, whz, wxn, whn] = wt
-            .get(store, gates.map(Linear::weight_id))
-            .map(Tensor::as_slice);
-        // Through n's h side, (r ⊙ h) W_hn, into r and h.
-        let mut drh = vec![0.0f32; len];
-        add_products(&mut drh, d, &[(&dan, whn)]);
+        // Through n's h side, (r ⊙ h) W_hn, into r; r ⊙ h, as the forward
+        // computed it, is what W_hn saw.
+        let [whn] = Scratch::transposes(transposes, store, [hn.weight_id()], d);
+        add_products(drh, d, &[(dan, whn.as_slice())]);
         for i in 0..len {
-            dh.as_mut_slice()[i] += drh[i] * r[i];
             dar[i] = drh[i] * hv[i] * r[i] * (1.0 - r[i]);
+            rh[i] = r[i] * hv[i];
         }
-        add_products(dh.as_mut_slice(), d, &[(&dar, whr), (&daz, whz)]);
-        let mut dx = Tensor::zeros(m, x.cols());
-        let terms = [(&dar[..], wxr), (&daz[..], wxz), (&dan[..], wxn)];
-        add_products(dx.as_mut_slice(), x.cols(), &terms);
+        let dh = want[1].then(|| {
+            let mut dh = pooled_zeros(pool, m, d);
+            for (i, o) in dh.as_mut_slice().iter_mut().enumerate() {
+                *o = go[i] * z[i] + drh[i] * r[i];
+            }
+            let [whr, whz] =
+                Scratch::transposes(transposes, store, [hr.weight_id(), hz.weight_id()], d);
+            let terms = [(&dar[..], whr.as_slice()), (&daz[..], whz.as_slice())];
+            add_products(dh.as_mut_slice(), d, &terms);
+            dh
+        });
+        let dx = want[0].then(|| {
+            let mut dx = pooled_zeros(pool, m, x.cols());
+            let ids = [xr, xz, xn].map(Linear::weight_id);
+            let [wxr, wxz, wxn] = Scratch::transposes(transposes, store, ids, x.cols());
+            let terms = [
+                (&dar[..], wxr.as_slice()),
+                (&daz[..], wxz.as_slice()),
+                (&dan[..], wxn.as_slice()),
+            ];
+            add_products(dx.as_mut_slice(), x.cols(), &terms);
+            dx
+        });
 
-        // r ⊙ h, as the forward computed it, is what W_hn saw.
-        let rh = r.iter().zip(hv).map(|(&r, &h)| r * h).collect();
-        let rht = Tensor::from_vec(m, d, rh).transpose();
-        let (xt, ht) = (x.transpose(), h.transpose());
-        for (layer, input_t, da) in [
-            (xr, &xt, &dar),
-            (xz, &xt, &daz),
-            (xn, &xt, &dan),
-            (hr, &ht, &dar),
-            (hz, &ht, &daz),
-            (hn, &rht, &dan),
+        let mut x_parts = vec![(x.as_slice(), x.cols())];
+        x_parts.extend(fixed.map(|f| (f.as_slice(), f.cols())));
+        let h_part = [(hv, d)];
+        let rh_part = [(&rh[..], d)];
+        for (layer, parts, da) in [
+            (xr, &x_parts[..], &dar[..]),
+            (xz, &x_parts[..], &daz[..]),
+            (xn, &x_parts[..], &dan[..]),
+            (hr, &h_part[..], &dar[..]),
+            (hz, &h_part[..], &daz[..]),
+            (hn, &rh_part[..], &dan[..]),
         ] {
-            add_linear_grad(store, layer, input_t, da);
+            add_linear_grad(store, layer, parts, da);
         }
         (dx, dh)
     }
@@ -153,7 +264,9 @@ pub(crate) struct AttentionOp {
 }
 
 impl AttentionOp {
-    /// The `[m, d]` messages and the per-edge softmax weights.
+    /// The `[m, d]` messages and the per-edge softmax weights; the
+    /// attribute biases and per-target sums are made in `scratch`.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn forward(
         store: &ParamStore,
         query: &Linear,
@@ -162,6 +275,7 @@ impl AttentionOp {
         sources: &Tensor,
         targets: &Tensor,
         seg: &[u32],
+        scratch: &mut Vec<f32>,
     ) -> (Tensor, Vec<f32>) {
         let (edges, d, m) = (sources.rows(), sources.cols(), targets.rows());
         assert_eq!(seg.len(), edges, "attention segment count mismatch");
@@ -172,17 +286,18 @@ impl AttentionOp {
             "attention segment out of range"
         );
         let mut wide = Vec::new();
+        let bias_len = if edge_attr.is_some() { edges } else { 0 };
+        let (bias, rest) = zeroed(scratch, bias_len + 2 * m).split_at_mut(bias_len);
+        let (tq, sum) = rest.split_at_mut(m);
         let attr_bias = edge_attr.map(|(layer, attr)| {
             assert_eq!(attr.rows(), edges, "attention attribute rows");
-            let mut bias = vec![0.0f32; edges];
             layer
                 .dense(store)
-                .apply(attr.as_slice(), edges, &mut bias, &mut wide);
-            bias
+                .apply(attr.as_slice(), edges, bias, &mut wide);
+            &*bias
         });
         let mut msg = Tensor::zeros(m, d);
         let mut alpha = vec![0.0f32; edges];
-        let (mut tq, mut sum) = (vec![0.0f32; m], vec![0.0f32; m]);
         let src = sources.as_slice();
         dense::attention(
             query.dense(store),
@@ -190,79 +305,111 @@ impl AttentionOp {
             |e| &src[e * d..(e + 1) * d],
             targets.as_slice(),
             seg,
-            attr_bias.as_deref(),
+            attr_bias,
             &mut alpha,
-            &mut tq,
-            &mut sum,
+            tq,
+            sum,
             msg.as_mut_slice(),
             &mut wide,
         );
         (msg, alpha)
     }
 
-    /// `(dsources, dtargets, dattr)` from `dmsg`, with the score layers'
-    /// gradients added into `store`.
+    /// `[dsources, dtargets, dattr]` from `dmsg`, each only when `want` asks
+    /// for it, with the score layers' gradients added into `store`.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn backward(
         &self,
         dmsg: &Tensor,
         sources: &Tensor,
         targets: &Tensor,
         attr: Option<&Tensor>,
+        want: [bool; 3],
         store: &mut ParamStore,
-        wt: &mut Transposes,
-    ) -> (Tensor, Tensor, Option<Tensor>) {
+        scratch: &mut Scratch,
+    ) -> [Option<Tensor>; 3] {
         let (edges, d, m) = (sources.rows(), sources.cols(), targets.rows());
         let (src, dm, alpha) = (sources.as_slice(), dmsg.as_slice(), &self.alpha);
+        let Scratch {
+            transposes,
+            buffers: [ds, seg_dot, dq, ..],
+            pool,
+        } = scratch;
+        let (ds, seg_dot, dq) = (zeroed(ds, edges), zeroed(seg_dot, m), zeroed(dq, m));
         // Through the weighted sum into the sources and the weights, then
         // through the softmax: ds = α (dα - Σ_segment α dα).
-        let mut dsrc = Tensor::zeros(edges, d);
-        let mut ds = vec![0.0f32; edges];
-        let mut seg_dot = vec![0.0f32; m];
+        let mut dsrc = want[0].then(|| pooled_zeros(pool, edges, d));
         for (e, &t) in self.seg.iter().enumerate() {
             let drow = &dm[t as usize * d..][..d];
             let srow = &src[e * d..][..d];
             let dalpha = dot(drow, srow);
-            for (o, &g) in dsrc.row_mut(e).iter_mut().zip(drow) {
-                *o = alpha[e] * g;
+            if let Some(dsrc) = &mut dsrc {
+                for (o, &g) in dsrc.row_mut(e).iter_mut().zip(drow) {
+                    *o = alpha[e] * g;
+                }
             }
             ds[e] = dalpha;
             seg_dot[t as usize] += dalpha * alpha[e];
         }
-        let mut dq = vec![0.0f32; m];
         for (e, &t) in self.seg.iter().enumerate() {
             ds[e] = alpha[e] * (ds[e] - seg_dot[t as usize]);
             dq[t as usize] += ds[e];
         }
         // A score is key(source) + query(target) + edge_attr(attr).
-        let [wk, wq] = wt.get(store, [self.key.weight_id(), self.query.weight_id()]);
-        add_products(dsrc.as_mut_slice(), d, &[(&ds, wk.as_slice())]);
-        let mut dtgt = Tensor::zeros(m, d);
-        add_products(dtgt.as_mut_slice(), d, &[(&dq, wq.as_slice())]);
-        let dattr = self.edge_attr.as_ref().zip(attr).map(|((layer, _), attr)| {
-            let mut da = Tensor::zeros(edges, attr.cols());
-            let [wa] = wt.get(store, [layer.weight_id()]);
-            add_products(da.as_mut_slice(), attr.cols(), &[(&ds, wa.as_slice())]);
-            add_linear_grad(store, layer, &attr.transpose(), &ds);
-            da
+        if let Some(dsrc) = &mut dsrc {
+            let [wk] = Scratch::transposes(transposes, store, [self.key.weight_id()], d);
+            add_products(dsrc.as_mut_slice(), d, &[(ds, wk.as_slice())]);
+        }
+        let dtgt = want[1].then(|| input_grad(transposes, pool, store, &self.query, dq));
+        let edge_attr = self.edge_attr.as_ref().map(|(layer, _)| layer).zip(attr);
+        let dattr = edge_attr.and_then(|(layer, attr)| {
+            let dattr = want[2].then(|| input_grad(transposes, pool, store, layer, ds));
+            add_linear_grad(store, layer, &[(attr.as_slice(), attr.cols())], ds);
+            dattr
         });
-        add_linear_grad(store, &self.key, &sources.transpose(), &ds);
-        add_linear_grad(store, &self.query, &targets.transpose(), &dq);
-        (dsrc, dtgt, dattr)
+        add_linear_grad(store, &self.key, &[(src, d)], ds);
+        add_linear_grad(store, &self.query, &[(targets.as_slice(), d)], dq);
+        [dsrc, dtgt, dattr]
     }
 }
 
-/// Adds the gradient of `layer`, given its input rows transposed
-/// (`input_t`, `[in, rows]`) and its output gradient rows `dout`, into the
-/// store: `W += inputᵀ dout` — weight row `k` takes input column `k` times
-/// each `dout` row in ascending row order, zero-skip included, as the
-/// generic `Op::Matmul` backward does — and `b += Σ dout`.
-fn add_linear_grad(store: &mut ParamStore, layer: &Linear, input_t: &Tensor, dout: &[f32]) {
+/// `dout Wᵀ`, the gradient of `layer`'s input rows.
+fn input_grad(
+    transposes: &mut [Option<Tensor>],
+    pool: &mut Vec<Vec<f32>>,
+    store: &ParamStore,
+    layer: &Linear,
+    dout: &[f32],
+) -> Tensor {
+    let (k, n) = (layer.in_features(), layer.out_features());
+    let [wt] = Scratch::transposes(transposes, store, [layer.weight_id()], k);
+    let mut out = pooled_zeros(pool, dout.len() / n, k);
+    add_products(out.as_mut_slice(), k, &[(dout, wt.as_slice())]);
+    out
+}
+
+/// Adds the gradient of `layer` into the store from its input rows, read in
+/// place, and its output gradient rows `dout`: `W += inputᵀ dout` — weight
+/// row `k` takes input column `k` times each `dout` row in ascending row
+/// order, zero-skip on the input, as the generic `Op::Matmul` backward does —
+/// and `b += Σ dout`, rows ascending. The input's columns may come in
+/// `parts` of `(rows, width)`, `[message | fixed]`; each feeds the next
+/// `width` weight rows.
+fn add_linear_grad(
+    store: &mut ParamStore,
+    layer: &Linear,
+    parts: &[(&[f32], usize)],
+    dout: &[f32],
+) {
     let n = layer.out_features();
-    let weight = store.grad_mut(layer.weight_id()).as_mut_slice();
-    add_products(weight, n, &[(input_t.as_slice(), dout)]);
+    let mut weight = store.grad_mut(layer.weight_id()).as_mut_slice();
+    for &(input, width) in parts {
+        let (rows, rest) = std::mem::take(&mut weight).split_at_mut(width * n);
+        add_transposed_products(rows, n, &[(input, dout)]);
+        weight = rest;
+    }
     if let Some(bias) = layer.bias_id() {
-        let ones = vec![1.0f32; dout.len() / n];
-        add_products(store.grad_mut(bias).as_mut_slice(), n, &[(&ones, dout)]);
+        add_row_sums(store.grad_mut(bias).as_mut_slice(), dout);
     }
 }
 
@@ -314,21 +461,36 @@ mod tests {
     }
 
     /// Forward and backward from `Σ out ⊙ w`: the output, every input's
-    /// gradient, and every parameter's gradient (left in `store` too).
+    /// gradient, and every parameter's gradient (left in `store` too). The
+    /// last `constants` inputs are recorded as constants, and must come back
+    /// without a gradient; the others ask for theirs.
     fn gradients(
         store: &mut ParamStore,
         inputs: &[Tensor],
+        constants: usize,
         record: Record,
     ) -> (Tensor, Vec<Tensor>, Vec<Tensor>) {
         store.zero_grad();
         let mut g = Graph::new();
-        let vars: Vec<Var> = inputs.iter().map(|t| g.input(t.clone())).collect();
+        let asked = inputs.len() - constants;
+        let vars: Vec<Var> = (inputs.iter().enumerate())
+            .map(|(i, t)| {
+                if i < asked {
+                    g.variable(t.clone())
+                } else {
+                    g.input(t.clone())
+                }
+            })
+            .collect();
         let out = record(&mut g, store, &vars);
         let value = g.value(out).clone();
         let w = g.input(loss_weights(&value));
         let weighted = g.mul(out, w);
         let loss = g.sum_all(weighted);
         g.backward(loss, store);
+        for &var in &vars[asked..] {
+            assert!(g.grad(var).is_none(), "a constant input took a gradient");
+        }
         let input_grads = vars.iter().zip(inputs).map(|(&var, t)| {
             let zeros = || Tensor::zeros(t.rows(), t.cols());
             g.grad(var).cloned().unwrap_or_else(zeros)
@@ -355,17 +517,19 @@ mod tests {
     /// The fused op against its generic-op oracle — the forward bit for bit,
     /// every gradient entry within 1e-5 of the tensor's largest oracle
     /// gradient (at least 1) — and against central differences (ε = 1e-2,
-    /// f64 loss) at sampled entries of every input and parameter, within
-    /// 1e-3 + 1 % of the analytic value.
+    /// f64 loss) at sampled entries of every parameter and every input but
+    /// the last `constants`, within 1e-3 + 1 % of the analytic value. The
+    /// constants get no gradient from either op.
     fn check_op(
         what: &str,
         store: &mut ParamStore,
         inputs: &mut [Tensor],
+        constants: usize,
         fused: Record,
         oracle: Record,
     ) {
-        let (value, input_grads, param_grads) = gradients(store, inputs, fused);
-        let (want, want_inputs, want_params) = gradients(store, inputs, oracle);
+        let (value, input_grads, param_grads) = gradients(store, inputs, constants, fused);
+        let (want, want_inputs, want_params) = gradients(store, inputs, constants, oracle);
         assert_eq!(bits(&value), bits(&want), "{what}: forward bits");
         let close = |name: &str, got: &Tensor, want: &Tensor| {
             let scale = want.as_slice().iter().fold(1.0f32, |m, v| m.max(v.abs()));
@@ -404,7 +568,7 @@ mod tests {
                 check(&name, k, plus, minus, param_grads[id.0].as_slice()[k]);
             }
         }
-        for i in 0..inputs.len() {
+        for i in 0..inputs.len() - constants {
             for k in samples(inputs[i].len()) {
                 let original = inputs[i].as_slice()[k];
                 inputs[i].as_mut_slice()[k] = original + eps;
@@ -428,28 +592,48 @@ mod tests {
     const WIDTHS: [usize; 3] = [8, 12, 64];
     const ROWS: [usize; 4] = [1, 2, 3, 5];
 
+    /// Both forms of the GRU's input: one `[rows, d + 3]` variable, and
+    /// DeepGate's — a `[rows, d]` message variable with the gate-type
+    /// one-hot as `[rows, 3]` fixed constant rows, whose oracle concatenates
+    /// them on the tape. The fixed form's message gradient covers the
+    /// message columns and the one-hot gets none.
     #[test]
     fn gru_matches_its_oracle_and_finite_differences() {
         for d in WIDTHS {
             for rows in ROWS {
-                let mut store = ParamStore::new();
-                // DeepGate's GRU input: the message and a gate-type one-hot.
-                let cell = GruCell::new(&mut store, "gru", d + 3, d, 7 + d as u64);
-                let mut x = Tensor::randn(rows, d + 3, 0.8, 1);
-                let mut h = Tensor::randn(rows, d, 0.8, 2);
-                for r in 0..rows {
-                    x.set(r, 1, 0.0);
-                    h.set(r, 1, 0.0);
+                for fixed in [false, true] {
+                    let mut store = ParamStore::new();
+                    let cell = GruCell::new(&mut store, "gru", d + 3, d, 7 + d as u64);
+                    let width = if fixed { d } else { d + 3 };
+                    let mut x = Tensor::randn(rows, width, 0.8, 1);
+                    let mut h = Tensor::randn(rows, d, 0.8, 2);
+                    let mut one_hot = Tensor::zeros(rows, 3);
+                    for r in 0..rows {
+                        x.set(r, 1, 0.0);
+                        h.set(r, 1, 0.0);
+                        one_hot.set(r, r % 3, 1.0);
+                    }
+                    x.set(0, 0, 0.0);
+                    let what = format!("gru d={d} rows={rows} fixed={fixed}");
+                    if fixed {
+                        let fused = |g: &mut Graph, store: &ParamStore, v: &[Var]| {
+                            cell.forward_with_fixed(g, store, v[0], Some(v[2]), v[1])
+                        };
+                        let oracle = |g: &mut Graph, store: &ParamStore, v: &[Var]| {
+                            generic_gru(&cell, g, store, v[0], Some(v[2]), v[1])
+                        };
+                        let inputs = &mut [x, h, one_hot];
+                        check_op(&what, &mut store, inputs, 1, &fused, &oracle);
+                    } else {
+                        let fused = |g: &mut Graph, store: &ParamStore, v: &[Var]| {
+                            cell.forward(g, store, v[0], v[1])
+                        };
+                        let oracle = |g: &mut Graph, store: &ParamStore, v: &[Var]| {
+                            generic_gru(&cell, g, store, v[0], None, v[1])
+                        };
+                        check_op(&what, &mut store, &mut [x, h], 0, &fused, &oracle);
+                    }
                 }
-                x.set(0, 0, 0.0);
-                let fused = |g: &mut Graph, store: &ParamStore, v: &[Var]| {
-                    cell.forward(g, store, v[0], v[1])
-                };
-                let oracle = |g: &mut Graph, store: &ParamStore, v: &[Var]| {
-                    generic_gru(&cell, g, store, v[0], v[1])
-                };
-                let what = format!("gru d={d} rows={rows}");
-                check_op(&what, &mut store, &mut [x, h], &fused, &oracle);
             }
         }
     }
@@ -553,7 +737,7 @@ mod tests {
                             |g: &mut Graph, s: &ParamStore, v: &[Var]| record(g, s, v, false);
                         let what =
                             format!("attention d={d} m={m} unsorted={unsorted} attr={attr_dim}");
-                        check_op(&what, &mut store, &mut inputs.clone(), &fused, &oracle);
+                        check_op(&what, &mut store, &mut inputs.clone(), 0, &fused, &oracle);
                     }
                 }
             }

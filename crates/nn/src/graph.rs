@@ -27,12 +27,18 @@
 //! - the two fused ops, whose forward is the CSR inference kernel's row
 //!   code ([`crate::dense`]) and whose backward is hand-written
 //!   (`fused.rs`): the GRU update ([`crate::GruCell::forward`], paper
-//!   Eq. 6) and [`Graph::attention`], DeepGate's additive attention over
-//!   each node's predecessor set (Eq. 5). Each is one tape entry that reads
-//!   its parameters in place from the [`ParamStore`] and adds their
-//!   gradients straight into it.
+//!   Eq. 6, whose input may end in constant columns) and
+//!   [`Graph::attention`], DeepGate's additive attention over each node's
+//!   predecessor set (Eq. 5). Each is one tape entry that reads its
+//!   parameters in place from the [`ParamStore`] and adds their gradients
+//!   straight into it.
+//!
+//! The tape marks the entries a gradient reaches: parameters and whatever
+//! reads one. An [`Graph::input`] is a constant, and so is every entry that
+//! reads only constants; [`Graph::backward`] forms no gradient for them.
 
-use crate::fused::{AttentionOp, GruOp, Transposes};
+use crate::fused::{AttentionOp, GruOp, Scratch};
+use crate::tensor::add_transposed_products;
 use crate::{math, GruCell, Linear, ParamId, ParamStore, Tensor};
 
 /// Handle to a value on the autodiff tape.
@@ -74,6 +80,10 @@ struct TapeNode {
     value: Tensor,
     grad: Option<Tensor>,
     op: Op,
+    /// Whether a gradient is formed for this entry: it is a parameter, a
+    /// differentiable test input, or reads one. A constant's is never
+    /// computed.
+    needs_grad: bool,
 }
 
 /// A reverse-mode autodiff tape.
@@ -82,6 +92,8 @@ pub struct Graph {
     nodes: Vec<TapeNode>,
     /// The variable each parameter was recorded as, indexed by `ParamId`.
     params: Vec<Option<Var>>,
+    /// The fused ops' forward temporaries, reused from visit to visit.
+    scratch: Vec<f32>,
 }
 
 impl Graph {
@@ -120,24 +132,71 @@ impl Graph {
         &self.nodes[var.0].value
     }
 
-    /// The gradient of a variable after [`Graph::backward`], if it received
-    /// one.
+    /// The gradient of a leaf after [`Graph::backward`], if it received
+    /// one. A constant — an [`Graph::input`], or an entry that reads only
+    /// constants — never does: its gradient is not computed. An op entry's
+    /// gradient is released once the backward has passed it on to the
+    /// entry's inputs (its buffer holds later gradients of the same pass),
+    /// and a parameter's lands in the [`ParamStore`].
     pub fn grad(&self, var: Var) -> Option<&Tensor> {
         self.nodes[var.0].grad.as_ref()
     }
 
     fn push(&mut self, value: Tensor, op: Op) -> Var {
+        let needs = |var: &Var| self.nodes[var.0].needs_grad;
+        let needs_grad = match &op {
+            Op::Leaf => false,
+            Op::Param(_) => true,
+            Op::Matmul(a, b)
+            | Op::Add(a, b)
+            | Op::AddRow(a, b)
+            | Op::Sub(a, b)
+            | Op::Mul(a, b)
+            | Op::ConcatCols(a, b) => needs(a) || needs(b),
+            #[cfg(test)]
+            Op::MulCol(a, b) => needs(a) || needs(b),
+            Op::Scale(a, _)
+            | Op::AddScalar(a)
+            | Op::Sigmoid(a)
+            | Op::Tanh(a)
+            | Op::Relu(a)
+            | Op::GatherRows(a, _)
+            | Op::ScatterAddRows(a, _)
+            | Op::SumAll(a)
+            | Op::MeanAll(a)
+            | Op::L1Loss(a, _)
+            | Op::MseLoss(a, _) => needs(a),
+            #[cfg(test)]
+            Op::SegmentSoftmax(a, _) => needs(a),
+            Op::GatherFrom(picks) => picks.iter().any(|(var, _)| needs(var)),
+            Op::Gru(op) => needs(&op.x) || needs(&op.h),
+            Op::Attention(op) => {
+                let attr = op.edge_attr.as_ref().is_some_and(|(_, var)| needs(var));
+                needs(&op.sources) || needs(&op.targets) || attr
+            }
+        };
         self.nodes.push(TapeNode {
             value,
             grad: None,
             op,
+            needs_grad,
         });
         Var(self.nodes.len() - 1)
     }
 
-    /// Records a constant input (no gradient flows into it).
+    /// Records a constant input: no gradient is computed for it or for
+    /// anything that reads only constants.
     pub fn input(&mut self, value: Tensor) -> Var {
         self.push(value, Op::Leaf)
+    }
+
+    /// Records an input whose gradient [`Graph::backward`] computes and
+    /// keeps — what the ops' finite-difference tests read back.
+    #[cfg(test)]
+    pub(crate) fn variable(&mut self, value: Tensor) -> Var {
+        let var = self.push(value, Op::Leaf);
+        self.nodes[var.0].needs_grad = true;
+        var
     }
 
     /// Records a trainable parameter; its gradient is accumulated into the
@@ -354,13 +413,37 @@ impl Graph {
         self.push(value, Op::SegmentSoftmax(scores, segments.to_vec()))
     }
 
-    /// Records one GRU update of `hidden`'s rows (see
-    /// [`GruCell::forward`], its public entry).
-    pub(crate) fn gru(&mut self, store: &ParamStore, cell: &GruCell, x: Var, h: Var) -> Var {
-        let (value, saved) = GruOp::forward(store, cell, self.value(x), self.value(h));
+    /// Records one GRU update of `hidden`'s rows over the input rows `[x |
+    /// fixed]` (see [`GruCell::forward_with_fixed`], its public entry).
+    pub(crate) fn gru(
+        &mut self,
+        store: &ParamStore,
+        cell: &GruCell,
+        x: Var,
+        fixed: Option<Var>,
+        h: Var,
+    ) -> Var {
+        if let Some(fixed) = fixed {
+            assert!(
+                !self.nodes[fixed.0].needs_grad,
+                "a GRU's fixed input must be a constant"
+            );
+        }
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let fixed_value = fixed.map(|var| self.value(var));
+        let (value, saved) = GruOp::forward(
+            store,
+            cell,
+            self.value(x),
+            fixed_value,
+            self.value(h),
+            &mut scratch,
+        );
+        self.scratch = scratch;
         let op = GruOp {
             cell: cell.clone(),
             x,
+            fixed,
             h,
             saved,
         };
@@ -391,6 +474,7 @@ impl Graph {
         targets: Var,
         seg: &[u32],
     ) -> Var {
+        let mut scratch = std::mem::take(&mut self.scratch);
         let attr = edge_attr.map(|(layer, var)| (layer, self.value(var)));
         let (value, alpha) = AttentionOp::forward(
             store,
@@ -400,7 +484,9 @@ impl Graph {
             self.value(sources),
             self.value(targets),
             seg,
+            &mut scratch,
         );
+        self.scratch = scratch;
         let op = AttentionOp {
             query: query.clone(),
             key: key.clone(),
@@ -454,6 +540,8 @@ impl Graph {
 
     /// Runs reverse-mode differentiation from `loss` (which must be a
     /// `[1, 1]` tensor) and accumulates parameter gradients into `store`.
+    /// Constants get no gradient, and an op entry's gradient is released
+    /// once passed on (see [`Graph::grad`]).
     ///
     /// # Panics
     ///
@@ -466,8 +554,8 @@ impl Graph {
         );
         self.nodes[loss.0].grad = Some(Tensor::ones(1, 1));
         // A parameter's transpose is built for the first op that needs it
-        // and reused by the rest of the pass.
-        let mut transposes = Transposes::new(store);
+        // and reused by the rest of the pass, as are the fused ops' buffers.
+        let mut scratch = Scratch::new(store);
         for i in (0..self.nodes.len()).rev() {
             // Every input of an entry was recorded before it, so the tape
             // splits into the inputs, whose gradients are written, and the
@@ -479,36 +567,53 @@ impl Graph {
                 Op::Leaf => {}
                 Op::Param(id) => store.accumulate_grad(*id, grad),
                 Op::Matmul(a, b) => {
-                    let rhs = &inputs[b.0];
-                    let da = match rhs.op {
-                        Op::Param(id) => grad.matmul(transposes.get(store, [id])[0]),
-                        _ => grad.matmul(&rhs.value.transpose()),
-                    };
-                    let db = inputs[a.0].value.transpose().matmul(grad);
-                    accumulate(inputs, *a, da);
-                    accumulate(inputs, *b, db);
+                    if needs(inputs, a) {
+                        let rhs = &inputs[b.0];
+                        let da = match rhs.op {
+                            Op::Param(id) => grad.matmul(scratch.transpose(store, id)),
+                            _ => grad.matmul(&rhs.value.transpose()),
+                        };
+                        accumulate(inputs, &mut scratch, *a, da);
+                    }
+                    if needs(inputs, b) {
+                        // aᵀ grad, with `a`'s rows read in place.
+                        let shape = inputs[b.0].value.shape();
+                        let mut db = Tensor::zeros(shape[0], shape[1]);
+                        let lhs = inputs[a.0].value.as_slice();
+                        let terms = [(lhs, grad.as_slice())];
+                        add_transposed_products(db.as_mut_slice(), shape[1], &terms);
+                        accumulate(inputs, &mut scratch, *b, db);
+                    }
                 }
                 Op::Add(a, b) => {
-                    accumulate_ref(inputs, *a, grad);
-                    accumulate_ref(inputs, *b, grad);
+                    accumulate_ref(inputs, &mut scratch, *a, grad);
+                    accumulate_ref(inputs, &mut scratch, *b, grad);
                 }
                 Op::AddRow(a, row) => {
-                    accumulate_ref(inputs, *a, grad);
-                    let mut row_grad = Tensor::zeros(1, grad.cols());
-                    for r in 0..grad.rows() {
-                        add_assign(row_grad.as_mut_slice(), grad.row(r));
+                    accumulate_ref(inputs, &mut scratch, *a, grad);
+                    if needs(inputs, row) {
+                        let mut row_grad = Tensor::zeros(1, grad.cols());
+                        for r in 0..grad.rows() {
+                            add_assign(row_grad.as_mut_slice(), grad.row(r));
+                        }
+                        accumulate(inputs, &mut scratch, *row, row_grad);
                     }
-                    accumulate(inputs, *row, row_grad);
                 }
                 Op::Sub(a, b) => {
-                    accumulate_ref(inputs, *a, grad);
-                    accumulate(inputs, *b, grad.map(|v| -v));
+                    accumulate_ref(inputs, &mut scratch, *a, grad);
+                    if needs(inputs, b) {
+                        accumulate(inputs, &mut scratch, *b, grad.map(|v| -v));
+                    }
                 }
                 Op::Mul(a, b) => {
-                    let da = grad.mul(&inputs[b.0].value);
-                    let db = grad.mul(&inputs[a.0].value);
-                    accumulate(inputs, *a, da);
-                    accumulate(inputs, *b, db);
+                    if needs(inputs, a) {
+                        let da = grad.mul(&inputs[b.0].value);
+                        accumulate(inputs, &mut scratch, *a, da);
+                    }
+                    if needs(inputs, b) {
+                        let db = grad.mul(&inputs[a.0].value);
+                        accumulate(inputs, &mut scratch, *b, db);
+                    }
                 }
                 #[cfg(test)]
                 Op::MulCol(col, mat) => {
@@ -527,35 +632,37 @@ impl Graph {
                         }
                         dc.as_mut_slice()[r] = acc;
                     }
-                    accumulate(inputs, *col, dc);
-                    accumulate(inputs, *mat, dm);
+                    accumulate(inputs, &mut scratch, *col, dc);
+                    accumulate(inputs, &mut scratch, *mat, dm);
                 }
-                Op::Scale(a, factor) => accumulate(inputs, *a, grad.map(|v| v * factor)),
-                Op::AddScalar(a) => accumulate_ref(inputs, *a, grad),
+                Op::Scale(a, factor) => {
+                    accumulate(inputs, &mut scratch, *a, grad.map(|v| v * factor))
+                }
+                Op::AddScalar(a) => accumulate_ref(inputs, &mut scratch, *a, grad),
                 Op::Sigmoid(a) => {
                     let da = grad.zip(&node.value, |g, s| g * s * (1.0 - s));
-                    accumulate(inputs, *a, da);
+                    accumulate(inputs, &mut scratch, *a, da);
                 }
                 Op::Tanh(a) => {
                     let da = grad.zip(&node.value, |g, t| g * (1.0 - t * t));
-                    accumulate(inputs, *a, da);
+                    accumulate(inputs, &mut scratch, *a, da);
                 }
                 Op::Relu(a) => {
                     let x = &inputs[a.0].value;
                     let da = grad.zip(x, |g, v| if v > 0.0 { g } else { 0.0 });
-                    accumulate(inputs, *a, da);
+                    accumulate(inputs, &mut scratch, *a, da);
                 }
                 Op::ConcatCols(a, b) => {
                     let ca = inputs[a.0].value.cols();
-                    let mut da = Tensor::zeros(grad.rows(), ca);
-                    let mut db = Tensor::zeros(grad.rows(), grad.cols() - ca);
-                    for r in 0..grad.rows() {
-                        let (left, right) = grad.row(r).split_at(ca);
-                        da.row_mut(r).copy_from_slice(left);
-                        db.row_mut(r).copy_from_slice(right);
+                    for (var, cols) in [(a, 0..ca), (b, ca..grad.cols())] {
+                        if needs(inputs, var) {
+                            let mut part = Tensor::zeros(grad.rows(), cols.len());
+                            for r in 0..grad.rows() {
+                                part.row_mut(r).copy_from_slice(&grad.row(r)[cols.clone()]);
+                            }
+                            accumulate(inputs, &mut scratch, *var, part);
+                        }
                     }
-                    accumulate(inputs, *a, da);
-                    accumulate(inputs, *b, db);
                 }
                 Op::GatherRows(a, indices) => {
                     let src_rows = inputs[a.0].value.rows();
@@ -563,13 +670,16 @@ impl Graph {
                     for (r, &idx) in indices.iter().enumerate() {
                         add_assign(da.row_mut(idx), grad.row(r));
                     }
-                    accumulate(inputs, *a, da);
+                    accumulate(inputs, &mut scratch, *a, da);
                 }
                 Op::GatherFrom(picks) => {
                     for (r, &(var, row)) in picks.iter().enumerate() {
                         let source = &mut inputs[var.0];
+                        if !source.needs_grad {
+                            continue;
+                        }
                         let target = source.grad.get_or_insert_with(|| {
-                            Tensor::zeros(source.value.rows(), source.value.cols())
+                            scratch.zeros(source.value.rows(), source.value.cols())
                         });
                         add_assign(target.row_mut(row), grad.row(r));
                     }
@@ -579,41 +689,65 @@ impl Graph {
                     for (r, &idx) in indices.iter().enumerate() {
                         da.row_mut(r).copy_from_slice(grad.row(idx as usize));
                     }
-                    accumulate(inputs, *a, da);
+                    accumulate(inputs, &mut scratch, *a, da);
                 }
                 Op::Gru(op) => {
                     let (x, h) = (&inputs[op.x.0].value, &inputs[op.h.0].value);
-                    let (dx, dh) = op.backward(grad, x, h, store, &mut transposes);
-                    accumulate(inputs, op.x, dx);
-                    accumulate(inputs, op.h, dh);
+                    let fixed = op.fixed.map(|var| &inputs[var.0].value);
+                    let want = [needs(inputs, &op.x), needs(inputs, &op.h)];
+                    let (dx, dh) = op.backward(grad, x, fixed, h, want, store, &mut scratch);
+                    for (var, delta) in [(op.x, dx), (op.h, dh)] {
+                        if let Some(delta) = delta {
+                            accumulate(inputs, &mut scratch, var, delta);
+                        }
+                    }
                 }
                 Op::Attention(op) => {
                     let sources = &inputs[op.sources.0].value;
                     let targets = &inputs[op.targets.0].value;
-                    let attr = op.edge_attr.as_ref().map(|(_, var)| &inputs[var.0].value);
-                    let (dsrc, dtgt, dattr) =
-                        op.backward(grad, sources, targets, attr, store, &mut transposes);
-                    accumulate(inputs, op.sources, dsrc);
-                    accumulate(inputs, op.targets, dtgt);
-                    if let (Some((_, var)), Some(da)) = (&op.edge_attr, dattr) {
-                        accumulate(inputs, *var, da);
+                    let attr_var = op.edge_attr.as_ref().map(|&(_, var)| var);
+                    let attr = attr_var.map(|var| &inputs[var.0].value);
+                    let want = [
+                        needs(inputs, &op.sources),
+                        needs(inputs, &op.targets),
+                        attr_var.is_some_and(|var| needs(inputs, &var)),
+                    ];
+                    let deltas =
+                        op.backward(grad, sources, targets, attr, want, store, &mut scratch);
+                    for (var, delta) in [Some(op.sources), Some(op.targets), attr_var]
+                        .into_iter()
+                        .zip(deltas)
+                    {
+                        if let (Some(var), Some(delta)) = (var, delta) {
+                            accumulate(inputs, &mut scratch, var, delta);
+                        }
                     }
                 }
                 #[cfg(test)]
                 Op::SegmentSoftmax(scores, segments) => {
                     let da = segment_softmax_backward(&node.value, grad, segments);
-                    accumulate(inputs, *scores, da);
+                    accumulate(inputs, &mut scratch, *scores, da);
                 }
                 Op::SumAll(a) => {
                     let g = grad.get(0, 0);
                     let shape = inputs[a.0].value.shape();
-                    accumulate(inputs, *a, Tensor::full(shape[0], shape[1], g));
+                    accumulate(
+                        inputs,
+                        &mut scratch,
+                        *a,
+                        Tensor::full(shape[0], shape[1], g),
+                    );
                 }
                 Op::MeanAll(a) => {
                     let shape = inputs[a.0].value.shape();
                     let n = (shape[0] * shape[1]) as f32;
                     let g = grad.get(0, 0) / n;
-                    accumulate(inputs, *a, Tensor::full(shape[0], shape[1], g));
+                    accumulate(
+                        inputs,
+                        &mut scratch,
+                        *a,
+                        Tensor::full(shape[0], shape[1], g),
+                    );
                 }
                 Op::L1Loss(pred, target) => {
                     let p = &inputs[pred.0].value;
@@ -628,33 +762,59 @@ impl Graph {
                             0.0
                         }
                     });
-                    accumulate(inputs, *pred, dp);
+                    accumulate(inputs, &mut scratch, *pred, dp);
                 }
                 Op::MseLoss(pred, target) => {
                     let p = &inputs[pred.0].value;
                     let n = p.len() as f32;
                     let g = grad.get(0, 0) * 2.0 / n;
                     let dp = p.zip(target, |pv, tv| g * (pv - tv));
-                    accumulate(inputs, *pred, dp);
+                    accumulate(inputs, &mut scratch, *pred, dp);
+                }
+            }
+            // Propagated: an entry's gradient is read by nothing after this
+            // point, only a leaf's by `Graph::grad`.
+            if !matches!(rest[0].op, Op::Leaf) {
+                if let Some(grad) = rest[0].grad.take() {
+                    scratch.recycle(grad);
                 }
             }
         }
     }
 }
 
-/// Adds an owned gradient contribution to `var` (moved in on first touch).
-fn accumulate(nodes: &mut [TapeNode], var: Var, delta: Tensor) {
-    match &mut nodes[var.0].grad {
-        Some(existing) => existing.axpy(1.0, &delta),
+/// Whether `var` takes a gradient (see [`TapeNode::needs_grad`]).
+fn needs(nodes: &[TapeNode], var: &Var) -> bool {
+    nodes[var.0].needs_grad
+}
+
+/// Adds an owned gradient contribution to `var` (moved in on first touch),
+/// unless `var` is a constant; a contribution not moved in goes back to the
+/// pass's pool.
+fn accumulate(nodes: &mut [TapeNode], scratch: &mut Scratch, var: Var, delta: Tensor) {
+    let node = &mut nodes[var.0];
+    match &mut node.grad {
+        _ if !node.needs_grad => scratch.recycle(delta),
+        Some(existing) => {
+            existing.axpy(1.0, &delta);
+            scratch.recycle(delta);
+        }
         slot @ None => *slot = Some(delta),
     }
 }
 
-/// Adds a borrowed gradient contribution to `var` (cloned on first touch).
-fn accumulate_ref(nodes: &mut [TapeNode], var: Var, delta: &Tensor) {
-    match &mut nodes[var.0].grad {
+/// Adds a borrowed gradient contribution to `var` (copied on first touch),
+/// unless `var` is a constant.
+fn accumulate_ref(nodes: &mut [TapeNode], scratch: &mut Scratch, var: Var, delta: &Tensor) {
+    let node = &mut nodes[var.0];
+    match &mut node.grad {
+        _ if !node.needs_grad => {}
         Some(existing) => existing.axpy(1.0, delta),
-        slot @ None => *slot = Some(delta.clone()),
+        slot @ None => {
+            let mut copy = scratch.zeros(delta.rows(), delta.cols());
+            copy.as_mut_slice().copy_from_slice(delta.as_slice());
+            *slot = Some(copy);
+        }
     }
 }
 
@@ -1057,17 +1217,24 @@ mod tests {
         assert_eq!(store.grad(w).as_slice(), &[0.25, 0.25, 0.25, 0.25]);
     }
 
+    /// A constant input and everything that reads only constants get no
+    /// gradient; a differentiable input keeps its own, and the constant's
+    /// side of a product with it is never formed.
     #[test]
-    fn grad_of_input_is_tracked_but_not_stored() {
+    fn grad_of_a_constant_input_is_not_computed() {
         let mut store = ParamStore::new();
         let mut g = Graph::new();
         let x = g.input(Tensor::from_rows(&[&[1.0, 2.0]]));
-        let s = g.sum_all(x);
+        let doubled = g.scale(x, 2.0);
+        let y = g.variable(Tensor::from_rows(&[&[3.0, -1.0]]));
+        let product = g.mul(doubled, y);
+        let s = g.sum_all(product);
         g.backward(s, &mut store);
-        assert!(g.grad(x).is_some());
+        assert!(g.grad(x).is_none());
+        assert!(g.grad(doubled).is_none());
+        assert_eq!(g.grad(y).unwrap().as_slice(), &[2.0, 4.0]);
         assert!(store.is_empty());
-        assert!(!g.is_empty());
-        assert_eq!(g.len(), 2);
+        assert_eq!(g.len(), 5);
     }
 
     #[test]

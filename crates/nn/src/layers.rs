@@ -179,8 +179,9 @@ impl Mlp {
 /// ```
 ///
 /// DeepGate uses a GRU as the COMBINE function (Eq. 6): the aggregated
-/// message concatenated with the gate-type one-hot is the input `x`, and the
-/// node's previous hidden state is `h`.
+/// message followed by the gate-type one-hot is the input `x` (the one-hot
+/// as fixed columns, [`GruCell::forward_with_fixed`]), and the node's
+/// previous hidden state is `h`.
 #[derive(Debug, Clone)]
 pub struct GruCell {
     w_xr: Linear,
@@ -279,7 +280,29 @@ impl GruCell {
     ///
     /// Panics if the shapes do not match the cell.
     pub fn forward(&self, g: &mut Graph, store: &ParamStore, input: Var, hidden: Var) -> Var {
-        g.gru(store, self, input, hidden)
+        g.gru(store, self, input, None, hidden)
+    }
+
+    /// [`GruCell::forward`] over the input rows `[input | fixed]`, where
+    /// `fixed` (`[n, f]`) is a constant — DeepGate's gate-type one-hot, the
+    /// same on every update. The fused entry reads `fixed` in place: no
+    /// concatenation is recorded, `input`'s gradient covers its own columns
+    /// only, and none is computed for `fixed`. `None` is
+    /// [`GruCell::forward`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes do not match the cell, or if `fixed` is not a
+    /// constant ([`Graph::input`], or an entry that reads only constants).
+    pub fn forward_with_fixed(
+        &self,
+        g: &mut Graph,
+        store: &ParamStore,
+        input: Var,
+        fixed: Option<Var>,
+        hidden: Var,
+    ) -> Var {
+        g.gru(store, self, input, fixed, hidden)
     }
 }
 

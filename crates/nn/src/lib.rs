@@ -18,9 +18,11 @@
 //!   a node's state can stay in the variable that computed it),
 //!   [`Graph::gather_rows`] and [`Graph::scatter_add_rows`].
 //! - Two fused ops, one tape entry each: the GRU update
-//!   ([`GruCell::forward`]) and [`Graph::attention`] (softmax-weighted
-//!   aggregation over each node's predecessor set, the core of DeepGate's
-//!   attention). Their forward is [`dense`], their backward hand-written.
+//!   ([`GruCell::forward`], or [`GruCell::forward_with_fixed`] with constant
+//!   input columns) and [`Graph::attention`] (softmax-weighted aggregation
+//!   over each node's predecessor set, the core of DeepGate's attention).
+//!   Their forward is [`dense`], their backward hand-written, and it forms
+//!   no gradient for a constant input.
 //! - [`dense`] — the model's dense row code: the flat layer view, the
 //!   fixed-width matvec banks, the GRU update and the attention walk. The
 //!   tape's fused ops and the CSR inference kernel in `deepgate-gnn` both

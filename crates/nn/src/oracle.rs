@@ -1,5 +1,8 @@
 //! The GRU as the tape recorded it before [`GruCell::forward`] fused it:
-//! twenty generic entries (`1 - z` as `-z + 1`, the same bits).
+//! twenty generic entries (`1 - z` as `-z + 1`, the same bits), after a
+//! `concat_cols` entry for fixed input columns, as DeepGate recorded its
+//! gate-type one-hot before [`GruCell::forward_with_fixed`] read them in
+//! place.
 //!
 //! Test support, compiled under `cfg(test)` only. One copy serves both
 //! oracles that need it: the fused op's unit test here and the whole-model
@@ -14,8 +17,13 @@ pub(crate) fn generic_gru(
     g: &mut Graph,
     store: &ParamStore,
     input: Var,
+    fixed: Option<Var>,
     hidden: Var,
 ) -> Var {
+    let input = match fixed {
+        Some(fixed) => g.concat_cols(input, fixed),
+        None => input,
+    };
     let [w_xr, w_hr, w_xz, w_hz, w_xn, w_hn] = cell.gates();
     let xr = w_xr.forward(g, store, input);
     let hr = w_hr.forward(g, store, hidden);

@@ -318,6 +318,11 @@ impl Tensor {
         self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 
+    /// The row-major data, moved out.
+    pub(crate) fn into_vec(self) -> Vec<f32> {
+        self.data
+    }
+
     /// Fills the tensor with zeros in place.
     pub fn fill_zero(&mut self) {
         self.data.iter_mut().for_each(|v| *v = 0.0);
@@ -340,47 +345,97 @@ impl fmt::Display for Tensor {
 /// block overlaps the one before it and writes only its new columns. None of
 /// that blocking reorders a sum.
 pub(crate) fn add_products(out: &mut [f32], n: usize, terms: &[(&[f32], &[f32])]) {
+    products::<false>(out, n, terms);
+}
+
+/// [`add_products`] with every `a_i` read transposed in place: `out +=
+/// Σ_i a_iᵀ @ v_i` for `a_i` `[k_i, rows]` — a weight gradient `inputᵀ
+/// dout` straight from the input rows, without a transposed copy. Output
+/// element `(r, c)` adds `a_i[j][r] · v_i[j][c]`, `j` ascending, skipping
+/// zero `a_i[j][r]`: the chain [`add_products`] runs over an explicit
+/// transpose, bit for bit. A one-column `out` (a score layer) walks `j`
+/// outermost instead, one axpy of `a_i` row `j` per step, vectorised across
+/// `r` with the zero-skip as a select; each element's chain is unchanged.
+pub(crate) fn add_transposed_products(out: &mut [f32], n: usize, terms: &[(&[f32], &[f32])]) {
+    if n != 1 {
+        return products::<true>(out, n, terms);
+    }
+    let rows = out.len();
+    if rows == 0 {
+        return;
+    }
+    for &(a, v) in terms {
+        for (arow, &g) in a.chunks_exact(rows).zip(v) {
+            for (o, &x) in out.iter_mut().zip(arow) {
+                *o = if x != 0.0 { *o + x * g } else { *o };
+            }
+        }
+    }
+}
+
+/// Row sums into `out` (`[n]`): `out[c] += rows[r][c]`, `r` ascending — a
+/// bias gradient, the chain [`add_products`] runs for a row of ones.
+pub(crate) fn add_row_sums(out: &mut [f32], rows: &[f32]) {
+    if out.is_empty() {
+        return;
+    }
+    for row in rows.chunks_exact(out.len()) {
+        for (o, &g) in out.iter_mut().zip(row) {
+            *o += g;
+        }
+    }
+}
+
+/// The walk behind [`add_products`] (`T = false`) and
+/// [`add_transposed_products`] (`T = true`).
+fn products<const T: bool>(out: &mut [f32], n: usize, terms: &[(&[f32], &[f32])]) {
     if n == 0 {
         return;
     }
     let rows = out.len() / n;
     for r in (0..rows - rows % 2).step_by(2) {
-        product_rows::<2>(out, n, r, terms);
+        product_rows::<2, T>(out, n, r, terms);
     }
     if rows % 2 == 1 {
-        product_rows::<1>(out, n, rows - 1, terms);
+        product_rows::<1, T>(out, n, rows - 1, terms);
     }
 }
 
-fn product_rows<const R: usize>(out: &mut [f32], n: usize, r: usize, terms: &[(&[f32], &[f32])]) {
+fn product_rows<const R: usize, const T: bool>(
+    out: &mut [f32],
+    n: usize,
+    r: usize,
+    terms: &[(&[f32], &[f32])],
+) {
     if n < 8 {
         for c in 0..n {
-            product_block::<R, 1>(out, n, r, c, 0, terms);
+            product_block::<R, 1, T>(out, n, r, c, 0, terms);
         }
         return;
     }
     let mut c = 0;
     while c + 64 <= n {
-        product_block::<R, 64>(out, n, r, c, 0, terms);
+        product_block::<R, 64, T>(out, n, r, c, 0, terms);
         c += 64;
     }
     while c + 16 <= n {
-        product_block::<R, 16>(out, n, r, c, 0, terms);
+        product_block::<R, 16, T>(out, n, r, c, 0, terms);
         c += 16;
     }
     while c + 8 <= n {
-        product_block::<R, 8>(out, n, r, c, 0, terms);
+        product_block::<R, 8, T>(out, n, r, c, 0, terms);
         c += 8;
     }
     if c < n {
-        product_block::<R, 8>(out, n, r, n - 8, 8 - (n - c), terms);
+        product_block::<R, 8, T>(out, n, r, n - 8, 8 - (n - c), terms);
     }
 }
 
-/// Rows `r..r + R`, columns `c..c + W` of [`add_products`], written back
-/// from column `c + skip` on.
+/// Rows `r..r + R`, columns `c..c + W` of [`products`], written back from
+/// column `c + skip` on. `a` is read as `[rows, k]` or, with `T`, as
+/// `[k, rows]`.
 #[inline(always)]
-fn product_block<const R: usize, const W: usize>(
+fn product_block<const R: usize, const W: usize, const T: bool>(
     out: &mut [f32],
     n: usize,
     r: usize,
@@ -388,6 +443,7 @@ fn product_block<const R: usize, const W: usize>(
     skip: usize,
     terms: &[(&[f32], &[f32])],
 ) {
+    let rows = out.len() / n;
     let mut acc = [[0.0f32; W]; R];
     for (i, bank) in acc.iter_mut().enumerate() {
         bank.copy_from_slice(&out[(r + i) * n + c..][..W]);
@@ -397,7 +453,11 @@ fn product_block<const R: usize, const W: usize>(
         for j in 0..k {
             let vj = &v[j * n + c..][..W];
             for (i, bank) in acc.iter_mut().enumerate() {
-                let s = a[(r + i) * k + j];
+                let s = if T {
+                    a[j * rows + r + i]
+                } else {
+                    a[(r + i) * k + j]
+                };
                 if s != 0.0 {
                     for l in 0..W {
                         bank[l] += s * vj[l];
@@ -507,6 +567,64 @@ mod tests {
                     "n = {n}, {rows} rows"
                 );
                 assert!(got.as_slice().iter().all(|v| !v.is_nan()));
+            }
+        }
+    }
+
+    /// The in-place weight-gradient products against [`add_products`] on
+    /// an explicit transpose, bit for bit: one-column (score layer, the
+    /// axpy walk), 8-, 64- and 67-column gradients, odd and even input row
+    /// counts, two terms, a non-zero starting `out`, and an exact-zero input
+    /// under an `INFINITY` gradient, whose zero-skip must hold (`0 · inf` is
+    /// NaN). The bias row sums against a row of ones the same way.
+    #[test]
+    fn transposed_products_equal_add_products_on_an_explicit_transpose_bit_for_bit() {
+        let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        for n in [1, 8, 64, 67] {
+            for rows in [1, 2, 3, 5, 7] {
+                for width in [1, 3, 64, 67] {
+                    let seed = (n * 1000 + rows * 10 + width) as u64;
+                    let mut x1 = Tensor::randn(rows, width, 1.0, seed);
+                    let x2 = Tensor::randn(rows, width, 1.0, seed + 1);
+                    let mut g1 = Tensor::randn(rows, n, 1.0, seed + 2);
+                    let g2 = Tensor::randn(rows, n, 1.0, seed + 3);
+                    // Input row 0 is zero in column `width - 1` under an
+                    // infinite gradient row; the other rows must keep it.
+                    x1.set(0, width - 1, 0.0);
+                    g1.set(0, n - 1, f32::INFINITY);
+                    if rows > 2 {
+                        x1.set(2, 0, 0.0);
+                    }
+                    let start = Tensor::randn(width, n, 1.0, seed + 4);
+                    let (mut got, mut want) = (start.clone(), start);
+                    add_transposed_products(
+                        got.as_mut_slice(),
+                        n,
+                        &[
+                            (x1.as_slice(), g1.as_slice()),
+                            (x2.as_slice(), g2.as_slice()),
+                        ],
+                    );
+                    let (x1t, x2t) = (x1.transpose(), x2.transpose());
+                    add_products(
+                        want.as_mut_slice(),
+                        n,
+                        &[
+                            (x1t.as_slice(), g1.as_slice()),
+                            (x2t.as_slice(), g2.as_slice()),
+                        ],
+                    );
+                    let what = format!("n = {n}, {rows} rows, width {width}");
+                    assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "{what}");
+                    assert!(got.as_slice().iter().all(|v| !v.is_nan()), "{what}");
+
+                    let bias = Tensor::randn(1, n, 1.0, seed + 5);
+                    let (mut got, mut want) = (bias.clone(), bias);
+                    add_row_sums(got.as_mut_slice(), g2.as_slice());
+                    let ones = vec![1.0f32; rows];
+                    add_products(want.as_mut_slice(), n, &[(&ones, g2.as_slice())]);
+                    assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "bias: {what}");
+                }
             }
         }
     }

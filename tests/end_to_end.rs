@@ -254,6 +254,64 @@ fn default_deepgate_prediction_bits_are_pinned() {
     }
 }
 
+/// The training contract, pinned from outside: an FNV digest of the
+/// `to_bits` of every parameter and every epoch loss after two epochs of
+/// [`Trainer`] on default-configuration DeepGate (seeded initialisation,
+/// d = 64, T = 10) over two small labelled circuits, one reconvergent with
+/// skip edges. The benchmark's loss golden holds at 1e-4 and the gradient
+/// oracles at 1e-5; this holds the whole backward — every weight gradient's
+/// accumulation order and zero-skip — to the bit. The digest was recorded
+/// before the backward stopped transposing activations and computing
+/// gradients for constant inputs.
+#[test]
+fn default_deepgate_training_bits_are_pinned() {
+    use deepgate::gnn::StructuralHasher;
+    let engine = Engine::builder()
+        .num_patterns(1_024)
+        .label_seed(5)
+        .build()
+        .expect("valid configuration");
+    let mut circuits = Vec::new();
+    for netlist in [generators::squarer(3), generators::priority_arbiter(12)] {
+        circuits.extend(engine.prepare(&NetlistSource::from(netlist)).unwrap());
+    }
+    assert!(!circuits[0].skip_edges.is_empty(), "reconvergent first");
+    assert!(circuits[1].skip_edges.is_empty());
+    let mut deepgate = DeepGate::new(DeepGateConfig::default());
+    let model = deepgate.model().clone();
+    let mut trainer = Trainer::new(TrainerConfig {
+        epochs: 2,
+        eval_every: 0,
+        ..TrainerConfig::default()
+    });
+    let history = trainer
+        .train(&model, deepgate.store_mut(), &circuits, &[])
+        .unwrap();
+    let mut digest = StructuralHasher::new();
+    for epoch in &history.epochs {
+        digest.write(epoch.train_loss.to_bits());
+    }
+    let store = deepgate.store();
+    for id in store.ids() {
+        for v in store.value(id).as_slice() {
+            digest.write(u64::from(v.to_bits()));
+        }
+    }
+    assert_eq!(
+        digest.finish(),
+        0x4d9d1c3350f186e7e9f2712dbc6eb4f6,
+        "{:?}: {} and {} nodes, digest {:#034x}",
+        history
+            .epochs
+            .iter()
+            .map(|e| e.train_loss)
+            .collect::<Vec<_>>(),
+        circuits[0].num_nodes,
+        circuits[1].num_nodes,
+        digest.finish()
+    );
+}
+
 /// The reconvergence analysis, pinned from outside: the skip-edge count and
 /// the structural fingerprint (which covers every skip edge's source, target
 /// and level difference) of the `infer_large` benchmark's designs — the five
