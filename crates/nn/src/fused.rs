@@ -232,8 +232,8 @@ impl GruOp {
             dx
         });
 
-        let mut x_parts = vec![(x.as_slice(), x.cols())];
-        x_parts.extend(fixed.map(|f| (f.as_slice(), f.cols())));
+        let fixed_part = fixed.map_or((&[][..], 0), |f| (f.as_slice(), f.cols()));
+        let x_parts = [(x.as_slice(), x.cols()), fixed_part];
         let h_part = [(hv, d)];
         let rh_part = [(&rh[..], d)];
         for (layer, parts, da) in [
