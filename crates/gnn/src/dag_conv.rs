@@ -147,7 +147,7 @@ impl ProbabilityModel for DagConvGnn {
         store: &ParamStore,
         circuit: &CircuitGraph,
     ) -> Result<Var, GnnError> {
-        self.forward_with(g, store, circuit, GruCell::forward_with_fixed)
+        self.forward_with(g, store, circuit, GruCell::forward)
     }
 
     fn name(&self) -> String {

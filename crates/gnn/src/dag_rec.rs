@@ -316,7 +316,7 @@ impl DagRecGnn {
         store: &ParamStore,
         circuit: &CircuitGraph,
     ) -> Result<Var, GnnError> {
-        self.hidden_with(g, store, circuit, GruCell::forward_with_fixed)
+        self.hidden_with(g, store, circuit, GruCell::forward)
     }
 
     /// [`DagRecGnn::forward_hidden`] with each GRU update recorded by
@@ -700,7 +700,7 @@ mod tests {
         let plan = model.plan(&circuit);
         let mut g = Graph::new();
         let (features, sweep) = model.record_constants(&mut g, &plan);
-        let combine = GruCell::forward_with_fixed as Combine;
+        let combine = GruCell::forward as Combine;
         let h = model.recur(&mut g, &store, &plan, features, &sweep, combine);
         let pred = model.regress(&mut g, &store, &circuit, h);
         let loss = crate::masked_l1_loss(&mut g, pred, &circuit).unwrap();
@@ -742,7 +742,7 @@ mod tests {
         let mut grads = Vec::new();
         let mut losses = Vec::new();
         for combine in [
-            GruCell::forward_with_fixed as Combine,
+            GruCell::forward as Combine,
             crate::state::oracle::generic_gru,
         ] {
             store.zero_grad();

@@ -4,7 +4,7 @@ use deepgate_nn::{Graph, GruCell, ParamStore, Var};
 use std::ops::Range;
 
 /// How a level model records its GRU update over the input rows `[message |
-/// fixed]`: [`GruCell::forward_with_fixed`], or, in the gradient tests, the
+/// fixed]`: [`GruCell::forward`], or, in the gradient tests, the
 /// generic-op oracle it replaced.
 pub(crate) type Combine = fn(&GruCell, &mut Graph, &ParamStore, Var, Option<Var>, Var) -> Var;
 

@@ -615,22 +615,18 @@ mod tests {
                     }
                     x.set(0, 0, 0.0);
                     let what = format!("gru d={d} rows={rows} fixed={fixed}");
+                    // The one-hot, when fixed, is the third input and a
+                    // constant.
+                    let fused = |g: &mut Graph, store: &ParamStore, v: &[Var]| {
+                        cell.forward(g, store, v[0], v.get(2).copied(), v[1])
+                    };
+                    let oracle = |g: &mut Graph, store: &ParamStore, v: &[Var]| {
+                        generic_gru(&cell, g, store, v[0], v.get(2).copied(), v[1])
+                    };
                     if fixed {
-                        let fused = |g: &mut Graph, store: &ParamStore, v: &[Var]| {
-                            cell.forward_with_fixed(g, store, v[0], Some(v[2]), v[1])
-                        };
-                        let oracle = |g: &mut Graph, store: &ParamStore, v: &[Var]| {
-                            generic_gru(&cell, g, store, v[0], Some(v[2]), v[1])
-                        };
                         let inputs = &mut [x, h, one_hot];
                         check_op(&what, &mut store, inputs, 1, &fused, &oracle);
                     } else {
-                        let fused = |g: &mut Graph, store: &ParamStore, v: &[Var]| {
-                            cell.forward(g, store, v[0], v[1])
-                        };
-                        let oracle = |g: &mut Graph, store: &ParamStore, v: &[Var]| {
-                            generic_gru(&cell, g, store, v[0], None, v[1])
-                        };
                         check_op(&what, &mut store, &mut [x, h], 0, &fused, &oracle);
                     }
                 }
@@ -752,7 +748,7 @@ mod tests {
         let x = g.input(Tensor::randn(3, 5, 1.0, 2));
         let h = g.input(Tensor::randn(3, 4, 1.0, 3));
         let before = g.value_elements();
-        cell.forward(&mut g, &store, x, h);
+        cell.forward(&mut g, &store, x, None, h);
         // The [3, 4] output plus r, z and n.
         assert_eq!(g.value_elements() - before, 12 + 3 * 12);
 
@@ -763,5 +759,41 @@ mod tests {
         g.attention(&store, &query, &key, None, h, targets, &[0, 0, 1]);
         // The [2, 4] messages plus one softmax weight per edge.
         assert_eq!(g.value_elements() - before, 8 + 3);
+    }
+
+    /// A fused op reads its weights from the store, not through parameter
+    /// entries on the tape: over inputs that are all constants it must
+    /// still reach the loss and train every weight and bias it owns.
+    #[test]
+    fn fused_ops_over_constants_train_every_weight() {
+        let mut store = ParamStore::new();
+        let cell = GruCell::new(&mut store, "gru", 5, 4, 1);
+        let query = Linear::new(&mut store, "q", 4, 1, 2);
+        let key = Linear::new(&mut store, "k", 4, 1, 3);
+        let attr_layer = Linear::new(&mut store, "a", 2, 1, 4);
+        let mut g = Graph::new();
+        let x = g.input(Tensor::randn(3, 3, 1.0, 5));
+        let one_hot = g.input(Tensor::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 0.0]]));
+        let h = g.input(Tensor::randn(3, 4, 1.0, 6));
+        let updated = cell.forward(&mut g, &store, x, Some(one_hot), h);
+        let sources = g.input(Tensor::randn(4, 4, 1.0, 7));
+        let targets = g.input(Tensor::randn(2, 4, 1.0, 8));
+        let attr = g.input(Tensor::randn(4, 2, 1.0, 9));
+        let edge_attr = Some((&attr_layer, attr));
+        let seg = [0, 1, 0, 1];
+        let msg = g.attention(&store, &query, &key, edge_attr, sources, targets, &seg);
+        let weights = g.input(loss_weights(g.value(updated)));
+        let weighted = g.mul(updated, weights);
+        let msg_weights = g.input(loss_weights(g.value(msg)));
+        let weighted_msg = g.mul(msg, msg_weights);
+        let (a, b) = (g.sum_all(weighted), g.sum_all(weighted_msg));
+        let loss = g.add(a, b);
+        g.backward(loss, &mut store);
+        for id in store.ids() {
+            assert!(store.grad(id).norm() > 0.0, "{} got no gradient", store.name(id));
+        }
+        for var in [x, one_hot, h, sources, targets, attr] {
+            assert!(g.grad(var).is_none(), "a constant got a gradient");
+        }
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! The recorded ops:
 //!
-//! - leaves: [`Graph::input`], [`Graph::param`];
+//! - leaves: [`Graph::input`], [`Graph::variable`], [`Graph::param`];
 //! - dense: [`Graph::matmul`], [`Graph::add`], [`Graph::add_row`],
 //!   [`Graph::sub`], [`Graph::mul`], [`Graph::scale`],
 //!   [`Graph::add_scalar`], [`Graph::concat_cols`];
@@ -33,9 +33,11 @@
 //!   parameters in place from the [`ParamStore`] and adds their gradients
 //!   straight into it.
 //!
-//! The tape marks the entries a gradient reaches: parameters and whatever
-//! reads one. An [`Graph::input`] is a constant, and so is every entry that
-//! reads only constants; [`Graph::backward`] forms no gradient for them.
+//! The tape marks the entries a gradient reaches: parameters, the fused
+//! ops (they own parameters), [`Graph::variable`] inputs, and whatever reads
+//! one of these. An [`Graph::input`] is a constant, and so is every other
+//! entry that reads only constants; [`Graph::backward`] forms no gradient
+//! for them.
 
 use crate::fused::{AttentionOp, GruOp, Scratch};
 use crate::tensor::add_transposed_products;
@@ -81,8 +83,8 @@ struct TapeNode {
     grad: Option<Tensor>,
     op: Op,
     /// Whether a gradient is formed for this entry: it is a parameter, a
-    /// differentiable test input, or reads one. A constant's is never
-    /// computed.
+    /// [`Graph::variable`], a fused op (which owns parameters), or reads
+    /// one of these. A constant's is never computed.
     needs_grad: bool,
 }
 
@@ -133,7 +135,8 @@ impl Graph {
     }
 
     /// The gradient of a leaf after [`Graph::backward`], if it received
-    /// one. A constant — an [`Graph::input`], or an entry that reads only
+    /// one: a [`Graph::variable`] that the loss depends on. A constant — an
+    /// [`Graph::input`], or an entry other than a fused op that reads only
     /// constants — never does: its gradient is not computed. An op entry's
     /// gradient is released once the backward has passed it on to the
     /// entry's inputs (its buffer holds later gradients of the same pass),
@@ -169,11 +172,9 @@ impl Graph {
             #[cfg(test)]
             Op::SegmentSoftmax(a, _) => needs(a),
             Op::GatherFrom(picks) => picks.iter().any(|(var, _)| needs(var)),
-            Op::Gru(op) => needs(&op.x) || needs(&op.h),
-            Op::Attention(op) => {
-                let attr = op.edge_attr.as_ref().is_some_and(|(_, var)| needs(var));
-                needs(&op.sources) || needs(&op.targets) || attr
-            }
+            // The fused ops read their weights from the store, not through
+            // `Op::Param` entries: each owns parameters, whatever it reads.
+            Op::Gru(_) | Op::Attention(_) => true,
         };
         self.nodes.push(TapeNode {
             value,
@@ -185,15 +186,17 @@ impl Graph {
     }
 
     /// Records a constant input: no gradient is computed for it or for
-    /// anything that reads only constants.
+    /// anything that reads only constants. An input whose gradient is
+    /// wanted is a [`Graph::variable`].
     pub fn input(&mut self, value: Tensor) -> Var {
         self.push(value, Op::Leaf)
     }
 
     /// Records an input whose gradient [`Graph::backward`] computes and
-    /// keeps — what the ops' finite-difference tests read back.
-    #[cfg(test)]
-    pub(crate) fn variable(&mut self, value: Tensor) -> Var {
+    /// keeps, for [`Graph::grad`] to read back — the gradient of the loss
+    /// with respect to the input itself (a saliency map, or a
+    /// finite-difference check of an op).
+    pub fn variable(&mut self, value: Tensor) -> Var {
         let var = self.push(value, Op::Leaf);
         self.nodes[var.0].needs_grad = true;
         var
@@ -414,7 +417,7 @@ impl Graph {
     }
 
     /// Records one GRU update of `hidden`'s rows over the input rows `[x |
-    /// fixed]` (see [`GruCell::forward_with_fixed`], its public entry).
+    /// fixed]` (see [`GruCell::forward`], its public entry).
     pub(crate) fn gru(
         &mut self,
         store: &ParamStore,

@@ -180,7 +180,7 @@ impl Mlp {
 ///
 /// DeepGate uses a GRU as the COMBINE function (Eq. 6): the aggregated
 /// message followed by the gate-type one-hot is the input `x` (the one-hot
-/// as fixed columns, [`GruCell::forward_with_fixed`]), and the node's
+/// as fixed columns of [`GruCell::forward`]), and the node's
 /// previous hidden state is `h`.
 #[derive(Debug, Clone)]
 pub struct GruCell {
@@ -273,28 +273,19 @@ impl GruCell {
     /// fused tape entry whose forward is [`crate::dense::gru_step`] — the
     /// CSR inference kernel's GRU.
     ///
-    /// `input` is `[n, input_size]`, `hidden` is `[n, hidden_size]`; the
-    /// result is `[n, hidden_size]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes do not match the cell.
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, input: Var, hidden: Var) -> Var {
-        g.gru(store, self, input, None, hidden)
-    }
-
-    /// [`GruCell::forward`] over the input rows `[input | fixed]`, where
-    /// `fixed` (`[n, f]`) is a constant — DeepGate's gate-type one-hot, the
-    /// same on every update. The fused entry reads `fixed` in place: no
-    /// concatenation is recorded, `input`'s gradient covers its own columns
-    /// only, and none is computed for `fixed`. `None` is
-    /// [`GruCell::forward`].
+    /// The input rows are `[input | fixed]`: `input` is `[n, k]`, and
+    /// `fixed`, when given, is a constant `[n, input_size - k]` — DeepGate's
+    /// gate-type one-hot, the same on every update. The fused entry reads
+    /// `fixed` in place: no concatenation is recorded, `input`'s gradient
+    /// covers its own columns only, and none is computed for `fixed`.
+    /// `hidden` is `[n, hidden_size]`; the result is `[n, hidden_size]`.
+    /// The cell's weights get their gradients whatever the inputs are.
     ///
     /// # Panics
     ///
     /// Panics if the shapes do not match the cell, or if `fixed` is not a
     /// constant ([`Graph::input`], or an entry that reads only constants).
-    pub fn forward_with_fixed(
+    pub fn forward(
         &self,
         g: &mut Graph,
         store: &ParamStore,
@@ -358,7 +349,7 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input(Tensor::randn(6, 3, 1.0, 1));
         let h = g.input(Tensor::randn(6, 4, 1.0, 2));
-        let h2 = gru.forward(&mut g, &store, x, h);
+        let h2 = gru.forward(&mut g, &store, x, None, h);
         assert_eq!(g.value(h2).shape(), [6, 4]);
         // The GRU output is an interpolation between h and tanh(...) so it is
         // bounded by max(|h|, 1).
@@ -413,16 +404,29 @@ mod tests {
         let inputs = Tensor::from_rows(&[&[1.0], &[-1.0], &[0.5], &[-0.5]]);
         let target = Tensor::from_rows(&[&[1.0], &[0.0], &[1.0], &[0.0]]);
         let mut last_loss = f32::MAX;
-        for _ in 0..400 {
+        for step in 0..400 {
             let mut g = Graph::new();
             let x = g.input(inputs.clone());
             let h0 = g.input(Tensor::zeros(4, 4));
-            let h1 = gru.forward(&mut g, &store, x, h0);
+            let h1 = gru.forward(&mut g, &store, x, None, h0);
             let logits = readout.forward(&mut g, &store, h1);
             let pred = g.sigmoid(logits);
             let loss = g.mse_loss(pred, &target);
             last_loss = g.value(loss).get(0, 0);
             g.backward(loss, &mut store);
+            if step == 0 {
+                // x and h0 are constants, yet the GRU trains: the update
+                // and candidate gates' input-side weights and biases have a
+                // gradient (whatever reads h0 = 0, the reset gate too, has
+                // none).
+                let [_, _, xz, _, xn, _] = gru.gates();
+                for layer in [xz, xn] {
+                    let ids = [Some(layer.weight_id()), layer.bias_id()];
+                    for id in ids.into_iter().flatten() {
+                        assert!(store.grad(id).norm() > 0.0, "{}", store.name(id));
+                    }
+                }
+            }
             adam.step(&mut store);
             store.zero_grad();
         }

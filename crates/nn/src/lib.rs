@@ -9,7 +9,8 @@
 //! - [`Graph`] / [`Var`] — a dynamic reverse-mode autodiff tape. Each
 //!   forward pass builds a fresh graph; [`Graph::backward`] accumulates
 //!   parameter gradients into a [`ParamStore`]. A parameter is recorded
-//!   once per tape, however often a model uses it.
+//!   once per tape, however often a model uses it. A [`Graph::input`] is a
+//!   constant and gets no gradient; a [`Graph::variable`] keeps its own.
 //! - Dense ops (`matmul`, `add`, `add_row`, `sub`, `mul`, `scale`,
 //!   `add_scalar`, `concat_cols`), activations (`sigmoid`, `tanh`, `relu`),
 //!   reductions (`sum_all`, `mean_all`) and losses (`l1_loss`, `mse_loss`).
@@ -18,11 +19,11 @@
 //!   a node's state can stay in the variable that computed it),
 //!   [`Graph::gather_rows`] and [`Graph::scatter_add_rows`].
 //! - Two fused ops, one tape entry each: the GRU update
-//!   ([`GruCell::forward`], or [`GruCell::forward_with_fixed`] with constant
-//!   input columns) and [`Graph::attention`] (softmax-weighted aggregation
-//!   over each node's predecessor set, the core of DeepGate's attention).
-//!   Their forward is [`dense`], their backward hand-written, and it forms
-//!   no gradient for a constant input.
+//!   ([`GruCell::forward`], whose input may end in constant columns) and
+//!   [`Graph::attention`] (softmax-weighted aggregation over each node's
+//!   predecessor set, the core of DeepGate's attention). Their forward is
+//!   [`dense`], their backward hand-written: it forms no gradient for a
+//!   constant input, and always one for the op's own weights.
 //! - [`dense`] — the model's dense row code: the flat layer view, the
 //!   fixed-width matvec banks, the GRU update and the attention walk. The
 //!   tape's fused ops and the CSR inference kernel in `deepgate-gnn` both

@@ -1,8 +1,7 @@
 //! The GRU as the tape recorded it before [`GruCell::forward`] fused it:
 //! twenty generic entries (`1 - z` as `-z + 1`, the same bits), after a
 //! `concat_cols` entry for fixed input columns, as DeepGate recorded its
-//! gate-type one-hot before [`GruCell::forward_with_fixed`] read them in
-//! place.
+//! gate-type one-hot before [`GruCell::forward`] read them in place.
 //!
 //! Test support, compiled under `cfg(test)` only. One copy serves both
 //! oracles that need it: the fused op's unit test here and the whole-model
