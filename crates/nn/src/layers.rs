@@ -284,7 +284,8 @@ impl GruCell {
     /// # Panics
     ///
     /// Panics if the shapes do not match the cell, or if `fixed` is not a
-    /// constant ([`Graph::input`], or an entry that reads only constants).
+    /// constant ([`Graph::input`], or an entry other than a fused op that
+    /// reads only constants).
     pub fn forward(
         &self,
         g: &mut Graph,
