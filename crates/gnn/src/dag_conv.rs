@@ -118,11 +118,13 @@ impl DagConvGnn {
             .map(|lvl| lvl.edge_rows().collect())
             .collect();
         for layer in 0..self.config.num_layers {
-            let mut prev_layer = states.clone();
+            // Levels run in ascending order and each node is the target of
+            // one level, so a level's targets still hold the previous
+            // layer's states when it reads them.
             for (lvl, seg) in plan.forward.levels().zip(&segs) {
                 let targets = lvl.start..lvl.end;
                 let src_states = states.read(g, lvl.sources().iter().map(|&src| src as usize));
-                let h_targets_prev = prev_layer.read(g, targets.clone());
+                let h_targets_prev = states.read(g, targets.clone());
                 let msg = self.aggregators[layer].aggregate(
                     g,
                     store,

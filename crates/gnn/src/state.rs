@@ -32,7 +32,7 @@ pub(crate) mod oracle;
 /// exception: a `-0.0` came back as `+0.0` (`-0.0 + 0.0 = +0.0`). The CSR
 /// inference kernel never did that, so the tape now agrees with it on that
 /// value as well.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct NodeStates {
     initial: Var,
     loc: Vec<(Var, usize)>,

@@ -20,8 +20,7 @@
 //! Gates may be declared in any order. Inputs are numbered first, in
 //! declaration order; a file that defines every signal before reading it
 //! keeps its gates in declaration order too, and any other file numbers
-//! them as repeated in-order sweeps over its gate lines would add them
-//! (the `verilog` reader numbers its gates the same way).
+//! them as repeated in-order sweeps over its gate lines would add them.
 
 use crate::netlist::GateDecl;
 use crate::{GateKind, Netlist, NetlistError, NodeId};
@@ -252,7 +251,16 @@ w = NOT(a)
 
     #[test]
     fn parse_rejects_malformed_lines() {
-        for text in ["INPUT a\n", "y AND(a)\n", "y = AND(a\n", "OUTPUT()\n"] {
+        for text in [
+            "INPUT a\n",
+            "y AND(a)\n",
+            "y = AND(a\n",
+            "OUTPUT()\n",
+            "y = INPUT(a)\n",
+            "y = AND()\n",
+            "INPUT(a)\ny = AND(a, )\n",
+            "INPUT(a)\nINPUT(b)\ny = MUX(a, b)\n",
+        ] {
             assert!(parse(text, "bad").is_err(), "{text:?} should fail");
         }
     }

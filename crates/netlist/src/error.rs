@@ -14,15 +14,14 @@ pub enum NetlistError {
     },
     /// A referenced node id does not exist in the netlist.
     UnknownNode(usize),
-    /// A signal name read by a gate or an output of a text netlist (BENCH or
-    /// Verilog) is never defined, or only on a combinational cycle.
+    /// A signal name read by a gate or an output of a BENCH netlist is never
+    /// defined, or only on a combinational cycle.
     UndefinedSignal(String),
-    /// A signal name of a text netlist (BENCH or Verilog) is defined twice.
+    /// A signal name of a BENCH netlist is defined twice.
     DuplicateSignal(String),
-    /// The BENCH or Verilog text could not be parsed at the given line.
+    /// The BENCH text could not be parsed at the given line.
     Parse {
-        /// 1-based line number of the offending line (for Verilog, the line
-        /// its statement starts on).
+        /// 1-based line number of the offending line.
         line: usize,
         /// Human-readable description of the problem.
         message: String,

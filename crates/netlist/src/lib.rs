@@ -17,10 +17,6 @@
 //!   evaluation.
 //! - [`mod@bench`] — a reader and writer for the ISCAS/BENCH text format, the
 //!   interchange format used by the benchmark suites cited in the paper.
-//! - [`verilog`] — a reader and writer for the structural gate-level
-//!   Verilog subset the IWLS/OpenCores benchmarks circulate in.
-//!   Both readers hand their declarations to one resolver, so a netlist
-//!   numbers its gates the same way whichever text it came from.
 //! - [`builder`] — a small fluent API for constructing circuits in code, used
 //!   heavily by the synthetic benchmark generators of `deepgate-dataset`.
 //!
@@ -50,7 +46,6 @@ mod error;
 mod gate;
 mod netlist;
 mod program;
-pub mod verilog;
 
 pub use builder::NetlistBuilder;
 pub use dag::Dag;

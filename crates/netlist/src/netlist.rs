@@ -252,8 +252,8 @@ impl Netlist {
             .map(|(id, _)| id)
     }
 
-    /// Builds a netlist from the declarations of a text netlist, whose gates
-    /// may be declared in any order; both text readers end here.
+    /// Builds a netlist from the declarations of a BENCH text, whose gates
+    /// may be declared in any order; the BENCH reader ends here.
     ///
     /// Inputs take ids `0..inputs.len()` in declaration order. Gates follow
     /// in the order repeated in-order sweeps over the declarations would add
@@ -562,7 +562,7 @@ mod tests {
         assert!(level.is_empty());
     }
 
-    /// The resolve both text readers ran before `from_declarations`: sweep
+    /// The resolve the BENCH reader ran before `from_declarations`: sweep
     /// the gate list in declaration order, adding every gate whose fan-ins
     /// are all defined, until a sweep adds nothing. Quadratic on a chain
     /// declared back to front; kept as the numbering and error oracle.

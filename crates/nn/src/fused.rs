@@ -790,7 +790,11 @@ mod tests {
         let loss = g.add(a, b);
         g.backward(loss, &mut store);
         for id in store.ids() {
-            assert!(store.grad(id).norm() > 0.0, "{} got no gradient", store.name(id));
+            assert!(
+                store.grad(id).norm() > 0.0,
+                "{} got no gradient",
+                store.name(id)
+            );
         }
         for var in [x, one_hot, h, sources, targets, attr] {
             assert!(g.grad(var).is_none(), "a constant got a gradient");

@@ -11,7 +11,7 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum DeepGateError {
-    /// Netlist construction or BENCH/Verilog parsing failed.
+    /// Netlist construction or BENCH parsing failed.
     Netlist(deepgate_netlist::NetlistError),
     /// AIG mapping, optimisation or AIGER parsing failed.
     Aig(deepgate_aig::AigError),

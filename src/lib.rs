@@ -8,8 +8,7 @@
 //!   ingestion, AIG transformation, simulation labelling, training,
 //!   evaluation and checkpointing.
 //! - [`CircuitSource`] — one trait unifying every input format: BENCH
-//!   text/files ([`BenchText`], [`BenchFile`]), structural Verilog
-//!   ([`VerilogText`], [`VerilogFile`]), AIGER ASCII and binary with
+//!   text/files ([`BenchText`], [`BenchFile`]), AIGER ASCII and binary with
 //!   latch-aware ingestion ([`AigerBytes`], [`AigerFile`],
 //!   [`LatchPolicy`]), in-memory netlists ([`NetlistSource`]) and the
 //!   synthetic benchmark generators ([`SuiteSource`], [`LargeDesignSource`]).
@@ -56,7 +55,8 @@
 //! The engine composes the individual workspace crates, all re-exported for
 //! direct access:
 //!
-//! - [`netlist`] — gate-level netlist IR, BENCH/Verilog parsers, generators.
+//! - [`netlist`] — gate-level netlist IR, the BENCH reader and writer,
+//!   the fluent builder.
 //! - [`aig`] — And-Inverter Graphs, netlist→AIG mapping, optimisation
 //!   passes, reconvergence analysis (the logic-synthesis substrate).
 //! - [`sim`] — bit-parallel logic simulation and probability labelling.
@@ -97,7 +97,7 @@ pub use metrics::EngineMetrics;
 pub use session::{InferenceSession, PreparedCircuit};
 pub use source::{
     AigerBytes, AigerFile, BenchFile, BenchText, CircuitSource, LargeDesignSource, NetlistSource,
-    SuiteSource, VerilogFile, VerilogText,
+    SuiteSource,
 };
 
 /// Commonly used types, re-exported for convenient glob import.
@@ -105,7 +105,7 @@ pub mod prelude {
     pub use crate::{
         AigerBytes, AigerFile, BenchFile, BenchText, CircuitSource, DeepGateError, Engine,
         EngineBuilder, InferenceSession, LargeDesignSource, NetlistSource, PreparedCircuit,
-        SuiteSource, VerilogFile, VerilogText,
+        SuiteSource,
     };
     pub use deepgate_aig::{Aig, AigLit, LatchPolicy};
     pub use deepgate_core::{DeepGate, DeepGateConfig, Trainer, TrainerConfig};

@@ -1,5 +1,5 @@
 //! [`CircuitSource`] — one trait unifying every way circuits enter the
-//! system: BENCH text/files, structural Verilog, AIGER (ASCII and binary),
+//! system: BENCH text/files, AIGER (ASCII and binary),
 //! in-memory netlists and the synthetic benchmark-suite generators.
 
 use crate::DeepGateError;
@@ -11,7 +11,7 @@ use std::path::{Path, PathBuf};
 /// A supplier of gate-level circuits for the [`crate::Engine`].
 ///
 /// Implementations cover the interchange formats of the paper's benchmark
-/// suites ([`BenchText`], [`BenchFile`], [`VerilogText`], [`VerilogFile`]),
+/// suites ([`BenchText`], [`BenchFile`], [`AigerBytes`], [`AigerFile`]),
 /// in-memory netlists ([`NetlistSource`]) and the synthetic generators
 /// ([`SuiteSource`], [`LargeDesignSource`]). A source yields whole netlists;
 /// the engine owns the downstream AIG transformation, labelling and graph
@@ -71,43 +71,6 @@ impl CircuitSource for BenchFile {
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| "bench".to_string());
         Ok(vec![deepgate_netlist::bench::parse(&text, name)?])
-    }
-}
-
-/// Structural gate-level Verilog text held in memory.
-pub struct VerilogText {
-    text: String,
-}
-
-impl VerilogText {
-    /// Wraps Verilog text (the module name becomes the design name).
-    pub fn new(text: impl Into<String>) -> Self {
-        VerilogText { text: text.into() }
-    }
-}
-
-impl CircuitSource for VerilogText {
-    fn netlists(&self) -> Result<Vec<Netlist>, DeepGateError> {
-        Ok(vec![deepgate_netlist::verilog::parse(&self.text)?])
-    }
-}
-
-/// A structural Verilog file on disk.
-pub struct VerilogFile {
-    path: PathBuf,
-}
-
-impl VerilogFile {
-    /// References a Verilog file by path.
-    pub fn new(path: impl Into<PathBuf>) -> Self {
-        VerilogFile { path: path.into() }
-    }
-}
-
-impl CircuitSource for VerilogFile {
-    fn netlists(&self) -> Result<Vec<Netlist>, DeepGateError> {
-        let text = read_file(&self.path)?;
-        Ok(vec![deepgate_netlist::verilog::parse(&text)?])
     }
 }
 
@@ -320,8 +283,6 @@ mod tests {
     #[test]
     fn missing_file_maps_to_io_variant() {
         let source = BenchFile::new("/nonexistent/never.bench");
-        assert!(matches!(source.netlists(), Err(DeepGateError::Io { .. })));
-        let source = VerilogFile::new("/nonexistent/never.v");
         assert!(matches!(source.netlists(), Err(DeepGateError::Io { .. })));
     }
 

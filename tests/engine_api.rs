@@ -9,6 +9,9 @@ use deepgate::nn::NnError;
 use deepgate::prelude::*;
 use serde_json::Value;
 
+#[path = "../crates/netlist/tests/bench_corpus/mod.rs"]
+mod bench_corpus;
+
 const FULL_ADDER: &str = "\
 INPUT(a)
 INPUT(b)
@@ -88,17 +91,6 @@ fn bench_text_to_predict_batch_end_to_end() {
 }
 
 #[test]
-fn verilog_source_flows_through_the_same_pipeline() {
-    let netlist = generators::comparator(3);
-    let verilog = deepgate::netlist::verilog::write(&netlist);
-    let engine = quick_engine();
-    let circuits = engine.prepare(&VerilogText::new(verilog)).unwrap();
-    assert_eq!(circuits.len(), 1);
-    assert_eq!(circuits[0].encoding, FeatureEncoding::AigGates);
-    assert!(circuits[0].labels.is_some());
-}
-
-#[test]
 fn reverse_declared_bench_chain_is_prepared() {
     // A 64 000-gate NOT chain, each gate declared before the gate it reads:
     // resolving it by repeated sweeps over the gate list took minutes.
@@ -175,6 +167,41 @@ fn malformed_aiger_is_an_error_not_a_panic() {
         .prepare(&AigerBytes::new("bad", b"aig 1 0 0 0 1\n".to_vec()))
         .unwrap_err();
     assert!(matches!(err, DeepGateError::Aig(_)));
+}
+
+/// Every truncated or byte-corrupted copy of a BENCH fixture over all the
+/// reader's gate kinds is a `DeepGateError` or goes through preparation,
+/// labelling and prediction like clean text: never a panic.
+#[test]
+fn damaged_bench_text_is_an_error_or_a_prediction_not_a_panic() {
+    let engine = quick_engine();
+    let session = engine.session();
+    let mut out = Vec::new();
+    let (mut failed, mut predicted) = (0, 0);
+    for (what, text) in bench_corpus::damaged() {
+        let source = BenchText::new("damaged", text);
+        let Ok(graphs) = engine.prepare_unlabelled(&source) else {
+            failed += 1;
+            continue;
+        };
+        let labelled = engine
+            .prepare(&source)
+            .unwrap_or_else(|err| panic!("{what} prepares unlabelled but not labelled: {err}"));
+        assert_eq!(labelled.len(), graphs.len(), "{what}");
+        for graph in graphs {
+            let num_nodes = graph.num_nodes;
+            session
+                .predict_into(&session.prepare(graph), &mut out)
+                .unwrap_or_else(|err| panic!("{what} prepares but does not predict: {err}"));
+            assert_eq!(out.len(), num_nodes, "{what}");
+            assert!(out.iter().all(|p| (0.0..=1.0).contains(p)), "{what}");
+        }
+        predicted += 1;
+    }
+    assert!(
+        failed > 0 && predicted > 0,
+        "{failed} failed, {predicted} predicted"
+    );
 }
 
 #[test]
